@@ -7,7 +7,8 @@
 // hold the measured growth near the documented O(E log V + E * R)
 // model instead of the quadratic blowup the linear structures had. Per
 // cell it schedules a random layered DAG and reports wall time,
-// makespan and the routed-edge count; per (algorithm, processors)
+// makespan, the routed-edge count and the Dijkstra relaxations per
+// routed edge (0 under BA's static routing); per (algorithm, processors)
 // series it fits the scaling exponent of time vs tasks by log-log least
 // squares. Those exponents back the complexity table in
 // docs/performance.md.
@@ -15,6 +16,8 @@
 // Scale tiers:
 //   default            CI-sized grid (seconds; gated in ci.yml against
 //                      bench/baselines/post/GBENCH_extension_scaling.json)
+//                      plus one 10k-task x 256-processor frontier cell
+//                      for oihsa and bbsa
 //   EDGESCHED_SCALE_FULL=1
 //                      the 50k-task / 256-processor frontier
 //   EDGESCHED_SCALE_TASKS / _PROCS / _ALGOS / _BA_TASKS_MAX /
@@ -37,6 +40,7 @@
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
+#include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "sched/registry.hpp"
 #include "sched/validator.hpp"
@@ -88,6 +92,14 @@ struct Cell {
   double seconds = 0.0;
   double makespan = 0.0;
   std::size_t edges = 0;
+  double relaxations_per_routed_edge = 0.0;
+};
+
+/// One (tasks, processors) point of the sweep and the algorithms run on it.
+struct Point {
+  std::size_t tasks = 0;
+  std::size_t procs = 0;
+  std::vector<std::string> algorithms;
 };
 
 /// Least-squares slope of log(seconds) vs log(tasks) — the measured
@@ -135,17 +147,21 @@ int main(int argc, char** argv) {
       full ? std::vector<std::size_t>{64, 256}
            : std::vector<std::size_t>{16, 64};
   std::vector<std::string> algorithms{"ba", "oihsa", "bbsa"};
+  bool grid_overridden = false;
   if (const std::string v = env_string("EDGESCHED_SCALE_TASKS", "");
       !v.empty()) {
     task_counts = parse_sizes(v);
+    grid_overridden = true;
   }
   if (const std::string v = env_string("EDGESCHED_SCALE_PROCS", "");
       !v.empty()) {
     proc_counts = parse_sizes(v);
+    grid_overridden = true;
   }
   if (const std::string v = env_string("EDGESCHED_SCALE_ALGOS", "");
       !v.empty()) {
     algorithms = parse_names(v);
+    grid_overridden = true;
   }
   // BA re-evaluates every processor per task against the link state, so
   // its frontier is lower; cap it rather than dropping the series.
@@ -154,51 +170,76 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(env_int("EDGESCHED_REPS", 1));
   const bool validate_runs = env_flag("EDGESCHED_VALIDATE", false);
 
-  std::cout << "== extension: scale frontier (tasks x processors) ==\n";
-  std::cout << "algorithm, tasks, procs, seconds, makespan, edges\n";
-
-  std::vector<Cell> cells;
+  std::vector<Point> points;
   for (const std::size_t tasks : task_counts) {
+    for (const std::size_t procs : proc_counts) {
+      points.push_back(Point{tasks, procs, algorithms});
+    }
+  }
+  // The default grid also carries one frontier cell, where §4.3 routing
+  // is the largest phase of the schedule time; it is its own
+  // (algorithm, 256) series, too short to fit an exponent.
+  if (!full && !grid_overridden) {
+    points.push_back(Point{10000, 256, {"oihsa", "bbsa"}});
+  }
+
+  std::cout << "== extension: scale frontier (tasks x processors) ==\n";
+  std::cout << "algorithm, tasks, procs, seconds, makespan, edges, "
+               "relaxations_per_routed_edge\n";
+
+  svc::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
+  svc::Counter& edges_routed = obs::hot_counters().edges_routed;
+  std::vector<Cell> cells;
+  for (const Point& point : points) {
+    const std::size_t tasks = point.tasks;
+    const std::size_t procs = point.procs;
     dag::LayeredDagParams params;
     params.num_tasks = tasks;
     Rng dag_rng(20260807 + tasks);
     const dag::TaskGraph graph = dag::random_layered(params, dag_rng);
-    for (const std::size_t procs : proc_counts) {
-      Rng topo_rng(7 + procs);
-      const net::Topology topology = switched_topology(procs, topo_rng);
-      for (const std::string& name : algorithms) {
-        if (name == "ba" && tasks > ba_tasks_max) {
-          std::cout << "ba, " << tasks << ", " << procs
-                    << ", skipped (EDGESCHED_BA_TASKS_MAX)\n";
-          continue;
-        }
-        const std::unique_ptr<sched::Scheduler> scheduler =
-            sched::make_scheduler(name);
-        Cell cell;
-        cell.algorithm = name;
-        cell.tasks = tasks;
-        cell.procs = procs;
-        cell.seconds = std::numeric_limits<double>::infinity();
-        for (std::size_t rep = 0; rep < reps; ++rep) {
-          const auto begin = std::chrono::steady_clock::now();
-          const sched::Schedule schedule =
-              scheduler->schedule(graph, topology);
-          const double seconds =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - begin)
-                  .count();
-          cell.seconds = std::min(cell.seconds, seconds);
-          cell.makespan = schedule.makespan();
-          cell.edges = graph.num_edges();
-          if (validate_runs) {
-            sched::validate_or_throw(graph, topology, schedule);
-          }
-        }
-        cells.push_back(cell);
-        std::cout << cell.algorithm << ", " << cell.tasks << ", "
-                  << cell.procs << ", " << cell.seconds << ", "
-                  << cell.makespan << ", " << cell.edges << "\n";
+    Rng topo_rng(7 + procs);
+    const net::Topology topology = switched_topology(procs, topo_rng);
+    for (const std::string& name : point.algorithms) {
+      if (name == "ba" && tasks > ba_tasks_max) {
+        std::cout << "ba, " << tasks << ", " << procs
+                  << ", skipped (EDGESCHED_BA_TASKS_MAX)\n";
+        continue;
       }
+      const std::unique_ptr<sched::Scheduler> scheduler =
+          sched::make_scheduler(name);
+      Cell cell;
+      cell.algorithm = name;
+      cell.tasks = tasks;
+      cell.procs = procs;
+      cell.seconds = std::numeric_limits<double>::infinity();
+      const std::uint64_t relaxations_before = relaxations.value();
+      const std::uint64_t edges_before = edges_routed.value();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        const auto begin = std::chrono::steady_clock::now();
+        const sched::Schedule schedule =
+            scheduler->schedule(graph, topology);
+        const double seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - begin)
+                .count();
+        cell.seconds = std::min(cell.seconds, seconds);
+        cell.makespan = schedule.makespan();
+        cell.edges = graph.num_edges();
+        if (validate_runs) {
+          sched::validate_or_throw(graph, topology, schedule);
+        }
+      }
+      const std::uint64_t routed = edges_routed.value() - edges_before;
+      if (routed > 0) {
+        cell.relaxations_per_routed_edge =
+            static_cast<double>(relaxations.value() - relaxations_before) /
+            static_cast<double>(routed);
+      }
+      cells.push_back(cell);
+      std::cout << cell.algorithm << ", " << cell.tasks << ", "
+                << cell.procs << ", " << cell.seconds << ", "
+                << cell.makespan << ", " << cell.edges << ", "
+                << cell.relaxations_per_routed_edge << "\n";
     }
   }
 
@@ -212,6 +253,7 @@ int main(int argc, char** argv) {
     entry.set("seconds", c.seconds);
     entry.set("makespan", c.makespan);
     entry.set("edges", c.edges);
+    entry.set("relaxations_per_routed_edge", c.relaxations_per_routed_edge);
     cells_json.push(std::move(entry));
   }
   obs::JsonValue exponents = obs::JsonValue::array();

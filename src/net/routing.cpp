@@ -183,14 +183,20 @@ void ProbedRouteCache::store(NodeId from, NodeId to, double ready,
 
 Route dijkstra_route(const Topology& topology, NodeId from, NodeId to,
                      const std::function<double(LinkId)>& weight) {
-  const auto link_weight = [&](LinkId l) {
-    return weight ? weight(l) : 1.0 / topology.link_speed(l);
-  };
+  // Every weight is checked up front: the search relaxes only the links
+  // it reaches before `to` (and never relaxes into dead ends), so a check
+  // inside the probe would depend on the endpoints.
+  std::vector<double> weights(topology.num_links());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const LinkId l(i);
+    weights[i] = weight ? weight(l) : 1.0 / topology.link_speed(l);
+    throw_if(!(weights[i] >= 0.0),
+             "dijkstra_route: negative or NaN link weight");
+  }
   // Express static weights through the probe machinery: arrival time plays
   // the role of accumulated distance.
   const auto probe = [&](LinkId l, const ProbeState& state) {
-    const double w = link_weight(l);
-    throw_if(w < 0.0, "dijkstra_route: negative link weight");
+    const double w = weights[l.index()];
     return ProbeResult{state.earliest_start + w, state.earliest_start + w};
   };
   return dijkstra_route_probe(topology, from, to, 0.0, probe);

@@ -188,7 +188,9 @@ class ProbedRouteCache {
 };
 
 /// Static weighted shortest path; `weight(link)` must be non-negative.
-/// Defaults to per-unit transfer time 1/s(L).
+/// Defaults to per-unit transfer time 1/s(L). Every link's weight is
+/// checked before the search, so a negative (or NaN) weight throws
+/// std::invalid_argument whichever endpoints are asked for.
 [[nodiscard]] Route dijkstra_route(
     const Topology& topology, NodeId from, NodeId to,
     const std::function<double(LinkId)>& weight = {});
@@ -368,6 +370,13 @@ struct RoutingScratch {
 /// hops) for determinism. Requires the probe to be monotone: a later
 /// arrival never yields an earlier finish, which basic insertion satisfies.
 ///
+/// Dead-end nodes — a non-target node whose single out-link leads back to
+/// the node being expanded, e.g. a leaf processor under a switch — are
+/// never relaxed from that node: they cannot be transit, and the search
+/// pops every other node in the same order without them. Routes are
+/// identical to the unpruned search; only the relaxation and probe counts
+/// fall.
+///
 /// `workspace` lets callers amortise the label/heap allocations across
 /// searches; pass nullptr for a one-off search with local scratch.
 template <typename Probe>
@@ -430,6 +439,17 @@ template <typename Probe>
       detail::DijkstraLabel& next_label = ws.label(next.index());
       if (next_label.settled) {
         continue;
+      }
+      // Dead end: a non-target node whose only out-link leads back here
+      // can only bounce traffic into this now-settled node, so its label
+      // would never feed another node. Skipping it leaves the pop order
+      // of every other node, and so the route, unchanged.
+      if (next != to) {
+        const std::vector<LinkId>& next_out = topology.out_links(next);
+        if (next_out.size() == 1 &&
+            topology.link(next_out.front()).dst == entry.node) {
+          continue;
+        }
       }
       ++relaxations.count;
       const ProbeResult result =

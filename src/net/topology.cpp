@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <cmath>
 #include <queue>
 
 #include "util/hash.hpp"
@@ -20,7 +21,8 @@ NodeId Topology::add_node(NodeKind kind, double speed, std::string name) {
 }
 
 NodeId Topology::add_processor(double speed, std::string name) {
-  throw_if(speed <= 0.0, "Topology::add_processor: speed must be positive");
+  throw_if(!(speed > 0.0 && std::isfinite(speed)),
+           "Topology::add_processor: speed must be positive");
   return add_node(NodeKind::kProcessor, speed, std::move(name));
 }
 
@@ -35,7 +37,8 @@ LinkId Topology::add_link_in_domain(NodeId src, NodeId dst, double speed,
   throw_if(!dst.valid() || dst.index() >= nodes_.size(),
            "Topology::add_link: invalid destination node");
   throw_if(src == dst, "Topology::add_link: self loop");
-  throw_if(speed <= 0.0, "Topology::add_link: speed must be positive");
+  throw_if(!(speed > 0.0 && std::isfinite(speed)),
+           "Topology::add_link: speed must be positive");
   LinkId id(links_.size());
   links_.push_back(Link{src, dst, speed, domain});
   nodes_[src.index()].out_links.push_back(id);

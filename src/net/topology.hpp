@@ -63,12 +63,13 @@ class Topology {
   Topology() = default;
   explicit Topology(std::string name) : name_(std::move(name)) {}
 
-  /// Adds a processor with processing speed s(P) > 0.
+  /// Adds a processor with finite processing speed s(P) > 0.
   NodeId add_processor(double speed = 1.0, std::string name = {});
   /// Adds a switch (routing-only node).
   NodeId add_switch(std::string name = {});
 
   /// Adds one directed link src -> dst with its own contention domain.
+  /// Every link builder requires a finite speed s(L) > 0.
   LinkId add_link(NodeId src, NodeId dst, double speed = 1.0);
 
   /// Allocates an empty contention domain. Together with the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "net/builders.hpp"
 #include "sched/network_state.hpp"
@@ -96,6 +97,37 @@ TEST(DijkstraRoute, CustomWeights) {
   };
   const Route route = dijkstra_route(net.topology, net.a, net.b, weight);
   EXPECT_EQ(route, (Route{net.a_s2, net.s2_s3, net.s3_b}));
+}
+
+// The search stops once `b` settles, so it never relaxes links beyond
+// the target; a negative weight there must still be rejected.
+TEST(DijkstraRoute, RejectsNegativeWeightBeyondTarget) {
+  TwoPathNetwork net;
+  const NodeId c = net.topology.add_processor(1.0, "c");
+  const LinkId beyond = net.topology.add_duplex_link(net.b, c).first;
+  const auto weight = [&](LinkId l) { return l == beyond ? -1.0 : 1.0; };
+  EXPECT_THROW((void)dijkstra_route(net.topology, net.a, net.b, weight),
+               std::invalid_argument);
+  EXPECT_THROW((void)dijkstra_route(net.topology, net.b, net.a, weight),
+               std::invalid_argument);
+}
+
+// A leaf processor hanging off a switch is a dead end the search never
+// relaxes into unless it is the target; its link weight is still checked.
+TEST(DijkstraRoute, RejectsNegativeWeightOnLeafLink) {
+  TwoPathNetwork net;
+  const NodeId leaf = net.topology.add_processor(1.0, "leaf");
+  const LinkId into_leaf = net.topology.add_duplex_link(net.s1, leaf).first;
+  const auto weight = [&](LinkId l) { return l == into_leaf ? -1.0 : 1.0; };
+  EXPECT_THROW((void)dijkstra_route(net.topology, net.a, net.b, weight),
+               std::invalid_argument);
+  const auto nan_weight = [&](LinkId l) {
+    return l == into_leaf ? std::numeric_limits<double>::quiet_NaN() : 1.0;
+  };
+  EXPECT_THROW((void)dijkstra_route(net.topology, net.a, net.b, nan_weight),
+               std::invalid_argument);
+  EXPECT_THROW((void)k_shortest_routes(net.topology, net.a, net.b, 2, weight),
+               std::invalid_argument);
 }
 
 TEST(DijkstraRouteProbe, AvoidsBusyLinks) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace edgesched::net {
 namespace {
 
@@ -26,6 +28,28 @@ TEST(Topology, RejectsBadInputs) {
   EXPECT_THROW((void)t.add_link(p, NodeId(7u), 1.0), std::invalid_argument);
   const NodeId q = t.add_processor();
   EXPECT_THROW((void)t.add_link(p, q, 0.0), std::invalid_argument);
+}
+
+// NaN passes a `speed <= 0.0` check and would make every comparison of
+// the routing search false; infinities break the per-unit 1/s(L) costs.
+TEST(Topology, RejectsNonFiniteSpeeds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Topology t;
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW((void)t.add_processor(bad), std::invalid_argument);
+  }
+  const NodeId p = t.add_processor();
+  const NodeId q = t.add_processor();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW((void)t.add_link(p, q, bad), std::invalid_argument);
+    EXPECT_THROW((void)t.add_link(p, q, bad, t.add_domain()),
+                 std::invalid_argument);
+    EXPECT_THROW((void)t.add_duplex_link(p, q, bad), std::invalid_argument);
+    EXPECT_THROW((void)t.add_bus({p, q}, bad), std::invalid_argument);
+  }
+  EXPECT_EQ(t.num_processors(), 2u);
+  EXPECT_EQ(t.num_links(), 0u);
 }
 
 TEST(Topology, DirectedLinkHasOwnDomain) {
