@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/engine.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 #include "sim/runner.hpp"
@@ -23,6 +24,12 @@ struct Variant {
   std::string label;
   std::unique_ptr<sched::Scheduler> scheduler;
 };
+
+/// A variant that runs `spec` (typically an edited preset) on the engine.
+inline Variant spec_variant(std::string label, sched::AlgorithmSpec spec) {
+  return Variant{std::move(label),
+                 std::make_unique<sched::SpecScheduler>(std::move(spec))};
+}
 
 /// When `report` is given, the per-variant means are appended under
 /// "ablations" -> title (one binary may run several ablations).

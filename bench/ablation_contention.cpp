@@ -4,10 +4,8 @@
 #include <iomanip>
 #include <iostream>
 
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/replay.hpp"
 #include "sched/validator.hpp"
 #include "sim/runner.hpp"
@@ -51,12 +49,13 @@ int main(int argc, char** argv) {
         const sched::Schedule replayed =
             sched::replay_under_contention(inst.graph, inst.topology,
                                            planned);
-        const sched::Schedule s_ba =
-            sched::BasicAlgorithm{}.schedule(inst.graph, inst.topology);
-        const sched::Schedule s_oihsa =
-            sched::Oihsa{}.schedule(inst.graph, inst.topology);
-        const sched::Schedule s_bbsa =
-            sched::Bbsa{}.schedule(inst.graph, inst.topology);
+        const auto run = [&inst](const sched::AlgorithmSpec& spec) {
+          return sched::SpecScheduler(spec).schedule(inst.graph,
+                                                     inst.topology);
+        };
+        const sched::Schedule s_ba = run(sched::ba_spec());
+        const sched::Schedule s_oihsa = run(sched::oihsa_spec());
+        const sched::Schedule s_bbsa = run(sched::bbsa_spec());
         if (validate) {
           sched::validate_or_throw(inst.graph, inst.topology, replayed);
           sched::validate_or_throw(inst.graph, inst.topology, s_ba);

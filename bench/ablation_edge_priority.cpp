@@ -1,33 +1,22 @@
 // Ablation: does scheduling a ready task's incoming edges by decreasing
 // cost (§4.2) matter, for both OIHSA and BBSA?
 #include "ablation_common.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::Bbsa;
-  using edgesched::sched::Oihsa;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
-  Oihsa::Options o_pred;
-  o_pred.edge_priority_by_cost = false;
-  Oihsa::Options o_cost;
-  o_cost.edge_priority_by_cost = true;
-  Bbsa::Options b_pred;
-  b_pred.edge_priority_by_cost = false;
-  Bbsa::Options b_cost;
-  b_cost.edge_priority_by_cost = true;
+  AlgorithmSpec o_pred = oihsa_spec();
+  o_pred.edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
+  AlgorithmSpec b_pred = bbsa_spec();
+  b_pred.edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
 
-  std::vector<Variant> variants;
-  variants.push_back(Variant{"OIHSA, predecessor order",
-                             std::make_unique<Oihsa>(o_pred)});
-  variants.push_back(Variant{"OIHSA, decreasing cost",
-                             std::make_unique<Oihsa>(o_cost)});
-  variants.push_back(Variant{"BBSA, predecessor order",
-                             std::make_unique<Bbsa>(b_pred)});
-  variants.push_back(
-      Variant{"BBSA, decreasing cost", std::make_unique<Bbsa>(b_cost)});
+  std::vector<edgesched::bench::Variant> variants;
+  variants.push_back(spec_variant("OIHSA, predecessor order", o_pred));
+  variants.push_back(spec_variant("OIHSA, decreasing cost", oihsa_spec()));
+  variants.push_back(spec_variant("BBSA, predecessor order", b_pred));
+  variants.push_back(spec_variant("BBSA, decreasing cost", bbsa_spec()));
   edgesched::bench::run_ablation("edge scheduling order",
                                  std::move(variants), false,
                                  &telemetry.report());

@@ -1,23 +1,19 @@
 // Ablation: what does optimal insertion with deferral (§4.4) buy over
 // first-fit insertion, holding routing and edge priorities fixed?
 #include "ablation_common.hpp"
-#include "sched/oihsa.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::Oihsa;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
-  Oihsa::Options basic;
-  basic.optimal_insertion = false;
-  Oihsa::Options optimal;
-  optimal.optimal_insertion = true;
+  AlgorithmSpec basic = oihsa_spec();
+  basic.insertion = InsertionPolicyKind::kFirstFit;
 
-  std::vector<Variant> variants;
+  std::vector<edgesched::bench::Variant> variants;
+  variants.push_back(spec_variant("OIHSA + basic insertion", basic));
   variants.push_back(
-      Variant{"OIHSA + basic insertion", std::make_unique<Oihsa>(basic)});
-  variants.push_back(Variant{"OIHSA + optimal insertion",
-                             std::make_unique<Oihsa>(optimal)});
+      spec_variant("OIHSA + optimal insertion", oihsa_spec()));
   edgesched::bench::run_ablation("first-fit vs optimal insertion",
                                  std::move(variants), false,
                                  &telemetry.report());

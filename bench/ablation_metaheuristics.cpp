@@ -8,10 +8,8 @@
 #include <iostream>
 
 #include "sched/annealing.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/genetic.hpp"
-#include "sched/oihsa.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats.hpp"
 #include "sim/workload.hpp"
@@ -41,8 +39,12 @@ int main(int argc, char** argv) {
     double total_ms = 0.0;
   };
   std::vector<Entry> entries;
-  entries.push_back({"OIHSA", std::make_unique<sched::Oihsa>(), {}, 0.0});
-  entries.push_back({"BBSA", std::make_unique<sched::Bbsa>(), {}, 0.0});
+  entries.push_back(
+      {"OIHSA", std::make_unique<sched::SpecScheduler>(sched::oihsa_spec()),
+       {}, 0.0});
+  entries.push_back(
+      {"BBSA", std::make_unique<sched::SpecScheduler>(sched::bbsa_spec()),
+       {}, 0.0});
   entries.push_back(
       {"GA", std::make_unique<sched::GeneticScheduler>(), {}, 0.0});
   entries.push_back(
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
         Rng rng = root.fork();
         const sim::Instance inst =
             sim::make_instance(config, procs, ccr, rng);
-        const double ba = sched::BasicAlgorithm{}
+        const double ba = sched::SpecScheduler(sched::ba_spec())
                               .schedule(inst.graph, inst.topology)
                               .makespan();
         for (Entry& entry : entries) {

@@ -7,52 +7,46 @@
 //   * BA processor selection: communication-blind EFT (the paper's
 //     description of BA, default) vs Sinnen's full tentative evaluation.
 #include "ablation_common.hpp"
-#include "sched/ba.hpp"
-#include "sched/oihsa.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::BaProcessorSelection;
-  using edgesched::sched::BasicAlgorithm;
-  using edgesched::sched::Oihsa;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
   {
-    std::vector<Variant> variants;
-    Oihsa::Options append;
+    AlgorithmSpec append = oihsa_spec();
     append.task_insertion = false;
-    variants.push_back(Variant{"OIHSA, insertion placement",
-                               std::make_unique<Oihsa>()});
-    variants.push_back(Variant{"OIHSA, append placement",
-                               std::make_unique<Oihsa>(append)});
+    std::vector<edgesched::bench::Variant> variants;
+    variants.push_back(
+        spec_variant("OIHSA, insertion placement", oihsa_spec()));
+    variants.push_back(spec_variant("OIHSA, append placement", append));
     edgesched::bench::run_ablation("task placement policy",
                                    std::move(variants), false,
-                                 &telemetry.report());
+                                   &telemetry.report());
   }
   {
-    std::vector<Variant> variants;
-    Oihsa::Options eager;
+    AlgorithmSpec eager = oihsa_spec();
     eager.eager_communication = true;
-    variants.push_back(Variant{"OIHSA, ready-moment shipping",
-                               std::make_unique<Oihsa>()});
-    variants.push_back(Variant{"OIHSA, eager shipping",
-                               std::make_unique<Oihsa>(eager)});
+    std::vector<edgesched::bench::Variant> variants;
+    variants.push_back(
+        spec_variant("OIHSA, ready-moment shipping", oihsa_spec()));
+    variants.push_back(spec_variant("OIHSA, eager shipping", eager));
     edgesched::bench::run_ablation("communication departure",
                                    std::move(variants), false,
-                                 &telemetry.report());
+                                   &telemetry.report());
   }
   {
-    std::vector<Variant> variants;
-    BasicAlgorithm::Options tentative;
-    tentative.selection = BaProcessorSelection::kTentativeEft;
-    variants.push_back(Variant{"BA, comm-blind EFT (paper)",
-                               std::make_unique<BasicAlgorithm>()});
-    variants.push_back(Variant{"BA, tentative EFT (Sinnen)",
-                               std::make_unique<BasicAlgorithm>(tentative)});
-    variants.push_back(Variant{"OIHSA", std::make_unique<Oihsa>()});
+    AlgorithmSpec tentative = ba_spec();
+    tentative.selection = SelectionPolicyKind::kTentativeEft;
+    std::vector<edgesched::bench::Variant> variants;
+    variants.push_back(
+        spec_variant("BA, comm-blind EFT (paper)", ba_spec()));
+    variants.push_back(
+        spec_variant("BA, tentative EFT (Sinnen)", tentative));
+    variants.push_back(spec_variant("OIHSA", oihsa_spec()));
     edgesched::bench::run_ablation("BA processor selection",
                                    std::move(variants), false,
-                                 &telemetry.report());
+                                   &telemetry.report());
   }
   return 0;
 }

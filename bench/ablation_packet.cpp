@@ -2,28 +2,22 @@
 // extension §2.2 notes BA lacks. Smaller packets pipeline across
 // multi-hop routes but multiply the scheduling work.
 #include "ablation_common.hpp"
-#include "sched/ba.hpp"
-#include "sched/packetized.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::BasicAlgorithm;
-  using edgesched::sched::PacketizedBa;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
-  std::vector<Variant> variants;
-  variants.push_back(
-      Variant{"BA (cut-through circuit)",
-              std::make_unique<BasicAlgorithm>()});
+  std::vector<edgesched::bench::Variant> variants;
+  variants.push_back(spec_variant("BA (cut-through circuit)", ba_spec()));
   for (double size : {1e12, 500.0, 250.0, 100.0, 50.0}) {
-    PacketizedBa::Options options;
-    options.packet_size = size;
+    AlgorithmSpec spec = packet_ba_spec();
+    spec.packet_size = size;
     const std::string label =
         size >= 1e12 ? "PACKET-BA, single packet"
                      : "PACKET-BA, size " + std::to_string(
                                                 static_cast<int>(size));
-    variants.push_back(
-        Variant{label, std::make_unique<PacketizedBa>(options)});
+    variants.push_back(spec_variant(label, spec));
   }
   edgesched::bench::run_ablation("circuit vs packet switching",
                                  std::move(variants), false,

@@ -1,18 +1,18 @@
 // Ablation: novel policy combinations the engine makes expressible —
-// bundles assembled from the registry's presets rather than shipped as
-// named algorithms. Baseline is registry BA; the variants graft one
+// bundles assembled from the presets rather than shipped as named
+// algorithms. Baseline is registry BA; the variants graft one
 // OIHSA/BBSA policy at a time onto it, so the table reads as "what does
 // each policy buy BA on its own?".
 #include "ablation_common.hpp"
-#include "sched/engine.hpp"
 #include "sched/registry.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
+  using edgesched::bench::spec_variant;
   using edgesched::bench::Variant;
   using namespace edgesched::sched;
 
-  const AlgorithmSpec ba = find_algorithm("ba")->spec();
+  const AlgorithmSpec ba = ba_spec();
 
   // BA with OIHSA's workload-aware router swapped in.
   AlgorithmSpec ba_probe = ba;
@@ -32,12 +32,9 @@ int main(int argc, char** argv) {
   std::vector<Variant> variants;
   variants.push_back(
       Variant{"BA (registry)", find_algorithm("ba")->make()});
-  variants.push_back(Variant{"BA + probe routing",
-                             std::make_unique<SpecScheduler>(ba_probe)});
-  variants.push_back(Variant{"BA + cost-desc edges",
-                             std::make_unique<SpecScheduler>(ba_cost)});
-  variants.push_back(Variant{"BA + tentative EFT",
-                             std::make_unique<SpecScheduler>(ba_tent)});
+  variants.push_back(spec_variant("BA + probe routing", ba_probe));
+  variants.push_back(spec_variant("BA + cost-desc edges", ba_cost));
+  variants.push_back(spec_variant("BA + tentative EFT", ba_tent));
   variants.push_back(
       Variant{"OIHSA (registry)", find_algorithm("oihsa")->make()});
   edgesched::bench::run_ablation("novel policy bundles vs presets",

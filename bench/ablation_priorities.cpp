@@ -2,28 +2,21 @@
 // the static priority; this bench measures what the choice is worth for
 // OIHSA against the common alternatives.
 #include "ablation_common.hpp"
-#include "sched/oihsa.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::Oihsa;
-  using edgesched::sched::PriorityScheme;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
-  std::vector<Variant> variants;
-  Oihsa::Options bl;
-  bl.priority = PriorityScheme::kBottomLevel;
-  Oihsa::Options bl_comp;
+  AlgorithmSpec bl_comp = oihsa_spec();
   bl_comp.priority = PriorityScheme::kBottomLevelComputationOnly;
-  Oihsa::Options tlbl;
+  AlgorithmSpec tlbl = oihsa_spec();
   tlbl.priority = PriorityScheme::kTopLevelPlusBottomLevel;
 
-  variants.push_back(Variant{"OIHSA, bl (paper)",
-                             std::make_unique<Oihsa>(bl)});
-  variants.push_back(Variant{"OIHSA, bl computation-only",
-                             std::make_unique<Oihsa>(bl_comp)});
-  variants.push_back(
-      Variant{"OIHSA, tl + bl", std::make_unique<Oihsa>(tlbl)});
+  std::vector<edgesched::bench::Variant> variants;
+  variants.push_back(spec_variant("OIHSA, bl (paper)", oihsa_spec()));
+  variants.push_back(spec_variant("OIHSA, bl computation-only", bl_comp));
+  variants.push_back(spec_variant("OIHSA, tl + bl", tlbl));
   edgesched::bench::run_ablation("task priority scheme",
                                  std::move(variants), false,
                                  &telemetry.report());

@@ -7,9 +7,6 @@
 #include <iostream>
 #include <memory>
 
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/perturbation.hpp"
 #include "sim/workload.hpp"

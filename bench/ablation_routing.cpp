@@ -1,23 +1,19 @@
 // Ablation: what does workload-aware routing (§4.3) buy, holding the rest
 // of OIHSA fixed? Baseline is OIHSA with minimal BFS routes.
 #include "ablation_common.hpp"
-#include "sched/oihsa.hpp"
 
 int main(int argc, char** argv) {
   edgesched::bench::TelemetryScope telemetry("", &argc, argv);
-  using edgesched::bench::Variant;
-  using edgesched::sched::Oihsa;
+  using edgesched::bench::spec_variant;
+  using namespace edgesched::sched;
 
-  Oihsa::Options bfs;
-  bfs.modified_routing = false;
-  Oihsa::Options dijkstra;
-  dijkstra.modified_routing = true;
+  AlgorithmSpec bfs = oihsa_spec();
+  bfs.routing = RoutingPolicyKind::kBfsMinimal;
 
-  std::vector<Variant> variants;
+  std::vector<edgesched::bench::Variant> variants;
+  variants.push_back(spec_variant("OIHSA + BFS routing", bfs));
   variants.push_back(
-      Variant{"OIHSA + BFS routing", std::make_unique<Oihsa>(bfs)});
-  variants.push_back(Variant{"OIHSA + modified routing",
-                             std::make_unique<Oihsa>(dijkstra)});
+      spec_variant("OIHSA + modified routing", oihsa_spec()));
   edgesched::bench::run_ablation("minimal vs workload-aware routing",
                                  std::move(variants), false,
                                  &telemetry.report());

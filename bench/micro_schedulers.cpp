@@ -5,10 +5,8 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 
 namespace {
 
@@ -30,12 +28,11 @@ FixedInstance instance(std::size_t tasks, std::size_t procs) {
   return FixedInstance{std::move(graph), net::random_wan(wan, rng)};
 }
 
-template <typename SchedulerT>
-void schedule_instance(benchmark::State& state) {
+void schedule_instance(benchmark::State& state,
+                       const sched::Scheduler& scheduler) {
   const FixedInstance inst =
       instance(static_cast<std::size_t>(state.range(0)),
                static_cast<std::size_t>(state.range(1)));
-  const SchedulerT scheduler;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         scheduler.schedule(inst.graph, inst.topology));
@@ -45,16 +42,16 @@ void schedule_instance(benchmark::State& state) {
 }
 
 void BM_ScheduleBA(benchmark::State& state) {
-  schedule_instance<sched::BasicAlgorithm>(state);
+  schedule_instance(state, sched::SpecScheduler(sched::ba_spec()));
 }
 void BM_ScheduleOIHSA(benchmark::State& state) {
-  schedule_instance<sched::Oihsa>(state);
+  schedule_instance(state, sched::SpecScheduler(sched::oihsa_spec()));
 }
 void BM_ScheduleBBSA(benchmark::State& state) {
-  schedule_instance<sched::Bbsa>(state);
+  schedule_instance(state, sched::SpecScheduler(sched::bbsa_spec()));
 }
 void BM_ScheduleClassic(benchmark::State& state) {
-  schedule_instance<sched::ClassicScheduler>(state);
+  schedule_instance(state, sched::ClassicScheduler());
 }
 
 BENCHMARK(BM_ScheduleBA)->Args({60, 8})->Args({60, 32})->Args({120, 16});

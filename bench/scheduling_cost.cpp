@@ -7,11 +7,8 @@
 #include <memory>
 #include <vector>
 
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
-#include "sched/oihsa.hpp"
-#include "sched/packetized.hpp"
+#include "sched/engine.hpp"
 #include "sim/workload.hpp"
 #include "util/env.hpp"
 
@@ -26,18 +23,17 @@ int main(int argc, char** argv) {
       algorithms;
   algorithms.emplace_back("CLASSIC",
                           std::make_unique<sched::ClassicScheduler>());
-  algorithms.emplace_back("BA", std::make_unique<sched::BasicAlgorithm>());
-  {
-    sched::BasicAlgorithm::Options tentative;
-    tentative.selection = sched::BaProcessorSelection::kTentativeEft;
-    algorithms.emplace_back(
-        "BA-tentative",
-        std::make_unique<sched::BasicAlgorithm>(tentative));
+  sched::AlgorithmSpec tentative = sched::ba_spec();
+  tentative.selection = sched::SelectionPolicyKind::kTentativeEft;
+  for (const auto& [label, spec] :
+       {std::pair{"BA", sched::ba_spec()},
+        std::pair{"BA-tentative", tentative},
+        std::pair{"OIHSA", sched::oihsa_spec()},
+        std::pair{"BBSA", sched::bbsa_spec()},
+        std::pair{"PACKET-BA", sched::packet_ba_spec()}}) {
+    algorithms.emplace_back(label,
+                            std::make_unique<sched::SpecScheduler>(spec));
   }
-  algorithms.emplace_back("OIHSA", std::make_unique<sched::Oihsa>());
-  algorithms.emplace_back("BBSA", std::make_unique<sched::Bbsa>());
-  algorithms.emplace_back("PACKET-BA",
-                          std::make_unique<sched::PacketizedBa>());
 
   std::cout << "== scheduling cost: wall-clock per schedule ==\n\n";
   std::cout << std::setw(8) << "tasks" << std::setw(8) << "procs";

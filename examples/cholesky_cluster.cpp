@@ -10,10 +10,8 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/lower_bounds.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/validator.hpp"
 
 int main(int argc, char** argv) {
@@ -38,9 +36,11 @@ int main(int argc, char** argv) {
     const double bound = sched::makespan_lower_bound(graph, machine);
 
     const sched::Schedule ba =
-        sched::BasicAlgorithm{}.schedule(graph, machine);
-    const sched::Schedule oihsa = sched::Oihsa{}.schedule(graph, machine);
-    const sched::Schedule bbsa = sched::Bbsa{}.schedule(graph, machine);
+        sched::SpecScheduler(sched::ba_spec()).schedule(graph, machine);
+    const sched::Schedule oihsa =
+        sched::SpecScheduler(sched::oihsa_spec()).schedule(graph, machine);
+    const sched::Schedule bbsa =
+        sched::SpecScheduler(sched::bbsa_spec()).schedule(graph, machine);
     sched::validate_or_throw(graph, machine, ba);
     sched::validate_or_throw(graph, machine, oihsa);
     sched::validate_or_throw(graph, machine, bbsa);

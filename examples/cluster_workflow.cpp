@@ -11,10 +11,8 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/replay.hpp"
 #include "sched/validator.hpp"
 
@@ -54,9 +52,10 @@ int main(int argc, char** argv) {
     std::cout.unsetf(std::ios::fixed);
   };
 
-  report("BA", sched::BasicAlgorithm{}.schedule(graph, cluster));
-  report("OIHSA", sched::Oihsa{}.schedule(graph, cluster));
-  report("BBSA", sched::Bbsa{}.schedule(graph, cluster));
+  for (const sched::AlgorithmSpec& spec :
+       {sched::ba_spec(), sched::oihsa_spec(), sched::bbsa_spec()}) {
+    report(spec.name, sched::SpecScheduler(spec).schedule(graph, cluster));
+  }
 
   const sched::Schedule planned =
       sched::ClassicScheduler{}.schedule(graph, cluster);

@@ -13,12 +13,9 @@
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
 #include "net/properties.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/lower_bounds.hpp"
 #include "sched/metrics.hpp"
-#include "sched/oihsa.hpp"
-#include "sched/packetized.hpp"
 #include "sched/validator.hpp"
 
 int main(int argc, char** argv) {
@@ -75,11 +72,11 @@ int main(int argc, char** argv) {
     std::cout << "\n\n";
   };
 
-  report(sched::BasicAlgorithm{});
-  report(sched::Oihsa{});
-  report(sched::Bbsa{});
-  sched::PacketizedBa::Options packets;
+  report(sched::SpecScheduler(sched::ba_spec()));
+  report(sched::SpecScheduler(sched::oihsa_spec()));
+  report(sched::SpecScheduler(sched::bbsa_spec()));
+  sched::AlgorithmSpec packets = sched::packet_ba_spec();
   packets.packet_size = 100.0;
-  report(sched::PacketizedBa{packets});
+  report(sched::SpecScheduler(packets));
   return 0;
 }

@@ -6,7 +6,7 @@
 
 #include "dag/task_graph.hpp"
 #include "net/topology.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
 int main() {
@@ -37,7 +37,7 @@ int main() {
   // 3. Schedule with OIHSA (contention-aware: routes and link time slots
   //    are booked for every cross-processor edge).
   const sched::Schedule schedule =
-      sched::Oihsa{}.schedule(graph, cluster);
+      sched::SpecScheduler(sched::oihsa_spec()).schedule(graph, cluster);
 
   // 4. Every schedule can be independently re-validated.
   sched::validate_or_throw(graph, cluster, schedule);

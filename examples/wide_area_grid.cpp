@@ -11,9 +11,7 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "sim/runner.hpp"
 
@@ -47,9 +45,11 @@ int main(int argc, char** argv) {
     dag::rescale_to_ccr(graph, ccr);
 
     const sched::Schedule ba =
-        sched::BasicAlgorithm{}.schedule(graph, grid);
-    const sched::Schedule oihsa = sched::Oihsa{}.schedule(graph, grid);
-    const sched::Schedule bbsa = sched::Bbsa{}.schedule(graph, grid);
+        sched::SpecScheduler(sched::ba_spec()).schedule(graph, grid);
+    const sched::Schedule oihsa =
+        sched::SpecScheduler(sched::oihsa_spec()).schedule(graph, grid);
+    const sched::Schedule bbsa =
+        sched::SpecScheduler(sched::bbsa_spec()).schedule(graph, grid);
     sched::validate_or_throw(graph, grid, ba);
     sched::validate_or_throw(graph, grid, oihsa);
     sched::validate_or_throw(graph, grid, bbsa);

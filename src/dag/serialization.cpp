@@ -1,5 +1,6 @@
 #include "dag/serialization.hpp"
 
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -94,7 +95,7 @@ TaskGraph from_text(const std::string& text) {
 }
 
 TaskGraph read_stg(std::istream& in, double default_comm_cost) {
-  throw_if(default_comm_cost < 0.0,
+  throw_if(!(std::isfinite(default_comm_cost) && default_comm_cost >= 0.0),
            "read_stg: negative default communication cost");
   std::size_t declared = 0;
   in >> declared;

@@ -1,14 +1,24 @@
 #include "dag/task_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "util/hash.hpp"
 
 namespace edgesched::dag {
 
+namespace {
+/// Costs and weights must be finite and non-negative; written so NaN
+/// fails too (every comparison with NaN is false).
+bool valid_cost(double value) {
+  return std::isfinite(value) && value >= 0.0;
+}
+}  // namespace
+
 TaskId TaskGraph::add_task(double weight, std::string name) {
-  throw_if(weight < 0.0, "TaskGraph::add_task: negative computation cost");
+  throw_if(!valid_cost(weight),
+           "TaskGraph::add_task: negative computation cost");
   TaskId id(tasks_.size());
   if (name.empty()) {
     name = "n" + std::to_string(id.value());
@@ -23,7 +33,8 @@ EdgeId TaskGraph::add_edge(TaskId src, TaskId dst, double cost) {
   throw_if(!dst.valid() || dst.index() >= tasks_.size(),
            "TaskGraph::add_edge: invalid destination task");
   throw_if(src == dst, "TaskGraph::add_edge: self loop");
-  throw_if(cost < 0.0, "TaskGraph::add_edge: negative communication cost");
+  throw_if(!valid_cost(cost),
+           "TaskGraph::add_edge: negative communication cost");
   for (EdgeId existing : tasks_[src.index()].out_edges) {
     throw_if(edges_[existing.index()].dst == dst,
              "TaskGraph::add_edge: duplicate edge");
@@ -38,14 +49,16 @@ EdgeId TaskGraph::add_edge(TaskId src, TaskId dst, double cost) {
 void TaskGraph::set_cost(EdgeId id, double cost) {
   throw_if(!id.valid() || id.index() >= edges_.size(),
            "TaskGraph::set_cost: invalid edge");
-  throw_if(cost < 0.0, "TaskGraph::set_cost: negative communication cost");
+  throw_if(!valid_cost(cost),
+           "TaskGraph::set_cost: negative communication cost");
   edges_[id.index()].cost = cost;
 }
 
 void TaskGraph::set_weight(TaskId id, double weight) {
   throw_if(!id.valid() || id.index() >= tasks_.size(),
            "TaskGraph::set_weight: invalid task");
-  throw_if(weight < 0.0, "TaskGraph::set_weight: negative computation cost");
+  throw_if(!valid_cost(weight),
+           "TaskGraph::set_weight: negative computation cost");
   tasks_[id.index()].weight = weight;
 }
 

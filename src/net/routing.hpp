@@ -3,8 +3,6 @@
 // * `bfs_route` — minimal routing of Sinnen's Basic Algorithm: fewest
 //   hops, deterministic tie-break. Used with a `RouteCache`, this is the
 //   static routing layer.
-// * `dijkstra_route` — static weighted shortest path (default weight:
-//   1/s(L), i.e. per-unit transfer time).
 // * `dijkstra_route_probe` — the paper's *modified routing* (§4.3):
 //   Dijkstra whose relaxation key is the tentative finish time of the
 //   edge being routed on each link, supplied by a caller probe that
@@ -12,9 +10,6 @@
 //   therefore steer around loaded links.
 // * `RoutingWorkspace` — reusable, epoch-stamped Dijkstra scratch so a
 //   scheduler routing thousands of edges allocates its search state once.
-// * `ProbedRouteCache` — memoisation of probe-driven routes keyed on the
-//   network-state load generation; invalidated by any link mutation and
-//   by `begin_run()` (pooled scratch reused across runs).
 // * `StaticRouteTable` — the immutable all-pairs counterpart of
 //   `RouteCache`: every processor-to-processor minimal route materialised
 //   eagerly at construction, after which lookups are const and safe from
@@ -112,105 +107,6 @@ class StaticRouteTable {
   };
   std::vector<Shard> shards_;  ///< by source node index
 };
-
-/// Memoised *probe-driven* routes (modified routing, §4.3). Unlike BFS
-/// routes these depend on the live link timelines, so an entry is only
-/// returned when the query is provably identical to the one that
-/// produced it:
-///
-///   * same (from, to) endpoints,
-///   * bit-identical ready time and edge cost (they parameterise every
-///     relaxation probe), and
-///   * the same network-state *load generation* — a counter the owning
-///     state bumps on every timeline mutation (commit, deferral shift,
-///     uncommit). Equal generations mean bit-identical timelines, hence
-///     a byte-identical Dijkstra outcome; a changed generation makes the
-///     entry stale and `lookup` misses (the entry is overwritten by the
-///     next `store`).
-///
-/// This is a fast path, never a semantic change: a hit returns exactly
-/// the route the search would have recomputed.
-///
-/// Like `RouteCache`, entries are sharded by source node into dense
-/// per-destination vectors (lazily sized to the largest node index
-/// seen), capping every lookup and store at O(1) — the memo sits inside
-/// the per-edge routing hot loop, so its cost must not grow with the
-/// number of pairs memoised.
-class ProbedRouteCache {
- public:
-  ProbedRouteCache() = default;
-
-  /// Flushes hit/miss tallies into `net_route_memo_{hits,misses}_total`.
-  ~ProbedRouteCache();
-
-  ProbedRouteCache(const ProbedRouteCache&) = delete;
-  ProbedRouteCache& operator=(const ProbedRouteCache&) = delete;
-
-  /// Invalidates every entry (O(1): bumps the run epoch entries are
-  /// stamped with). Pooled workspaces call this between runs — load
-  /// generations restart per run, so an entry from a previous run could
-  /// otherwise collide with an unrelated query that happens to repeat
-  /// the same (ready, cost, generation) triple. A fresh cache and a
-  /// begun-again one are behaviourally identical, misses included.
-  void begin_run() noexcept { ++run_epoch_; }
-
-  /// Flushes the accumulated hit/miss tallies into the global counters
-  /// and zeroes them. The engine calls this at the end of every run so
-  /// pooled memos report deterministically per run instead of only when
-  /// the owning pool dies; the destructor flushes any remainder.
-  void flush_tallies();
-
-  /// The memoised route for the identical query, or nullptr on miss.
-  [[nodiscard]] const Route* lookup(NodeId from, NodeId to, double ready,
-                                    double cost, std::uint64_t generation);
-
-  /// Records a computed route for (from, to) under the given query
-  /// parameters, replacing any previous entry for the pair.
-  void store(NodeId from, NodeId to, double ready, double cost,
-             std::uint64_t generation, const Route& route);
-
- private:
-  struct Entry {
-    double ready = 0.0;
-    double cost = 0.0;
-    std::uint64_t generation = 0;
-    std::uint64_t run_epoch = 0;
-    bool cached = false;
-    Route route;
-  };
-  struct Shard {
-    std::vector<Entry> entries;  ///< by destination index
-  };
-  std::vector<Shard> shards_;  ///< by source node index, grown on demand
-  std::uint64_t run_epoch_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-/// Static weighted shortest path; `weight(link)` must be non-negative.
-/// Defaults to per-unit transfer time 1/s(L). Every link's weight is
-/// checked before the search, so a negative (or NaN) weight throws
-/// std::invalid_argument whichever endpoints are asked for.
-[[nodiscard]] Route dijkstra_route(
-    const Topology& topology, NodeId from, NodeId to,
-    const std::function<double(LinkId)>& weight = {});
-
-/// Like `dijkstra_route`, but links in `banned_links` and nodes in
-/// `banned_nodes` are unavailable. Returns an empty route when no path
-/// survives the bans (from != to).
-[[nodiscard]] Route dijkstra_route_avoiding(
-    const Topology& topology, NodeId from, NodeId to,
-    const std::vector<bool>& banned_links,
-    const std::vector<bool>& banned_nodes,
-    const std::function<double(LinkId)>& weight = {});
-
-/// Yen's algorithm: up to `k` loopless routes in non-decreasing weight
-/// order (fewer if the topology has fewer). Route diversity like this is
-/// what the modified routing algorithm exploits dynamically; the static
-/// variant serves analysis and tests.
-[[nodiscard]] std::vector<Route> k_shortest_routes(
-    const Topology& topology, NodeId from, NodeId to, std::size_t k,
-    const std::function<double(LinkId)>& weight = {});
 
 /// Inputs of a link probe: what the edge brings to the link from the
 /// previous hop (or from its source task, on the first hop).
@@ -331,35 +227,6 @@ class RoutingWorkspace {
   std::uint64_t epoch_ = 0;
   std::vector<detail::DijkstraQueueEntry> heap_;
   std::uint64_t relaxations_ = 0;  ///< batched counter, flushed per run
-};
-
-/// Per-run routing scratch state, bundled so a routing policy owns one
-/// object instead of each scheduler re-declaring the pieces: the
-/// epoch-stamped Dijkstra workspace (reused across every routed edge of
-/// a run) and the generation-keyed probe-route memo. One scratch belongs
-/// to one run on one thread at a time, but the object itself may be
-/// pooled and reused across runs (sched::Workspace does): `begin_run()`
-/// invalidates the memo, and the Dijkstra workspace is already
-/// self-resetting via its search epoch. Construction is cheap (both
-/// members size themselves on first use); the *read-only* routing state
-/// — the BFS route table — lives in `StaticRouteTable` / `RouteCache`,
-/// outside this scratch.
-struct RoutingScratch {
-  RoutingWorkspace workspace;
-  ProbedRouteCache memo;
-
-  /// Marks the start of a new run on this (possibly pooled) scratch.
-  void begin_run() noexcept { memo.begin_run(); }
-
-  /// Flushes every counter batched in this scratch (Dijkstra
-  /// relaxations, memo hits/misses) into the global registry. The engine
-  /// calls this at end of run so pooled scratch reports deterministically
-  /// per run — counter totals are then identical however many workers
-  /// shared the run and whether the workspace was fresh or recycled.
-  void flush_counters() {
-    workspace.flush_relaxations();
-    memo.flush_tallies();
-  }
 };
 
 /// Dynamic Dijkstra over tentative edge finish times (modified routing).

@@ -20,8 +20,6 @@ HotCounters& hot_counters() {
         m.counter("sched_bandwidth_probes_total"),
         m.counter("net_route_cache_hits_total"),
         m.counter("net_route_cache_misses_total"),
-        m.counter("net_route_memo_hits_total"),
-        m.counter("net_route_memo_misses_total"),
         m.counter("sched_probe_gap_steps_total"),
         m.counter("sched_optimal_scan_steps_total"),
         m.counter("sched_candidates_evaluated_total"),

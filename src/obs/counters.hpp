@@ -34,8 +34,6 @@ struct HotCounters {
   svc::Counter& bandwidth_probes;      ///< BBSA bandwidth routing probes
   svc::Counter& route_cache_hits;
   svc::Counter& route_cache_misses;
-  svc::Counter& route_memo_hits;    ///< probe-route memo fast-path hits
-  svc::Counter& route_memo_misses;  ///< probe-route memo recomputations
   svc::Counter& probe_gap_steps;    ///< idle intervals examined by probes
   svc::Counter& optimal_scan_steps; ///< slots visited by the accum scan
   svc::Counter& candidates_evaluated;  ///< processor candidates scored

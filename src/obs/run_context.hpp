@@ -16,10 +16,17 @@
 // same ID every invocation, which keeps same-seed artifact dumps
 // byte-identical.
 //
-// Cost model: `current_run_id()` is one thread-local load; installing a
-// scope is two. Nothing allocates. The ID is propagated per *thread* —
-// a pool job installs the scope inside the job body, so work executed
-// on behalf of a run is tagged no matter which worker picks it up.
+// Cost model: `current_run_id()` is one call and one thread-local load;
+// installing a scope is two. Nothing allocates. The ID is propagated per
+// *thread* — a pool job installs the scope inside the job body, so work
+// executed on behalf of a run is tagged no matter which worker picks it
+// up.
+//
+// The thread-local is private to run_context.cpp on purpose. Inline
+// accesses from other translation units go through a weak TLS-init probe
+// whose result the linker's TLS relaxation (add -> lea) leaves in the
+// flags, so gcc 12's -fsanitize=null check reported every such access as
+// a null load.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +40,16 @@ inline constexpr std::uint64_t kNoRun = 0;
 /// order). Thread-safe.
 [[nodiscard]] std::uint64_t mint_run_id() noexcept;
 
-namespace detail {
-extern thread_local std::uint64_t t_current_run_id;
-}  // namespace detail
-
 /// The run ID installed on this thread, or kNoRun.
-[[nodiscard]] inline std::uint64_t current_run_id() noexcept {
-  return detail::t_current_run_id;
-}
+[[nodiscard]] std::uint64_t current_run_id() noexcept;
 
 /// Installs `run_id` as this thread's current run for the scope's
 /// lifetime; restores the previous value (usually kNoRun) on
 /// destruction. Nests: an inner scope shadows the outer one.
 class ScopedRunId {
  public:
-  explicit ScopedRunId(std::uint64_t run_id) noexcept
-      : previous_(detail::t_current_run_id) {
-    detail::t_current_run_id = run_id;
-  }
-  ~ScopedRunId() { detail::t_current_run_id = previous_; }
+  explicit ScopedRunId(std::uint64_t run_id) noexcept;
+  ~ScopedRunId();
 
   ScopedRunId(const ScopedRunId&) = delete;
   ScopedRunId& operator=(const ScopedRunId&) = delete;

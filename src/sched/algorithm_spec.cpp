@@ -1,5 +1,6 @@
 #include "sched/algorithm_spec.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/hash.hpp"
@@ -65,7 +66,6 @@ std::uint64_t AlgorithmSpec::fingerprint() const noexcept {
   fp.mix(static_cast<std::uint64_t>(insertion_aware_estimate));
   fp.mix(static_cast<std::uint64_t>(edge_order));
   fp.mix(static_cast<std::uint64_t>(routing));
-  fp.mix(static_cast<std::uint64_t>(route_memo));
   fp.mix(static_cast<std::uint64_t>(insertion));
   fp.mix(packet_size);
   fp.mix(static_cast<std::uint64_t>(eager_communication));
@@ -97,11 +97,15 @@ void AlgorithmSpec::validate() const {
         "AlgorithmSpec: refresh_edge_records applies only to exclusive "
         "circuit insertion (first-fit / optimal)");
   }
-  if (insertion == InsertionPolicyKind::kPacketized && packet_size <= 0.0) {
-    throw std::invalid_argument("AlgorithmSpec: packet_size must be > 0");
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (insertion == InsertionPolicyKind::kPacketized &&
+      !(std::isfinite(packet_size) && packet_size > 0.0)) {
+    throw std::invalid_argument(
+        "AlgorithmSpec: packet_size must be finite and > 0");
   }
-  if (hop_delay < 0.0) {
-    throw std::invalid_argument("AlgorithmSpec: hop_delay must be >= 0");
+  if (!(std::isfinite(hop_delay) && hop_delay >= 0.0)) {
+    throw std::invalid_argument(
+        "AlgorithmSpec: hop_delay must be finite and >= 0");
   }
 }
 
@@ -118,14 +122,49 @@ std::string AlgorithmSpec::describe() const {
   text += edge_order_label(edge_order);
   text += " routing=";
   text += routing_label(routing);
-  if (routing == RoutingPolicyKind::kProbeDijkstra && route_memo) {
-    text += "(memo)";
-  }
   text += " insertion=";
   text += insertion_label(insertion);
   if (eager_communication) text += " eager";
   if (!task_insertion) text += " append";
   return text;
+}
+
+AlgorithmSpec ba_spec() {
+  AlgorithmSpec spec;
+  spec.name = "BA";
+  spec.selection = SelectionPolicyKind::kBlindEft;
+  spec.edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
+  spec.routing = RoutingPolicyKind::kBfsMinimal;
+  spec.insertion = InsertionPolicyKind::kFirstFit;
+  return spec;
+}
+
+AlgorithmSpec oihsa_spec() {
+  AlgorithmSpec spec;
+  spec.name = "OIHSA";
+  spec.selection = SelectionPolicyKind::kMlsEstimate;
+  spec.edge_order = EdgeOrderPolicyKind::kByCostDescending;
+  spec.routing = RoutingPolicyKind::kProbeDijkstra;
+  spec.insertion = InsertionPolicyKind::kOptimal;
+  spec.refresh_edge_records = true;
+  return spec;
+}
+
+AlgorithmSpec bbsa_spec() {
+  AlgorithmSpec spec;
+  spec.name = "BBSA";
+  spec.selection = SelectionPolicyKind::kMlsEstimate;
+  spec.edge_order = EdgeOrderPolicyKind::kByCostDescending;
+  spec.routing = RoutingPolicyKind::kProbeDijkstra;
+  spec.insertion = InsertionPolicyKind::kFluidBandwidth;
+  return spec;
+}
+
+AlgorithmSpec packet_ba_spec() {
+  AlgorithmSpec spec = ba_spec();
+  spec.name = "PACKET-BA";
+  spec.insertion = InsertionPolicyKind::kPacketized;
+  return spec;
 }
 
 }  // namespace edgesched::sched

@@ -5,7 +5,8 @@
 // ordering, route + commit — differing only in which policy it plugs
 // into each step. An `AlgorithmSpec` names those policies declaratively;
 // the `ListSchedulingEngine` (engine.hpp) interprets it. The four paper
-// algorithms are preset bundles (see registry.hpp):
+// algorithms are the preset bundles returned by `ba_spec()`,
+// `oihsa_spec()`, `bbsa_spec()` and `packet_ba_spec()`:
 //
 //   bundle     | selection   | edge order | routing        | insertion
 //   -----------+-------------+------------+----------------+-----------
@@ -14,10 +15,11 @@
 //   BBSA       | MLS estimate| cost desc  | probe Dijkstra | fluid bw
 //   PACKET-BA  | blind EFT   | predecessor| minimal BFS    | packetized
 //
-// Any other combination is equally expressible: the ablation benches
-// sweep novel bundles (e.g. OIHSA selection + first-fit insertion)
-// without bespoke option flags, and the spec's structural `fingerprint`
-// lets the service layer cache schedules per bundle, not per class name.
+// Any other combination is equally expressible: take a preset, edit its
+// fields, and run it through `SpecScheduler` (engine.hpp). The ablation
+// benches sweep novel bundles this way (e.g. OIHSA selection + first-fit
+// insertion), and the spec's structural `fingerprint` lets the service
+// layer cache schedules per bundle, not per display name.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +83,6 @@ struct AlgorithmSpec {
   EdgeOrderPolicyKind edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
 
   RoutingPolicyKind routing = RoutingPolicyKind::kBfsMinimal;
-  /// kProbeDijkstra only: memoise probe routes under the network-state
-  /// load generation (pure fast path; see net::ProbedRouteCache).
-  bool route_memo = true;
 
   InsertionPolicyKind insertion = InsertionPolicyKind::kFirstFit;
   /// kPacketized only: a message of cost c becomes ceil(c/packet_size)
@@ -113,7 +112,8 @@ struct AlgorithmSpec {
 
   /// Throws std::invalid_argument for inconsistent bundles: tentative
   /// selection without first-fit insertion, optimal insertion without
-  /// record refresh, non-positive packet size, negative hop delay.
+  /// record refresh, a non-positive or non-finite packet size, a negative
+  /// or non-finite hop delay.
   void validate() const;
 
   /// One-line policy summary, e.g.
@@ -121,5 +121,26 @@ struct AlgorithmSpec {
   ///  insertion=optimal" (for --list-algorithms and bench labels).
   [[nodiscard]] std::string describe() const;
 };
+
+/// Basic Algorithm (§3), the paper's baseline: communication-blind EFT
+/// selection (the paper's §4.1 reading; `kTentativeEft` is Sinnen's
+/// stronger original), predecessor-order edges, minimal BFS routes,
+/// first-fit insertion.
+[[nodiscard]] AlgorithmSpec ba_spec();
+
+/// OIHSA (§4): MLS-estimate selection, costliest edge first,
+/// workload-aware probe Dijkstra routing, optimal insertion with deferral.
+/// Records communications from the final link records, so switching its
+/// insertion to `kFirstFit` (a byte-identical no-op refresh) is the
+/// first-fit ablation.
+[[nodiscard]] AlgorithmSpec oihsa_spec();
+
+/// BBSA (§5): OIHSA's selection, edge order and routing over fluid
+/// bandwidth-sharing links (formulas (4)/(5)).
+[[nodiscard]] AlgorithmSpec bbsa_spec();
+
+/// Packetized BA (§2.2): BA's selection and routing, with every message
+/// split into ceil(c / packet_size) store-and-forward packets.
+[[nodiscard]] AlgorithmSpec packet_ba_spec();
 
 }  // namespace edgesched::sched

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
-#include "sched/oihsa.hpp"
 #include "util/hash.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -46,8 +46,8 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
   check_inputs(graph, topology);
   const auto& processors = topology.processors();
 
-  Assignment current =
-      assignment_of(graph, Oihsa{}.schedule(graph, topology));
+  Assignment current = assignment_of(
+      graph, ListSchedulingEngine(oihsa_spec()).run(graph, topology));
   double current_cost =
       assignment_makespan(graph, topology, current, options_.evaluation);
   Assignment best = current;

@@ -24,8 +24,9 @@ using Assignment = std::vector<net::NodeId>;
 
 struct AssignmentOptions {
   PriorityScheme priority = PriorityScheme::kBottomLevel;
-  /// Insertion placement on processors (see ba.hpp). The metaheuristics
-  /// evaluate with the same policy the list schedulers use by default.
+  /// Insertion placement on processors (see
+  /// AlgorithmSpec::task_insertion). The metaheuristics evaluate with the
+  /// same policy the list schedulers use by default.
   bool task_insertion = true;
   /// Algorithm label stamped on the produced schedules.
   std::string label = "ASSIGNMENT";

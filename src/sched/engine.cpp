@@ -51,8 +51,7 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
   obs::DecisionLog* const log = obs::active_decision_log();
   Schedule out(spec_.name, graph.num_tasks(), graph.num_edges());
 
-  // Re-arm the (possibly pooled) workspace: probe-route memo entries
-  // from a previous run are invalidated, reusable buffers cleared. A
+  // Re-arm the (possibly pooled) workspace: reusable buffers cleared. A
   // fresh local workspace goes through the same call, so both paths see
   // identical scratch state.
   workspace.begin_run();
@@ -75,9 +74,8 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
   machines.reserve_slots(platform != nullptr
                              ? platform->slot_reserve_hint(graph.num_tasks())
                              : graph.num_tasks() / num_procs + 8);
-  // Routing policy over the per-run scratch (epoch-stamped Dijkstra
-  // workspace, generation-keyed probe-route memo) and, when a platform
-  // is shared, its immutable all-pairs BFS table.
+  // Routing policy over the per-run epoch-stamped Dijkstra workspace
+  // and, when a platform is shared, its immutable all-pairs BFS table.
   const std::unique_ptr<RoutingPolicy> routing = make_routing_policy(
       spec_, topology, workspace.routing,
       platform != nullptr ? &platform->routes() : nullptr);
@@ -270,7 +268,7 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
     counters.edges_routed.increment(edges_routed);
   }
   // Deterministic per-run counter flush: every lane's batched tallies
-  // (candidate evaluations, Dijkstra relaxations, memo traffic) reach
+  // (candidate evaluations, Dijkstra relaxations) reach
   // the global registry here, so totals are identical at every worker
   // count and whether the workspaces were fresh or recycled.
   for (Workspace* lane_workspace : lane_workspaces) {

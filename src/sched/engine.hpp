@@ -6,9 +6,10 @@
 // in the `EdgeOrderPolicy`'s order, each non-local communication is routed
 // by the `RoutingPolicy` and committed by the `InsertionPolicy` into the
 // `NetworkStateModel`, and the task is placed. BA, OIHSA, BBSA and
-// PACKET-BA are preset `AlgorithmSpec` bundles over these seams (see
-// registry.hpp) and produce bit-identical schedules to the dedicated
-// implementations they replaced (tests/engine_golden_test.cpp pins that).
+// PACKET-BA are preset `AlgorithmSpec` bundles over these seams
+// (`ba_spec()` etc. in algorithm_spec.hpp) and produce bit-identical
+// schedules to the dedicated implementations they replaced
+// (tests/engine_golden_test.cpp pins that).
 //
 // The engine also instruments uniformly: spans named "<algo>/schedule",
 // "<algo>/select_processor" and "<algo>/route_edge" (obs/naming.hpp),
@@ -72,8 +73,9 @@ class ListSchedulingEngine {
 };
 
 /// Scheduler adapter over an `AlgorithmSpec`: any policy bundle — preset
-/// or novel — as a `Scheduler`, usable wherever the dedicated classes
-/// are (sweeps, the service layer, ablation benches).
+/// or novel — as a `Scheduler`, usable wherever one is expected (sweeps,
+/// the service layer, ablation benches). The registry instantiates every
+/// engine-backed algorithm this way.
 class SpecScheduler final : public Scheduler {
  public:
   explicit SpecScheduler(AlgorithmSpec spec) : engine_(std::move(spec)) {}

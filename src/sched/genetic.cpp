@@ -5,9 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "sched/ba.hpp"
+#include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
-#include "sched/oihsa.hpp"
 #include "util/hash.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -80,9 +79,12 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
   std::vector<Individual> population;
   population.reserve(options_.population);
   population.push_back(Individual{
-      assignment_of(graph, Oihsa{}.schedule(graph, topology)), 0.0});
+      assignment_of(graph,
+                    ListSchedulingEngine(oihsa_spec()).run(graph, topology)),
+      0.0});
   population.push_back(Individual{
-      assignment_of(graph, BasicAlgorithm{}.schedule(graph, topology)),
+      assignment_of(graph,
+                    ListSchedulingEngine(ba_spec()).run(graph, topology)),
       0.0});
   while (population.size() < options_.population) {
     Rng rng = member_stream(options_.seed, 0, population.size());

@@ -5,7 +5,7 @@
 // relaxation loop serves both contention models: `probe` answers the §4.3
 // relaxation for exclusive links (basic-insertion placement) or bandwidth
 // links (fluid finish of the full volume), and `generation` exposes the
-// load counter that `net::ProbedRouteCache` keys route-memo validity on.
+// load counter the engine's candidate-scan no-mutation assertion reads.
 // Policies that are specific to one model (first-fit commit, tentative
 // rollback, fluid transfer) downcast through `exclusive_state` /
 // `bandwidth_state`; the engine constructs the matching model from the
@@ -35,8 +35,9 @@ class NetworkStateModel {
                                                const net::ProbeState& state,
                                                double cost) const = 0;
 
-  /// Monotone load generation of the underlying state (route-memo key;
-  /// see ExclusiveNetworkState::generation()).
+  /// Monotone load generation of the underlying state (read by the
+  /// candidate-scan no-mutation assertion; see
+  /// ExclusiveNetworkState::generation()).
   [[nodiscard]] virtual std::uint64_t generation() const noexcept = 0;
 
   /// The exclusive-link state, or nullptr for bandwidth models.

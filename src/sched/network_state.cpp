@@ -216,8 +216,7 @@ void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {
   }
   if (generation_ == record.generation_before + 1) {
     // Clean rollback of the latest mutation: the timelines are exactly
-    // the pre-commit state again, so route memos keyed on the previous
-    // generation are valid once more.
+    // the pre-commit state again, so the previous generation names them.
     generation_ = record.generation_before;
   } else {
     ++generation_;

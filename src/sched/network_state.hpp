@@ -30,7 +30,7 @@ struct EdgeRecord {
   std::vector<LinkOccupation> occupations;
   /// Load generation the owning state had *before* this edge committed;
   /// lets a clean rollback (`uncommit_edge` of the latest mutation)
-  /// restore the generation instead of invalidating route memos.
+  /// restore the generation instead of bumping it.
   std::uint64_t generation_before = 0;
   [[nodiscard]] bool scheduled() const noexcept { return !route.empty(); }
 };
@@ -78,8 +78,8 @@ class ExclusiveNetworkState {
 
   /// Monotone *load generation*: bumped by every timeline mutation
   /// (edge/packet commit, deferral shift cascade, uncommit). Two equal
-  /// generations imply bit-identical link timelines, which is what
-  /// `net::ProbedRouteCache` keys its memo validity on. The only
+  /// generations imply bit-identical link timelines, which is what the
+  /// engine's candidate-scan no-mutation assertion relies on. The only
   /// non-monotone step is the clean-rollback restore in `uncommit_edge`:
   /// undoing the *latest* mutation provably returns to the previous
   /// timeline state, so the previous generation is restored with it.
@@ -175,8 +175,7 @@ class BandwidthNetworkState {
   /// Monotone load generation, the bandwidth counterpart of
   /// `ExclusiveNetworkState::generation()`: bumped by every fluid commit
   /// (the only mutation this state has). Equal generations imply
-  /// bit-identical bandwidth timelines, so probe-driven route memos keyed
-  /// on it are a pure fast path for BBSA-style bundles too.
+  /// bit-identical bandwidth timelines.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }

@@ -13,7 +13,7 @@ void Workspace::flush_counters() {
     obs::hot_counters().candidates_evaluated.increment(candidates_evaluated);
     candidates_evaluated = 0;
   }
-  routing.flush_counters();
+  routing.flush_relaxations();
 }
 
 namespace {

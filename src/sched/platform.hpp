@@ -18,8 +18,8 @@
 //     content-address for its platform cache),
 //
 // paired with a pool of per-run `Workspace` objects holding every piece
-// of mutable scratch a run needs (Dijkstra workspace, probe-route memo,
-// edge-order and candidate buffers). `checkout()` leases a workspace —
+// of mutable scratch a run needs (Dijkstra workspace, edge-order and
+// candidate buffers). `checkout()` leases a workspace —
 // reusing a pooled one when a previous run returned it, allocating
 // fresh under contention — so N concurrent runs over one context never
 // share mutable state.
@@ -48,12 +48,10 @@
 namespace edgesched::sched {
 
 /// All mutable per-run scratch of one engine run, poolable across runs.
-/// `begin_run()` re-arms a pooled workspace: the probe-route memo is
-/// invalidated (load generations restart per run) and the reusable
-/// buffers are cleared; the Dijkstra workspace self-resets via its
-/// search epoch.
+/// `begin_run()` re-arms a pooled workspace by clearing the reusable
+/// buffers; the Dijkstra workspace self-resets via its search epoch.
 struct Workspace {
-  net::RoutingScratch routing;
+  net::RoutingWorkspace routing;
   std::vector<dag::EdgeId> order_scratch;
   std::vector<obs::ProcessorCandidate> candidates;
   /// Per-processor scores of one candidate scan: the engine sizes this
@@ -61,12 +59,11 @@ struct Workspace {
   /// reduction and the decision log read it back in index order.
   std::vector<obs::ProcessorCandidate> scores;
   /// Candidate-evaluation tally batched per run; `flush_counters` moves
-  /// it (and the routing scratch's batched tallies) into the global
+  /// it (and the Dijkstra workspace's batched relaxations) into the global
   /// registry so counter totals are identical at every worker count.
   std::uint64_t candidates_evaluated = 0;
 
   void begin_run() {
-    routing.begin_run();
     order_scratch.clear();
     candidates.clear();
     scores.clear();

@@ -252,28 +252,16 @@ class BfsRouting final : public RoutingPolicy {
 };
 
 /// Modified routing (§4.3): Dijkstra relaxing on the tentative per-link
-/// finish time the network model's probe reports, with an optional memo
-/// keyed on the model's load generation (a pure fast path: a hit returns
-/// exactly the route the search would recompute).
+/// finish time the network model's probe reports.
 class ProbeDijkstraRouting final : public RoutingPolicy {
  public:
   ProbeDijkstraRouting(const net::Topology& topology,
-                       net::RoutingScratch& scratch, bool memo)
-      : topology_(topology), scratch_(scratch), memo_(memo) {}
+                       net::RoutingWorkspace& workspace)
+      : topology_(topology), workspace_(workspace) {}
 
   const net::Route& route(NetworkStateModel& network, net::NodeId from,
                           net::NodeId to, double ship_time,
                           double cost) override {
-    if (memo_) {
-      const std::uint64_t generation = network.generation();
-      if (const net::Route* hit = scratch_.memo.lookup(from, to, ship_time,
-                                                       cost, generation)) {
-        return *hit;
-      }
-      route_ = search(network, from, to, ship_time, cost);
-      scratch_.memo.store(from, to, ship_time, cost, generation, route_);
-      return route_;
-    }
     route_ = search(network, from, to, ship_time, cost);
     return route_;
   }
@@ -294,7 +282,7 @@ class ProbeDijkstraRouting final : public RoutingPolicy {
         return net::ProbeResult{placement.start, placement.finish};
       };
       return net::dijkstra_route_probe(topology_, from, to, ship_time,
-                                       probe, &scratch_.workspace);
+                                       probe, &workspace_);
     }
     if (BandwidthNetworkState* bandwidth = network.bandwidth_state()) {
       const auto probe = [bandwidth, cost](net::LinkId link,
@@ -305,19 +293,18 @@ class ProbeDijkstraRouting final : public RoutingPolicy {
                                     state.min_finish, cost)};
       };
       return net::dijkstra_route_probe(topology_, from, to, ship_time,
-                                       probe, &scratch_.workspace);
+                                       probe, &workspace_);
     }
     const auto probe = [&network, cost](net::LinkId link,
                                         const net::ProbeState& state) {
       return network.probe(link, state, cost);
     };
     return net::dijkstra_route_probe(topology_, from, to, ship_time, probe,
-                                     &scratch_.workspace);
+                                     &workspace_);
   }
 
   const net::Topology& topology_;
-  net::RoutingScratch& scratch_;
-  bool memo_;
+  net::RoutingWorkspace& workspace_;
   net::Route route_;
 };
 
@@ -476,14 +463,13 @@ std::unique_ptr<EdgeOrderPolicy> make_edge_order_policy(
 
 std::unique_ptr<RoutingPolicy> make_routing_policy(
     const AlgorithmSpec& spec, const net::Topology& topology,
-    net::RoutingScratch& scratch,
+    net::RoutingWorkspace& workspace,
     const net::StaticRouteTable* static_routes) {
   switch (spec.routing) {
     case RoutingPolicyKind::kBfsMinimal:
       return std::make_unique<BfsRouting>(topology, static_routes);
     case RoutingPolicyKind::kProbeDijkstra:
-      return std::make_unique<ProbeDijkstraRouting>(topology, scratch,
-                                                    spec.route_memo);
+      return std::make_unique<ProbeDijkstraRouting>(topology, workspace);
   }
   EDGESCHED_ASSERT_MSG(false, "unknown routing policy kind");
   return nullptr;

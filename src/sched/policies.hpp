@@ -8,8 +8,7 @@
 //     (§4.2: predecessor order, or costliest first).
 //   * `RoutingPolicy` — the route of each non-local communication
 //     (§4.3: static minimal BFS, or the finish-time-keyed Dijkstra over
-//     `NetworkStateModel::probe`, optionally memoised under the state's
-//     load generation).
+//     `NetworkStateModel::probe`).
 //   * `InsertionPolicy` — how the routed communication commits into the
 //     network state and what it writes into the schedule's
 //     `EdgeCommunication` (§3 first-fit, §4.4 optimal, §2.2 packetized,
@@ -173,14 +172,14 @@ class InsertionPolicy {
     const AlgorithmSpec& spec, double mean_link_speed);
 [[nodiscard]] std::unique_ptr<EdgeOrderPolicy> make_edge_order_policy(
     const AlgorithmSpec& spec);
-/// `scratch` (Dijkstra workspace, probe-route memo) must outlive the
-/// policy; the engine leases one per run. `static_routes`, when
+/// `workspace` (the Dijkstra scratch) must outlive the policy; the
+/// engine leases one per run. `static_routes`, when
 /// non-null, is the shared platform's immutable all-pairs route table —
 /// BFS routing reads it instead of owning a per-run `RouteCache`
 /// (byte-identical routes either way).
 [[nodiscard]] std::unique_ptr<RoutingPolicy> make_routing_policy(
     const AlgorithmSpec& spec, const net::Topology& topology,
-    net::RoutingScratch& scratch,
+    net::RoutingWorkspace& workspace,
     const net::StaticRouteTable* static_routes);
 [[nodiscard]] std::unique_ptr<InsertionPolicy> make_insertion_policy(
     const AlgorithmSpec& spec);

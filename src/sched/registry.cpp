@@ -4,12 +4,9 @@
 #include <stdexcept>
 
 #include "sched/annealing.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
+#include "sched/engine.hpp"
 #include "sched/genetic.hpp"
-#include "sched/oihsa.hpp"
-#include "sched/packetized.hpp"
 
 namespace edgesched::sched {
 
@@ -34,8 +31,8 @@ std::vector<AlgorithmEntry> build_registry() {
       "BA",
       "Basic Algorithm (§3): contention-aware baseline, minimal BFS "
       "routes, first-fit insertion",
-      [] { return BasicAlgorithm::spec({}); },
-      [] { return std::make_unique<BasicAlgorithm>(); }});
+      ba_spec,
+      nullptr});
 
   entries.push_back(AlgorithmEntry{
       "oihsa",
@@ -43,8 +40,8 @@ std::vector<AlgorithmEntry> build_registry() {
       "OIHSA",
       "Optimal Insertion Hybrid Scheduling Algorithm (§4): MLS estimate "
       "selection, cost-ordered edges, probe routing, optimal insertion",
-      [] { return Oihsa::spec({}); },
-      [] { return std::make_unique<Oihsa>(); }});
+      oihsa_spec,
+      nullptr});
 
   entries.push_back(AlgorithmEntry{
       "bbsa",
@@ -52,8 +49,8 @@ std::vector<AlgorithmEntry> build_registry() {
       "BBSA",
       "Bandwidth-Based Scheduling Algorithm (§5): OIHSA's selection and "
       "routing over fluid bandwidth-sharing links",
-      [] { return Bbsa::spec({}); },
-      [] { return std::make_unique<Bbsa>(); }});
+      bbsa_spec,
+      nullptr});
 
   entries.push_back(AlgorithmEntry{
       "packet-ba",
@@ -61,8 +58,8 @@ std::vector<AlgorithmEntry> build_registry() {
       "PACKET-BA",
       "Packetized BA (§2.2): store-and-forward equal-volume packets on "
       "exclusive links",
-      [] { return PacketizedBa::spec({}); },
-      [] { return std::make_unique<PacketizedBa>(); }});
+      packet_ba_spec,
+      nullptr});
 
   entries.push_back(AlgorithmEntry{
       "classic",
@@ -95,6 +92,13 @@ std::vector<AlgorithmEntry> build_registry() {
 }
 
 }  // namespace
+
+std::unique_ptr<Scheduler> AlgorithmEntry::make() const {
+  if (spec != nullptr) {
+    return std::make_unique<SpecScheduler>(spec());
+  }
+  return factory();
+}
 
 const std::vector<AlgorithmEntry>& algorithm_registry() {
   static const std::vector<AlgorithmEntry> registry = build_registry();

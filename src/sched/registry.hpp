@@ -3,9 +3,9 @@
 // One table of every scheduler the toolkit can instantiate by name,
 // replacing the string-to-scheduler dispatch that used to be copied in
 // the CLI, the comparison example and the service layer. Engine-backed
-// entries (BA, OIHSA, BBSA, PACKET-BA) also expose their default
-// `AlgorithmSpec` bundle so callers can derive novel policy combinations
-// from a preset instead of writing a spec from scratch.
+// entries (BA, OIHSA, BBSA, PACKET-BA) are nothing but their preset
+// `AlgorithmSpec` (algorithm_spec.hpp), instantiated as a `SpecScheduler`;
+// callers derive novel policy combinations from the same presets.
 #pragma once
 
 #include <functional>
@@ -25,16 +25,20 @@ struct AlgorithmEntry {
   std::vector<std::string> aliases;  ///< accepted alternative spellings
   std::string display;               ///< Scheduler::name() of the default
   std::string summary;               ///< one-liner for listings
-  /// Engine-backed entries: the default policy bundle. Null for
+  /// Engine-backed entries: the preset policy bundle. Null for
   /// schedulers that do not run on the list-scheduling engine (the
   /// idealised classic model and the search-based GA/SA).
-  std::function<AlgorithmSpec()> spec;
-  /// Default-configured instance factory; never null.
-  std::function<std::unique_ptr<Scheduler>()> make;
+  AlgorithmSpec (*spec)() = nullptr;
+  /// Instance factory of the entries without a spec; null otherwise.
+  std::function<std::unique_ptr<Scheduler>()> factory;
 
   [[nodiscard]] bool engine_backed() const noexcept {
-    return static_cast<bool>(spec);
+    return spec != nullptr;
   }
+
+  /// A default-configured instance: a `SpecScheduler` over `spec()` for
+  /// engine-backed entries, `factory()` for the rest.
+  [[nodiscard]] std::unique_ptr<Scheduler> make() const;
 };
 
 /// The registry, in display order. Built once, immutable afterwards.

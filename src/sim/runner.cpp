@@ -7,9 +7,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/platform.hpp"
 #include "sched/validator.hpp"
 #include "svc/thread_pool.hpp"
@@ -56,18 +53,6 @@ std::size_t default_sweep_threads() {
 
 namespace {
 
-/// The sweep algorithms (BA baseline + the paper's two). Constructed per
-/// worker job: the schedulers are stateless (immutable options only), so
-/// fresh instances are behaviourally identical to shared ones and keep
-/// workers free of shared mutable state.
-std::vector<std::unique_ptr<sched::Scheduler>> sweep_schedulers() {
-  std::vector<std::unique_ptr<sched::Scheduler>> schedulers;
-  schedulers.push_back(std::make_unique<sched::BasicAlgorithm>());
-  schedulers.push_back(std::make_unique<sched::Oihsa>());
-  schedulers.push_back(std::make_unique<sched::Bbsa>());
-  return schedulers;
-}
-
 /// One pre-planned instance: everything a worker needs, including the
 /// exact RNG seed the serial loop would have used at this position.
 struct SweepJob {
@@ -84,7 +69,9 @@ InstanceResult run_job(const SweepJob& job, bool validate_schedules) {
   Rng rng(job.rng_seed);  // == root.fork() at this loop position
   const Instance instance =
       make_instance(*job.config, job.procs, job.ccr, rng);
-  return run_instance(instance, sweep_schedulers(), validate_schedules);
+  // The sweep algorithms (BA baseline + the paper's two), fresh per job:
+  // they hold only an immutable spec, so workers share no mutable state.
+  return run_instance(instance, sched::all_schedulers(), validate_schedules);
 }
 
 /// Executes all jobs (serially for effective thread count 1, otherwise on

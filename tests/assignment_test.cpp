@@ -5,8 +5,7 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -49,8 +48,8 @@ TEST(Assignment, RoundTripsListSchedulerAssignments) {
   const net::Topology topo = net::random_wan(wan, rng);
 
   for (const Schedule& original :
-       {BasicAlgorithm{}.schedule(graph, topo),
-        Oihsa{}.schedule(graph, topo)}) {
+       {SpecScheduler(ba_spec()).schedule(graph, topo),
+        SpecScheduler(oihsa_spec()).schedule(graph, topo)}) {
     const Assignment extracted = assignment_of(graph, original);
     const Schedule rebuilt =
         schedule_assignment(graph, topo, extracted);

@@ -1,4 +1,4 @@
-#include "sched/ba.hpp"
+#include "sched/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ TEST(BasicAlgorithm, SingleProcessorSerialises) {
   Rng rng(1);
   const net::Topology topo = net::switched_star(1, net::SpeedConfig{}, rng);
   const dag::TaskGraph graph = dag::fork_join(3, 2.0, 5.0);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 5 * 2.0);  // all 5 tasks back-to-back
 }
@@ -28,7 +28,7 @@ TEST(BasicAlgorithm, IndependentTasksSpread) {
   (void)graph.add_task(4.0);
   (void)graph.add_task(4.0);
   const net::Topology topo = star(2);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 4.0);  // one task per processor
   EXPECT_NE(s.task(dag::TaskId(0u)).processor,
@@ -40,7 +40,7 @@ TEST(BasicAlgorithm, KeepsChainLocalWhenCommIsExpensive) {
   // local finish is 4.
   const dag::TaskGraph graph = dag::chain(2, 2.0, 4.0);
   const net::Topology topo = star(2);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(dag::TaskId(0u)).processor,
             s.task(dag::TaskId(1u)).processor);
@@ -53,7 +53,7 @@ TEST(BasicAlgorithm, OffloadsWhenCommIsCheap) {
   // Fork with many children and cheap communication: children spread.
   const dag::TaskGraph graph = dag::fork(4, 10.0, 0.5);
   const net::Topology topo = star(4);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   // Source runs [0, 10]; at least one child is offloaded (10 + 0.5*2 hops
   // beats waiting 10 more units locally).
@@ -71,7 +71,7 @@ TEST(BasicAlgorithm, OffloadsWhenCommIsCheap) {
 TEST(BasicAlgorithm, CrossTransferOccupiesBothHops) {
   const dag::TaskGraph graph = dag::fork(2, 20.0, 6.0);
   const net::Topology topo = star(3);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   bool saw_exclusive = false;
   for (dag::EdgeId e : graph.all_edges()) {
@@ -88,7 +88,7 @@ TEST(BasicAlgorithm, CrossTransferOccupiesBothHops) {
 TEST(BasicAlgorithm, ZeroCostEdgesAreFree) {
   const dag::TaskGraph graph = dag::fork(2, 3.0, 0.0);
   const net::Topology topo = star(3);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 6.0);  // children start right at t=3
 }
@@ -102,8 +102,8 @@ TEST(BasicAlgorithm, DeterministicAcrossRuns) {
   wan.num_processors = 6;
   Rng net_rng(6);
   const net::Topology topo = net::random_wan(wan, net_rng);
-  const Schedule a = BasicAlgorithm{}.schedule(graph, topo);
-  const Schedule b = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule a = SpecScheduler(ba_spec()).schedule(graph, topo);
+  const Schedule b = SpecScheduler(ba_spec()).schedule(graph, topo);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
   for (dag::TaskId t : graph.all_tasks()) {
     EXPECT_EQ(a.task(t).processor, b.task(t).processor);
@@ -118,7 +118,7 @@ TEST(BasicAlgorithm, HeterogeneousSpeedsRespected) {
   const net::NodeId slow = topo.add_processor(1.0, "slow");
   const net::NodeId fast = topo.add_processor(5.0, "fast");
   topo.add_duplex_link(slow, fast, 1.0);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(dag::TaskId(0u)).processor, fast);
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
@@ -128,13 +128,13 @@ TEST(BasicAlgorithm, RejectsBadInputs) {
   const dag::TaskGraph graph = dag::chain(2);
   net::Topology no_procs;
   (void)no_procs.add_switch();
-  EXPECT_THROW((void)BasicAlgorithm{}.schedule(graph, no_procs),
+  EXPECT_THROW((void)SpecScheduler(ba_spec()).schedule(graph, no_procs),
                std::invalid_argument);
 
   net::Topology disconnected;
   (void)disconnected.add_processor();
   (void)disconnected.add_processor();
-  EXPECT_THROW((void)BasicAlgorithm{}.schedule(graph, disconnected),
+  EXPECT_THROW((void)SpecScheduler(ba_spec()).schedule(graph, disconnected),
                std::invalid_argument);
 }
 
@@ -142,7 +142,7 @@ TEST(BasicAlgorithm, ValidOnBusTopology) {
   Rng rng(2);
   const net::Topology topo = net::bus(3, net::SpeedConfig{}, rng);
   const dag::TaskGraph graph = dag::fork_join(4, 1.0, 2.0);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
 }
 
@@ -152,7 +152,7 @@ TEST(BasicAlgorithm, ValidOnHalfDuplexPair) {
   const net::NodeId b = topo.add_processor();
   topo.add_half_duplex_link(a, b, 1.0);
   const dag::TaskGraph graph = dag::stencil_1d(3, 3, 1.0, 1.5);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
 }
 

@@ -1,4 +1,4 @@
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -21,7 +20,7 @@ net::Topology star(std::size_t procs) {
 TEST(Bbsa, SingleProcessorSerialises) {
   const net::Topology topo = star(1);
   const dag::TaskGraph graph = dag::fork_join(3, 2.0, 5.0);
-  const Schedule s = Bbsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 10.0);
 }
@@ -29,7 +28,7 @@ TEST(Bbsa, SingleProcessorSerialises) {
 TEST(Bbsa, KeepsChainLocalWhenCommIsExpensive) {
   const dag::TaskGraph graph = dag::chain(2, 2.0, 4.0);
   const net::Topology topo = star(2);
-  const Schedule s = Bbsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(dag::TaskId(0u)).processor,
             s.task(dag::TaskId(1u)).processor);
@@ -53,7 +52,7 @@ TEST(Bbsa, CrossTransferUsesFluidProfiles) {
   topo.add_duplex_link(p0, sw, 2.0);
   topo.add_duplex_link(sw, p1, 1.0);
 
-  const Schedule s = Bbsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(b).processor, p0);
   EXPECT_EQ(s.task(a).processor, p1);
@@ -73,8 +72,8 @@ TEST(Bbsa, SharesLinkBetweenConcurrentTransfers) {
   // same switch; with bandwidth sharing both transfers can overlap.
   const dag::TaskGraph graph = dag::join(6, 1.0, 5.0);
   const net::Topology topo = star(4);
-  const Schedule ours = Bbsa{}.schedule(graph, topo);
-  const Schedule base = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule ours = SpecScheduler(bbsa_spec()).schedule(graph, topo);
+  const Schedule base = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, ours);
   EXPECT_LE(ours.makespan(), base.makespan() * 1.25);
 }
@@ -88,7 +87,7 @@ TEST(Bbsa, ProfilesConserveVolumePerHop) {
   net::RandomWanParams wan;
   wan.num_processors = 6;
   const net::Topology topo = net::random_wan(wan, rng);
-  const Schedule s = Bbsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   for (dag::EdgeId e : graph.all_edges()) {
     const EdgeCommunication& comm = s.communication(e);
@@ -111,10 +110,13 @@ TEST(Bbsa, AllOptionCombinationsProduceValidSchedules) {
   const net::Topology topo = net::random_wan(wan, rng);
   for (bool edge_priority : {false, true}) {
     for (bool routing : {false, true}) {
-      Bbsa::Options options;
-      options.edge_priority_by_cost = edge_priority;
-      options.modified_routing = routing;
-      const Schedule s = Bbsa(options).schedule(graph, topo);
+      AlgorithmSpec spec = bbsa_spec();
+      spec.edge_order = edge_priority
+                            ? EdgeOrderPolicyKind::kByCostDescending
+                            : EdgeOrderPolicyKind::kPredecessorOrder;
+      spec.routing = routing ? RoutingPolicyKind::kProbeDijkstra
+                             : RoutingPolicyKind::kBfsMinimal;
+      const Schedule s = SpecScheduler(spec).schedule(graph, topo);
       validate_or_throw(graph, topo, s);
     }
   }
@@ -128,8 +130,8 @@ TEST(Bbsa, DeterministicAcrossRuns) {
   net::RandomWanParams wan;
   wan.num_processors = 8;
   const net::Topology topo = net::random_wan(wan, rng);
-  const Schedule a = Bbsa{}.schedule(graph, topo);
-  const Schedule b = Bbsa{}.schedule(graph, topo);
+  const Schedule a = SpecScheduler(bbsa_spec()).schedule(graph, topo);
+  const Schedule b = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
   for (dag::TaskId t : graph.all_tasks()) {
     EXPECT_EQ(a.task(t).processor, b.task(t).processor);
@@ -150,8 +152,8 @@ TEST(Bbsa, BeatsBaOnAverageUnderContention) {
     wan.fanout_min = 2;
     wan.fanout_max = 4;
     const net::Topology topo = net::random_wan(wan, rng);
-    ba_total += BasicAlgorithm{}.schedule(graph, topo).makespan();
-    bbsa_total += Bbsa{}.schedule(graph, topo).makespan();
+    ba_total += SpecScheduler(ba_spec()).schedule(graph, topo).makespan();
+    bbsa_total += SpecScheduler(bbsa_spec()).schedule(graph, topo).makespan();
   }
   EXPECT_LE(bbsa_total, ba_total * 1.02);
 }

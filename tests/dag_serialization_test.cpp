@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "dag/generators.hpp"
@@ -56,6 +57,9 @@ TEST(DagText, RejectsMalformedInput) {
   EXPECT_THROW((void)from_text("task zero 1.0\n"), std::invalid_argument);
   EXPECT_THROW((void)from_text("task 1 1.0\n"), std::invalid_argument);
   EXPECT_THROW((void)from_text("bogus 1 2\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_text("task 0 nan\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_text("task 0 1\ntask 1 1\nedge 0 1 inf\n"),
+               std::invalid_argument);
   EXPECT_THROW((void)from_text("task 0 1\nedge 0 5 1\n"),
                std::invalid_argument);
 }
@@ -110,6 +114,13 @@ TEST(Stg, RejectsMalformedInput) {
   EXPECT_THROW((void)from_stg("2\n0 0 0\n"), std::invalid_argument);
   EXPECT_THROW((void)from_stg("1\n5 0 0\n0 0 0\n1 0 1 0\n"),
                std::invalid_argument);
+  // A non-finite default edge cost is rejected, not stamped on edges.
+  const std::string text = "1\n0 0 0\n1 7 1 0\n2 0 1 1\n";
+  EXPECT_NO_THROW((void)from_stg(text, 1.0));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)from_stg(text, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Stg, WriteRejectsNonStgShapedGraphs) {

@@ -10,17 +10,12 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "schedule_canon.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
-#include "sched/packetized.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "sim/workload.hpp"
 
@@ -64,67 +59,45 @@ std::vector<PinnedInstance> pinned_instances() {
   return result;
 }
 
-/// Algorithm variants under golden protection: the four registry bundles
-/// plus the option paths the ablation benches exercise (tentative BA
-/// selection, first-fit OIHSA, BFS routing, eager shipping, append
-/// placement) so every policy seam is pinned.
+/// Algorithm variants under golden protection: the four presets plus
+/// the edited presets the ablation benches run (tentative BA selection,
+/// first-fit OIHSA, BFS routing, eager shipping, append placement) so
+/// every policy seam is pinned.
 struct Variant {
   std::string label;
-  std::unique_ptr<sched::Scheduler> scheduler;
+  sched::AlgorithmSpec spec;
 };
 
 std::vector<Variant> variants() {
-  using sched::BaProcessorSelection;
-  std::vector<Variant> v;
-  v.push_back({"ba", std::make_unique<sched::BasicAlgorithm>()});
-  {
-    sched::BasicAlgorithm::Options tentative;
-    tentative.selection = BaProcessorSelection::kTentativeEft;
-    v.push_back({"ba_tentative",
-                 std::make_unique<sched::BasicAlgorithm>(tentative)});
-  }
-  {
-    sched::BasicAlgorithm::Options append;
-    append.task_insertion = false;
-    append.eager_communication = true;
-    v.push_back({"ba_append_eager",
-                 std::make_unique<sched::BasicAlgorithm>(append)});
-  }
-  v.push_back({"oihsa", std::make_unique<sched::Oihsa>()});
-  {
-    sched::Oihsa::Options firstfit;
-    firstfit.optimal_insertion = false;
-    v.push_back({"oihsa_firstfit",
-                 std::make_unique<sched::Oihsa>(firstfit)});
-  }
-  {
-    sched::Oihsa::Options bfs;
-    bfs.modified_routing = false;
-    bfs.edge_priority_by_cost = false;
-    v.push_back({"oihsa_bfs_predorder",
-                 std::make_unique<sched::Oihsa>(bfs)});
-  }
-  {
-    sched::Oihsa::Options aware;
-    aware.insertion_aware_estimate = true;
-    aware.eager_communication = true;
-    v.push_back({"oihsa_aware_eager",
-                 std::make_unique<sched::Oihsa>(aware)});
-  }
-  v.push_back({"bbsa", std::make_unique<sched::Bbsa>()});
-  {
-    sched::Bbsa::Options bfs;
-    bfs.modified_routing = false;
-    v.push_back({"bbsa_bfs", std::make_unique<sched::Bbsa>(bfs)});
-  }
-  v.push_back({"packet_ba", std::make_unique<sched::PacketizedBa>()});
-  {
-    sched::PacketizedBa::Options small;
-    small.packet_size = 100.0;
-    v.push_back({"packet_ba_100",
-                 std::make_unique<sched::PacketizedBa>(small)});
-  }
-  return v;
+  using namespace sched;
+  AlgorithmSpec tentative = ba_spec();
+  tentative.selection = SelectionPolicyKind::kTentativeEft;
+  AlgorithmSpec append_eager = ba_spec();
+  append_eager.task_insertion = false;
+  append_eager.eager_communication = true;
+  AlgorithmSpec firstfit = oihsa_spec();
+  firstfit.insertion = InsertionPolicyKind::kFirstFit;
+  AlgorithmSpec oihsa_bfs = oihsa_spec();
+  oihsa_bfs.routing = RoutingPolicyKind::kBfsMinimal;
+  oihsa_bfs.edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
+  AlgorithmSpec aware = oihsa_spec();
+  aware.insertion_aware_estimate = true;
+  aware.eager_communication = true;
+  AlgorithmSpec bbsa_bfs = bbsa_spec();
+  bbsa_bfs.routing = RoutingPolicyKind::kBfsMinimal;
+  AlgorithmSpec small_packets = packet_ba_spec();
+  small_packets.packet_size = 100.0;
+  return {{"ba", ba_spec()},
+          {"ba_tentative", tentative},
+          {"ba_append_eager", append_eager},
+          {"oihsa", oihsa_spec()},
+          {"oihsa_firstfit", firstfit},
+          {"oihsa_bfs_predorder", oihsa_bfs},
+          {"oihsa_aware_eager", aware},
+          {"bbsa", bbsa_spec()},
+          {"bbsa_bfs", bbsa_bfs},
+          {"packet_ba", packet_ba_spec()},
+          {"packet_ba_100", small_packets}};
 }
 
 std::string golden_path(const std::string& variant) {
@@ -137,8 +110,9 @@ TEST(EngineGolden, ByteIdenticalToPreRefactorSchedules) {
   for (const Variant& variant : variants()) {
     std::ostringstream actual;
     for (const PinnedInstance& pinned : instances) {
-      const sched::Schedule schedule = variant.scheduler->schedule(
-          pinned.instance.graph, pinned.instance.topology);
+      const sched::Schedule schedule =
+          sched::SpecScheduler(variant.spec)
+              .schedule(pinned.instance.graph, pinned.instance.topology);
       sched::validate_or_throw(pinned.instance.graph,
                                pinned.instance.topology, schedule);
       actual << "# " << pinned.label << "\n"

@@ -10,10 +10,8 @@
 #include "dag/serialization.hpp"
 #include "net/builders.hpp"
 #include "net/serialization.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
 #include "sched/classic.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 

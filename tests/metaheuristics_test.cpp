@@ -4,8 +4,8 @@
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
 #include "sched/annealing.hpp"
+#include "sched/engine.hpp"
 #include "sched/genetic.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -56,7 +56,8 @@ TEST(Genetic, NeverWorseThanItsSeeds) {
   const Instance inst = make(2);
   const double seed_cost = assignment_makespan(
       inst.graph, inst.topo,
-      assignment_of(inst.graph, Oihsa{}.schedule(inst.graph, inst.topo)));
+      assignment_of(inst.graph, SpecScheduler(oihsa_spec())
+                                    .schedule(inst.graph, inst.topo)));
   const Schedule s =
       GeneticScheduler(small_ga()).schedule(inst.graph, inst.topo);
   EXPECT_LE(s.makespan(), seed_cost + 1e-6);
@@ -93,7 +94,8 @@ TEST(Annealing, NeverWorseThanItsStart) {
   const Instance inst = make(5);
   const double start_cost = assignment_makespan(
       inst.graph, inst.topo,
-      assignment_of(inst.graph, Oihsa{}.schedule(inst.graph, inst.topo)));
+      assignment_of(inst.graph, SpecScheduler(oihsa_spec())
+                                    .schedule(inst.graph, inst.topo)));
   const Schedule s =
       AnnealingScheduler(small_sa()).schedule(inst.graph, inst.topo);
   EXPECT_LE(s.makespan(), start_cost + 1e-6);

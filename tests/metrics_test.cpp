@@ -5,10 +5,8 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/lower_bounds.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -74,7 +72,7 @@ TEST(Metrics, HandComputedTwoTaskSchedule) {
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(2, net::SpeedConfig{}, rng);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   const ScheduleMetrics m = compute_metrics(graph, topo, s);
   EXPECT_DOUBLE_EQ(m.makespan, 6.0);
@@ -93,7 +91,7 @@ TEST(Metrics, CountsRemoteEdgesAndDelay) {
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   const ScheduleMetrics m = compute_metrics(graph, topo, s);
   EXPECT_EQ(m.local_edges + m.remote_edges, graph.num_edges());
@@ -110,7 +108,7 @@ TEST(Metrics, DomainBusyMatchesOccupations) {
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   const std::vector<double> busy = domain_busy_times(graph, topo, s);
   ASSERT_EQ(busy.size(), topo.num_domains());
   double total = 0.0;
@@ -130,7 +128,7 @@ TEST(Metrics, BandwidthSchedulesWeightBusyByRate) {
   net::RandomWanParams wan;
   wan.num_processors = 4;
   const net::Topology topo = net::random_wan(wan, rng);
-  const Schedule s = Bbsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   const ScheduleMetrics m = compute_metrics(graph, topo, s);
   // Busy time must equal sum of volume/capacity over all hops.
   double expected = 0.0;
@@ -151,7 +149,7 @@ TEST(Metrics, ToStringMentionsEveryField) {
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(2, net::SpeedConfig{}, rng);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   const std::string text =
       to_string(compute_metrics(graph, topo, s));
   for (const char* field :

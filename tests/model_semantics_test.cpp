@@ -7,10 +7,8 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
 #include "sched/assignment.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -33,19 +31,21 @@ Instance make(std::uint64_t seed, double ccr = 3.0) {
   return inst;
 }
 
+Schedule run(const AlgorithmSpec& spec, const Instance& inst) {
+  return SpecScheduler(spec).schedule(inst.graph, inst.topo);
+}
+
 TEST(ModelSemantics, EveryKnobKeepsBaValid) {
   const Instance inst = make(1);
-  for (auto selection : {BaProcessorSelection::kReadyTimeEft,
-                         BaProcessorSelection::kTentativeEft}) {
+  for (auto selection : {SelectionPolicyKind::kBlindEft,
+                         SelectionPolicyKind::kTentativeEft}) {
     for (bool eager : {false, true}) {
       for (bool insertion : {false, true}) {
-        BasicAlgorithm::Options options;
-        options.selection = selection;
-        options.eager_communication = eager;
-        options.task_insertion = insertion;
-        const Schedule s =
-            BasicAlgorithm(options).schedule(inst.graph, inst.topo);
-        validate_or_throw(inst.graph, inst.topo, s);
+        AlgorithmSpec spec = ba_spec();
+        spec.selection = selection;
+        spec.eager_communication = eager;
+        spec.task_insertion = insertion;
+        validate_or_throw(inst.graph, inst.topo, run(spec, inst));
       }
     }
   }
@@ -56,13 +56,11 @@ TEST(ModelSemantics, EveryKnobKeepsOihsaValid) {
   for (bool eager : {false, true}) {
     for (bool insertion : {false, true}) {
       for (bool estimate : {false, true}) {
-        Oihsa::Options options;
-        options.eager_communication = eager;
-        options.task_insertion = insertion;
-        options.insertion_aware_estimate = estimate;
-        const Schedule s =
-            Oihsa(options).schedule(inst.graph, inst.topo);
-        validate_or_throw(inst.graph, inst.topo, s);
+        AlgorithmSpec spec = oihsa_spec();
+        spec.eager_communication = eager;
+        spec.task_insertion = insertion;
+        spec.insertion_aware_estimate = estimate;
+        validate_or_throw(inst.graph, inst.topo, run(spec, inst));
       }
     }
   }
@@ -72,11 +70,10 @@ TEST(ModelSemantics, EveryKnobKeepsBbsaValid) {
   const Instance inst = make(3);
   for (bool eager : {false, true}) {
     for (bool insertion : {false, true}) {
-      Bbsa::Options options;
-      options.eager_communication = eager;
-      options.task_insertion = insertion;
-      const Schedule s = Bbsa(options).schedule(inst.graph, inst.topo);
-      validate_or_throw(inst.graph, inst.topo, s);
+      AlgorithmSpec spec = bbsa_spec();
+      spec.eager_communication = eager;
+      spec.task_insertion = insertion;
+      validate_or_throw(inst.graph, inst.topo, run(spec, inst));
     }
   }
 }
@@ -88,15 +85,12 @@ TEST(ModelSemantics, EagerShippingNeverLater) {
   // relationship, not per instance.
   double ready_total = 0.0;
   double eager_total = 0.0;
+  AlgorithmSpec eager = oihsa_spec();
+  eager.eager_communication = true;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Instance inst = make(seed, 5.0);
-    Oihsa::Options ready;
-    Oihsa::Options eager;
-    eager.eager_communication = true;
-    ready_total +=
-        Oihsa(ready).schedule(inst.graph, inst.topo).makespan();
-    eager_total +=
-        Oihsa(eager).schedule(inst.graph, inst.topo).makespan();
+    ready_total += run(oihsa_spec(), inst).makespan();
+    eager_total += run(eager, inst).makespan();
   }
   EXPECT_LE(eager_total, ready_total * 1.05);
 }
@@ -106,25 +100,21 @@ TEST(ModelSemantics, TentativeBaIsStrongerThanBlindBa) {
   // the communication-blind selection on contended instances on average.
   double blind_total = 0.0;
   double tentative_total = 0.0;
+  AlgorithmSpec tentative = ba_spec();
+  tentative.selection = SelectionPolicyKind::kTentativeEft;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Instance inst = make(seed, 5.0);
-    BasicAlgorithm::Options tentative;
-    tentative.selection = BaProcessorSelection::kTentativeEft;
-    blind_total +=
-        BasicAlgorithm{}.schedule(inst.graph, inst.topo).makespan();
-    tentative_total += BasicAlgorithm(tentative)
-                           .schedule(inst.graph, inst.topo)
-                           .makespan();
+    blind_total += run(ba_spec(), inst).makespan();
+    tentative_total += run(tentative, inst).makespan();
   }
   EXPECT_LT(tentative_total, blind_total);
 }
 
 TEST(ModelSemantics, AppendPlacementNeverOverlapsAndOrdersByCommit) {
   const Instance inst = make(4);
-  Oihsa::Options append;
+  AlgorithmSpec append = oihsa_spec();
   append.task_insertion = false;
-  const Schedule s = Oihsa(append).schedule(inst.graph, inst.topo);
-  validate_or_throw(inst.graph, inst.topo, s);
+  validate_or_throw(inst.graph, inst.topo, run(append, inst));
 }
 
 TEST(ModelSemantics, HopDelayDelaysMultiHopTransfers) {
@@ -143,10 +133,9 @@ TEST(ModelSemantics, HopDelayDelaysMultiHopTransfers) {
   const Schedule base = schedule_assignment(graph, topo, split);
   EXPECT_DOUBLE_EQ(base.makespan(), 8.0);  // ship 2, arrive 6, run 2
 
-  BasicAlgorithm::Options delayed;
+  AlgorithmSpec delayed = ba_spec();
   delayed.hop_delay = 1.5;
-  const Schedule with_delay =
-      BasicAlgorithm(delayed).schedule(graph, topo);
+  const Schedule with_delay = SpecScheduler(delayed).schedule(graph, topo);
   validate_or_throw(graph, topo, with_delay);
   if (with_delay.task(dag::TaskId(0u)).processor !=
       with_delay.task(dag::TaskId(1u)).processor) {
@@ -157,31 +146,21 @@ TEST(ModelSemantics, HopDelayDelaysMultiHopTransfers) {
 
 TEST(ModelSemantics, HopDelayKeepsAllSchedulersValid) {
   const Instance inst = make(6, 2.0);
-  BasicAlgorithm::Options ba;
-  ba.hop_delay = 0.5;
-  Oihsa::Options oihsa;
-  oihsa.hop_delay = 0.5;
-  Bbsa::Options bbsa;
-  bbsa.hop_delay = 0.5;
-  validate_or_throw(inst.graph, inst.topo,
-                    BasicAlgorithm(ba).schedule(inst.graph, inst.topo));
-  validate_or_throw(inst.graph, inst.topo,
-                    Oihsa(oihsa).schedule(inst.graph, inst.topo));
-  validate_or_throw(inst.graph, inst.topo,
-                    Bbsa(bbsa).schedule(inst.graph, inst.topo));
+  for (AlgorithmSpec spec : {ba_spec(), oihsa_spec(), bbsa_spec()}) {
+    spec.hop_delay = 0.5;
+    validate_or_throw(inst.graph, inst.topo, run(spec, inst));
+  }
 }
 
 TEST(ModelSemantics, HopDelayNeverSpeedsUp) {
   double plain_total = 0.0;
   double delayed_total = 0.0;
+  AlgorithmSpec delayed = oihsa_spec();
+  delayed.hop_delay = 2.0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Instance inst = make(seed, 2.0);
-    Oihsa::Options delayed;
-    delayed.hop_delay = 2.0;
-    plain_total +=
-        Oihsa{}.schedule(inst.graph, inst.topo).makespan();
-    delayed_total +=
-        Oihsa(delayed).schedule(inst.graph, inst.topo).makespan();
+    plain_total += run(oihsa_spec(), inst).makespan();
+    delayed_total += run(delayed, inst).makespan();
   }
   EXPECT_GE(delayed_total, plain_total * 0.99);
 }
@@ -190,7 +169,7 @@ TEST(ModelSemantics, ReadyMomentDominatesEdgeStart) {
   // Under the dynamic model every remote transfer starts at or after the
   // latest predecessor finish of its destination task.
   const Instance inst = make(5, 5.0);
-  const Schedule s = Oihsa{}.schedule(inst.graph, inst.topo);
+  const Schedule s = run(oihsa_spec(), inst);
   for (dag::TaskId t : inst.graph.all_tasks()) {
     double ready_moment = 0.0;
     for (dag::EdgeId e : inst.graph.in_edges(t)) {

@@ -8,8 +8,7 @@
 #include "net/topology.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
-#include "sched/ba.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched {
@@ -50,7 +49,8 @@ TEST(ObsIntegration, OihsaTaskDecisionsMatchHandComputation) {
   obs::DecisionLog log;
   sched::Schedule schedule = [&] {
     obs::ScopedDecisionLog scoped(log);
-    return sched::Oihsa{}.schedule(fx.graph, fx.topo);
+    return sched::SpecScheduler(sched::oihsa_spec())
+        .schedule(fx.graph, fx.topo);
   }();
   sched::validate_or_throw(fx.graph, fx.topo, schedule);
   EXPECT_DOUBLE_EQ(schedule.makespan(), 10.0);
@@ -99,7 +99,8 @@ TEST(ObsIntegration, OihsaEdgeDecisionsMatchHandComputation) {
   obs::DecisionLog log;
   {
     obs::ScopedDecisionLog scoped(log);
-    (void)sched::Oihsa{}.schedule(fx.graph, fx.topo);
+    (void)sched::SpecScheduler(sched::oihsa_spec())
+        .schedule(fx.graph, fx.topo);
   }
 
   const auto edges = log.edge_decisions();
@@ -144,7 +145,8 @@ TEST(ObsIntegration, BaTagsItsDecisionsWithItsOwnName) {
   obs::DecisionLog log;
   {
     obs::ScopedDecisionLog scoped(log);
-    (void)sched::BasicAlgorithm{}.schedule(fx.graph, fx.topo);
+    (void)sched::SpecScheduler(sched::ba_spec()).schedule(fx.graph,
+                                                          fx.topo);
   }
   const auto tasks = log.task_decisions();
   ASSERT_EQ(tasks.size(), 4u);
@@ -160,7 +162,8 @@ TEST(ObsIntegration, HotCountersTallyTheRun) {
   const std::uint64_t edges_before = counters.edges_routed.value();
   const std::uint64_t probes_before = counters.optimal_probes.value();
 
-  (void)sched::Oihsa{}.schedule(fx.graph, fx.topo);
+  (void)sched::SpecScheduler(sched::oihsa_spec())
+      .schedule(fx.graph, fx.topo);
 
   // Counters batch inside the run and flush when the scheduling state is
   // torn down, so by the time schedule() returns they are visible.
@@ -172,7 +175,8 @@ TEST(ObsIntegration, HotCountersTallyTheRun) {
 TEST(ObsIntegration, NoLogInstalledMeansNothingRecorded) {
   const JoinFixture fx;
   ASSERT_EQ(obs::active_decision_log(), nullptr);
-  const sched::Schedule schedule = sched::Oihsa{}.schedule(fx.graph, fx.topo);
+  const sched::Schedule schedule =
+      sched::SpecScheduler(sched::oihsa_spec()).schedule(fx.graph, fx.topo);
   EXPECT_DOUBLE_EQ(schedule.makespan(), 10.0);
 }
 

@@ -1,4 +1,4 @@
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -21,7 +20,7 @@ net::Topology star(std::size_t procs) {
 TEST(Oihsa, SingleProcessorSerialises) {
   const net::Topology topo = star(1);
   const dag::TaskGraph graph = dag::fork_join(3, 2.0, 5.0);
-  const Schedule s = Oihsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 10.0);
 }
@@ -29,7 +28,7 @@ TEST(Oihsa, SingleProcessorSerialises) {
 TEST(Oihsa, KeepsChainLocalWhenCommIsExpensive) {
   const dag::TaskGraph graph = dag::chain(2, 2.0, 4.0);
   const net::Topology topo = star(2);
-  const Schedule s = Oihsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(dag::TaskId(0u)).processor,
             s.task(dag::TaskId(1u)).processor);
@@ -43,7 +42,7 @@ TEST(Oihsa, PrefersFastProcessorInHeterogeneousSystems) {
   const net::NodeId slow = topo.add_processor(1.0, "slow");
   const net::NodeId fast = topo.add_processor(5.0, "fast");
   topo.add_duplex_link(slow, fast, 1.0);
-  const Schedule s = Oihsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.task(dag::TaskId(0u)).processor, fast);
 }
@@ -58,7 +57,7 @@ TEST(Oihsa, EdgePriorityOrdersBigEdgesFirst) {
   const dag::EdgeId small = graph.add_edge(a, c, 1.0);
   const dag::EdgeId big = graph.add_edge(b, c, 8.0);
   const net::Topology topo = star(3);
-  const Schedule s = Oihsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   const EdgeCommunication& comm_small = s.communication(small);
   const EdgeCommunication& comm_big = s.communication(big);
@@ -78,8 +77,8 @@ TEST(Oihsa, NeverWorseThanBaOnContendedJoin) {
   // the scenario optimal insertion and modified routing target.
   const dag::TaskGraph graph = dag::join(6, 1.0, 5.0);
   const net::Topology topo = star(4);
-  const Schedule ours = Oihsa{}.schedule(graph, topo);
-  const Schedule base = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule ours = SpecScheduler(oihsa_spec()).schedule(graph, topo);
+  const Schedule base = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, ours);
   validate_or_throw(graph, topo, base);
   EXPECT_LE(ours.makespan(), base.makespan() * 1.25);
@@ -97,11 +96,15 @@ TEST(Oihsa, AllOptionCombinationsProduceValidSchedules) {
   for (bool edge_priority : {false, true}) {
     for (bool routing : {false, true}) {
       for (bool insertion : {false, true}) {
-        Oihsa::Options options;
-        options.edge_priority_by_cost = edge_priority;
-        options.modified_routing = routing;
-        options.optimal_insertion = insertion;
-        const Schedule s = Oihsa(options).schedule(graph, topo);
+        AlgorithmSpec spec = oihsa_spec();
+        spec.edge_order = edge_priority
+                              ? EdgeOrderPolicyKind::kByCostDescending
+                              : EdgeOrderPolicyKind::kPredecessorOrder;
+        spec.routing = routing ? RoutingPolicyKind::kProbeDijkstra
+                               : RoutingPolicyKind::kBfsMinimal;
+        spec.insertion = insertion ? InsertionPolicyKind::kOptimal
+                                   : InsertionPolicyKind::kFirstFit;
+        const Schedule s = SpecScheduler(spec).schedule(graph, topo);
         validate_or_throw(graph, topo, s);
       }
     }
@@ -117,8 +120,8 @@ TEST(Oihsa, DeterministicAcrossRuns) {
   wan.num_processors = 8;
   Rng net_rng(16);
   const net::Topology topo = net::random_wan(wan, net_rng);
-  const Schedule a = Oihsa{}.schedule(graph, topo);
-  const Schedule b = Oihsa{}.schedule(graph, topo);
+  const Schedule a = SpecScheduler(oihsa_spec()).schedule(graph, topo);
+  const Schedule b = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
   for (dag::TaskId t : graph.all_tasks()) {
     EXPECT_EQ(a.task(t).processor, b.task(t).processor);
@@ -132,7 +135,7 @@ TEST(Oihsa, MakespanAtLeastComputationCriticalPath) {
   params.num_tasks = 40;
   const dag::TaskGraph graph = dag::random_layered(params, rng);
   const net::Topology topo = star(4);  // homogeneous speed 1
-  const Schedule s = Oihsa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   const auto bl = dag::bottom_levels_computation_only(graph);
   const double lower_bound = *std::max_element(bl.begin(), bl.end());
   EXPECT_GE(s.makespan(), lower_bound - 1e-6);
@@ -155,8 +158,8 @@ TEST(Oihsa, BeatsBasicInsertionOnAverage) {
     wan.fanout_min = 2;
     wan.fanout_max = 4;
     const net::Topology topo = net::random_wan(wan, rng);
-    ba_total += BasicAlgorithm{}.schedule(graph, topo).makespan();
-    oihsa_total += Oihsa{}.schedule(graph, topo).makespan();
+    ba_total += SpecScheduler(ba_spec()).schedule(graph, topo).makespan();
+    oihsa_total += SpecScheduler(oihsa_spec()).schedule(graph, topo).makespan();
   }
   EXPECT_LE(oihsa_total, ba_total * 1.02);
 }

@@ -1,11 +1,12 @@
-#include "sched/packetized.hpp"
+#include "sched/engine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -16,10 +17,17 @@ net::Topology star(std::size_t procs) {
   return net::switched_star(procs, net::SpeedConfig{}, rng);
 }
 
+/// PACKET-BA with the given packet size.
+SpecScheduler packet_ba(double packet_size) {
+  AlgorithmSpec spec = packet_ba_spec();
+  spec.packet_size = packet_size;
+  return SpecScheduler(spec);
+}
+
 TEST(PacketizedBa, SingleProcessorSerialises) {
   const net::Topology topo = star(1);
   const dag::TaskGraph graph = dag::fork_join(3, 2.0, 5.0);
-  const Schedule s = PacketizedBa{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(packet_ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   EXPECT_DOUBLE_EQ(s.makespan(), 10.0);
 }
@@ -28,9 +36,7 @@ TEST(PacketizedBa, SplitsBigMessages) {
   // One forced remote edge of cost 20 with packet size 5 -> 4 packets.
   const dag::TaskGraph graph = dag::fork(2, 30.0, 20.0);
   const net::Topology topo = star(2);
-  PacketizedBa::Options options;
-  options.packet_size = 5.0;
-  const Schedule s = PacketizedBa(options).schedule(graph, topo);
+  const Schedule s = packet_ba(5.0).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   bool saw_packets = false;
   for (dag::EdgeId e : graph.all_edges()) {
@@ -64,14 +70,10 @@ TEST(PacketizedBa, PacketsPipelineAcrossHops) {
   topo.add_duplex_link(p0, sw, 1.0);
   topo.add_duplex_link(sw, p1, 1.0);
 
-  PacketizedBa::Options coarse;
-  coarse.packet_size = 16.0;  // single packet = store-and-forward circuit
-  PacketizedBa::Options fine;
-  fine.packet_size = 2.0;  // 8 packets pipeline
-
-  const Schedule s_coarse =
-      PacketizedBa(coarse).schedule(graph, topo);
-  const Schedule s_fine = PacketizedBa(fine).schedule(graph, topo);
+  // Size 16: a single packet, i.e. a store-and-forward circuit. Size 2:
+  // 8 packets pipeline.
+  const Schedule s_coarse = packet_ba(16.0).schedule(graph, topo);
+  const Schedule s_fine = packet_ba(2.0).schedule(graph, topo);
   validate_or_throw(graph, topo, s_coarse);
   validate_or_throw(graph, topo, s_fine);
   ASSERT_EQ(s_coarse.task(a).processor, p0);
@@ -96,9 +98,7 @@ TEST(PacketizedBa, ValidOnRandomInstances) {
     wan.num_processors = 6;
     const net::Topology topo = net::random_wan(wan, rng);
     for (double packet_size : {50.0, 250.0, 1e9}) {
-      PacketizedBa::Options options;
-      options.packet_size = packet_size;
-      const Schedule s = PacketizedBa(options).schedule(graph, topo);
+      const Schedule s = packet_ba(packet_size).schedule(graph, topo);
       validate_or_throw(graph, topo, s);
     }
   }
@@ -112,15 +112,26 @@ TEST(PacketizedBa, DeterministicAcrossRuns) {
   net::RandomWanParams wan;
   wan.num_processors = 5;
   const net::Topology topo = net::random_wan(wan, rng);
-  const Schedule a = PacketizedBa{}.schedule(graph, topo);
-  const Schedule b = PacketizedBa{}.schedule(graph, topo);
+  const Schedule a = SpecScheduler(packet_ba_spec()).schedule(graph, topo);
+  const Schedule b = SpecScheduler(packet_ba_spec()).schedule(graph, topo);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
 }
 
 TEST(PacketizedBa, RejectsBadPacketSize) {
-  PacketizedBa::Options options;
-  options.packet_size = 0.0;
-  EXPECT_THROW(PacketizedBa{options}, std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double size : {0.0, -1.0, nan, inf, -inf}) {
+    EXPECT_THROW((void)packet_ba(size), std::invalid_argument) << size;
+  }
+  // hop_delay is validated on every bundle: NaN or +inf would otherwise
+  // emit schedules the validator rejects or trip timeline assertions.
+  for (AlgorithmSpec spec : {packet_ba_spec(), oihsa_spec()}) {
+    for (double delay : {-1.0, nan, inf}) {
+      spec.hop_delay = delay;
+      EXPECT_THROW((void)SpecScheduler(spec), std::invalid_argument)
+          << spec.name << " hop_delay " << delay;
+    }
+  }
 }
 
 TEST(PacketizedBa, HugePacketSizeMatchesSaFCircuit) {
@@ -128,9 +139,7 @@ TEST(PacketizedBa, HugePacketSizeMatchesSaFCircuit) {
   // still a valid schedule, one occupation per hop.
   const dag::TaskGraph graph = dag::fork(2, 30.0, 10.0);
   const net::Topology topo = star(2);
-  PacketizedBa::Options options;
-  options.packet_size = 1e12;
-  const Schedule s = PacketizedBa(options).schedule(graph, topo);
+  const Schedule s = packet_ba(1e12).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   for (dag::EdgeId e : graph.all_edges()) {
     const EdgeCommunication& comm = s.communication(e);

@@ -5,8 +5,7 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 
 namespace edgesched::sim {
 namespace {
@@ -26,7 +25,8 @@ Instance make(std::uint64_t seed) {
   net::RandomWanParams wan;
   wan.num_processors = 4;
   net::Topology topo = net::random_wan(wan, rng);
-  sched::Schedule schedule = sched::Oihsa{}.schedule(graph, topo);
+  sched::Schedule schedule =
+      sched::SpecScheduler(sched::oihsa_spec()).schedule(graph, topo);
   return Instance{std::move(graph), std::move(topo),
                   std::move(schedule)};
 }
@@ -86,7 +86,8 @@ TEST(Robustness, ComparableAcrossAlgorithms) {
   // assess, and the reports are internally consistent.
   const Instance inst = make(5);
   const sched::Schedule ba =
-      sched::BasicAlgorithm{}.schedule(inst.graph, inst.topo);
+      sched::SpecScheduler(sched::ba_spec()).schedule(inst.graph,
+                                                      inst.topo);
   for (const sched::Schedule* s : {&inst.schedule, &ba}) {
     const RobustnessReport report =
         assess_robustness(inst.graph, inst.topo, *s);

@@ -1,12 +1,9 @@
-// Equivalence properties of the source-sharded route caches.
+// Equivalence property of the source-sharded BFS route cache.
 //
-// `RouteCache` and `ProbedRouteCache` replaced their (from, to)-keyed
-// maps with dense per-source shards for O(1) lookups. Both are pure
-// memo layers: against the same query sequence they must return exactly
-// what a straightforward map-based memo returns — the same routes, and
-// for the probe memo the same hit/miss decisions (a spurious hit would
-// resurrect a route from a stale network generation; a spurious miss
-// only costs time but would still betray a keying bug).
+// `RouteCache` replaced its (from, to)-keyed map with dense per-source
+// shards for O(1) lookups. It is a pure memo layer: against the same
+// query sequence it must return exactly the routes a straightforward
+// map-based memo returns.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -40,55 +37,6 @@ TEST_P(RouteCacheProperty, ShardedBfsCacheMatchesMapMemo) {
       it = reference.emplace(key, bfs_route(topo, from, to)).first;
     }
     ASSERT_EQ(got, it->second) << "query " << i;
-  }
-}
-
-// The probe memo's contract is exact-query identity: same endpoints,
-// bit-identical ready/cost, same load generation. Drive the sharded
-// memo and a map-based reference with a random mix of lookups and
-// stores (generations advance, ready/cost repeat or not) and require
-// identical hit/miss behaviour and identical returned routes.
-TEST_P(RouteCacheProperty, ShardedProbeMemoMatchesMapMemo) {
-  Rng rng(GetParam() + 1);
-  const Topology topo = switched_star(6, SpeedConfig{}, rng);
-  ProbedRouteCache sharded;
-  struct RefEntry {
-    double ready;
-    double cost;
-    std::uint64_t generation;
-    Route route;
-  };
-  std::map<std::pair<NodeId, NodeId>, RefEntry> reference;
-
-  const auto nodes = static_cast<std::int64_t>(topo.num_nodes());
-  std::uint64_t generation = 0;
-  // A few recurring (ready, cost) values make genuine hits common.
-  const double readies[] = {0.0, 1.5, 7.25};
-  const double costs[] = {10.0, 64.0};
-  for (std::size_t i = 0; i < 3000; ++i) {
-    if (rng.bernoulli(0.1)) {
-      ++generation;  // a link mutation elsewhere invalidates everything
-    }
-    const NodeId from(static_cast<std::size_t>(rng.uniform_int(0, nodes - 1)));
-    const NodeId to(static_cast<std::size_t>(rng.uniform_int(0, nodes - 1)));
-    const double ready = readies[rng.uniform_int(0, 2)];
-    const double cost = costs[rng.uniform_int(0, 1)];
-
-    const Route* hit = sharded.lookup(from, to, ready, cost, generation);
-    const auto it = reference.find(std::make_pair(from, to));
-    const bool ref_hit = it != reference.end() &&
-                         it->second.generation == generation &&
-                         it->second.ready == ready &&
-                         it->second.cost == cost;
-    ASSERT_EQ(hit != nullptr, ref_hit) << "query " << i;
-    if (hit != nullptr) {
-      ASSERT_EQ(*hit, it->second.route) << "query " << i;
-    } else if (from != to) {
-      const Route computed = bfs_route(topo, from, to);
-      sharded.store(from, to, ready, cost, generation, computed);
-      reference[std::make_pair(from, to)] =
-          RefEntry{ready, cost, generation, computed};
-    }
   }
 }
 

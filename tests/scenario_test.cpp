@@ -7,10 +7,8 @@
 #include "net/topology.hpp"
 #include <algorithm>
 
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/network_state.hpp"
-#include "sched/oihsa.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -46,9 +44,9 @@ TEST(Scenario, BaJoinContentionHandTrace) {
 
   Star3 net;
   for (const auto& schedule :
-       {BasicAlgorithm{}.schedule(graph, net.topo),
-        Oihsa{}.schedule(graph, net.topo),
-        Bbsa{}.schedule(graph, net.topo)}) {
+       {SpecScheduler(ba_spec()).schedule(graph, net.topo),
+        SpecScheduler(oihsa_spec()).schedule(graph, net.topo),
+        SpecScheduler(bbsa_spec()).schedule(graph, net.topo)}) {
     validate_or_throw(graph, net.topo, schedule);
     EXPECT_NE(schedule.task(a).processor, schedule.task(b).processor);
     const bool with_a =
@@ -82,7 +80,7 @@ TEST(Scenario, OihsaDeferralEndToEnd) {
   (void)filler3;
 
   Star3 net;
-  const Schedule s = Oihsa{}.schedule(graph, net.topo);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, net.topo);
   validate_or_throw(graph, net.topo, s);
   const EdgeCommunication& small = s.communication(dag::EdgeId(0u));
   const EdgeCommunication& large = s.communication(dag::EdgeId(1u));
@@ -153,7 +151,7 @@ TEST(Scenario, ClassicUnderestimatesThisExactInstance) {
   }
 
   Star3 net;
-  const Schedule ba = BasicAlgorithm{}.schedule(graph, net.topo);
+  const Schedule ba = SpecScheduler(ba_spec()).schedule(graph, net.topo);
   validate_or_throw(graph, net.topo, ba);
   // 4 producers on 3 processors: at least two messages are remote and
   // share the sink's inbound link, so the sink cannot start before
@@ -170,8 +168,9 @@ TEST(Scenario, HeterogeneousSpeedScalesDurations) {
   const net::NodeId fast = topo.add_processor(5.0);
   topo.add_duplex_link(slow, fast, 1.0);
   for (const auto& schedule :
-       {BasicAlgorithm{}.schedule(graph, topo),
-        Oihsa{}.schedule(graph, topo), Bbsa{}.schedule(graph, topo)}) {
+       {SpecScheduler(ba_spec()).schedule(graph, topo),
+        SpecScheduler(oihsa_spec()).schedule(graph, topo),
+        SpecScheduler(bbsa_spec()).schedule(graph, topo)}) {
     EXPECT_EQ(schedule.task(t).processor, fast);
     EXPECT_DOUBLE_EQ(schedule.makespan(), 6.0);
   }

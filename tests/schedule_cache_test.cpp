@@ -7,7 +7,7 @@
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "util/rng.hpp"
 
 namespace edgesched::svc {
@@ -83,7 +83,7 @@ TEST(ScheduleCache, HitReturnsCachedScheduleAndRefreshesRecency) {
 TEST(ScheduleCache, HitMatchesFreshlyComputedSchedule) {
   const dag::TaskGraph graph = dag::fork_join(6, 3.0, 5.0);
   const net::Topology topo = star4();
-  const sched::Oihsa oihsa;
+  const sched::SpecScheduler oihsa(sched::oihsa_spec());
 
   ScheduleCache cache(4);
   const std::uint64_t key = request_fingerprint(graph, topo, oihsa.name());

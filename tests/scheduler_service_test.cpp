@@ -8,8 +8,7 @@
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
-#include "sched/bbsa.hpp"
-#include "sched/oihsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +32,8 @@ TEST(SchedulerService, ComputesScheduleMatchingDirectCall) {
 
   const auto result = service.submit(graph, topo, "oihsa").get();
   ASSERT_NE(result, nullptr);
-  const sched::Schedule direct = sched::Oihsa{}.schedule(*graph, *topo);
+  const sched::Schedule direct =
+      sched::SpecScheduler(sched::oihsa_spec()).schedule(*graph, *topo);
   EXPECT_DOUBLE_EQ(result->makespan(), direct.makespan());
   EXPECT_EQ(result->algorithm(), "OIHSA");
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace edgesched::dag {
 namespace {
@@ -46,6 +48,13 @@ TEST(TaskGraph, TaskNamesDefaultAndExplicit) {
 TEST(TaskGraph, RejectsNegativeWeight) {
   TaskGraph g;
   EXPECT_THROW((void)g.add_task(-1.0), std::invalid_argument);
+  // Non-finite weights too: NaN slips past `weight < 0` comparisons.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)g.add_task(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.num_tasks(), 0u);
 }
 
 TEST(TaskGraph, RejectsBadEdges) {
@@ -55,6 +64,12 @@ TEST(TaskGraph, RejectsBadEdges) {
   EXPECT_THROW((void)g.add_edge(a, a, 1.0), std::invalid_argument);
   EXPECT_THROW((void)g.add_edge(a, TaskId(9u), 1.0), std::invalid_argument);
   EXPECT_THROW((void)g.add_edge(a, b, -1.0), std::invalid_argument);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)g.add_edge(a, b, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.num_edges(), 0u);
   (void)g.add_edge(a, b, 1.0);
   EXPECT_THROW((void)g.add_edge(a, b, 2.0), std::invalid_argument);
 }
@@ -81,6 +96,10 @@ TEST(TaskGraph, SetCostRescales) {
   g.set_cost(EdgeId(0u), 10.0);
   EXPECT_DOUBLE_EQ(g.cost(EdgeId(0u)), 10.0);
   EXPECT_THROW(g.set_cost(EdgeId(0u), -1.0), std::invalid_argument);
+  EXPECT_THROW(g.set_cost(EdgeId(0u), std::nan("")), std::invalid_argument);
+  EXPECT_THROW(g.set_weight(TaskId(0u), std::nan("")),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(g.cost(EdgeId(0u)), 10.0);
 }
 
 TEST(TaskGraph, EntryAndExitTasks) {

@@ -6,8 +6,7 @@
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
-#include "sched/ba.hpp"
-#include "sched/bbsa.hpp"
+#include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -23,7 +22,7 @@ struct Fixture {
           Rng rng(1);
           return net::switched_star(3, net::SpeedConfig{}, rng);
         }()),
-        schedule(BasicAlgorithm{}.schedule(graph, topo)) {}
+        schedule(SpecScheduler(ba_spec()).schedule(graph, topo)) {}
 };
 
 TEST(ChromeTrace, IsWellFormedJson) {
@@ -68,7 +67,7 @@ TEST(ChromeTrace, EscapesNames) {
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(1, net::SpeedConfig{}, rng);
-  const Schedule s = BasicAlgorithm{}.schedule(graph, topo);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   const std::string json = to_chrome_trace(graph, topo, s);
   EXPECT_NE(json.find("we\\\"ird"), std::string::npos);
 }
@@ -98,7 +97,8 @@ TEST(AsciiGantt, LinksCanBeSuppressed) {
 
 TEST(AsciiGantt, WorksForBandwidthSchedules) {
   const Fixture f;
-  const Schedule bbsa = Bbsa{}.schedule(f.graph, f.topo);
+  const Schedule bbsa =
+      SpecScheduler(bbsa_spec()).schedule(f.graph, f.topo);
   validate_or_throw(f.graph, f.topo, bbsa);
   const std::string gantt = to_ascii_gantt(f.graph, f.topo, bbsa);
   EXPECT_NE(gantt.find("BBSA"), std::string::npos);
