@@ -114,7 +114,7 @@ void BM_NetworkCommitOptimal(benchmark::State& state) {
   const std::size_t edges = 512;
   for (auto _ : state) {
     state.PauseTiming();
-    net::RouteCache routes(topo);
+    const net::StaticRouteTable routes(topo);
     sched::ExclusiveNetworkState network(topo, edges);
     state.ResumeTiming();
     for (std::size_t i = 0; i < edges; ++i) {

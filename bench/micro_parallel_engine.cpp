@@ -1,29 +1,28 @@
-// Intra-run parallelism thread sweep: one engine run at 1/2/4/8 worker
-// lanes over 16/64/256-processor fat trees.
+// Intra-run parallelism thread sweep: GA and SA at 1/2/4/8 worker lanes.
 //
-// The parallel candidate scan (sched/intra_run.hpp, util/parallel_for)
-// promises byte-identical schedules at every lane count, so the only
-// question left is how much wall-clock the lanes buy. The scan
-// parallelises the per-task processor loop, so the win grows with the
-// processor count: a 16-processor scan barely covers the dispatch cost,
-// a 256-processor scan is where the engine spends almost all of its
-// time (see docs/performance.md item 11). This bench pins both ends.
+// The metaheuristics are where intra-run lanes pay: the GA evaluates
+// its whole population (and each generation's offspring) as independent
+// fixed-assignment schedules, the SA evaluates batches of speculative
+// neighbors. Both promise byte-identical results at every lane count
+// (sched/intra_run.hpp, docs/parallelism.md), so the only question left
+// is how much wall-clock the lanes buy. The list-scheduling engine
+// itself runs serially; request-level parallelism (svc::ThreadPool,
+// sim::runner) is what uses the cores there.
 //
-// Each (processors, threads) cell schedules the same DAG batch through
-// one shared PlatformContext — lane workers lease pooled workspaces
-// exactly as a service job would — and reports best-of ns per schedule.
-// The sweep also cross-checks the determinism contract: every cell's
-// makespans must equal the serial cell's bit for bit.
+// Each (algorithm, threads) cell schedules the same DAG batch through
+// one shared PlatformContext and reports best-of ns per schedule. The
+// sweep also cross-checks the determinism contract: every cell's
+// makespans must equal the one-lane cell's bit for bit.
 //
 // Knobs (environment):
-//   EDGESCHED_PAR_DAGS            DAGs per measured batch (default 6)
-//   EDGESCHED_PAR_TASKS           tasks per DAG (default 80)
+//   EDGESCHED_PAR_DAGS            DAGs per measured batch (default 4)
+//   EDGESCHED_PAR_TASKS           tasks per DAG (default 40)
 //   EDGESCHED_REPS                repetitions, best-of (default 3)
-//   EDGESCHED_MIN_PARALLEL_SPEEDUP  fail (exit 1) if the 4-thread
-//                                 speedup on 256 processors falls below
-//                                 this; 0 disables (CI sets it on
-//                                 multi-core runners; a 1-core container
-//                                 cannot measure a speedup)
+//   EDGESCHED_MIN_PARALLEL_SPEEDUP  fail (exit 1) if the GA's 4-thread
+//                                 speedup falls below this; 0 disables
+//                                 (CI sets it on multi-core runners; a
+//                                 1-core container cannot measure a
+//                                 speedup)
 //
 // Outputs, to $EDGESCHED_BENCH_DIR (or the working directory):
 //   BENCH_micro_parallel_engine.json   telemetry: per-cell timings
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "dag/generators.hpp"
+#include "dag/properties.hpp"
 #include "net/builders.hpp"
 #include "obs/json.hpp"
 #include "sched/intra_run.hpp"
@@ -55,9 +55,10 @@ namespace {
 using namespace edgesched;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr const char* kAlgorithms[] = {"ga", "sa"};
 
 struct Cell {
-  std::size_t processors = 0;
+  std::string algorithm;
   std::size_t threads = 0;
   double ns_per_schedule = 0.0;
 };
@@ -68,24 +69,14 @@ int main(int argc, char** argv) {
   bench::TelemetryScope telemetry("", &argc, argv);
 
   const auto num_dags =
-      static_cast<std::size_t>(env_int("EDGESCHED_PAR_DAGS", 6));
+      static_cast<std::size_t>(env_int("EDGESCHED_PAR_DAGS", 4));
   const auto num_tasks =
-      static_cast<std::size_t>(env_int("EDGESCHED_PAR_TASKS", 80));
+      static_cast<std::size_t>(env_int("EDGESCHED_PAR_TASKS", 40));
   const auto reps = static_cast<std::size_t>(env_int("EDGESCHED_REPS", 3));
   const std::string floor_env =
       env_string("EDGESCHED_MIN_PARALLEL_SPEEDUP", "");
   const double speedup_floor =
       floor_env.empty() ? 0.0 : std::stod(floor_env);
-
-  // The selection-dominant preset: OIHSA's MLS-estimate scan probes a
-  // route per candidate processor, so per-task cost is dominated by the
-  // exact loop the lanes split.
-  const sched::AlgorithmEntry* entry = sched::find_algorithm("oihsa");
-  if (entry == nullptr) {
-    std::cerr << "micro_parallel_engine: oihsa not registered\n";
-    return 1;
-  }
-  const std::unique_ptr<sched::Scheduler> scheduler = entry->make();
 
   std::vector<dag::TaskGraph> graphs;
   graphs.reserve(num_dags);
@@ -93,27 +84,35 @@ int main(int argc, char** argv) {
     Rng dag_rng(1000 + i);
     dag::LayeredDagParams params;
     params.num_tasks = num_tasks;
-    graphs.push_back(dag::random_layered(params, dag_rng));
+    dag::TaskGraph graph = dag::random_layered(params, dag_rng);
+    dag::rescale_to_ccr(graph, 5.0);
+    graphs.push_back(std::move(graph));
   }
+  // A contended 8-processor fabric, the metaheuristics' home ground
+  // (bench/ablation_metaheuristics uses 4 and 8).
+  Rng topo_rng(20260807);
+  net::RandomWanParams wan;
+  wan.num_processors = 8;
+  const net::Topology topology = net::random_wan(wan, topo_rng);
+  const sched::PlatformContext platform(topology);
 
-  std::cout << "== parallel engine sweep: " << num_dags << " DAGs x "
-            << num_tasks << " tasks, " << entry->display
-            << ", best of " << reps << " ==\n";
+  std::cout << "== parallel metaheuristic sweep: " << num_dags
+            << " DAGs x " << num_tasks << " tasks, "
+            << topology.num_processors() << " processors, best of "
+            << reps << " ==\n";
 
-  const std::pair<std::size_t, std::size_t> fabrics[] = {
-      {4, 4}, {8, 8}, {16, 16}};  // 16 / 64 / 256 processors
   std::vector<Cell> cells;
-  double serial_256_ns = 0.0;
-  double four_thread_256_ns = 0.0;
-  for (const auto& [pods, hosts] : fabrics) {
-    Rng topo_rng(20260807);
-    const net::Topology topology =
-        net::fat_tree(pods, hosts, net::SpeedConfig{}, topo_rng);
-    const sched::PlatformContext platform(topology);
-    const std::size_t procs = topology.num_processors();
+  std::map<std::string, double> speedup_4t;  ///< by registry key
+  for (const char* key : kAlgorithms) {
+    const sched::AlgorithmEntry* entry = sched::find_algorithm(key);
+    if (entry == nullptr) {
+      std::cerr << "micro_parallel_engine: " << key << " not registered\n";
+      return 1;
+    }
+    const std::unique_ptr<sched::Scheduler> scheduler = entry->make();
 
-    // Serial reference makespans: the determinism cross-check below
-    // compares every parallel cell against these bit for bit.
+    // One-lane reference makespans: the determinism cross-check below
+    // compares every cell against these bit for bit.
     std::vector<double> reference;
     {
       const sched::ScopedIntraThreads serial(1);
@@ -123,6 +122,7 @@ int main(int argc, char** argv) {
       }
     }
 
+    double serial_ns = 0.0;
     for (const std::size_t threads : kThreadCounts) {
       const sched::ScopedIntraThreads scoped(threads);
       double best = std::numeric_limits<double>::infinity();
@@ -133,9 +133,10 @@ int main(int argc, char** argv) {
               scheduler->schedule(graphs[i], platform).makespan();
           if (std::memcmp(&reference[i], &makespan, sizeof(double)) !=
               0) {
-            std::cerr << "micro_parallel_engine: " << threads
-                      << "-thread makespan diverged from serial on "
-                      << procs << " processors, DAG " << i << "\n";
+            std::cerr << "micro_parallel_engine: " << entry->display
+                      << " at " << threads
+                      << " threads diverged from one lane on DAG " << i
+                      << "\n";
             return 1;
           }
         }
@@ -146,36 +147,33 @@ int main(int argc, char** argv) {
       }
       const double ns =
           best * 1e9 / static_cast<double>(graphs.size());
-      cells.push_back(Cell{procs, threads, ns});
-      if (procs == 256 && threads == 1) {
-        serial_256_ns = ns;
+      cells.push_back(Cell{key, threads, ns});
+      if (threads == 1) {
+        serial_ns = ns;
       }
-      if (procs == 256 && threads == 4) {
-        four_thread_256_ns = ns;
+      if (threads == 4) {
+        speedup_4t[key] = serial_ns / ns;
       }
-      std::cout << procs << " procs, " << threads << " threads: "
-                << ns / 1e6 << " ms/schedule\n";
+      std::cout << entry->display << ", " << threads
+                << " threads: " << ns / 1e6 << " ms/schedule\n";
     }
   }
-
-  const double speedup = four_thread_256_ns > 0.0
-                             ? serial_256_ns / four_thread_256_ns
-                             : 0.0;
-  std::cout << "4-thread speedup on 256 processors: " << speedup << "x\n";
+  const double ga_speedup = speedup_4t["ga"];
+  std::cout << "4-thread speedup: GA " << ga_speedup << "x, SA "
+            << speedup_4t["sa"] << "x\n";
 
   for (const Cell& cell : cells) {
     telemetry.report().root().set(
-        "p" + std::to_string(cell.processors) + "_t" +
-            std::to_string(cell.threads) + "_ns",
+        cell.algorithm + "_t" + std::to_string(cell.threads) + "_ns",
         cell.ns_per_schedule);
   }
   telemetry.report().root().set("dags", num_dags);
   telemetry.report().root().set("tasks", num_tasks);
-  telemetry.report().root().set("speedup_4t_256p", speedup);
+  telemetry.report().root().set("speedup_4t_ga", ga_speedup);
+  telemetry.report().root().set("speedup_4t_sa", speedup_4t["sa"]);
 
   // Google-benchmark-shaped mirror so tools/bench_compare gates every
-  // cell like the other micros. Per-processor-count serial rows double
-  // as the scan-cost regression series.
+  // cell like the other micros.
   obs::JsonValue gbench = obs::JsonValue::object();
   obs::JsonValue context = obs::JsonValue::object();
   context.set("executable", "micro_parallel_engine");
@@ -183,8 +181,7 @@ int main(int argc, char** argv) {
   obs::JsonValue benchmarks = obs::JsonValue::array();
   for (const Cell& cell : cells) {
     obs::JsonValue row = obs::JsonValue::object();
-    row.set("name", "micro_parallel_engine/procs:" +
-                        std::to_string(cell.processors) +
+    row.set("name", "micro_parallel_engine/" + cell.algorithm +
                         "/threads:" + std::to_string(cell.threads));
     row.set("run_type", "iteration");
     row.set("iterations", 1);
@@ -207,9 +204,10 @@ int main(int argc, char** argv) {
   out << "\n";
   std::cerr << "micro_parallel_engine: wrote " << gbench_path << "\n";
 
-  if (speedup_floor > 0.0 && speedup < speedup_floor) {
-    std::cerr << "micro_parallel_engine: 4-thread speedup " << speedup
-              << "x below required " << speedup_floor << "x\n";
+  if (speedup_floor > 0.0 && ga_speedup < speedup_floor) {
+    std::cerr << "micro_parallel_engine: GA 4-thread speedup "
+              << ga_speedup << "x below required " << speedup_floor
+              << "x\n";
     return 1;
   }
   return 0;

@@ -32,22 +32,22 @@ void BM_BfsRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsRoute)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_RouteCache(benchmark::State& state) {
+void BM_StaticRouteTable(benchmark::State& state) {
   const net::Topology topo =
       wan(static_cast<std::size_t>(state.range(0)), 2);
-  net::RouteCache cache(topo);
+  const net::StaticRouteTable table(topo);
   const auto& procs = topo.processors();
   std::size_t i = 0;
   for (auto _ : state) {
     const net::NodeId from = procs[i % procs.size()];
     const net::NodeId to = procs[(i * 7 + 3) % procs.size()];
     if (from != to) {
-      benchmark::DoNotOptimize(cache.route(from, to));
+      benchmark::DoNotOptimize(table.route(from, to));
     }
     ++i;
   }
 }
-BENCHMARK(BM_RouteCache)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_StaticRouteTable)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_DijkstraProbeRoute(benchmark::State& state) {
   const net::Topology topo =

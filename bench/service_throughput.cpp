@@ -1,14 +1,14 @@
 // Service throughput: many distinct DAGs over one switched fabric
 // through svc::SchedulerService, cold versus warm platform cache.
 //
-// This is the amortisation evidence for the PlatformContext split: the
-// per-topology derived state (all-pairs static route table, cached
-// reductions, pooled workspaces) dominates the cost of scheduling a
-// modest DAG on a large fabric, so sharing one context across jobs
-// (`share_platform`, the default) must beat rebuilding it per job
-// (`share_platform = false`, the cold baseline) by a wide margin. Every
-// DAG is distinct, so the schedule cache never hits — the measured gap
-// is pure platform reuse, not result memoisation.
+// This is the amortisation evidence for the PlatformContext split:
+// sharing one context across jobs (`share_platform`, the default) must
+// beat building a fresh one per job (`share_platform = false`, the cold
+// baseline). A fresh context runs no route discovery up front, so what
+// a shared one saves is the per-source route-table fills (one BFS per
+// source processor BA routes from) and the pooled workspaces. Every DAG
+// is distinct, so the schedule cache never hits — the measured gap is
+// pure platform reuse, not result memoisation.
 //
 // Knobs (environment):
 //   EDGESCHED_SERVICE_DAGS     DAGs per measured batch (default 48)
@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
   const double min_ratio =
       min_ratio_env.empty() ? 0.0 : std::stod(min_ratio_env);
 
-  // One ~256-processor fat tree: large enough that deriving platform
-  // state per job dwarfs scheduling one modest DAG across it.
+  // One ~256-processor fat tree: large enough that each per-source
+  // route fill (a BFS plus 255 routes) is visible next to scheduling one
+  // modest DAG across it.
   Rng topo_rng(20260807);
   const auto topology = std::make_shared<const net::Topology>(
       net::fat_tree(16, 16, net::SpeedConfig{}, topo_rng));

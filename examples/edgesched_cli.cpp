@@ -124,9 +124,9 @@ struct Args {
          "         [--algorithm NAME] [--list-algorithms]\n"
          "         [--ccr X]\n"
          "         [--output schedule|metrics|gantt|trace|dot]\n"
-         "         [--intra-threads N]  (0 = all cores; schedules are\n"
-         "          byte-identical at every N; default 1 or\n"
-         "          EDGESCHED_INTRA_THREADS)\n"
+         "         [--intra-threads N]  (GA/SA worker lanes, 0 = all\n"
+         "          cores; schedules are byte-identical at every N;\n"
+         "          default 1 or EDGESCHED_INTRA_THREADS)\n"
          "   or: edgesched_cli run <instance flags>\n"
          "         [--jitter X] [--bw-jitter X] [--exec-seed S]\n"
          "         [--fault-rate R] [--link-fault-rate R]\n"
@@ -189,8 +189,8 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--output") {
       args.output = next(i);
     } else if (flag == "--intra-threads") {
-      // Process-global: both the direct schedule and any recovery
-      // replans fan their candidate scans across this many workers.
+      // Process-global: GA/SA runs, direct or as recovery replans,
+      // evaluate across this many workers.
       sched::set_intra_run_threads(
           static_cast<std::size_t>(std::stoul(next(i))));
     } else if (args.run && flag == "--jitter") {

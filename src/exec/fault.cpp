@@ -11,10 +11,16 @@ namespace edgesched::exec {
 
 namespace {
 
+/// True for a finite value >= 0 (false for NaN and +inf).
+bool finite_non_negative(double value) {
+  return value >= 0.0 && std::isfinite(value);
+}
+
 void check_event(const FaultEvent& event) {
-  throw_if(event.time < 0.0, "FaultPlan: event time must be >= 0");
-  throw_if(!event.permanent && event.repair < 0.0,
-           "FaultPlan: transient repair time must be >= 0");
+  throw_if(!finite_non_negative(event.time),
+           "FaultPlan: event time must be finite and >= 0");
+  throw_if(!event.permanent && !finite_non_negative(event.repair),
+           "FaultPlan: transient repair time must be finite and >= 0");
 }
 
 // Appends Poisson failure arrivals for one resource.
@@ -61,13 +67,16 @@ FaultPlan FaultPlan::scripted(std::vector<FaultEvent> events) {
 
 FaultPlan FaultPlan::sampled(const net::Topology& topology,
                              const HazardConfig& config) {
-  throw_if(config.processor_rate < 0.0 || config.link_rate < 0.0,
-           "FaultPlan::sampled: rates must be >= 0");
-  throw_if(config.horizon < 0.0, "FaultPlan::sampled: horizon must be >= 0");
-  throw_if(config.permanent_fraction < 0.0 || config.permanent_fraction > 1.0,
+  throw_if(!finite_non_negative(config.processor_rate) ||
+               !finite_non_negative(config.link_rate),
+           "FaultPlan::sampled: rates must be finite and >= 0");
+  throw_if(!finite_non_negative(config.horizon),
+           "FaultPlan::sampled: horizon must be finite and >= 0");
+  throw_if(!(config.permanent_fraction >= 0.0 &&
+             config.permanent_fraction <= 1.0),
            "FaultPlan::sampled: permanent_fraction must be in [0, 1]");
-  throw_if(config.mean_repair < 0.0,
-           "FaultPlan::sampled: mean_repair must be >= 0");
+  throw_if(!finite_non_negative(config.mean_repair),
+           "FaultPlan::sampled: mean_repair must be finite and >= 0");
   FaultPlan plan;
   Rng root(config.seed);
   for (const net::NodeId p : topology.processors()) {

@@ -1,5 +1,7 @@
 #include "exec/runtime_model.hpp"
 
+#include <cmath>
+
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -22,14 +24,16 @@ Rng stream(std::uint64_t seed, std::uint64_t tag, std::uint32_t id,
 }  // namespace
 
 void RuntimeModel::validate() const {
-  throw_if(duration_spread < 0.0 || duration_spread >= 1.0,
+  // Written as negated in-range tests so NaN (which fails every
+  // comparison) is rejected along with out-of-range values.
+  throw_if(!(duration_spread >= 0.0 && duration_spread < 1.0),
            "RuntimeModel: duration_spread must be in [0, 1)");
-  throw_if(bandwidth_spread < 0.0 || bandwidth_spread >= 1.0,
+  throw_if(!(bandwidth_spread >= 0.0 && bandwidth_spread < 1.0),
            "RuntimeModel: bandwidth_spread must be in [0, 1)");
-  throw_if(straggler_probability < 0.0 || straggler_probability > 1.0,
+  throw_if(!(straggler_probability >= 0.0 && straggler_probability <= 1.0),
            "RuntimeModel: straggler_probability must be in [0, 1]");
-  throw_if(straggler_factor < 1.0,
-           "RuntimeModel: straggler_factor must be >= 1");
+  throw_if(!(straggler_factor >= 1.0 && std::isfinite(straggler_factor)),
+           "RuntimeModel: straggler_factor must be finite and >= 1");
 }
 
 std::uint64_t RuntimeModel::fingerprint() const noexcept {

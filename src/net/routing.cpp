@@ -41,92 +41,64 @@ Route bfs_route(const Topology& topology, NodeId from, NodeId to) {
   return route;
 }
 
-RouteCache::~RouteCache() {
-  if (hits_ > 0) {
-    obs::hot_counters().route_cache_hits.increment(hits_);
-  }
-  if (misses_ > 0) {
-    obs::hot_counters().route_cache_misses.increment(misses_);
-  }
-}
-
-const Route& RouteCache::route(NodeId from, NodeId to) {
-  throw_if(from.index() >= shards_.size() ||
-               to.index() >= topology_->num_nodes(),
-           "RouteCache: invalid endpoint");
-  Shard& shard = shards_[from.index()];
-  if (shard.routes.empty()) {
-    shard.routes.resize(topology_->num_nodes());
-    shard.cached.assign(topology_->num_nodes(), 0);
-  }
-  if (shard.cached[to.index()] != 0) {
-    ++hits_;
-  } else {
-    shard.routes[to.index()] = bfs_route(*topology_, from, to);
-    shard.cached[to.index()] = 1;
-    ++misses_;
-  }
-  return shard.routes[to.index()];
-}
-
-StaticRouteTable::StaticRouteTable(const Topology& topology) {
-  shards_.resize(topology.num_nodes());
-  // One BFS per processor source, identical discovery order to
-  // `bfs_route` but run to exhaustion so every destination's parent is
-  // assigned in one pass. Early stopping cannot change any parent that
-  // was already assigned (BFS assigns each node's parent exactly once,
-  // in deterministic frontier order), so the extracted routes are
-  // byte-identical to per-destination `bfs_route` calls.
-  const std::size_t n = topology.num_nodes();
-  std::vector<LinkId> parent(n);
-  std::vector<char> seen(n);
-  std::vector<NodeId> frontier;
-  frontier.reserve(n);
-  for (const NodeId from : topology.processors()) {
-    std::fill(seen.begin(), seen.end(), 0);
-    frontier.clear();
-    frontier.push_back(from);
-    seen[from.index()] = 1;
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const NodeId current = frontier[head];
-      for (LinkId l : topology.out_links(current)) {
-        const NodeId next = topology.link(l).dst;
-        if (seen[next.index()] == 0) {
-          seen[next.index()] = 1;
-          parent[next.index()] = l;
-          frontier.push_back(next);
-        }
-      }
-    }
-    Shard& shard = shards_[from.index()];
-    shard.routes.resize(n);
-    shard.cached.assign(n, 0);
-    shard.cached[from.index()] = 1;  // from == to: the empty route
-    for (const NodeId to : topology.processors()) {
-      if (to == from || seen[to.index()] == 0) {
-        continue;
-      }
-      Route route;
-      NodeId at = to;
-      while (at != from) {
-        const LinkId hop = parent[at.index()];
-        route.push_back(hop);
-        at = topology.link(hop).src;
-      }
-      std::reverse(route.begin(), route.end());
-      shard.routes[to.index()] = std::move(route);
-      shard.cached[to.index()] = 1;
-    }
-  }
-}
+StaticRouteTable::StaticRouteTable(const Topology& topology)
+    : topology_(&topology),
+      shards_(std::make_unique<Shard[]>(topology.num_nodes())) {}
 
 const Route& StaticRouteTable::route(NodeId from, NodeId to) const {
-  throw_if(from.index() >= shards_.size(), "StaticRouteTable: bad source");
-  const Shard& shard = shards_[from.index()];
+  throw_if(from.index() >= topology_->num_nodes() ||
+               !topology_->is_processor(from),
+           "StaticRouteTable: bad source");
+  Shard& shard = shards_[from.index()];
+  std::call_once(shard.once, [&] { fill(from, shard); });
   throw_if(to.index() >= shard.routes.size() ||
                shard.cached[to.index()] == 0,
            "StaticRouteTable: route not materialised (processors only)");
   return shard.routes[to.index()];
+}
+
+void StaticRouteTable::fill(NodeId from, Shard& shard) const {
+  // One BFS from `from`, identical discovery order to `bfs_route` but
+  // run to exhaustion so every destination's parent is assigned in one
+  // pass. Early stopping cannot change any parent that was already
+  // assigned (BFS assigns each node's parent exactly once, in
+  // deterministic frontier order), so the extracted routes are
+  // byte-identical to per-destination `bfs_route` calls.
+  const Topology& topology = *topology_;
+  const std::size_t n = topology.num_nodes();
+  std::vector<LinkId> parent(n);
+  std::vector<char> seen(n, 0);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  frontier.push_back(from);
+  seen[from.index()] = 1;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId current = frontier[head];
+    for (LinkId l : topology.out_links(current)) {
+      const NodeId next = topology.link(l).dst;
+      if (seen[next.index()] == 0) {
+        seen[next.index()] = 1;
+        parent[next.index()] = l;
+        frontier.push_back(next);
+      }
+    }
+  }
+  shard.routes.resize(n);
+  shard.cached.assign(n, 0);
+  shard.cached[from.index()] = 1;  // from == to: the empty route
+  for (const NodeId to : topology.processors()) {
+    if (to == from || seen[to.index()] == 0) {
+      continue;
+    }
+    Route& route = shard.routes[to.index()];
+    for (NodeId at = to; at != from;) {
+      const LinkId hop = parent[at.index()];
+      route.push_back(hop);
+      at = topology.link(hop).src;
+    }
+    std::reverse(route.begin(), route.end());
+    shard.cached[to.index()] = 1;
+  }
 }
 
 }  // namespace edgesched::net

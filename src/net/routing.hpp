@@ -1,8 +1,7 @@
 // Routing algorithms.
 //
 // * `bfs_route` — minimal routing of Sinnen's Basic Algorithm: fewest
-//   hops, deterministic tie-break. Used with a `RouteCache`, this is the
-//   static routing layer.
+//   hops, deterministic tie-break.
 // * `dijkstra_route_probe` — the paper's *modified routing* (§4.3):
 //   Dijkstra whose relaxation key is the tentative finish time of the
 //   edge being routed on each link, supplied by a caller probe that
@@ -10,17 +9,18 @@
 //   therefore steer around loaded links.
 // * `RoutingWorkspace` — reusable, epoch-stamped Dijkstra scratch so a
 //   scheduler routing thousands of edges allocates its search state once.
-// * `StaticRouteTable` — the immutable all-pairs counterpart of
-//   `RouteCache`: every processor-to-processor minimal route materialised
-//   eagerly at construction, after which lookups are const and safe from
-//   any number of threads (sched::PlatformContext owns one per topology).
+// * `StaticRouteTable` — the static routing layer: `bfs_route`'s minimal
+//   routes between processors, filled lazily one source at a time and
+//   safe to query from any number of threads (sched::PlatformContext
+//   owns one per topology).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -35,61 +35,26 @@ namespace edgesched::net {
 [[nodiscard]] Route bfs_route(const Topology& topology, NodeId from,
                               NodeId to);
 
-/// Memoised BFS routes, sharded by source node. The Basic Algorithm's
-/// routing is static, so one cache amortises all BFS work across edges.
-///
-/// Each source that routes at least once owns a dense per-destination
-/// shard, so a lookup is two vector indexings — O(1) regardless of how
-/// many routes are cached. At 256 processors a full cache is ~65k
-/// entries; the old (from, to)-keyed map walked an O(log n) tree whose
-/// depth grew with exactly the task-scale this layout caps.
-class RouteCache {
- public:
-  explicit RouteCache(const Topology& topology)
-      : topology_(&topology), shards_(topology.num_nodes()) {}
-
-  /// Flushes the accumulated hit/miss tallies into the global
-  /// `net_route_cache_{hits,misses}_total` counters — batched here so the
-  /// per-lookup cost stays a plain integer increment.
-  ~RouteCache();
-
-  RouteCache(const RouteCache&) = delete;
-  RouteCache& operator=(const RouteCache&) = delete;
-
-  /// Returns the cached minimal route, computing it on first use.
-  const Route& route(NodeId from, NodeId to);
-
- private:
-  /// Per-source shard: routes by destination index, allocated the first
-  /// time that source routes anywhere.
-  struct Shard {
-    std::vector<Route> routes;
-    std::vector<char> cached;
-  };
-  const Topology* topology_;
-  std::vector<Shard> shards_;  ///< by source node index
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-/// Immutable all-pairs minimal-route table: one full BFS per processor at
-/// construction, materialising the route to every reachable processor.
+/// Minimal-route table between the processors of one topology, filled
+/// lazily: a source's first `route()` call runs one BFS from it to
+/// exhaustion and materialises its route to every reachable processor.
 /// Produces byte-identical routes to `bfs_route` — BFS parent assignment
 /// is deterministic and prefix-stable, so running each source's search to
 /// exhaustion (instead of early-stopping at one destination) changes
 /// nothing about any individual route.
 ///
-/// The table is the read-only half of what `RouteCache` conflates: it
-/// holds no query state, so `route()` is const and safe to call from any
-/// number of threads concurrently. `sched::PlatformContext` builds one
-/// per topology and shares it across every run on that fabric; the lazy
-/// `RouteCache` remains the right shape for single-run scheduling where
-/// eager all-pairs work would be wasted.
+/// Each source fills exactly once, under its own `std::once_flag`, and a
+/// filled shard is never written again, so `route()` is const and safe
+/// to call from any number of threads concurrently. Construction runs no
+/// search: a table whose routes are never asked for costs one shard
+/// header per node. `sched::PlatformContext` owns one per topology and
+/// shares it across every run on that fabric.
 ///
 /// Scheduling only ever routes between processors, so switch-to-anything
-/// pairs are not materialised; asking for one trips an assertion.
+/// pairs are not materialised; asking for one throws.
 class StaticRouteTable {
  public:
+  /// Non-owning: `topology` must outlive the table.
   explicit StaticRouteTable(const Topology& topology);
 
   StaticRouteTable(const StaticRouteTable&) = delete;
@@ -102,10 +67,14 @@ class StaticRouteTable {
 
  private:
   struct Shard {
+    std::once_flag once;
     std::vector<Route> routes;  ///< by destination index
     std::vector<char> cached;
   };
-  std::vector<Shard> shards_;  ///< by source node index
+  void fill(NodeId from, Shard& shard) const;
+
+  const Topology* topology_;
+  std::unique_ptr<Shard[]> shards_;  ///< by source node index
 };
 
 /// Inputs of a link probe: what the edge brings to the link from the

@@ -18,8 +18,6 @@ HotCounters& hot_counters() {
         m.counter("sched_slot_shifts_total"),
         m.counter("sched_deferred_insertions_total"),
         m.counter("sched_bandwidth_probes_total"),
-        m.counter("net_route_cache_hits_total"),
-        m.counter("net_route_cache_misses_total"),
         m.counter("sched_probe_gap_steps_total"),
         m.counter("sched_optimal_scan_steps_total"),
         m.counter("sched_candidates_evaluated_total"),

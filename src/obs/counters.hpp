@@ -2,7 +2,7 @@
 //
 // The schedulers, timelines and routing layer count the work their inner
 // loops perform (Dijkstra relaxations, insertion probes, deferral scans,
-// route-cache traffic, ...) into one process-global svc::MetricsRegistry.
+// candidate evaluations, ...) into one process-global svc::MetricsRegistry.
 // Counters are always on; the cost discipline is *batching*: inner loops
 // accumulate into plain locals or per-object members and flush a single
 // atomic add per route / per scheduling state, so the per-operation cost
@@ -32,8 +32,6 @@ struct HotCounters {
   svc::Counter& slot_shifts;           ///< occupations displaced by deferral
   svc::Counter& deferred_insertions;   ///< insertions that displaced slots
   svc::Counter& bandwidth_probes;      ///< BBSA bandwidth routing probes
-  svc::Counter& route_cache_hits;
-  svc::Counter& route_cache_misses;
   svc::Counter& probe_gap_steps;    ///< idle intervals examined by probes
   svc::Counter& optimal_scan_steps; ///< slots visited by the accum scan
   svc::Counter& candidates_evaluated;  ///< processor candidates scored

@@ -6,6 +6,7 @@
 
 #include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
+#include "sched/platform.hpp"
 #include "util/hash.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -42,12 +43,13 @@ AnnealingScheduler::AnnealingScheduler(const Options& options)
 }
 
 Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
-                                      const net::Topology& topology) const {
+                                      const PlatformContext& platform) const {
+  const net::Topology& topology = platform.topology();
   check_inputs(graph, topology);
   const auto& processors = topology.processors();
 
   Assignment current = assignment_of(
-      graph, ListSchedulingEngine(oihsa_spec()).run(graph, topology));
+      graph, ListSchedulingEngine(oihsa_spec()).run(graph, platform));
   double current_cost =
       assignment_makespan(graph, topology, current, options_.evaluation);
   Assignment best = current;

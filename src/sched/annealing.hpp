@@ -34,12 +34,10 @@ class AnnealingScheduler final : public Scheduler {
   AnnealingScheduler() = default;
   explicit AnnealingScheduler(const Options& options);
 
+  using Scheduler::schedule;
   [[nodiscard]] Schedule schedule(
       const dag::TaskGraph& graph,
-      const net::Topology& topology) const override;
-  /// Keep the base's PlatformContext overload visible (no per-topology
-  /// derived state here, so the default forwarding is already right).
-  using Scheduler::schedule;
+      const PlatformContext& platform) const override;
   [[nodiscard]] std::string name() const override { return "SA"; }
 
  private:

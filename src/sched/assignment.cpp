@@ -24,7 +24,7 @@ Schedule schedule_assignment(const dag::TaskGraph& graph,
       list_order(graph, options.priority);
   ExclusiveNetworkState network(topology, graph.num_edges());
   MachineState machines(topology);
-  net::RouteCache routes(topology);
+  const net::StaticRouteTable routes(topology);
 
   for (dag::TaskId task : order) {
     const net::NodeId processor = assignment[task.index()];

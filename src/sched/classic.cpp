@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "sched/network_state.hpp"
+#include "sched/platform.hpp"
 
 namespace edgesched::sched {
 
@@ -25,14 +26,15 @@ double assumed_speed(const net::Topology& topology, net::NodeId from,
 }  // namespace
 
 Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
-                                    const net::Topology& topology) const {
+                                    const PlatformContext& platform) const {
+  const net::Topology& topology = platform.topology();
   check_inputs(graph, topology);
   Schedule out(name(), graph.num_tasks(), graph.num_edges());
 
   const std::vector<dag::TaskId> order =
       list_order(graph, options_.priority);
   MachineState machines(topology);
-  const double mls = topology.mean_link_speed();
+  const double mls = platform.mean_link_speed();
 
   for (dag::TaskId task : order) {
     const double weight = graph.weight(task);

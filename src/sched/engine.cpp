@@ -6,19 +6,16 @@
 #include <utility>
 #include <vector>
 
-#include "net/routing.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
-#include "sched/intra_run.hpp"
 #include "sched/network_model.hpp"
 #include "sched/network_state.hpp"
 #include "sched/policies.hpp"
 #include "sched/priorities.hpp"
 #include "sched/ready_queue.hpp"
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace edgesched::sched {
 
@@ -28,33 +25,17 @@ ListSchedulingEngine::ListSchedulingEngine(AlgorithmSpec spec)
 }
 
 Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
-                                   const net::Topology& topology) const {
-  // Standalone run: local workspace, everything derived from the raw
-  // topology (lazy BFS cache, O(L) MLS reduction when needed).
-  Workspace workspace;
-  return run_impl(graph, topology, nullptr, workspace);
-}
-
-Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
                                    const PlatformContext& platform) const {
-  // Shared-platform run: lease pooled scratch, reuse the context's
-  // immutable route table and cached reductions.
+  const net::Topology& topology = platform.topology();
+  // Pooled scratch, re-armed for this run: reusable buffers cleared, so a
+  // recycled workspace and a fresh one start from identical state.
   const WorkspaceLease lease = platform.checkout();
-  return run_impl(graph, platform.topology(), &platform, *lease);
-}
+  Workspace& workspace = *lease;
+  workspace.begin_run();
 
-Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
-                                        const net::Topology& topology,
-                                        const PlatformContext* platform,
-                                        Workspace& workspace) const {
   obs::Span run_span(names_.schedule, "sched", graph.num_tasks());
   obs::DecisionLog* const log = obs::active_decision_log();
   Schedule out(spec_.name, graph.num_tasks(), graph.num_edges());
-
-  // Re-arm the (possibly pooled) workspace: reusable buffers cleared. A
-  // fresh local workspace goes through the same call, so both paths see
-  // identical scratch state.
-  workspace.begin_run();
 
   // Incremental ready queue instead of a materialised order vector:
   // O(E log V) heap work interleaved with placement, identical pop
@@ -69,25 +50,13 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
   // and the decision-candidate buffer below is hoisted out of the task
   // loop. 50k-task runs otherwise spend measurable time in slot-vector
   // reallocation.
-  const std::size_t num_procs = std::max<std::size_t>(
-      std::size_t{1}, topology.num_processors());
-  machines.reserve_slots(platform != nullptr
-                             ? platform->slot_reserve_hint(graph.num_tasks())
-                             : graph.num_tasks() / num_procs + 8);
+  machines.reserve_slots(platform.slot_reserve_hint(graph.num_tasks()));
   // Routing policy over the per-run epoch-stamped Dijkstra workspace
-  // and, when a platform is shared, its immutable all-pairs BFS table.
+  // and the platform's minimal-route table.
   const std::unique_ptr<RoutingPolicy> routing = make_routing_policy(
-      spec_, topology, workspace.routing,
-      platform != nullptr ? &platform->routes() : nullptr);
-  // The MLS reduction is only consulted by the kMlsEstimate policy;
-  // compute (or fetch from the platform) exactly when it is.
-  const double mean_link_speed =
-      spec_.selection == SelectionPolicyKind::kMlsEstimate
-          ? (platform != nullptr ? platform->mean_link_speed()
-                                 : topology.mean_link_speed())
-          : 0.0;
+      spec_, topology, workspace.routing, platform.routes());
   const std::unique_ptr<ProcessorSelectionPolicy> selection =
-      make_selection_policy(spec_, mean_link_speed);
+      make_selection_policy(spec_, platform.mean_link_speed());
   const std::unique_ptr<EdgeOrderPolicy> edge_order =
       make_edge_order_policy(spec_);
   const std::unique_ptr<InsertionPolicy> insertion =
@@ -97,44 +66,10 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
                           machines, *network, *routing};
   std::vector<dag::EdgeId>& order_scratch = workspace.order_scratch;
   std::vector<obs::ProcessorCandidate>& candidates = workspace.candidates;
+  const std::vector<net::NodeId>& processors = topology.processors();
+  std::uint64_t candidates_evaluated = 0;
   std::uint64_t edges_routed = 0;
   std::uint64_t tasks_placed = 0;
-
-  // Intra-run candidate-scan parallelism (docs/parallelism.md). When the
-  // selection policy scores processors independently and read-only, the
-  // engine owns the scan over the processor list — at EVERY worker
-  // count, including 1, so the serial path and the parallel path are the
-  // same code and the schedule is byte-identical at any setting. The
-  // scan writes per-processor scores into disjoint `static_chunk`
-  // ranges of `workspace.scores`; the reduction below walks them in
-  // processor-index order, reproducing exactly the serial policy's
-  // first-strict-minimum tie-break. Policies that mutate state between
-  // candidates (tentative EFT) keep their serial `select` call.
-  const std::vector<net::NodeId>& processors = topology.processors();
-  const bool scan_capable =
-      selection->supports_candidate_scan() && !processors.empty();
-  const std::size_t lanes =
-      scan_capable
-          ? std::min(intra_run_threads(),
-                     std::max<std::size_t>(std::size_t{1}, processors.size()))
-          : std::size_t{1};
-  util::WorkerTeam team(lanes);
-  // Per-lane counter sinks: lane 0 batches into the run's own workspace;
-  // each extra lane leases a pooled workspace (or owns fresh scratch on
-  // standalone runs) so workers never contend on a shared tally.
-  std::vector<Workspace*> lane_workspaces{&workspace};
-  std::vector<std::unique_ptr<WorkspaceLease>> lane_leases;
-  std::vector<std::unique_ptr<Workspace>> lane_owned;
-  for (std::size_t lane = 1; lane < team.lanes(); ++lane) {
-    if (platform != nullptr) {
-      lane_leases.push_back(std::make_unique<WorkspaceLease>(*platform));
-      lane_workspaces.push_back(&**lane_leases.back());
-    } else {
-      lane_owned.push_back(std::make_unique<Workspace>());
-      lane_workspaces.push_back(lane_owned.back().get());
-    }
-    lane_workspaces.back()->begin_run();
-  }
 
   dag::TaskId task;
   while (ready.pop(task)) {
@@ -159,47 +94,10 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
     candidates.clear();
     {
       obs::Span select_span(names_.select_processor, "sched", task.value());
-      if (scan_capable) {
-        // Speculative read-only scan: every lane probes the machine
-        // timelines concurrently, nothing commits until the winner is
-        // known. The revision/generation assertion pins that contract.
-        std::vector<obs::ProcessorCandidate>& scores = workspace.scores;
-        scores.resize(processors.size());
-        const std::uint64_t machines_before = machines.revision();
-        const std::uint64_t network_before = network->generation();
-        const ProcessorSelectionPolicy& policy = *selection;
-        team.run(processors.size(), [&](std::size_t lane, std::size_t begin,
-                                        std::size_t end) {
-          for (std::size_t p = begin; p < end; ++p) {
-            scores[p] = policy.score_candidate(state, task, weight,
-                                               ready_moment, in,
-                                               processors[p]);
-          }
-          lane_workspaces[lane]->candidates_evaluated +=
-              static_cast<std::uint64_t>(end - begin);
-        });
-        EDGESCHED_ASSERT_MSG(machines.revision() == machines_before &&
-                                 network->generation() == network_before,
-                             "candidate scan mutated engine state");
-        // Deterministic reduction: first strict minimum of the score in
-        // processor-index order — byte-identical to the serial loop's
-        // `if (finish < best_finish)` at any lane count.
-        std::size_t best = 0;
-        for (std::size_t p = 1; p < scores.size(); ++p) {
-          if (scores[p].estimate < scores[best].estimate) {
-            best = p;
-          }
-        }
-        choice = ProcessorSelectionPolicy::Choice{
-            processors[best], scores[best].estimate, -1.0};
-        if (log != nullptr) {
-          candidates.assign(scores.begin(), scores.end());
-        }
-      } else {
-        choice = selection->select(state, task, weight, ready_moment, in,
-                                   log != nullptr ? &candidates : nullptr);
-      }
+      choice = selection->select(state, task, weight, ready_moment, in,
+                                 log != nullptr ? &candidates : nullptr);
     }
+    candidates_evaluated += processors.size();
     if (log != nullptr) {
       log->record(obs::TaskDecision{
           spec_.name, static_cast<std::uint32_t>(task.index()),
@@ -264,16 +162,13 @@ Schedule ListSchedulingEngine::run_impl(const dag::TaskGraph& graph,
 
   obs::HotCounters& counters = obs::hot_counters();
   counters.tasks_placed.increment(tasks_placed);
+  counters.candidates_evaluated.increment(candidates_evaluated);
   if (edges_routed > 0) {
     counters.edges_routed.increment(edges_routed);
   }
-  // Deterministic per-run counter flush: every lane's batched tallies
-  // (candidate evaluations, Dijkstra relaxations) reach
-  // the global registry here, so totals are identical at every worker
-  // count and whether the workspaces were fresh or recycled.
-  for (Workspace* lane_workspace : lane_workspaces) {
-    lane_workspace->flush_counters();
-  }
+  // The Dijkstra relaxations batched in the workspace reach the global
+  // registry once per run, whether the workspace was fresh or recycled.
+  workspace.routing.flush_relaxations();
   // One coarse flight-recorder milestone per schedule() call — not per
   // task or edge — so the always-on recorder stays off the hot path.
   obs::flight_recorder().record(obs::FlightEventKind::kSchedule,

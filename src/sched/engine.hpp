@@ -16,19 +16,16 @@
 // task/edge decision records when a DecisionLog is active, and batched
 // tasks-placed / edges-routed / candidates-evaluated counters.
 //
-// For selection policies that score processors independently and
-// read-only (blind EFT, the MLS estimate), the engine owns the per-task
-// candidate scan and may fan it across an intra-run worker team
-// (sched/intra_run.hpp). The scan is speculative — workers probe the
-// timelines concurrently, nothing commits until a deterministic
-// reduction picks the winner — and byte-identical to the serial loop at
-// every worker count. See docs/parallelism.md for the contract.
+// The one entry point is `run(graph, platform)`: routes come from the
+// context's lazily filled table, the MLS estimate from its cached
+// reduction, and the per-run scratch from its workspace pool. A one-off
+// schedule builds a throwaway context (`Scheduler::schedule(graph,
+// topology)` does exactly that), which costs no route discovery.
 #pragma once
 
 #include <cstdint>
 
 #include "dag/task_graph.hpp"
-#include "net/topology.hpp"
 #include "obs/naming.hpp"
 #include "sched/algorithm_spec.hpp"
 #include "sched/platform.hpp"
@@ -45,29 +42,14 @@ class ListSchedulingEngine {
 
   [[nodiscard]] const AlgorithmSpec& spec() const noexcept { return spec_; }
 
-  /// Runs the list-scheduling loop. Reentrant: all mutable state is
-  /// per-run, so one engine may serve concurrent runs (the service
-  /// layer's parallel sweeps rely on this). This overload derives
-  /// everything from the raw topology — the right shape for a one-off
-  /// schedule on a fabric no other run shares.
-  [[nodiscard]] Schedule run(const dag::TaskGraph& graph,
-                             const net::Topology& topology) const;
-
-  /// Runs the loop against a shared `PlatformContext`: routes come from
-  /// the context's immutable table, the MLS estimate from its cached
-  /// reduction, and the per-run scratch from its workspace pool. Safe
-  /// from any number of threads concurrently over one context, and
-  /// byte-identical to the raw-topology overload
+  /// Runs the list-scheduling loop on the context's topology. Reentrant:
+  /// all mutable state is per-run, so one engine may serve concurrent
+  /// runs, over one shared context or several
   /// (tests/platform_context_property_test.cpp).
   [[nodiscard]] Schedule run(const dag::TaskGraph& graph,
                              const PlatformContext& platform) const;
 
  private:
-  [[nodiscard]] Schedule run_impl(const dag::TaskGraph& graph,
-                                  const net::Topology& topology,
-                                  const PlatformContext* platform,
-                                  Workspace& workspace) const;
-
   AlgorithmSpec spec_;
   obs::SpanNames names_;
 };
@@ -80,13 +62,7 @@ class SpecScheduler final : public Scheduler {
  public:
   explicit SpecScheduler(AlgorithmSpec spec) : engine_(std::move(spec)) {}
 
-  [[nodiscard]] Schedule schedule(
-      const dag::TaskGraph& graph,
-      const net::Topology& topology) const override {
-    check_inputs(graph, topology);
-    return engine_.run(graph, topology);
-  }
-
+  using Scheduler::schedule;
   [[nodiscard]] Schedule schedule(
       const dag::TaskGraph& graph,
       const PlatformContext& platform) const override {

@@ -7,6 +7,7 @@
 
 #include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
+#include "sched/platform.hpp"
 #include "util/hash.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -63,13 +64,13 @@ GeneticScheduler::GeneticScheduler(const Options& options)
 }
 
 Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
-                                    const net::Topology& topology) const {
+                                    const PlatformContext& platform) const {
+  const net::Topology& topology = platform.topology();
   check_inputs(graph, topology);
 
   const auto evaluate = [&](const Assignment& genes) {
     // Pure: owns all of its scratch, so concurrent evaluations over one
-    // population are safe (and never nest — the fixed-assignment replay
-    // does not run the engine's candidate scan).
+    // population are safe.
     return assignment_makespan(graph, topology, genes,
                                options_.evaluation);
   };
@@ -80,11 +81,11 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
   population.reserve(options_.population);
   population.push_back(Individual{
       assignment_of(graph,
-                    ListSchedulingEngine(oihsa_spec()).run(graph, topology)),
+                    ListSchedulingEngine(oihsa_spec()).run(graph, platform)),
       0.0});
   population.push_back(Individual{
       assignment_of(graph,
-                    ListSchedulingEngine(ba_spec()).run(graph, topology)),
+                    ListSchedulingEngine(ba_spec()).run(graph, platform)),
       0.0});
   while (population.size() < options_.population) {
     Rng rng = member_stream(options_.seed, 0, population.size());

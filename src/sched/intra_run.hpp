@@ -1,8 +1,8 @@
 // Intra-run parallelism configuration.
 //
-// One engine run may fan its per-task processor-candidate scan (and the
-// metaheuristics their population evaluations) across a worker team.
-// The worker count is configuration, not algorithm state — results are
+// The metaheuristics fan their evaluations across a worker team: the GA
+// its population, the SA its speculative neighbor batches. The
+// list-scheduling engine runs serially. The worker count is configuration, not algorithm state — results are
 // byte-identical at every setting (docs/parallelism.md) — so it resolves
 // here, outside any AlgorithmSpec or fingerprint:
 //

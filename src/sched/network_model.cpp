@@ -19,10 +19,6 @@ class ExclusiveNetworkModel final : public NetworkStateModel {
     return net::ProbeResult{placement.start, placement.finish};
   }
 
-  [[nodiscard]] std::uint64_t generation() const noexcept override {
-    return state_.generation();
-  }
-
   [[nodiscard]] ExclusiveNetworkState* exclusive_state() noexcept override {
     return &state_;
   }
@@ -65,10 +61,6 @@ class BandwidthNetworkModel final : public NetworkStateModel {
         state_.probe_first_flow(link, state.earliest_start),
         state_.probe_finish(link, state.earliest_start, state.min_finish,
                             cost)};
-  }
-
-  [[nodiscard]] std::uint64_t generation() const noexcept override {
-    return state_.generation();
   }
 
   [[nodiscard]] BandwidthNetworkState* bandwidth_state() noexcept override {

@@ -4,15 +4,13 @@
 // this interface instead of a concrete state class, so one Dijkstra
 // relaxation loop serves both contention models: `probe` answers the §4.3
 // relaxation for exclusive links (basic-insertion placement) or bandwidth
-// links (fluid finish of the full volume), and `generation` exposes the
-// load counter the engine's candidate-scan no-mutation assertion reads.
-// Policies that are specific to one model (first-fit commit, tentative
-// rollback, fluid transfer) downcast through `exclusive_state` /
-// `bandwidth_state`; the engine constructs the matching model from the
-// spec's insertion kind, so the downcast cannot fail at runtime.
+// links (fluid finish of the full volume). Policies that are specific to
+// one model (first-fit commit, tentative rollback, fluid transfer)
+// downcast through `exclusive_state` / `bandwidth_state`; the engine
+// constructs the matching model from the spec's insertion kind, so the
+// downcast cannot fail at runtime.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "net/routing.hpp"
@@ -34,11 +32,6 @@ class NetworkStateModel {
   [[nodiscard]] virtual net::ProbeResult probe(net::LinkId link,
                                                const net::ProbeState& state,
                                                double cost) const = 0;
-
-  /// Monotone load generation of the underlying state (read by the
-  /// candidate-scan no-mutation assertion; see
-  /// ExclusiveNetworkState::generation()).
-  [[nodiscard]] virtual std::uint64_t generation() const noexcept = 0;
 
   /// The exclusive-link state, or nullptr for bandwidth models.
   [[nodiscard]] virtual ExclusiveNetworkState* exclusive_state() noexcept {

@@ -69,7 +69,6 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
-  record.generation_before = generation_++;
   double t_es_in = ready;
   double t_f_min = 0.0;
   for (net::LinkId link : route) {
@@ -101,7 +100,6 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
-  record.generation_before = generation_++;
   double t_es_in = ready;
   double t_f_min = 0.0;
   for (net::LinkId link : route) {
@@ -170,10 +168,6 @@ double ExclusiveNetworkState::commit_packet(dag::EdgeId edge,
   EDGESCHED_ASSERT_MSG(!route.empty(),
                        "cannot commit a packet on an empty route");
   EdgeRecord& record = records_[edge.index()];
-  if (!record.scheduled()) {
-    record.generation_before = generation_;
-  }
-  ++generation_;
   double arrival = ready;
   for (net::LinkId link : route) {
     const double duration = volume * inv_speed_[link.index()];
@@ -213,13 +207,6 @@ void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {
       }
     }
     EDGESCHED_ASSERT_MSG(erased, "uncommit could not find the slot");
-  }
-  if (generation_ == record.generation_before + 1) {
-    // Clean rollback of the latest mutation: the timelines are exactly
-    // the pre-commit state again, so the previous generation names them.
-    generation_ = record.generation_before;
-  } else {
-    ++generation_;
   }
   record = EdgeRecord{};
 }
@@ -304,7 +291,6 @@ BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(
     const net::Route& route, double ready, double cost) {
   EDGESCHED_ASSERT_MSG(!route.empty(), "cannot commit an edge on an empty "
                                        "route");
-  ++generation_;
   Transfer transfer;
   transfer.profiles.reserve(route.size());
   for (std::size_t i = 0; i < route.size(); ++i) {
@@ -342,7 +328,6 @@ void MachineState::commit(net::NodeId processor, dag::TaskId task,
                           double start, double duration) {
   EDGESCHED_ASSERT(processor.index() < timelines_.size());
   timelines_[processor.index()].commit(task, start, duration);
-  ++revision_;
 }
 
 double MachineState::finish_time(net::NodeId processor) const {

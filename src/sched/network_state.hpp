@@ -28,10 +28,6 @@ namespace edgesched::sched {
 struct EdgeRecord {
   net::Route route;
   std::vector<LinkOccupation> occupations;
-  /// Load generation the owning state had *before* this edge committed;
-  /// lets a clean rollback (`uncommit_edge` of the latest mutation)
-  /// restore the generation instead of bumping it.
-  std::uint64_t generation_before = 0;
   [[nodiscard]] bool scheduled() const noexcept { return !route.empty(); }
 };
 
@@ -74,17 +70,6 @@ class ExclusiveNetworkState {
                                                double cost) const {
     return domains_[topology_->domain(link).index()].probe_basic(
         t_es_in, t_f_min, cost * inv_speed_[link.index()]);
-  }
-
-  /// Monotone *load generation*: bumped by every timeline mutation
-  /// (edge/packet commit, deferral shift cascade, uncommit). Two equal
-  /// generations imply bit-identical link timelines, which is what the
-  /// engine's candidate-scan no-mutation assertion relies on. The only
-  /// non-monotone step is the clean-rollback restore in `uncommit_edge`:
-  /// undoing the *latest* mutation provably returns to the previous
-  /// timeline state, so the previous generation is restored with it.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
   }
 
   /// Schedules the edge along `route` with first-fit insertion on every
@@ -141,7 +126,6 @@ class ExclusiveNetworkState {
   std::vector<EdgeRecord> records_;              ///< by EdgeId
   std::vector<double> inv_speed_;                ///< 1/s(L) by LinkId
   double hop_delay_ = 0.0;
-  std::uint64_t generation_ = 0;  ///< see generation()
   /// Reused optimal-insertion scratch: one shift buffer for the whole
   /// state instead of one heap allocation per probed hop.
   timeline::OptimalPlacement probe_scratch_;
@@ -172,14 +156,6 @@ class BandwidthNetworkState {
     return domains_[topology_->domain(link).index()];
   }
 
-  /// Monotone load generation, the bandwidth counterpart of
-  /// `ExclusiveNetworkState::generation()`: bumped by every fluid commit
-  /// (the only mutation this state has). Equal generations imply
-  /// bit-identical bandwidth timelines.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
-
   /// Routing probe: earliest finish of `cost` volume on this link using
   /// all remaining bandwidth from `t_es_in` (§5, applied to §4.3 routing).
   [[nodiscard]] double probe_finish(net::LinkId link, double t_es_in,
@@ -200,7 +176,6 @@ class BandwidthNetworkState {
   const net::Topology* topology_;
   std::vector<timeline::BandwidthTimeline> domains_;  ///< by DomainId
   double hop_delay_ = 0.0;
-  std::uint64_t generation_ = 0;  ///< see generation()
 };
 
 /// Processor timelines, one per topology node (switch entries stay empty).
@@ -227,12 +202,6 @@ class MachineState {
   /// t_f(P): current finish time of the processor.
   [[nodiscard]] double finish_time(net::NodeId processor) const;
 
-  /// Bumped on every `commit`. The engine's candidate scan snapshots it
-  /// before fanning workers out and asserts it unchanged after — the
-  /// scan is speculative and read-only, nothing may book a slot while
-  /// workers probe the timelines.
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
-
   /// Arena pre-sizing: gives every timeline capacity for about
   /// `per_processor_hint` slots so a run sized once up front commits
   /// without reallocation in the common balanced case.
@@ -240,7 +209,6 @@ class MachineState {
 
  private:
   std::vector<timeline::ProcessorTimeline> timelines_;  ///< by node index
-  std::uint64_t revision_ = 0;  ///< commit count, see revision()
 };
 
 }  // namespace edgesched::sched

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/counters.hpp"
 #include "util/error.hpp"
 
 namespace edgesched::sched {
-
-void Workspace::flush_counters() {
-  if (candidates_evaluated > 0) {
-    obs::hot_counters().candidates_evaluated.increment(candidates_evaluated);
-    candidates_evaluated = 0;
-  }
-  routing.flush_relaxations();
-}
 
 namespace {
 const net::Topology& require_topology(

@@ -1,18 +1,15 @@
 // Shared per-topology platform state vs per-run scratch.
 //
-// The list-scheduling engine historically rebuilt everything from the
-// raw `net::Topology` on every `run()` call — BFS route discovery, the
-// mean-link-speed reduction, Dijkstra workspaces, candidate buffers.
-// That is the right trade for one schedule on one fabric, and the wrong
-// one for the repeated-scheduling regimes this toolkit actually serves:
-// the service layer absorbing many DAGs against one deployment, sweep
-// instances comparing three algorithms on one drawn topology, recovery
-// replans on a surviving fabric.
+// `PlatformContext` is the engine's only input besides the task graph
+// (`ListSchedulingEngine::run`, `Scheduler::schedule`). It splits what
+// is derivable from the topology alone — shared across every run on the
+// fabric: the service layer absorbing many DAGs against one deployment,
+// sweep instances comparing three algorithms on one drawn topology,
+// recovery replans on a surviving fabric — from per-run scratch:
 //
-// `PlatformContext` is the split: an immutable snapshot of everything
-// derivable from the topology alone, built once and shared freely —
-//
-//   * the all-pairs minimal-route table (`net::StaticRouteTable`),
+//   * the minimal-route table (`net::StaticRouteTable`, filled lazily
+//     one source at a time, so a context built for a single run costs
+//     no route discovery the run does not ask for),
 //   * the mean link speed (the §4.1 MLS estimate denominator),
 //   * the topology's structural fingerprint (the service layer's
 //     content-address for its platform cache),
@@ -24,13 +21,13 @@
 // fresh under contention — so N concurrent runs over one context never
 // share mutable state.
 //
-// Thread-safety contract: after construction every `const` member of
-// `PlatformContext` is safe from any number of threads (the immutable
-// parts are never written again; the pool is mutex-guarded). A leased
+// Thread-safety contract: every `const` member of `PlatformContext` is
+// safe from any number of threads (the route table fills each source
+// once under its own once-flag; the pool is mutex-guarded). A leased
 // `Workspace` belongs to exactly one run on one thread until its lease
 // is destroyed. Schedules produced through a shared context are
-// byte-identical to per-run rebuilds (tests/platform_context_property_
-// test.cpp fuzzes this across the whole algorithm registry).
+// byte-identical to runs through a fresh one (tests/platform_context_
+// property_test.cpp fuzzes this across the whole algorithm registry).
 //
 // See docs/platform.md for the ownership/lifetime diagram.
 #pragma once
@@ -54,24 +51,11 @@ struct Workspace {
   net::RoutingWorkspace routing;
   std::vector<dag::EdgeId> order_scratch;
   std::vector<obs::ProcessorCandidate> candidates;
-  /// Per-processor scores of one candidate scan: the engine sizes this
-  /// to the processor count, workers write disjoint chunks, the
-  /// reduction and the decision log read it back in index order.
-  std::vector<obs::ProcessorCandidate> scores;
-  /// Candidate-evaluation tally batched per run; `flush_counters` moves
-  /// it (and the Dijkstra workspace's batched relaxations) into the global
-  /// registry so counter totals are identical at every worker count.
-  std::uint64_t candidates_evaluated = 0;
 
   void begin_run() {
     order_scratch.clear();
     candidates.clear();
-    scores.clear();
   }
-
-  /// Flushes every counter batched in this workspace into the global
-  /// registry. The engine calls this once per run per leased workspace.
-  void flush_counters();
 };
 
 class PlatformContext;

@@ -27,21 +27,50 @@ BandwidthNetworkState& require_bandwidth(NetworkStateModel& network) {
 // ---------------------------------------------------------------------------
 // Processor selection (§4.1)
 
+/// The scan shared by the read-only selection policies: scores every
+/// processor in index order, logs each candidate when `candidates` is
+/// non-null, and keeps the first strict minimum (the first processor
+/// wins outright, so ties and non-finite scores resolve to the lowest
+/// index).
+template <typename Score>
+ProcessorSelectionPolicy::Choice first_minimum(
+    const std::vector<net::NodeId>& processors, Score&& score,
+    std::vector<obs::ProcessorCandidate>* candidates) {
+  ProcessorSelectionPolicy::Choice choice{
+      net::NodeId{}, std::numeric_limits<double>::infinity(), -1.0};
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    const obs::ProcessorCandidate candidate = score(processors[p]);
+    if (candidates != nullptr) {
+      candidates->push_back(candidate);
+    }
+    if (p == 0 || candidate.estimate < choice.score) {
+      choice.processor = processors[p];
+      choice.score = candidate.estimate;
+    }
+  }
+  return choice;
+}
+
 /// Communication-blind EFT: ready moment + execution time through the
 /// task placement policy (BA's paper reading, PACKET-BA).
-///
-/// Scan-capable: each candidate is scored from the machine timelines
-/// alone (const probes, no commits), so the engine may fan
-/// `score_candidate` across workers. `select` stays the one-call serial
-/// shape for callers outside the engine and runs the same arithmetic.
 class BlindEftSelection final : public ProcessorSelectionPolicy {
  public:
-  bool supports_candidate_scan() const override { return true; }
+  Choice select(const EngineState& state, dag::TaskId /*task*/,
+                double weight, double ready_moment,
+                const std::vector<dag::EdgeId>& /*in*/,
+                std::vector<obs::ProcessorCandidate>* candidates) override {
+    return first_minimum(
+        state.topology.processors(),
+        [&](net::NodeId processor) {
+          return score(state, weight, ready_moment, processor);
+        },
+        candidates);
+  }
 
-  obs::ProcessorCandidate score_candidate(
-      const EngineState& state, dag::TaskId /*task*/, double weight,
-      double ready_moment, const std::vector<dag::EdgeId>& /*in*/,
-      net::NodeId processor) const override {
+ private:
+  static obs::ProcessorCandidate score(const EngineState& state,
+                                       double weight, double ready_moment,
+                                       net::NodeId processor) {
     const double duration =
         weight / state.topology.processor_speed(processor);
     const double start = state.machines.start_for(
@@ -49,25 +78,6 @@ class BlindEftSelection final : public ProcessorSelectionPolicy {
     return obs::ProcessorCandidate{
         static_cast<std::uint32_t>(processor.index()), ready_moment,
         start + duration};
-  }
-
-  Choice select(const EngineState& state, dag::TaskId task, double weight,
-                double ready_moment, const std::vector<dag::EdgeId>& in,
-                std::vector<obs::ProcessorCandidate>* candidates) override {
-    net::NodeId best_processor;
-    double best_finish = std::numeric_limits<double>::infinity();
-    for (net::NodeId processor : state.topology.processors()) {
-      const obs::ProcessorCandidate candidate =
-          score_candidate(state, task, weight, ready_moment, in, processor);
-      if (candidates != nullptr) {
-        candidates->push_back(candidate);
-      }
-      if (candidate.estimate < best_finish) {
-        best_finish = candidate.estimate;
-        best_processor = processor;
-      }
-    }
-    return Choice{best_processor, best_finish, -1.0};
   }
 };
 
@@ -139,12 +149,22 @@ class MlsEstimateSelection final : public ProcessorSelectionPolicy {
   MlsEstimateSelection(double mean_link_speed, bool insertion_aware)
       : mls_(mean_link_speed), insertion_aware_(insertion_aware) {}
 
-  bool supports_candidate_scan() const override { return true; }
+  Choice select(const EngineState& state, dag::TaskId /*task*/,
+                double weight, double /*ready_moment*/,
+                const std::vector<dag::EdgeId>& in,
+                std::vector<obs::ProcessorCandidate>* candidates) override {
+    return first_minimum(
+        state.topology.processors(),
+        [&](net::NodeId processor) {
+          return score(state, weight, in, processor);
+        },
+        candidates);
+  }
 
-  obs::ProcessorCandidate score_candidate(
-      const EngineState& state, dag::TaskId /*task*/, double weight,
-      double /*ready_moment*/, const std::vector<dag::EdgeId>& in,
-      net::NodeId processor) const override {
+ private:
+  obs::ProcessorCandidate score(const EngineState& state, double weight,
+                                const std::vector<dag::EdgeId>& in,
+                                net::NodeId processor) const {
     double ready_estimate = 0.0;
     for (dag::EdgeId e : in) {
       const dag::Edge& edge = state.graph.edge(e);
@@ -169,26 +189,6 @@ class MlsEstimateSelection final : public ProcessorSelectionPolicy {
         availability + duration_on_p};
   }
 
-  Choice select(const EngineState& state, dag::TaskId task, double weight,
-                double ready_moment, const std::vector<dag::EdgeId>& in,
-                std::vector<obs::ProcessorCandidate>* candidates) override {
-    net::NodeId chosen;
-    double chosen_estimate = std::numeric_limits<double>::infinity();
-    for (net::NodeId processor : state.topology.processors()) {
-      const obs::ProcessorCandidate candidate =
-          score_candidate(state, task, weight, ready_moment, in, processor);
-      if (candidates != nullptr) {
-        candidates->push_back(candidate);
-      }
-      if (candidate.estimate < chosen_estimate) {
-        chosen_estimate = candidate.estimate;
-        chosen = processor;
-      }
-    }
-    return Choice{chosen, chosen_estimate, -1.0};
-  }
-
- private:
   double mls_;
   bool insertion_aware_;
 };
@@ -224,31 +224,20 @@ class ByCostEdgeOrder final : public EdgeOrderPolicy {
 // ---------------------------------------------------------------------------
 // Routing (§4.3)
 
-/// Static minimal routing: fewest hops. Reads the shared platform's
-/// immutable all-pairs table when one is supplied; otherwise owns a
-/// lazy per-run `RouteCache` (the standalone-run shape, where eager
-/// all-pairs BFS would be wasted work). Both sources return
-/// byte-identical routes.
+/// Static minimal routing: fewest hops, read from the platform's
+/// minimal-route table.
 class BfsRouting final : public RoutingPolicy {
  public:
-  BfsRouting(const net::Topology& topology,
-             const net::StaticRouteTable* table)
-      : table_(table) {
-    if (table_ == nullptr) {
-      cache_ = std::make_unique<net::RouteCache>(topology);
-    }
-  }
+  explicit BfsRouting(const net::StaticRouteTable& table) : table_(table) {}
 
   const net::Route& route(NetworkStateModel& /*network*/, net::NodeId from,
                           net::NodeId to, double /*ship_time*/,
                           double /*cost*/) override {
-    return table_ != nullptr ? table_->route(from, to)
-                             : cache_->route(from, to);
+    return table_.route(from, to);
   }
 
  private:
-  const net::StaticRouteTable* table_;
-  std::unique_ptr<net::RouteCache> cache_;
+  const net::StaticRouteTable& table_;
 };
 
 /// Modified routing (§4.3): Dijkstra relaxing on the tentative per-link
@@ -464,10 +453,10 @@ std::unique_ptr<EdgeOrderPolicy> make_edge_order_policy(
 std::unique_ptr<RoutingPolicy> make_routing_policy(
     const AlgorithmSpec& spec, const net::Topology& topology,
     net::RoutingWorkspace& workspace,
-    const net::StaticRouteTable* static_routes) {
+    const net::StaticRouteTable& static_routes) {
   switch (spec.routing) {
     case RoutingPolicyKind::kBfsMinimal:
-      return std::make_unique<BfsRouting>(topology, static_routes);
+      return std::make_unique<BfsRouting>(static_routes);
     case RoutingPolicyKind::kProbeDijkstra:
       return std::make_unique<ProbeDijkstraRouting>(topology, workspace);
   }

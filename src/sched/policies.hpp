@@ -45,7 +45,8 @@ class RoutingPolicy {
   /// The route one communication of `cost` units takes from `from` to
   /// `to` when shipped at `ship_time`. The returned reference stays valid
   /// until the next `route` call on this policy (it points into the
-  /// policy's cache or scratch — no per-edge allocation on cache hits).
+  /// route table or the policy's scratch — no per-edge allocation for
+  /// static routes).
   [[nodiscard]] virtual const net::Route& route(NetworkStateModel& network,
                                                 net::NodeId from,
                                                 net::NodeId to,
@@ -96,36 +97,6 @@ class ProcessorSelectionPolicy {
       const EngineState& state, dag::TaskId task, double weight,
       double ready_moment, const std::vector<dag::EdgeId>& in,
       std::vector<obs::ProcessorCandidate>* candidates) = 0;
-
-  /// True when this policy scores each processor independently without
-  /// mutating any engine state — `score_candidate` is then the single
-  /// source of the selection arithmetic and the engine owns the scan
-  /// over processors (serial or fanned across a worker team; identical
-  /// either way, see docs/parallelism.md). Policies that must mutate
-  /// state between candidates (tentative EFT commits trial edges into
-  /// the network) return false and keep their serial `select`.
-  [[nodiscard]] virtual bool supports_candidate_scan() const {
-    return false;
-  }
-
-  /// Scores one processor for the scan: returns the candidate record
-  /// (processor index, data-ready estimate, finish/estimate score) the
-  /// serial `select` would have produced for this processor. Must be
-  /// const and touch only read-only state — the engine calls it from
-  /// worker threads concurrently. Only called when
-  /// `supports_candidate_scan()` is true.
-  [[nodiscard]] virtual obs::ProcessorCandidate score_candidate(
-      const EngineState& state, dag::TaskId task, double weight,
-      double ready_moment, const std::vector<dag::EdgeId>& in,
-      net::NodeId processor) const {
-    (void)state;
-    (void)task;
-    (void)weight;
-    (void)ready_moment;
-    (void)in;
-    (void)processor;
-    return obs::ProcessorCandidate{};
-  }
 };
 
 class EdgeOrderPolicy {
@@ -164,23 +135,19 @@ class InsertionPolicy {
                            std::vector<obs::EdgeHop>& hops) const = 0;
 };
 
-/// `mean_link_speed` is the topology's MLS, precomputed by the caller —
-/// from the raw topology for a standalone run, from the shared
-/// `PlatformContext` when one is threaded through (identical value
-/// either way; only the kMlsEstimate policy consults it).
+/// `mean_link_speed` is the topology's MLS, cached by the
+/// `PlatformContext` (only the kMlsEstimate policy consults it).
 [[nodiscard]] std::unique_ptr<ProcessorSelectionPolicy> make_selection_policy(
     const AlgorithmSpec& spec, double mean_link_speed);
 [[nodiscard]] std::unique_ptr<EdgeOrderPolicy> make_edge_order_policy(
     const AlgorithmSpec& spec);
-/// `workspace` (the Dijkstra scratch) must outlive the policy; the
-/// engine leases one per run. `static_routes`, when
-/// non-null, is the shared platform's immutable all-pairs route table —
-/// BFS routing reads it instead of owning a per-run `RouteCache`
-/// (byte-identical routes either way).
+/// `workspace` (the Dijkstra scratch) and `static_routes` (the
+/// platform's minimal-route table, read by BFS routing) must outlive the
+/// policy; the engine leases the workspace per run.
 [[nodiscard]] std::unique_ptr<RoutingPolicy> make_routing_policy(
     const AlgorithmSpec& spec, const net::Topology& topology,
     net::RoutingWorkspace& workspace,
-    const net::StaticRouteTable* static_routes);
+    const net::StaticRouteTable& static_routes);
 [[nodiscard]] std::unique_ptr<InsertionPolicy> make_insertion_policy(
     const AlgorithmSpec& spec);
 

@@ -36,7 +36,7 @@ Schedule replay_under_contention(const dag::TaskGraph& graph,
 
   ExclusiveNetworkState network(topology, graph.num_edges());
   MachineState machines(topology);
-  net::RouteCache routes(topology);
+  const net::StaticRouteTable routes(topology);
 
   for (dag::TaskId task : order) {
     const net::NodeId processor = ideal.task(task).processor;

@@ -7,11 +7,9 @@
 namespace edgesched::sched {
 
 Schedule Scheduler::schedule(const dag::TaskGraph& graph,
-                             const PlatformContext& platform) const {
-  // Default: schedulers that derive nothing per-topology (the classic
-  // model, the search metaheuristics) gain nothing from the context and
-  // simply schedule against its topology.
-  return schedule(graph, platform.topology());
+                             const net::Topology& topology) const {
+  const PlatformContext platform(topology);
+  return schedule(graph, platform);
 }
 
 void Scheduler::check_inputs(const dag::TaskGraph& graph,

@@ -18,21 +18,19 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Produces a complete schedule. The graph must be acyclic and the
-  /// topology must contain at least one processor with all processors
-  /// mutually reachable.
+  /// Produces a complete schedule on the context's topology (one
+  /// per-topology snapshot, shareable across many runs; see
+  /// sched/platform.hpp). The graph must be acyclic and the topology
+  /// must contain at least one processor with all processors mutually
+  /// reachable. Subclasses override this one virtual and re-export the
+  /// topology overload with `using Scheduler::schedule;`.
   [[nodiscard]] virtual Schedule schedule(
-      const dag::TaskGraph& graph, const net::Topology& topology) const = 0;
+      const dag::TaskGraph& graph, const PlatformContext& platform) const = 0;
 
-  /// Schedules against a shared, immutable `PlatformContext` (one
-  /// per-topology snapshot amortised across many runs; see
-  /// sched/platform.hpp). Must return a schedule byte-identical to
-  /// `schedule(graph, context.topology())`. The default forwards to the
-  /// raw-topology overload — correct for every scheduler; the
-  /// engine-backed ones override it to reuse the context's route table
-  /// and pooled workspaces.
-  [[nodiscard]] virtual Schedule schedule(
-      const dag::TaskGraph& graph, const PlatformContext& platform) const;
+  /// One-off schedule: builds a throwaway `PlatformContext` over
+  /// `topology` (no route discovery up front) and schedules through it.
+  [[nodiscard]] Schedule schedule(const dag::TaskGraph& graph,
+                                  const net::Topology& topology) const;
 
   /// Short display name ("BA", "OIHSA", "BBSA", ...).
   [[nodiscard]] virtual std::string name() const = 0;

@@ -33,8 +33,8 @@
 //     per canonical key, shared by every job) — repeated submissions
 //     stop re-validating the spec and re-interning span names.
 //   * A content-addressed `PlatformCache` keyed by
-//     `Topology::fingerprint()` shares one immutable
-//     `sched::PlatformContext` — all-pairs route table, cached
+//     `Topology::fingerprint()` shares one
+//     `sched::PlatformContext` — lazily filled route table, cached
 //     reductions, pooled per-run workspaces — across every job against
 //     the same fabric (sched/platform.hpp; `share_platform` disables
 //     the sharing for ablation/benchmarking).
@@ -85,8 +85,9 @@ struct ServiceConfig {
   bool share_platform = true;
   /// Run every computed schedule through sched::validate_or_throw.
   bool validate = false;
-  /// Intra-run worker threads each pool job may fan its candidate scan
-  /// across (sched/intra_run.hpp); 0 means hardware concurrency. The
+  /// Intra-run worker threads each GA/SA pool job may fan its
+  /// evaluations across (sched/intra_run.hpp; engine-backed algorithms
+  /// run serially); 0 means hardware concurrency. The
   /// service clamps the product `intra_threads × pool threads` to
   /// hardware concurrency so concurrent jobs cannot oversubscribe the
   /// machine — `SchedulerService::effective_intra_threads()` reports the

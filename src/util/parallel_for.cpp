@@ -85,9 +85,13 @@ void WorkerTeam::run(std::size_t n, const Body& body) {
     std::this_thread::yield();
   }
   if (done_.load(std::memory_order_acquire) != expected) {
+    // Acquire, not relaxed: the predicate can see the last worker's
+    // increment before that worker takes the mutex to notify, so the
+    // mutex alone does not order the workers' reads of `body_` before
+    // the reset below.
     std::unique_lock<std::mutex> lock(mutex_);
     join_cv_.wait(lock, [this, expected] {
-      return done_.load(std::memory_order_relaxed) == expected;
+      return done_.load(std::memory_order_acquire) == expected;
     });
   }
 

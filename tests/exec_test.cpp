@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
@@ -276,6 +279,57 @@ TEST(Executor, RejectsMalformedOptions) {
   EXPECT_THROW(
       (void)execute(inst.graph, inst.topo, schedule, bad_model),
       std::invalid_argument);
+
+  // Non-finite model knobs: NaN fails every range comparison, +inf
+  // stretches a straggler forever.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& set : std::vector<std::function<void(RuntimeModel&)>>{
+           [&](RuntimeModel& m) { m.duration_spread = nan; },
+           [&](RuntimeModel& m) { m.bandwidth_spread = nan; },
+           [&](RuntimeModel& m) { m.straggler_probability = nan; },
+           [&](RuntimeModel& m) { m.straggler_factor = nan; },
+           [&](RuntimeModel& m) { m.straggler_factor = inf; }}) {
+    ExecutionOptions options;
+    set(options.model);
+    EXPECT_THROW(
+        (void)execute(inst.graph, inst.topo, schedule, options),
+        std::invalid_argument);
+  }
+
+  // Non-finite fault times and transient repairs.
+  FaultPlan plan;
+  EXPECT_THROW(plan.fail_processor(nan, inst.topo.processors()[0], true),
+               std::invalid_argument);
+  EXPECT_THROW(plan.fail_processor(inf, inst.topo.processors()[0], true),
+               std::invalid_argument);
+  EXPECT_THROW(
+      plan.fail_processor(1.0, inst.topo.processors()[0], false, nan),
+      std::invalid_argument);
+  EXPECT_THROW(
+      plan.fail_processor(1.0, inst.topo.processors()[0], false, inf),
+      std::invalid_argument);
+  FaultEvent nan_time;
+  nan_time.time = nan;
+  EXPECT_THROW((void)FaultPlan::scripted({nan_time}), std::invalid_argument);
+
+  // Hazard configs that would never terminate or pass a NaN through.
+  for (const auto& set : std::vector<std::function<void(HazardConfig&)>>{
+           [&](HazardConfig& c) { c.horizon = nan; },
+           [&](HazardConfig& c) { c.horizon = inf; },
+           [&](HazardConfig& c) { c.processor_rate = nan; },
+           [&](HazardConfig& c) { c.processor_rate = inf; },
+           [&](HazardConfig& c) { c.link_rate = nan; },
+           [&](HazardConfig& c) { c.permanent_fraction = nan; },
+           [&](HazardConfig& c) { c.mean_repair = nan; },
+           [&](HazardConfig& c) { c.mean_repair = inf; }}) {
+    HazardConfig config;
+    config.processor_rate = 0.05;
+    config.horizon = 50.0;
+    set(config);
+    EXPECT_THROW((void)FaultPlan::sampled(inst.topo, config),
+                 std::invalid_argument);
+  }
 
   ExecutionOptions bad_target;
   bad_target.faults.fail_processor(1.0, net::NodeId(10'000u), true);

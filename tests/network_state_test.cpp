@@ -67,32 +67,6 @@ TEST(ExclusiveNetworkState, UncommitRestoresTimelines) {
   EXPECT_DOUBLE_EQ(arrival, 8.0);
 }
 
-// The load generation names the link timelines: equal generations mean
-// identical timelines, which the engine's candidate-scan no-mutation
-// assertion relies on.
-TEST(ExclusiveNetworkState, CleanRollbackRestoresGeneration) {
-  Fixture f;
-  ExclusiveNetworkState state(f.topo, 4);
-  const std::uint64_t g0 = state.generation();
-
-  // Tentative commit + immediate uncommit (tentative-EFT selection's
-  // evaluation pattern) provably restores the timelines, so the
-  // generation must come back with them.
-  (void)state.commit_edge_basic(dag::EdgeId(0u), f.route, 0.0, 50.0);
-  EXPECT_NE(state.generation(), g0);
-  state.uncommit_edge(dag::EdgeId(0u));
-  EXPECT_EQ(state.generation(), g0);
-
-  // Out-of-order rollback cannot prove restoration: the generation must
-  // NOT return to a previously seen value.
-  (void)state.commit_edge_basic(dag::EdgeId(1u), f.route, 0.0, 10.0);
-  (void)state.commit_edge_basic(dag::EdgeId(2u), f.route, 0.0, 10.0);
-  const std::uint64_t g_both = state.generation();
-  state.uncommit_edge(dag::EdgeId(1u));  // not the latest mutation
-  EXPECT_NE(state.generation(), g0);
-  EXPECT_NE(state.generation(), g_both);
-}
-
 TEST(ExclusiveNetworkState, DoubleCommitIsRejected) {
   Fixture f;
   ExclusiveNetworkState state(f.topo, 4);

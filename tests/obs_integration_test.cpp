@@ -4,12 +4,15 @@
 // remote edge was booked on.
 #include <gtest/gtest.h>
 
+#include "dag/generators.hpp"
 #include "dag/task_graph.hpp"
+#include "net/builders.hpp"
 #include "net/topology.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
+#include "util/rng.hpp"
 
 namespace edgesched {
 namespace {
@@ -170,6 +173,32 @@ TEST(ObsIntegration, HotCountersTallyTheRun) {
   EXPECT_EQ(counters.tasks_placed.value() - tasks_before, 4u);
   EXPECT_EQ(counters.edges_routed.value() - edges_before, 1u);
   EXPECT_GT(counters.optimal_probes.value(), probes_before);
+
+  // Every selection policy scores every processor for every task, so the
+  // candidate tally is tasks x processors whichever policy ran.
+  Rng rng(5);
+  dag::LayeredDagParams params;
+  params.num_tasks = 200;
+  const dag::TaskGraph big = dag::random_layered(params, rng);
+  const net::Topology torus = net::torus2d(4, 4, {}, rng);
+  for (const sched::SelectionPolicyKind kind :
+       {sched::SelectionPolicyKind::kBlindEft,
+        sched::SelectionPolicyKind::kTentativeEft,
+        sched::SelectionPolicyKind::kMlsEstimate}) {
+    sched::AlgorithmSpec spec =
+        kind == sched::SelectionPolicyKind::kMlsEstimate ? sched::oihsa_spec()
+                                                         : sched::ba_spec();
+    spec.selection = kind;
+    const sched::SpecScheduler scheduler(spec);
+    std::uint64_t before = counters.candidates_evaluated.value();
+    (void)scheduler.schedule(fx.graph, fx.topo);
+    EXPECT_EQ(counters.candidates_evaluated.value() - before, 4u * 2u)
+        << "selection kind " << static_cast<int>(kind);
+    before = counters.candidates_evaluated.value();
+    (void)scheduler.schedule(big, torus);
+    EXPECT_EQ(counters.candidates_evaluated.value() - before, 200u * 16u)
+        << "selection kind " << static_cast<int>(kind);
+  }
 }
 
 TEST(ObsIntegration, NoLogInstalledMeansNothingRecorded) {

@@ -1,53 +1,34 @@
 // Intra-run parallelism determinism suite.
 //
-// The engine's parallel processor-candidate scan, the GA's parallel
-// population evaluation and the SA's speculative neighbor batches all
-// promise the same contract: the intra-run worker count is
+// The GA's parallel population evaluation and the SA's speculative
+// neighbor batches promise one contract: the intra-run worker count is
 // *configuration, not algorithm state* — results are byte-identical at
-// every setting (docs/parallelism.md). This suite fuzzes that promise
-// over random instances and the whole engine-backed registry:
+// every setting (docs/parallelism.md). This suite checks that promise:
 //
-//   * schedules at 2/4/8 intra-threads equal the serial run, canonical
-//     form (doubles compared as bit patterns), through both the
-//     raw-topology path and a shared PlatformContext (fresh AND
-//     recycled pooled workspaces);
-//   * DecisionLog JSONL streams are byte-equal serial vs parallel
-//     (candidate lists carry per-processor scores in index order);
-//   * global hot-counter deltas are identical at every worker count —
-//     the per-lane batching discipline must not lose or double-count;
 //   * GA and SA are same-seed bit-equal at every worker count;
 //   * concurrent outer runs each fanning inner workers over one shared
-//     platform stay race-free (this file runs under TSan in CI).
-//
-// Instance count tunes via EDGESCHED_FUZZ_INSTANCES (default 200; the
-// TSan job runs fewer, instrumented runs cost ~10x).
+//     platform stay race-free (this file runs under TSan in CI);
+//   * the service clamps its per-job worker count to the machine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "obs/counters.hpp"
-#include "obs/decision_log.hpp"
 #include "sched/intra_run.hpp"
 #include "sched/platform.hpp"
 #include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/validator.hpp"
 #include "schedule_canon.hpp"
 #include "svc/scheduler_service.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace edgesched::sched {
@@ -87,126 +68,7 @@ Instance make_instance(std::uint64_t seed) {
   return Instance{std::move(graph), std::move(topology)};
 }
 
-std::vector<const AlgorithmEntry*> engine_backed_entries() {
-  std::vector<const AlgorithmEntry*> entries;
-  for (const AlgorithmEntry& entry : algorithm_registry()) {
-    if (entry.engine_backed()) {
-      entries.push_back(&entry);
-    }
-  }
-  return entries;
-}
-
-std::uint64_t fuzz_instances() {
-  const std::int64_t raw = env_int("EDGESCHED_FUZZ_INSTANCES", 200);
-  return raw < 1 ? 1 : static_cast<std::uint64_t>(raw);
-}
-
 constexpr std::size_t kThreadCounts[] = {2, 4, 8};
-
-// Schedules at every worker count, through every path, must equal the
-// serial raw-topology run byte for byte.
-TEST(ParallelEngineProperty, SchedulesAreByteIdenticalAtEveryThreadCount) {
-  const std::vector<const AlgorithmEntry*> entries = engine_backed_entries();
-  ASSERT_FALSE(entries.empty());
-  const std::uint64_t instances = fuzz_instances();
-  for (std::uint64_t seed = 1; seed <= instances; ++seed) {
-    const Instance instance = make_instance(seed);
-    const PlatformContext platform(instance.topology);
-    for (const AlgorithmEntry* entry : entries) {
-      const std::unique_ptr<Scheduler> scheduler = entry->make();
-      std::string want;
-      {
-        const ScopedIntraThreads serial(1);
-        const Schedule baseline =
-            scheduler->schedule(instance.graph, instance.topology);
-        validate_or_throw(instance.graph, instance.topology, baseline);
-        want = test::canonical_schedule(instance.graph, baseline);
-      }
-      for (const std::size_t threads : kThreadCounts) {
-        const ScopedIntraThreads scoped(threads);
-        const Schedule via_topology =
-            scheduler->schedule(instance.graph, instance.topology);
-        EXPECT_EQ(want,
-                  test::canonical_schedule(instance.graph, via_topology))
-            << entry->key << " diverged on the topology path at "
-            << threads << " threads, seed " << seed;
-        // Twice through the shared context: the second run scans with
-        // recycled pooled workspaces (lane leases included).
-        const Schedule fresh = scheduler->schedule(instance.graph, platform);
-        EXPECT_EQ(want, test::canonical_schedule(instance.graph, fresh))
-            << entry->key << " diverged via fresh workspaces at "
-            << threads << " threads, seed " << seed;
-        const Schedule recycled =
-            scheduler->schedule(instance.graph, platform);
-        EXPECT_EQ(want, test::canonical_schedule(instance.graph, recycled))
-            << entry->key << " diverged via recycled workspaces at "
-            << threads << " threads, seed " << seed;
-      }
-    }
-  }
-}
-
-// Decision records and global counter totals are part of the
-// determinism contract: a run observed through a DecisionLog and the
-// hot-counter registry must look the same at every worker count.
-TEST(ParallelEngineProperty, DecisionLogsAndCounterDeltasMatchSerial) {
-  const std::vector<const AlgorithmEntry*> entries = engine_backed_entries();
-  ASSERT_FALSE(entries.empty());
-  const std::uint64_t instances = std::min<std::uint64_t>(20, fuzz_instances());
-
-  const auto run_observed =
-      [](const Scheduler& scheduler, const Instance& instance,
-         const PlatformContext& platform, std::size_t threads) {
-        const ScopedIntraThreads scoped(threads);
-        obs::DecisionLog log;
-        const std::map<std::string, std::uint64_t> before =
-            obs::global_metrics().counter_values();
-        std::string canon;
-        {
-          const obs::ScopedDecisionLog scope(log);
-          const Schedule schedule =
-              scheduler.schedule(instance.graph, platform);
-          canon = test::canonical_schedule(instance.graph, schedule);
-        }
-        std::map<std::string, std::uint64_t> delta =
-            obs::global_metrics().counter_values();
-        for (auto& [name, value] : delta) {
-          const auto it = before.find(name);
-          value -= it != before.end() ? it->second : 0;
-        }
-        std::ostringstream decisions;
-        log.write_jsonl(decisions);
-        return std::make_tuple(std::move(canon), std::move(delta),
-                               decisions.str());
-      };
-
-  for (std::uint64_t seed = 1; seed <= instances; ++seed) {
-    const Instance instance = make_instance(seed);
-    const PlatformContext platform(instance.topology);
-    for (const AlgorithmEntry* entry : entries) {
-      const std::unique_ptr<Scheduler> scheduler = entry->make();
-      const auto [want_canon, want_delta, want_decisions] =
-          run_observed(*scheduler, instance, platform, 1);
-      EXPECT_GT(want_delta.at("sched_candidates_evaluated_total"), 0u)
-          << entry->key << " seed " << seed
-          << ": scan-capable runs must tally candidate evaluations";
-      for (const std::size_t threads : kThreadCounts) {
-        const auto [canon, delta, decisions] =
-            run_observed(*scheduler, instance, platform, threads);
-        EXPECT_EQ(want_canon, canon)
-            << entry->key << " schedule, seed " << seed << ", "
-            << threads << " threads";
-        EXPECT_EQ(want_decisions, decisions)
-            << entry->key << " decision log, seed " << seed << ", "
-            << threads << " threads";
-        EXPECT_EQ(want_delta, delta)
-            << entry->key << " counter totals, seed " << seed << ", "
-            << threads << " threads";
-      }
-    }
-  }
-}
 
 // The metaheuristics draw all randomness from per-member streams, so
 // same seed => bit-equal result at every worker count.
@@ -239,39 +101,37 @@ TEST(ParallelEngineProperty, MetaheuristicsAreSameSeedBitEqual) {
 }
 
 // Outer concurrency × inner fan-out over one shared context: the TSan
-// proof that lane workspace leases, the scan's speculative probes and
-// the per-run counter flushes never race.
+// proof that GA/SA worker lanes, the seeding engine runs (which fill the
+// shared route table lazily) and the per-run counter flushes never race.
 TEST(ParallelEngineProperty, ConcurrentOuterRunsWithInnerWorkersAreSafe) {
   const Instance instance = make_instance(42);
   const PlatformContext platform(instance.topology);
-  const std::vector<const AlgorithmEntry*> entries = engine_backed_entries();
-  ASSERT_FALSE(entries.empty());
-
+  std::vector<std::unique_ptr<Scheduler>> schedulers;
   std::vector<std::string> reference;
-  reference.reserve(entries.size());
-  {
+  for (const char* key : {"ga", "sa"}) {
+    const AlgorithmEntry* entry = find_algorithm(key);
+    ASSERT_NE(entry, nullptr) << key;
+    schedulers.push_back(entry->make());
     const ScopedIntraThreads serial(1);
-    for (const AlgorithmEntry* entry : entries) {
-      reference.push_back(test::canonical_schedule(
-          instance.graph,
-          entry->make()->schedule(instance.graph, instance.topology)));
-    }
+    reference.push_back(test::canonical_schedule(
+        instance.graph,
+        schedulers.back()->schedule(instance.graph, instance.topology)));
   }
 
   constexpr std::size_t kOuter = 4;
-  constexpr std::size_t kIterations = 8;
+  constexpr std::size_t kIterations = 2;
   std::vector<std::vector<bool>> ok(
-      kOuter, std::vector<bool>(kIterations * entries.size(), false));
+      kOuter, std::vector<bool>(kIterations * schedulers.size(), false));
   std::vector<std::thread> threads;
   threads.reserve(kOuter);
   for (std::size_t t = 0; t < kOuter; ++t) {
     threads.emplace_back([&, t] {
       const ScopedIntraThreads scoped(2 + t % 2);
       for (std::size_t i = 0; i < kIterations; ++i) {
-        for (std::size_t a = 0; a < entries.size(); ++a) {
+        for (std::size_t a = 0; a < schedulers.size(); ++a) {
           const Schedule schedule =
-              entries[a]->make()->schedule(instance.graph, platform);
-          ok[t][i * entries.size() + a] =
+              schedulers[a]->schedule(instance.graph, platform);
+          ok[t][i * schedulers.size() + a] =
               test::canonical_schedule(instance.graph, schedule) ==
               reference[a];
         }

@@ -1,16 +1,16 @@
-// PlatformContext equivalence fuzz suite: splitting immutable
-// per-topology platform state (static route table, cached reductions)
-// from per-run workspaces must be a pure refactor. For every
-// engine-backed registry algorithm over a few hundred random instances,
-// scheduling through a shared PlatformContext must reproduce the
-// plain-topology path byte for byte (canonical form, doubles as bit
-// patterns) — including the second run through the same context, which
-// exercises a recycled pooled workspace rather than a fresh one.
+// PlatformContext equivalence fuzz suite: a context shared across runs
+// must behave exactly like a fresh one. For every engine-backed registry
+// algorithm over a few hundred random instances, scheduling through a
+// shared PlatformContext must reproduce `schedule(graph, topology)` —
+// which builds a throwaway context per call — byte for byte (canonical
+// form, doubles as bit patterns). The second run through the shared
+// context reads an already filled route table and a recycled pooled
+// workspace rather than fresh ones.
 //
 // The concurrent suite shares one context across many threads cycling
 // through the sweep algorithms; it is part of the TSan job, so a data
-// race in the route table, the workspace pool or the run-epoch memo
-// fails the build rather than corrupting a schedule.
+// race in the lazily filled route table or the workspace pool fails the
+// build rather than corrupting a schedule.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -79,9 +79,10 @@ std::vector<const AlgorithmEntry*> engine_backed_entries() {
   return entries;
 }
 
-// The core equivalence oracle: schedule(graph, topology) versus
-// schedule(graph, shared context), twice through the context so the
-// second run reuses a pooled workspace.
+// The core equivalence oracle: schedule(graph, topology), i.e. a fresh
+// context, versus schedule(graph, shared context), twice through the
+// shared context so the second run reuses its filled routes and a
+// pooled workspace.
 TEST(PlatformContextProperty, EngineBackedAlgorithmsAreByteIdentical) {
   const std::vector<const AlgorithmEntry*> entries = engine_backed_entries();
   ASSERT_FALSE(entries.empty());
@@ -108,9 +109,9 @@ TEST(PlatformContextProperty, EngineBackedAlgorithmsAreByteIdentical) {
   }
 }
 
-// Non-engine schedulers (classic model, GA, SA) take the default
-// base-class forwarding path: context scheduling must match the
-// topology overload exactly there too.
+// Non-engine schedulers (classic model, GA, SA) implement the same one
+// virtual: a shared context must match the topology overload's fresh
+// one exactly there too.
 TEST(PlatformContextProperty, DefaultForwardingMatchesTopologyPath) {
   for (const char* key : {"classic", "ga", "sa"}) {
     const AlgorithmEntry* entry = find_algorithm(key);
@@ -133,7 +134,7 @@ TEST(PlatformContextProperty, DefaultForwardingMatchesTopologyPath) {
 // N threads hammer one shared context concurrently, cycling through the
 // sweep algorithms. Every schedule must equal the serial reference —
 // and under TSan this doubles as the data-race proof for the route
-// table, the run-epoch memo and the workspace pool.
+// table's lazy fill and the workspace pool.
 TEST(PlatformContextProperty, ConcurrentSharingIsRaceFreeAndDeterministic) {
   const Instance instance = make_instance(42);
   const PlatformContext platform(instance.topology);

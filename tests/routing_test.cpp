@@ -62,12 +62,12 @@ TEST(BfsRoute, RouteIsAlwaysValid) {
   }
 }
 
-TEST(RouteCache, ReturnsSameRoute) {
+TEST(StaticRouteTable, ReturnsSameRoute) {
   TwoPathNetwork net;
-  RouteCache cache(net.topology);
-  const Route& first = cache.route(net.a, net.b);
-  const Route& second = cache.route(net.a, net.b);
-  EXPECT_EQ(&first, &second);  // memoised
+  const StaticRouteTable table(net.topology);
+  const Route& first = table.route(net.a, net.b);
+  const Route& second = table.route(net.a, net.b);
+  EXPECT_EQ(&first, &second);  // filled once, then read
   EXPECT_EQ(first, (Route{net.a_s1, net.s1_b}));
 }
 
