@@ -7,8 +7,9 @@
 // hold the measured growth near the documented O(E log V + E * R)
 // model instead of the quadratic blowup the linear structures had. Per
 // cell it schedules a random layered DAG and reports wall time,
-// makespan, the routed-edge count and the Dijkstra relaxations per
-// routed edge (0 under BA's static routing); per (algorithm, processors)
+// makespan, the routed-edge count, the Dijkstra relaxations per routed
+// edge (0 under BA's static routing) and BBSA's fluid forward-sweep steps
+// per forwarded hop (0 for the exclusive models); per (algorithm, processors)
 // series it fits the scaling exponent of time vs tasks by log-log least
 // squares. Those exponents back the complexity table in
 // docs/performance.md.
@@ -17,7 +18,9 @@
 //   default            CI-sized grid (seconds; gated in ci.yml against
 //                      bench/baselines/post/GBENCH_extension_scaling.json)
 //                      plus one 10k-task x 256-processor frontier cell
-//                      for oihsa and bbsa
+//                      for oihsa and bbsa, whose machine-independent work
+//                      counts must stay under hard-coded ceilings (the
+//                      bench exits non-zero otherwise)
 //   EDGESCHED_SCALE_FULL=1
 //                      the 50k-task / 256-processor frontier
 //   EDGESCHED_SCALE_TASKS / _PROCS / _ALGOS / _BA_TASKS_MAX /
@@ -93,7 +96,33 @@ struct Cell {
   double makespan = 0.0;
   std::size_t edges = 0;
   double relaxations_per_routed_edge = 0.0;
+  double forward_steps_per_hop = 0.0;
 };
+
+// Ceilings on the frontier cell's work counts. Both are deterministic for
+// the cell's seeds, so any excess is a change in the algorithms' work,
+// not noise. Measured: 15.87 (oihsa) / 15.81 (bbsa) relaxations per
+// routed edge and 15.10 forward steps per hop (bbsa).
+constexpr std::size_t kFrontierTasks = 10000;
+constexpr std::size_t kFrontierProcs = 256;
+constexpr double kMaxFrontierRelaxations = 17.0;
+constexpr double kMaxFrontierForwardSteps = 16.5;
+
+/// Hops after the first on every fluid-bandwidth route: the hops the
+/// forward sweep books.
+std::size_t forwarded_hops(const dag::TaskGraph& graph,
+                           const sched::Schedule& schedule) {
+  std::size_t hops = 0;
+  for (std::size_t e = 0; e < graph.num_edges(); ++e) {
+    const sched::EdgeCommunication& comm =
+        schedule.communication(dag::EdgeId(e));
+    if (comm.kind == sched::EdgeCommunication::Kind::kBandwidth &&
+        !comm.route.empty()) {
+      hops += comm.route.size() - 1;
+    }
+  }
+  return hops;
+}
 
 /// One (tasks, processors) point of the sweep and the algorithms run on it.
 struct Point {
@@ -185,10 +214,12 @@ int main(int argc, char** argv) {
 
   std::cout << "== extension: scale frontier (tasks x processors) ==\n";
   std::cout << "algorithm, tasks, procs, seconds, makespan, edges, "
-               "relaxations_per_routed_edge\n";
+               "relaxations_per_routed_edge, forward_steps_per_hop\n";
 
   svc::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
   svc::Counter& edges_routed = obs::hot_counters().edges_routed;
+  svc::Counter& forward_steps = obs::hot_counters().forward_steps;
+  bool over_ceiling = false;
   std::vector<Cell> cells;
   for (const Point& point : points) {
     const std::size_t tasks = point.tasks;
@@ -214,6 +245,8 @@ int main(int argc, char** argv) {
       cell.seconds = std::numeric_limits<double>::infinity();
       const std::uint64_t relaxations_before = relaxations.value();
       const std::uint64_t edges_before = edges_routed.value();
+      const std::uint64_t steps_before = forward_steps.value();
+      std::size_t hops = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         const auto begin = std::chrono::steady_clock::now();
         const sched::Schedule schedule =
@@ -225,6 +258,7 @@ int main(int argc, char** argv) {
         cell.seconds = std::min(cell.seconds, seconds);
         cell.makespan = schedule.makespan();
         cell.edges = graph.num_edges();
+        hops += forwarded_hops(graph, schedule);
         if (validate_runs) {
           sched::validate_or_throw(graph, topology, schedule);
         }
@@ -235,11 +269,27 @@ int main(int argc, char** argv) {
             static_cast<double>(relaxations.value() - relaxations_before) /
             static_cast<double>(routed);
       }
+      if (hops > 0) {
+        cell.forward_steps_per_hop =
+            static_cast<double>(forward_steps.value() - steps_before) /
+            static_cast<double>(hops);
+      }
       cells.push_back(cell);
       std::cout << cell.algorithm << ", " << cell.tasks << ", "
                 << cell.procs << ", " << cell.seconds << ", "
                 << cell.makespan << ", " << cell.edges << ", "
-                << cell.relaxations_per_routed_edge << "\n";
+                << cell.relaxations_per_routed_edge << ", "
+                << cell.forward_steps_per_hop << "\n";
+      if (tasks == kFrontierTasks && procs == kFrontierProcs &&
+          (cell.relaxations_per_routed_edge > kMaxFrontierRelaxations ||
+           cell.forward_steps_per_hop > kMaxFrontierForwardSteps)) {
+        std::cerr << "extension_scaling: " << name
+                  << " frontier cell exceeds its work ceilings ("
+                  << kMaxFrontierRelaxations << " relaxations per routed "
+                  << "edge, " << kMaxFrontierForwardSteps
+                  << " forward steps per hop)\n";
+        over_ceiling = true;
+      }
     }
   }
 
@@ -254,6 +304,7 @@ int main(int argc, char** argv) {
     entry.set("makespan", c.makespan);
     entry.set("edges", c.edges);
     entry.set("relaxations_per_routed_edge", c.relaxations_per_routed_edge);
+    entry.set("forward_steps_per_hop", c.forward_steps_per_hop);
     cells_json.push(std::move(entry));
   }
   obs::JsonValue exponents = obs::JsonValue::array();
@@ -305,5 +356,5 @@ int main(int argc, char** argv) {
   gbench.write(out, 2);
   out << "\n";
   std::cerr << "extension_scaling: wrote " << gbench_path << "\n";
-  return 0;
+  return over_ceiling ? 1 : 0;
 }

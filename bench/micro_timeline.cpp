@@ -90,4 +90,25 @@ void BM_BandwidthForwardChain(benchmark::State& state) {
 }
 BENCHMARK(BM_BandwidthForwardChain)->Arg(2)->Arg(4)->Arg(8);
 
+// One forward onto a link already carrying ~B breakpoints, as on a busy
+// BBSA hop. The chain above forwards only onto fresh links; here the
+// sweep's cost should follow the breakpoints it crosses, not B.
+void BM_BandwidthForwardLoaded(benchmark::State& state) {
+  const auto target = static_cast<std::size_t>(state.range(0));
+  const double horizon = static_cast<double>(target);
+  timeline::BandwidthTimeline tl(4.0);
+  Rng rng(4);
+  while (tl.breakpoints().size() < target) {
+    tl.consume(tl.transfer_from(rng.uniform_real(0.0, horizon),
+                                rng.uniform_real(0.5, 4.0)));
+  }
+  timeline::BandwidthTimeline upstream(2.0);
+  const timeline::RateProfile inflow =
+      upstream.transfer_from(0.5 * horizon, 20.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tl.forward(inflow));
+  }
+}
+BENCHMARK(BM_BandwidthForwardLoaded)->Arg(16)->Arg(256)->Arg(4096);
+
 }  // namespace

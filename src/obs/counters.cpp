@@ -18,6 +18,7 @@ HotCounters& hot_counters() {
         m.counter("sched_slot_shifts_total"),
         m.counter("sched_deferred_insertions_total"),
         m.counter("sched_bandwidth_probes_total"),
+        m.counter("timeline_forward_steps_total"),
         m.counter("sched_probe_gap_steps_total"),
         m.counter("sched_optimal_scan_steps_total"),
         m.counter("sched_candidates_evaluated_total"),

@@ -32,6 +32,7 @@ struct HotCounters {
   svc::Counter& slot_shifts;           ///< occupations displaced by deferral
   svc::Counter& deferred_insertions;   ///< insertions that displaced slots
   svc::Counter& bandwidth_probes;      ///< BBSA bandwidth routing probes
+  svc::Counter& forward_steps;         ///< BBSA fluid forward-sweep steps
   svc::Counter& probe_gap_steps;    ///< idle intervals examined by probes
   svc::Counter& optimal_scan_steps; ///< slots visited by the accum scan
   svc::Counter& candidates_evaluated;  ///< processor candidates scored

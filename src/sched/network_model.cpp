@@ -57,10 +57,7 @@ class BandwidthNetworkModel final : public NetworkStateModel {
                                        double cost) const override {
     // Relaxation key: earliest finish of the full volume using the link's
     // remaining bandwidth (the bandwidth analogue of §4.3).
-    return net::ProbeResult{
-        state_.probe_first_flow(link, state.earliest_start),
-        state_.probe_finish(link, state.earliest_start, state.min_finish,
-                            cost)};
+    return state_.probe(link, state.earliest_start, state.min_finish, cost);
   }
 
   [[nodiscard]] BandwidthNetworkState* bandwidth_state() noexcept override {

@@ -266,25 +266,25 @@ BandwidthNetworkState::BandwidthNetworkState(const net::Topology& topology,
 
 BandwidthNetworkState::~BandwidthNetworkState() {
   std::uint64_t probes = 0;
+  std::uint64_t forward_steps = 0;
   for (const timeline::BandwidthTimeline& tl : domains_) {
     probes += tl.probe_count();
+    forward_steps += tl.forward_steps();
   }
   if (probes > 0) {
     obs::hot_counters().bandwidth_probes.increment(probes);
   }
+  if (forward_steps > 0) {
+    obs::hot_counters().forward_steps.increment(forward_steps);
+  }
 }
 
-double BandwidthNetworkState::probe_finish(net::LinkId link, double t_es_in,
-                                           double t_f_min,
-                                           double cost) const {
-  const timeline::BandwidthTimeline& tl =
-      domains_[topology_->domain(link).index()];
-  return std::max(tl.earliest_finish(t_es_in, cost), t_f_min);
-}
-
-double BandwidthNetworkState::probe_first_flow(net::LinkId link,
-                                               double t) const {
-  return domains_[topology_->domain(link).index()].first_available(t);
+net::ProbeResult BandwidthNetworkState::probe(net::LinkId link,
+                                              double t_es_in, double t_f_min,
+                                              double cost) const {
+  const timeline::BandwidthTimeline::Probe p =
+      domains_[topology_->domain(link).index()].probe(t_es_in, cost);
+  return net::ProbeResult{p.first_flow, std::max(p.finish, t_f_min)};
 }
 
 BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(

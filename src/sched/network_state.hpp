@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "dag/task_graph.hpp"
+#include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sched/schedule.hpp"
 #include "timeline/bandwidth_timeline.hpp"
@@ -140,8 +141,9 @@ class BandwidthNetworkState {
   explicit BandwidthNetworkState(const net::Topology& topology,
                                  double hop_delay = 0.0);
 
-  /// Flushes the accumulated bandwidth-probe tally into the global
-  /// counter (same batching discipline as ExclusiveNetworkState).
+  /// Flushes the accumulated bandwidth-probe and forward-step tallies
+  /// into the global counters (same batching discipline as
+  /// ExclusiveNetworkState).
   ~BandwidthNetworkState();
 
   BandwidthNetworkState(const BandwidthNetworkState&) = delete;
@@ -156,12 +158,12 @@ class BandwidthNetworkState {
     return domains_[topology_->domain(link).index()];
   }
 
-  /// Routing probe: earliest finish of `cost` volume on this link using
-  /// all remaining bandwidth from `t_es_in` (§5, applied to §4.3 routing).
-  [[nodiscard]] double probe_finish(net::LinkId link, double t_es_in,
-                                    double t_f_min, double cost) const;
-  /// First moment any bandwidth is available at or after `t`.
-  [[nodiscard]] double probe_first_flow(net::LinkId link, double t) const;
+  /// Routing probe (§5, applied to §4.3 routing): the first moment any
+  /// bandwidth is free at or after `t_es_in`, and the earliest finish of
+  /// `cost` volume using all remaining bandwidth from there, no earlier
+  /// than `t_f_min`.
+  [[nodiscard]] net::ProbeResult probe(net::LinkId link, double t_es_in,
+                                       double t_f_min, double cost) const;
 
   /// Schedules the edge along `route`: full remaining bandwidth on the
   /// first hop from `ready`, fluid forwarding on subsequent hops, all

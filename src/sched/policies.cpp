@@ -276,10 +276,8 @@ class ProbeDijkstraRouting final : public RoutingPolicy {
     if (BandwidthNetworkState* bandwidth = network.bandwidth_state()) {
       const auto probe = [bandwidth, cost](net::LinkId link,
                                            const net::ProbeState& state) {
-        return net::ProbeResult{
-            bandwidth->probe_first_flow(link, state.earliest_start),
-            bandwidth->probe_finish(link, state.earliest_start,
-                                    state.min_finish, cost)};
+        return bandwidth->probe(link, state.earliest_start, state.min_finish,
+                                cost);
       };
       return net::dijkstra_route_probe(topology_, from, to, ship_time,
                                        probe, &workspace_);

@@ -9,15 +9,6 @@ namespace edgesched::timeline {
 namespace {
 constexpr double kEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// First breakpoint strictly after t in a sorted vector; kInf if none.
-/// Exact comparison: progress may be infinitesimal near a breakpoint, but
-/// each breakpoint is crossed at most once, so the sweep stays linear.
-double next_after(const std::vector<double>& points, double t) {
-  const auto it = std::upper_bound(points.begin(), points.end(), t);
-  return it == points.end() ? kInf : *it;
-}
-
 }  // namespace
 
 BandwidthTimeline::BandwidthTimeline(double capacity) : capacity_(capacity) {
@@ -98,12 +89,14 @@ RateProfile BandwidthTimeline::transfer_from(double ready_time,
 RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
   const double volume = inflow.volume();
   EDGESCHED_ASSERT_MSG(volume > kEps, "forward: empty inflow");
-  const std::vector<double> in_points = inflow.breakpoints();
-  std::vector<double> bw_points;
-  bw_points.reserve(breakpoints_.size());
-  for (const auto& bp : breakpoints_) {
-    bw_points.push_back(bp.first);
-  }
+  const std::vector<RateSegment>& in = inflow.segments();
+  const std::size_t num_in = in.size();
+  const std::size_t num_bw = breakpoints_.size();
+  // An inflow segment's start is a sweep event unless it abuts the
+  // previous segment's end (the same rule as RateProfile::breakpoints()).
+  const auto starts_event = [&in](std::size_t j) {
+    return j == 0 || in[j - 1].end < in[j].start - kEps;
+  };
 
   RateProfile out;
   double t = inflow.start_time();
@@ -114,20 +107,68 @@ RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
   // cannot advance the sweep — such residuals are float noise, not data.
   const double vol_eps = kEps * std::max(1.0, volume);
   // Every iteration either transfers volume or advances to the next
-  // breakpoint, so the sweep is linear in the breakpoint count; the guard
-  // is purely defensive.
-  std::size_t guard =
-      8 * (in_points.size() + bw_points.size()) + 64;
+  // breakpoint, so the sweep is linear in the breakpoints it crosses; the
+  // guard is purely defensive.
+  std::size_t in_events = 0;
+  for (std::size_t j = 0; j < num_in; ++j) {
+    in_events += starts_event(j) ? 2 : 1;
+  }
+  std::size_t guard = 8 * (in_events + num_bw) + 64;
+
+  // Forward-only cursors, placed by one binary search. `t` and the probe
+  // midpoint never decrease, and inflow ends and link breakpoints are
+  // sorted, so each cursor lands on the index a fresh binary search (or
+  // linear scan) would return. "After t" compares exactly: progress may
+  // be infinitesimal near a breakpoint, but each one is crossed once.
+  //   in_evt/in_at_end: next inflow event strictly after t
+  //   in_seg:           first inflow segment whose end exceeds probe_t
+  //   bw_next:          first link breakpoint strictly after t
+  //   bw_cap:           last link breakpoint at or before probe_t
+  std::size_t in_evt = 0;
+  bool in_at_end = false;
+  std::size_t in_seg = 0;
+  std::size_t bw_cap = segment_index(t);
+  std::size_t bw_next = bw_cap + 1;
+
   while (sent < volume - vol_eps) {
     EDGESCHED_ASSERT_MSG(guard-- > 0, "forward sweep failed to converge");
-    const double t_next =
-        std::min(next_after(in_points, t), next_after(bw_points, t));
+    ++forward_steps_;
+    while (in_evt < num_in) {
+      if (!in_at_end) {
+        if (starts_event(in_evt) && in[in_evt].start > t) {
+          break;
+        }
+        in_at_end = true;
+      } else {
+        if (in[in_evt].end > t) {
+          break;
+        }
+        ++in_evt;
+        in_at_end = false;
+      }
+    }
+    while (bw_next < num_bw && breakpoints_[bw_next].first <= t) {
+      ++bw_next;
+    }
+    const double in_next =
+        in_evt < num_in ? (in_at_end ? in[in_evt].end : in[in_evt].start)
+                        : kInf;
+    const double bw_at = bw_next < num_bw ? breakpoints_[bw_next].first : kInf;
+    const double t_next = std::min(in_next, bw_at);
     // Rates are constant on (t, t_next); probing the midpoint keeps the
     // rate lookups consistent with the breakpoint lookup even when t sits
     // a floating-point hair away from a boundary.
     const double probe_t = (t_next < kInf) ? 0.5 * (t + t_next) : t + 1.0;
-    const double r_in = inflow.rate_at(probe_t);
-    const double r_cap = remaining_at(probe_t);
+    while (in_seg < num_in && probe_t >= in[in_seg].end) {
+      ++in_seg;
+    }
+    const double r_in =
+        (in_seg < num_in && probe_t >= in[in_seg].start) ? in[in_seg].rate
+                                                          : 0.0;
+    while (bw_cap + 1 < num_bw && breakpoints_[bw_cap + 1].first <= probe_t) {
+      ++bw_cap;
+    }
+    const double r_cap = breakpoints_[bw_cap].second;
     const double backlog = arrived - sent;
     if (backlog > vol_eps && r_cap > kEps) {
       if (t + backlog / r_cap <= t) {
@@ -200,24 +241,22 @@ void BandwidthTimeline::consume(const RateProfile& profile) {
   }
 }
 
-double BandwidthTimeline::first_available(double t) const {
-  std::size_t i = segment_index(std::max(t, 0.0));
+BandwidthTimeline::Probe BandwidthTimeline::probe(double t,
+                                                 double volume) const {
+  EDGESCHED_ASSERT_MSG(volume > 0.0, "volume must be positive");
+  ++probe_count_;
   double at = std::max(t, 0.0);
+  std::size_t i = segment_index(at);
+  // A saturated stretch moves no volume, so both answers skip it alike:
+  // the finish walk resumes where the first flow starts.
   while (breakpoints_[i].second <= kEps) {
     EDGESCHED_ASSERT_MSG(i + 1 < breakpoints_.size(),
                          "tail of a bandwidth timeline must have capacity");
     at = breakpoints_[i + 1].first;
     ++i;
   }
-  return at;
-}
-
-double BandwidthTimeline::earliest_finish(double t, double volume) const {
-  EDGESCHED_ASSERT_MSG(volume > 0.0, "volume must be positive");
-  ++probe_count_;
-  double at = std::max(t, 0.0);
+  const double first_flow = at;
   double sent = 0.0;
-  std::size_t i = segment_index(at);
   while (true) {
     const double seg_end =
         (i + 1 < breakpoints_.size()) ? breakpoints_[i + 1].first : kInf;
@@ -225,7 +264,7 @@ double BandwidthTimeline::earliest_finish(double t, double volume) const {
     if (rate > kEps) {
       const double t_done = at + (volume - sent) / rate;
       if (t_done <= seg_end) {
-        return t_done;
+        return Probe{first_flow, t_done};
       }
       sent += rate * (seg_end - at);
     } else {

@@ -38,25 +38,34 @@ class BandwidthTimeline {
   /// Forwarding transfer: moves `inflow.volume()` across this link subject
   /// to cum_out(t) <= cum_in(t) (data must have arrived on the previous
   /// link) and rate_out(t) <= remaining(t). Greedy, hence earliest-finish.
-  /// Returns the transfer profile; does not commit.
+  /// Returns the transfer profile; does not commit. Costs one binary
+  /// search plus time linear in the inflow segments and the link
+  /// breakpoints the sweep crosses, not in the whole link timeline.
   [[nodiscard]] RateProfile forward(const RateProfile& inflow) const;
 
   /// Books a probed profile: subtracts it from the remaining rate.
   /// The profile must respect the current remaining capacity.
   void consume(const RateProfile& profile);
 
-  /// First time >= t with positive remaining rate.
-  [[nodiscard]] double first_available(double t) const;
+  /// The routing probe for BBSA, from one breakpoint lookup: the first
+  /// time >= t with positive remaining rate, and the earliest time by
+  /// which `volume` could finish if sent from `t` using all remaining
+  /// bandwidth.
+  struct Probe {
+    double first_flow = 0.0;
+    double finish = 0.0;
+  };
+  [[nodiscard]] Probe probe(double t, double volume) const;
 
-  /// Earliest time by which `volume` could finish if sent from `t` using
-  /// all remaining bandwidth — the routing probe for BBSA.
-  [[nodiscard]] double earliest_finish(double t, double volume) const;
-
-  /// Routing probes answered (`earliest_finish` calls). Plain tally — a
-  /// timeline is owned by one single-threaded scheduling state, which
-  /// batches the sum into the global counter on destruction.
+  /// Routing probes answered (`probe` calls). Plain tally — a timeline is
+  /// owned by one single-threaded scheduling state, which batches the sum
+  /// into the global counter on destruction.
   [[nodiscard]] std::uint64_t probe_count() const noexcept {
     return probe_count_;
+  }
+  /// Iterations of the `forward` sweep, tallied like `probe_count`.
+  [[nodiscard]] std::uint64_t forward_steps() const noexcept {
+    return forward_steps_;
   }
 
   /// Piecewise representation, for tests: (start, remaining) pairs; each
@@ -80,6 +89,7 @@ class BandwidthTimeline {
   /// increase and the first entry is at t = 0.
   std::vector<std::pair<double, double>> breakpoints_;
   mutable std::uint64_t probe_count_ = 0;
+  mutable std::uint64_t forward_steps_ = 0;
 };
 
 }  // namespace edgesched::timeline

@@ -44,18 +44,6 @@ double RateProfile::cumulative(double t) const noexcept {
   return total;
 }
 
-double RateProfile::rate_at(double t) const noexcept {
-  for (const RateSegment& seg : segments_) {
-    if (t < seg.start) {
-      return 0.0;
-    }
-    if (t < seg.end) {
-      return seg.rate;
-    }
-  }
-  return 0.0;
-}
-
 std::vector<double> RateProfile::breakpoints() const {
   std::vector<double> points;
   points.reserve(segments_.size() * 2);

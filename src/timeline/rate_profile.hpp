@@ -49,9 +49,6 @@ class RateProfile {
   /// Volume transferred in [start_time, t].
   [[nodiscard]] double cumulative(double t) const noexcept;
 
-  /// Instantaneous rate at time t (0 between/outside segments).
-  [[nodiscard]] double rate_at(double t) const noexcept;
-
   /// Sorted distinct segment boundaries (for sweep-line algorithms).
   [[nodiscard]] std::vector<double> breakpoints() const;
 

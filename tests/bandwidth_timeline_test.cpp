@@ -44,8 +44,8 @@ TEST(BandwidthTimeline, SecondTransferSharesLeftovers) {
   // 2 units/s available until t=2 (4 volume), then 4 units/s: finishes at 3.
   EXPECT_DOUBLE_EQ(p.finish_time(), 3.0);
   EXPECT_NEAR(p.volume(), 8.0, 1e-9);
-  EXPECT_DOUBLE_EQ(p.rate_at(1.0), 2.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(2.5), 4.0);
+  EXPECT_DOUBLE_EQ(p.cumulative(1.0), 2.0);                       // rate 2
+  EXPECT_DOUBLE_EQ(p.cumulative(2.5) - p.cumulative(2.0), 2.0);  // rate 4
 }
 
 TEST(BandwidthTimeline, TransferWaitsForFreeBandwidth) {
@@ -63,9 +63,11 @@ TEST(BandwidthTimeline, FirstAvailableSkipsSaturation) {
   RateProfile blocker;
   blocker.append(1.0, 3.0, 2.0);
   tl.consume(blocker);
-  EXPECT_DOUBLE_EQ(tl.first_available(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(tl.first_available(1.5), 3.0);
-  EXPECT_DOUBLE_EQ(tl.first_available(4.0), 4.0);
+  EXPECT_DOUBLE_EQ(tl.probe(0.0, 1.0).first_flow, 0.0);
+  EXPECT_DOUBLE_EQ(tl.probe(1.5, 1.0).first_flow, 3.0);
+  EXPECT_DOUBLE_EQ(tl.probe(4.0, 1.0).first_flow, 4.0);
+  // The finish walk resumes where the first flow starts.
+  EXPECT_DOUBLE_EQ(tl.probe(1.5, 1.0).finish, 3.5);
 }
 
 TEST(BandwidthTimeline, EarliestFinishIntegratesRemaining) {
@@ -74,7 +76,7 @@ TEST(BandwidthTimeline, EarliestFinishIntegratesRemaining) {
   half.append(0.0, 4.0, 1.0);
   tl.consume(half);
   // 1 unit/s until t=4, then 2: volume 6 needs 4 + (6-4)/2 = 5.
-  EXPECT_DOUBLE_EQ(tl.earliest_finish(0.0, 6.0), 5.0);
+  EXPECT_DOUBLE_EQ(tl.probe(0.0, 6.0).finish, 5.0);
   // Probing never mutates:
   EXPECT_DOUBLE_EQ(tl.remaining_at(1.0), 1.0);
 }
@@ -87,7 +89,7 @@ TEST(BandwidthTimeline, ForwardLimitedByInflowRate) {
   // No backlog ever builds: outflow mirrors inflow.
   EXPECT_NEAR(out.volume(), 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(out.finish_time(), 4.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(2.0), 1.0);
+  EXPECT_DOUBLE_EQ(out.cumulative(2.5) - out.cumulative(2.0), 0.5);
 }
 
 TEST(BandwidthTimeline, ForwardLimitedByCapacity) {
@@ -98,8 +100,8 @@ TEST(BandwidthTimeline, ForwardLimitedByCapacity) {
   // Capacity 1: backlog builds, drains until t=4.
   EXPECT_NEAR(out.volume(), 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(out.finish_time(), 4.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(3.5), 1.0);
+  EXPECT_DOUBLE_EQ(out.cumulative(1.0) - out.cumulative(0.5), 0.5);
+  EXPECT_DOUBLE_EQ(out.cumulative(4.0) - out.cumulative(3.5), 0.5);
 }
 
 TEST(BandwidthTimeline, ForwardNeverSendsBeforeData) {
@@ -127,9 +129,9 @@ TEST(BandwidthTimeline, ForwardAroundBusyWindow) {
   // to 1. [2,...): drains at rate 2 while inflow adds rate 1: backlog
   // empties at t=3; 2 volume moved in [2,3]. Done at t=3.
   EXPECT_DOUBLE_EQ(out.finish_time(), 3.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(1.5), 0.0);
-  EXPECT_DOUBLE_EQ(out.rate_at(2.5), 2.0);
+  EXPECT_DOUBLE_EQ(out.cumulative(1.0) - out.cumulative(0.5), 0.5);
+  EXPECT_DOUBLE_EQ(out.cumulative(2.0) - out.cumulative(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(out.cumulative(3.0) - out.cumulative(2.5), 1.0);
 }
 
 TEST(BandwidthTimeline, ForwardChainConservesVolume) {

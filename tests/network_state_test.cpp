@@ -147,12 +147,13 @@ TEST(ExclusiveNetworkState, CommitPacketStoreAndForward) {
 TEST(BandwidthNetworkState, CommitSharesAndProbes) {
   Fixture f;
   BandwidthNetworkState state(f.topo);
-  EXPECT_DOUBLE_EQ(state.probe_finish(f.route[0], 0.0, 0.0, 4.0), 4.0);
+  EXPECT_DOUBLE_EQ(state.probe(f.route[0], 0.0, 0.0, 4.0).finish, 4.0);
   const auto transfer = state.commit_edge(f.route, 0.0, 4.0);
   EXPECT_DOUBLE_EQ(transfer.arrival, 4.0);
   // The link is now saturated during [0, 4]; a new probe sees that.
-  EXPECT_DOUBLE_EQ(state.probe_first_flow(f.route[0], 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(state.probe_finish(f.route[0], 0.0, 0.0, 4.0), 8.0);
+  EXPECT_DOUBLE_EQ(state.probe(f.route[0], 1.0, 0.0, 4.0).virtual_start,
+                   4.0);
+  EXPECT_DOUBLE_EQ(state.probe(f.route[0], 0.0, 0.0, 4.0).finish, 8.0);
 }
 
 TEST(Models, IdleRouteArrivalsMatchClosedForms) {

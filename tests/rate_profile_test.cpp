@@ -10,7 +10,7 @@ TEST(RateProfile, EmptyProfile) {
   EXPECT_TRUE(p.empty());
   EXPECT_DOUBLE_EQ(p.volume(), 0.0);
   EXPECT_DOUBLE_EQ(p.cumulative(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(5.0), 0.0);
+  EXPECT_DOUBLE_EQ(p.cumulative(5.0), 0.0);
 }
 
 TEST(RateProfile, SingleSegment) {
@@ -19,9 +19,11 @@ TEST(RateProfile, SingleSegment) {
   EXPECT_DOUBLE_EQ(p.volume(), 4.0);
   EXPECT_DOUBLE_EQ(p.start_time(), 1.0);
   EXPECT_DOUBLE_EQ(p.finish_time(), 3.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(2.0), 2.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(3.5), 0.0);
+  // Rate 2 inside the segment, nothing moves before or after it.
+  EXPECT_DOUBLE_EQ(p.cumulative(2.5) - p.cumulative(2.0), 1.0);
+  EXPECT_DOUBLE_EQ(p.cumulative(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(p.cumulative(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(p.cumulative(3.5), 4.0);
 }
 
 TEST(RateProfile, CumulativeIsPiecewiseLinear) {

@@ -9,7 +9,7 @@
 // seeded random link loads, for both network models' probes:
 //
 //   * the exclusive basic-insertion probe (`probe_link`), and
-//   * the bandwidth probe (`probe_first_flow` / `probe_finish`).
+//   * the bandwidth probe (`BandwidthNetworkState::probe`).
 //
 // For every processor pair the routes must be equal and the pruned
 // search may relax no more links than the oracle. Where every processor
@@ -252,9 +252,7 @@ TEST_P(RoutingPruneProperty, BandwidthProbeMatchesUnprunedSearch) {
     }
     const double cost = rng.uniform_real(0.5, 6.0);
     const auto probe = [&](LinkId l, const ProbeState& s) {
-      return ProbeResult{
-          state.probe_first_flow(l, s.earliest_start),
-          state.probe_finish(l, s.earliest_start, s.min_finish, cost)};
+      return state.probe(l, s.earliest_start, s.min_finish, cost);
     };
     expect_exact(topology, c, rng, probe, "bandwidth");
   }
