@@ -216,9 +216,9 @@ int main(int argc, char** argv) {
   std::cout << "algorithm, tasks, procs, seconds, makespan, edges, "
                "relaxations_per_routed_edge, forward_steps_per_hop\n";
 
-  svc::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
-  svc::Counter& edges_routed = obs::hot_counters().edges_routed;
-  svc::Counter& forward_steps = obs::hot_counters().forward_steps;
+  obs::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
+  obs::Counter& edges_routed = obs::hot_counters().edges_routed;
+  obs::Counter& forward_steps = obs::hot_counters().forward_steps;
   bool over_ceiling = false;
   std::vector<Cell> cells;
   for (const Point& point : points) {

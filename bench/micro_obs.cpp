@@ -49,7 +49,7 @@ void BM_SpanFull(benchmark::State& state) {
 BENCHMARK(BM_SpanFull);
 
 void BM_CounterIncrement(benchmark::State& state) {
-  edgesched::svc::Counter& counter =
+  edgesched::obs::Counter& counter =
       edgesched::obs::global_metrics().counter("bench_obs_counter_total");
   for (auto _ : state) {
     counter.increment();

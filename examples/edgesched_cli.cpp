@@ -64,7 +64,7 @@
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics_snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "sched/intra_run.hpp"

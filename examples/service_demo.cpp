@@ -31,7 +31,7 @@
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
 #include "obs/counters.hpp"
-#include "obs/metrics_snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/scheduler_service.hpp"
 #include "util/rng.hpp"
@@ -108,8 +108,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     snapshotter.emplace(service.metrics(), snapshots_out,
-                        obs::SnapshotterOptions{
-                            .interval = std::chrono::milliseconds(50)});
+                        std::chrono::milliseconds(50));
   }
 
   for (std::size_t round = 0; round < rounds; ++round) {

@@ -1,100 +1,6 @@
 #include "dag/transforms.hpp"
 
-#include <algorithm>
-
 namespace edgesched::dag {
-
-TaskGraph transpose(const TaskGraph& graph) {
-  TaskGraph reversed(graph.name().empty() ? "transposed"
-                                          : graph.name() + "_T");
-  for (TaskId t : graph.all_tasks()) {
-    (void)reversed.add_task(graph.weight(t), graph.task(t).name);
-  }
-  for (EdgeId e : graph.all_edges()) {
-    const Edge& edge = graph.edge(e);
-    reversed.add_edge(edge.dst, edge.src, edge.cost);
-  }
-  return reversed;
-}
-
-ChainMerge merge_linear_chains(const TaskGraph& graph) {
-  const std::size_t n = graph.num_tasks();
-  // A task t starts a chain segment unless it is the unique successor of
-  // a unique-successor parent. Walk chains from their heads.
-  std::vector<TaskId> head(n);
-  for (TaskId t : graph.all_tasks()) {
-    head[t.index()] = t;
-  }
-  // Union chains: t -> s is fusable iff out(t) == 1 and in(s) == 1.
-  for (TaskId t : graph.all_tasks()) {
-    if (graph.out_edges(t).size() == 1) {
-      const TaskId succ = graph.edge(graph.out_edges(t).front()).dst;
-      if (graph.in_edges(succ).size() == 1) {
-        // succ joins t's chain; path-compress later.
-        head[succ.index()] = t;
-      }
-    }
-  }
-  // Path compression: follow heads to the chain root.
-  const auto root_of = [&](TaskId t) {
-    TaskId at = t;
-    while (head[at.index()] != at) {
-      at = head[at.index()];
-    }
-    // Compress.
-    TaskId walk = t;
-    while (head[walk.index()] != at) {
-      const TaskId next = head[walk.index()];
-      head[walk.index()] = at;
-      walk = next;
-    }
-    return at;
-  };
-
-  ChainMerge result;
-  result.representative.assign(n, TaskId{});
-  // Fused tasks are created in topological order of the roots so the
-  // output ids stay topologically sorted.
-  std::vector<TaskId> fused_id(n);
-  for (TaskId t : graph.topological_order()) {
-    const TaskId root = root_of(t);
-    if (root == t) {
-      fused_id[t.index()] =
-          result.graph.add_task(graph.weight(t), graph.task(t).name);
-    } else {
-      const TaskId fused = fused_id[root.index()];
-      result.graph.set_weight(
-          fused, result.graph.weight(fused) + graph.weight(t));
-      fused_id[t.index()] = fused;
-    }
-    result.representative[t.index()] = fused_id[t.index()];
-  }
-  // Edges between different fused tasks survive; duplicates are merged by
-  // keeping the larger cost (both transfers must complete; under
-  // ready-moment shipping the heavier dominates the data-ready time).
-  for (EdgeId e : graph.all_edges()) {
-    const Edge& edge = graph.edge(e);
-    const TaskId src = result.representative[edge.src.index()];
-    const TaskId dst = result.representative[edge.dst.index()];
-    if (src == dst) {
-      continue;  // internal chain edge: fused away
-    }
-    bool merged = false;
-    for (EdgeId existing : result.graph.out_edges(src)) {
-      if (result.graph.edge(existing).dst == dst) {
-        result.graph.set_cost(
-            existing,
-            std::max(result.graph.cost(existing), edge.cost));
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      result.graph.add_edge(src, dst, edge.cost);
-    }
-  }
-  return result;
-}
 
 Subgraph induced_subgraph(const TaskGraph& graph,
                           const std::vector<TaskId>& tasks) {
@@ -114,49 +20,6 @@ Subgraph induced_subgraph(const TaskGraph& graph,
     const TaskId dst = result.new_id[edge.dst.index()];
     if (src.valid() && dst.valid()) {
       result.graph.add_edge(src, dst, edge.cost);
-    }
-  }
-  return result;
-}
-
-namespace {
-
-/// Copies `source` into `target`, returning the id offset.
-std::size_t append_graph(TaskGraph& target, const TaskGraph& source) {
-  const std::size_t offset = target.num_tasks();
-  for (TaskId t : source.all_tasks()) {
-    (void)target.add_task(source.weight(t), source.task(t).name);
-  }
-  for (EdgeId e : source.all_edges()) {
-    const Edge& edge = source.edge(e);
-    target.add_edge(TaskId(edge.src.index() + offset),
-                    TaskId(edge.dst.index() + offset), edge.cost);
-  }
-  return offset;
-}
-
-}  // namespace
-
-TaskGraph parallel_composition(const TaskGraph& first,
-                               const TaskGraph& second) {
-  TaskGraph result(first.name() + "+" + second.name());
-  append_graph(result, first);
-  append_graph(result, second);
-  return result;
-}
-
-TaskGraph sequential_composition(const TaskGraph& first,
-                                 const TaskGraph& second,
-                                 double stage_comm_cost) {
-  throw_if(first.empty() || second.empty(),
-           "sequential_composition: both stages must be non-empty");
-  TaskGraph result(first.name() + ";" + second.name());
-  append_graph(result, first);
-  const std::size_t offset = append_graph(result, second);
-  for (TaskId exit : first.exit_tasks()) {
-    for (TaskId entry : second.entry_tasks()) {
-      result.add_edge(exit, TaskId(entry.index() + offset),
-                      stage_comm_cost);
     }
   }
   return result;

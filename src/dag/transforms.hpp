@@ -1,14 +1,8 @@
 // Task-graph transformations.
 //
-// * `transpose` reverses every edge (producers become consumers) — useful
-//   for backward analyses and for turning out-trees into in-trees.
-// * `merge_linear_chains` is the classic linear-clustering pre-pass: a
-//   task with exactly one successor whose successor has exactly one
-//   predecessor always runs back-to-back on one processor in any sensible
-//   schedule, so the pair can be fused, dropping the internal
-//   communication entirely.
 // * `induced_subgraph` extracts the subgraph over a task subset (edges
-//   with both endpoints inside), preserving costs.
+//   with both endpoints inside), preserving costs. The executor's online
+//   replan schedules the unfinished remainder of a DAG through it.
 #pragma once
 
 #include <vector>
@@ -16,21 +10,6 @@
 #include "dag/task_graph.hpp"
 
 namespace edgesched::dag {
-
-/// The reversed DAG: same tasks, every edge flipped.
-[[nodiscard]] TaskGraph transpose(const TaskGraph& graph);
-
-/// Result of `merge_linear_chains`: the fused graph plus, for every
-/// original task, the id of the fused task that now contains it.
-struct ChainMerge {
-  TaskGraph graph;
-  std::vector<TaskId> representative;  ///< indexed by original task id
-};
-
-/// Fuses maximal linear chains (single-successor → single-predecessor
-/// runs) into one task each; the fused weight is the chain's total
-/// computation and internal edges disappear.
-[[nodiscard]] ChainMerge merge_linear_chains(const TaskGraph& graph);
 
 /// Result of `induced_subgraph`: the subgraph plus the mapping from
 /// original ids to subgraph ids (invalid id = not selected).
@@ -42,17 +21,5 @@ struct Subgraph {
 /// The subgraph induced by `tasks` (duplicates rejected).
 [[nodiscard]] Subgraph induced_subgraph(const TaskGraph& graph,
                                         const std::vector<TaskId>& tasks);
-
-/// Disjoint union: both graphs side by side (second graph's ids are
-/// offset by `first.num_tasks()`).
-[[nodiscard]] TaskGraph parallel_composition(const TaskGraph& first,
-                                             const TaskGraph& second);
-
-/// Sequential composition: `first` runs, then `second`; every exit of
-/// `first` feeds every entry of `second` with an edge of cost
-/// `stage_comm_cost`. The workflow-pipeline building block.
-[[nodiscard]] TaskGraph sequential_composition(const TaskGraph& first,
-                                               const TaskGraph& second,
-                                               double stage_comm_cost);
 
 }  // namespace edgesched::dag

@@ -27,7 +27,7 @@ void BenchReport::add_span_totals() {
 
 void BenchReport::add_counters() { add_counters(global_metrics()); }
 
-void BenchReport::add_counters(const svc::MetricsRegistry& registry) {
+void BenchReport::add_counters(const MetricsRegistry& registry) {
   JsonValue counters = JsonValue::object();
   for (const auto& [name, value] : registry.counter_values()) {
     counters.set(name, JsonValue(value));
@@ -35,11 +35,11 @@ void BenchReport::add_counters(const svc::MetricsRegistry& registry) {
   root_.set("counters", std::move(counters));
 
   JsonValue histograms = JsonValue::object();
-  for (const auto& [name, summary] : registry.histogram_values()) {
+  for (const auto& [name, data] : registry.histogram_data()) {
     histograms.set(name,
                    JsonValue::object()
-                       .set("count", JsonValue(summary.count))
-                       .set("sum_seconds", JsonValue(summary.sum)));
+                       .set("count", JsonValue(data.count))
+                       .set("sum_seconds", JsonValue(data.sum)));
   }
   root_.set("histograms", std::move(histograms));
 }

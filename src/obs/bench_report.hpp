@@ -15,7 +15,7 @@
 #include <string>
 
 #include "obs/json.hpp"
-#include "svc/metrics.hpp"
+#include "obs/metrics.hpp"
 
 namespace edgesched::obs {
 
@@ -41,7 +41,7 @@ class BenchReport {
   /// count/sum pairs into "histograms". Defaults to the global scheduler
   /// metrics.
   void add_counters();
-  void add_counters(const svc::MetricsRegistry& registry);
+  void add_counters(const MetricsRegistry& registry);
 
   /// `BENCH_<name>.json` inside $EDGESCHED_BENCH_DIR (or the CWD).
   [[nodiscard]] std::string default_path() const;

@@ -2,14 +2,14 @@
 
 namespace edgesched::obs {
 
-svc::MetricsRegistry& global_metrics() {
-  static svc::MetricsRegistry* registry = new svc::MetricsRegistry();
+MetricsRegistry& global_metrics() {
+  static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 
 HotCounters& hot_counters() {
   static HotCounters* counters = [] {
-    svc::MetricsRegistry& m = global_metrics();
+    MetricsRegistry& m = global_metrics();
     return new HotCounters{
         m.counter("sched_dijkstra_relaxations_total"),
         m.counter("sched_link_probes_total"),

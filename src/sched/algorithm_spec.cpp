@@ -71,7 +71,6 @@ std::uint64_t AlgorithmSpec::fingerprint() const noexcept {
   fp.mix(static_cast<std::uint64_t>(eager_communication));
   fp.mix(static_cast<std::uint64_t>(task_insertion));
   fp.mix(hop_delay);
-  fp.mix(static_cast<std::uint64_t>(refresh_edge_records));
   return fp.value();
 }
 
@@ -84,18 +83,6 @@ void AlgorithmSpec::validate() const {
     throw std::invalid_argument(
         "AlgorithmSpec: tentative-EFT selection requires first-fit "
         "insertion (the only commit with a clean rollback)");
-  }
-  if (insertion == InsertionPolicyKind::kOptimal && !refresh_edge_records) {
-    throw std::invalid_argument(
-        "AlgorithmSpec: optimal insertion requires refresh_edge_records "
-        "(deferral can move occupations booked by earlier edges)");
-  }
-  if (refresh_edge_records &&
-      (insertion == InsertionPolicyKind::kPacketized ||
-       insertion == InsertionPolicyKind::kFluidBandwidth)) {
-    throw std::invalid_argument(
-        "AlgorithmSpec: refresh_edge_records applies only to exclusive "
-        "circuit insertion (first-fit / optimal)");
   }
   // Written so NaN fails too: every comparison with NaN is false.
   if (insertion == InsertionPolicyKind::kPacketized &&
@@ -146,7 +133,6 @@ AlgorithmSpec oihsa_spec() {
   spec.edge_order = EdgeOrderPolicyKind::kByCostDescending;
   spec.routing = RoutingPolicyKind::kProbeDijkstra;
   spec.insertion = InsertionPolicyKind::kOptimal;
-  spec.refresh_edge_records = true;
   return spec;
 }
 

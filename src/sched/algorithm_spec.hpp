@@ -98,12 +98,6 @@ struct AlgorithmSpec {
   /// Per-station forwarding latency (§2.2 neglects it by default).
   double hop_delay = 0.0;
 
-  /// Exclusive circuit models only: after the run, rewrite every routed
-  /// edge's communication from the final link records. Required with
-  /// kOptimal (deferral may have moved occupations booked earlier); a
-  /// byte-identical no-op with kFirstFit.
-  bool refresh_edge_records = false;
-
   /// Structural 64-bit fingerprint over every field (including the
   /// name). The service layer keys its schedule cache on this, so two
   /// bundles sharing a display name but differing in any policy cache
@@ -111,9 +105,8 @@ struct AlgorithmSpec {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Throws std::invalid_argument for inconsistent bundles: tentative
-  /// selection without first-fit insertion, optimal insertion without
-  /// record refresh, a non-positive or non-finite packet size, a negative
-  /// or non-finite hop delay.
+  /// selection without first-fit insertion, a non-positive or non-finite
+  /// packet size, a negative or non-finite hop delay.
   void validate() const;
 
   /// One-line policy summary, e.g.

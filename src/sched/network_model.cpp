@@ -76,8 +76,12 @@ std::unique_ptr<NetworkStateModel> make_network_model(
   if (spec.insertion == InsertionPolicyKind::kFluidBandwidth) {
     return std::make_unique<BandwidthNetworkModel>(topology, spec.hop_delay);
   }
+  // Only optimal insertion's deferral moves occupations after their
+  // edge's communication was recorded; first-fit and packetized records
+  // are final when written.
   return std::make_unique<ExclusiveNetworkModel>(
-      topology, num_edges, spec.hop_delay, spec.refresh_edge_records);
+      topology, num_edges, spec.hop_delay,
+      spec.insertion == InsertionPolicyKind::kOptimal);
 }
 
 }  // namespace edgesched::sched

@@ -42,7 +42,7 @@ class NetworkStateModel {
     return nullptr;
   }
 
-  /// End-of-run hook. The exclusive model with `refresh_edge_records`
+  /// End-of-run hook. The exclusive model under optimal insertion
   /// rewrites every routed edge's communication from the final link
   /// records here (OIHSA: deferral may have moved occupations after the
   /// edge's communication was recorded).

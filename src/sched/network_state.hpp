@@ -56,10 +56,6 @@ class ExclusiveNetworkState {
       net::LinkId link) const {
     return domains_[topology_->domain(link).index()];
   }
-  [[nodiscard]] const timeline::LinkTimeline& domain_timeline(
-      net::DomainId domain) const {
-    return domains_[domain.index()];
-  }
 
   /// Basic-insertion probe of one link without committing — the modified
   /// routing algorithm's relaxation step (§4.3). Uses the precomputed

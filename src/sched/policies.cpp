@@ -342,10 +342,10 @@ class OptimalInsertion final : public InsertionPolicy {
     comm.arrival = require_exclusive(network).commit_edge_optimal(
         edge, route, ship_time, cost);
     comm.kind = EdgeCommunication::Kind::kExclusive;
-    // No comm.route/occupations here: optimal insertion only runs with
-    // refresh_edge_records (AlgorithmSpec::validate), and the end-of-run
-    // refresh rewrites every routed edge from the final link records —
-    // anything copied now would be dead work, possibly already stale.
+    // No comm.route/occupations here: under optimal insertion the
+    // exclusive model's end-of-run refresh (make_network_model) rewrites
+    // every routed edge from the final link records — anything copied
+    // now would be dead work, possibly already stale.
   }
 
   void append_hops(NetworkStateModel& network, dag::EdgeId edge,

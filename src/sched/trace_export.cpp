@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 namespace edgesched::sched {
@@ -107,14 +106,6 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
   out << "\n]}\n";
 }
 
-std::string to_chrome_trace(const dag::TaskGraph& graph,
-                            const net::Topology& topology,
-                            const Schedule& schedule) {
-  std::ostringstream os;
-  write_chrome_trace(os, graph, topology, schedule);
-  return os.str();
-}
-
 void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
                        const net::Topology& topology,
                        const Schedule& schedule,
@@ -174,15 +165,6 @@ void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
       out << '|' << row << "|\n";
     }
   }
-}
-
-std::string to_ascii_gantt(const dag::TaskGraph& graph,
-                           const net::Topology& topology,
-                           const Schedule& schedule,
-                           const GanttOptions& options) {
-  std::ostringstream os;
-  write_ascii_gantt(os, graph, topology, schedule, options);
-  return os.str();
 }
 
 }  // namespace edgesched::sched

@@ -24,9 +24,6 @@ namespace edgesched::sched {
 void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
                         const net::Topology& topology,
                         const Schedule& schedule);
-[[nodiscard]] std::string to_chrome_trace(const dag::TaskGraph& graph,
-                                          const net::Topology& topology,
-                                          const Schedule& schedule);
 
 struct GanttOptions {
   /// Character columns of the time axis.
@@ -41,9 +38,5 @@ void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
                        const net::Topology& topology,
                        const Schedule& schedule,
                        const GanttOptions& options = {});
-[[nodiscard]] std::string to_ascii_gantt(const dag::TaskGraph& graph,
-                                         const net::Topology& topology,
-                                         const Schedule& schedule,
-                                         const GanttOptions& options = {});
 
 }  // namespace edgesched::sched

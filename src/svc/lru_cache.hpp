@@ -27,7 +27,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "svc/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace edgesched::svc {
@@ -61,7 +61,8 @@ class LruCache {
   /// MetricsRegistry's `*_total` series): every subsequent hit, miss and
   /// eviction increments the corresponding counter once. Null pointers
   /// disable the respective mirror. The counters must outlive the cache.
-  void bind_counters(Counter* hits, Counter* misses, Counter* evictions) {
+  void bind_counters(obs::Counter* hits, obs::Counter* misses,
+                     obs::Counter* evictions) {
     const std::lock_guard<std::mutex> lock(mutex_);
     hits_counter_ = hits;
     misses_counter_ = misses;
@@ -136,9 +137,9 @@ class LruCache {
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, typename LruList::iterator> index_;
   CacheStats stats_;
-  Counter* hits_counter_ = nullptr;       ///< see bind_counters()
-  Counter* misses_counter_ = nullptr;
-  Counter* evictions_counter_ = nullptr;
+  obs::Counter* hits_counter_ = nullptr;  ///< see bind_counters()
+  obs::Counter* misses_counter_ = nullptr;
+  obs::Counter* evictions_counter_ = nullptr;
 };
 
 }  // namespace edgesched::svc

@@ -58,11 +58,11 @@
 #include "exec/executor.hpp"
 #include "exec/report.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sched/algorithm_spec.hpp"
 #include "sched/platform.hpp"
 #include "sched/scheduler.hpp"
 #include "svc/lru_cache.hpp"
-#include "svc/metrics.hpp"
 #include "svc/schedule_cache.hpp"
 #include "svc/thread_pool.hpp"
 
@@ -169,7 +169,7 @@ class SchedulerService {
   [[nodiscard]] const PlatformCache& platform_cache() const noexcept {
     return platform_cache_;
   }
-  [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] std::size_t num_threads() const noexcept {
     return pool_.num_threads();
   }
@@ -216,16 +216,16 @@ class SchedulerService {
 
   ServiceConfig config_;
   std::size_t effective_intra_threads_ = 1;  ///< see effective_intra_threads
-  MetricsRegistry metrics_;
+  obs::MetricsRegistry metrics_;
   ScheduleCache cache_;
   ExecutionCache exec_cache_;
   PlatformCache platform_cache_;
   ThreadPool pool_;
-  Counter& requests_;
-  Counter& failures_;
-  Histogram& latency_;
-  Counter& exec_requests_;
-  Histogram& exec_latency_;
+  obs::Counter& requests_;
+  obs::Counter& failures_;
+  obs::Histogram& latency_;
+  obs::Counter& exec_requests_;
+  obs::Histogram& exec_latency_;
   std::mutex scheduler_mutex_;
   std::unordered_map<std::string, std::shared_ptr<const sched::Scheduler>>
       schedulers_;  ///< keyed by canonical registry key; see scheduler_for

@@ -7,8 +7,8 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "svc/metrics.hpp"
 
 namespace edgesched::obs {
 namespace {
@@ -40,7 +40,7 @@ TEST(BenchReport, SettersAndSeriesRoundTripThroughJson) {
 }
 
 TEST(BenchReport, AddCountersSnapshotsARegistry) {
-  svc::MetricsRegistry registry;
+  MetricsRegistry registry;
   registry.counter("alpha_total").increment(3);
   registry.histogram("latency_seconds").observe(0.5);
   registry.histogram("latency_seconds").observe(1.5);
@@ -86,7 +86,7 @@ TEST(BenchReport, DefaultPathHonoursBenchDir) {
 
 // The registry backing the hot-path counters and the --metrics dump.
 TEST(MetricsRegistryDump, TextDumpIsSortedAcrossMetricKinds) {
-  svc::MetricsRegistry registry;
+  MetricsRegistry registry;
   // Registered deliberately out of name order, mixing kinds.
   registry.counter("zeta_total").increment();
   registry.histogram("mid_seconds").observe(1e-4);
@@ -104,9 +104,9 @@ TEST(MetricsRegistryDump, TextDumpIsSortedAcrossMetricKinds) {
 }
 
 TEST(MetricsRegistryDump, ResetForTestZeroesWithoutInvalidating) {
-  svc::MetricsRegistry registry;
-  svc::Counter& counter = registry.counter("reused_total");
-  svc::Histogram& histogram = registry.histogram("reused_seconds");
+  MetricsRegistry registry;
+  Counter& counter = registry.counter("reused_total");
+  Histogram& histogram = registry.histogram("reused_seconds");
   counter.increment(7);
   histogram.observe(0.25);
 

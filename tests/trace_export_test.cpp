@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
@@ -11,6 +13,22 @@
 
 namespace edgesched::sched {
 namespace {
+
+std::string chrome_trace_of(const dag::TaskGraph& graph,
+                            const net::Topology& topology,
+                            const Schedule& schedule) {
+  std::ostringstream os;
+  write_chrome_trace(os, graph, topology, schedule);
+  return os.str();
+}
+
+std::string gantt_of(const dag::TaskGraph& graph,
+                     const net::Topology& topology, const Schedule& schedule,
+                     const GanttOptions& options = {}) {
+  std::ostringstream os;
+  write_ascii_gantt(os, graph, topology, schedule, options);
+  return os.str();
+}
 
 struct Fixture {
   dag::TaskGraph graph = dag::fork(2, 20.0, 6.0);
@@ -27,7 +45,7 @@ struct Fixture {
 
 TEST(ChromeTrace, IsWellFormedJson) {
   const Fixture f;
-  const std::string json = to_chrome_trace(f.graph, f.topo, f.schedule);
+  const std::string json = chrome_trace_of(f.graph, f.topo, f.schedule);
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Balanced braces and brackets (crude but effective well-formedness).
@@ -39,7 +57,7 @@ TEST(ChromeTrace, IsWellFormedJson) {
 
 TEST(ChromeTrace, ContainsEveryTask) {
   const Fixture f;
-  const std::string json = to_chrome_trace(f.graph, f.topo, f.schedule);
+  const std::string json = chrome_trace_of(f.graph, f.topo, f.schedule);
   for (dag::TaskId t : f.graph.all_tasks()) {
     EXPECT_NE(json.find("\"" + f.graph.task(t).name + "\""),
               std::string::npos)
@@ -56,7 +74,7 @@ TEST(ChromeTrace, ContainsLinkRowsForRemoteEdges) {
                      EdgeCommunication::Kind::kExclusive;
   }
   ASSERT_TRUE(any_remote);
-  const std::string json = to_chrome_trace(f.graph, f.topo, f.schedule);
+  const std::string json = chrome_trace_of(f.graph, f.topo, f.schedule);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("->"), std::string::npos);
 }
@@ -68,14 +86,13 @@ TEST(ChromeTrace, EscapesNames) {
   const net::Topology topo =
       net::switched_star(1, net::SpeedConfig{}, rng);
   const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
-  const std::string json = to_chrome_trace(graph, topo, s);
+  const std::string json = chrome_trace_of(graph, topo, s);
   EXPECT_NE(json.find("we\\\"ird"), std::string::npos);
 }
 
 TEST(AsciiGantt, PaintsTasksAndLinks) {
   const Fixture f;
-  const std::string gantt =
-      to_ascii_gantt(f.graph, f.topo, f.schedule);
+  const std::string gantt = gantt_of(f.graph, f.topo, f.schedule);
   EXPECT_NE(gantt.find("makespan="), std::string::npos);
   EXPECT_NE(gantt.find('#'), std::string::npos);  // task execution
   EXPECT_NE(gantt.find('='), std::string::npos);  // link occupation
@@ -89,8 +106,7 @@ TEST(AsciiGantt, LinksCanBeSuppressed) {
   const Fixture f;
   GanttOptions options;
   options.include_links = false;
-  const std::string gantt =
-      to_ascii_gantt(f.graph, f.topo, f.schedule, options);
+  const std::string gantt = gantt_of(f.graph, f.topo, f.schedule, options);
   // The header line contains "makespan=..."; no '=' may appear after it.
   EXPECT_EQ(gantt.find('=', gantt.find('\n')), std::string::npos);
 }
@@ -100,7 +116,7 @@ TEST(AsciiGantt, WorksForBandwidthSchedules) {
   const Schedule bbsa =
       SpecScheduler(bbsa_spec()).schedule(f.graph, f.topo);
   validate_or_throw(f.graph, f.topo, bbsa);
-  const std::string gantt = to_ascii_gantt(f.graph, f.topo, bbsa);
+  const std::string gantt = gantt_of(f.graph, f.topo, bbsa);
   EXPECT_NE(gantt.find("BBSA"), std::string::npos);
 }
 
@@ -110,7 +126,7 @@ TEST(AsciiGantt, EmptyScheduleDoesNotCrash) {
   const net::Topology topo =
       net::switched_star(1, net::SpeedConfig{}, rng);
   const Schedule s("X", 0, 0);
-  const std::string gantt = to_ascii_gantt(graph, topo, s);
+  const std::string gantt = gantt_of(graph, topo, s);
   EXPECT_NE(gantt.find("makespan=0"), std::string::npos);
 }
 

@@ -3,114 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "dag/generators.hpp"
-#include "dag/properties.hpp"
 
 namespace edgesched::dag {
 namespace {
-
-TEST(Transpose, ReversesEveryEdge) {
-  const TaskGraph g = fork(3, 2.0, 5.0);
-  const TaskGraph t = transpose(g);
-  ASSERT_EQ(t.num_tasks(), g.num_tasks());
-  ASSERT_EQ(t.num_edges(), g.num_edges());
-  for (EdgeId e : g.all_edges()) {
-    const Edge& original = g.edge(e);
-    bool found = false;
-    for (EdgeId te : t.out_edges(original.dst)) {
-      found = found || t.edge(te).dst == original.src;
-    }
-    EXPECT_TRUE(found);
-  }
-  // fork becomes join.
-  EXPECT_EQ(t.entry_tasks().size(), 3u);
-  EXPECT_EQ(t.exit_tasks().size(), 1u);
-}
-
-TEST(Transpose, DoubleTransposeIsIdentity) {
-  Rng rng(3);
-  LayeredDagParams params;
-  params.num_tasks = 30;
-  const TaskGraph g = random_layered(params, rng);
-  const TaskGraph tt = transpose(transpose(g));
-  ASSERT_EQ(tt.num_edges(), g.num_edges());
-  for (TaskId t : g.all_tasks()) {
-    EXPECT_EQ(tt.successors(t).size(), g.successors(t).size());
-  }
-  EXPECT_DOUBLE_EQ(critical_path_length(tt), critical_path_length(g));
-}
-
-TEST(MergeChains, FusesAPureChainToOneTask) {
-  const TaskGraph g = chain(5, 2.0, 3.0);
-  const ChainMerge merged = merge_linear_chains(g);
-  EXPECT_EQ(merged.graph.num_tasks(), 1u);
-  EXPECT_EQ(merged.graph.num_edges(), 0u);
-  EXPECT_DOUBLE_EQ(merged.graph.weight(TaskId(0u)), 10.0);
-  for (TaskId t : g.all_tasks()) {
-    EXPECT_EQ(merged.representative[t.index()], TaskId(0u));
-  }
-}
-
-TEST(MergeChains, ForkJoinKeepsParallelism) {
-  // source -> {m1..m3} -> sink: no fusable pair (source has 3 succs,
-  // sink 3 preds, middles have multi-degree neighbours)... except each
-  // middle has in=1/out=1 but its neighbours disqualify nothing — the
-  // rule is out(t)==1 && in(succ)==1, so source->middle is not fusable
-  // (out(source)=3) and middle->sink is not (in(sink)=3).
-  const TaskGraph g = fork_join(3, 2.0, 3.0);
-  const ChainMerge merged = merge_linear_chains(g);
-  EXPECT_EQ(merged.graph.num_tasks(), g.num_tasks());
-  EXPECT_EQ(merged.graph.num_edges(), g.num_edges());
-}
-
-TEST(MergeChains, MixedGraph) {
-  // a -> b -> c (chain) and a -> c (shortcut): b has in 1/out 1, but
-  // fusing a->b is blocked by out(a)=2; b->c is blocked by in(c)=2.
-  TaskGraph g;
-  const TaskId a = g.add_task(1.0);
-  const TaskId b = g.add_task(2.0);
-  const TaskId c = g.add_task(3.0);
-  g.add_edge(a, b, 1.0);
-  g.add_edge(b, c, 2.0);
-  g.add_edge(a, c, 7.0);
-  const ChainMerge merged = merge_linear_chains(g);
-  EXPECT_EQ(merged.graph.num_tasks(), 3u);
-  EXPECT_EQ(merged.graph.num_edges(), 3u);
-}
-
-TEST(MergeChains, TailChainFusesIntoJoin) {
-  // {p1, p2} -> j -> t1 -> t2: j..t2 is a fusable chain.
-  TaskGraph g;
-  const TaskId p1 = g.add_task(1.0);
-  const TaskId p2 = g.add_task(1.0);
-  const TaskId j = g.add_task(2.0);
-  const TaskId t1 = g.add_task(3.0);
-  const TaskId t2 = g.add_task(4.0);
-  g.add_edge(p1, j, 1.0);
-  g.add_edge(p2, j, 1.0);
-  g.add_edge(j, t1, 9.0);
-  g.add_edge(t1, t2, 9.0);
-  const ChainMerge merged = merge_linear_chains(g);
-  EXPECT_EQ(merged.graph.num_tasks(), 3u);  // p1, p2, fused(j,t1,t2)
-  EXPECT_EQ(merged.graph.num_edges(), 2u);
-  const TaskId fused = merged.representative[j.index()];
-  EXPECT_EQ(merged.representative[t1.index()], fused);
-  EXPECT_EQ(merged.representative[t2.index()], fused);
-  EXPECT_DOUBLE_EQ(merged.graph.weight(fused), 9.0);
-}
-
-TEST(MergeChains, PreservesAcyclicityOnRandomGraphs) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    LayeredDagParams params;
-    params.num_tasks = 60;
-    const TaskGraph g = random_layered(params, rng);
-    const ChainMerge merged = merge_linear_chains(g);
-    EXPECT_TRUE(merged.graph.is_acyclic());
-    EXPECT_LE(merged.graph.num_tasks(), g.num_tasks());
-    EXPECT_NEAR(merged.graph.total_computation(),
-                g.total_computation(), 1e-9);
-  }
-}
 
 TEST(InducedSubgraph, ExtractsClosedSubsets) {
   const TaskGraph g = fork_join(3, 2.0, 3.0);
@@ -121,52 +16,6 @@ TEST(InducedSubgraph, ExtractsClosedSubsets) {
   EXPECT_EQ(sub.graph.num_edges(), 2u);  // source->m1, source->m2
   EXPECT_FALSE(sub.new_id[1].valid());   // the sink was not selected
   EXPECT_TRUE(sub.new_id[0].valid());
-}
-
-TEST(Composition, ParallelIsDisjointUnion) {
-  const TaskGraph g = parallel_composition(chain(3, 1.0, 1.0),
-                                           fork(2, 2.0, 2.0));
-  EXPECT_EQ(g.num_tasks(), 6u);
-  EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_EQ(g.entry_tasks().size(), 2u);
-  EXPECT_DOUBLE_EQ(g.total_computation(), 3.0 + 6.0);
-  EXPECT_TRUE(g.is_acyclic());
-}
-
-TEST(Composition, SequentialBridgesExitsToEntries) {
-  // fork(2): 1 entry, 2 exits; join(2): 2 entries, 1 exit.
-  const TaskGraph g =
-      sequential_composition(fork(2, 1.0, 1.0), join(2, 1.0, 1.0), 7.0);
-  EXPECT_EQ(g.num_tasks(), 6u);
-  // fork has 2 edges, join has 2, bridge = 2 exits x 2 entries = 4.
-  EXPECT_EQ(g.num_edges(), 8u);
-  EXPECT_EQ(g.entry_tasks().size(), 1u);
-  EXPECT_EQ(g.exit_tasks().size(), 1u);
-  EXPECT_TRUE(g.is_acyclic());
-  // Bridge edges carry the stage cost.
-  std::size_t bridges = 0;
-  for (EdgeId e : g.all_edges()) {
-    if (g.cost(e) == 7.0) {
-      ++bridges;
-    }
-  }
-  EXPECT_EQ(bridges, 4u);
-}
-
-TEST(Composition, PipelineOfStagesSchedulesEndToEnd) {
-  TaskGraph pipeline = chain(2, 2.0, 1.0);
-  pipeline = sequential_composition(pipeline, fork_join(3, 1.0, 2.0), 4.0);
-  pipeline = sequential_composition(pipeline, chain(2, 2.0, 1.0), 4.0);
-  EXPECT_TRUE(pipeline.is_acyclic());
-  EXPECT_EQ(pipeline.entry_tasks().size(), 1u);
-  EXPECT_EQ(pipeline.exit_tasks().size(), 1u);
-  EXPECT_EQ(pipeline.num_tasks(), 2u + 5u + 2u);
-}
-
-TEST(Composition, SequentialRejectsEmptyStages) {
-  EXPECT_THROW(
-      (void)sequential_composition(TaskGraph{}, chain(2), 1.0),
-      std::invalid_argument);
 }
 
 TEST(InducedSubgraph, RejectsDuplicates) {
