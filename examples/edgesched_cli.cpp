@@ -48,6 +48,8 @@
 //                 --output metrics
 //   edgesched_cli run --graph wf.txt --wan 16 --algorithm oihsa
 //                 --jitter 0.2 --fault-rate 0.001 --recovery reschedule
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -149,6 +151,31 @@ struct Args {
   std::exit(error.empty() ? 0 : 2);
 }
 
+/// Parses the value of an unsigned flag: decimal digits only (no sign,
+/// no surrounding characters) and in range, else a usage error.
+template <typename Unsigned>
+Unsigned parse_unsigned(const std::string& flag, const std::string& text) {
+  Unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    usage(flag + ": expected an unsigned integer, got '" + text + "'");
+  }
+  return value;
+}
+
+/// Parses the value of a real-valued flag: the whole text must be one
+/// finite, in-range number, else a usage error.
+double parse_finite(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value)) {
+    usage(flag + ": expected a finite number, got '" + text + "'");
+  }
+  return value;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   const auto next = [&](int& i) -> std::string {
@@ -173,40 +200,45 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--wan" || flag == "--star" || flag == "--ring" ||
                flag == "--fully-connected") {
       args.builder = flag.substr(2);
-      args.builder_size =
-          static_cast<std::size_t>(std::stoul(next(i)));
+      args.builder_size = parse_unsigned<std::size_t>(flag, next(i));
     } else if (flag == "--heterogeneous") {
       args.heterogeneous = true;
     } else if (flag == "--seed") {
-      args.seed = std::stoull(next(i));
+      args.seed = parse_unsigned<std::uint64_t>(flag, next(i));
     } else if (flag == "--algorithm") {
       args.algorithm = next(i);
     } else if (flag == "--list-algorithms") {
       std::cout << sched::algorithm_list();
       std::exit(0);
     } else if (flag == "--ccr") {
-      args.ccr = std::stod(next(i));
+      args.ccr = parse_finite(flag, next(i));
+      if (args.ccr <= 0.0) {
+        usage("--ccr: must be > 0");
+      }
     } else if (flag == "--output") {
       args.output = next(i);
     } else if (flag == "--intra-threads") {
       // Process-global: GA/SA runs, direct or as recovery replans,
       // evaluate across this many workers.
       sched::set_intra_run_threads(
-          static_cast<std::size_t>(std::stoul(next(i))));
+          parse_unsigned<std::size_t>(flag, next(i)));
     } else if (args.run && flag == "--jitter") {
-      args.jitter = std::stod(next(i));
+      args.jitter = parse_finite(flag, next(i));
     } else if (args.run && flag == "--bw-jitter") {
-      args.bw_jitter = std::stod(next(i));
+      args.bw_jitter = parse_finite(flag, next(i));
     } else if (args.run && flag == "--exec-seed") {
-      args.exec_seed = std::stoull(next(i));
+      args.exec_seed = parse_unsigned<std::uint64_t>(flag, next(i));
     } else if (args.run && flag == "--fault-rate") {
-      args.fault_rate = std::stod(next(i));
+      args.fault_rate = parse_finite(flag, next(i));
     } else if (args.run && flag == "--link-fault-rate") {
-      args.link_fault_rate = std::stod(next(i));
+      args.link_fault_rate = parse_finite(flag, next(i));
     } else if (args.run && flag == "--fault-permanent") {
-      args.fault_permanent = std::stod(next(i));
+      args.fault_permanent = parse_finite(flag, next(i));
+      if (args.fault_permanent < 0.0 || args.fault_permanent > 1.0) {
+        usage("--fault-permanent: must be in [0, 1]");
+      }
     } else if (args.run && flag == "--fault-seed") {
-      args.fault_seed = std::stoull(next(i));
+      args.fault_seed = parse_unsigned<std::uint64_t>(flag, next(i));
     } else if (args.run && flag == "--recovery") {
       args.recovery = next(i);
     } else if (args.run && flag == "--recovery-algorithm") {

@@ -21,12 +21,6 @@ void write_dot(std::ostream& out, const TaskGraph& graph) {
   out << "}\n";
 }
 
-std::string to_dot(const TaskGraph& graph) {
-  std::ostringstream os;
-  write_dot(os, graph);
-  return os.str();
-}
-
 void write_text(std::ostream& out, const TaskGraph& graph) {
   out << "graph " << (graph.name().empty() ? "dag" : graph.name()) << "\n";
   for (TaskId t : graph.all_tasks()) {
@@ -38,12 +32,6 @@ void write_text(std::ostream& out, const TaskGraph& graph) {
     out << "edge " << edge.src.value() << ' ' << edge.dst.value() << ' '
         << edge.cost << "\n";
   }
-}
-
-std::string to_text(const TaskGraph& graph) {
-  std::ostringstream os;
-  write_text(os, graph);
-  return os.str();
 }
 
 TaskGraph read_text(std::istream& in) {
@@ -89,11 +77,6 @@ TaskGraph read_text(std::istream& in) {
   return graph;
 }
 
-TaskGraph from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
-}
-
 TaskGraph read_stg(std::istream& in, double default_comm_cost) {
   throw_if(!(std::isfinite(default_comm_cost) && default_comm_cost >= 0.0),
            "read_stg: negative default communication cost");
@@ -131,11 +114,6 @@ TaskGraph read_stg(std::istream& in, double default_comm_cost) {
   }
   graph.validate();
   return graph;
-}
-
-TaskGraph from_stg(const std::string& text, double default_comm_cost) {
-  std::istringstream is(text);
-  return read_stg(is, default_comm_cost);
 }
 
 void write_stg(std::ostream& out, const TaskGraph& graph) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "dag/task_graph.hpp"
 
@@ -18,16 +17,13 @@ namespace edgesched::dag {
 /// Writes the graph in GraphViz DOT format (node labels carry weights,
 /// edge labels costs).
 void write_dot(std::ostream& out, const TaskGraph& graph);
-[[nodiscard]] std::string to_dot(const TaskGraph& graph);
 
 /// Writes the graph in the edgesched text format.
 void write_text(std::ostream& out, const TaskGraph& graph);
-[[nodiscard]] std::string to_text(const TaskGraph& graph);
 
 /// Parses a graph from the edgesched text format. Throws
 /// std::invalid_argument on malformed input.
 [[nodiscard]] TaskGraph read_text(std::istream& in);
-[[nodiscard]] TaskGraph from_text(const std::string& text);
 
 /// Standard Task Graph (STG, Kasahara Lab) format support. The format is
 ///
@@ -41,8 +37,6 @@ void write_text(std::ostream& out, const TaskGraph& graph);
 /// `default_comm_cost`. Dummy entry/exit nodes are preserved (zero
 /// weight), so task ids match the file.
 [[nodiscard]] TaskGraph read_stg(std::istream& in,
-                                 double default_comm_cost = 1.0);
-[[nodiscard]] TaskGraph from_stg(const std::string& text,
                                  double default_comm_cost = 1.0);
 
 /// Writes the graph in STG form (communication costs are dropped; the

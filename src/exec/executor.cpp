@@ -81,7 +81,6 @@ std::uint64_t ExecutionOptions::fingerprint() const noexcept {
   fp.mix(retry_backoff);
   fp.mix(static_cast<std::uint64_t>(max_reschedules));
   fp.mix(reschedule_delay);
-  fp.mix(static_cast<std::uint64_t>(validate_recovery));
   return fp.value();
 }
 
@@ -1235,9 +1234,7 @@ ExecutionReport execute(const dag::TaskGraph& graph,
           std::make_unique<sched::PlatformContext>(rp->surv.topology);
       rp->plan = std::make_unique<sched::Schedule>(
           scheduler->schedule(rp->sub.graph, *rp->platform));
-      if (options.validate_recovery) {
-        sched::validate_or_throw(rp->sub.graph, rp->surv.topology, *rp->plan);
-      }
+      sched::validate_or_throw(rp->sub.graph, rp->surv.topology, *rp->plan);
     } catch (const std::exception& error) {
       report.completed = false;
       report.failure = std::string("recovery replan failed: ") + error.what();

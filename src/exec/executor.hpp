@@ -81,9 +81,6 @@ struct ExecutionOptions {
   std::uint32_t max_reschedules = 8;
   /// Virtual replanning latency added before the new plan starts.
   double reschedule_delay = 0.0;
-  /// Run every recovery sub-schedule through sched::validate_or_throw
-  /// (violations abort the execution with the validator's message).
-  bool validate_recovery = true;
 
   /// Structural hash for execution-request content addressing
   /// (svc::SchedulerService's execution cache).

@@ -95,34 +95,6 @@ FaultPlan FaultPlan::sampled(const net::Topology& topology,
   return plan;
 }
 
-void FaultPlan::add(const FaultEvent& event) {
-  check_event(event);
-  events_.push_back(event);
-  sort_events();
-}
-
-void FaultPlan::fail_processor(double time, net::NodeId processor,
-                               bool permanent, double repair) {
-  FaultEvent event;
-  event.time = time;
-  event.kind = FaultKind::kProcessor;
-  event.target = static_cast<std::uint32_t>(processor.value());
-  event.permanent = permanent;
-  event.repair = repair;
-  add(event);
-}
-
-void FaultPlan::fail_link(double time, net::LinkId link, bool permanent,
-                          double repair) {
-  FaultEvent event;
-  event.time = time;
-  event.kind = FaultKind::kLink;
-  event.target = static_cast<std::uint32_t>(link.value());
-  event.permanent = permanent;
-  event.repair = repair;
-  add(event);
-}
-
 void FaultPlan::validate(const net::Topology& topology) const {
   for (const FaultEvent& event : events_) {
     if (event.kind == FaultKind::kProcessor) {

@@ -49,22 +49,15 @@ class FaultPlan {
  public:
   FaultPlan() = default;
 
-  /// Explicit script; events may be given in any order.
+  /// Explicit script; events may be given in any order. Checks every
+  /// event (finite time >= 0, finite repair >= 0) and sorts once; throws
+  /// std::invalid_argument on a malformed event.
   [[nodiscard]] static FaultPlan scripted(std::vector<FaultEvent> events);
 
   /// Samples a plan from per-resource hazard rates (deterministic in the
   /// config seed; resources are visited in id order).
   [[nodiscard]] static FaultPlan sampled(const net::Topology& topology,
                                          const HazardConfig& config);
-
-  /// Appends one event (any order; `events()` sorts).
-  void add(const FaultEvent& event);
-
-  /// Convenience script builders.
-  void fail_processor(double time, net::NodeId processor,
-                      bool permanent = true, double repair = 0.0);
-  void fail_link(double time, net::LinkId link, bool permanent = true,
-                 double repair = 0.0);
 
   /// All events sorted by (time, kind, target) — the executor's stable
   /// injection order.

@@ -34,12 +34,6 @@ struct RuntimeModel {
   double straggler_factor = 4.0;
   std::uint64_t seed = 1;
 
-  /// True when every factor is exactly 1.0 (nominal replay).
-  [[nodiscard]] bool nominal() const noexcept {
-    return duration_spread == 0.0 && bandwidth_spread == 0.0 &&
-           straggler_probability == 0.0;
-  }
-
   /// Throws std::invalid_argument on out-of-range parameters.
   void validate() const;
 

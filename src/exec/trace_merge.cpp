@@ -162,13 +162,4 @@ void write_merged_trace(std::ostream& os, const dag::TaskGraph& graph,
   w.finish();
 }
 
-std::string to_merged_trace(const dag::TaskGraph& graph,
-                            const net::Topology& topology,
-                            const sched::Schedule& schedule,
-                            const ExecutionReport& report) {
-  std::ostringstream os;
-  write_merged_trace(os, graph, topology, schedule, report);
-  return os.str();
-}
-
 }  // namespace edgesched::exec

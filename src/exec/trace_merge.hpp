@@ -24,7 +24,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "dag/task_graph.hpp"
 #include "exec/report.hpp"
@@ -38,11 +37,5 @@ void write_merged_trace(std::ostream& os, const dag::TaskGraph& graph,
                         const net::Topology& topology,
                         const sched::Schedule& schedule,
                         const ExecutionReport& report);
-
-/// `write_merged_trace` into a string.
-[[nodiscard]] std::string to_merged_trace(const dag::TaskGraph& graph,
-                                          const net::Topology& topology,
-                                          const sched::Schedule& schedule,
-                                          const ExecutionReport& report);
 
 }  // namespace edgesched::exec

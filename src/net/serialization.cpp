@@ -29,12 +29,6 @@ void write_dot(std::ostream& out, const Topology& topology) {
   out << "}\n";
 }
 
-std::string to_dot(const Topology& topology) {
-  std::ostringstream os;
-  write_dot(os, topology);
-  return os.str();
-}
-
 void write_text(std::ostream& out, const Topology& topology) {
   out << "network "
       << (topology.name().empty() ? "network" : topology.name()) << "\n";
@@ -52,12 +46,6 @@ void write_text(std::ostream& out, const Topology& topology) {
     out << "link " << link.src.value() << ' ' << link.dst.value() << ' '
         << link.speed << ' ' << link.domain.value() << "\n";
   }
-}
-
-std::string to_text(const Topology& topology) {
-  std::ostringstream os;
-  write_text(os, topology);
-  return os.str();
 }
 
 Topology read_text(std::istream& in) {
@@ -166,11 +154,6 @@ Topology read_text(std::istream& in) {
     topology.add_link(pl.src, pl.dst, pl.speed);
   }
   return topology;
-}
-
-Topology from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
 }
 
 }  // namespace edgesched::net

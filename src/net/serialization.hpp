@@ -11,19 +11,15 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "net/topology.hpp"
 
 namespace edgesched::net {
 
 void write_dot(std::ostream& out, const Topology& topology);
-[[nodiscard]] std::string to_dot(const Topology& topology);
 
 void write_text(std::ostream& out, const Topology& topology);
-[[nodiscard]] std::string to_text(const Topology& topology);
 
 [[nodiscard]] Topology read_text(std::istream& in);
-[[nodiscard]] Topology from_text(const std::string& text);
 
 }  // namespace edgesched::net

@@ -91,106 +91,38 @@ JsonValue to_json(const InsertionDecision& d) {
   return set_run(value, d.run);
 }
 
+/// One JSONL line for `decision`, stamped with the thread's current run
+/// ID when the caller left `run` at 0.
+template <typename Decision>
+std::string stamped_line(Decision& decision) {
+  if (decision.run == 0) {
+    decision.run = current_run_id();
+  }
+  return to_json(decision).dump();
+}
+
 }  // namespace
 
 void DecisionLog::record(TaskDecision decision) {
-  if (decision.run == 0) {
-    decision.run = current_run_id();
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (sink_ != nullptr) {
-    *sink_ << to_json(decision).dump() << '\n';
-    return;
-  }
-  order_.emplace_back(Kind::kTask, tasks_.size());
-  tasks_.push_back(std::move(decision));
+  write_line(stamped_line(decision));
 }
 
 void DecisionLog::record(EdgeDecision decision) {
-  if (decision.run == 0) {
-    decision.run = current_run_id();
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (sink_ != nullptr) {
-    *sink_ << to_json(decision).dump() << '\n';
-    return;
-  }
-  order_.emplace_back(Kind::kEdge, edges_.size());
-  edges_.push_back(std::move(decision));
+  write_line(stamped_line(decision));
 }
 
 void DecisionLog::record(InsertionDecision decision) {
-  if (decision.run == 0) {
-    decision.run = current_run_id();
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (sink_ != nullptr) {
-    *sink_ << to_json(decision).dump() << '\n';
-    return;
-  }
-  order_.emplace_back(Kind::kInsertion, insertions_.size());
-  insertions_.push_back(decision);
+  write_line(stamped_line(decision));
 }
 
 void DecisionLog::record(RecoveryDecision decision) {
-  if (decision.run == 0) {
-    decision.run = current_run_id();
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (sink_ != nullptr) {
-    *sink_ << to_json(decision).dump() << '\n';
-    return;
-  }
-  order_.emplace_back(Kind::kRecovery, recoveries_.size());
-  recoveries_.push_back(std::move(decision));
+  write_line(stamped_line(decision));
 }
 
-std::vector<TaskDecision> DecisionLog::task_decisions() const {
+void DecisionLog::write_line(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_;
+  sink_ << line << '\n';
 }
-
-std::vector<EdgeDecision> DecisionLog::edge_decisions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return edges_;
-}
-
-std::vector<InsertionDecision> DecisionLog::insertion_decisions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return insertions_;
-}
-
-std::vector<RecoveryDecision> DecisionLog::recovery_decisions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recoveries_;
-}
-
-std::size_t DecisionLog::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return order_.size();
-}
-
-void DecisionLog::write_jsonl(std::ostream& os) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [kind, index] : order_) {
-    switch (kind) {
-      case Kind::kTask:
-        os << to_json(tasks_[index]).dump() << '\n';
-        break;
-      case Kind::kEdge:
-        os << to_json(edges_[index]).dump() << '\n';
-        break;
-      case Kind::kInsertion:
-        os << to_json(insertions_[index]).dump() << '\n';
-        break;
-      case Kind::kRecovery:
-        os << to_json(recoveries_[index]).dump() << '\n';
-        break;
-    }
-  }
-}
-
-DecisionLog* DecisionLog::active() noexcept { return active_decision_log(); }
 
 ScopedDecisionLog::ScopedDecisionLog(DecisionLog& log)
     : previous_(detail::g_active_decision_log.exchange(

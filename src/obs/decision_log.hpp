@@ -3,9 +3,9 @@
 // The paper's contributions are decisions: which processor minimised the
 // §4.1 estimate, which route the finish-time-keyed Dijkstra picked, and
 // whether optimal insertion placed an edge first-fit or by deferring
-// booked slots (Lemma 2). The schedulers record those decisions here so
-// that tests can assert *why* a schedule looks the way it does and the
-// CLI can dump a JSONL audit of a run.
+// booked slots (Lemma 2). The schedulers record those decisions here and
+// the log streams them as JSONL to its sink, so the CLI can dump an audit
+// of a run and tests can assert *why* a schedule looks the way it does.
 //
 // Activation mirrors the tracer: a process-global `active` pointer, set
 // by `ScopedDecisionLog` (RAII, restores the previous log). When no log
@@ -15,8 +15,8 @@
 //
 // Thread model: `record` is mutex-serialised, so one log may absorb a
 // parallel sweep (ordering across concurrent instances is then arrival
-// order). With a sink stream attached the log streams each line instead
-// of storing it — constant memory for arbitrarily long runs.
+// order). Each record is written to the sink at once and never stored —
+// constant memory for arbitrarily long runs.
 //
 // Run correlation: `record` stamps each decision with the thread's
 // current run ID (obs/run_context) when the caller left `run` at 0, and
@@ -116,10 +116,8 @@ struct InsertionDecision {
 
 class DecisionLog {
  public:
-  DecisionLog() = default;
-  /// Streaming mode: every record is serialised to `sink` immediately and
-  /// not stored (the accessors then stay empty).
-  explicit DecisionLog(std::ostream& sink) : sink_(&sink) {}
+  /// Every record is serialised to `sink` as one JSON line immediately.
+  explicit DecisionLog(std::ostream& sink) : sink_(sink) {}
 
   DecisionLog(const DecisionLog&) = delete;
   DecisionLog& operator=(const DecisionLog&) = delete;
@@ -129,33 +127,11 @@ class DecisionLog {
   void record(InsertionDecision decision);
   void record(RecoveryDecision decision);
 
-  /// Snapshot accessors (copies; safe while workers still record).
-  [[nodiscard]] std::vector<TaskDecision> task_decisions() const;
-  [[nodiscard]] std::vector<EdgeDecision> edge_decisions() const;
-  [[nodiscard]] std::vector<InsertionDecision> insertion_decisions() const;
-  [[nodiscard]] std::vector<RecoveryDecision> recovery_decisions() const;
-  /// Total records across all three kinds.
-  [[nodiscard]] std::size_t size() const;
-
-  /// Writes every stored record, one JSON object per line, in recording
-  /// order (no-op in streaming mode — the sink already has them).
-  void write_jsonl(std::ostream& os) const;
-
-  /// The log schedulers currently record into; nullptr when none.
-  [[nodiscard]] static DecisionLog* active() noexcept;
-
  private:
-  enum class Kind : std::uint8_t { kTask, kEdge, kInsertion, kRecovery };
+  void write_line(const std::string& line);
 
-  void append_line(const std::string& line);
-
-  mutable std::mutex mutex_;
-  std::ostream* sink_ = nullptr;
-  std::vector<TaskDecision> tasks_;
-  std::vector<EdgeDecision> edges_;
-  std::vector<InsertionDecision> insertions_;
-  std::vector<RecoveryDecision> recoveries_;
-  std::vector<std::pair<Kind, std::size_t>> order_;
+  std::mutex mutex_;  ///< serialises lines into sink_
+  std::ostream& sink_;
 };
 
 /// Installs `log` as the process-global active decision log for this

@@ -80,11 +80,6 @@ FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
   return *ring;
 }
 
-void FlightRecorder::set_capacity(std::size_t capacity) noexcept {
-  capacity_.store(std::max<std::size_t>(1, capacity),
-                  std::memory_order_relaxed);
-}
-
 void FlightRecorder::record(FlightEventKind kind, const char* label,
                             double time, std::uint64_t a, double b) {
   if (!enabled()) {
@@ -98,10 +93,9 @@ void FlightRecorder::record(FlightEventKind kind, const char* label,
   entry.time = time;
   entry.a = a;
   entry.b = b;
-  const std::size_t capacity = this->capacity();
   ThreadRing& ring = local_ring();
   const std::lock_guard<std::mutex> lock(ring.mutex);
-  while (ring.entries.size() >= capacity) {
+  if (ring.entries.size() == kCapacity) {
     ring.entries.pop_front();
   }
   ring.entries.push_back(entry);

@@ -3,7 +3,7 @@
 // The tracer and decision log are opt-in: when a run fails they were
 // usually off, and the evidence is gone. The flight recorder is the
 // opposite trade — always on, bounded, coarse. Every thread keeps a
-// small ring of the last `capacity()` milestone events (a schedule
+// small ring of the last `kCapacity` milestone events (a schedule
 // produced, a fault injected, a recovery decision, a run finishing, a
 // service job), and when something goes wrong the rings merge into one
 // JSON postmortem that shows what the process was doing just before.
@@ -70,8 +70,8 @@ struct FlightEntry {
 
 class FlightRecorder {
  public:
-  /// Default per-thread ring capacity (entries).
-  static constexpr std::size_t kDefaultCapacity = 256;
+  /// Per-thread ring capacity (entries).
+  static constexpr std::size_t kCapacity = 256;
 
   [[nodiscard]] static FlightRecorder& instance();
 
@@ -89,14 +89,7 @@ class FlightRecorder {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Per-thread ring capacity. Setting it applies to rings lazily (each
-  /// ring trims at its next record); existing entries are kept.
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-  void set_capacity(std::size_t capacity) noexcept;
-
-  /// Entries currently held across all threads (≤ threads × capacity).
+  /// Entries currently held across all threads (≤ threads × kCapacity).
   [[nodiscard]] std::size_t size() const;
 
   /// Discards all recorded entries (rings stay registered) and resets
@@ -126,7 +119,6 @@ class FlightRecorder {
   [[nodiscard]] ThreadRing& local_ring();
 
   std::atomic<bool> enabled_{true};
-  std::atomic<std::size_t> capacity_{kDefaultCapacity};
   std::atomic<std::uint64_t> next_seq_{1};
 };
 

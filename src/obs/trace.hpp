@@ -134,15 +134,6 @@ class Span {
     }
   }
 
-  /// Ends the span before scope exit (idempotent; the destructor then
-  /// records nothing).
-  void close() noexcept {
-    if (active_) {
-      active_ = false;
-      finish();
-    }
-  }
-
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 

@@ -233,21 +233,4 @@ std::future<SchedulerService::ExecutionPtr> SchedulerService::execute(
   });
 }
 
-SchedulerService::ExecutionPtr SchedulerService::execute_now(
-    const dag::TaskGraph& graph, const net::Topology& topology,
-    const sched::Schedule& schedule, const exec::ExecutionOptions& options) {
-  return execute(std::make_shared<const dag::TaskGraph>(graph),
-                 std::make_shared<const net::Topology>(topology),
-                 std::make_shared<const sched::Schedule>(schedule), options)
-      .get();
-}
-
-SchedulerService::SchedulePtr SchedulerService::schedule_now(
-    const dag::TaskGraph& graph, const net::Topology& topology,
-    const std::string& algorithm) {
-  return submit(std::make_shared<const dag::TaskGraph>(graph),
-                std::make_shared<const net::Topology>(topology), algorithm)
-      .get();
-}
-
 }  // namespace edgesched::svc

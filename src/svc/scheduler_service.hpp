@@ -90,8 +90,7 @@ struct ServiceConfig {
   /// run serially); 0 means hardware concurrency. The
   /// service clamps the product `intra_threads × pool threads` to
   /// hardware concurrency so concurrent jobs cannot oversubscribe the
-  /// machine — `SchedulerService::effective_intra_threads()` reports the
-  /// clamped value, which is also exported as the
+  /// machine; the clamped value is exported as the
   /// `svc_intra_threads_effective` metric. The default of 1 keeps jobs
   /// serial (one core per job, the pool provides the parallelism).
   std::size_t intra_threads = 1;
@@ -137,12 +136,6 @@ class SchedulerService {
       std::shared_ptr<const net::Topology> topology,
       const sched::AlgorithmSpec& spec);
 
-  /// Convenience wrapper: submit and wait. Copies the inputs into shared
-  /// ownership; prefer `submit` with shared_ptr when issuing batches.
-  [[nodiscard]] SchedulePtr schedule_now(const dag::TaskGraph& graph,
-                                         const net::Topology& topology,
-                                         const std::string& algorithm);
-
   /// Enqueues one execution request: replay `schedule` on the pool under
   /// the discrete-event executor (src/exec). Keyed by the instance, the
   /// schedule's result fingerprint and the execution options, so repeated
@@ -154,17 +147,8 @@ class SchedulerService {
       std::shared_ptr<const net::Topology> topology, SchedulePtr schedule,
       exec::ExecutionOptions options = {});
 
-  /// Convenience wrapper: execute and wait (copies the inputs).
-  [[nodiscard]] ExecutionPtr execute_now(
-      const dag::TaskGraph& graph, const net::Topology& topology,
-      const sched::Schedule& schedule,
-      const exec::ExecutionOptions& options = {});
-
   [[nodiscard]] const ScheduleCache& cache() const noexcept {
     return cache_;
-  }
-  [[nodiscard]] const ExecutionCache& execution_cache() const noexcept {
-    return exec_cache_;
   }
   [[nodiscard]] const PlatformCache& platform_cache() const noexcept {
     return platform_cache_;
@@ -172,12 +156,6 @@ class SchedulerService {
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] std::size_t num_threads() const noexcept {
     return pool_.num_threads();
-  }
-  /// Intra-run worker count every job actually runs with: the configured
-  /// `ServiceConfig::intra_threads` clamped so that `intra × pool`
-  /// never exceeds hardware concurrency (always >= 1).
-  [[nodiscard]] std::size_t effective_intra_threads() const noexcept {
-    return effective_intra_threads_;
   }
 
   /// Stops accepting requests and drains workers (idempotent).
@@ -215,7 +193,10 @@ class SchedulerService {
       const std::shared_ptr<const net::Topology>& topology);
 
   ServiceConfig config_;
-  std::size_t effective_intra_threads_ = 1;  ///< see effective_intra_threads
+  /// Intra-run worker count every job actually runs with: the configured
+  /// `ServiceConfig::intra_threads` clamped so that `intra × pool` never
+  /// exceeds hardware concurrency (always >= 1).
+  std::size_t effective_intra_threads_ = 1;
   obs::MetricsRegistry metrics_;
   ScheduleCache cache_;
   ExecutionCache exec_cache_;

@@ -67,9 +67,4 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-std::size_t ThreadPool::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 }  // namespace edgesched::svc

@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace edgesched::svc {
 
@@ -58,52 +56,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs `body(lane, begin, end)` over the `util::static_chunk`
-  /// partition of [0, n) into `lanes` chunks: lanes 1..lanes-1 are
-  /// submitted to the pool, the calling thread executes lane 0, and the
-  /// call returns after every lane finished (rethrowing the first
-  /// failure, caller's lane first). The deterministic partition means
-  /// bodies writing disjoint per-index slots produce output independent
-  /// of `lanes` — the same contract as `util::WorkerTeam::run`. Must not
-  /// be called from inside a pool worker (the nested wait could deadlock
-  /// on a saturated queue).
-  template <typename Body>
-  void parallel_for(std::size_t n, std::size_t lanes, const Body& body) {
-    if (lanes <= 1 || n == 0) {
-      body(std::size_t{0}, std::size_t{0}, n);
-      return;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(lanes - 1);
-    for (std::size_t lane = 1; lane < lanes; ++lane) {
-      const util::ChunkRange range = util::static_chunk(n, lanes, lane);
-      if (range.empty()) {
-        continue;
-      }
-      futures.push_back(submit(
-          [&body, lane, range]() { body(lane, range.begin, range.end); }));
-    }
-    const util::ChunkRange own = util::static_chunk(n, lanes, 0);
-    std::exception_ptr first_failure;
-    try {
-      body(std::size_t{0}, own.begin, own.end);
-    } catch (...) {
-      first_failure = std::current_exception();
-    }
-    for (std::future<void>& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (first_failure == nullptr) {
-          first_failure = std::current_exception();
-        }
-      }
-    }
-    if (first_failure != nullptr) {
-      std::rethrow_exception(first_failure);
-    }
-  }
-
   /// Stops accepting new work, waits for queued work to finish, joins all
   /// workers. Idempotent; called by the destructor.
   void shutdown();
@@ -113,14 +65,11 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Jobs queued but not yet picked up by a worker.
-  [[nodiscard]] std::size_t pending() const;
-
  private:
   void post(std::function<void()> job);
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_ready_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

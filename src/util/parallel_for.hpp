@@ -4,17 +4,17 @@
 // in this library: lane `w` of `W` always owns the same contiguous index
 // range of `n` items, independent of timing, so any reduction that walks
 // the results in index order is bit-identical at every worker count —
-// including 1. `svc::ThreadPool::parallel_for` and the GA/SA worker
-// lanes both chunk through it.
+// including 1. `WorkerTeam::run`, the GA/SA worker lanes' one fork/join,
+// chunks through it.
 //
 // `WorkerTeam` is a persistent fork/join team: a search run performs one
 // barrier per generation or neighbor batch, so per-dispatch cost stays
-// in the microsecond range. The team spawns `lanes - 1` threads once; `run(n, body)` publishes the
-// loop via an atomic generation counter (workers spin briefly, then
-// block on a condition variable), the caller executes lane 0 itself, and
-// the join waits symmetrically. Exceptions thrown by any lane are
-// captured and the first one rethrown on the caller after the join, so a
-// failed loop cannot leak detached work.
+// in the microsecond range. The team spawns `lanes - 1` threads once;
+// `run(n, body)` publishes the loop via an atomic generation counter
+// (workers spin briefly, then block on a condition variable), the caller
+// executes lane 0 itself, and the join waits symmetrically. Exceptions
+// thrown by any lane are captured and the first one rethrown on the
+// caller after the join, so a failed loop cannot leak detached work.
 //
 // Determinism contract: `run` invokes `body(lane, begin, end)` with
 // exactly the `static_chunk` ranges; bodies writing only to disjoint

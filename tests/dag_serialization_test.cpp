@@ -4,11 +4,34 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "dag/generators.hpp"
 
 namespace edgesched::dag {
 namespace {
+
+std::string text_of(const TaskGraph& graph) {
+  std::ostringstream os;
+  write_text(os, graph);
+  return os.str();
+}
+
+TaskGraph parse_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_text(is);
+}
+
+TaskGraph parse_stg(const std::string& text, double default_comm_cost = 1.0) {
+  std::istringstream is(text);
+  return read_stg(is, default_comm_cost);
+}
+
+std::string dot_of(const TaskGraph& graph) {
+  std::ostringstream os;
+  write_dot(os, graph);
+  return os.str();
+}
 
 TEST(DagText, RoundTripsSmallGraph) {
   TaskGraph g("demo");
@@ -16,7 +39,7 @@ TEST(DagText, RoundTripsSmallGraph) {
   const TaskId b = g.add_task(3.0, "b");
   g.add_edge(a, b, 7.25);
 
-  const TaskGraph parsed = from_text(to_text(g));
+  const TaskGraph parsed = parse_text(text_of(g));
   EXPECT_EQ(parsed.name(), "demo");
   ASSERT_EQ(parsed.num_tasks(), 2u);
   ASSERT_EQ(parsed.num_edges(), 1u);
@@ -30,7 +53,7 @@ TEST(DagText, RoundTripsGeneratedGraph) {
   LayeredDagParams params;
   params.num_tasks = 40;
   const TaskGraph g = random_layered(params, rng);
-  const TaskGraph parsed = from_text(to_text(g));
+  const TaskGraph parsed = parse_text(text_of(g));
   ASSERT_EQ(parsed.num_tasks(), g.num_tasks());
   ASSERT_EQ(parsed.num_edges(), g.num_edges());
   for (EdgeId e : g.all_edges()) {
@@ -41,7 +64,7 @@ TEST(DagText, RoundTripsGeneratedGraph) {
 }
 
 TEST(DagText, SkipsCommentsAndBlankLines) {
-  const TaskGraph parsed = from_text(
+  const TaskGraph parsed = parse_text(
       "# a comment\n"
       "graph g\n"
       "\n"
@@ -54,18 +77,18 @@ TEST(DagText, SkipsCommentsAndBlankLines) {
 }
 
 TEST(DagText, RejectsMalformedInput) {
-  EXPECT_THROW((void)from_text("task zero 1.0\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("task 1 1.0\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("bogus 1 2\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("task 0 nan\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("task 0 1\ntask 1 1\nedge 0 1 inf\n"),
+  EXPECT_THROW((void)parse_text("task zero 1.0\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("task 1 1.0\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("bogus 1 2\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("task 0 nan\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("task 0 1\ntask 1 1\nedge 0 1 inf\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)from_text("task 0 1\nedge 0 5 1\n"),
+  EXPECT_THROW((void)parse_text("task 0 1\nedge 0 5 1\n"),
                std::invalid_argument);
 }
 
 TEST(DagText, RejectsCyclicInput) {
-  EXPECT_THROW((void)from_text("task 0 1\n"
+  EXPECT_THROW((void)parse_text("task 0 1\n"
                                "task 1 1\n"
                                "edge 0 1 1\n"
                                "edge 1 0 1\n"),
@@ -80,7 +103,7 @@ TEST(Stg, ParsesKasaharaFormat) {
       "1 7 1 0\n"
       "2 4 1 1\n"
       "3 0 1 2\n";
-  const TaskGraph g = from_stg(text, 5.0);
+  const TaskGraph g = parse_stg(text, 5.0);
   ASSERT_EQ(g.num_tasks(), 4u);
   ASSERT_EQ(g.num_edges(), 3u);
   EXPECT_DOUBLE_EQ(g.weight(TaskId(1u)), 7.0);
@@ -98,10 +121,10 @@ TEST(Stg, RoundTrips) {
       "2 3 1 0\n"
       "3 4 2 1 2\n"
       "4 0 1 3\n";
-  const TaskGraph g = from_stg(text, 1.0);
+  const TaskGraph g = parse_stg(text, 1.0);
   std::ostringstream os;
   write_stg(os, g);
-  const TaskGraph again = from_stg(os.str(), 1.0);
+  const TaskGraph again = parse_stg(os.str(), 1.0);
   ASSERT_EQ(again.num_tasks(), g.num_tasks());
   ASSERT_EQ(again.num_edges(), g.num_edges());
   for (TaskId t : g.all_tasks()) {
@@ -110,16 +133,16 @@ TEST(Stg, RoundTrips) {
 }
 
 TEST(Stg, RejectsMalformedInput) {
-  EXPECT_THROW((void)from_stg(""), std::invalid_argument);
-  EXPECT_THROW((void)from_stg("2\n0 0 0\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_stg("1\n5 0 0\n0 0 0\n1 0 1 0\n"),
+  EXPECT_THROW((void)parse_stg(""), std::invalid_argument);
+  EXPECT_THROW((void)parse_stg("2\n0 0 0\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_stg("1\n5 0 0\n0 0 0\n1 0 1 0\n"),
                std::invalid_argument);
   // A non-finite default edge cost is rejected, not stamped on edges.
   const std::string text = "1\n0 0 0\n1 7 1 0\n2 0 1 1\n";
-  EXPECT_NO_THROW((void)from_stg(text, 1.0));
+  EXPECT_NO_THROW((void)parse_stg(text, 1.0));
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
-    EXPECT_THROW((void)from_stg(text, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)parse_stg(text, bad), std::invalid_argument) << bad;
   }
 }
 
@@ -137,7 +160,7 @@ TEST(DagDot, ContainsNodesAndEdges) {
   const TaskId a = g.add_task(1.0, "first");
   const TaskId b = g.add_task(2.0, "second");
   g.add_edge(a, b, 3.0);
-  const std::string dot = to_dot(g);
+  const std::string dot = dot_of(g);
   EXPECT_NE(dot.find("digraph \"dotted\""), std::string::npos);
   EXPECT_NE(dot.find("first"), std::string::npos);
   EXPECT_NE(dot.find("t0 -> t1"), std::string::npos);

@@ -14,6 +14,8 @@
 #include "sched/registry.hpp"
 #include "util/rng.hpp"
 
+#include "fault_script.hpp"
+
 namespace edgesched::exec {
 namespace {
 
@@ -55,8 +57,8 @@ TEST(Recovery, PermanentProcessorFaultReschedulesRemaining) {
   const double fault_time = schedule.makespan() * 0.3;
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
-  options.validate_recovery = true;  // validator-clean recovery plans
-  options.faults.fail_processor(fault_time, dead, /*permanent=*/true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      fault_time, dead, /*permanent=*/true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -83,8 +85,8 @@ TEST(Recovery, RescheduleWorksForEveryAlgorithm) {
         sched::make_scheduler(name)->schedule(inst.graph, inst.topo);
     ExecutionOptions options;
     options.policy = RecoveryPolicy::kReschedule;
-    options.faults.fail_processor(schedule.makespan() * 0.4,
-                                  inst.topo.processors().back(), true);
+    options.faults = FaultPlan::scripted({test::processor_fault(
+        schedule.makespan() * 0.4, inst.topo.processors().back(), true)});
     const ExecutionReport report =
         execute(inst.graph, inst.topo, schedule, options);
     ASSERT_TRUE(report.completed) << name << ": " << report.failure;
@@ -100,8 +102,8 @@ TEST(Recovery, CrossAlgorithmReplanning) {
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
   options.recovery_algorithm = "oihsa";
-  options.faults.fail_processor(schedule.makespan() * 0.5,
-                                inst.topo.processors().front(), true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() * 0.5, inst.topo.processors().front(), true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -115,10 +117,11 @@ TEST(Recovery, SurvivesTwoSequentialProcessorLosses) {
       sched::make_scheduler("oihsa")->schedule(inst.graph, inst.topo);
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
-  options.faults.fail_processor(schedule.makespan() * 0.2,
-                                inst.topo.processors()[0], true);
-  options.faults.fail_processor(schedule.makespan() * 2.0,
-                                inst.topo.processors()[1], true);
+  options.faults = FaultPlan::scripted(
+      {test::processor_fault(schedule.makespan() * 0.2,
+                             inst.topo.processors()[0], true),
+       test::processor_fault(schedule.makespan() * 2.0,
+                             inst.topo.processors()[1], true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -132,8 +135,8 @@ TEST(Recovery, RescheduleDelayPushesTheReplanOut) {
       sched::make_scheduler("ba")->schedule(inst.graph, inst.topo);
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
-  options.faults.fail_processor(schedule.makespan() * 0.3,
-                                inst.topo.processors().front(), true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() * 0.3, inst.topo.processors().front(), true)});
   const ExecutionReport plain =
       execute(inst.graph, inst.topo, schedule, options);
   options.reschedule_delay = 25.0;
@@ -152,7 +155,8 @@ TEST(Recovery, LastProcessorLossIsUnrecoverable) {
       sched::make_scheduler("ba")->schedule(graph, topo);
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
-  options.faults.fail_processor(1.0, topo.processors().front(), true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      1.0, topo.processors().front(), true)});
   const ExecutionReport report = execute(graph, topo, schedule, options);
   EXPECT_FALSE(report.completed);
   EXPECT_FALSE(report.failure.empty());
@@ -167,8 +171,8 @@ TEST(Recovery, RescheduleLimitAborts) {
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kReschedule;
   options.max_reschedules = 0;
-  options.faults.fail_processor(schedule.makespan() * 0.3,
-                                inst.topo.processors().front(), true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() * 0.3, inst.topo.processors().front(), true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   EXPECT_FALSE(report.completed);

@@ -12,6 +12,8 @@
 #include "svc/scheduler_service.hpp"
 #include "util/rng.hpp"
 
+#include "fault_script.hpp"
+
 namespace edgesched::svc {
 namespace {
 
@@ -49,12 +51,12 @@ TEST(ExecService, RepeatedExecuteHitsTheExecutionCache) {
   const auto first = service.execute(graph, topo, schedule).get();
   const auto second = service.execute(graph, topo, schedule).get();
   EXPECT_EQ(first, second);  // the very same cached report
-  EXPECT_EQ(service.execution_cache().stats().hits, 1u);
-  EXPECT_EQ(service.execution_cache().stats().misses, 1u);
-  EXPECT_EQ(
-      service.metrics().counter("svc_exec_requests_total").value(), 2u);
   EXPECT_EQ(
       service.metrics().counter("svc_exec_cache_hits_total").value(), 1u);
+  EXPECT_EQ(
+      service.metrics().counter("svc_exec_cache_misses_total").value(), 1u);
+  EXPECT_EQ(
+      service.metrics().counter("svc_exec_requests_total").value(), 2u);
 }
 
 TEST(ExecService, DifferentOptionsCacheSeparately) {
@@ -69,7 +71,8 @@ TEST(ExecService, DifferentOptionsCacheSeparately) {
   const auto jittered =
       service.execute(graph, topo, schedule, noisy).get();
   EXPECT_NE(nominal, jittered);
-  EXPECT_EQ(service.execution_cache().stats().misses, 2u);
+  EXPECT_EQ(
+      service.metrics().counter("svc_exec_cache_misses_total").value(), 2u);
   EXPECT_GE(jittered->achieved_makespan, nominal->achieved_makespan);
 }
 
@@ -100,17 +103,17 @@ TEST(ExecService, ManyConcurrentExecutes) {
 TEST(ExecService, ExecuteNowRunsFaultyPlans) {
   SchedulerService service({.threads = 2});
   Rng rng(3);
-  const dag::TaskGraph graph = dag::fork_join(6, 2.0, 4.0);
-  const net::Topology topo =
-      net::switched_star(3, net::SpeedConfig{}, rng);
-  const auto schedule = service.schedule_now(graph, topo, "oihsa");
+  const auto graph = shared_graph(dag::fork_join(6, 2.0, 4.0));
+  const auto topo = std::make_shared<const net::Topology>(
+      net::switched_star(3, net::SpeedConfig{}, rng));
+  const auto schedule = service.submit(graph, topo, "oihsa").get();
 
   exec::ExecutionOptions options;
   options.policy = exec::RecoveryPolicy::kReschedule;
-  options.faults.fail_processor(schedule->makespan() * 0.3,
-                                topo.processors().front(), true);
+  options.faults = exec::FaultPlan::scripted({test::processor_fault(
+      schedule->makespan() * 0.3, topo->processors().front(), true)});
   const auto report =
-      service.execute_now(graph, topo, *schedule, options);
+      service.execute(graph, topo, schedule, options).get();
   ASSERT_NE(report, nullptr);
   ASSERT_TRUE(report->completed) << report->failure;
   EXPECT_GE(report->reschedules, 1u);

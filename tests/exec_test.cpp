@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dag/generators.hpp"
@@ -16,6 +17,8 @@
 #include "sched/registry.hpp"
 #include "sched/validator.hpp"
 #include "util/rng.hpp"
+
+#include "fault_script.hpp"
 
 namespace edgesched::exec {
 namespace {
@@ -136,9 +139,9 @@ TEST(Executor, TransientProcessorFaultRetriesInPlace) {
   const auto& placed = schedule.task(victim);
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kRetry;
-  options.faults.fail_processor(0.5 * (placed.start + placed.finish),
-                                placed.processor, /*permanent=*/false,
-                                /*repair=*/1.0);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      0.5 * (placed.start + placed.finish), placed.processor,
+      /*permanent=*/false, /*repair=*/1.0)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -161,8 +164,8 @@ TEST(Executor, RetryBackoffDelaysTheRerun) {
       sched::make_scheduler("ba")->schedule(graph, topo);
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kRetry;
-  options.faults.fail_processor(2.0, schedule.task(dag::TaskId(0u)).processor,
-                                false, 1.0);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      2.0, schedule.task(dag::TaskId(0u)).processor, false, 1.0)});
   const ExecutionReport plain = execute(graph, topo, schedule, options);
   options.retry_backoff = 5.0;
   const ExecutionReport delayed = execute(graph, topo, schedule, options);
@@ -181,9 +184,12 @@ TEST(Executor, RetryExhaustionAborts) {
   options.policy = RecoveryPolicy::kRetry;
   options.max_retries = 2;
   // The task re-runs right after each heal; repeated kills exhaust it.
+  std::vector<FaultEvent> kills;
   for (double t : {1.0, 3.0, 5.0, 7.0}) {
-    options.faults.fail_processor(t, topo.processors().front(), false, 0.5);
+    kills.push_back(
+        test::processor_fault(t, topo.processors().front(), false, 0.5));
   }
+  options.faults = FaultPlan::scripted(std::move(kills));
   const ExecutionReport report = execute(graph, topo, schedule, options);
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.failure.find("retr"), std::string::npos)
@@ -197,9 +203,9 @@ TEST(Executor, FailStopAbortsOnPermanentFault) {
   const sched::Schedule schedule =
       sched::make_scheduler("ba")->schedule(inst.graph, inst.topo);
   ExecutionOptions options;  // kFailStop is the default policy
-  options.faults.fail_processor(schedule.makespan() * 0.25,
-                                inst.topo.processors().front(),
-                                /*permanent=*/true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() * 0.25, inst.topo.processors().front(),
+      /*permanent=*/true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   EXPECT_FALSE(report.completed);
@@ -227,8 +233,9 @@ TEST(Executor, TransientLinkFaultKillsAndRetriesTheTransfer) {
   const auto& slot = cross->occupations.front();
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kRetry;
-  options.faults.fail_link(0.5 * (slot.start + slot.finish), slot.link,
-                           /*permanent=*/false, /*repair=*/0.5);
+  options.faults = FaultPlan::scripted({test::link_fault(
+      0.5 * (slot.start + slot.finish), slot.link, /*permanent=*/false,
+      /*repair=*/0.5)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -244,8 +251,8 @@ TEST(Executor, FaultAfterCompletionIsHarmless) {
   const sched::Schedule schedule =
       sched::make_scheduler("classic")->schedule(inst.graph, inst.topo);
   ExecutionOptions options;
-  options.faults.fail_processor(schedule.makespan() + 100.0,
-                                inst.topo.processors().front(), true);
+  options.faults = FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() + 100.0, inst.topo.processors().front(), true)});
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule, options);
   ASSERT_TRUE(report.completed) << report.failure;
@@ -298,17 +305,19 @@ TEST(Executor, RejectsMalformedOptions) {
   }
 
   // Non-finite fault times and transient repairs.
-  FaultPlan plan;
-  EXPECT_THROW(plan.fail_processor(nan, inst.topo.processors()[0], true),
-               std::invalid_argument);
-  EXPECT_THROW(plan.fail_processor(inf, inst.topo.processors()[0], true),
-               std::invalid_argument);
+  const net::NodeId p0 = inst.topo.processors()[0];
   EXPECT_THROW(
-      plan.fail_processor(1.0, inst.topo.processors()[0], false, nan),
+      (void)FaultPlan::scripted({test::processor_fault(nan, p0, true)}),
       std::invalid_argument);
   EXPECT_THROW(
-      plan.fail_processor(1.0, inst.topo.processors()[0], false, inf),
+      (void)FaultPlan::scripted({test::processor_fault(inf, p0, true)}),
       std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::scripted(
+                   {test::processor_fault(1.0, p0, false, nan)}),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::scripted(
+                   {test::processor_fault(1.0, p0, false, inf)}),
+               std::invalid_argument);
   FaultEvent nan_time;
   nan_time.time = nan;
   EXPECT_THROW((void)FaultPlan::scripted({nan_time}), std::invalid_argument);
@@ -332,7 +341,8 @@ TEST(Executor, RejectsMalformedOptions) {
   }
 
   ExecutionOptions bad_target;
-  bad_target.faults.fail_processor(1.0, net::NodeId(10'000u), true);
+  bad_target.faults = FaultPlan::scripted({test::processor_fault(
+      1.0, net::NodeId(10'000u), true)});
   EXPECT_THROW(
       (void)execute(inst.graph, inst.topo, schedule, bad_target),
       std::invalid_argument);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "dag/generators.hpp"
@@ -21,6 +22,15 @@ struct Instance {
   dag::TaskGraph graph;
   net::Topology topo;
 };
+
+std::string merged_trace(const dag::TaskGraph& graph,
+                         const net::Topology& topology,
+                         const sched::Schedule& schedule,
+                         const ExecutionReport& report) {
+  std::ostringstream os;
+  write_merged_trace(os, graph, topology, schedule, report);
+  return os.str();
+}
 
 Instance make_instance(std::uint64_t seed) {
   Rng rng(seed);
@@ -42,7 +52,7 @@ TEST(TraceMerge, NominalRunHasPlannedAndExecutedTracks) {
   ASSERT_TRUE(report.completed);
 
   const obs::JsonValue trace = obs::JsonValue::parse(
-      to_merged_trace(inst.graph, inst.topo, schedule, report));
+      merged_trace(inst.graph, inst.topo, schedule, report));
   const obs::JsonValue& events = trace.at("traceEvents");
   ASSERT_GT(events.size(), 0u);
 
@@ -98,7 +108,7 @@ TEST(TraceMerge, FaultyRunEmitsInstantsOnTheEventsProcess) {
   ASSERT_FALSE(report.faults.empty()) << "fault rate too low for the test";
 
   const obs::JsonValue trace = obs::JsonValue::parse(
-      to_merged_trace(inst.graph, inst.topo, schedule, report));
+      merged_trace(inst.graph, inst.topo, schedule, report));
   const obs::JsonValue& events = trace.at("traceEvents");
   std::size_t faults = 0;
   std::size_t recoveries = 0;
@@ -133,7 +143,7 @@ TEST(TraceMerge, RunIdMatchesTheCallersScope) {
   }
   EXPECT_EQ(report.run_id, run);
   const std::string text =
-      to_merged_trace(inst.graph, inst.topo, schedule, report);
+      merged_trace(inst.graph, inst.topo, schedule, report);
   EXPECT_NE(text.find("\"run_id\":" + std::to_string(run)),
             std::string::npos);
 }
@@ -144,8 +154,8 @@ TEST(TraceMerge, DeterministicForSameReport) {
       sched::make_scheduler("oihsa")->schedule(inst.graph, inst.topo);
   const ExecutionReport report =
       execute(inst.graph, inst.topo, schedule);
-  EXPECT_EQ(to_merged_trace(inst.graph, inst.topo, schedule, report),
-            to_merged_trace(inst.graph, inst.topo, schedule, report));
+  EXPECT_EQ(merged_trace(inst.graph, inst.topo, schedule, report),
+            merged_trace(inst.graph, inst.topo, schedule, report));
 }
 
 }  // namespace

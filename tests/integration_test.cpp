@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
@@ -106,8 +107,12 @@ TEST(Integration, SerialisedInstanceSchedulesIdentically) {
   wan.num_processors = 5;
   const net::Topology topo = net::random_wan(wan, rng);
 
-  const dag::TaskGraph graph2 = dag::from_text(dag::to_text(graph));
-  const net::Topology topo2 = net::from_text(net::to_text(topo));
+  std::stringstream graph_text;
+  std::stringstream topo_text;
+  dag::write_text(graph_text, graph);
+  net::write_text(topo_text, topo);
+  const dag::TaskGraph graph2 = dag::read_text(graph_text);
+  const net::Topology topo2 = net::read_text(topo_text);
   for (const auto& scheduler : contention_schedulers()) {
     const double m1 = scheduler->schedule(graph, topo).makespan();
     const double m2 = scheduler->schedule(graph2, topo2).makespan();
@@ -148,15 +153,15 @@ TEST(Integration, CanonicalWorkloadsAcrossTopologies) {
 TEST(Integration, StgWorkflowSchedulesEndToEnd) {
   // Regression: STG graphs have zero-weight dummy entry/exit tasks that
   // once broke processor-timeline insertion ordering.
-  const dag::TaskGraph graph = dag::from_stg(
+  std::istringstream stg(
       "4\n"
       "0 0 0\n"
       "1 10 1 0\n"
       "2 6 1 0\n"
       "3 12 2 1 2\n"
       "4 5 1 3\n"
-      "5 0 1 4\n",
-      3.0);
+      "5 0 1 4\n");
+  const dag::TaskGraph graph = dag::read_stg(stg, 3.0);
   Rng rng(17);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);

@@ -2,10 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "net/builders.hpp"
 
 namespace edgesched::net {
 namespace {
+
+std::string text_of(const Topology& topology) {
+  std::ostringstream os;
+  write_text(os, topology);
+  return os.str();
+}
+
+Topology parse_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_text(is);
+}
+
+std::string dot_of(const Topology& topology) {
+  std::ostringstream os;
+  write_dot(os, topology);
+  return os.str();
+}
 
 TEST(NetText, RoundTripsDuplexTopology) {
   Topology t("pair");
@@ -15,7 +35,7 @@ TEST(NetText, RoundTripsDuplexTopology) {
   t.add_duplex_link(a, s, 4.0);
   t.add_duplex_link(s, b, 5.0);
 
-  const Topology parsed = from_text(to_text(t));
+  const Topology parsed = parse_text(text_of(t));
   EXPECT_EQ(parsed.name(), "pair");
   EXPECT_EQ(parsed.num_nodes(), 3u);
   EXPECT_EQ(parsed.num_processors(), 2u);
@@ -30,7 +50,7 @@ TEST(NetText, PreservesHalfDuplexSharing) {
   const NodeId a = t.add_processor();
   const NodeId b = t.add_processor();
   t.add_half_duplex_link(a, b, 2.0);
-  const Topology parsed = from_text(to_text(t));
+  const Topology parsed = parse_text(text_of(t));
   ASSERT_EQ(parsed.num_links(), 2u);
   EXPECT_EQ(parsed.domain(LinkId(0u)), parsed.domain(LinkId(1u)));
 }
@@ -40,7 +60,7 @@ TEST(NetText, PreservesBusSharing) {
   std::vector<NodeId> members{t.add_processor(), t.add_processor(),
                               t.add_processor()};
   t.add_bus(members, 3.0);
-  const Topology parsed = from_text(to_text(t));
+  const Topology parsed = parse_text(text_of(t));
   EXPECT_EQ(parsed.num_links(), 6u);
   EXPECT_EQ(parsed.num_domains(), 1u);
 }
@@ -50,7 +70,7 @@ TEST(NetText, RoundTripsGeneratedWan) {
   RandomWanParams params;
   params.num_processors = 12;
   const Topology t = random_wan(params, rng);
-  const Topology parsed = from_text(to_text(t));
+  const Topology parsed = parse_text(text_of(t));
   EXPECT_EQ(parsed.num_nodes(), t.num_nodes());
   EXPECT_EQ(parsed.num_links(), t.num_links());
   EXPECT_EQ(parsed.num_processors(), t.num_processors());
@@ -58,9 +78,9 @@ TEST(NetText, RoundTripsGeneratedWan) {
 }
 
 TEST(NetText, RejectsMalformedInput) {
-  EXPECT_THROW((void)from_text("processor x 1\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("processor 1 1\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_text("wat 0\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("processor x 1\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("processor 1 1\n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_text("wat 0\n"), std::invalid_argument);
 }
 
 TEST(NetDot, ContainsShapes) {
@@ -68,7 +88,7 @@ TEST(NetDot, ContainsShapes) {
   const NodeId p = t.add_processor(1.0, "cpu0");
   const NodeId s = t.add_switch("sw0");
   t.add_link(p, s, 2.0);
-  const std::string dot = to_dot(t);
+  const std::string dot = dot_of(t);
   EXPECT_NE(dot.find("digraph \"dotnet\""), std::string::npos);
   EXPECT_NE(dot.find("shape=box"), std::string::npos);
   EXPECT_NE(dot.find("shape=circle"), std::string::npos);

@@ -13,6 +13,8 @@
 #include "sched/registry.hpp"
 #include "util/rng.hpp"
 
+#include "fault_script.hpp"
+
 namespace edgesched::obs {
 namespace {
 
@@ -65,40 +67,42 @@ std::vector<JsonValue> parse_lines(const std::string& jsonl) {
 }
 
 TEST(DecisionLog, StoresAndSnapshotsAllThreeKinds) {
-  DecisionLog log;
+  std::ostringstream out;
+  DecisionLog log(out);
   log.record(sample_task());
   log.record(sample_edge());
   log.record(sample_insertion());
 
-  EXPECT_EQ(log.size(), 3u);
-  ASSERT_EQ(log.task_decisions().size(), 1u);
-  ASSERT_EQ(log.edge_decisions().size(), 1u);
-  ASSERT_EQ(log.insertion_decisions().size(), 1u);
+  const std::vector<JsonValue> docs = parse_lines(out.str());
+  ASSERT_EQ(docs.size(), 3u);
+  ASSERT_EQ(docs[0].at("type").as_string(), "task");
+  ASSERT_EQ(docs[1].at("type").as_string(), "edge");
+  ASSERT_EQ(docs[2].at("type").as_string(), "insertion");
 
-  const TaskDecision task = log.task_decisions().front();
-  EXPECT_EQ(task.algorithm, "OIHSA");
-  EXPECT_EQ(task.chosen_processor, 1u);
-  ASSERT_EQ(task.candidates.size(), 2u);
-  EXPECT_DOUBLE_EQ(task.candidates[0].estimate, 9.5);
+  const JsonValue& task = docs[0];
+  EXPECT_EQ(task.at("algorithm").as_string(), "OIHSA");
+  EXPECT_EQ(task.at("chosen_processor").as_number(), 1.0);
+  ASSERT_EQ(task.at("candidates").size(), 2u);
+  EXPECT_DOUBLE_EQ(task.at("candidates").at(0).at("estimate").as_number(),
+                   9.5);
 
-  const EdgeDecision edge = log.edge_decisions().front();
-  EXPECT_FALSE(edge.local);
-  ASSERT_EQ(edge.hops.size(), 1u);
-  EXPECT_DOUBLE_EQ(edge.hops[0].finish, 9.0);
+  const JsonValue& edge = docs[1];
+  EXPECT_FALSE(edge.at("local").as_bool());
+  ASSERT_EQ(edge.at("hops").size(), 1u);
+  EXPECT_DOUBLE_EQ(edge.at("hops").at(0).at("finish").as_number(), 9.0);
 
-  const InsertionDecision insertion = log.insertion_decisions().front();
-  EXPECT_TRUE(insertion.deferral);
-  EXPECT_DOUBLE_EQ(insertion.slack_consumed, 1.5);
+  const JsonValue& insertion = docs[2];
+  EXPECT_EQ(insertion.at("outcome").as_string(), "deferral");
+  EXPECT_DOUBLE_EQ(insertion.at("slack_consumed").as_number(), 1.5);
 }
 
 TEST(DecisionLog, JsonlSchemaCarriesEveryField) {
-  DecisionLog log;
+  std::ostringstream out;
+  DecisionLog log(out);
   log.record(sample_task());
   log.record(sample_edge());
   log.record(sample_insertion());
 
-  std::ostringstream out;
-  log.write_jsonl(out);
   const std::vector<JsonValue> docs = parse_lines(out.str());
   ASSERT_EQ(docs.size(), 3u);
 
@@ -137,15 +141,14 @@ TEST(DecisionLog, JsonlSchemaCarriesEveryField) {
 }
 
 TEST(DecisionLog, FirstFitInsertionSaysFirstFit) {
-  DecisionLog log;
+  std::ostringstream out;
+  DecisionLog log(out);
   InsertionDecision decision = sample_insertion();
   decision.deferral = false;
   decision.shifts = 0;
   decision.slack_consumed = 0.0;
   log.record(decision);
 
-  std::ostringstream out;
-  log.write_jsonl(out);
   const std::vector<JsonValue> docs = parse_lines(out.str());
   ASSERT_EQ(docs.size(), 1u);
   EXPECT_EQ(docs[0].at("outcome").as_string(), "first_fit");
@@ -153,13 +156,12 @@ TEST(DecisionLog, FirstFitInsertionSaysFirstFit) {
 }
 
 TEST(DecisionLog, PreservesRecordingOrderAcrossKinds) {
-  DecisionLog log;
+  std::ostringstream out;
+  DecisionLog log(out);
   log.record(sample_insertion());  // insertion lands before its edge,
   log.record(sample_edge());       // exactly as the schedulers emit them
   log.record(sample_task());
 
-  std::ostringstream out;
-  log.write_jsonl(out);
   const std::vector<JsonValue> docs = parse_lines(out.str());
   ASSERT_EQ(docs.size(), 3u);
   EXPECT_EQ(docs[0].at("type").as_string(), "insertion");
@@ -171,21 +173,14 @@ TEST(DecisionLog, StreamingSinkWritesInsteadOfStoring) {
   std::ostringstream sink;
   DecisionLog log(sink);
   log.record(sample_task());
-  log.record(sample_edge());
 
-  // Streamed immediately, nothing retained.
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.task_decisions().empty());
-  EXPECT_TRUE(log.edge_decisions().empty());
+  // Streamed immediately: the line is in the sink before the next record.
+  EXPECT_EQ(parse_lines(sink.str()).size(), 1u);
+  log.record(sample_edge());
   const std::vector<JsonValue> docs = parse_lines(sink.str());
   ASSERT_EQ(docs.size(), 2u);
   EXPECT_EQ(docs[0].at("type").as_string(), "task");
   EXPECT_EQ(docs[1].at("type").as_string(), "edge");
-
-  // write_jsonl has nothing to replay in streaming mode.
-  std::ostringstream replay;
-  log.write_jsonl(replay);
-  EXPECT_TRUE(replay.str().empty());
 }
 
 TEST(DecisionLog, RecoveryRecordsRoundTripThroughJsonl) {
@@ -200,17 +195,14 @@ TEST(DecisionLog, RecoveryRecordsRoundTripThroughJsonl) {
   decision.tasks_remaining = 7;
   decision.replan_makespan = 88.25;
 
-  DecisionLog log;
-  log.record(decision);
-  ASSERT_EQ(log.recovery_decisions().size(), 1u);
-  EXPECT_EQ(log.recovery_decisions()[0].action, "reschedule");
-  EXPECT_EQ(log.size(), 1u);
-
   std::ostringstream os;
-  log.write_jsonl(os);
+  DecisionLog log(os);
+  log.record(decision);
+
   const std::vector<JsonValue> docs = parse_lines(os.str());
   ASSERT_EQ(docs.size(), 1u);
   EXPECT_EQ(docs[0].at("type").as_string(), "recovery");
+  EXPECT_EQ(docs[0].at("action").as_string(), "reschedule");
   EXPECT_EQ(docs[0].at("policy").as_string(), "reschedule");
   EXPECT_EQ(docs[0].at("fault_kind").as_string(), "processor");
   EXPECT_EQ(docs[0].at("fault_target").as_number(), 2.0);
@@ -234,10 +226,11 @@ TEST(DecisionLog, ExecutorLogsRecoveryDecisionsWhenInstalled) {
       sched::make_scheduler("oihsa")->schedule(graph, topo);
   exec::ExecutionOptions options;
   options.policy = exec::RecoveryPolicy::kReschedule;
-  options.faults.fail_processor(schedule.makespan() * 0.4,
-                                topo.processors().front(), true);
+  options.faults = exec::FaultPlan::scripted({test::processor_fault(
+      schedule.makespan() * 0.4, topo.processors().front(), true)});
 
-  DecisionLog log;
+  std::ostringstream out;
+  DecisionLog log(out);
   {
     ScopedDecisionLog scoped(log);
     const exec::ExecutionReport report =
@@ -245,25 +238,30 @@ TEST(DecisionLog, ExecutorLogsRecoveryDecisionsWhenInstalled) {
     ASSERT_TRUE(report.completed) << report.failure;
     ASSERT_GE(report.reschedules, 1u);
   }
-  const std::vector<RecoveryDecision> recoveries = log.recovery_decisions();
+  std::vector<JsonValue> recoveries;
+  for (JsonValue& doc : parse_lines(out.str())) {
+    if (doc.at("type").as_string() == "recovery") {
+      recoveries.push_back(std::move(doc));
+    }
+  }
   ASSERT_GE(recoveries.size(), 1u);
-  const RecoveryDecision& logged = recoveries.front();
-  EXPECT_EQ(logged.policy, "reschedule");
-  EXPECT_EQ(logged.action, "reschedule");
-  EXPECT_EQ(logged.fault_kind, "processor");
-  EXPECT_TRUE(logged.permanent);
-  EXPECT_GT(logged.replan_makespan, 0.0);
+  const JsonValue& logged = recoveries.front();
+  EXPECT_EQ(logged.at("policy").as_string(), "reschedule");
+  EXPECT_EQ(logged.at("action").as_string(), "reschedule");
+  EXPECT_EQ(logged.at("fault_kind").as_string(), "processor");
+  EXPECT_TRUE(logged.at("permanent").as_bool());
+  EXPECT_GT(logged.at("replan_makespan").as_number(), 0.0);
 }
 
 TEST(DecisionLog, ScopedInstallNestsAndRestores) {
   ASSERT_EQ(active_decision_log(), nullptr);
-  DecisionLog outer;
+  std::ostringstream sink;
+  DecisionLog outer(sink);
   {
     ScopedDecisionLog scoped_outer(outer);
     EXPECT_EQ(active_decision_log(), &outer);
-    EXPECT_EQ(DecisionLog::active(), &outer);
     {
-      DecisionLog inner;
+      DecisionLog inner(sink);
       ScopedDecisionLog scoped_inner(inner);
       EXPECT_EQ(active_decision_log(), &inner);
     }

@@ -21,7 +21,6 @@ class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     flight_recorder().set_enabled(true);
-    flight_recorder().set_capacity(FlightRecorder::kDefaultCapacity);
     flight_recorder().clear();
   }
   void TearDown() override { SetUp(); }
@@ -46,18 +45,20 @@ TEST_F(FlightRecorderTest, RecordsAndDumpsInSequenceOrder) {
 }
 
 TEST_F(FlightRecorderTest, RingKeepsOnlyTheLastCapacityEntries) {
-  flight_recorder().set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
+  constexpr std::size_t kCapacity = FlightRecorder::kCapacity;
+  constexpr std::size_t kOverflow = 6;
+  for (std::size_t i = 0; i < kCapacity + kOverflow; ++i) {
     flight_recorder().record(FlightEventKind::kNote, "test/overflow",
                              static_cast<double>(i));
   }
-  EXPECT_EQ(flight_recorder().size(), 4u);
+  EXPECT_EQ(flight_recorder().size(), kCapacity);
   const JsonValue dump = flight_recorder().dump_json("overflow");
   const JsonValue& entries = dump.at("entries");
-  ASSERT_EQ(entries.size(), 4u);
-  // Oldest entries evicted: seqs 7..10 survive.
-  EXPECT_DOUBLE_EQ(entries.at(0).at("seq").as_number(), 7.0);
-  EXPECT_DOUBLE_EQ(entries.at(3).at("seq").as_number(), 10.0);
+  ASSERT_EQ(entries.size(), kCapacity);
+  // Oldest entries evicted: seqs 7..kCapacity+6 survive.
+  EXPECT_DOUBLE_EQ(entries.at(0).at("seq").as_number(), kOverflow + 1.0);
+  EXPECT_DOUBLE_EQ(entries.at(kCapacity - 1).at("seq").as_number(),
+                   static_cast<double>(kCapacity + kOverflow));
 }
 
 TEST_F(FlightRecorderTest, DisabledRecorderRecordsNothing) {

@@ -4,12 +4,17 @@
 // remote edge was booked on.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "dag/generators.hpp"
 #include "dag/task_graph.hpp"
 #include "net/builders.hpp"
 #include "net/topology.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
+#include "obs/json.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "util/rng.hpp"
@@ -47,9 +52,30 @@ struct JoinFixture {
   }
 };
 
+/// The JSONL lines of `type` ("task", "edge", ...) in recording order.
+std::vector<obs::JsonValue> decisions_of(const std::string& jsonl,
+                                         const std::string& type) {
+  std::vector<obs::JsonValue> docs;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    obs::JsonValue doc = obs::JsonValue::parse(line);
+    if (doc.at("type").as_string() == type) {
+      docs.push_back(std::move(doc));
+    }
+  }
+  return docs;
+}
+
+/// Numeric member `key` of a decision line.
+double num(const obs::JsonValue& doc, const char* key) {
+  return doc.at(key).as_number();
+}
+
 TEST(ObsIntegration, OihsaTaskDecisionsMatchHandComputation) {
   const JoinFixture fx;
-  obs::DecisionLog log;
+  std::ostringstream out;
+  obs::DecisionLog log(out);
   sched::Schedule schedule = [&] {
     obs::ScopedDecisionLog scoped(log);
     return sched::SpecScheduler(sched::oihsa_spec())
@@ -58,103 +84,110 @@ TEST(ObsIntegration, OihsaTaskDecisionsMatchHandComputation) {
   sched::validate_or_throw(fx.graph, fx.topo, schedule);
   EXPECT_DOUBLE_EQ(schedule.makespan(), 10.0);
 
-  const auto tasks = log.task_decisions();
+  const auto tasks = decisions_of(out.str(), "task");
   ASSERT_EQ(tasks.size(), 4u);
   // §4.2 list order by bottom level: a, c, b, d.
-  EXPECT_EQ(tasks[0].task, fx.a.index());
-  EXPECT_EQ(tasks[1].task, fx.c.index());
-  EXPECT_EQ(tasks[2].task, fx.b.index());
-  EXPECT_EQ(tasks[3].task, fx.d.index());
+  EXPECT_EQ(num(tasks[0], "task"), fx.a.index());
+  EXPECT_EQ(num(tasks[1], "task"), fx.c.index());
+  EXPECT_EQ(num(tasks[2], "task"), fx.b.index());
+  EXPECT_EQ(num(tasks[3], "task"), fx.d.index());
   for (const auto& t : tasks) {
-    EXPECT_EQ(t.algorithm, "OIHSA");
-    ASSERT_EQ(t.candidates.size(), 2u);  // both processors considered
+    EXPECT_EQ(t.at("algorithm").as_string(), "OIHSA");
+    // both processors considered
+    ASSERT_EQ(t.at("candidates").size(), 2u);
   }
+  const auto candidate_estimate = [&](std::size_t task, std::size_t i) {
+    return num(tasks[task].at("candidates").at(i), "estimate");
+  };
 
   // a: tie at estimate 2, first processor kept.
-  EXPECT_EQ(tasks[0].chosen_processor, 0u);
-  EXPECT_DOUBLE_EQ(tasks[0].chosen_estimate, 2.0);
-  EXPECT_DOUBLE_EQ(tasks[0].candidates[0].estimate, 2.0);
-  EXPECT_DOUBLE_EQ(tasks[0].candidates[1].estimate, 2.0);
+  EXPECT_EQ(num(tasks[0], "chosen_processor"), 0u);
+  EXPECT_DOUBLE_EQ(num(tasks[0], "chosen_estimate"), 2.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(0, 1), 2.0);
 
   // c: p0 is busy with a until 2 (estimate 6), p1 is free (estimate 4).
-  EXPECT_EQ(tasks[1].chosen_processor, 1u);
-  EXPECT_DOUBLE_EQ(tasks[1].chosen_estimate, 4.0);
-  EXPECT_DOUBLE_EQ(tasks[1].candidates[0].estimate, 6.0);
-  EXPECT_DOUBLE_EQ(tasks[1].candidates[1].estimate, 4.0);
+  EXPECT_EQ(num(tasks[1], "chosen_processor"), 1u);
+  EXPECT_DOUBLE_EQ(num(tasks[1], "chosen_estimate"), 4.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(1, 0), 6.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(1, 1), 4.0);
 
   // b: behind a on p0 (5) beats behind c on p1 (7).
-  EXPECT_EQ(tasks[2].chosen_processor, 0u);
-  EXPECT_DOUBLE_EQ(tasks[2].chosen_estimate, 5.0);
-  EXPECT_DOUBLE_EQ(tasks[2].candidates[0].estimate, 5.0);
-  EXPECT_DOUBLE_EQ(tasks[2].candidates[1].estimate, 7.0);
+  EXPECT_EQ(num(tasks[2], "chosen_processor"), 0u);
+  EXPECT_DOUBLE_EQ(num(tasks[2], "chosen_estimate"), 5.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(2, 0), 5.0);
+  EXPECT_DOUBLE_EQ(candidate_estimate(2, 1), 7.0);
 
   // d: estimated data-ready 8 and finish 9 on either processor.
-  EXPECT_EQ(tasks[3].chosen_processor, 0u);
-  EXPECT_DOUBLE_EQ(tasks[3].chosen_estimate, 9.0);
-  for (const auto& candidate : tasks[3].candidates) {
-    EXPECT_DOUBLE_EQ(candidate.ready_estimate, 8.0);
-    EXPECT_DOUBLE_EQ(candidate.estimate, 9.0);
+  EXPECT_EQ(num(tasks[3], "chosen_processor"), 0u);
+  EXPECT_DOUBLE_EQ(num(tasks[3], "chosen_estimate"), 9.0);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::JsonValue& candidate = tasks[3].at("candidates").at(i);
+    EXPECT_DOUBLE_EQ(num(candidate, "ready_estimate"), 8.0);
+    EXPECT_DOUBLE_EQ(num(candidate, "estimate"), 9.0);
   }
 }
 
 TEST(ObsIntegration, OihsaEdgeDecisionsMatchHandComputation) {
   const JoinFixture fx;
-  obs::DecisionLog log;
+  std::ostringstream out;
+  obs::DecisionLog log(out);
   {
     obs::ScopedDecisionLog scoped(log);
     (void)sched::SpecScheduler(sched::oihsa_spec())
         .schedule(fx.graph, fx.topo);
   }
 
-  const auto edges = log.edge_decisions();
+  const auto edges = decisions_of(out.str(), "edge");
   ASSERT_EQ(edges.size(), 3u);
   // §4.2: d's in-edges booked in decreasing cost order 6, 4, 2.
-  EXPECT_EQ(edges[0].edge, fx.ad.index());
-  EXPECT_EQ(edges[1].edge, fx.cd.index());
-  EXPECT_EQ(edges[2].edge, fx.bd.index());
+  EXPECT_EQ(num(edges[0], "edge"), fx.ad.index());
+  EXPECT_EQ(num(edges[1], "edge"), fx.cd.index());
+  EXPECT_EQ(num(edges[2], "edge"), fx.bd.index());
 
   // a->d and b->d stay on p0 with d: local, arrival = source finish /
   // ready moment, no hops.
-  EXPECT_TRUE(edges[0].local);
-  EXPECT_DOUBLE_EQ(edges[0].arrival, 2.0);
-  EXPECT_TRUE(edges[0].hops.empty());
-  EXPECT_TRUE(edges[2].local);
-  EXPECT_DOUBLE_EQ(edges[2].arrival, 5.0);
+  EXPECT_TRUE(edges[0].at("local").as_bool());
+  EXPECT_DOUBLE_EQ(num(edges[0], "arrival"), 2.0);
+  EXPECT_EQ(edges[0].at("hops").size(), 0u);
+  EXPECT_TRUE(edges[2].at("local").as_bool());
+  EXPECT_DOUBLE_EQ(num(edges[2], "arrival"), 5.0);
 
   // c->d crosses p1 -> p0: one hop occupying the link over [5, 9].
-  EXPECT_FALSE(edges[1].local);
-  EXPECT_EQ(edges[1].src_task, fx.c.index());
-  EXPECT_EQ(edges[1].dst_task, fx.d.index());
-  EXPECT_DOUBLE_EQ(edges[1].ship_time, 5.0);
-  EXPECT_DOUBLE_EQ(edges[1].arrival, 9.0);
-  ASSERT_EQ(edges[1].hops.size(), 1u);
-  EXPECT_DOUBLE_EQ(edges[1].hops[0].start, 5.0);
-  EXPECT_DOUBLE_EQ(edges[1].hops[0].finish, 9.0);
+  EXPECT_FALSE(edges[1].at("local").as_bool());
+  EXPECT_EQ(num(edges[1], "src_task"), fx.c.index());
+  EXPECT_EQ(num(edges[1], "dst_task"), fx.d.index());
+  EXPECT_DOUBLE_EQ(num(edges[1], "ship_time"), 5.0);
+  EXPECT_DOUBLE_EQ(num(edges[1], "arrival"), 9.0);
+  ASSERT_EQ(edges[1].at("hops").size(), 1u);
+  EXPECT_DOUBLE_EQ(num(edges[1].at("hops").at(0), "start"), 5.0);
+  EXPECT_DOUBLE_EQ(num(edges[1].at("hops").at(0), "finish"), 9.0);
 
   // The one remote edge was committed by optimal insertion without
   // displacing anything: plain first-fit on an empty link.
-  const auto insertions = log.insertion_decisions();
+  const auto insertions = decisions_of(out.str(), "insertion");
   ASSERT_EQ(insertions.size(), 1u);
-  EXPECT_EQ(insertions[0].edge, fx.cd.index());
-  EXPECT_FALSE(insertions[0].deferral);
-  EXPECT_EQ(insertions[0].shifts, 0u);
-  EXPECT_DOUBLE_EQ(insertions[0].slack_consumed, 0.0);
-  EXPECT_DOUBLE_EQ(insertions[0].start, 5.0);
-  EXPECT_DOUBLE_EQ(insertions[0].finish, 9.0);
+  EXPECT_EQ(num(insertions[0], "edge"), fx.cd.index());
+  EXPECT_EQ(insertions[0].at("outcome").as_string(), "first_fit");
+  EXPECT_EQ(num(insertions[0], "shifts"), 0u);
+  EXPECT_DOUBLE_EQ(num(insertions[0], "slack_consumed"), 0.0);
+  EXPECT_DOUBLE_EQ(num(insertions[0], "start"), 5.0);
+  EXPECT_DOUBLE_EQ(num(insertions[0], "finish"), 9.0);
 }
 
 TEST(ObsIntegration, BaTagsItsDecisionsWithItsOwnName) {
   const JoinFixture fx;
-  obs::DecisionLog log;
+  std::ostringstream out;
+  obs::DecisionLog log(out);
   {
     obs::ScopedDecisionLog scoped(log);
     (void)sched::SpecScheduler(sched::ba_spec()).schedule(fx.graph,
                                                           fx.topo);
   }
-  const auto tasks = log.task_decisions();
+  const auto tasks = decisions_of(out.str(), "task");
   ASSERT_EQ(tasks.size(), 4u);
   for (const auto& t : tasks) {
-    EXPECT_EQ(t.algorithm, "BA");
+    EXPECT_EQ(t.at("algorithm").as_string(), "BA");
   }
 }
 

@@ -139,18 +139,6 @@ TEST(ObsTrace, ThreadsRecordIntoDistinctTids) {
   EXPECT_NE(tid_a, tid_b);
 }
 
-TEST(ObsTrace, CloseEndsEarlyAndIsIdempotent) {
-  const TracerGuard guard(TraceMode::kFull);
-  {
-    Span span("obs_test/closed", "test");
-    span.close();
-    span.close();  // second close must not record again
-  }                // neither must the destructor
-  EXPECT_EQ(Tracer::instance().event_count(), 1u);
-  EXPECT_EQ(Tracer::instance().span_totals().at("obs_test/closed").count,
-            1u);
-}
-
 TEST(ObsTrace, ClearDiscardsEventsAndTotals) {
   const TracerGuard guard(TraceMode::kFull);
   {

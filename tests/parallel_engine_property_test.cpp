@@ -162,13 +162,12 @@ TEST(ParallelEngineProperty, ServiceClampsAndReportsIntraThreads) {
       1, std::thread::hardware_concurrency());
   const std::size_t budget =
       std::max<std::size_t>(1, hw / service.num_threads());
-  EXPECT_GE(service.effective_intra_threads(), 1u);
-  EXPECT_LE(service.effective_intra_threads(), std::max<std::size_t>(
-                                                   budget, std::size_t{1}));
-  EXPECT_EQ(service.metrics()
-                .counter("svc_intra_threads_effective")
-                .value(),
-            service.effective_intra_threads());
+  const std::uint64_t effective =
+      service.metrics().counter("svc_intra_threads_effective").value();
+  EXPECT_GE(effective, 1u);
+  EXPECT_LE(effective, std::max<std::size_t>(budget, std::size_t{1}));
+  EXPECT_EQ(effective, clamped_intra_threads(config.intra_threads,
+                                             service.num_threads()));
   EXPECT_NE(service.metrics().text_dump().find(
                 "counter svc_intra_threads_effective"),
             std::string::npos);

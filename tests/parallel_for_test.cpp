@@ -1,9 +1,8 @@
-// util::static_chunk / util::WorkerTeam / svc::ThreadPool::parallel_for
-// unit suite: the deterministic partition rule, the fork/join dispatch
-// machinery, and exception propagation. The byte-identity these
-// primitives buy the scheduler is pinned end-to-end by
-// tests/parallel_engine_property_test.cpp; this file checks the
-// primitives in isolation.
+// util::static_chunk / util::WorkerTeam unit suite: the deterministic
+// partition rule, the fork/join dispatch machinery, and exception
+// propagation. The byte-identity these primitives buy the scheduler is
+// pinned end-to-end by tests/parallel_engine_property_test.cpp; this
+// file checks the primitives in isolation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +11,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "svc/thread_pool.hpp"
 #include "util/parallel_for.hpp"
 
 namespace edgesched::util {
@@ -134,44 +132,6 @@ TEST(WorkerTeam, RethrowsWorkerExceptionAndStaysUsable) {
     sum.fetch_add(local, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPoolParallelFor, MatchesSerialAndUsesStaticChunks) {
-  svc::ThreadPool pool(3);
-  constexpr std::size_t kItems = 101;
-  std::vector<std::size_t> owner(kItems, static_cast<std::size_t>(-1));
-  pool.parallel_for(kItems, 4,
-                    [&](std::size_t lane, std::size_t begin,
-                        std::size_t end) {
-                      const ChunkRange want = static_chunk(kItems, 4, lane);
-                      EXPECT_EQ(begin, want.begin);
-                      EXPECT_EQ(end, want.end);
-                      for (std::size_t i = begin; i < end; ++i) {
-                        owner[i] = lane;
-                      }
-                    });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    EXPECT_NE(owner[i], static_cast<std::size_t>(-1)) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolParallelFor, PropagatesBodyExceptions) {
-  svc::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(
-                   10, 3,
-                   [&](std::size_t lane, std::size_t, std::size_t) {
-                     if (lane == 2) {
-                       throw std::runtime_error("pooled lane failure");
-                     }
-                   }),
-               std::runtime_error);
-  // The pool stays usable afterwards.
-  std::atomic<int> ran{0};
-  pool.parallel_for(4, 2, [&](std::size_t, std::size_t begin,
-                              std::size_t end) {
-    ran.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace

@@ -127,8 +127,12 @@ TEST(SchedulerService, ConcurrentSubmissionsAllValid) {
 
 TEST(SchedulerService, MetricsTextDumpListsServiceMetrics) {
   SchedulerService service({.threads = 1});
-  const auto schedule = service.schedule_now(
-      dag::chain(4, 1.0, 1.0), *shared_star(2), "oihsa");
+  const auto schedule =
+      service
+          .submit(std::make_shared<const dag::TaskGraph>(
+                      dag::chain(4, 1.0, 1.0)),
+                  shared_star(2), "oihsa")
+          .get();
   ASSERT_NE(schedule, nullptr);
   const std::string dump = service.metrics().text_dump();
   EXPECT_NE(dump.find("counter svc_requests_total 1"), std::string::npos);

@@ -63,7 +63,6 @@ TEST(ThreadPool, ShutdownDrainsQueue) {
   }
   pool.shutdown();  // must wait for every queued job, not drop them
   EXPECT_EQ(executed.load(), kJobs);
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPool, SubmitAfterShutdownThrows) {

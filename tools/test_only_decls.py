@@ -3,13 +3,21 @@
 
 A name counts as used when a file outside tests/ (src, examples, bench,
 perfbench, tools) mentions it anywhere other than its own declaration
-in the header and its out-of-line definition. Comments and string
-literals are ignored. Matching is by name, so overloads and members
-that share a name with something else count as one.
+in the header and its out-of-line definition. A type name is used by
+any mention of the word; a function name only by a mention of call or
+member shape: `name(`, `.name`, `->name` or `::name` (which covers
+`&Class::name`). Comments and string literals are ignored.
+
+Matching is still by name, so overloads and members that share a name
+with something else count as one: a generic name such as `add` or
+`size` is "used" as soon as any class's `add(` or `.size` is, and a
+test-only member behind such a name stays hidden. Deleting or adding a
+public function therefore still needs a look by hand.
 
 Prints every unused name as `header:line: name` and exits 1 when one is
-not in ALLOWLIST below, so production code whose only caller is a test
-cannot regrow unseen. Run from anywhere:
+not in ALLOWLIST below, or when an ALLOWLIST entry names nothing unused
+any more, so production code whose only caller is a test cannot regrow
+unseen and a freed entry cannot linger. Run from anywhere:
 
     python3 tools/test_only_decls.py
 """
@@ -22,9 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "examples", "bench", "perfbench", "tools")
 SOURCE_SUFFIXES = (".hpp", ".cpp", ".h", ".cc")
 
-# name -> why it stays although only tests call it. Entries marked
-# "candidate" are test conveniences to delete once their tests move to
-# the production form.
+# name -> why it stays although only tests call it.
 ALLOWLIST = {
     "reset_for_test": "test hook of the process-global metrics registry",
     "probe_basic_linear":
@@ -38,27 +44,16 @@ ALLOWLIST = {
     **dict.fromkeys(
         ("critical_path_length", "critical_path", "shape", "is_valid"),
         "public DAG/schedule query of the library API"),
-    **dict.fromkeys(
-        ("to_dot", "to_text", "from_text", "from_stg", "to_merged_trace"),
-        "candidate: string wrapper over a write_*/read_* stream form"),
     "write_stg": "STG writer paired with the read_stg the CLI uses",
-    **dict.fromkeys(
-        ("scripted", "fail_processor", "fail_link"),
-        "candidate: scripted fault plans, only tests build them"),
-    "nominal": "candidate: RuntimeModel query no caller branches on",
-    **dict.fromkeys(
-        ("task_decisions", "edge_decisions", "insertion_decisions",
-         "recovery_decisions", "write_jsonl", "active"),
-        "candidate: in-memory DecisionLog reads; the CLI streams JSONL"),
-    "set_capacity": "candidate: flight-recorder ring resize",
-    **dict.fromkeys(("type", "as_bool"),
+    "write_text": "text writer paired with the read_text the CLI uses",
+    "scripted":
+        "test seam: the only way to pin a fault at a chosen time; "
+        "production samples plans through FaultPlan::sampled",
+    **dict.fromkeys(("type", "as_bool", "members"),
                     "JsonValue accessor completing the parsed-value API"),
-    "pooled_workspaces": "candidate: PlatformContext pool-size probe",
-    **dict.fromkeys(
-        ("schedule_now", "execute_now", "execution_cache",
-         "effective_intra_threads"),
-        "candidate: synchronous SchedulerService entries and probes"),
-    "parallel_for": "candidate: ThreadPool fan-out; sweeps submit one job each",
+    "pooled_workspaces":
+        "pins the workspace-recycling bound in two property tests; no "
+        "counter exposes that bound",
     "check_invariants": "debug consistency check over a timeline",
 }
 
@@ -143,13 +138,21 @@ def main():
     lines_of = {path: text.split("\n") for path, text in texts.items()}
 
     decls = []  # (name, header, line)
+    type_names = set()  # every type a header names, private ones too
     for path in texts:
         if path.suffix == ".hpp" and path.is_relative_to(ROOT / "src"):
             for name, number in declarations(lines_of[path]):
                 decls.append((name, path, number))
+            type_names.update(match.group(1) for match in map(
+                TYPE_DECL.match, lines_of[path]) if match)
     own_lines = {}  # name -> set of (path, line) that declare it
     for name, path, number in decls:
         own_lines.setdefault(name, set()).add((path, number))
+    # Functions (constructors share their class's name and count as types)
+    # are used only by a mention of call or member shape.
+    call_shapes = {name: re.compile(
+        r"(?:\.|->|::)\s*" + name + r"\b|\b" + name + r"\s*\(")
+        for name in own_lines if name not in type_names}
 
     wanted = set(own_lines)
     used = set()
@@ -163,6 +166,9 @@ def main():
                     continue
                 if is_definition(line, name):
                     continue
+                shape = call_shapes.get(name)
+                if shape is not None and not shape.search(line):
+                    continue
                 used.add(name)
 
     unused = sorted({(str(path.relative_to(ROOT)), number, name)
@@ -175,14 +181,14 @@ def main():
             print(f"{header}:{number}: {name}")
         else:
             print(f"{header}:{number}: {name} (allowed: {note})")
-    stale = sorted(set(ALLOWLIST) - {name for _, _, name in unused})
-    for name in stale:
-        print(f"allowlist entry no longer needed: {name}")
     if failed:
         print("test_only_decls: public declarations with no caller outside "
               "tests/ (delete them, or add an ALLOWLIST entry with a reason)")
-        return 1
-    return 0
+    stale = sorted(set(ALLOWLIST) - {name for _, _, name in unused})
+    for name in stale:
+        failed = True
+        print(f"allowlist entry no longer needed: {name} (delete it)")
+    return 1 if failed else 0
 
 
 def is_definition(line, name):
