@@ -4,9 +4,9 @@
 #include <iomanip>
 #include <iostream>
 
+#include "sched/assignment.hpp"
 #include "sched/classic.hpp"
 #include "sched/engine.hpp"
-#include "sched/replay.hpp"
 #include "sched/validator.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats.hpp"

@@ -11,9 +11,9 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
+#include "sched/assignment.hpp"
 #include "sched/classic.hpp"
 #include "sched/engine.hpp"
-#include "sched/replay.hpp"
 #include "sched/validator.hpp"
 
 int main(int argc, char** argv) {

@@ -63,7 +63,6 @@ std::uint64_t AlgorithmSpec::fingerprint() const noexcept {
   fp.mix(std::string_view(name));
   fp.mix(static_cast<std::uint64_t>(priority));
   fp.mix(static_cast<std::uint64_t>(selection));
-  fp.mix(static_cast<std::uint64_t>(insertion_aware_estimate));
   fp.mix(static_cast<std::uint64_t>(edge_order));
   fp.mix(static_cast<std::uint64_t>(routing));
   fp.mix(static_cast<std::uint64_t>(insertion));
@@ -101,10 +100,6 @@ std::string AlgorithmSpec::describe() const {
   text.reserve(96);
   text += "selection=";
   text += selection_label(selection);
-  if (selection == SelectionPolicyKind::kMlsEstimate &&
-      insertion_aware_estimate) {
-    text += "(insertion-aware)";
-  }
   text += " order=";
   text += edge_order_label(edge_order);
   text += " routing=";

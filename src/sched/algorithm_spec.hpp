@@ -2,9 +2,9 @@
 //
 // Every contention-aware list scheduler of the reproduction is the same
 // §4 loop — ready-moment computation, processor selection, in-edge
-// ordering, route + commit — differing only in which policy it plugs
-// into each step. An `AlgorithmSpec` names those policies declaratively;
-// the `ListSchedulingEngine` (engine.hpp) interprets it. The four paper
+// ordering, route + commit — differing only in which kind it picks at
+// each step. An `AlgorithmSpec` names those kinds declaratively; the
+// `SpecScheduler` (engine.hpp) switches over them. The four paper
 // algorithms are the preset bundles returned by `ba_spec()`,
 // `oihsa_spec()`, `bbsa_spec()` and `packet_ba_spec()`:
 //
@@ -26,7 +26,6 @@
 #include <string>
 
 #include "sched/priorities.hpp"
-#include "timeline/insertion.hpp"
 
 namespace edgesched::sched {
 
@@ -41,7 +40,7 @@ enum class SelectionPolicyKind {
   /// the only commit with a clean rollback.
   kTentativeEft,
   /// Static-style estimate over the mean link speed MLS (OIHSA/BBSA):
-  /// max(max_j(t_f(n_j) + c(e_ji)/MLS), availability) + w(n_i)/s(P).
+  /// max(max_j(t_f(n_j) + c(e_ji)/MLS), t_f(P)) + w(n_i)/s(P).
   kMlsEstimate,
 };
 
@@ -76,9 +75,6 @@ struct AlgorithmSpec {
 
   PriorityScheme priority = PriorityScheme::kBottomLevel;
   SelectionPolicyKind selection = SelectionPolicyKind::kBlindEft;
-  /// kMlsEstimate only: evaluate the availability term through the
-  /// placement policy instead of the literal last-finish time.
-  bool insertion_aware_estimate = false;
 
   EdgeOrderPolicyKind edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
 

@@ -49,7 +49,7 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
   const auto& processors = topology.processors();
 
   Assignment current = assignment_of(
-      graph, ListSchedulingEngine(oihsa_spec()).run(graph, platform));
+      graph, SpecScheduler(oihsa_spec()).schedule(graph, platform));
   double current_cost =
       assignment_makespan(graph, topology, current, options_.evaluation);
   Assignment best = current;

@@ -1,27 +1,35 @@
 #include "sched/assignment.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "net/routing.hpp"
 #include "sched/network_state.hpp"
 
 namespace edgesched::sched {
 
-Schedule schedule_assignment(const dag::TaskGraph& graph,
-                             const net::Topology& topology,
-                             const Assignment& assignment,
-                             const AssignmentOptions& options) {
-  throw_if(assignment.size() != graph.num_tasks(),
-           "schedule_assignment: assignment size mismatch");
-  for (net::NodeId p : assignment) {
-    throw_if(!p.valid() || p.index() >= topology.num_nodes() ||
-                 !topology.is_processor(p),
-             "schedule_assignment: assignment names a non-processor");
-  }
+namespace {
 
-  Schedule out(options.label, graph.num_tasks(), graph.num_edges());
-  const std::vector<dag::TaskId> order =
-      list_order(graph, options.priority);
+/// Realises `assignment` with tasks taken in `order` (a topological
+/// order): every task's communications leave at its ready moment (the
+/// dynamic model of §4.1) over minimal BFS routes with first-fit link
+/// insertion, and the task starts at the placement rule's earliest start
+/// after its data arrive. `caller` prefixes the input errors.
+Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
+                 const Assignment& assignment,
+                 const std::vector<dag::TaskId>& order, bool task_insertion,
+                 std::string label, const std::string& caller) {
+  throw_if(assignment.size() != graph.num_tasks(),
+           caller + ": assignment size mismatch");
+  const bool on_processors = std::all_of(
+      assignment.begin(), assignment.end(), [&](net::NodeId p) {
+        return p.valid() && p.index() < topology.num_nodes() &&
+               topology.is_processor(p);
+      });
+  throw_if(!on_processors, caller + ": assignment names a non-processor");
+
+  Schedule out(std::move(label), graph.num_tasks(), graph.num_edges());
   ExclusiveNetworkState network(topology, graph.num_edges());
   MachineState machines(topology);
   const net::StaticRouteTable routes(topology);
@@ -54,12 +62,23 @@ Schedule schedule_assignment(const dag::TaskGraph& graph,
     }
     const double duration =
         graph.weight(task) / topology.processor_speed(processor);
-    const double start = machines.start_for(
-        processor, data_ready, duration, options.task_insertion);
+    const double start =
+        machines.start_for(processor, data_ready, duration, task_insertion);
     machines.commit(processor, task, start, duration);
     out.place_task(task, TaskPlacement{processor, start, start + duration});
   }
   return out;
+}
+
+}  // namespace
+
+Schedule schedule_assignment(const dag::TaskGraph& graph,
+                             const net::Topology& topology,
+                             const Assignment& assignment,
+                             const AssignmentOptions& options) {
+  return realise(graph, topology, assignment,
+                 list_order(graph, options.priority), options.task_insertion,
+                 options.label, "schedule_assignment");
 }
 
 double assignment_makespan(const dag::TaskGraph& graph,
@@ -68,6 +87,31 @@ double assignment_makespan(const dag::TaskGraph& graph,
                            const AssignmentOptions& options) {
   return schedule_assignment(graph, topology, assignment, options)
       .makespan();
+}
+
+Schedule replay_under_contention(const dag::TaskGraph& graph,
+                                 const net::Topology& topology,
+                                 const Schedule& ideal) {
+  throw_if(ideal.num_tasks() != graph.num_tasks(),
+           "replay_under_contention: schedule does not match the graph");
+  std::vector<std::size_t> topo_position(graph.num_tasks());
+  {
+    const std::vector<dag::TaskId> topo = graph.topological_order();
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      topo_position[topo[i].index()] = i;
+    }
+  }
+  std::vector<dag::TaskId> order = graph.all_tasks();
+  std::sort(order.begin(), order.end(),
+            [&](dag::TaskId a, dag::TaskId b) {
+              const double sa = ideal.task(a).start;
+              const double sb = ideal.task(b).start;
+              if (sa != sb) return sa < sb;
+              return topo_position[a.index()] < topo_position[b.index()];
+            });
+  return realise(graph, topology, assignment_of(graph, ideal), order,
+                 /*task_insertion=*/true, ideal.algorithm() + "-replay",
+                 "replay_under_contention");
 }
 
 Assignment assignment_of(const dag::TaskGraph& graph,

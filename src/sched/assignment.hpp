@@ -1,12 +1,12 @@
 // Fixed-assignment contention scheduling.
 //
-// Several schedulers — the classic replay, the genetic algorithm and
-// simulated annealing search (metaheuristics the paper's introduction
-// cites as the alternative family) — all need the same primitive: given a
-// complete task→processor map, build the best contention-aware schedule
-// for it (list order by bottom level, ready-moment shipping, BFS routes,
-// first-fit link insertion) and report its makespan. This module is that
-// primitive.
+// Several schedulers — the genetic algorithm and simulated annealing
+// search (metaheuristics the paper's introduction cites as the
+// alternative family) and the contention replay of a classic schedule —
+// all need the same primitive: given a complete task→processor map,
+// build the contention-aware schedule for it (ready-moment shipping, BFS
+// routes, first-fit link insertion, exclusive links). This module is that
+// primitive; its two entries differ only in the task order they walk.
 #pragma once
 
 #include <vector>
@@ -45,6 +45,19 @@ struct AssignmentOptions {
 [[nodiscard]] double assignment_makespan(
     const dag::TaskGraph& graph, const net::Topology& topology,
     const Assignment& assignment, const AssignmentOptions& options = {});
+
+/// Contention replay: what a contention-free schedule really costs.
+/// Keeps `ideal`'s task-to-processor assignment and its task start order
+/// (topological position breaks ties, so zero-length tasks stay
+/// precedence-safe) and re-executes it on the real network with
+/// insertion placement on processors. Start times stretch to actual data
+/// arrivals; the schedule is labelled "<algorithm>-replay" and is valid
+/// under the full validator. Throws std::invalid_argument when `ideal`
+/// does not fit `graph` or places a task on anything but a processor of
+/// `topology`.
+[[nodiscard]] Schedule replay_under_contention(const dag::TaskGraph& graph,
+                                               const net::Topology& topology,
+                                               const Schedule& ideal);
 
 /// Extracts the assignment realised by an existing schedule.
 [[nodiscard]] Assignment assignment_of(const dag::TaskGraph& graph,

@@ -2,30 +2,314 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "net/routing.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
-#include "sched/network_model.hpp"
 #include "sched/network_state.hpp"
-#include "sched/policies.hpp"
 #include "sched/priorities.hpp"
 #include "sched/ready_queue.hpp"
 #include "util/error.hpp"
 
 namespace edgesched::sched {
 
-ListSchedulingEngine::ListSchedulingEngine(AlgorithmSpec spec)
-    : spec_(std::move(spec)), names_(spec_.name) {
-  spec_.validate();
+namespace {
+
+/// Outcome of one §4.1 selection.
+struct Choice {
+  net::NodeId processor;
+  /// The score that won (logged as the decision's chosen estimate):
+  /// predicted finish for the EFT selections, the §4.1 estimate for MLS.
+  double score = std::numeric_limits<double>::infinity();
+  /// Tentative EFT only: the task start observed for the winner, which
+  /// the engine asserts the re-commit reproduces. Negative otherwise.
+  double expected_start = -1.0;
+};
+
+// ---------------------------------------------------------------------------
+// Processor selection (§4.1)
+
+/// The scan shared by the read-only selections: scores every processor
+/// in index order, logs each candidate when `candidates` is non-null, and
+/// keeps the first strict minimum (the first processor wins outright, so
+/// ties and non-finite scores resolve to the lowest index).
+template <typename Score>
+Choice first_minimum(const std::vector<net::NodeId>& processors,
+                     Score&& score,
+                     std::vector<obs::ProcessorCandidate>* candidates) {
+  Choice choice;
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    const obs::ProcessorCandidate candidate = score(processors[p]);
+    if (candidates != nullptr) {
+      candidates->push_back(candidate);
+    }
+    if (p == 0 || candidate.estimate < choice.score) {
+      choice.processor = processors[p];
+      choice.score = candidate.estimate;
+    }
+  }
+  return choice;
 }
 
-Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
-                                   const PlatformContext& platform) const {
+// Each selection is its own function with its score as a lambda: the
+// score then has one caller in both loop instantiations and inlines into
+// the per-processor scan (a score function shared by the two
+// instantiations stayed out of line and slowed the scan).
+
+/// Communication-blind EFT: ready moment + execution time through the
+/// task placement rule (BA's paper reading, PACKET-BA).
+Choice blind_eft(const net::Topology& topology, const MachineState& machines,
+                 bool task_insertion, double weight, double ready_moment,
+                 std::vector<obs::ProcessorCandidate>* candidates) {
+  return first_minimum(
+      topology.processors(),
+      [&](net::NodeId processor) {
+        const double duration = weight / topology.processor_speed(processor);
+        const double start = machines.start_for(processor, ready_moment,
+                                                duration, task_insertion);
+        return obs::ProcessorCandidate{
+            static_cast<std::uint32_t>(processor.index()), ready_moment,
+            start + duration};
+      },
+      candidates);
+}
+
+/// OIHSA/BBSA choice (§4.1): the static-style finish estimate
+///   max(max_j(t_f(n_j) + c(e_ji)/MLS), t_f(P)) + w(n_i)/s(P),
+/// where same-processor communication is free.
+Choice mls_estimate(const dag::TaskGraph& graph, const Schedule& out,
+                    const net::Topology& topology,
+                    const MachineState& machines, double mls, double weight,
+                    const std::vector<dag::EdgeId>& in,
+                    std::vector<obs::ProcessorCandidate>* candidates) {
+  return first_minimum(
+      topology.processors(),
+      [&](net::NodeId processor) {
+        double ready_estimate = 0.0;
+        for (dag::EdgeId e : in) {
+          const dag::Edge& edge = graph.edge(e);
+          const TaskPlacement& src = out.task(edge.src);
+          double via = src.finish;
+          if (src.processor != processor && mls > 0.0) {
+            via += edge.cost / mls;
+          }
+          ready_estimate = std::max(ready_estimate, via);
+        }
+        const double duration_on_p =
+            weight / topology.processor_speed(processor);
+        const double availability =
+            std::max(ready_estimate, machines.finish_time(processor));
+        return obs::ProcessorCandidate{
+            static_cast<std::uint32_t>(processor.index()), ready_estimate,
+            availability + duration_on_p};
+      },
+      candidates);
+}
+
+/// Tentative EFT (Sinnen's original BA): schedule the task with all its
+/// incoming communications on every processor, roll the network back,
+/// keep the true earliest finish. First-fit insertion never displaces
+/// booked slots, so rollback is a plain erase of the edges in
+/// `committed`.
+template <typename RouteFn>
+Choice tentative_eft(const dag::TaskGraph& graph, const Schedule& out,
+                     const MachineState& machines, const AlgorithmSpec& spec,
+                     ExclusiveNetworkState& network, RouteFn&& route,
+                     std::vector<dag::EdgeId>& committed, double weight,
+                     double ready_moment, const std::vector<dag::EdgeId>& in,
+                     std::vector<obs::ProcessorCandidate>* candidates) {
+  const net::Topology& topology = network.topology();
+  Choice choice;
+  double best_start = 0.0;
+  for (net::NodeId processor : topology.processors()) {
+    committed.clear();
+    double data_ready = ready_moment;
+    for (dag::EdgeId e : in) {
+      const dag::Edge& edge = graph.edge(e);
+      const TaskPlacement& src = out.task(edge.src);
+      double arrival = src.finish;
+      if (src.processor != processor && edge.cost > 0.0) {
+        const double ship_time =
+            spec.eager_communication ? src.finish : ready_moment;
+        const net::Route& path =
+            route(src.processor, processor, ship_time, edge.cost);
+        arrival = network.commit_edge_basic(e, path, ship_time, edge.cost);
+        committed.push_back(e);
+      }
+      data_ready = std::max(data_ready, arrival);
+    }
+    const double duration = weight / topology.processor_speed(processor);
+    const double start = machines.start_for(processor, data_ready, duration,
+                                            spec.task_insertion);
+    const double finish = start + duration;
+    if (candidates != nullptr) {
+      candidates->push_back(obs::ProcessorCandidate{
+          static_cast<std::uint32_t>(processor.index()), data_ready,
+          finish});
+    }
+    if (finish < choice.score) {
+      choice.score = finish;
+      best_start = start;
+      choice.processor = processor;
+    }
+    for (auto it = committed.rbegin(); it != committed.rend(); ++it) {
+      network.uncommit_edge(*it);
+    }
+  }
+  choice.expected_start = best_start;
+  return choice;
+}
+
+// ---------------------------------------------------------------------------
+// Modified routing (§4.3): Dijkstra relaxing on the tentative per-link
+// finish time of the state's probe. The probe runs once per relaxation,
+// the innermost loop of the engine, so each state gets a concrete lambda
+// the search template inlines.
+
+net::Route probe_route(const ExclusiveNetworkState& network,
+                       net::NodeId from, net::NodeId to, double ship_time,
+                       double cost, net::RoutingWorkspace& workspace) {
+  const auto probe = [&network, cost](net::LinkId link,
+                                      const net::ProbeState& state) {
+    const timeline::Placement placement = network.probe_link(
+        link, state.earliest_start, state.min_finish, cost);
+    return net::ProbeResult{placement.start, placement.finish};
+  };
+  return net::dijkstra_route_probe(network.topology(), from, to, ship_time,
+                                   probe, &workspace);
+}
+
+/// Relaxation key: earliest finish of the full volume using the link's
+/// remaining bandwidth (the bandwidth analogue of §4.3).
+net::Route probe_route(const BandwidthNetworkState& network,
+                       net::NodeId from, net::NodeId to, double ship_time,
+                       double cost, net::RoutingWorkspace& workspace) {
+  const auto probe = [&network, cost](net::LinkId link,
+                                      const net::ProbeState& state) {
+    return network.probe(link, state.earliest_start, state.min_finish,
+                         cost);
+  };
+  return net::dijkstra_route_probe(network.topology(), from, to, ship_time,
+                                   probe, &workspace);
+}
+
+// ---------------------------------------------------------------------------
+// Commit (§3, §4.4, §2.2, §5) and the decision-log hops it leaves
+
+/// Books the routed communication on exclusive links and fills `comm`.
+void commit(const AlgorithmSpec& spec, ExclusiveNetworkState& network,
+            dag::EdgeId edge, const net::Route& route, double ship_time,
+            double cost, EdgeCommunication& comm) {
+  switch (spec.insertion) {
+    case InsertionPolicyKind::kFirstFit:
+      // First-fit exclusive slots (§3), never displacing booked edges.
+      comm.arrival = network.commit_edge_basic(edge, route, ship_time, cost);
+      comm.kind = EdgeCommunication::Kind::kExclusive;
+      comm.route = route;
+      comm.occupations = network.record(edge).occupations;
+      return;
+    case InsertionPolicyKind::kOptimal:
+      // Optimal insertion (§4.4): booked slots may defer within their
+      // causality slack, so later commits can still move this edge's
+      // occupations. No route or occupations here: the end-of-run
+      // refresh (refresh_deferred) writes every routed edge from the
+      // final link records.
+      comm.arrival =
+          network.commit_edge_optimal(edge, route, ship_time, cost);
+      comm.kind = EdgeCommunication::Kind::kExclusive;
+      return;
+    case InsertionPolicyKind::kPacketized: {
+      // Store-and-forward packets (§2.2): the message splits into
+      // equal-volume packets; each hop of a packet starts only after the
+      // packet fully crossed the previous hop.
+      const std::size_t packets = static_cast<std::size_t>(
+          std::max(1.0, std::ceil(cost / spec.packet_size)));
+      const double volume = cost / static_cast<double>(packets);
+      double arrival = ship_time;
+      for (std::size_t p = 0; p < packets; ++p) {
+        arrival = std::max(
+            arrival, network.commit_packet(edge, route, ship_time, volume));
+      }
+      comm.kind = EdgeCommunication::Kind::kPacketized;
+      comm.route = route;
+      comm.occupations = network.record(edge).occupations;
+      comm.packet_count = packets;
+      comm.arrival = arrival;
+      return;
+    }
+    case InsertionPolicyKind::kFluidBandwidth:
+      break;
+  }
+  EDGESCHED_ASSERT_MSG(false, "fluid insertion on the exclusive state");
+}
+
+/// Fluid bandwidth sharing (§5): full remaining bandwidth on the first
+/// hop, fluid forwarding on subsequent hops, rate profiles committed.
+void commit(const AlgorithmSpec& /*spec*/, BandwidthNetworkState& network,
+            dag::EdgeId /*edge*/, const net::Route& route, double ship_time,
+            double cost, EdgeCommunication& comm) {
+  BandwidthNetworkState::Transfer transfer =
+      network.commit_edge(route, ship_time, cost);
+  comm.kind = EdgeCommunication::Kind::kBandwidth;
+  comm.route = route;
+  comm.profiles = std::move(transfer.profiles);
+  comm.arrival = transfer.arrival;
+}
+
+/// Exclusive hops come from the edge's link record as committed now
+/// (under optimal insertion, later deferrals may still move them).
+void append_hops(const ExclusiveNetworkState& network, dag::EdgeId edge,
+                 const EdgeCommunication& /*comm*/,
+                 std::vector<obs::EdgeHop>& hops) {
+  const EdgeRecord& record = network.record(edge);
+  hops.reserve(hops.size() + record.occupations.size());
+  for (const LinkOccupation& occ : record.occupations) {
+    hops.push_back(obs::EdgeHop{static_cast<std::uint32_t>(occ.link.index()),
+                                occ.start, occ.finish});
+  }
+}
+
+void append_hops(const BandwidthNetworkState& /*network*/,
+                 dag::EdgeId /*edge*/, const EdgeCommunication& comm,
+                 std::vector<obs::EdgeHop>& hops) {
+  for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
+    hops.push_back(obs::EdgeHop{
+        static_cast<std::uint32_t>(comm.route[i].index()),
+        comm.profiles[i].start_time(), comm.profiles[i].finish_time()});
+  }
+}
+
+/// End of an optimal-insertion run: deferral may have moved earlier
+/// edges' occupations after their communications were recorded, so every
+/// routed edge is rewritten from its final link record.
+void refresh_deferred(const ExclusiveNetworkState& network,
+                      const dag::TaskGraph& graph, Schedule& out) {
+  for (dag::EdgeId e : graph.all_edges()) {
+    const EdgeRecord& record = network.record(e);
+    if (record.scheduled()) {
+      EdgeCommunication comm;
+      comm.kind = EdgeCommunication::Kind::kExclusive;
+      comm.route = record.route;
+      comm.occupations = record.occupations;
+      comm.arrival = record.occupations.back().finish;
+      out.set_communication(e, std::move(comm));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The §4 loop over one concrete network state.
+
+template <typename Network>
+Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
+             const dag::TaskGraph& graph, const PlatformContext& platform) {
+  constexpr bool kExclusive = std::is_same_v<Network, ExclusiveNetworkState>;
   const net::Topology& topology = platform.topology();
   // Pooled scratch, re-armed for this run: reusable buffers cleared, so a
   // recycled workspace and a fresh one start from identical state.
@@ -33,17 +317,22 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
   Workspace& workspace = *lease;
   workspace.begin_run();
 
-  obs::Span run_span(names_.schedule, "sched", graph.num_tasks());
+  obs::Span run_span(names.schedule, "sched", graph.num_tasks());
   obs::DecisionLog* const log = obs::active_decision_log();
-  Schedule out(spec_.name, graph.num_tasks(), graph.num_edges());
+  Schedule out(spec.name, graph.num_tasks(), graph.num_edges());
 
   // Incremental ready queue instead of a materialised order vector:
   // O(E log V) heap work interleaved with placement, identical pop
   // sequence to `list_order` (tests/ready_queue_property_test.cpp).
-  const std::vector<double> prio = priorities(graph, spec_.priority);
+  const std::vector<double> prio = priorities(graph, spec.priority);
   ReadyQueue ready(graph, prio);
-  const std::unique_ptr<NetworkStateModel> network =
-      make_network_model(spec_, topology, graph.num_edges());
+  Network network = [&] {
+    if constexpr (kExclusive) {
+      return Network(topology, graph.num_edges(), spec.hop_delay);
+    } else {
+      return Network(topology, spec.hop_delay);
+    }
+  }();
   MachineState machines(topology);
   // Arena sizing, once per run: timelines get capacity for the mean
   // per-processor load (geometric growth absorbs skewed assignments),
@@ -51,19 +340,25 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
   // loop. 50k-task runs otherwise spend measurable time in slot-vector
   // reallocation.
   machines.reserve_slots(platform.slot_reserve_hint(graph.num_tasks()));
-  // Routing policy over the per-run epoch-stamped Dijkstra workspace
-  // and the platform's minimal-route table.
-  const std::unique_ptr<RoutingPolicy> routing = make_routing_policy(
-      spec_, topology, workspace.routing, platform.routes());
-  const std::unique_ptr<ProcessorSelectionPolicy> selection =
-      make_selection_policy(spec_, platform.mean_link_speed());
-  const std::unique_ptr<EdgeOrderPolicy> edge_order =
-      make_edge_order_policy(spec_);
-  const std::unique_ptr<InsertionPolicy> insertion =
-      make_insertion_policy(spec_);
 
-  const EngineState state{graph,    topology, spec_,   out,
-                          machines, *network, *routing};
+  // §4.3: the route of one communication. The returned reference stays
+  // valid until the next call (it points into the platform's table or
+  // `probed`), so static routes cost no per-edge allocation.
+  net::Route probed;
+  const auto route = [&](net::NodeId from, net::NodeId to, double ship_time,
+                         double cost) -> const net::Route& {
+    switch (spec.routing) {
+      case RoutingPolicyKind::kBfsMinimal:
+        return platform.routes().route(from, to);
+      case RoutingPolicyKind::kProbeDijkstra:
+        break;
+    }
+    probed = probe_route(network, from, to, ship_time, cost,
+                         workspace.routing);
+    return probed;
+  };
+
+  const double mls = platform.mean_link_speed();
   std::vector<dag::EdgeId>& order_scratch = workspace.order_scratch;
   std::vector<obs::ProcessorCandidate>& candidates = workspace.candidates;
   const std::vector<net::NodeId>& processors = topology.processors();
@@ -86,21 +381,52 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
 
     // Edge priority (§4.2): the order the incoming edges book in, fixed
     // before selection so tentative trials and the final commit agree.
-    const std::vector<dag::EdgeId>& in =
-        edge_order->order(graph, task, order_scratch);
+    // By cost, the costliest edge books first; the sort is stable, so
+    // equal costs keep predecessor order.
+    const std::vector<dag::EdgeId>* in_order = &graph.in_edges(task);
+    if (spec.edge_order == EdgeOrderPolicyKind::kByCostDescending) {
+      order_scratch = *in_order;
+      std::stable_sort(order_scratch.begin(), order_scratch.end(),
+                       [&](dag::EdgeId a, dag::EdgeId b) {
+                         return graph.cost(a) > graph.cost(b);
+                       });
+      in_order = &order_scratch;
+    }
+    const std::vector<dag::EdgeId>& in = *in_order;
 
     // Processor selection (§4.1).
-    ProcessorSelectionPolicy::Choice choice;
+    Choice choice;
     candidates.clear();
     {
-      obs::Span select_span(names_.select_processor, "sched", task.value());
-      choice = selection->select(state, task, weight, ready_moment, in,
-                                 log != nullptr ? &candidates : nullptr);
+      obs::Span select_span(names.select_processor, "sched", task.value());
+      std::vector<obs::ProcessorCandidate>* const logged =
+          log != nullptr ? &candidates : nullptr;
+      switch (spec.selection) {
+        case SelectionPolicyKind::kBlindEft:
+          choice = blind_eft(topology, machines, spec.task_insertion, weight,
+                             ready_moment, logged);
+          break;
+        case SelectionPolicyKind::kTentativeEft:
+          // AlgorithmSpec::validate pairs tentative EFT with first-fit
+          // insertion, hence with the exclusive state.
+          if constexpr (kExclusive) {
+            choice = tentative_eft(graph, out, machines, spec, network,
+                                   route, workspace.trial_edges, weight,
+                                   ready_moment, in, logged);
+          } else {
+            EDGESCHED_ASSERT_MSG(false, "tentative EFT on bandwidth links");
+          }
+          break;
+        case SelectionPolicyKind::kMlsEstimate:
+          choice = mls_estimate(graph, out, topology, machines, mls, weight,
+                                in, logged);
+          break;
+      }
     }
     candidates_evaluated += processors.size();
     if (log != nullptr) {
       log->record(obs::TaskDecision{
-          spec_.name, static_cast<std::uint32_t>(task.index()),
+          spec.name, static_cast<std::uint32_t>(task.index()),
           static_cast<std::uint32_t>(choice.processor.index()), choice.score,
           std::move(candidates)});
     }
@@ -117,16 +443,16 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
       if (src.processor == chosen || edge.cost <= 0.0) {
         comm.kind = EdgeCommunication::Kind::kLocal;
       } else {
-        obs::Span route_span(names_.route_edge, "sched", e.value());
-        ship_time = spec_.eager_communication ? src.finish : ready_moment;
-        const net::Route& route = routing->route(
-            *network, src.processor, chosen, ship_time, edge.cost);
-        insertion->commit(*network, e, route, ship_time, edge.cost, comm);
+        obs::Span route_span(names.route_edge, "sched", e.value());
+        ship_time = spec.eager_communication ? src.finish : ready_moment;
+        const net::Route& path =
+            route(src.processor, chosen, ship_time, edge.cost);
+        commit(spec, network, e, path, ship_time, edge.cost, comm);
         ++edges_routed;
       }
       if (log != nullptr) {
         obs::EdgeDecision decision;
-        decision.algorithm = spec_.name;
+        decision.algorithm = spec.name;
         decision.edge = static_cast<std::uint32_t>(e.index());
         decision.src_task = static_cast<std::uint32_t>(edge.src.index());
         decision.dst_task = static_cast<std::uint32_t>(edge.dst.index());
@@ -134,7 +460,7 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
         decision.ship_time = ship_time;
         decision.arrival = comm.arrival;
         if (!decision.local) {
-          insertion->append_hops(*network, e, comm, decision.hops);
+          append_hops(network, e, comm, decision.hops);
         }
         log->record(std::move(decision));
       }
@@ -145,7 +471,7 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
     // Place the task.
     const double duration = weight / topology.processor_speed(chosen);
     const double start = machines.start_for(chosen, data_ready, duration,
-                                            spec_.task_insertion);
+                                            spec.task_insertion);
     EDGESCHED_ASSERT_MSG(
         choice.expected_start < 0.0 ||
             std::abs(start - choice.expected_start) <= 1e-9,
@@ -155,10 +481,13 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
     ++tasks_placed;
     ready.release_successors(graph, task);
   }
-  throw_if(!ready.all_popped(),
-           "ListSchedulingEngine: graph contains a cycle");
+  throw_if(!ready.all_popped(), "SpecScheduler: graph contains a cycle");
 
-  network->finalize(graph, out);
+  if constexpr (kExclusive) {
+    if (spec.insertion == InsertionPolicyKind::kOptimal) {
+      refresh_deferred(network, graph, out);
+    }
+  }
 
   obs::HotCounters& counters = obs::hot_counters();
   counters.tasks_placed.increment(tasks_placed);
@@ -172,9 +501,25 @@ Schedule ListSchedulingEngine::run(const dag::TaskGraph& graph,
   // One coarse flight-recorder milestone per schedule() call — not per
   // task or edge — so the always-on recorder stays off the hot path.
   obs::flight_recorder().record(obs::FlightEventKind::kSchedule,
-                                names_.schedule, out.makespan(),
+                                names.schedule, out.makespan(),
                                 graph.num_tasks(), out.makespan());
   return out;
+}
+
+}  // namespace
+
+SpecScheduler::SpecScheduler(AlgorithmSpec spec)
+    : spec_(std::move(spec)), names_(spec_.name) {
+  spec_.validate();
+}
+
+Schedule SpecScheduler::schedule(const dag::TaskGraph& graph,
+                                 const PlatformContext& platform) const {
+  check_inputs(graph, platform.topology());
+  if (spec_.insertion == InsertionPolicyKind::kFluidBandwidth) {
+    return run<BandwidthNetworkState>(spec_, names_, graph, platform);
+  }
+  return run<ExclusiveNetworkState>(spec_, names_, graph, platform);
 }
 
 }  // namespace edgesched::sched

@@ -81,11 +81,11 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
   population.reserve(options_.population);
   population.push_back(Individual{
       assignment_of(graph,
-                    ListSchedulingEngine(oihsa_spec()).run(graph, platform)),
+                    SpecScheduler(oihsa_spec()).schedule(graph, platform)),
       0.0});
   population.push_back(Individual{
       assignment_of(graph,
-                    ListSchedulingEngine(ba_spec()).run(graph, platform)),
+                    SpecScheduler(ba_spec()).schedule(graph, platform)),
       0.0});
   while (population.size() < options_.population) {
     Rng rng = member_stream(options_.seed, 0, population.size());

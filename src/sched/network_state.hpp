@@ -5,9 +5,9 @@
 // per-link occupations — the information OIHSA's deferral slack (Lemma 2)
 // is computed from. `BandwidthNetworkState` is the BBSA counterpart with
 // one `BandwidthTimeline` per domain. `MachineState` tracks the processor
-// timelines. All three are value types: the Basic Algorithm's tentative
-// per-processor evaluation copies the state, schedules into the copy and
-// keeps the best.
+// timelines. None of them copies: the Basic Algorithm's tentative
+// per-processor evaluation commits into the one exclusive state and rolls
+// back with `uncommit_edge`.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "net/topology.hpp"
 #include "sched/schedule.hpp"
 #include "timeline/bandwidth_timeline.hpp"
-#include "timeline/insertion.hpp"
 #include "timeline/link_timeline.hpp"
 #include "timeline/optimal_insertion.hpp"
 #include "timeline/processor_timeline.hpp"
@@ -80,15 +79,6 @@ class ExclusiveNetworkState {
   /// and displaced edges' records are updated. Returns the arrival time.
   double commit_edge_optimal(dag::EdgeId edge, const net::Route& route,
                              double ready, double cost);
-
-  /// Insertion-policy facade: dispatches to the basic or optimal commit.
-  double commit_edge(dag::EdgeId edge, const net::Route& route,
-                     double ready, double cost,
-                     timeline::InsertionKind insertion) {
-    return insertion == timeline::InsertionKind::kOptimal
-               ? commit_edge_optimal(edge, route, ready, cost)
-               : commit_edge_basic(edge, route, ready, cost);
-  }
 
   /// Record of a committed edge; unscheduled edges return an empty record.
   [[nodiscard]] const EdgeRecord& record(dag::EdgeId edge) const {

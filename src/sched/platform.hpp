@@ -1,11 +1,11 @@
 // Shared per-topology platform state vs per-run scratch.
 //
 // `PlatformContext` is the engine's only input besides the task graph
-// (`ListSchedulingEngine::run`, `Scheduler::schedule`). It splits what
-// is derivable from the topology alone — shared across every run on the
-// fabric: the service layer absorbing many DAGs against one deployment,
-// sweep instances comparing three algorithms on one drawn topology,
-// recovery replans on a surviving fabric — from per-run scratch:
+// (`Scheduler::schedule`). It splits what is derivable from the topology
+// alone — shared across every run on the fabric: the service layer
+// absorbing many DAGs against one deployment, sweep instances comparing
+// three algorithms on one drawn topology, recovery replans on a
+// surviving fabric — from per-run scratch:
 //
 //   * the minimal-route table (`net::StaticRouteTable`, filled lazily
 //     one source at a time, so a context built for a single run costs
@@ -15,11 +15,11 @@
 //     content-address for its platform cache),
 //
 // paired with a pool of per-run `Workspace` objects holding every piece
-// of mutable scratch a run needs (Dijkstra workspace, edge-order and
-// candidate buffers). `checkout()` leases a workspace —
-// reusing a pooled one when a previous run returned it, allocating
-// fresh under contention — so N concurrent runs over one context never
-// share mutable state.
+// of mutable scratch a run needs (Dijkstra workspace, edge-order,
+// candidate and tentative-trial buffers). `checkout()` leases a
+// workspace — reusing a pooled one when a previous run returned it,
+// allocating fresh under contention — so N concurrent runs over one
+// context never share mutable state.
 //
 // Thread-safety contract: every `const` member of `PlatformContext` is
 // safe from any number of threads (the route table fills each source
@@ -51,10 +51,14 @@ struct Workspace {
   net::RoutingWorkspace routing;
   std::vector<dag::EdgeId> order_scratch;
   std::vector<obs::ProcessorCandidate> candidates;
+  /// Edges one tentative-EFT trial committed, for rollback between
+  /// candidate processors.
+  std::vector<dag::EdgeId> trial_edges;
 
   void begin_run() {
     order_scratch.clear();
     candidates.clear();
+    trial_edges.clear();
   }
 };
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/replay.hpp"
+#include "sched/assignment.hpp"
 #include "sched/validator.hpp"
 
 namespace edgesched::sched {
@@ -121,6 +123,23 @@ TEST(Replay, ContentionNeverHelps) {
     const Schedule real = replay_under_contention(graph, topo, ideal);
     EXPECT_GE(real.makespan(), ideal.makespan() - 1e-6);
   }
+}
+
+TEST(Replay, RejectsScheduleOfAnotherTopology) {
+  // A schedule planned on eight processors names processors a
+  // two-processor star does not have: a typed input error, not an
+  // internal assertion.
+  Rng rng(17);
+  dag::LayeredDagParams params;
+  params.num_tasks = 30;
+  dag::TaskGraph graph = dag::random_layered(params, rng);
+  dag::rescale_to_ccr(graph, 2.0);
+  const net::Topology planned =
+      net::switched_star(8, net::SpeedConfig{}, rng);
+  const net::Topology small = net::switched_star(2, net::SpeedConfig{}, rng);
+  const Schedule ideal = ClassicScheduler{}.schedule(graph, planned);
+  EXPECT_THROW((void)replay_under_contention(graph, small, ideal),
+               std::invalid_argument);
 }
 
 TEST(Replay, NoOpWithoutCrossEdges) {

@@ -1,19 +1,24 @@
 // Golden equivalence: the four paper algorithms, however they are
 // implemented, must emit byte-identical schedules on a pinned fig1/fig3
 // workload slice. The goldens under tests/golden/ were captured from the
-// pre-engine (hand-rolled loop) implementations; the policy-bundle
-// engine is required to reproduce them bit for bit.
+// pre-engine (hand-rolled loop) implementations, and a variant added
+// later from the build before its change; the spec-driven engine is
+// required to reproduce them bit for bit.
 //
 // Regenerate (only when the *model semantics* deliberately change):
 //   EDGESCHED_UPDATE_GOLDENS=1 ./build/tests/engine_golden_test
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/decision_log.hpp"
+#include "obs/json.hpp"
 #include "schedule_canon.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
@@ -62,7 +67,7 @@ std::vector<PinnedInstance> pinned_instances() {
 /// Algorithm variants under golden protection: the four presets plus
 /// the edited presets the ablation benches run (tentative BA selection,
 /// first-fit OIHSA, BFS routing, eager shipping, append placement) so
-/// every policy seam is pinned.
+/// every spec decision is pinned.
 struct Variant {
   std::string label;
   sched::AlgorithmSpec spec;
@@ -80,9 +85,8 @@ std::vector<Variant> variants() {
   AlgorithmSpec oihsa_bfs = oihsa_spec();
   oihsa_bfs.routing = RoutingPolicyKind::kBfsMinimal;
   oihsa_bfs.edge_order = EdgeOrderPolicyKind::kPredecessorOrder;
-  AlgorithmSpec aware = oihsa_spec();
-  aware.insertion_aware_estimate = true;
-  aware.eager_communication = true;
+  AlgorithmSpec oihsa_eager = oihsa_spec();
+  oihsa_eager.eager_communication = true;
   AlgorithmSpec bbsa_bfs = bbsa_spec();
   bbsa_bfs.routing = RoutingPolicyKind::kBfsMinimal;
   AlgorithmSpec small_packets = packet_ba_spec();
@@ -93,7 +97,7 @@ std::vector<Variant> variants() {
           {"oihsa", oihsa_spec()},
           {"oihsa_firstfit", firstfit},
           {"oihsa_bfs_predorder", oihsa_bfs},
-          {"oihsa_aware_eager", aware},
+          {"oihsa_eager", oihsa_eager},
           {"bbsa", bbsa_spec()},
           {"bbsa_bfs", bbsa_bfs},
           {"packet_ba", packet_ba_spec()},
@@ -133,6 +137,119 @@ TEST(EngineGolden, ByteIdenticalToPreRefactorSchedules) {
     EXPECT_EQ(actual.str(), expected.str())
         << variant.label
         << ": schedule diverged from the pre-refactor golden";
+  }
+}
+
+// The golden directory and the variant list must agree: a golden whose
+// variant was deleted would otherwise linger unread, and a variant
+// without a file fails only under the byte test above.
+TEST(EngineGolden, EveryGoldenFileHasAVariantAndViceVersa) {
+  std::set<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EDGESCHED_GOLDEN_DIR)) {
+    if (entry.path().extension() == ".txt") {
+      on_disk.insert(entry.path().stem().string());
+    }
+  }
+  std::set<std::string> named;
+  for (const Variant& variant : variants()) {
+    named.insert(variant.label);
+  }
+  for (const std::string& file : on_disk) {
+    EXPECT_TRUE(named.count(file) == 1)
+        << "golden " << file << ".txt names no variant";
+  }
+  for (const std::string& label : named) {
+    EXPECT_TRUE(on_disk.count(label) == 1)
+        << "variant " << label << " has no golden file";
+  }
+}
+
+// The decision log must explain the schedule it accompanies: every task
+// decision names the processor the task ran on, local edges log no hops,
+// and a remote edge logs exactly the (link, start, finish) hops the
+// schedule records — from the occupations for exclusive and packetized
+// edges, from the route and rate profiles for fluid ones. Under optimal
+// insertion the log is written at commit time and later deferrals may
+// move a slot, but only later: the hops name the final links in order
+// and no logged start exceeds the final one.
+TEST(EngineGolden, DecisionLogHopsMatchTheSchedule) {
+  using sched::EdgeCommunication;
+  for (const Variant& variant : variants()) {
+    const bool deferrable =
+        variant.spec.insertion == sched::InsertionPolicyKind::kOptimal;
+    for (const PinnedInstance& pinned : pinned_instances()) {
+      SCOPED_TRACE(variant.label + " on " + pinned.label);
+      const dag::TaskGraph& graph = pinned.instance.graph;
+      std::ostringstream jsonl;
+      obs::DecisionLog log(jsonl);
+      const sched::Schedule schedule = [&] {
+        obs::ScopedDecisionLog scoped(log);
+        return sched::SpecScheduler(variant.spec)
+            .schedule(graph, pinned.instance.topology);
+      }();
+
+      std::size_t tasks_logged = 0;
+      std::size_t edges_logged = 0;
+      std::istringstream lines(jsonl.str());
+      std::string line;
+      while (std::getline(lines, line)) {
+        const obs::JsonValue doc = obs::JsonValue::parse(line);
+        const std::string& type = doc.at("type").as_string();
+        if (type == "task") {
+          ++tasks_logged;
+          const dag::TaskId task{
+              static_cast<std::uint32_t>(doc.at("task").as_number())};
+          EXPECT_EQ(doc.at("chosen_processor").as_number(),
+                    static_cast<double>(schedule.task(task).processor.index()));
+          continue;
+        }
+        if (type != "edge") {
+          continue;
+        }
+        ++edges_logged;
+        const dag::EdgeId e{
+            static_cast<std::uint32_t>(doc.at("edge").as_number())};
+        const EdgeCommunication& comm = schedule.communication(e);
+        const obs::JsonValue& hops = doc.at("hops");
+        if (comm.kind == EdgeCommunication::Kind::kLocal) {
+          EXPECT_TRUE(doc.at("local").as_bool());
+          EXPECT_EQ(hops.size(), 0u);
+          continue;
+        }
+        EXPECT_FALSE(doc.at("local").as_bool());
+        // The schedule's own hops, in booking order.
+        std::vector<obs::EdgeHop> expected;
+        if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+          for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
+            expected.push_back(obs::EdgeHop{
+                static_cast<std::uint32_t>(comm.route[i].index()),
+                comm.profiles[i].start_time(),
+                comm.profiles[i].finish_time()});
+          }
+        } else {
+          for (const sched::LinkOccupation& occ : comm.occupations) {
+            expected.push_back(
+                obs::EdgeHop{static_cast<std::uint32_t>(occ.link.index()),
+                             occ.start, occ.finish});
+          }
+        }
+        ASSERT_EQ(hops.size(), expected.size()) << "edge " << e.value();
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const obs::JsonValue& hop = hops.at(i);
+          EXPECT_EQ(hop.at("link").as_number(),
+                    static_cast<double>(expected[i].link));
+          if (deferrable) {
+            EXPECT_LE(hop.at("start").as_number(), expected[i].start);
+          } else {
+            EXPECT_EQ(hop.at("start").as_number(), expected[i].start);
+            EXPECT_EQ(hop.at("finish").as_number(), expected[i].finish);
+          }
+        }
+      }
+      EXPECT_EQ(tasks_logged, graph.num_tasks());
+      EXPECT_EQ(edges_logged, graph.num_edges());
+    }
   }
 }
 

@@ -55,13 +55,10 @@ TEST(ModelSemantics, EveryKnobKeepsOihsaValid) {
   const Instance inst = make(2);
   for (bool eager : {false, true}) {
     for (bool insertion : {false, true}) {
-      for (bool estimate : {false, true}) {
-        AlgorithmSpec spec = oihsa_spec();
-        spec.eager_communication = eager;
-        spec.task_insertion = insertion;
-        spec.insertion_aware_estimate = estimate;
-        validate_or_throw(inst.graph, inst.topo, run(spec, inst));
-      }
+      AlgorithmSpec spec = oihsa_spec();
+      spec.eager_communication = eager;
+      spec.task_insertion = insertion;
+      validate_or_throw(inst.graph, inst.topo, run(spec, inst));
     }
   }
 }

@@ -81,7 +81,6 @@ std::vector<AlgorithmSpec> novel_specs() {
   AlgorithmSpec mls_packet;
   mls_packet.name = "MLS-PACKET";
   mls_packet.selection = SelectionPolicyKind::kMlsEstimate;
-  mls_packet.insertion_aware_estimate = true;
   mls_packet.edge_order = EdgeOrderPolicyKind::kByCostDescending;
   mls_packet.routing = RoutingPolicyKind::kProbeDijkstra;
   mls_packet.insertion = InsertionPolicyKind::kPacketized;
