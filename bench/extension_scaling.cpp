@@ -1,5 +1,6 @@
 // Scale-frontier sweep: task count x processor count for the
-// contention-aware algorithms on switched fat-tree topologies.
+// contention-aware algorithms on switched fat-tree topologies, plus one
+// executor replay cell.
 //
 // The paper's experiments stop at hundreds of tasks; this bench is the
 // evidence that the engine's large-scale structures (hierarchical gap
@@ -20,7 +21,10 @@
 //                      plus one 10k-task x 256-processor frontier cell
 //                      for oihsa and bbsa, whose machine-independent work
 //                      counts must stay under hard-coded ceilings (the
-//                      bench exits non-zero otherwise)
+//                      bench exits non-zero otherwise), and one executor
+//                      cell replaying a 2000-task BBSA schedule on an
+//                      8x8 torus, whose dispatch checks per event are
+//                      gated the same way
 //   EDGESCHED_SCALE_FULL=1
 //                      the 50k-task / 256-processor frontier
 //   EDGESCHED_SCALE_TASKS / _PROCS / _ALGOS / _BA_TASKS_MAX /
@@ -37,11 +41,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dag/generators.hpp"
+#include "exec/executor.hpp"
 #include "net/builders.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
@@ -107,6 +114,53 @@ constexpr std::size_t kFrontierTasks = 10000;
 constexpr std::size_t kFrontierProcs = 256;
 constexpr double kMaxFrontierRelaxations = 17.0;
 constexpr double kMaxFrontierForwardSteps = 16.5;
+
+// The executor cell: a BBSA schedule replayed with timetable dispatch and
+// 0.2 duration jitter. Its dispatch checks per event are deterministic
+// and flat in the task count (1.54 at 500 tasks, 1.56 at 2000, 1.59 at
+// 4000); a dispatch that rescans every transfer hop per epoch measures
+// in the thousands here.
+constexpr std::size_t kExecTasks = 2000;
+constexpr std::size_t kExecTorusSide = 8;
+constexpr double kMaxExecChecksPerEvent = 2.0;
+
+struct ExecCell {
+  double seconds = 0.0;
+  std::uint64_t events = 0;
+  double checks_per_event = 0.0;
+};
+
+ExecCell run_exec_cell(std::size_t reps) {
+  dag::LayeredDagParams params;
+  params.num_tasks = kExecTasks;
+  Rng dag_rng(20260807 + kExecTasks);
+  const dag::TaskGraph graph = dag::random_layered(params, dag_rng);
+  Rng topo_rng(7 + kExecTorusSide * kExecTorusSide);
+  const net::Topology topology = net::torus2d(
+      kExecTorusSide, kExecTorusSide, net::SpeedConfig{}, topo_rng);
+  const sched::Schedule schedule =
+      sched::make_scheduler("bbsa")->schedule(graph, topology);
+  exec::ExecutionOptions options;
+  options.model.duration_spread = 0.2;
+  obs::Counter& checks = obs::hot_counters().exec_dispatch_checks;
+  ExecCell cell;
+  cell.seconds = std::numeric_limits<double>::infinity();
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const std::uint64_t checks_before = checks.value();
+    const auto begin = std::chrono::steady_clock::now();
+    const exec::ExecutionReport report =
+        exec::execute(graph, topology, schedule, options);
+    cell.seconds = std::min(
+        cell.seconds, std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count());
+    cell.events = report.events;
+    cell.checks_per_event =
+        static_cast<double>(checks.value() - checks_before) /
+        static_cast<double>(report.events);
+  }
+  return cell;
+}
 
 /// Hops after the first on every fluid-bandwidth route: the hops the
 /// forward sweep books.
@@ -293,6 +347,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::optional<ExecCell> exec_cell;
+  if (!grid_overridden) {
+    exec_cell = run_exec_cell(reps);
+    std::cout << "\nexec bbsa, " << kExecTasks << " tasks, "
+              << kExecTorusSide << "x" << kExecTorusSide
+              << " torus: exec_ms " << exec_cell->seconds * 1e3 << ", events "
+              << exec_cell->events << ", dispatch_checks_per_event "
+              << exec_cell->checks_per_event << "\n";
+    if (exec_cell->checks_per_event > kMaxExecChecksPerEvent) {
+      std::cerr << "extension_scaling: executor cell exceeds its ceiling of "
+                << kMaxExecChecksPerEvent << " dispatch checks per event\n";
+      over_ceiling = true;
+    }
+  }
+
   std::cout << "\nfitted exponents (time ~ tasks^k):\n";
   obs::JsonValue cells_json = obs::JsonValue::array();
   for (const Cell& c : cells) {
@@ -324,6 +393,16 @@ int main(int argc, char** argv) {
   }
   telemetry.report().root().set("cells", std::move(cells_json));
   telemetry.report().root().set("exponents", std::move(exponents));
+  if (exec_cell.has_value()) {
+    obs::JsonValue entry = obs::JsonValue::object();
+    entry.set("algorithm", "bbsa");
+    entry.set("tasks", kExecTasks);
+    entry.set("procs", kExecTorusSide * kExecTorusSide);
+    entry.set("exec_seconds", exec_cell->seconds);
+    entry.set("events", exec_cell->events);
+    entry.set("dispatch_checks_per_event", exec_cell->checks_per_event);
+    telemetry.report().root().set("exec_cell", std::move(entry));
+  }
 
   // Google-benchmark-shaped mirror of the cells so tools/bench_compare
   // can gate this sweep exactly like the micro benches.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -100,7 +101,8 @@ enum class EventKind : std::uint8_t {
   kHealLink,
   kTaskFinish,
   kTransferFinish,
-  kRelease,
+  kReleaseTask,      ///< a task's anchor or retry time (kNone32: round start)
+  kReleaseTransfer,  ///< a transfer op's anchor or retry time
   kFault,
 };
 
@@ -112,7 +114,8 @@ int event_rank(EventKind kind) noexcept {
     case EventKind::kTaskFinish:
     case EventKind::kTransferFinish:
       return 1;
-    case EventKind::kRelease:
+    case EventKind::kReleaseTask:
+    case EventKind::kReleaseTransfer:
       return 2;
     case EventKind::kFault:
       return 3;
@@ -124,7 +127,7 @@ struct Event {
   double time = 0.0;
   int rank = 0;
   std::uint64_t seq = 0;
-  EventKind kind = EventKind::kRelease;
+  EventKind kind = EventKind::kReleaseTask;
   std::uint32_t index = 0;
   std::uint32_t gen = 0;  ///< invalidates finish events of killed attempts
 };
@@ -162,6 +165,7 @@ struct TransferOp {
   std::uint32_t edge = 0;       ///< round-local edge id
   std::uint32_t orig_edge = 0;  ///< original edge id (sampler stream key)
   std::uint32_t chain_prev = kNone32;
+  std::uint32_t chain_next = kNone32;
   std::uint32_t link = kNone32;    ///< round-local link index
   std::uint32_t domain = kNone32;  ///< set only when serialized
   double anchor_start = 0.0;
@@ -197,6 +201,60 @@ struct DomainState {
   std::vector<std::uint32_t> queue;  ///< serialized ops in planned order
   std::size_t next = 0;
   std::uint32_t running = kNone32;
+};
+
+/// Indices awaiting a readiness check, drained in ascending order. An
+/// index woken mid-drain ahead of the cursor is visited in the same drain;
+/// one at or behind it waits for the next, exactly where a linear scan
+/// over all indices would next reach it.
+class WakeSet {
+ public:
+  void resize(std::size_t size) { queued_.assign(size, 0); }
+
+  void wake(std::uint32_t i) {
+    if (queued_[i] != 0) {
+      return;
+    }
+    queued_[i] = 1;
+    if (draining_ && i <= cursor_) {
+      deferred_.push_back(i);
+    } else {
+      heap_.push(i);
+    }
+  }
+
+  /// Visits every woken index once, in ascending order; `check` returns
+  /// whether it started work. Returns whether any check did.
+  template <typename Check>
+  bool drain(Check&& check) {
+    for (const std::uint32_t i : deferred_) {
+      heap_.push(i);
+    }
+    deferred_.clear();
+    bool progress = false;
+    draining_ = true;
+    while (!heap_.empty()) {
+      cursor_ = heap_.top();
+      heap_.pop();
+      queued_[cursor_] = 0;
+      ++checks_;
+      progress = check(cursor_) || progress;
+    }
+    draining_ = false;
+    return progress;
+  }
+
+  [[nodiscard]] std::uint64_t checks() const noexcept { return checks_; }
+
+ private:
+  std::vector<char> queued_;
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<>>
+      heap_;
+  std::vector<std::uint32_t> deferred_;
+  std::uint32_t cursor_ = 0;
+  bool draining_ = false;
+  std::uint64_t checks_ = 0;
 };
 
 /// One master fault localized into the current round's id spaces.
@@ -299,6 +357,12 @@ class Round {
 
   RoundResult run();
 
+  /// Readiness checks of processors, domains and free ops so far.
+  [[nodiscard]] std::uint64_t dispatch_checks() const noexcept {
+    return woken_procs_.checks() + woken_domains_.checks() +
+           woken_ops_.checks();
+  }
+
  private:
   // -- construction ---------------------------------------------------------
 
@@ -333,10 +397,15 @@ class Round {
   }
 
   void add_transfer(TransferOp op) {
+    const auto oi = static_cast<std::uint32_t>(transfers_.size());
     if (op.serialized) {
       op.domain = topology_.domain(net::LinkId(op.link)).value();
-    } else {
-      free_ops_.push_back(static_cast<std::uint32_t>(transfers_.size()));
+    }
+    if (op.chain_prev != kNone32) {
+      transfers_[op.chain_prev].chain_next = oi;
+    }
+    if (op.link != kNone32) {
+      link_ops_[op.link].push_back(oi);
     }
     transfers_.push_back(op);
   }
@@ -344,7 +413,10 @@ class Round {
   void build_transfers() {
     const std::size_t num_edges = graph_.num_edges();
     edge_last_remaining_.assign(num_edges, 0);
+    edge_ops_.assign(num_edges + 1, 0);
+    link_ops_.resize(topology_.num_links());
     for (std::size_t e = 0; e < num_edges; ++e) {
+      edge_ops_[e] = static_cast<std::uint32_t>(transfers_.size());
       const dag::EdgeId edge_id(static_cast<std::uint32_t>(e));
       const sched::EdgeCommunication& comm = schedule_.communication(edge_id);
       const dag::Edge& edge = graph_.edge(edge_id);
@@ -444,6 +516,7 @@ class Round {
         }
       }
     }
+    edge_ops_[num_edges] = static_cast<std::uint32_t>(transfers_.size());
     // Serialized ops queue per contention domain in planned slot order.
     domains_.resize(topology_.num_domains());
     for (std::size_t i = 0; i < transfers_.size(); ++i) {
@@ -533,6 +606,25 @@ class Round {
                     : prev.state == OpState::kDone;
   }
 
+  bool start_transfer_if_ready(std::uint32_t oi, double now) {
+    if (!transfer_ready(transfers_[oi], now)) {
+      return false;
+    }
+    start_transfer(oi, now);
+    return true;
+  }
+
+  /// Queues a readiness check of op `oi`: of its domain's head when it
+  /// is serialized, of the op itself otherwise.
+  void wake_op(std::uint32_t oi) {
+    const TransferOp& op = transfers_[oi];
+    if (op.serialized) {
+      woken_domains_.wake(op.domain);
+    } else {
+      woken_ops_.wake(oi);
+    }
+  }
+
   void start_task(std::uint32_t ti, double now) {
     TaskOp& tk = tasks_[ti];
     const std::uint32_t attempt = gs_.attempts[tk.orig]++;
@@ -568,44 +660,43 @@ class Round {
       domains_[op.domain].running = oi;
     }
     push_event(finish, EventKind::kTransferFinish, oi, op.gen);
+    if (op.chain_next != kNone32) {
+      wake_op(op.chain_next);
+    }
   }
 
+  /// Starts every woken resource that is ready, in the order a full scan
+  /// would: processors by index, then domains, then free ops, repeated
+  /// while a pass started something. Only starts wake others (a started
+  /// hop wakes its downstream one), so a pass without progress ends it.
   void dispatch(double now) {
     bool progress = true;
     while (progress) {
-      progress = false;
-      for (ProcState& p : procs_) {
+      progress = woken_procs_.drain([&](std::uint32_t np) {
+        const ProcState& p = procs_[np];
         if (!p.up || p.running != kNone32 || p.next >= p.queue.size()) {
-          continue;
+          return false;
         }
         const std::uint32_t ti = p.queue[p.next];
-        TaskOp& tk = tasks_[ti];
+        const TaskOp& tk = tasks_[ti];
         if (tk.state != OpState::kPending || tk.arrivals_pending > 0 ||
             now < tk.retry_not_before ||
             (timetable_ && now < tk.anchor_start)) {
-          continue;
+          return false;
         }
         start_task(ti, now);
-        progress = true;
-      }
-      for (DomainState& d : domains_) {
+        return true;
+      });
+      progress = woken_domains_.drain([&](std::uint32_t di) {
+        const DomainState& d = domains_[di];
         if (d.running != kNone32 || d.next >= d.queue.size()) {
-          continue;
+          return false;
         }
-        const std::uint32_t oi = d.queue[d.next];
-        if (!transfer_ready(transfers_[oi], now)) {
-          continue;
-        }
-        start_transfer(oi, now);
-        progress = true;
-      }
-      for (const std::uint32_t oi : free_ops_) {
-        if (!transfer_ready(transfers_[oi], now)) {
-          continue;
-        }
-        start_transfer(oi, now);
-        progress = true;
-      }
+        return start_transfer_if_ready(d.queue[d.next], now);
+      }) || progress;
+      progress = woken_ops_.drain([&](std::uint32_t oi) {
+        return start_transfer_if_ready(oi, now);
+      }) || progress;
     }
   }
 
@@ -614,7 +705,9 @@ class Round {
   void complete_arrival(std::uint32_t edge) {
     TaskOp& dst = tasks_[graph_.edge(dag::EdgeId(edge)).dst.value()];
     EDGESCHED_ASSERT(dst.arrivals_pending > 0);
-    --dst.arrivals_pending;
+    if (--dst.arrivals_pending == 0) {
+      woken_procs_.wake(dst.proc);
+    }
   }
 
   void on_task_finish(const Event& ev) {
@@ -627,6 +720,7 @@ class Round {
     ProcState& p = procs_[tk.proc];
     p.running = kNone32;
     ++p.next;
+    woken_procs_.wake(tk.proc);
     if (!tk.stub) {
       gs_.finished[tk.orig] = 1;
       TaskRecord& rec = report_.tasks[tk.orig];
@@ -638,6 +732,12 @@ class Round {
     for (const dag::EdgeId oe : graph_.out_edges(dag::TaskId(ev.index))) {
       if (edge_last_remaining_[oe.index()] == 0) {
         complete_arrival(oe.value());  // local edge: data is already there
+      }
+      for (std::uint32_t oi = edge_ops_[oe.index()];
+           oi < edge_ops_[oe.index() + 1]; ++oi) {
+        if (transfers_[oi].chain_prev == kNone32) {
+          wake_op(oi);  // a route's (or a packet's) first hop
+        }
       }
     }
   }
@@ -652,6 +752,10 @@ class Round {
       DomainState& d = domains_[op.domain];
       d.running = kNone32;
       ++d.next;
+      woken_domains_.wake(op.domain);
+    }
+    if (op.chain_next != kNone32) {
+      wake_op(op.chain_next);
     }
     if (op.last_hop && --edge_last_remaining_[op.edge] == 0) {
       complete_arrival(op.edge);
@@ -668,14 +772,16 @@ class Round {
     ++tk.kills;
   }
 
-  void kill_transfer(std::uint32_t oi) {
+  /// Returns a running op to pending: a kill on its own link, or a reset
+  /// because the upstream flow it forwarded was killed.
+  void reset_transfer(std::uint32_t oi) {
     TransferOp& op = transfers_[oi];
     op.state = OpState::kPending;
     ++op.gen;
-    ++op.kills;
     if (op.serialized) {
       domains_[op.domain].running = kNone32;
     }
+    wake_op(oi);
   }
 
   [[nodiscard]] bool processor_needed(std::uint32_t np) const {
@@ -694,8 +800,8 @@ class Round {
   }
 
   [[nodiscard]] bool link_needed(std::uint32_t l) const {
-    for (const TransferOp& op : transfers_) {
-      if (op.link == l && op.state != OpState::kDone) {
+    for (const std::uint32_t oi : link_ops_[l]) {
+      if (transfers_[oi].state != OpState::kDone) {
         return true;
       }
     }
@@ -774,29 +880,24 @@ class Round {
       if (ls.dead) {
         return std::nullopt;
       }
-      for (std::size_t i = 0; i < transfers_.size(); ++i) {
-        if (transfers_[i].link == rf.local_target &&
-            transfers_[i].state == OpState::kRunning) {
-          killed_transfers.push_back(static_cast<std::uint32_t>(i));
-          kill_transfer(static_cast<std::uint32_t>(i));
+      for (const std::uint32_t oi : link_ops_[rf.local_target]) {
+        if (transfers_[oi].state == OpState::kRunning) {
+          killed_transfers.push_back(oi);  // ascending op index
+          ++transfers_[oi].kills;
+          reset_transfer(oi);
         }
       }
       // Cut-through cascade: a downstream hop forwarding the killed flow
       // carries incomplete data — reset it to re-run with its upstream
-      // (no kill charge; its own link is healthy).
-      bool cascaded = true;
-      while (cascaded) {
-        cascaded = false;
-        for (TransferOp& op : transfers_) {
-          if (op.state == OpState::kRunning && op.chain_prev != kNone32 &&
-              transfers_[op.chain_prev].state == OpState::kPending) {
-            op.state = OpState::kPending;
-            ++op.gen;
-            if (op.serialized) {
-              domains_[op.domain].running = kNone32;
-            }
-            cascaded = true;
-          }
+      // (no kill charge; its own link is healthy). No running hop had a
+      // pending upstream before this fault, so the running hops behind
+      // each killed one are exactly the ones to reset.
+      for (const std::uint32_t oi : killed_transfers) {
+        for (std::uint32_t next = transfers_[oi].chain_next;
+             next != kNone32 &&
+             transfers_[next].state == OpState::kRunning;
+             next = transfers_[next].chain_next) {
+          reset_transfer(next);
         }
       }
       if (fe.permanent) {
@@ -851,7 +952,7 @@ class Round {
           return abort_round(now, &fe, os.str());
         }
         tk.retry_not_before = heal_at + options_.retry_backoff * tk.kills;
-        push_event(tk.retry_not_before, EventKind::kRelease, 0, 0);
+        push_event(tk.retry_not_before, EventKind::kReleaseTask, ti, 0);
         ++report_.retries;
       }
       for (const std::uint32_t oi : killed_transfers) {
@@ -863,7 +964,7 @@ class Round {
           return abort_round(now, &fe, os.str());
         }
         op.retry_not_before = heal_at + options_.retry_backoff * op.kills;
-        push_event(op.retry_not_before, EventKind::kRelease, 0, 0);
+        push_event(op.retry_not_before, EventKind::kReleaseTransfer, oi, 0);
         ++report_.retries;
       }
       if (killed > 0) {
@@ -910,12 +1011,16 @@ class Round {
 
   std::vector<TaskOp> tasks_;
   std::vector<TransferOp> transfers_;
-  std::vector<std::uint32_t> free_ops_;  ///< non-serialized transfer ops
   std::vector<ProcState> procs_;
   std::vector<LinkState> links_;
   std::vector<DomainState> domains_;
   std::vector<std::uint32_t> edge_last_remaining_;
+  std::vector<std::uint32_t> edge_ops_;  ///< edge e owns ops [e], [e + 1])
+  std::vector<std::vector<std::uint32_t>> link_ops_;  ///< ascending per link
   std::vector<RoundFault> faults_;
+  WakeSet woken_procs_;
+  WakeSet woken_domains_;
+  WakeSet woken_ops_;  ///< non-serialized transfer ops only
 
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::uint64_t seq_ = 0;
@@ -923,13 +1028,27 @@ class Round {
 };
 
 RoundResult Round::run() {
-  push_event(ctx_.t0, EventKind::kRelease, 0, 0);
+  // Every processor and op starts woken (a serialized op wakes its
+  // domain), so the first dispatch starts what a full scan would.
+  woken_procs_.resize(procs_.size());
+  woken_domains_.resize(domains_.size());
+  woken_ops_.resize(transfers_.size());
+  for (std::size_t np = 0; np < procs_.size(); ++np) {
+    woken_procs_.wake(static_cast<std::uint32_t>(np));
+  }
+  for (std::size_t oi = 0; oi < transfers_.size(); ++oi) {
+    wake_op(static_cast<std::uint32_t>(oi));
+  }
+
+  push_event(ctx_.t0, EventKind::kReleaseTask, kNone32, 0);
   if (timetable_) {
-    for (const TaskOp& tk : tasks_) {
-      push_event(tk.anchor_start, EventKind::kRelease, 0, 0);
+    for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
+      push_event(tasks_[ti].anchor_start, EventKind::kReleaseTask,
+                 static_cast<std::uint32_t>(ti), 0);
     }
-    for (const TransferOp& op : transfers_) {
-      push_event(op.anchor_start, EventKind::kRelease, 0, 0);
+    for (std::size_t oi = 0; oi < transfers_.size(); ++oi) {
+      push_event(transfers_[oi].anchor_start, EventKind::kReleaseTransfer,
+                 static_cast<std::uint32_t>(oi), 0);
     }
   }
   // Transient downtime carried across a replan boundary.
@@ -970,6 +1089,7 @@ RoundResult Round::run() {
           ProcState& p = procs_[ev.index];
           if (!p.dead && p.down_until <= now) {
             p.up = true;
+            woken_procs_.wake(ev.index);
           }
           break;
         }
@@ -977,6 +1097,11 @@ RoundResult Round::run() {
           LinkState& ls = links_[ev.index];
           if (!ls.dead && ls.down_until <= now) {
             ls.up = true;
+            for (const std::uint32_t oi : link_ops_[ev.index]) {
+              if (transfers_[oi].state == OpState::kPending) {
+                wake_op(oi);
+              }
+            }
           }
           break;
         }
@@ -986,8 +1111,14 @@ RoundResult Round::run() {
         case EventKind::kTransferFinish:
           on_transfer_finish(ev);
           break;
-        case EventKind::kRelease:
-          break;  // dispatch below picks up anchored/retried work
+        case EventKind::kReleaseTask:
+          if (ev.index != kNone32) {
+            woken_procs_.wake(tasks_[ev.index].proc);
+          }
+          break;
+        case EventKind::kReleaseTransfer:
+          wake_op(ev.index);
+          break;
         case EventKind::kFault: {
           std::optional<RoundResult> result = handle_fault(faults_[ev.index], now);
           if (result.has_value()) {
@@ -1117,6 +1248,7 @@ ExecutionReport execute(const dag::TaskGraph& graph,
     const RoundResult rr = round.run();
     // Flush the round's hot counters in one batch per round.
     hot.exec_events.increment(report.events - events_before);
+    hot.exec_dispatch_checks.increment(round.dispatch_checks());
     hot.exec_faults.increment(report.faults_injected - faults_before);
     hot.exec_retries.increment(report.retries - retries_before);
     obs::flight_recorder().record(obs::FlightEventKind::kExecRound,

@@ -27,6 +27,7 @@ HotCounters& hot_counters() {
         m.counter("svc_pool_jobs_total"),
         m.counter("sim_sweep_instances_total"),
         m.counter("exec_events_total"),
+        m.counter("exec_dispatch_checks_total"),
         m.counter("exec_faults_injected_total"),
         m.counter("exec_retries_total"),
         m.counter("exec_reschedules_total"),

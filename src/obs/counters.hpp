@@ -41,6 +41,7 @@ struct HotCounters {
   Counter& pool_jobs;     ///< svc::ThreadPool jobs executed
   Counter& sweep_instances;
   Counter& exec_events;       ///< executor events processed
+  Counter& exec_dispatch_checks;  ///< processor/domain/op readiness checks
   Counter& exec_faults;       ///< fault events injected
   Counter& exec_retries;      ///< task/transfer attempts restarted
   Counter& exec_reschedules;  ///< online replans performed
