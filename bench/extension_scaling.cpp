@@ -3,17 +3,18 @@
 // executor replay cell.
 //
 // The paper's experiments stop at hundreds of tasks; this bench is the
-// evidence that the engine's large-scale structures (hierarchical gap
-// index, sharded route caches, per-run arenas, incremental ready queue)
-// hold the measured growth near the documented O(E log V + E * R)
-// model instead of the quadratic blowup the linear structures had. Per
-// cell it schedules a random layered DAG and reports wall time,
-// makespan, the routed-edge count, the Dijkstra relaxations per routed
-// edge (0 under BA's static routing) and BBSA's fluid forward-sweep steps
-// per forwarded hop (0 for the exclusive models); per (algorithm, processors)
-// series it fits the scaling exponent of time vs tasks by log-log least
-// squares. Those exponents back the complexity table in
-// docs/performance.md.
+// evidence that the engine's large-scale structures (hinted gap walks,
+// sharded route caches, per-run arenas, incremental ready queue) hold
+// the measured growth near the documented O(E log V + E * R) model
+// instead of the quadratic blowup the linear structures had. Per cell it
+// schedules a random layered DAG and reports wall time, makespan, the
+// routed-edge count, the Dijkstra relaxations per routed edge (0 under
+// BA's static routing), BBSA's fluid forward-sweep steps per forwarded
+// hop (0 for the exclusive models) and the idle gaps the processor
+// timelines' first-fit walk examines per insertion query; per
+// (algorithm, processors) series it fits the scaling exponent of time vs
+// tasks by log-log least squares. Those exponents back the complexity
+// table in docs/performance.md.
 //
 // Scale tiers:
 //   default            CI-sized grid (seconds; gated in ci.yml against
@@ -24,7 +25,8 @@
 //                      bench exits non-zero otherwise), and one executor
 //                      cell replaying a 2000-task BBSA schedule on an
 //                      8x8 torus, whose dispatch checks per event are
-//                      gated the same way
+//                      gated the same way; every cell's processor gap
+//                      steps per query are gated too
 //   EDGESCHED_SCALE_FULL=1
 //                      the 50k-task / 256-processor frontier
 //   EDGESCHED_SCALE_TASKS / _PROCS / _ALGOS / _BA_TASKS_MAX /
@@ -104,6 +106,7 @@ struct Cell {
   std::size_t edges = 0;
   double relaxations_per_routed_edge = 0.0;
   double forward_steps_per_hop = 0.0;
+  double processor_gap_steps_per_query = 0.0;
 };
 
 // Ceilings on the frontier cell's work counts. Both are deterministic for
@@ -114,6 +117,12 @@ constexpr std::size_t kFrontierTasks = 10000;
 constexpr std::size_t kFrontierProcs = 256;
 constexpr double kMaxFrontierRelaxations = 17.0;
 constexpr double kMaxFrontierForwardSteps = 16.5;
+
+// Ceiling on the idle gaps a processor insertion query examines after
+// the binary-search hint skip, on every cell. Deterministic like the
+// ceilings above; a walk that stops finding its gap near the hint
+// measures far above it.
+constexpr double kMaxProcessorGapSteps = 2.0;
 
 // The executor cell: a BBSA schedule replayed with timetable dispatch and
 // 0.2 duration jitter. Its dispatch checks per event are deterministic
@@ -268,11 +277,15 @@ int main(int argc, char** argv) {
 
   std::cout << "== extension: scale frontier (tasks x processors) ==\n";
   std::cout << "algorithm, tasks, procs, seconds, makespan, edges, "
-               "relaxations_per_routed_edge, forward_steps_per_hop\n";
+               "relaxations_per_routed_edge, forward_steps_per_hop, "
+               "processor_gap_steps_per_query\n";
 
   obs::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
   obs::Counter& edges_routed = obs::hot_counters().edges_routed;
   obs::Counter& forward_steps = obs::hot_counters().forward_steps;
+  obs::Counter& processor_queries = obs::hot_counters().processor_queries;
+  obs::Counter& processor_gap_steps =
+      obs::hot_counters().processor_gap_steps;
   bool over_ceiling = false;
   std::vector<Cell> cells;
   for (const Point& point : points) {
@@ -300,6 +313,8 @@ int main(int argc, char** argv) {
       const std::uint64_t relaxations_before = relaxations.value();
       const std::uint64_t edges_before = edges_routed.value();
       const std::uint64_t steps_before = forward_steps.value();
+      const std::uint64_t queries_before = processor_queries.value();
+      const std::uint64_t gap_steps_before = processor_gap_steps.value();
       std::size_t hops = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         const auto begin = std::chrono::steady_clock::now();
@@ -328,12 +343,28 @@ int main(int argc, char** argv) {
             static_cast<double>(forward_steps.value() - steps_before) /
             static_cast<double>(hops);
       }
+      const std::uint64_t queries =
+          processor_queries.value() - queries_before;
+      if (queries > 0) {
+        cell.processor_gap_steps_per_query =
+            static_cast<double>(processor_gap_steps.value() -
+                                gap_steps_before) /
+            static_cast<double>(queries);
+      }
       cells.push_back(cell);
       std::cout << cell.algorithm << ", " << cell.tasks << ", "
                 << cell.procs << ", " << cell.seconds << ", "
                 << cell.makespan << ", " << cell.edges << ", "
                 << cell.relaxations_per_routed_edge << ", "
-                << cell.forward_steps_per_hop << "\n";
+                << cell.forward_steps_per_hop << ", "
+                << cell.processor_gap_steps_per_query << "\n";
+      if (cell.processor_gap_steps_per_query > kMaxProcessorGapSteps) {
+        std::cerr << "extension_scaling: " << name << " " << tasks << "x"
+                  << procs << " cell exceeds its ceiling of "
+                  << kMaxProcessorGapSteps
+                  << " processor gap steps per query\n";
+        over_ceiling = true;
+      }
       if (tasks == kFrontierTasks && procs == kFrontierProcs &&
           (cell.relaxations_per_routed_edge > kMaxFrontierRelaxations ||
            cell.forward_steps_per_hop > kMaxFrontierForwardSteps)) {
@@ -374,6 +405,8 @@ int main(int argc, char** argv) {
     entry.set("edges", c.edges);
     entry.set("relaxations_per_routed_edge", c.relaxations_per_routed_edge);
     entry.set("forward_steps_per_hop", c.forward_steps_per_hop);
+    entry.set("processor_gap_steps_per_query",
+              c.processor_gap_steps_per_query);
     cells_json.push(std::move(entry));
   }
   obs::JsonValue exponents = obs::JsonValue::array();

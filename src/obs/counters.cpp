@@ -21,6 +21,8 @@ HotCounters& hot_counters() {
         m.counter("timeline_forward_steps_total"),
         m.counter("sched_probe_gap_steps_total"),
         m.counter("sched_optimal_scan_steps_total"),
+        m.counter("sched_processor_queries_total"),
+        m.counter("sched_processor_gap_steps_total"),
         m.counter("sched_candidates_evaluated_total"),
         m.counter("sched_tasks_placed_total"),
         m.counter("sched_edges_routed_total"),

@@ -35,6 +35,8 @@ struct HotCounters {
   Counter& forward_steps;         ///< BBSA fluid forward-sweep steps
   Counter& probe_gap_steps;    ///< idle intervals examined by probes
   Counter& optimal_scan_steps; ///< slots visited by the accum scan
+  Counter& processor_queries;     ///< processor insertion searches
+  Counter& processor_gap_steps;   ///< idle gaps examined by them
   Counter& candidates_evaluated;  ///< processor candidates scored
   Counter& tasks_placed;
   Counter& edges_routed;  ///< remote edges committed to the network

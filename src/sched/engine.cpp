@@ -322,8 +322,8 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
   Schedule out(spec.name, graph.num_tasks(), graph.num_edges());
 
   // Incremental ready queue instead of a materialised order vector:
-  // O(E log V) heap work interleaved with placement, identical pop
-  // sequence to `list_order` (tests/ready_queue_property_test.cpp).
+  // O(E log V) heap work interleaved with placement, the same pop
+  // sequence `list_order` drains.
   const std::vector<double> prio = priorities(graph, spec.priority);
   ReadyQueue ready(graph, prio);
   Network network = [&] {

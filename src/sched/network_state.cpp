@@ -312,6 +312,18 @@ BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(
 MachineState::MachineState(const net::Topology& topology)
     : timelines_(topology.num_nodes()) {}
 
+MachineState::~MachineState() {
+  std::uint64_t queries = 0;
+  std::uint64_t gap_steps = 0;
+  for (const timeline::ProcessorTimeline& tl : timelines_) {
+    queries += tl.query_stats().queries;
+    gap_steps += tl.query_stats().gap_steps;
+  }
+  obs::HotCounters& counters = obs::hot_counters();
+  if (queries > 0) counters.processor_queries.increment(queries);
+  if (gap_steps > 0) counters.processor_gap_steps.increment(gap_steps);
+}
+
 double MachineState::append_start(net::NodeId processor,
                                   double ready) const {
   EDGESCHED_ASSERT(processor.index() < timelines_.size());

@@ -171,6 +171,13 @@ class MachineState {
  public:
   explicit MachineState(const net::Topology& topology);
 
+  /// Flushes the timelines' query tallies into the global hot-path
+  /// counters, once per state lifetime (as ~ExclusiveNetworkState does).
+  ~MachineState();
+
+  MachineState(const MachineState&) = delete;
+  MachineState& operator=(const MachineState&) = delete;
+
   /// The paper's task start (§2.1): t_s(n, P) = max(t_dr, t_f(P)) — tasks
   /// append after the processor's last finish, no insertion.
   [[nodiscard]] double append_start(net::NodeId processor,

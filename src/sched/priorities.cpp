@@ -1,9 +1,8 @@
 #include "sched/priorities.hpp"
 
-#include <queue>
-
 #include "dag/properties.hpp"
 #include "obs/trace.hpp"
+#include "sched/ready_queue.hpp"
 
 namespace edgesched::sched {
 
@@ -29,41 +28,15 @@ std::vector<double> priorities(const dag::TaskGraph& graph,
 
 std::vector<dag::TaskId> list_order(const dag::TaskGraph& graph,
                                     const std::vector<double>& priority) {
-  throw_if(priority.size() != graph.num_tasks(),
-           "list_order: priority vector size mismatch");
-  struct Entry {
-    double priority;
-    dag::TaskId task;
-    bool operator<(const Entry& other) const {
-      if (priority != other.priority) {
-        return priority < other.priority;  // max-heap on priority
-      }
-      return task > other.task;  // then min task id
-    }
-  };
-  std::priority_queue<Entry> ready;
-  std::vector<std::size_t> indegree(graph.num_tasks());
-  for (dag::TaskId t : graph.all_tasks()) {
-    indegree[t.index()] = graph.in_edges(t).size();
-    if (indegree[t.index()] == 0) {
-      ready.push(Entry{priority[t.index()], t});
-    }
-  }
+  ReadyQueue ready(graph, priority);
   std::vector<dag::TaskId> order;
   order.reserve(graph.num_tasks());
-  while (!ready.empty()) {
-    const dag::TaskId task = ready.top().task;
-    ready.pop();
+  dag::TaskId task;
+  while (ready.pop(task)) {
     order.push_back(task);
-    for (dag::EdgeId e : graph.out_edges(task)) {
-      const dag::TaskId next = graph.edge(e).dst;
-      if (--indegree[next.index()] == 0) {
-        ready.push(Entry{priority[next.index()], next});
-      }
-    }
+    ready.release_successors(graph, task);
   }
-  throw_if(order.size() != graph.num_tasks(),
-           "list_order: graph contains a cycle");
+  throw_if(!ready.all_popped(), "list_order: graph contains a cycle");
   return order;
 }
 

@@ -23,7 +23,7 @@ enum class PriorityScheme {
 
 /// Precedence-safe list order: repeatedly pick the ready task with the
 /// highest priority (ties broken by smaller task id, so the order is
-/// deterministic).
+/// deterministic). Drains a `ReadyQueue`.
 [[nodiscard]] std::vector<dag::TaskId> list_order(
     const dag::TaskGraph& graph, const std::vector<double>& priority);
 

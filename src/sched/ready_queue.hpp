@@ -1,14 +1,12 @@
 // Incremental ready queue for the list-scheduling loop.
 //
-// `list_order` materialises the whole priority order up front with
-// Kahn's algorithm; `ReadyQueue` is the same algorithm unrolled into
-// the scheduling loop — pop the highest-priority ready task, place it,
-// release its successors — so the engine's ordering work is bounded by
-// O(E log V) pushes/pops with no O(V) order vector and no second pass
-// over the graph. Determinism contract: the pop sequence is *identical*
-// to `list_order` over the same priorities (same max-heap comparator,
-// same tie-break on task id, same push interleaving — std::push_heap /
-// std::pop_heap on both sides), property-tested in
+// The one Kahn loop of the library: pop the highest-priority ready task
+// (ties broken by smaller task id), place it, release its successors.
+// The engine interleaves it with placement, so its ordering work is
+// bounded by O(E log V) pushes/pops with no O(V) order vector and no
+// second pass over the graph; `list_order` drains it for the schedulers
+// that want the whole order up front. The pop sequence is checked
+// against the O(V^2) definition of the list order in
 // tests/ready_queue_property_test.cpp. The heap and indegree arrays are
 // sized once at construction, so a run performs no ordering-related
 // allocations after setup.

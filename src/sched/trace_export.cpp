@@ -6,24 +6,11 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace edgesched::sched {
 
 namespace {
-
-/// Minimal JSON string escaping for names.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 struct LinkEvent {
   net::DomainId domain;
@@ -78,7 +65,7 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
     }
     first = false;
     out << "\n{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-        << ",\"name\":\"" << json_escape(name) << "\",\"ts\":" << start
+        << ",\"name\":\"" << obs::json_escape(name) << "\",\"ts\":" << start
         << ",\"dur\":" << duration << "}";
   };
   // Row names.
@@ -89,7 +76,7 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
     first = false;
     out << "\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << p.value()
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << json_escape(topology.node(p).name) << "\"}}";
+        << obs::json_escape(topology.node(p).name) << "\"}}";
   }
 
   for (dag::TaskId t : graph.all_tasks()) {

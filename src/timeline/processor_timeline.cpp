@@ -8,19 +8,15 @@
 
 namespace edgesched::timeline {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-ProcessorTimeline::ProcessorTimeline() {
-  gaps_.insert_at(0, 0.0, kInf);  // idle machine: one open gap
-}
-
-double ProcessorTimeline::earliest_start_linear(double ready_time,
-                                                double duration) const {
+double ProcessorTimeline::start_from(std::size_t first, double ready_time,
+                                     double duration) const {
   EDGESCHED_ASSERT_MSG(duration >= 0.0, "task duration must be >= 0");
-  double gap_start = 0.0;
-  for (std::size_t i = 0; i <= slots_.size(); ++i) {
+  ++query_stats_.queries;
+  // Walk the idle intervals in time order from gap `first`: before slot
+  // `first`, between consecutive slots, after the last slot (unbounded).
+  double gap_start = (first == 0) ? 0.0 : slots_[first - 1].finish;
+  for (std::size_t i = first; i <= slots_.size(); ++i) {
+    ++query_stats_.gap_steps;
     const double gap_end = (i < slots_.size())
                                ? slots_[i].start
                                : std::numeric_limits<double>::infinity();
@@ -38,25 +34,22 @@ double ProcessorTimeline::earliest_start_linear(double ready_time,
 
 double ProcessorTimeline::earliest_start(double ready_time,
                                          double duration) const {
-  if (slots_.size() < kIndexedScanThreshold) {
-    return earliest_start_linear(ready_time, duration);
-  }
-  EDGESCHED_ASSERT_MSG(duration >= 0.0, "task duration must be >= 0");
   // Gaps ending before min_finish - 2 eps cannot admit the task: their
   // admission cap tops out below the earliest possible finish. Binary
-  // search past them (same skip bound LinkTimeline::first_candidate_gap
-  // uses), then let the index resume the scan in gap order.
+  // search past them (the skip bound LinkTimeline::first_candidate_gap
+  // uses), then walk the rest in gap order.
   const double min_finish = ready_time + duration;
   const double threshold = min_finish - 2.0 * time_eps(min_finish);
   const auto first = std::lower_bound(
       slots_.begin(), slots_.end(), threshold,
       [](const TaskSlot& slot, double value) { return slot.start < value; });
-  const auto from_pos = static_cast<std::size_t>(first - slots_.begin());
-  double start = 0.0;
-  const bool found =
-      gaps_.find_first_fit(from_pos, ready_time, duration, start);
-  EDGESCHED_ASSERT_MSG(found, "unreachable: open tail always admits task");
-  return start;
+  return start_from(static_cast<std::size_t>(first - slots_.begin()),
+                    ready_time, duration);
+}
+
+double ProcessorTimeline::earliest_start_linear(double ready_time,
+                                                double duration) const {
+  return start_from(0, ready_time, duration);
 }
 
 void ProcessorTimeline::commit(dag::TaskId task, double start,
@@ -84,19 +77,7 @@ void ProcessorTimeline::commit(dag::TaskId task, double start,
     EDGESCHED_ASSERT_MSG(finish <= insert_at->start + time_eps(finish),
                          "task overlaps its successor on the processor");
   }
-  // The slot lands in gap #at; the index replaces that gap with the
-  // left and right remainders (possibly empty or eps-inverted — exactly
-  // the gaps a linear rescan of the updated slots would derive).
-  const auto at = static_cast<std::size_t>(insert_at - slots_.begin());
-  const double gap_start = at == 0 ? 0.0 : slots_[at - 1].finish;
-  const double gap_end = at == slots_.size() ? kInf : slots_[at].start;
-  gaps_.split_at(at, gap_start, start, finish, gap_end);
   slots_.insert(insert_at, TaskSlot{start, finish, task});
-}
-
-void ProcessorTimeline::reserve(std::size_t num_slots) {
-  slots_.reserve(num_slots);
-  gaps_.reserve(num_slots + 1);
 }
 
 double ProcessorTimeline::busy_time() const noexcept {
@@ -108,18 +89,18 @@ double ProcessorTimeline::busy_time() const noexcept {
 }
 
 void ProcessorTimeline::check_invariants() const {
-  std::vector<std::pair<double, double>> indexed;
-  gaps_.collect(indexed);
-  EDGESCHED_ASSERT_MSG(indexed.size() == slots_.size() + 1,
-                       "gap index count diverged from slots");
-  double gap_start = 0.0;
-  for (std::size_t i = 0; i <= slots_.size(); ++i) {
-    const double gap_end = (i < slots_.size()) ? slots_[i].start : kInf;
-    EDGESCHED_ASSERT_MSG(indexed[i].first == gap_start &&
-                             indexed[i].second == gap_end + time_eps(gap_end),
-                         "gap index entry diverged from slots");
-    if (i < slots_.size()) {
-      gap_start = slots_[i].finish;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const TaskSlot& slot = slots_[i];
+    EDGESCHED_ASSERT_MSG(slot.start <= slot.finish,
+                         "slot start after finish");
+    if (i > 0) {
+      // Starts sort exactly (the hint's lower_bound needs it); finishes
+      // may overrun the next start within the commit tolerance.
+      const TaskSlot& prev = slots_[i - 1];
+      EDGESCHED_ASSERT_MSG(
+          prev.start <= slot.start &&
+              prev.finish <= slot.start + time_eps(prev.finish),
+          "slots overlap or are unsorted");
     }
   }
 }

@@ -1,12 +1,13 @@
-// Equivalence property of the engine's incremental ready queue.
+// The engine's ready queue against the definition of the list order.
 //
-// `ReadyQueue` replaces the engine's up-front `list_order` call; the
-// schedules it produces are only byte-identical if its pop sequence is
-// *exactly* the order `list_order` materialises — same max-heap on
-// priority, same min-task-id tie-break, same push interleaving. These
-// tests drive both over randomized layered DAGs (duplicate priorities
-// included, so tie-breaks actually fire) and structured generators, and
-// require element-for-element equal orders.
+// `ReadyQueue` is the library's one Kahn loop: the engine pops it during
+// placement and `list_order` drains it up front. Both must produce the
+// order the paper defines — repeatedly pick the ready task with the
+// highest priority, smallest id on ties. The oracle below evaluates
+// that definition directly in O(V^2), independent of any heap. The
+// tests drive all three over randomized layered DAGs (duplicate
+// priorities included, so tie-breaks actually fire) and require
+// element-for-element equal orders.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -33,6 +34,39 @@ std::vector<dag::TaskId> drain(const dag::TaskGraph& graph,
   return order;
 }
 
+/// The definition, O(V^2): scan every unscheduled task whose
+/// predecessors are all scheduled and take the highest priority,
+/// smallest id on ties.
+std::vector<dag::TaskId> defined_order(const dag::TaskGraph& graph,
+                                       const std::vector<double>& priority) {
+  const std::size_t n = graph.num_tasks();
+  std::vector<bool> done(n, false);
+  std::vector<dag::TaskId> order;
+  order.reserve(n);
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t best = n;
+    for (std::size_t t = 0; t < n; ++t) {
+      if (done[t]) {
+        continue;
+      }
+      bool ready = true;
+      for (dag::EdgeId e : graph.in_edges(dag::TaskId(t))) {
+        ready = ready && done[graph.edge(e).src.index()];
+      }
+      if (ready && (best == n || priority[t] > priority[best])) {
+        best = t;  // ascending scan: a tie keeps the smaller id
+      }
+    }
+    EXPECT_LT(best, n) << "no ready task at step " << step;
+    if (best == n) {
+      break;
+    }
+    done[best] = true;
+    order.push_back(dag::TaskId(best));
+  }
+  return order;
+}
+
 void expect_same_order(const std::vector<dag::TaskId>& incremental,
                        const std::vector<dag::TaskId>& reference) {
   ASSERT_EQ(incremental.size(), reference.size());
@@ -54,7 +88,9 @@ TEST_P(ReadyQueueProperty, PopSequenceMatchesListOrderOnRandomDags) {
           PriorityScheme::kBottomLevelComputationOnly,
           PriorityScheme::kTopLevelPlusBottomLevel}) {
       const std::vector<double> prio = priorities(graph, scheme);
-      expect_same_order(drain(graph, prio), list_order(graph, prio));
+      const std::vector<dag::TaskId> reference = defined_order(graph, prio);
+      expect_same_order(drain(graph, prio), reference);
+      expect_same_order(list_order(graph, prio), reference);
     }
   }
 }
@@ -67,7 +103,9 @@ TEST_P(ReadyQueueProperty, PopSequenceMatchesListOrderUnderFullTies) {
   params.num_tasks = 200;
   const dag::TaskGraph graph = dag::random_layered(params, rng);
   const std::vector<double> flat(graph.num_tasks(), 1.0);
-  expect_same_order(drain(graph, flat), list_order(graph, flat));
+  const std::vector<dag::TaskId> reference = defined_order(graph, flat);
+  expect_same_order(drain(graph, flat), reference);
+  expect_same_order(list_order(graph, flat), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReadyQueueProperty,

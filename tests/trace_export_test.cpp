@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
+#include "obs/json.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
@@ -88,6 +90,39 @@ TEST(ChromeTrace, EscapesNames) {
   const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   const std::string json = chrome_trace_of(graph, topo, s);
   EXPECT_NE(json.find("we\\\"ird"), std::string::npos);
+}
+
+// Control characters can reach names through the TaskGraph API or a
+// read_text token (`>>` splits only on whitespace); the trace must stay
+// parseable JSON and round-trip them.
+TEST(ChromeTrace, ControlCharactersInNamesStayValidJson) {
+  dag::TaskGraph graph;
+  const dag::TaskId src = graph.add_task(4.0, "src\tA");
+  const dag::TaskId dst = graph.add_task(4.0, "dst\x01" "B");
+  const dag::TaskId sib = graph.add_task(4.0, "sib");
+  (void)graph.add_edge(src, dst, 50.0);
+  (void)graph.add_edge(src, sib, 50.0);
+  Rng rng(1);
+  const net::Topology topo =
+      net::switched_star(3, net::SpeedConfig{}, rng);
+  const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
+  const std::string json = chrome_trace_of(graph, topo, s);
+  // RFC 8259 forbids raw control characters inside strings; the writer's
+  // only raw one is the newline between events. (JsonValue::parse
+  // accepts them, so it cannot catch this on its own.)
+  for (const char c : json) {
+    EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+        << "raw control character " << static_cast<int>(c);
+  }
+  const obs::JsonValue trace = obs::JsonValue::parse(json);
+  const obs::JsonValue& events = trace.at("traceEvents");
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    names.push_back(events.at(i).at("name").as_string());
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), "src\tA"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "dst\x01" "B"),
+            names.end());
 }
 
 TEST(AsciiGantt, PaintsTasksAndLinks) {

@@ -35,6 +35,8 @@ ALLOWLIST = {
     "reset_for_test": "test hook of the process-global metrics registry",
     "probe_basic_linear":
         "reference implementation behind probe_from(0, ...)",
+    "earliest_start_linear":
+        "reference walk from gap 0 behind the hinted `earliest_start`",
     "probe_optimal_linear":
         "probe_impl with early_exit=false, kept as reference",
     **dict.fromkeys(
