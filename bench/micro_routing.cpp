@@ -59,16 +59,20 @@ void BM_DijkstraProbeRoute(benchmark::State& state) {
         std::max(s.earliest_start + duration, s.min_finish);
     return net::ProbeResult{finish - duration, finish};
   };
-  // One workspace reused across searches — the pattern every scheduler
-  // uses (per-run workspace, epoch-stamped label resets).
+  // Arc lists built once per topology, one workspace and one route
+  // buffer reused across searches — the pattern every scheduler uses
+  // (per-platform adjacency, per-run workspace, epoch-stamped label
+  // resets).
+  const net::TransitAdjacency adjacency(topo);
   net::RoutingWorkspace ws;
+  net::Route route;
   std::size_t i = 0;
   for (auto _ : state) {
     const net::NodeId from = procs[i % procs.size()];
     const net::NodeId to = procs[(i * 7 + 3) % procs.size()];
     if (from != to) {
-      benchmark::DoNotOptimize(
-          net::dijkstra_route_probe(topo, from, to, 0.0, probe, &ws));
+      net::dijkstra_route_probe(adjacency, from, to, 0.0, probe, ws, route);
+      benchmark::DoNotOptimize(route.data());
     }
     ++i;
   }

@@ -101,4 +101,41 @@ void StaticRouteTable::fill(NodeId from, Shard& shard) const {
   }
 }
 
+TransitAdjacency::TransitAdjacency(const Topology& topology)
+    : topology_(&topology) {
+  const std::size_t n = topology.num_nodes();
+  stub_parent_.assign(n, NodeId{});
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::vector<LinkId>& out = topology.out_links(NodeId(v));
+    if (out.size() == 1) {
+      stub_parent_[v] = topology.link(out.front()).dst;
+    }
+  }
+  // Out- and in-link lists are both in link-id order, so each node's
+  // transit arcs and each stub's parent links come out in that order.
+  transit_begin_.reserve(n + 1);
+  stub_begin_.reserve(n + 1);
+  transit_.reserve(topology.num_links());
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId node(v);
+    transit_begin_.push_back(static_cast<std::uint32_t>(transit_.size()));
+    for (const LinkId l : topology.out_links(node)) {
+      const NodeId dst = topology.link(l).dst;
+      if (stub_parent_[dst.index()] != node) {
+        transit_.push_back(Arc{l, dst});
+      }
+    }
+    stub_begin_.push_back(static_cast<std::uint32_t>(stub_.size()));
+    if (stub_parent_[v].valid()) {
+      for (const LinkId l : topology.in_links(node)) {
+        if (topology.link(l).src == stub_parent_[v]) {
+          stub_.push_back(Arc{l, node});
+        }
+      }
+    }
+  }
+  transit_begin_.push_back(static_cast<std::uint32_t>(transit_.size()));
+  stub_begin_.push_back(static_cast<std::uint32_t>(stub_.size()));
+}
+
 }  // namespace edgesched::net

@@ -6,7 +6,13 @@
 //   Dijkstra whose relaxation key is the tentative finish time of the
 //   edge being routed on each link, supplied by a caller probe that
 //   consults the current link timelines (basic insertion, §3). Routes
-//   therefore steer around loaded links.
+//   therefore steer around loaded links. It walks a `TransitAdjacency`,
+//   never the topology's raw out-link lists.
+// * `TransitAdjacency` — the search's per-platform arc lists: every
+//   node's out-links minus those into its stubs (leaf nodes whose only
+//   out-link leads back), plus each stub's links from its parent, which
+//   the search relaxes only when that stub is the target. Built in one
+//   O(N+L) pass; sched::PlatformContext owns one per topology.
 // * `RoutingWorkspace` — reusable, epoch-stamped Dijkstra scratch so a
 //   scheduler routing thousands of edges allocates its search state once.
 // * `StaticRouteTable` — the static routing layer: `bfs_route`'s minimal
@@ -21,6 +27,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,6 +82,70 @@ class StaticRouteTable {
 
   const Topology* topology_;
   std::unique_ptr<Shard[]> shards_;  ///< by source node index
+};
+
+/// The arcs the modified-routing search may walk, precomputed once per
+/// topology.
+///
+/// A *stub* is a node with exactly one out-link; the node that link
+/// leads to is the stub's *parent* (a leaf processor under a switch,
+/// either end of a two-node duplex). A link parent -> stub can never be
+/// transit for any route not ending at that stub: the stub's only way
+/// on is back into the parent, which the search has already settled when
+/// it expands the parent. So each node's *transit arcs* are its
+/// out-links minus those into its own stubs, and each stub keeps its
+/// parent -> stub links apart, in link-id order, for the one search per
+/// route that targets it. Links into a stub from any other node (a
+/// one-way relay a -> s -> b) stay transit arcs of their source.
+///
+/// Arcs carry their destination, so the search reads no `Topology::Link`
+/// while relaxing. Immutable once built and safe to share across
+/// threads. Non-owning: the topology must outlive the adjacency and must
+/// not gain links after it is built.
+class TransitAdjacency {
+ public:
+  struct Arc {
+    LinkId link;
+    NodeId dst;
+  };
+
+  explicit TransitAdjacency(const Topology& topology);
+
+  TransitAdjacency(const TransitAdjacency&) = delete;
+  TransitAdjacency& operator=(const TransitAdjacency&) = delete;
+
+  [[nodiscard]] const Topology& topology() const noexcept {
+    return *topology_;
+  }
+  /// Out-links of `node` that do not lead into one of its stubs, in
+  /// link-id order.
+  [[nodiscard]] std::span<const Arc> transit_arcs(NodeId node) const {
+    return arcs(transit_begin_, transit_, node);
+  }
+  /// The stub's parent, or an invalid id when `node` is not a stub.
+  [[nodiscard]] NodeId stub_parent(NodeId node) const {
+    return stub_parent_[node.index()];
+  }
+  /// The parent -> stub links of a stub, in link-id order (empty for a
+  /// non-stub).
+  [[nodiscard]] std::span<const Arc> stub_arcs(NodeId node) const {
+    return arcs(stub_begin_, stub_, node);
+  }
+
+ private:
+  static std::span<const Arc> arcs(const std::vector<std::uint32_t>& begin,
+                                   const std::vector<Arc>& all,
+                                   NodeId node) {
+    return std::span<const Arc>(all.data() + begin[node.index()],
+                                all.data() + begin[node.index() + 1]);
+  }
+
+  const Topology* topology_;
+  std::vector<NodeId> stub_parent_;  ///< by node; invalid for non-stubs
+  std::vector<std::uint32_t> transit_begin_;  ///< CSR offsets, N + 1
+  std::vector<Arc> transit_;
+  std::vector<std::uint32_t> stub_begin_;  ///< CSR offsets, N + 1
+  std::vector<Arc> stub_;
 };
 
 /// Inputs of a link probe: what the edge brings to the link from the
@@ -139,29 +210,35 @@ class RoutingWorkspace {
  public:
   RoutingWorkspace() = default;
 
-  /// Flushes any relaxations still batched in this workspace (one-off
-  /// searches with local scratch reach the global counter this way; the
-  /// engine flushes its per-run workspaces explicitly).
-  ~RoutingWorkspace() { flush_relaxations(); }
+  /// Flushes any search work still batched in this workspace (one-off
+  /// searches with local scratch reach the global counters this way;
+  /// the engine flushes its per-run workspaces explicitly).
+  ~RoutingWorkspace() { flush_search_work(); }
 
   RoutingWorkspace(const RoutingWorkspace&) = delete;
   RoutingWorkspace& operator=(const RoutingWorkspace&) = delete;
 
-  /// Batches `count` Dijkstra relaxations into this workspace — a plain
-  /// member add, no atomic. `dijkstra_route_probe` accumulates here per
-  /// search; the one atomic add happens in `flush_relaxations`, once per
+  /// Batches one search's work into this workspace — plain member adds,
+  /// no atomic: `relaxations` probes and `links_scanned` arcs walked
+  /// (settled skips included). `dijkstra_route_probe` accumulates here
+  /// per search; the atomic adds happen in `flush_search_work`, once per
   /// run (or at destruction), so a run routing thousands of edges
   /// touches the global registry once instead of once per search.
-  void add_relaxations(std::uint64_t count) noexcept {
-    relaxations_ += count;
+  void add_search_work(std::uint64_t relaxations,
+                       std::uint64_t links_scanned) noexcept {
+    relaxations_ += relaxations;
+    links_scanned_ += links_scanned;
   }
 
-  /// Flushes the batched relaxation tally into
-  /// `sched_dijkstra_relaxations_total` and zeroes it.
-  void flush_relaxations() {
-    if (relaxations_ > 0) {
-      obs::hot_counters().dijkstra_relaxations.increment(relaxations_);
+  /// Flushes the batched tallies into `sched_dijkstra_relaxations_total`
+  /// and `sched_dijkstra_links_scanned_total` and zeroes them.
+  void flush_search_work() {
+    if (relaxations_ > 0 || links_scanned_ > 0) {
+      obs::HotCounters& counters = obs::hot_counters();
+      counters.dijkstra_relaxations.increment(relaxations_);
+      counters.dijkstra_links_scanned.increment(links_scanned_);
       relaxations_ = 0;
+      links_scanned_ = 0;
     }
   }
 
@@ -195,7 +272,8 @@ class RoutingWorkspace {
   std::vector<std::uint64_t> stamps_;
   std::uint64_t epoch_ = 0;
   std::vector<detail::DijkstraQueueEntry> heap_;
-  std::uint64_t relaxations_ = 0;  ///< batched counter, flushed per run
+  std::uint64_t relaxations_ = 0;  ///< batched counters, flushed per run
+  std::uint64_t links_scanned_ = 0;
 };
 
 /// Dynamic Dijkstra over tentative edge finish times (modified routing).
@@ -206,59 +284,62 @@ class RoutingWorkspace {
 /// hops) for determinism. Requires the probe to be monotone: a later
 /// arrival never yields an earlier finish, which basic insertion satisfies.
 ///
-/// Dead-end nodes — a non-target node whose single out-link leads back to
-/// the node being expanded, e.g. a leaf processor under a switch — are
-/// never relaxed from that node: they cannot be transit, and the search
-/// pops every other node in the same order without them. Routes are
-/// identical to the unpruned search; only the relaxation and probe counts
-/// fall.
+/// A popped node relaxes its transit arcs only; when it is the parent of
+/// a stub target, it then relaxes the target's stub arcs. No other stub
+/// is ever relaxed from its parent: it cannot be transit, and the search
+/// pops every other node in the same order without it. Routes are
+/// identical to the search over every out-link; only the relaxation and
+/// probe counts fall (docs/performance.md items 12 and 15).
 ///
-/// `workspace` lets callers amortise the label/heap allocations across
-/// searches; pass nullptr for a one-off search with local scratch.
+/// Clears `route` and fills it with the links from `from` to `to`
+/// (empty when `from == to`), reusing its capacity. `workspace` carries
+/// the label/heap scratch and the batched work counters across searches.
 template <typename Probe>
-[[nodiscard]] Route dijkstra_route_probe(const Topology& topology,
-                                         NodeId from, NodeId to,
-                                         double ready_time, Probe&& probe,
-                                         RoutingWorkspace* workspace =
-                                             nullptr) {
+void dijkstra_route_probe(const TransitAdjacency& adjacency, NodeId from,
+                          NodeId to, double ready_time, Probe&& probe,
+                          RoutingWorkspace& workspace, Route& route) {
+  const Topology& topology = adjacency.topology();
   throw_if(from.index() >= topology.num_nodes() ||
                to.index() >= topology.num_nodes(),
            "dijkstra_route_probe: invalid endpoint");
+  route.clear();
   if (from == to) {
-    return {};
+    return;
   }
 
-  RoutingWorkspace local;
-  RoutingWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ws.begin_search(topology.num_nodes());
+  workspace.begin_search(topology.num_nodes());
 
-  // Relaxation tally, batched into the workspace however the search ends
+  // Work tally, batched into the workspace however the search ends
   // (per-relaxation cost stays a plain increment; the workspace flushes
-  // one atomic add per run — or at destruction for one-off local scratch
-  // — instead of one per search).
-  struct RelaxationTally {
+  // one atomic add per run — or at destruction — instead of one per
+  // search).
+  struct WorkTally {
     RoutingWorkspace& sink;
-    std::uint64_t count = 0;
-    ~RelaxationTally() { sink.add_relaxations(count); }
-  } relaxations{ws};
+    std::uint64_t relaxations = 0;
+    std::uint64_t links_scanned = 0;
+    ~WorkTally() { sink.add_search_work(relaxations, links_scanned); }
+  } work{workspace};
 
   using detail::DijkstraQueueEntry;
-  std::vector<DijkstraQueueEntry>& frontier = ws.heap();
+  std::vector<DijkstraQueueEntry>& frontier = workspace.heap();
   const auto heap_greater = std::greater<DijkstraQueueEntry>();
   const auto push = [&](DijkstraQueueEntry entry) {
     frontier.push_back(entry);
     std::push_heap(frontier.begin(), frontier.end(), heap_greater);
   };
 
-  ws.label(from.index()) =
+  workspace.label(from.index()) =
       detail::DijkstraLabel{0.0, ready_time, 0, LinkId{}, false};
   push(DijkstraQueueEntry{0.0, ready_time, 0, from});
+  // Invalid unless the target is a stub: then its parent, whose
+  // expansion also relaxes the target's stub arcs.
+  const NodeId target_parent = adjacency.stub_parent(to);
 
   while (!frontier.empty()) {
     std::pop_heap(frontier.begin(), frontier.end(), heap_greater);
     const DijkstraQueueEntry entry = frontier.back();
     frontier.pop_back();
-    detail::DijkstraLabel& current = ws.label(entry.node.index());
+    detail::DijkstraLabel& current = workspace.label(entry.node.index());
     if (current.settled || entry.finish > current.finish ||
         (entry.finish == current.finish && entry.start > current.start)) {
       continue;  // stale entry
@@ -270,26 +351,15 @@ template <typename Probe>
     const double current_start = current.start;
     const double current_finish = current.finish;
     const std::size_t current_hops = current.hops;
-    for (LinkId l : topology.out_links(entry.node)) {
-      const NodeId next = topology.link(l).dst;
-      detail::DijkstraLabel& next_label = ws.label(next.index());
+    const auto relax = [&](const TransitAdjacency::Arc& arc) {
+      ++work.links_scanned;
+      detail::DijkstraLabel& next_label = workspace.label(arc.dst.index());
       if (next_label.settled) {
-        continue;
+        return;
       }
-      // Dead end: a non-target node whose only out-link leads back here
-      // can only bounce traffic into this now-settled node, so its label
-      // would never feed another node. Skipping it leaves the pop order
-      // of every other node, and so the route, unchanged.
-      if (next != to) {
-        const std::vector<LinkId>& next_out = topology.out_links(next);
-        if (next_out.size() == 1 &&
-            topology.link(next_out.front()).dst == entry.node) {
-          continue;
-        }
-      }
-      ++relaxations.count;
+      ++work.relaxations;
       const ProbeResult result =
-          probe(l, ProbeState{current_start, current_finish});
+          probe(arc.link, ProbeState{current_start, current_finish});
       // Lexicographic relaxation (finish, start, hops): on an idle
       // cut-through network every path yields the same finish, so hop
       // count must break ties or routes balloon.
@@ -303,24 +373,36 @@ template <typename Probe>
         next_label.finish = result.finish;
         next_label.start = result.virtual_start;
         next_label.hops = current_hops + 1;
-        next_label.parent = l;
+        next_label.parent = arc.link;
         push(DijkstraQueueEntry{result.finish, result.virtual_start,
-                                next_label.hops, next});
+                                next_label.hops, arc.dst});
+      }
+    };
+    for (const TransitAdjacency::Arc& arc :
+         adjacency.transit_arcs(entry.node)) {
+      relax(arc);
+    }
+    // Only the target's stub arcs are ever relaxed, after the transit
+    // arcs: they set only the target's label, in their own link order,
+    // so the pop sequence is that of a search in plain out-link order.
+    if (entry.node == target_parent) {
+      for (const TransitAdjacency::Arc& arc : adjacency.stub_arcs(to)) {
+        relax(arc);
       }
     }
   }
 
-  throw_if(!ws.label(to.index()).parent.valid(),
+  const detail::DijkstraLabel& target = workspace.label(to.index());
+  throw_if(!target.parent.valid(),
            "dijkstra_route_probe: destination unreachable");
-  Route route;
+  // A label's hop count is its parent chain's length: fill back to front.
+  route.resize(target.hops);
   NodeId at = to;
-  while (at != from) {
-    const LinkId hop = ws.label(at.index()).parent;
-    route.push_back(hop);
+  for (std::size_t i = route.size(); i-- > 0;) {
+    const LinkId hop = workspace.label(at.index()).parent;
+    route[i] = hop;
     at = topology.link(hop).src;
   }
-  std::reverse(route.begin(), route.end());
-  return route;
 }
 
 }  // namespace edgesched::net

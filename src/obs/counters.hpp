@@ -26,6 +26,7 @@ namespace edgesched::obs {
 /// Pre-resolved counter references for instrumented hot paths.
 struct HotCounters {
   Counter& dijkstra_relaxations;  ///< modified-routing probe relaxations
+  Counter& dijkstra_links_scanned;  ///< arcs its expansions walked
   Counter& link_probes;           ///< first-fit insertion searches
   Counter& optimal_probes;        ///< optimal-insertion searches
   Counter& deferral_scans;        ///< Lemma-2 slack evaluations

@@ -172,31 +172,33 @@ Choice tentative_eft(const dag::TaskGraph& graph, const Schedule& out,
 // the innermost loop of the engine, so each state gets a concrete lambda
 // the search template inlines.
 
-net::Route probe_route(const ExclusiveNetworkState& network,
-                       net::NodeId from, net::NodeId to, double ship_time,
-                       double cost, net::RoutingWorkspace& workspace) {
+void probe_route(const ExclusiveNetworkState& network,
+                 const net::TransitAdjacency& adjacency, net::NodeId from,
+                 net::NodeId to, double ship_time, double cost,
+                 net::RoutingWorkspace& workspace, net::Route& route) {
   const auto probe = [&network, cost](net::LinkId link,
                                       const net::ProbeState& state) {
     const timeline::Placement placement = network.probe_link(
         link, state.earliest_start, state.min_finish, cost);
     return net::ProbeResult{placement.start, placement.finish};
   };
-  return net::dijkstra_route_probe(network.topology(), from, to, ship_time,
-                                   probe, &workspace);
+  net::dijkstra_route_probe(adjacency, from, to, ship_time, probe, workspace,
+                            route);
 }
 
 /// Relaxation key: earliest finish of the full volume using the link's
 /// remaining bandwidth (the bandwidth analogue of §4.3).
-net::Route probe_route(const BandwidthNetworkState& network,
-                       net::NodeId from, net::NodeId to, double ship_time,
-                       double cost, net::RoutingWorkspace& workspace) {
+void probe_route(const BandwidthNetworkState& network,
+                 const net::TransitAdjacency& adjacency, net::NodeId from,
+                 net::NodeId to, double ship_time, double cost,
+                 net::RoutingWorkspace& workspace, net::Route& route) {
   const auto probe = [&network, cost](net::LinkId link,
                                       const net::ProbeState& state) {
     return network.probe(link, state.earliest_start, state.min_finish,
                          cost);
   };
-  return net::dijkstra_route_probe(network.topology(), from, to, ship_time,
-                                   probe, &workspace);
+  net::dijkstra_route_probe(adjacency, from, to, ship_time, probe, workspace,
+                            route);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +345,8 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
 
   // §4.3: the route of one communication. The returned reference stays
   // valid until the next call (it points into the platform's table or
-  // `probed`), so static routes cost no per-edge allocation.
+  // `probed`, which every search refills in place), so no route costs a
+  // per-edge allocation.
   net::Route probed;
   const auto route = [&](net::NodeId from, net::NodeId to, double ship_time,
                          double cost) -> const net::Route& {
@@ -353,8 +356,8 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
       case RoutingPolicyKind::kProbeDijkstra:
         break;
     }
-    probed = probe_route(network, from, to, ship_time, cost,
-                         workspace.routing);
+    probe_route(network, platform.transit(), from, to, ship_time, cost,
+                workspace.routing, probed);
     return probed;
   };
 
@@ -495,9 +498,9 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
   if (edges_routed > 0) {
     counters.edges_routed.increment(edges_routed);
   }
-  // The Dijkstra relaxations batched in the workspace reach the global
+  // The Dijkstra work batched in the workspace reaches the global
   // registry once per run, whether the workspace was fresh or recycled.
-  workspace.routing.flush_relaxations();
+  workspace.routing.flush_search_work();
   // One coarse flight-recorder milestone per schedule() call — not per
   // task or edge — so the always-on recorder stays off the hot path.
   obs::flight_recorder().record(obs::FlightEventKind::kSchedule,

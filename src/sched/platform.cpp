@@ -27,6 +27,7 @@ WorkspaceLease::~WorkspaceLease() {
 PlatformContext::PlatformContext(const net::Topology& topology)
     : topology_(&topology),
       routes_(topology),
+      transit_(topology),
       mean_link_speed_(topology.mean_link_speed()),
       fingerprint_(topology.fingerprint()),
       num_processors_(
@@ -37,6 +38,7 @@ PlatformContext::PlatformContext(
     : owned_(std::move(topology)),
       topology_(&require_topology(owned_)),
       routes_(*topology_),
+      transit_(*topology_),
       mean_link_speed_(topology_->mean_link_speed()),
       fingerprint_(topology_->fingerprint()),
       num_processors_(std::max<std::size_t>(std::size_t{1},

@@ -10,6 +10,8 @@
 //   * the minimal-route table (`net::StaticRouteTable`, filled lazily
 //     one source at a time, so a context built for a single run costs
 //     no route discovery the run does not ask for),
+//   * the modified-routing search's arc lists (`net::TransitAdjacency`,
+//     built eagerly in one O(N+L) pass),
 //   * the mean link speed (the §4.1 MLS estimate denominator),
 //   * the topology's structural fingerprint (the service layer's
 //     content-address for its platform cache),
@@ -110,6 +112,10 @@ class PlatformContext {
   [[nodiscard]] const net::StaticRouteTable& routes() const noexcept {
     return routes_;
   }
+  /// The arc lists `net::dijkstra_route_probe` walks (§4.3 routing).
+  [[nodiscard]] const net::TransitAdjacency& transit() const noexcept {
+    return transit_;
+  }
   /// Cached `Topology::mean_link_speed()` — O(L) once per context
   /// instead of once per MLS-estimate run.
   [[nodiscard]] double mean_link_speed() const noexcept {
@@ -143,6 +149,7 @@ class PlatformContext {
   std::shared_ptr<const net::Topology> owned_;  ///< may be null
   const net::Topology* topology_;
   net::StaticRouteTable routes_;
+  net::TransitAdjacency transit_;
   double mean_link_speed_ = 0.0;
   std::uint64_t fingerprint_ = 0;
   std::size_t num_processors_ = 1;

@@ -39,9 +39,13 @@ namespace detail {
 }  // namespace detail
 
 /// Throws std::invalid_argument with `message` when `condition` is true.
-inline void throw_if(bool condition, const std::string& message) {
-  if (condition) {
-    throw std::invalid_argument(message);
+/// The message is a view, so a literal costs nothing until it throws: the
+/// `std::string` the exception owns is built only on the throwing path.
+/// Hot loops (selection's per-candidate `processor_speed`, every route
+/// search) call this per operation.
+inline void throw_if(bool condition, std::string_view message) {
+  if (condition) [[unlikely]] {
+    throw std::invalid_argument(std::string(message));
   }
 }
 

@@ -1,0 +1,137 @@
+// The hot paths allocate nothing once warm.
+//
+// This executable replaces the global `operator new`/`operator delete`
+// with counting versions that forward to `malloc`/`free` (so a sanitizer
+// build still sees every allocation), and asserts a zero count across:
+//
+//   * `Topology::processor_speed`, which selection calls once per
+//     candidate processor per task,
+//   * a warm `StaticRouteTable::route` lookup, and
+//   * a warm `dijkstra_route_probe` into a reused route and workspace.
+//
+// It also pins that `throw_if`, whose message is a view built into a
+// string only on the throwing path, still throws `std::invalid_argument`
+// with the exact message text.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <string>
+
+#include "net/builders.hpp"
+#include "net/routing.hpp"
+#include "sched/network_state.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace edgesched {
+namespace {
+
+std::size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(HotPathAlloc, ProcessorSpeedDoesNotAllocate) {
+  Rng rng(1);
+  const net::Topology topology =
+      net::fat_tree(4, 4, net::SpeedConfig{}, rng);
+  const auto& procs = topology.processors();
+  double sum = 0.0;
+  const std::size_t before = allocations();
+  for (std::size_t i = 0; i < 10000; ++i) {
+    sum += topology.processor_speed(procs[i % procs.size()]);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(sum, 0.0);
+}
+
+TEST(HotPathAlloc, WarmStaticRouteLookupDoesNotAllocate) {
+  Rng rng(2);
+  const net::Topology topology =
+      net::fat_tree(4, 4, net::SpeedConfig{}, rng);
+  const net::StaticRouteTable table(topology);
+  const auto& procs = topology.processors();
+  (void)table.route(procs[0], procs[1]);  // fills source 0
+  std::size_t hops = 0;
+  const std::size_t before = allocations();
+  for (const net::NodeId to : procs) {
+    hops += table.route(procs[0], to).size();
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(hops, 0u);
+}
+
+TEST(HotPathAlloc, WarmRouteSearchDoesNotAllocate) {
+  Rng rng(3);
+  const net::Topology topology =
+      net::fat_tree(4, 4, net::SpeedConfig{}, rng);
+  const auto& procs = topology.processors();
+  sched::ExclusiveNetworkState network(topology, 4);
+  for (std::uint32_t e = 0; e < 4; ++e) {
+    (void)network.commit_edge_basic(
+        dag::EdgeId(e), net::bfs_route(topology, procs[e], procs[15 - e]),
+        0.0, 3.0);
+  }
+  const auto probe = [&network](net::LinkId link,
+                                const net::ProbeState& state) {
+    const timeline::Placement placement = network.probe_link(
+        link, state.earliest_start, state.min_finish, 2.0);
+    return net::ProbeResult{placement.start, placement.finish};
+  };
+  const net::TransitAdjacency adjacency(topology);
+  net::RoutingWorkspace workspace;
+  net::Route route;
+  net::dijkstra_route_probe(adjacency, procs[0], procs[15], 0.5, probe,
+                            workspace, route);  // warm-up
+  const net::Route expected = route;
+  const std::size_t before = allocations();
+  net::dijkstra_route_probe(adjacency, procs[0], procs[15], 0.5, probe,
+                            workspace, route);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(route, expected);
+  EXPECT_FALSE(route.empty());
+}
+
+TEST(HotPathAlloc, ThrowIfKeepsTypeAndMessage) {
+  try {
+    throw_if(true, "Topology::processor_speed: node is not a processor");
+    FAIL() << "throw_if(true, literal) returned";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "Topology::processor_speed: node is not a processor");
+  }
+  const std::string name = "bbsa";
+  try {
+    throw_if(true, "execute: unknown recovery algorithm '" + name + "'");
+    FAIL() << "throw_if(true, string) returned";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "execute: unknown recovery algorithm 'bbsa'");
+  }
+  const std::size_t before = allocations();
+  throw_if(false, "a literal longer than the small-string buffer");
+  EXPECT_EQ(allocations() - before, 0u);
+}
+
+}  // namespace
+}  // namespace edgesched

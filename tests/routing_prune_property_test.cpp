@@ -1,19 +1,31 @@
-// Exactness of dead-end pruning in the modified-routing search (§4.3).
+// Exactness of the pruned modified-routing search (§4.3).
 //
-// `net::dijkstra_route_probe` never relaxes into a non-target node whose
-// only out-link leads back to the node being expanded. The claim is that
-// this changes no route: such a node cannot be transit, and the heap's
-// total order pops every other node in the same sequence without it.
-// This suite keeps the unpruned search as a local oracle and compares it
-// with the production search on every `net::builders` topology, under
-// seeded random link loads, for both network models' probes:
+// `net::dijkstra_route_probe` walks a `net::TransitAdjacency`: a popped
+// node relaxes only its transit arcs, plus the target's links from its
+// parent when the target is a stub (a node whose only out-link leads
+// back). The claim is that this changes no route and no relaxation
+// count against the search it replaced, which walked every out-link and
+// skipped, per relaxation, a non-target node whose only out-link leads
+// back to the node being expanded. This suite keeps two local oracles:
+//
+//   * the unpruned search over every out-link, and
+//   * that per-relaxation dead-end search, verbatim apart from local
+//     scratch,
+//
+// and compares them with the production search on every `net::builders`
+// topology, idle and under seeded random link loads, for both network
+// models' probes:
 //
 //   * the exclusive basic-insertion probe (`probe_link`), and
 //   * the bandwidth probe (`BandwidthNetworkState::probe`).
 //
-// For every processor pair the routes must be equal and the pruned
-// search may relax no more links than the oracle. Where every processor
-// relays traffic the prune can never fire, so the counts must be equal.
+// For every processor pair the routes must be equal to both oracles'
+// and the relaxation count equal to the dead-end oracle's, never above
+// the unpruned one's. Where every processor relays traffic the prune can
+// never fire, so all three counts must be equal. Hand-built cases cover
+// the stub corner cases: two nodes that are each other's stub, a stub
+// source, parallel links into a stub target, a stub also reachable from
+// a non-parent, and a two-member bus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +36,7 @@
 
 #include "net/builders.hpp"
 #include "net/routing.hpp"
+#include "obs/counters.hpp"
 #include "sched/network_state.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +116,106 @@ Route unpruned_route_probe(const Topology& topology, NodeId from, NodeId to,
   return route;
 }
 
+/// The search with the per-relaxation dead-end check it had before the
+/// transit adjacency, kept verbatim apart from using local scratch: the
+/// oracle whose relaxation counts the production search must equal.
+template <typename Probe>
+Route dead_end_route_probe(const Topology& topology, NodeId from, NodeId to,
+                           double ready_time, Probe&& probe) {
+  if (from == to) {
+    return {};
+  }
+  using detail::DijkstraLabel;
+  using detail::DijkstraQueueEntry;
+  std::vector<DijkstraLabel> labels(topology.num_nodes());
+  std::vector<DijkstraQueueEntry> frontier;
+  const auto heap_greater = std::greater<DijkstraQueueEntry>();
+  const auto push = [&](DijkstraQueueEntry entry) {
+    frontier.push_back(entry);
+    std::push_heap(frontier.begin(), frontier.end(), heap_greater);
+  };
+  labels[from.index()] = DijkstraLabel{0.0, ready_time, 0, LinkId{}, false};
+  push(DijkstraQueueEntry{0.0, ready_time, 0, from});
+  while (!frontier.empty()) {
+    std::pop_heap(frontier.begin(), frontier.end(), heap_greater);
+    const DijkstraQueueEntry entry = frontier.back();
+    frontier.pop_back();
+    DijkstraLabel& current = labels[entry.node.index()];
+    if (current.settled || entry.finish > current.finish ||
+        (entry.finish == current.finish && entry.start > current.start)) {
+      continue;  // stale entry
+    }
+    current.settled = true;
+    if (entry.node == to) {
+      break;
+    }
+    const double current_start = current.start;
+    const double current_finish = current.finish;
+    const std::size_t current_hops = current.hops;
+    for (LinkId l : topology.out_links(entry.node)) {
+      const NodeId next = topology.link(l).dst;
+      DijkstraLabel& next_label = labels[next.index()];
+      if (next_label.settled) {
+        continue;
+      }
+      // Dead end: a non-target node whose only out-link leads back here
+      // can only bounce traffic into this now-settled node, so its label
+      // would never feed another node. Skipping it leaves the pop order
+      // of every other node, and so the route, unchanged.
+      if (next != to) {
+        const std::vector<LinkId>& next_out = topology.out_links(next);
+        if (next_out.size() == 1 &&
+            topology.link(next_out.front()).dst == entry.node) {
+          continue;
+        }
+      }
+      const ProbeResult result =
+          probe(l, ProbeState{current_start, current_finish});
+      // Lexicographic relaxation (finish, start, hops): on an idle
+      // cut-through network every path yields the same finish, so hop
+      // count must break ties or routes balloon.
+      const bool better =
+          result.finish < next_label.finish ||
+          (result.finish == next_label.finish &&
+           (result.virtual_start < next_label.start ||
+            (result.virtual_start == next_label.start &&
+             current_hops + 1 < next_label.hops)));
+      if (better) {
+        next_label.finish = result.finish;
+        next_label.start = result.virtual_start;
+        next_label.hops = current_hops + 1;
+        next_label.parent = l;
+        push(DijkstraQueueEntry{result.finish, result.virtual_start,
+                                next_label.hops, next});
+      }
+    }
+  }
+  if (!labels[to.index()].parent.valid()) {
+    return {};
+  }
+  Route route;
+  NodeId at = to;
+  while (at != from) {
+    const LinkId hop = labels[at.index()].parent;
+    route.push_back(hop);
+    at = topology.link(hop).src;
+  }
+  std::reverse(route.begin(), route.end());
+  return route;
+}
+
+/// One production search with fresh adjacency and scratch.
+template <typename Probe>
+Route production_route(const Topology& topology, NodeId from, NodeId to,
+                       double ready_time, Probe&& probe) {
+  const TransitAdjacency adjacency(topology);
+  RoutingWorkspace workspace;
+  Route route;
+  dijkstra_route_probe(adjacency, from, to, ready_time, probe, workspace,
+                       route);
+  return route;
+}
+
 struct Case {
   std::string name;
   /// Every processor has several out-links, so none is ever a dead end.
@@ -160,14 +273,17 @@ Route random_route(const Topology& topology, Rng& rng) {
   return bfs_route(topology, from, to);
 }
 
-/// Compares pruned and unpruned search for every processor pair under
-/// `probe`; `ready` is drawn per pair so queries start inside the load.
+/// Compares the production search with both oracles for every processor
+/// pair under `probe`; `ready` is drawn per pair so queries start inside
+/// the load.
 template <typename Probe>
 void expect_exact(const Topology& topology, const Case& c, Rng& rng,
                   const Probe& probe, const std::string& model) {
+  const TransitAdjacency adjacency(topology);
   RoutingWorkspace workspace;
+  Route pruned;
   std::uint64_t pruned_total = 0;
-  std::uint64_t oracle_total = 0;
+  std::uint64_t unpruned_total = 0;
   for (const NodeId from : topology.processors()) {
     for (const NodeId to : topology.processors()) {
       if (from == to) {
@@ -175,38 +291,38 @@ void expect_exact(const Topology& topology, const Case& c, Rng& rng,
       }
       const double ready = rng.uniform_real(0.0, 40.0);
       std::uint64_t pruned_probes = 0;
-      std::uint64_t oracle_probes = 0;
-      const auto pruned_probe = [&](LinkId l, const ProbeState& state) {
-        ++pruned_probes;
-        return probe(l, state);
+      std::uint64_t dead_end_probes = 0;
+      std::uint64_t unpruned_probes = 0;
+      const auto counting = [&probe](std::uint64_t& count) {
+        return [&probe, &count](LinkId l, const ProbeState& state) {
+          ++count;
+          return probe(l, state);
+        };
       };
-      const auto oracle_probe = [&](LinkId l, const ProbeState& state) {
-        ++oracle_probes;
-        return probe(l, state);
-      };
-      const Route pruned = dijkstra_route_probe(topology, from, to, ready,
-                                                pruned_probe, &workspace);
-      const Route oracle =
-          unpruned_route_probe(topology, from, to, ready, oracle_probe);
-      ASSERT_EQ(pruned, oracle)
-          << c.name << "/" << model << " " << from.value() << "->"
-          << to.value();
-      ASSERT_LE(pruned_probes, oracle_probes)
-          << c.name << "/" << model << " " << from.value() << "->"
-          << to.value();
+      dijkstra_route_probe(adjacency, from, to, ready,
+                           counting(pruned_probes), workspace, pruned);
+      const Route dead_end = dead_end_route_probe(
+          topology, from, to, ready, counting(dead_end_probes));
+      const Route unpruned = unpruned_route_probe(
+          topology, from, to, ready, counting(unpruned_probes));
+      const std::string where = c.name + "/" + model + " " +
+                                std::to_string(from.value()) + "->" +
+                                std::to_string(to.value());
+      ASSERT_EQ(pruned, dead_end) << where;
+      ASSERT_EQ(pruned, unpruned) << where;
+      ASSERT_EQ(pruned_probes, dead_end_probes) << where;
+      ASSERT_LE(pruned_probes, unpruned_probes) << where;
       if (c.all_relay) {
-        ASSERT_EQ(pruned_probes, oracle_probes)
-            << c.name << "/" << model << " " << from.value() << "->"
-            << to.value();
+        ASSERT_EQ(pruned_probes, unpruned_probes) << where;
       }
       pruned_total += pruned_probes;
-      oracle_total += oracle_probes;
+      unpruned_total += unpruned_probes;
     }
   }
   // Every other builder hangs processors off switches: the prune must
   // actually fire there, or this suite would compare a search to itself.
   if (!c.all_relay) {
-    EXPECT_LT(pruned_total, oracle_total) << c.name << "/" << model;
+    EXPECT_LT(pruned_total, unpruned_total) << c.name << "/" << model;
   }
 }
 
@@ -224,19 +340,20 @@ TEST_P(RoutingPruneProperty, ExclusiveProbeMatchesUnprunedSearch) {
     Rng rng(GetParam() * 131 + c.name.size());
     const Topology topology = c.build(speeds(GetParam()), rng);
     sched::ExclusiveNetworkState state(topology, kBookedEdges);
-    for (std::size_t e = 0; e < kBookedEdges; ++e) {
-      const Route route = random_route(topology, rng);
-      (void)state.commit_edge_basic(dag::EdgeId(e), route,
-                                    rng.uniform_real(0.0, 50.0),
-                                    rng.uniform_real(0.5, 8.0));
-    }
     const double cost = rng.uniform_real(0.5, 6.0);
     const auto probe = [&](LinkId l, const ProbeState& s) {
       const timeline::Placement placement =
           state.probe_link(l, s.earliest_start, s.min_finish, cost);
       return ProbeResult{placement.start, placement.finish};
     };
-    expect_exact(topology, c, rng, probe, "exclusive");
+    expect_exact(topology, c, rng, probe, "exclusive/idle");
+    for (std::size_t e = 0; e < kBookedEdges; ++e) {
+      const Route route = random_route(topology, rng);
+      (void)state.commit_edge_basic(dag::EdgeId(e), route,
+                                    rng.uniform_real(0.0, 50.0),
+                                    rng.uniform_real(0.5, 8.0));
+    }
+    expect_exact(topology, c, rng, probe, "exclusive/loaded");
   }
 }
 
@@ -245,39 +362,76 @@ TEST_P(RoutingPruneProperty, BandwidthProbeMatchesUnprunedSearch) {
     Rng rng(GetParam() * 137 + c.name.size());
     const Topology topology = c.build(speeds(GetParam()), rng);
     sched::BandwidthNetworkState state(topology);
+    const double cost = rng.uniform_real(0.5, 6.0);
+    const auto probe = [&](LinkId l, const ProbeState& s) {
+      return state.probe(l, s.earliest_start, s.min_finish, cost);
+    };
+    expect_exact(topology, c, rng, probe, "bandwidth/idle");
     for (std::size_t e = 0; e < kBookedEdges; ++e) {
       const Route route = random_route(topology, rng);
       (void)state.commit_edge(route, rng.uniform_real(0.0, 50.0),
                               rng.uniform_real(0.5, 8.0));
     }
-    const double cost = rng.uniform_real(0.5, 6.0);
-    const auto probe = [&](LinkId l, const ProbeState& s) {
-      return state.probe(l, s.earliest_start, s.min_finish, cost);
-    };
-    expect_exact(topology, c, rng, probe, "bandwidth");
+    expect_exact(topology, c, rng, probe, "bandwidth/loaded");
   }
 }
 
-// On an idle switched star every leaf but the target is a dead end of
-// the hub, so the pruned search probes exactly two links: the source's
-// uplink and the hub's link to the target.
+/// Idle unit-time probe: every route's cost is its hop count.
+ProbeResult unit_probe(LinkId, const ProbeState& s) {
+  return ProbeResult{s.earliest_start, s.earliest_start + 1.0};
+}
+
+/// Production route and relaxation count, checked against both oracles.
+void expect_matches_oracles(const Topology& topology, NodeId from,
+                            NodeId to) {
+  std::uint64_t pruned = 0;
+  std::uint64_t dead_end = 0;
+  std::uint64_t unpruned = 0;
+  const auto counting = [](std::uint64_t& count) {
+    return [&count](LinkId l, const ProbeState& s) {
+      ++count;
+      return unit_probe(l, s);
+    };
+  };
+  const Route route =
+      production_route(topology, from, to, 0.0, counting(pruned));
+  EXPECT_EQ(route, dead_end_route_probe(topology, from, to, 0.0,
+                                        counting(dead_end)));
+  EXPECT_EQ(route, unpruned_route_probe(topology, from, to, 0.0,
+                                        counting(unpruned)));
+  EXPECT_EQ(pruned, dead_end);
+  EXPECT_LE(pruned, unpruned);
+}
+
+// On an idle switched star every leaf but the target is a stub of the
+// hub, so the search probes exactly two links, the source's uplink and
+// the hub's link to the target, and scans no other: the hub walks no
+// transit arc at all.
 TEST(RoutingPrune, SwitchedStarProbesOnlyTheRoute) {
   Rng rng(1);
   const Topology topology = switched_star(8, SpeedConfig{}, rng);
   std::uint64_t probes = 0;
-  const auto probe = [&](LinkId, const ProbeState& s) {
+  const auto probe = [&](LinkId l, const ProbeState& s) {
     ++probes;
-    return ProbeResult{s.earliest_start, s.earliest_start + 1.0};
+    return unit_probe(l, s);
   };
   const auto& procs = topology.processors();
-  const Route route =
-      dijkstra_route_probe(topology, procs[0], procs[5], 0.0, probe);
+  const TransitAdjacency adjacency(topology);
+  RoutingWorkspace workspace;
+  Route route;
+  obs::Counter& scanned = obs::hot_counters().dijkstra_links_scanned;
+  const std::uint64_t scanned_before = scanned.value();
+  dijkstra_route_probe(adjacency, procs[0], procs[5], 0.0, probe, workspace,
+                       route);
+  workspace.flush_search_work();
   EXPECT_EQ(route.size(), 2u);
   EXPECT_EQ(probes, 2u);
+  EXPECT_EQ(scanned.value() - scanned_before, 2u);
 }
 
 // A node with one out-link that does not lead back is a one-way relay,
-// not a dead end: a -> s -> b with b -> a as the only way back.
+// not a dead end: a -> s -> b with b -> a as the only way back. `s` is a
+// stub of `b`, but a -> s is a transit arc of `a`.
 TEST(RoutingPrune, OneWayRelayIsNotADeadEnd) {
   Topology topology;
   const NodeId a = topology.add_processor();
@@ -286,11 +440,90 @@ TEST(RoutingPrune, OneWayRelayIsNotADeadEnd) {
   const LinkId a_s = topology.add_link(a, s);
   const LinkId s_b = topology.add_link(s, b);
   (void)topology.add_link(b, a);
-  const auto probe = [](LinkId, const ProbeState& st) {
-    return ProbeResult{st.earliest_start, st.earliest_start + 1.0};
-  };
-  EXPECT_EQ(dijkstra_route_probe(topology, a, b, 0.0, probe),
+  EXPECT_EQ(production_route(topology, a, b, 0.0, unit_probe),
             (Route{a_s, s_b}));
+  expect_matches_oracles(topology, a, b);
+  expect_matches_oracles(topology, b, a);
+}
+
+// Two processors on one duplex cable are each other's stub: neither has
+// a transit arc, so every route is the target's stub arc.
+TEST(RoutingPrune, DuplexPairAreEachOthersStub) {
+  Topology topology;
+  const NodeId a = topology.add_processor();
+  const NodeId b = topology.add_processor();
+  const auto [a_b, b_a] = topology.add_duplex_link(a, b);
+  const TransitAdjacency adjacency(topology);
+  EXPECT_TRUE(adjacency.transit_arcs(a).empty());
+  EXPECT_TRUE(adjacency.transit_arcs(b).empty());
+  EXPECT_EQ(adjacency.stub_parent(a), b);
+  EXPECT_EQ(adjacency.stub_parent(b), a);
+  EXPECT_EQ(production_route(topology, a, b, 0.0, unit_probe), (Route{a_b}));
+  EXPECT_EQ(production_route(topology, b, a, 0.0, unit_probe), (Route{b_a}));
+  expect_matches_oracles(topology, a, b);
+  expect_matches_oracles(topology, b, a);
+}
+
+// A search may start at a stub: its one out-link is a transit arc, and
+// its parent's link back into it is never walked.
+TEST(RoutingPrune, StubSourceLeavesThroughItsParent) {
+  Rng rng(2);
+  const Topology topology = fat_tree(2, 3, SpeedConfig{}, rng);
+  const auto& procs = topology.processors();
+  const TransitAdjacency adjacency(topology);
+  for (const NodeId from : procs) {
+    ASSERT_TRUE(adjacency.stub_parent(from).valid());
+    for (const NodeId to : procs) {
+      if (from != to) {
+        expect_matches_oracles(topology, from, to);
+      }
+    }
+  }
+}
+
+// Parallel links from a parent into its stub target stay in link-id
+// order, so an idle tie goes to the lower link id, as it does in the
+// search over every out-link.
+TEST(RoutingPrune, ParallelStubLinksKeepLinkIdOrder) {
+  Topology topology;
+  const NodeId a = topology.add_processor();
+  const NodeId b = topology.add_processor();
+  const NodeId s = topology.add_switch();
+  (void)topology.add_duplex_link(a, s);
+  const LinkId first = topology.add_link(s, b);
+  const LinkId second = topology.add_link(s, b);
+  (void)topology.add_link(b, s);
+  const TransitAdjacency adjacency(topology);
+  ASSERT_EQ(adjacency.stub_parent(b), s);
+  ASSERT_EQ(adjacency.stub_arcs(b).size(), 2u);
+  EXPECT_EQ(adjacency.stub_arcs(b)[0].link, first);
+  EXPECT_EQ(adjacency.stub_arcs(b)[1].link, second);
+  const Route route = production_route(topology, a, b, 0.0, unit_probe);
+  ASSERT_EQ(route.size(), 2u);
+  EXPECT_EQ(route[1], first);
+  expect_matches_oracles(topology, a, b);
+  // A load on the first link makes the second one win.
+  const auto busy_first = [&](LinkId l, const ProbeState& st) {
+    const double start = l == first ? st.earliest_start + 5.0
+                                    : st.earliest_start;
+    return ProbeResult{start, start + 1.0};
+  };
+  EXPECT_EQ(production_route(topology, a, b, 0.0, busy_first)[1], second);
+}
+
+// A two-member bus is a shared medium with one directed link each way,
+// so its members are each other's stub, like a duplex pair.
+TEST(RoutingPrune, TwoMemberBusRoutesOverItsLink) {
+  Topology topology;
+  const NodeId a = topology.add_processor();
+  const NodeId b = topology.add_processor();
+  (void)topology.add_bus({a, b});
+  const Route route = production_route(topology, a, b, 0.0, unit_probe);
+  ASSERT_EQ(route.size(), 1u);
+  EXPECT_EQ(topology.link(route[0]).src, a);
+  EXPECT_EQ(topology.link(route[0]).dst, b);
+  expect_matches_oracles(topology, a, b);
+  expect_matches_oracles(topology, b, a);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingPruneProperty,

@@ -72,6 +72,18 @@ TEST(StaticRouteTable, ReturnsSameRoute) {
 }
 
 
+/// One search with its own adjacency and scratch.
+template <typename Probe>
+Route probe_route(const Topology& topology, NodeId from, NodeId to,
+                  double ready_time, Probe&& probe) {
+  const TransitAdjacency adjacency(topology);
+  RoutingWorkspace workspace;
+  Route route;
+  dijkstra_route_probe(adjacency, from, to, ready_time, probe, workspace,
+                       route);
+  return route;
+}
+
 TEST(DijkstraRouteProbe, AvoidsBusyLinks) {
   TwoPathNetwork net;
   // Probe that reports the s1 path as busy until t=100.
@@ -85,8 +97,7 @@ TEST(DijkstraRouteProbe, AvoidsBusyLinks) {
         std::max(start + duration, state.min_finish);
     return ProbeResult{finish - duration, finish};
   };
-  const Route route =
-      dijkstra_route_probe(net.topology, net.a, net.b, 0.0, probe);
+  const Route route = probe_route(net.topology, net.a, net.b, 0.0, probe);
   EXPECT_EQ(route, (Route{net.a_s2, net.s2_s3, net.s3_b}));
 }
 
@@ -97,8 +108,7 @@ TEST(DijkstraRouteProbe, PrefersShortPathWhenIdle) {
                                    state.min_finish);
     return ProbeResult{finish - 1.0, finish};
   };
-  const Route route =
-      dijkstra_route_probe(net.topology, net.a, net.b, 5.0, probe);
+  const Route route = probe_route(net.topology, net.a, net.b, 5.0, probe);
   EXPECT_EQ(route, (Route{net.a_s1, net.s1_b}));
 }
 
@@ -107,8 +117,7 @@ TEST(DijkstraRouteProbe, SameNodeIsEmpty) {
   const auto probe = [](LinkId, const ProbeState& state) {
     return ProbeResult{state.earliest_start, state.earliest_start + 1.0};
   };
-  EXPECT_TRUE(
-      dijkstra_route_probe(net.topology, net.a, net.a, 0.0, probe).empty());
+  EXPECT_TRUE(probe_route(net.topology, net.a, net.a, 0.0, probe).empty());
 }
 
 TEST(DijkstraRouteProbe, ThrowsWhenUnreachable) {
@@ -118,7 +127,7 @@ TEST(DijkstraRouteProbe, ThrowsWhenUnreachable) {
   const auto probe = [](LinkId, const ProbeState& state) {
     return ProbeResult{state.earliest_start, state.earliest_start + 1.0};
   };
-  EXPECT_THROW((void)dijkstra_route_probe(t, a, b, 0.0, probe),
+  EXPECT_THROW((void)probe_route(t, a, b, 0.0, probe),
                std::invalid_argument);
 }
 
@@ -135,8 +144,7 @@ TEST(DijkstraRouteProbe, MatchesBfsHopCountOnUniformIdleNetwork) {
   const auto& procs = t.processors();
   for (std::size_t i = 0; i < procs.size(); i += 2) {
     const Route bfs = bfs_route(t, procs[0], procs[i]);
-    const Route dij =
-        dijkstra_route_probe(t, procs[0], procs[i], 0.0, probe);
+    const Route dij = probe_route(t, procs[0], procs[i], 0.0, probe);
     // On an idle homogeneous network the probe cost is hop count, so the
     // routes have equal length (ties may pick different links).
     EXPECT_EQ(dij.size(), bfs.size());
@@ -171,14 +179,15 @@ TEST(RoutingWorkspace, ReuseMatchesFreshSearches) {
       network.commit_edge_basic(dag::EdgeId(i), r, 0.0, 5.0);
     }
   }
+  const TransitAdjacency adjacency(t);
   RoutingWorkspace workspace;
+  Route reused;
   for (std::size_t i = 0; i < procs.size(); i += 2) {
     for (std::size_t j = 1; j < procs.size(); j += 3) {
       if (procs[i] == procs[j]) continue;
-      const Route fresh =
-          dijkstra_route_probe(t, procs[i], procs[j], 0.5, probe);
-      const Route reused = dijkstra_route_probe(t, procs[i], procs[j],
-                                                0.5, probe, &workspace);
+      const Route fresh = probe_route(t, procs[i], procs[j], 0.5, probe);
+      dijkstra_route_probe(adjacency, procs[i], procs[j], 0.5, probe,
+                           workspace, reused);
       EXPECT_EQ(fresh, reused);
     }
   }
