@@ -355,6 +355,9 @@ class Parser {
       if (c == '"') {
         return out;
       }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -30,86 +32,110 @@ struct Choice {
   /// Tentative EFT only: the task start observed for the winner, which
   /// the engine asserts the re-commit reproduces. Negative otherwise.
   double expected_start = -1.0;
+  /// Candidates scored to reach the choice (the candidate counter).
+  std::size_t scored = 0;
 };
 
 // ---------------------------------------------------------------------------
 // Processor selection (§4.1)
 
-/// The scan shared by the read-only selections: scores every processor
-/// in index order, logs each candidate when `candidates` is non-null, and
-/// keeps the first strict minimum (the first processor wins outright, so
-/// ties and non-finite scores resolve to the lowest index).
-template <typename Score>
-Choice first_minimum(const std::vector<net::NodeId>& processors,
-                     Score&& score,
-                     std::vector<obs::ProcessorCandidate>* candidates) {
-  Choice choice;
-  for (std::size_t p = 0; p < processors.size(); ++p) {
-    const obs::ProcessorCandidate candidate = score(processors[p]);
-    if (candidates != nullptr) {
-      candidates->push_back(candidate);
-    }
-    if (p == 0 || candidate.estimate < choice.score) {
-      choice.processor = processors[p];
-      choice.score = candidate.estimate;
-    }
-  }
-  return choice;
-}
-
-// Each selection is its own function with its score as a lambda: the
-// score then has one caller in both loop instantiations and inlines into
-// the per-processor scan (a score function shared by the two
-// instantiations stayed out of line and slowed the scan).
-
 /// Communication-blind EFT: ready moment + execution time through the
-/// task placement rule (BA's paper reading, PACKET-BA).
+/// task placement rule (BA's paper reading, PACKET-BA). Scores every
+/// processor in index order, logs each candidate when `candidates` is
+/// non-null, and keeps the first strict minimum (the first processor wins
+/// outright, so ties and non-finite scores resolve to the lowest index).
 Choice blind_eft(const net::Topology& topology, const MachineState& machines,
                  bool task_insertion, double weight, double ready_moment,
                  std::vector<obs::ProcessorCandidate>* candidates) {
-  return first_minimum(
-      topology.processors(),
-      [&](net::NodeId processor) {
-        const double duration = weight / topology.processor_speed(processor);
-        const double start = machines.start_for(processor, ready_moment,
-                                                duration, task_insertion);
-        return obs::ProcessorCandidate{
-            static_cast<std::uint32_t>(processor.index()), ready_moment,
-            start + duration};
-      },
-      candidates);
+  const std::vector<net::NodeId>& processors = topology.processors();
+  Choice choice;
+  for (std::size_t p = 0; p < processors.size(); ++p) {
+    const net::NodeId processor = processors[p];
+    const double duration = weight / topology.processor_speed(processor);
+    const double finish = machines.start_for(processor, ready_moment,
+                                             duration, task_insertion) +
+                          duration;
+    if (candidates != nullptr) {
+      candidates->push_back(obs::ProcessorCandidate{
+          static_cast<std::uint32_t>(processor.index()), ready_moment,
+          finish});
+    }
+    if (p == 0 || finish < choice.score) {
+      choice.processor = processor;
+      choice.score = finish;
+    }
+  }
+  choice.scored = processors.size();
+  return choice;
 }
 
 /// OIHSA/BBSA choice (§4.1): the static-style finish estimate
-///   max(max_j(t_f(n_j) + c(e_ji)/MLS), t_f(P)) + w(n_i)/s(P),
-/// where same-processor communication is free.
+///   max(R_P, t_f(P)) + w(n_i)/s(P),  R_P = max_j(t_f(n_j) + c(e_ji)/MLS),
+/// where same-processor communication is free. R_P takes one common value
+/// R on every processor that holds no predecessor, so the speed groups'
+/// trees answer for those under R and only the predecessors' processors
+/// are scored on their own. Exact: each R_P term only drops a
+/// non-negative c/MLS, so R_P <= R bit for bit, and a predecessor
+/// processor's own score is no worse than its tree score; with ties to the
+/// lower id on both sides, the (score, id)-least is the scan's first
+/// strict minimum. With `candidates` non-null, every processor's
+/// candidate is listed for the decision log; the choice still comes from
+/// the trees.
 Choice mls_estimate(const dag::TaskGraph& graph, const Schedule& out,
                     const net::Topology& topology,
                     const MachineState& machines, double mls, double weight,
                     const std::vector<dag::EdgeId>& in,
                     std::vector<obs::ProcessorCandidate>* candidates) {
-  return first_minimum(
-      topology.processors(),
-      [&](net::NodeId processor) {
-        double ready_estimate = 0.0;
-        for (dag::EdgeId e : in) {
-          const dag::Edge& edge = graph.edge(e);
-          const TaskPlacement& src = out.task(edge.src);
-          double via = src.finish;
-          if (src.processor != processor && mls > 0.0) {
-            via += edge.cost / mls;
-          }
-          ready_estimate = std::max(ready_estimate, via);
-        }
-        const double duration_on_p =
-            weight / topology.processor_speed(processor);
-        const double availability =
-            std::max(ready_estimate, machines.finish_time(processor));
-        return obs::ProcessorCandidate{
-            static_cast<std::uint32_t>(processor.index()), ready_estimate,
-            availability + duration_on_p};
-      },
-      candidates);
+  const auto ready_on = [&](net::NodeId processor) {
+    double ready_estimate = 0.0;
+    for (dag::EdgeId e : in) {
+      const dag::Edge& edge = graph.edge(e);
+      const TaskPlacement& src = out.task(edge.src);
+      double via = src.finish;
+      if (src.processor != processor && mls > 0.0) {
+        via += edge.cost / mls;
+      }
+      ready_estimate = std::max(ready_estimate, via);
+    }
+    return ready_estimate;
+  };
+  const auto score = [&](net::NodeId processor, double ready_estimate) {
+    return std::max(ready_estimate, machines.finish_time(processor)) +
+           weight / topology.processor_speed(processor);
+  };
+  if (candidates != nullptr) {
+    for (net::NodeId processor : topology.processors()) {
+      const double ready_estimate = ready_on(processor);
+      candidates->push_back(obs::ProcessorCandidate{
+          static_cast<std::uint32_t>(processor.index()), ready_estimate,
+          score(processor, ready_estimate)});
+    }
+  }
+
+  // The invalid id is no predecessor's processor, so this is R.
+  MachineState::Estimate best =
+      machines.least_group_estimate(ready_on(net::NodeId()), weight);
+  Choice choice;
+  choice.scored = machines.num_speed_groups();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const net::NodeId processor = out.task(graph.edge(in[i]).src).processor;
+    bool seen = false;
+    for (std::size_t j = 0; j < i && !seen; ++j) {
+      seen = out.task(graph.edge(in[j]).src).processor == processor;
+    }
+    if (seen) {
+      continue;
+    }
+    ++choice.scored;
+    const double own = score(processor, ready_on(processor));
+    if (own < best.score ||
+        (own == best.score && processor < best.processor)) {
+      best = MachineState::Estimate{processor, own};
+    }
+  }
+  choice.processor = best.processor;
+  choice.score = best.score;
+  return choice;
 }
 
 /// Tentative EFT (Sinnen's original BA): schedule the task with all its
@@ -163,6 +189,7 @@ Choice tentative_eft(const dag::TaskGraph& graph, const Schedule& out,
     }
   }
   choice.expected_start = best_start;
+  choice.scored = topology.num_processors();
   return choice;
 }
 
@@ -364,7 +391,6 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
   const double mls = platform.mean_link_speed();
   std::vector<dag::EdgeId>& order_scratch = workspace.order_scratch;
   std::vector<obs::ProcessorCandidate>& candidates = workspace.candidates;
-  const std::vector<net::NodeId>& processors = topology.processors();
   std::uint64_t candidates_evaluated = 0;
   std::uint64_t edges_routed = 0;
   std::uint64_t tasks_placed = 0;
@@ -426,7 +452,7 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
           break;
       }
     }
-    candidates_evaluated += processors.size();
+    candidates_evaluated += choice.scored;
     if (log != nullptr) {
       log->record(obs::TaskDecision{
           spec.name, static_cast<std::uint32_t>(task.index()),
@@ -509,6 +535,27 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
   return out;
 }
 
+/// The packetized model's work bound: every edge splits into at most
+/// kMaxPacketsPerEdge packets, whether or not it ends up routed.
+void check_packet_counts(const dag::TaskGraph& graph, double packet_size) {
+  for (std::size_t i = 0; i < graph.num_edges(); ++i) {
+    const dag::EdgeId e(i);
+    const double packets = std::ceil(graph.cost(e) / packet_size);
+    if (packets > static_cast<double>(kMaxPacketsPerEdge)) [[unlikely]] {
+      const dag::Edge& edge = graph.edge(e);
+      std::ostringstream message;
+      message << "SpecScheduler: edge " << i << " (task "
+              << edge.src.value() << " -> task " << edge.dst.value()
+              << ") splits into " << std::fixed << std::setprecision(0)
+              << packets << std::defaultfloat << std::setprecision(6)
+              << " packets of size " << packet_size
+              << "; the packetized model books at most "
+              << kMaxPacketsPerEdge << " per edge";
+      throw PacketCountError(message.str());
+    }
+  }
+}
+
 }  // namespace
 
 SpecScheduler::SpecScheduler(AlgorithmSpec spec)
@@ -519,6 +566,9 @@ SpecScheduler::SpecScheduler(AlgorithmSpec spec)
 Schedule SpecScheduler::schedule(const dag::TaskGraph& graph,
                                  const PlatformContext& platform) const {
   check_inputs(graph, platform.topology());
+  if (spec_.insertion == InsertionPolicyKind::kPacketized) {
+    check_packet_counts(graph, spec_.packet_size);
+  }
   if (spec_.insertion == InsertionPolicyKind::kFluidBandwidth) {
     return run<BandwidthNetworkState>(spec_, names_, graph, platform);
   }

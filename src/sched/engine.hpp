@@ -29,7 +29,9 @@
 // costs no route discovery.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "dag/task_graph.hpp"
 #include "obs/naming.hpp"
@@ -39,6 +41,19 @@
 #include "sched/scheduler.hpp"
 
 namespace edgesched::sched {
+
+/// Work bound of the packetized model (§2.2): an edge of cost c splits
+/// into ceil(c / packet_size) packets, each booked on every hop of its
+/// route, so a packetized spec accepts at most this many per edge.
+inline constexpr std::size_t kMaxPacketsPerEdge = 16384;
+
+/// Thrown by a packetized spec's `schedule` for an edge that would split
+/// into more than kMaxPacketsPerEdge packets; the message names the edge
+/// and its packet count.
+class PacketCountError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// Any `AlgorithmSpec` bundle — preset or novel — as a `Scheduler`,
 /// usable wherever one is expected (sweeps, the service layer, ablation
@@ -50,7 +65,9 @@ class SpecScheduler final : public Scheduler {
   /// names; throws std::invalid_argument on an inconsistent bundle.
   explicit SpecScheduler(AlgorithmSpec spec);
 
-  /// Runs the list-scheduling loop on the context's topology. Reentrant:
+  /// Runs the list-scheduling loop on the context's topology; a
+  /// packetized spec first throws PacketCountError for any edge over
+  /// kMaxPacketsPerEdge packets. Reentrant:
   /// all mutable state is per-run, so one scheduler may serve concurrent
   /// runs, over one shared context or several
   /// (tests/platform_context_property_test.cpp).

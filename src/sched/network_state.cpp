@@ -1,7 +1,9 @@
 #include "sched/network_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
@@ -310,7 +312,43 @@ BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(
 }
 
 MachineState::MachineState(const net::Topology& topology)
-    : timelines_(topology.num_nodes()) {}
+    : timelines_(topology.num_nodes()), leaves_(topology.num_nodes()) {
+  // Group by exact speed with one sort, O(P log P); each group's members
+  // stay in id order, which is processors() order.
+  std::vector<net::NodeId> by_speed = topology.processors();
+  std::sort(by_speed.begin(), by_speed.end(),
+            [&topology](net::NodeId a, net::NodeId b) {
+              const double sa = topology.processor_speed(a);
+              const double sb = topology.processor_speed(b);
+              return sa < sb || (sa == sb && a < b);
+            });
+  for (std::size_t begin = 0; begin < by_speed.size();) {
+    const double speed = topology.processor_speed(by_speed[begin]);
+    std::size_t end = begin + 1;
+    while (end < by_speed.size() &&
+           topology.processor_speed(by_speed[end]) == speed) {
+      ++end;
+    }
+    const SpeedGroup group{speed, std::bit_ceil(end - begin), tree_.size()};
+    tree_.resize(group.offset + 2 * group.leaves,
+                 std::numeric_limits<double>::infinity());
+    members_.resize(tree_.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t slot = group.leaves + (i - begin);
+      tree_[group.offset + slot] = 0.0;  // idle: t_f(P) = 0
+      members_[group.offset + slot] = by_speed[i];
+      leaves_[by_speed[i].index()] =
+          Leaf{static_cast<std::uint32_t>(groups_.size()),
+               static_cast<std::uint32_t>(slot)};
+    }
+    for (std::size_t k = group.leaves - 1; k >= 1; --k) {
+      tree_[group.offset + k] = std::min(tree_[group.offset + 2 * k],
+                                         tree_[group.offset + 2 * k + 1]);
+    }
+    groups_.push_back(group);
+    begin = end;
+  }
+}
 
 MachineState::~MachineState() {
   std::uint64_t queries = 0;
@@ -339,12 +377,53 @@ double MachineState::earliest_start(net::NodeId processor, double ready,
 void MachineState::commit(net::NodeId processor, dag::TaskId task,
                           double start, double duration) {
   EDGESCHED_ASSERT(processor.index() < timelines_.size());
-  timelines_[processor.index()].commit(task, start, duration);
+  timeline::ProcessorTimeline& tl = timelines_[processor.index()];
+  tl.commit(task, start, duration);
+  const Leaf leaf = leaves_[processor.index()];
+  EDGESCHED_ASSERT_MSG(leaf.slot != 0, "task committed to a switch");
+  double* const tree = tree_.data() + groups_[leaf.group].offset;
+  std::size_t k = leaf.slot;
+  tree[k] = tl.last_finish();
+  // Walk up until a node's minimum no longer changes.
+  for (k /= 2; k >= 1; k /= 2) {
+    const double least = std::min(tree[2 * k], tree[2 * k + 1]);
+    if (tree[k] == least) {
+      break;
+    }
+    tree[k] = least;
+  }
 }
 
 double MachineState::finish_time(net::NodeId processor) const {
   EDGESCHED_ASSERT(processor.index() < timelines_.size());
   return timelines_[processor.index()].last_finish();
+}
+
+MachineState::Estimate MachineState::least_group_estimate(
+    double ready, double weight) const {
+  Estimate best{net::NodeId(), std::numeric_limits<double>::infinity()};
+  for (const SpeedGroup& group : groups_) {
+    const double* const tree = tree_.data() + group.offset;
+    const double duration = weight / group.speed;
+    const double least = std::max(ready, tree[1]) + duration;
+    // The score is monotone in t_f(P), so a subtree's least score is its
+    // minimum's score: descend to the leftmost leaf scoring <= least.
+    // Padding leaves score +inf and sit right of every member, so they
+    // are reached only when no member scores below +inf, never first.
+    std::size_t k = 1;
+    while (k < group.leaves) {
+      k *= 2;
+      if (!(std::max(ready, tree[k]) + duration <= least)) {
+        ++k;
+      }
+    }
+    const net::NodeId winner = members_[group.offset + k];
+    if (!best.processor.valid() || least < best.score ||
+        (least == best.score && winner < best.processor)) {
+      best = Estimate{winner, least};
+    }
+  }
+  return best;
 }
 
 void MachineState::reserve_slots(std::size_t per_processor_hint) {

@@ -5,7 +5,8 @@
 // per-link occupations — the information OIHSA's deferral slack (Lemma 2)
 // is computed from. `BandwidthNetworkState` is the BBSA counterpart with
 // one `BandwidthTimeline` per domain. `MachineState` tracks the processor
-// timelines. None of them copies: the Basic Algorithm's tentative
+// timelines and, per processor speed, a min-tree of their finish times.
+// None of them copies: the Basic Algorithm's tentative
 // per-processor evaluation commits into the one exclusive state and rolls
 // back with `uncommit_edge`.
 #pragma once
@@ -166,9 +167,17 @@ class BandwidthNetworkState {
   double hop_delay_ = 0.0;
 };
 
-/// Processor timelines, one per topology node (switch entries stay empty).
+/// Processor timelines, one per topology node (switch entries stay empty),
+/// and per processor speed a min-tree over t_f(P) that answers the §4.1
+/// MLS choice without scoring every processor.
 class MachineState {
  public:
+  /// One processor's §4.1 estimate max(ready, t_f(P)) + w / s(P).
+  struct Estimate {
+    net::NodeId processor;
+    double score = 0.0;
+  };
+
   explicit MachineState(const net::Topology& topology);
 
   /// Flushes the timelines' query tallies into the global hot-path
@@ -192,10 +201,25 @@ class MachineState {
     return insertion ? earliest_start(processor, ready, duration)
                      : append_start(processor, ready);
   }
+  /// Books the task on a processor and updates its speed group's tree
+  /// leaf in O(log P).
   void commit(net::NodeId processor, dag::TaskId task, double start,
               double duration);
   /// t_f(P): current finish time of the processor.
   [[nodiscard]] double finish_time(net::NodeId processor) const;
+
+  /// The (score, processor id)-least of the speed groups' winners, each
+  /// group scoring max(ready, t_f(P)) + weight / s with the same
+  /// expression as a per-processor scan. A group's winner is its
+  /// lowest-id processor at the group's least score: the score is
+  /// monotone in t_f(P), so one descent of the group's tree finds it.
+  /// O(G log P) for G distinct speeds; allocates nothing.
+  [[nodiscard]] Estimate least_group_estimate(double ready,
+                                              double weight) const;
+  /// G: the number of distinct processor speeds (one winner each).
+  [[nodiscard]] std::size_t num_speed_groups() const noexcept {
+    return groups_.size();
+  }
 
   /// Arena pre-sizing: gives every timeline capacity for about
   /// `per_processor_hint` slots so a run sized once up front commits
@@ -203,7 +227,26 @@ class MachineState {
   void reserve_slots(std::size_t per_processor_hint);
 
  private:
+  /// The processors of one exact speed, in id order, as the leaves of a
+  /// flat 1-based min-tree `tree_[offset + 1 .. offset + 2 * leaves)`;
+  /// leaves past the members hold +inf.
+  struct SpeedGroup {
+    double speed = 0.0;
+    std::size_t leaves = 0;  ///< a power of two
+    std::size_t offset = 0;  ///< into tree_ and members_
+  };
+  /// Where a processor's t_f(P) lives: its group and leaf slot
+  /// (`leaves <= slot < 2 * leaves`; 0 for switches).
+  struct Leaf {
+    std::uint32_t group = 0;
+    std::uint32_t slot = 0;
+  };
+
   std::vector<timeline::ProcessorTimeline> timelines_;  ///< by node index
+  std::vector<SpeedGroup> groups_;
+  std::vector<double> tree_;
+  std::vector<net::NodeId> members_;  ///< leaf slots' processors, as tree_
+  std::vector<Leaf> leaves_;          ///< by node index
 };
 
 }  // namespace edgesched::sched

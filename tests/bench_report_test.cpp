@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/json.hpp"
@@ -118,6 +119,36 @@ TEST(MetricsRegistryDump, ResetForTestZeroesWithoutInvalidating) {
   counter.increment();
   EXPECT_EQ(registry.counter("reused_total").value(), 1u);
   EXPECT_EQ(&registry.counter("reused_total"), &counter);
+}
+
+TEST(JsonParse, RejectsRawControlCharactersInStrings) {
+  // RFC 8259 section 7: U+0000 through U+001F must be escaped in strings.
+  for (int c = 0; c < 0x20; ++c) {
+    std::string doc = "[\"a";
+    doc += static_cast<char>(c);
+    doc += "b\"]";
+    EXPECT_THROW((void)JsonValue::parse(doc), std::runtime_error)
+        << "raw control character " << c;
+  }
+  EXPECT_THROW((void)JsonValue::parse("{\"k\tey\": 1}"), std::runtime_error);
+  // Between tokens, tab, newline and carriage return stay whitespace.
+  EXPECT_EQ(JsonValue::parse("{\t\"k\":\r\n1}").at("k").as_number(), 1.0);
+}
+
+TEST(JsonParse, EscapedControlCharactersRoundTrip) {
+  std::string text;
+  for (int c = 0; c < 0x20; ++c) {
+    text += static_cast<char>(c);
+  }
+  text += "\x7f end";
+  JsonValue doc = JsonValue::object();
+  doc.set("text", text);
+  const std::string serialised = doc.dump();
+  for (const char c : serialised) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  }
+  EXPECT_EQ(JsonValue::parse(serialised).at("text").as_string(), text);
+  EXPECT_EQ(JsonValue::parse("\"\\u0001\\t\"").as_string(), "\x01\t");
 }
 
 }  // namespace

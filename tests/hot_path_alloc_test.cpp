@@ -6,8 +6,11 @@
 //
 //   * `Topology::processor_speed`, which selection calls once per
 //     candidate processor per task,
-//   * a warm `StaticRouteTable::route` lookup, and
-//   * a warm `dijkstra_route_probe` into a reused route and workspace.
+//   * a warm `StaticRouteTable::route` lookup,
+//   * a warm `dijkstra_route_probe` into a reused route and workspace,
+//     and
+//   * `MachineState::commit` (timelines reserved) and the speed groups'
+//     winner query, which MLS selection runs once per task.
 //
 // It also pins that `throw_if`, whose message is a view built into a
 // string only on the throwing path, still throws `std::invalid_argument`
@@ -40,10 +43,23 @@ void* counted_alloc(std::size_t size) {
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+// The nothrow forms too (std::stable_sort's buffer uses them): otherwise
+// the runtime's versions allocate what the replaced delete frees.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace edgesched {
 namespace {
@@ -111,6 +127,28 @@ TEST(HotPathAlloc, WarmRouteSearchDoesNotAllocate) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(route, expected);
   EXPECT_FALSE(route.empty());
+}
+
+TEST(HotPathAlloc, MachineStateCommitAndGroupQueryDoNotAllocate) {
+  Rng rng(4);
+  net::SpeedConfig speeds;
+  speeds.heterogeneous = true;
+  speeds.processor_speed_max = 3.0;
+  const net::Topology topology = net::fat_tree(4, 4, speeds, rng);
+  const auto& procs = topology.processors();
+  sched::MachineState machines(topology);
+  machines.reserve_slots(8);
+  double sum = 0.0;
+  const std::size_t before = allocations();
+  for (std::uint32_t t = 0; t < 64; ++t) {
+    const sched::MachineState::Estimate best =
+        machines.least_group_estimate(0.5 * t, 2.0);
+    sum += best.score;
+    const net::NodeId p = procs[t % procs.size()];
+    machines.commit(p, dag::TaskId(t), machines.finish_time(p), 1.0);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(sum, 0.0);
 }
 
 TEST(HotPathAlloc, ThrowIfKeepsTypeAndMessage) {

@@ -4,6 +4,7 @@
 // remote edge was booked on.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -191,6 +192,27 @@ TEST(ObsIntegration, BaTagsItsDecisionsWithItsOwnName) {
   }
 }
 
+/// The MLS selection's candidate tally for a finished schedule: per task,
+/// one winner per distinct processor speed plus the task's distinct
+/// predecessor processors.
+std::uint64_t mls_candidates(const dag::TaskGraph& graph,
+                             const net::Topology& topology,
+                             const sched::Schedule& schedule) {
+  std::set<double> speeds;
+  for (const net::NodeId p : topology.processors()) {
+    speeds.insert(topology.processor_speed(p));
+  }
+  std::uint64_t total = 0;
+  for (const dag::TaskId task : graph.all_tasks()) {
+    std::set<net::NodeId> predecessors;
+    for (const dag::EdgeId e : graph.in_edges(task)) {
+      predecessors.insert(schedule.task(graph.edge(e).src).processor);
+    }
+    total += speeds.size() + predecessors.size();
+  }
+  return total;
+}
+
 TEST(ObsIntegration, HotCountersTallyTheRun) {
   const JoinFixture fx;
   obs::HotCounters& counters = obs::hot_counters();
@@ -207,8 +229,9 @@ TEST(ObsIntegration, HotCountersTallyTheRun) {
   EXPECT_EQ(counters.edges_routed.value() - edges_before, 1u);
   EXPECT_GT(counters.optimal_probes.value(), probes_before);
 
-  // Every selection policy scores every processor for every task, so the
-  // candidate tally is tasks x processors whichever policy ran.
+  // BA's selections score every processor for every task, so their tally
+  // is tasks x processors. The MLS selection scores one winner per speed
+  // group plus each task's distinct predecessor processors.
   Rng rng(5);
   dag::LayeredDagParams params;
   params.num_tasks = 200;
@@ -218,18 +241,24 @@ TEST(ObsIntegration, HotCountersTallyTheRun) {
        {sched::SelectionPolicyKind::kBlindEft,
         sched::SelectionPolicyKind::kTentativeEft,
         sched::SelectionPolicyKind::kMlsEstimate}) {
+    const bool mls = kind == sched::SelectionPolicyKind::kMlsEstimate;
     sched::AlgorithmSpec spec =
-        kind == sched::SelectionPolicyKind::kMlsEstimate ? sched::oihsa_spec()
-                                                         : sched::ba_spec();
+        mls ? sched::oihsa_spec() : sched::ba_spec();
     spec.selection = kind;
     const sched::SpecScheduler scheduler(spec);
     std::uint64_t before = counters.candidates_evaluated.value();
-    (void)scheduler.schedule(fx.graph, fx.topo);
-    EXPECT_EQ(counters.candidates_evaluated.value() - before, 4u * 2u)
+    const sched::Schedule small = scheduler.schedule(fx.graph, fx.topo);
+    EXPECT_EQ(counters.candidates_evaluated.value() - before,
+              mls ? mls_candidates(fx.graph, fx.topo, small) : 4u * 2u)
         << "selection kind " << static_cast<int>(kind);
+    if (mls) {
+      // a, b, c: one group winner each; d: the winner plus p0 and p1.
+      EXPECT_EQ(mls_candidates(fx.graph, fx.topo, small), 6u);
+    }
     before = counters.candidates_evaluated.value();
-    (void)scheduler.schedule(big, torus);
-    EXPECT_EQ(counters.candidates_evaluated.value() - before, 200u * 16u)
+    const sched::Schedule large = scheduler.schedule(big, torus);
+    EXPECT_EQ(counters.candidates_evaluated.value() - before,
+              mls ? mls_candidates(big, torus, large) : 200u * 16u)
         << "selection kind " << static_cast<int>(kind);
   }
 }

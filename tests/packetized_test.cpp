@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
+#include "dag/serialization.hpp"
 #include "net/builders.hpp"
 #include "sched/validator.hpp"
 
@@ -147,6 +150,58 @@ TEST(PacketizedBa, HugePacketSizeMatchesSaFCircuit) {
       EXPECT_EQ(comm.packet_count, 1u);
     }
   }
+}
+
+/// data/mapreduce.txt with the cost of edge 0 -> 2 raised to `cost`.
+dag::TaskGraph mapreduce_with_cost(const std::string& cost) {
+  std::istringstream text(
+      "graph mapreduce\n"
+      "task 0 6 produce\ntask 1 14 map0\ntask 2 14 map1\n"
+      "task 3 14 map2\ntask 4 14 map3\ntask 5 8 reduce0\n"
+      "task 6 8 reduce1\ntask 7 4 collect\n"
+      "edge 0 1 9\nedge 0 2 " + cost + "\nedge 0 3 9\nedge 0 4 9\n"
+      "edge 1 5 5\nedge 2 5 5\nedge 3 6 5\nedge 4 6 5\n"
+      "edge 5 7 3\nedge 6 7 3\n");
+  return dag::read_text(text);
+}
+
+net::Topology wan4() {
+  Rng rng(1);
+  net::RandomWanParams params;
+  params.num_processors = 4;
+  return net::random_wan(params, rng);
+}
+
+TEST(PacketizedBa, RejectsAnEdgeOverThePacketBound) {
+  // 1e8 / 250 = 400000 packets: before the bound this instance ran for
+  // minutes; now it is a typed error naming the edge and the count.
+  const dag::TaskGraph graph = mapreduce_with_cost("1e8");
+  const net::Topology topo = wan4();
+  try {
+    (void)SpecScheduler(packet_ba_spec()).schedule(graph, topo);
+    FAIL() << "PACKET-BA accepted a 400000-packet edge";
+  } catch (const PacketCountError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("edge 1 (task 0 -> task 2)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("400000 packets"), std::string::npos) << what;
+  }
+  // 1e17 would never finish; the count must not overflow either.
+  EXPECT_THROW(
+      (void)SpecScheduler(packet_ba_spec())
+          .schedule(mapreduce_with_cost("1e17"), topo),
+      PacketCountError);
+  // The bound is the packetized model's: the other presets accept it.
+  EXPECT_NO_THROW((void)SpecScheduler(ba_spec()).schedule(graph, topo));
+}
+
+TEST(PacketizedBa, AcceptsAnEdgeAtThePacketBound) {
+  // Exactly kMaxPacketsPerEdge packets of the default size is accepted.
+  const dag::TaskGraph graph = mapreduce_with_cost(std::to_string(
+      static_cast<long long>(kMaxPacketsPerEdge) * 250));
+  const net::Topology topo = star(2);
+  EXPECT_NO_THROW(
+      (void)SpecScheduler(packet_ba_spec()).schedule(graph, topo));
 }
 
 }  // namespace

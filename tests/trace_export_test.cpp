@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -108,12 +109,14 @@ TEST(ChromeTrace, ControlCharactersInNamesStayValidJson) {
   const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   const std::string json = chrome_trace_of(graph, topo, s);
   // RFC 8259 forbids raw control characters inside strings; the writer's
-  // only raw one is the newline between events. (JsonValue::parse
-  // accepts them, so it cannot catch this on its own.)
+  // only raw one is the newline between events. JsonValue::parse rejects
+  // them in strings too, so the parse below checks the same thing.
   for (const char c : json) {
     EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
         << "raw control character " << static_cast<int>(c);
   }
+  const std::string raw_tab = "{\"traceEvents\": [{\"name\": \"src\tA\"}]}";
+  EXPECT_THROW((void)obs::JsonValue::parse(raw_tab), std::runtime_error);
   const obs::JsonValue trace = obs::JsonValue::parse(json);
   const obs::JsonValue& events = trace.at("traceEvents");
   std::vector<std::string> names;
