@@ -1,6 +1,6 @@
 // Scale-frontier sweep: task count x processor count for the
 // contention-aware algorithms on switched fat-tree topologies, plus one
-// executor replay cell.
+// cyclic-fabric frontier cell and one executor replay cell.
 //
 // The paper's experiments stop at hundreds of tasks; this bench is the
 // evidence that the engine's large-scale structures (hinted gap walks,
@@ -9,7 +9,8 @@
 // O(E log V + E * R) model instead of the quadratic blowup the linear
 // structures had. Per cell it schedules a random layered DAG and reports
 // wall time, makespan, the routed-edge count, the Dijkstra relaxations
-// and links scanned per routed edge (0 under BA's static routing),
+// and links scanned per routed edge (0 under BA's static routing and on
+// fabrics with unique paths, which are walked instead of searched),
 // BBSA's fluid forward-sweep steps per forwarded
 // hop (0 for the exclusive models), the idle gaps the processor
 // timelines' first-fit walk examines per insertion query and the
@@ -24,7 +25,12 @@
 //                      plus one 10k-task x 256-processor frontier cell
 //                      for oihsa and bbsa, whose machine-independent work
 //                      counts must stay under hard-coded ceilings (the
-//                      bench exits non-zero otherwise), and one executor
+//                      bench exits non-zero otherwise; its fat tree has
+//                      unique paths, so it must route with 0 search
+//                      relaxations), the same cell on hypercube(8), whose
+//                      many paths keep the §4.3 search running and whose
+//                      relaxations and links scanned per routed edge are
+//                      gated the same way, and one executor
 //                      cell replaying a 2000-task BBSA schedule on an
 //                      8x8 torus, whose dispatch checks per event are
 //                      gated the same way; every cell's processor gap
@@ -99,8 +105,16 @@ net::Topology switched_topology(std::size_t processors, Rng& rng) {
   return net::fat_tree(leaves, per_leaf, net::SpeedConfig{}, rng);
 }
 
+/// The §4.3 search's frontier fabric: 256 processors with many simple
+/// paths between most pairs, where routing still runs the probe search
+/// (a fat tree's unique paths are walked without one).
+net::Topology cyclic_topology(Rng& rng) {
+  return net::hypercube(8, net::SpeedConfig{}, rng);
+}
+
 struct Cell {
   std::string algorithm;
+  std::string fabric;
   std::size_t tasks = 0;
   std::size_t procs = 0;
   double seconds = 0.0;
@@ -113,18 +127,26 @@ struct Cell {
   double candidates_per_task = 0.0;
 };
 
-// Ceilings on the frontier cell's work counts. All are deterministic for
-// the cell's seeds, so any excess is a change in the algorithms' work,
-// not noise. Measured: 15.87 (oihsa) / 15.81 (bbsa) relaxations per
-// routed edge, 28.36 (oihsa) / 28.33 (bbsa) links scanned per routed
-// edge and 15.10 forward steps per hop (bbsa). The links ceiling keeps
-// the relaxations' 7 % margin; a search that walks every out-link again
-// scans 234-273 links per fat_tree(16,16) search.
+// Ceilings on the fat-tree frontier cell's work counts. All are
+// deterministic for the cell's seeds, so any excess is a change in the
+// algorithms' work, not noise. Measured: 15.10 forward steps per hop
+// (bbsa). The relaxation and links-scanned ceilings date from when the
+// probe search routed this cell: 15.87 (oihsa) / 15.81 (bbsa)
+// relaxations and 28.36 / 28.33 links scanned per routed edge, 7 %
+// margin. A fat tree has one simple path per pair, so it is now routed
+// by the tree walk and both must read 0; a nonzero count means the
+// search runs here again.
 constexpr std::size_t kFrontierTasks = 10000;
 constexpr std::size_t kFrontierProcs = 256;
 constexpr double kMaxFrontierRelaxations = 17.0;
 constexpr double kMaxFrontierLinksScanned = 30.4;
 constexpr double kMaxFrontierForwardSteps = 16.5;
+// The same 10k-task graph on hypercube(8), where every pair has many
+// simple paths and the probe search still routes: measured 498.3 (oihsa)
+// / 503.6 (bbsa) relaxations and 792.1 / 802.7 links scanned per routed
+// edge, ceilings at about +7 %.
+constexpr double kMaxCyclicRelaxations = 539.0;
+constexpr double kMaxCyclicLinksScanned = 859.0;
 // Processor candidates scored per task on the frontier cell: the MLS
 // selection scores one winner per speed group plus each task's distinct
 // predecessor processors. Measured 3.73 for oihsa and bbsa alike, ceiling
@@ -206,6 +228,7 @@ struct Point {
   std::size_t tasks = 0;
   std::size_t procs = 0;
   std::vector<std::string> algorithms;
+  bool cyclic = false;  ///< hypercube(8) instead of the fat tree
 };
 
 /// Least-squares slope of log(seconds) vs log(tasks) — the measured
@@ -282,18 +305,23 @@ int main(int argc, char** argv) {
       points.push_back(Point{tasks, procs, algorithms});
     }
   }
-  // The default grid also carries one frontier cell, where §4.3 routing
-  // is the largest phase of the schedule time; it is its own
-  // (algorithm, 256) series, too short to fit an exponent.
+  // The default grid also carries the frontier cell twice: on the fat
+  // tree, where routing is a walk and link booking is the largest phase
+  // of the schedule time, and on hypercube(8), where the §4.3 search
+  // still runs. Each is its own (algorithm, 256) series, too short to
+  // fit an exponent.
   if (!full && !grid_overridden) {
-    points.push_back(Point{10000, 256, {"oihsa", "bbsa"}});
+    for (const bool cyclic : {false, true}) {
+      points.push_back(
+          Point{kFrontierTasks, kFrontierProcs, {"oihsa", "bbsa"}, cyclic});
+    }
   }
 
   std::cout << "== extension: scale frontier (tasks x processors) ==\n";
   std::cout << "algorithm, tasks, procs, seconds, makespan, edges, "
                "relaxations_per_routed_edge, links_scanned_per_routed_edge, "
                "forward_steps_per_hop, processor_gap_steps_per_query, "
-               "candidates_per_task\n";
+               "candidates_per_task, fabric\n";
 
   obs::Counter& relaxations = obs::hot_counters().dijkstra_relaxations;
   obs::Counter& links_scanned = obs::hot_counters().dijkstra_links_scanned;
@@ -314,7 +342,9 @@ int main(int argc, char** argv) {
     Rng dag_rng(20260807 + tasks);
     const dag::TaskGraph graph = dag::random_layered(params, dag_rng);
     Rng topo_rng(7 + procs);
-    const net::Topology topology = switched_topology(procs, topo_rng);
+    const net::Topology topology = point.cyclic
+                                       ? cyclic_topology(topo_rng)
+                                       : switched_topology(procs, topo_rng);
     for (const std::string& name : point.algorithms) {
       if (name == "ba" && tasks > ba_tasks_max) {
         std::cout << "ba, " << tasks << ", " << procs
@@ -325,6 +355,7 @@ int main(int argc, char** argv) {
           sched::make_scheduler(name);
       Cell cell;
       cell.algorithm = name;
+      cell.fabric = point.cyclic ? "hypercube" : "fat_tree";
       cell.tasks = tasks;
       cell.procs = procs;
       cell.seconds = std::numeric_limits<double>::infinity();
@@ -389,7 +420,7 @@ int main(int argc, char** argv) {
                 << cell.links_scanned_per_routed_edge << ", "
                 << cell.forward_steps_per_hop << ", "
                 << cell.processor_gap_steps_per_query << ", "
-                << cell.candidates_per_task << "\n";
+                << cell.candidates_per_task << ", " << cell.fabric << "\n";
       if (cell.processor_gap_steps_per_query > kMaxProcessorGapSteps) {
         std::cerr << "extension_scaling: " << name << " " << tasks << "x"
                   << procs << " cell exceeds its ceiling of "
@@ -397,7 +428,26 @@ int main(int argc, char** argv) {
                   << " processor gap steps per query\n";
         over_ceiling = true;
       }
-      if (tasks == kFrontierTasks && procs == kFrontierProcs &&
+      const bool frontier = tasks == kFrontierTasks && procs == kFrontierProcs;
+      if (frontier && point.cyclic &&
+          (cell.relaxations_per_routed_edge > kMaxCyclicRelaxations ||
+           cell.links_scanned_per_routed_edge > kMaxCyclicLinksScanned)) {
+        std::cerr << "extension_scaling: " << name
+                  << " hypercube frontier cell exceeds its work ceilings ("
+                  << kMaxCyclicRelaxations << " relaxations and "
+                  << kMaxCyclicLinksScanned
+                  << " links scanned per routed edge)\n";
+        over_ceiling = true;
+      }
+      if (frontier && !point.cyclic && cell.relaxations_per_routed_edge > 0.0) {
+        std::cerr << "extension_scaling: " << name
+                  << " fat-tree frontier cell ran the route search ("
+                  << cell.relaxations_per_routed_edge
+                  << " relaxations per routed edge); its unique paths "
+                  << "should be walked\n";
+        over_ceiling = true;
+      }
+      if (frontier && !point.cyclic &&
           (cell.relaxations_per_routed_edge > kMaxFrontierRelaxations ||
            cell.links_scanned_per_routed_edge > kMaxFrontierLinksScanned ||
            cell.forward_steps_per_hop > kMaxFrontierForwardSteps ||
@@ -435,6 +485,7 @@ int main(int argc, char** argv) {
   for (const Cell& c : cells) {
     obs::JsonValue entry = obs::JsonValue::object();
     entry.set("algorithm", c.algorithm);
+    entry.set("fabric", c.fabric);
     entry.set("tasks", c.tasks);
     entry.set("procs", c.procs);
     entry.set("seconds", c.seconds);
@@ -489,6 +540,9 @@ int main(int argc, char** argv) {
     std::ostringstream bench_name;
     bench_name << "scaling/" << c.algorithm << "/tasks:" << c.tasks
                << "/procs:" << c.procs;
+    if (c.fabric != "fat_tree") {
+      bench_name << "/fabric:" << c.fabric;
+    }
     entry.set("name", bench_name.str());
     entry.set("run_type", "iteration");
     entry.set("iterations", 1);

@@ -1,5 +1,6 @@
 // Micro-benchmarks of the routing layer: BFS minimal routing vs the
-// probe-driven Dijkstra used by the modified routing algorithm.
+// probe-driven Dijkstra used by the modified routing algorithm, and the
+// walk that replaces both on fabrics with one simple path per pair.
 #include <benchmark/benchmark.h>
 
 #include "net/builders.hpp"
@@ -78,5 +79,25 @@ void BM_DijkstraProbeRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraProbeRoute)->Arg(16)->Arg(64)->Arg(128);
+
+// The walk on a fat tree of 16-processor leaves, the engine's route on
+// every unique-path fabric, into one reused route buffer.
+void BM_UniquePathWalk(benchmark::State& state) {
+  Rng rng(4);
+  const auto procs_total = static_cast<std::size_t>(state.range(0));
+  const net::Topology topo =
+      net::fat_tree(procs_total / 16, 16, net::SpeedConfig{}, rng);
+  const net::UniquePathRouter router(topo);
+  const auto& procs = topo.processors();
+  net::Route route;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    router.route(procs[i % procs.size()],
+                 procs[(i * 7 + 3) % procs.size()], route);
+    benchmark::DoNotOptimize(route.data());
+    ++i;
+  }
+}
+BENCHMARK(BM_UniquePathWalk)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace

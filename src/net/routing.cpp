@@ -101,6 +101,94 @@ void StaticRouteTable::fill(NodeId from, Shard& shard) const {
   }
 }
 
+UniquePathRouter::UniquePathRouter(const Topology& topology) {
+  // BFS over out-links from each unvisited node in index order. Every
+  // link is some node's out-link, so each is examined exactly once: as a
+  // parent -> child link that discovers the child, or as the child's
+  // link back to its parent. Any other link (a second cable between a
+  // pair, a one-way link, a self-loop, a cycle's closing cable or a link
+  // into another component) disqualifies the fabric.
+  const std::size_t n = topology.num_nodes();
+  std::vector<Node> nodes(n);
+  std::vector<char> seen(n, 0);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (seen[r] != 0) {
+      continue;
+    }
+    seen[r] = 1;
+    frontier.clear();
+    frontier.push_back(NodeId(r));
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId u = frontier[head];
+      const Node& at = nodes[u.index()];
+      for (const LinkId l : topology.out_links(u)) {
+        const NodeId v = topology.link(l).dst;
+        if (seen[v.index()] != 0) {
+          if (v != at.parent || l != at.up) {
+            return;
+          }
+          continue;
+        }
+        LinkId up;
+        for (const LinkId back : topology.out_links(v)) {
+          if (topology.link(back).dst == u) {
+            up = back;
+            break;
+          }
+        }
+        if (!up.valid()) {
+          return;
+        }
+        seen[v.index()] = 1;
+        nodes[v.index()] = Node{u, up, l, at.depth + 1};
+        frontier.push_back(v);
+      }
+    }
+  }
+  nodes_ = std::move(nodes);
+}
+
+void UniquePathRouter::route(NodeId from, NodeId to, Route& route) const {
+  throw_if(from.index() >= nodes_.size() || to.index() >= nodes_.size(),
+           "UniquePathRouter: invalid endpoint");
+  route.clear();
+  // Climb the deeper end until both are level, then both together until
+  // they meet; a root reached without meeting means another component.
+  NodeId a = from;
+  NodeId b = to;
+  std::size_t up_hops = 0;
+  std::size_t down_hops = 0;
+  while (nodes_[a.index()].depth > nodes_[b.index()].depth) {
+    a = nodes_[a.index()].parent;
+    ++up_hops;
+  }
+  while (nodes_[b.index()].depth > nodes_[a.index()].depth) {
+    b = nodes_[b.index()].parent;
+    ++down_hops;
+  }
+  while (a != b) {
+    a = nodes_[a.index()].parent;
+    b = nodes_[b.index()].parent;
+    throw_if(!a.valid(), "UniquePathRouter: destination unreachable");
+    ++up_hops;
+    ++down_hops;
+  }
+  // Up links from `from` fill the front, down links into `to` the back.
+  route.resize(up_hops + down_hops);
+  NodeId at = from;
+  for (std::size_t i = 0; i < up_hops; ++i) {
+    route[i] = nodes_[at.index()].up;
+    at = nodes_[at.index()].parent;
+  }
+  at = to;
+  for (std::size_t i = route.size(); i-- > up_hops;) {
+    route[i] = nodes_[at.index()].down;
+    at = nodes_[at.index()].parent;
+  }
+}
+
 TransitAdjacency::TransitAdjacency(const Topology& topology)
     : topology_(&topology) {
   const std::size_t n = topology.num_nodes();

@@ -19,6 +19,11 @@
 //   routes between processors, filled lazily one source at a time and
 //   safe to query from any number of threads (sched::PlatformContext
 //   owns one per topology).
+// * `UniquePathRouter` — on a fabric with one simple path per pair (a
+//   tree of duplex or half-duplex cables: stars, fat trees), that path
+//   by an O(hops) walk up a rooted spanning forest. Both searches above
+//   can only return it there, so the engine walks instead of searching
+//   under every routing policy; cyclic fabrics keep the searches.
 #pragma once
 
 #include <algorithm>
@@ -146,6 +151,51 @@ class TransitAdjacency {
   std::vector<Arc> transit_;
   std::vector<std::uint32_t> stub_begin_;  ///< CSR offsets, N + 1
   std::vector<Arc> stub_;
+};
+
+/// Routes of a fabric with exactly one simple path between any two
+/// connected nodes, found by a walk up a rooted spanning forest instead
+/// of a search.
+///
+/// A fabric *qualifies* when its undirected link graph is a forest,
+/// every link has its reverse and no two links share (src, dst): duplex
+/// or half-duplex cable trees, stars, fat trees, a two-member bus. Then
+/// every pair's only simple route is up from `from` to the node where
+/// the two ends' root paths meet and down to `to`. Dijkstra's parent
+/// chain and BFS's are both simple paths, so on such a fabric the §4.3
+/// probe search and `bfs_route` return this very route, whatever the
+/// link timelines hold; the engine asks `applies()` once per run and
+/// walks instead of searching. On any other fabric the router keeps
+/// nothing and `applies()` is false.
+///
+/// Built in one O(N+L) pass; immutable and safe to share across threads.
+/// It keeps no reference to the topology, but its routes describe the
+/// topology as built: one that gains links needs a new router.
+class UniquePathRouter {
+ public:
+  explicit UniquePathRouter(const Topology& topology);
+
+  UniquePathRouter(const UniquePathRouter&) = delete;
+  UniquePathRouter& operator=(const UniquePathRouter&) = delete;
+
+  /// True when the fabric qualifies (see the class comment).
+  [[nodiscard]] bool applies() const noexcept { return !nodes_.empty(); }
+
+  /// Clears `route` and fills it with the unique route from `from` to
+  /// `to` (empty when `from == to`), reusing its capacity: O(hops), no
+  /// allocation once the buffer is warm. Requires `applies()`. Throws
+  /// std::invalid_argument for an endpoint outside the topology or when
+  /// the ends lie in different components (destination unreachable).
+  void route(NodeId from, NodeId to, Route& route) const;
+
+ private:
+  struct Node {
+    NodeId parent;       ///< invalid at a component's root
+    LinkId up;           ///< node -> parent
+    LinkId down;         ///< parent -> node
+    std::uint32_t depth = 0;
+  };
+  std::vector<Node> nodes_;  ///< by node; empty unless the fabric qualifies
 };
 
 /// Inputs of a link probe: what the edge brings to the link from the

@@ -260,16 +260,12 @@ void commit(const AlgorithmSpec& spec, ExclusiveNetworkState& network,
       const std::size_t packets = static_cast<std::size_t>(
           std::max(1.0, std::ceil(cost / spec.packet_size)));
       const double volume = cost / static_cast<double>(packets);
-      double arrival = ship_time;
-      for (std::size_t p = 0; p < packets; ++p) {
-        arrival = std::max(
-            arrival, network.commit_packet(edge, route, ship_time, volume));
-      }
+      comm.arrival =
+          network.commit_packets(edge, route, ship_time, volume, packets);
       comm.kind = EdgeCommunication::Kind::kPacketized;
       comm.route = route;
       comm.occupations = network.record(edge).occupations;
       comm.packet_count = packets;
-      comm.arrival = arrival;
       return;
     }
     case InsertionPolicyKind::kFluidBandwidth:
@@ -372,11 +368,18 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
 
   // §4.3: the route of one communication. The returned reference stays
   // valid until the next call (it points into the platform's table or
-  // `probed`, which every search refills in place), so no route costs a
-  // per-edge allocation.
+  // `probed`, which every walk and search refills in place), so no route
+  // costs a per-edge allocation. On a fabric with one simple path per
+  // pair, the search and BFS can only return that path, so the walk
+  // serves every routing policy.
   net::Route probed;
+  const net::UniquePathRouter& unique_paths = platform.unique_paths();
   const auto route = [&](net::NodeId from, net::NodeId to, double ship_time,
                          double cost) -> const net::Route& {
+    if (unique_paths.applies()) {
+      unique_paths.route(from, to, probed);
+      return probed;
+    }
     switch (spec.routing) {
       case RoutingPolicyKind::kBfsMinimal:
         return platform.routes().route(from, to);

@@ -164,29 +164,47 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
   return t_f_min - hop_delay_;
 }
 
-double ExclusiveNetworkState::commit_packet(dag::EdgeId edge,
-                                            const net::Route& route,
-                                            double ready, double volume) {
+double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
+                                             const net::Route& route,
+                                             double ready, double volume,
+                                             std::size_t count) {
   EDGESCHED_ASSERT_MSG(!route.empty(),
                        "cannot commit a packet on an empty route");
   EdgeRecord& record = records_[edge.index()];
-  double arrival = ready;
-  for (net::LinkId link : route) {
-    const double duration = volume * inv_speed_[link.index()];
-    timeline::LinkTimeline& tl =
-        domains_[topology_->domain(link).index()];
-    // Store-and-forward: the packet is available at this hop only once it
-    // fully crossed the previous one, so t_es = previous finish and there
-    // is no cross-hop minimum-finish coupling.
-    const timeline::Placement placement =
-        tl.probe_basic(arrival, 0.0, duration);
-    tl.commit(placement, edge);
-    record.route.push_back(link);
-    record.occupations.push_back(LinkOccupation{
-        link, placement.earliest_start, placement.start, placement.finish});
-    arrival = placement.finish + hop_delay_;
+  EDGESCHED_ASSERT_MSG(!record.scheduled(), "packets of a booked edge");
+  const std::size_t hops = route.size();
+  double latest = ready;
+  for (std::size_t p = 0; p < count; ++p) {
+    double arrival = ready;
+    for (net::LinkId link : route) {
+      const double duration = volume * inv_speed_[link.index()];
+      timeline::LinkTimeline& tl =
+          domains_[topology_->domain(link).index()];
+      // Packet p - 1 took the first gap admitting it on this hop, with
+      // the same duration and an earliest start no later than this
+      // packet's (the same ready time on the first hop, an arrival no
+      // later on the next), and no slot has been erased since. So no gap
+      // ending before its slot's start admits this packet: the walk
+      // starts at the gap just before that slot, which is still tried in
+      // case a packet shorter than the timeline's tolerance fits there.
+      const double skip_before =
+          p == 0 ? 0.0
+                 : record.occupations[record.occupations.size() - hops]
+                       .start;
+      // Store-and-forward: the packet is available at this hop only once
+      // it fully crossed the previous one, so t_es = previous finish and
+      // there is no cross-hop minimum-finish coupling.
+      const timeline::Placement placement =
+          tl.probe_basic(arrival, 0.0, duration, skip_before);
+      tl.commit(placement, edge);
+      record.route.push_back(link);
+      record.occupations.push_back(LinkOccupation{
+          link, placement.earliest_start, placement.start, placement.finish});
+      arrival = placement.finish + hop_delay_;
+    }
+    latest = std::max(latest, arrival - hop_delay_);
   }
-  return arrival - hop_delay_;
+  return latest;
 }
 
 void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {

@@ -93,12 +93,18 @@ class ExclusiveNetworkState {
   /// Basic Algorithm's tentative per-processor evaluation relies on.
   void uncommit_edge(dag::EdgeId edge);
 
-  /// Books one store-and-forward packet of `edge` along `route`: each hop
-  /// may begin only after the packet fully crossed the previous hop.
-  /// Appends the occupations to the edge's record (an edge may own many
-  /// packets); returns the packet's arrival time at the route's end.
-  double commit_packet(dag::EdgeId edge, const net::Route& route,
-                       double ready, double volume);
+  /// Books `count` store-and-forward packets of `volume` each for a not
+  /// yet booked `edge` along `route`, all ready at `ready`, in order: each
+  /// hop of a packet may begin only after it fully crossed the previous
+  /// hop. The edge's record holds every packet's occupations, packet by
+  /// packet; returns the latest packet arrival at the route's end (at
+  /// least `ready`).
+  ///
+  /// Each packet is first-fit on each hop as if booked alone, but its
+  /// walk starts at the previous packet's slot on that hop: O(1) gaps per
+  /// packet and hop instead of re-walking every earlier packet.
+  double commit_packets(dag::EdgeId edge, const net::Route& route,
+                        double ready, double volume, std::size_t count);
 
   /// Total busy time over all domains (network load statistic).
   [[nodiscard]] double total_busy_time() const noexcept;

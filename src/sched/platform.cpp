@@ -28,6 +28,7 @@ PlatformContext::PlatformContext(const net::Topology& topology)
     : topology_(&topology),
       routes_(topology),
       transit_(topology),
+      unique_paths_(topology),
       mean_link_speed_(topology.mean_link_speed()),
       fingerprint_(topology.fingerprint()),
       num_processors_(
@@ -39,6 +40,7 @@ PlatformContext::PlatformContext(
       topology_(&require_topology(owned_)),
       routes_(*topology_),
       transit_(*topology_),
+      unique_paths_(*topology_),
       mean_link_speed_(topology_->mean_link_speed()),
       fingerprint_(topology_->fingerprint()),
       num_processors_(std::max<std::size_t>(std::size_t{1},

@@ -12,6 +12,9 @@
 //     no route discovery the run does not ask for),
 //   * the modified-routing search's arc lists (`net::TransitAdjacency`,
 //     built eagerly in one O(N+L) pass),
+//   * the unique-path router (`net::UniquePathRouter`, one O(N+L) pass;
+//     on a tree fabric it answers every route, so neither the table nor
+//     the search runs),
 //   * the mean link speed (the §4.1 MLS estimate denominator),
 //   * the topology's structural fingerprint (the service layer's
 //     content-address for its platform cache),
@@ -116,6 +119,11 @@ class PlatformContext {
   [[nodiscard]] const net::TransitAdjacency& transit() const noexcept {
     return transit_;
   }
+  /// The walk that replaces both routing layers above when the fabric
+  /// has one simple path per pair (`applies()`).
+  [[nodiscard]] const net::UniquePathRouter& unique_paths() const noexcept {
+    return unique_paths_;
+  }
   /// Cached `Topology::mean_link_speed()` — O(L) once per context
   /// instead of once per MLS-estimate run.
   [[nodiscard]] double mean_link_speed() const noexcept {
@@ -150,6 +158,7 @@ class PlatformContext {
   const net::Topology* topology_;
   net::StaticRouteTable routes_;
   net::TransitAdjacency transit_;
+  net::UniquePathRouter unique_paths_;
   double mean_link_speed_ = 0.0;
   std::uint64_t fingerprint_ = 0;
   std::size_t num_processors_ = 1;

@@ -58,15 +58,18 @@ Placement LinkTimeline::probe_from(std::size_t first, double t_es_in,
 }
 
 Placement LinkTimeline::probe_basic(double t_es_in, double t_f_min,
-                                    double duration) const {
+                                    double duration,
+                                    double skip_before) const {
   EDGESCHED_ASSERT_MSG(duration > 0.0, "edge duration must be positive");
   ++probe_stats_.basic_probes;
   // Gap-index fast path: no feasible finish can precede
   // max(t_es_in + duration, t_f_min), so start the first-fit walk at the
   // first gap whose end reaches that bound (binary search) instead of at
-  // the head of the timeline.
-  const double min_finish =
-      std::max(t_es_in, t_f_min - duration) + duration;
+  // the head of the timeline. Gaps ending before the caller's
+  // `skip_before` admit nothing either, so the bound may rise to it (the
+  // search's tolerance slack only walks more gaps, never fewer).
+  const double min_finish = std::max(
+      std::max(t_es_in, t_f_min - duration) + duration, skip_before);
   return probe_from(first_candidate_gap(min_finish), t_es_in, t_f_min,
                     duration);
 }

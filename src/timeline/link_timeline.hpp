@@ -59,8 +59,15 @@ class LinkTimeline {
   /// O(log n) binary search for the first gap that can admit the edge,
   /// then a first-fit walk that in practice inspects O(1) gaps. Returns
   /// placements identical to `probe_basic_linear` (property-tested).
+  ///
+  /// `skip_before` is a time the caller knows no idle gap ending earlier
+  /// can admit the edge (0: nothing known); the binary search then skips
+  /// those gaps too. Store-and-forward packets pass the previous packet's
+  /// start on the same hop, so a message's k packets walk O(k) gaps, not
+  /// O(k^2).
   [[nodiscard]] Placement probe_basic(double t_es_in, double t_f_min,
-                                      double duration) const;
+                                      double duration,
+                                      double skip_before = 0.0) const;
 
   /// Reference implementation of `probe_basic` walking every idle
   /// interval from the head. Kept only as the property-test oracle for

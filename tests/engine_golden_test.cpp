@@ -9,20 +9,27 @@
 //   EDGESCHED_UPDATE_GOLDENS=1 ./build/tests/engine_golden_test
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "dag/generators.hpp"
+#include "dag/properties.hpp"
+#include "net/builders.hpp"
+#include "net/routing.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/json.hpp"
 #include "schedule_canon.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "sim/workload.hpp"
+#include "util/hash.hpp"
 
 namespace edgesched {
 namespace {
@@ -162,6 +169,102 @@ TEST(EngineGolden, EveryGoldenFileHasAVariantAndViceVersa) {
   for (const std::string& label : named) {
     EXPECT_TRUE(on_disk.count(label) == 1)
         << "variant " << label << " has no golden file";
+  }
+}
+
+/// Fabrics with more than one simple path between some processor pair,
+/// where the §4.3 search (and BFS) still choose the route: the pinned
+/// fig1/fig3 instances above are random WANs with one or two switches
+/// and no extra cable, so without these no golden would exercise the
+/// search itself.
+struct Fabric {
+  std::string label;
+  net::Topology topology;
+};
+
+std::vector<Fabric> cyclic_fabrics() {
+  Rng rng(4301);
+  net::SpeedConfig homogeneous;
+  net::SpeedConfig heterogeneous;
+  heterogeneous.heterogeneous = true;
+  net::RandomWanParams wan;
+  wan.num_processors = 40;
+  wan.fanout_min = 4;
+  wan.fanout_max = 6;
+  wan.extra_switch_link_probability = 0.5;
+  wan.speeds = heterogeneous;
+  std::vector<Fabric> fabrics;
+  fabrics.push_back({"torus4x4", net::torus2d(4, 4, homogeneous, rng)});
+  fabrics.push_back({"hypercube4", net::hypercube(4, heterogeneous, rng)});
+  fabrics.push_back({"wan40", net::random_wan(wan, rng)});
+  fabrics.push_back({"ring6", net::ring(6, heterogeneous, rng)});
+  fabrics.push_back({"bus3", net::bus(3, homogeneous, rng)});
+  return fabrics;
+}
+
+std::string cyclic_digest_path() {
+  return std::string(EDGESCHED_GOLDEN_DIR) + "/cyclic_fabrics.digests";
+}
+
+/// fabric/graph/variant -> hex digest of the canonical schedule.
+std::map<std::string, std::string> cyclic_cells() {
+  std::map<std::string, std::string> cells;
+  Rng rng(4302);
+  for (const Fabric& fabric : cyclic_fabrics()) {
+    for (const double ccr : {1.0, 5.0}) {
+      dag::LayeredDagParams params;
+      params.num_tasks = 40;
+      dag::TaskGraph graph = dag::random_layered(params, rng);
+      dag::rescale_to_ccr(graph, ccr);
+      for (const Variant& variant : variants()) {
+        const sched::Schedule schedule =
+            sched::SpecScheduler(variant.spec).schedule(graph, fabric.topology);
+        sched::validate_or_throw(graph, fabric.topology, schedule);
+        Fingerprint fp;
+        fp.mix(std::string_view(test::canonical_schedule(graph, schedule)));
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(fp.value()));
+        std::ostringstream label;
+        label << fabric.label << "/ccr" << ccr << "/" << variant.label;
+        cells.emplace(label.str(), hex);
+      }
+    }
+  }
+  return cells;
+}
+
+// Every variant on the cyclic fabrics, hashed against digests captured
+// from the build before routing on unique-path fabrics skipped the
+// search.
+TEST(EngineGolden, CyclicFabricsByteIdentical) {
+  for (const Fabric& fabric : cyclic_fabrics()) {
+    ASSERT_FALSE(net::UniquePathRouter(fabric.topology).applies())
+        << fabric.label << " has unique paths, so it pins no search";
+  }
+  const std::map<std::string, std::string> actual = cyclic_cells();
+  if (std::getenv("EDGESCHED_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(cyclic_digest_path());
+    ASSERT_TRUE(out) << "cannot write " << cyclic_digest_path();
+    for (const auto& [label, hex] : actual) {
+      out << label << " " << hex << "\n";
+    }
+    return;
+  }
+  std::ifstream in(cyclic_digest_path());
+  ASSERT_TRUE(in) << "missing " << cyclic_digest_path()
+                  << " (run with EDGESCHED_UPDATE_GOLDENS=1)";
+  std::map<std::string, std::string> expected;
+  std::string label;
+  std::string hex;
+  while (in >> label >> hex) {
+    expected.emplace(label, hex);
+  }
+  ASSERT_EQ(expected.size(), actual.size());
+  for (const auto& [cell, digest] : actual) {
+    const auto it = expected.find(cell);
+    ASSERT_TRUE(it != expected.end()) << "cell " << cell << " not pinned";
+    EXPECT_EQ(digest, it->second) << cell << ": schedule diverged";
   }
 }
 

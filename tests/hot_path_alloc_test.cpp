@@ -8,7 +8,7 @@
 //     candidate processor per task,
 //   * a warm `StaticRouteTable::route` lookup,
 //   * a warm `dijkstra_route_probe` into a reused route and workspace,
-//     and
+//   * a warm `UniquePathRouter::route` walk into a reused route, and
 //   * `MachineState::commit` (timelines reserved) and the speed groups'
 //     winner query, which MLS selection runs once per task.
 //
@@ -127,6 +127,27 @@ TEST(HotPathAlloc, WarmRouteSearchDoesNotAllocate) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(route, expected);
   EXPECT_FALSE(route.empty());
+}
+
+TEST(HotPathAlloc, WarmUniquePathWalkDoesNotAllocate) {
+  Rng rng(5);
+  const net::Topology topology =
+      net::fat_tree(4, 4, net::SpeedConfig{}, rng);
+  const net::UniquePathRouter router(topology);
+  ASSERT_TRUE(router.applies());
+  const auto& procs = topology.processors();
+  net::Route route;
+  router.route(procs[0], procs[15], route);  // warm-up: the longest route
+  std::size_t hops = 0;
+  const std::size_t before = allocations();
+  for (const net::NodeId from : procs) {
+    for (const net::NodeId to : procs) {
+      router.route(from, to, route);
+      hops += route.size();
+    }
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(hops, 0u);
 }
 
 TEST(HotPathAlloc, MachineStateCommitAndGroupQueryDoNotAllocate) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "net/builders.hpp"
 
@@ -134,14 +135,72 @@ TEST(ExclusiveNetworkState, OptimalCommitDefersEarlierEdge) {
 TEST(ExclusiveNetworkState, CommitPacketStoreAndForward) {
   Fixture f;
   ExclusiveNetworkState state(f.topo, 4);
-  const double first =
-      state.commit_packet(dag::EdgeId(0u), f.route, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(first, 5.0);  // [1,3] then [3,5]
-  const double second =
-      state.commit_packet(dag::EdgeId(0u), f.route, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(second, 7.0);  // hop1 [3,5], hop2 [5,7]: pipelined
+  const double arrival =
+      state.commit_packets(dag::EdgeId(0u), f.route, 1.0, 2.0, 2);
+  EXPECT_DOUBLE_EQ(arrival, 7.0);  // hop1 [3,5], hop2 [5,7]: pipelined
   const EdgeRecord& record = state.record(dag::EdgeId(0u));
-  EXPECT_EQ(record.occupations.size(), 4u);
+  ASSERT_EQ(record.occupations.size(), 4u);
+  EXPECT_DOUBLE_EQ(record.occupations[1].finish, 5.0);  // [1,3] then [3,5]
+}
+
+// Each packet's first-fit walk starts at the previous packet's slot on
+// the same hop. The placements must equal packet-by-packet first fit
+// from the head of every timeline, and the gaps walked must stay O(1)
+// per packet and hop: from the ship time, packet k would step over all k
+// earlier back-to-back packets of its edge.
+TEST(ExclusiveNetworkState, PacketWalksStartAtThePreviousPacket) {
+  Fixture f;
+  ExclusiveNetworkState state(f.topo, 8);
+  // Other edges' slots, so the packets flow around gaps of every size.
+  (void)state.commit_edge_basic(dag::EdgeId(1u), f.route, 40.0, 10.0);
+  (void)state.commit_edge_basic(dag::EdgeId(2u), {f.route[0]}, 95.0, 1.5);
+  (void)state.commit_edge_basic(dag::EdgeId(3u), {f.route[1]}, 97.0, 0.5);
+  (void)state.commit_edge_basic(dag::EdgeId(4u), f.route, 300.0, 2.5);
+  std::vector<timeline::LinkTimeline> oracle;
+  std::uint64_t steps_before = 0;
+  for (const net::LinkId link : f.route) {
+    oracle.push_back(state.timeline(link));
+    steps_before += state.timeline(link).probe_stats().probe_gap_steps;
+  }
+
+  constexpr std::size_t kPackets = 4096;
+  const double arrival =
+      state.commit_packets(dag::EdgeId(0u), f.route, 1.0, 0.75, kPackets);
+
+  std::vector<LinkOccupation> expected;
+  double latest = 1.0;
+  for (std::size_t p = 0; p < kPackets; ++p) {
+    double at = 1.0;
+    for (std::size_t h = 0; h < f.route.size(); ++h) {
+      const timeline::Placement placement =
+          oracle[h].probe_basic_linear(at, 0.0, 0.75);
+      oracle[h].commit(placement, dag::EdgeId(0u));
+      expected.push_back(LinkOccupation{f.route[h], placement.earliest_start,
+                                        placement.start, placement.finish});
+      at = placement.finish;
+    }
+    latest = std::max(latest, at);
+  }
+  EXPECT_EQ(arrival, latest);
+  const EdgeRecord& record = state.record(dag::EdgeId(0u));
+  ASSERT_EQ(record.occupations.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(record.occupations[i].link, expected[i].link) << i;
+    ASSERT_EQ(record.occupations[i].earliest_start,
+              expected[i].earliest_start)
+        << i;
+    ASSERT_EQ(record.occupations[i].start, expected[i].start) << i;
+    ASSERT_EQ(record.occupations[i].finish, expected[i].finish) << i;
+  }
+
+  std::uint64_t steps_after = 0;
+  for (const net::LinkId link : f.route) {
+    steps_after += state.timeline(link).probe_stats().probe_gap_steps;
+  }
+  const double steps_per_probe =
+      static_cast<double>(steps_after - steps_before) /
+      static_cast<double>(kPackets * f.route.size());
+  EXPECT_LE(steps_per_probe, 3.0);
 }
 
 TEST(BandwidthNetworkState, CommitSharesAndProbes) {
