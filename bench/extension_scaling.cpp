@@ -151,7 +151,9 @@ constexpr double kMaxCyclicLinksScanned = 859.0;
 // selection scores one winner per speed group plus each task's distinct
 // predecessor processors. Measured 3.73 for oihsa and bbsa alike, ceiling
 // at about +7 % like the relaxations'; a selection that scores every
-// processor again reads 256.
+// processor again reads 256. It gates only MLS-selection cells: BA's
+// blind EFT scores every processor by design (the full grid's BA
+// frontier cell reads 256).
 constexpr double kMaxFrontierCandidatesPerTask = 4.0;
 
 // Ceiling on the idle gaps a processor insertion query examines after
@@ -429,6 +431,10 @@ int main(int argc, char** argv) {
         over_ceiling = true;
       }
       const bool frontier = tasks == kFrontierTasks && procs == kFrontierProcs;
+      const sched::AlgorithmEntry* const entry = sched::find_algorithm(name);
+      const bool mls_selection =
+          entry != nullptr && entry->engine_backed() &&
+          entry->spec().selection == sched::SelectionPolicyKind::kMlsEstimate;
       if (frontier && point.cyclic &&
           (cell.relaxations_per_routed_edge > kMaxCyclicRelaxations ||
            cell.links_scanned_per_routed_edge > kMaxCyclicLinksScanned)) {
@@ -451,7 +457,8 @@ int main(int argc, char** argv) {
           (cell.relaxations_per_routed_edge > kMaxFrontierRelaxations ||
            cell.links_scanned_per_routed_edge > kMaxFrontierLinksScanned ||
            cell.forward_steps_per_hop > kMaxFrontierForwardSteps ||
-           cell.candidates_per_task > kMaxFrontierCandidatesPerTask)) {
+           (mls_selection &&
+            cell.candidates_per_task > kMaxFrontierCandidatesPerTask))) {
         std::cerr << "extension_scaling: " << name
                   << " frontier cell exceeds its work ceilings ("
                   << kMaxFrontierRelaxations << " relaxations and "

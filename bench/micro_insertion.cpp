@@ -74,10 +74,6 @@ BENCHMARK(BM_CommitEraseCycle)->Arg(64)->Arg(256)->Arg(1024);
 // rebuilding — measures probe + shift-cascade cost together.
 void BM_OptimalInsertCommit(benchmark::State& state) {
   const auto slots = static_cast<std::size_t>(state.range(0));
-  const timeline::DeferralFn deferral =
-      [](const timeline::TimeSlot& slot) {
-        return (slot.edge.value() % 3 == 0) ? 0.8 : 0.0;
-      };
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng(13);
@@ -87,13 +83,16 @@ void BM_OptimalInsertCommit(benchmark::State& state) {
       tl.commit(tl.probe_basic(tl.last_finish() + gap, 0.0,
                                rng.uniform_real(0.5, 2.0)),
                 dag::EdgeId(i));
+      tl.set_deferral(i, (i % 3 == 0) ? 0.8 : 0.0);
     }
     state.ResumeTiming();
     double t_es = 0.0;
     for (std::size_t i = 0; i < 32; ++i) {
       const timeline::OptimalPlacement p =
-          timeline::probe_optimal(tl, t_es, 0.0, 0.3, deferral);
+          timeline::probe_optimal(tl, t_es, 0.0, 0.3);
       timeline::commit_optimal(tl, p, dag::EdgeId(slots + i));
+      tl.set_deferral(p.placement.position,
+                      ((slots + i) % 3 == 0) ? 0.8 : 0.0);
       t_es += 2.7;
     }
     benchmark::DoNotOptimize(tl.size());
@@ -104,7 +103,7 @@ BENCHMARK(BM_OptimalInsertCommit)->Arg(64)->Arg(256)->Arg(1024);
 
 // End-to-end edge commit through ExclusiveNetworkState: route a stream
 // of edges across a random WAN with optimal insertion, exercising the
-// per-hop probes, deferral lookups and record bookkeeping together.
+// per-hop probes, slack writes and record bookkeeping together.
 void BM_NetworkCommitOptimal(benchmark::State& state) {
   Rng rng(17);
   net::RandomWanParams params;

@@ -39,16 +39,14 @@ BENCHMARK(BM_BasicInsertionProbe)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_OptimalInsertionProbe(benchmark::State& state) {
   Rng rng(2);
-  const timeline::LinkTimeline tl =
+  timeline::LinkTimeline tl =
       packed_timeline(static_cast<std::size_t>(state.range(0)), rng);
-  const timeline::DeferralFn deferral =
-      [](const timeline::TimeSlot& slot) {
-        return (slot.edge.value() % 3 == 0) ? 1.0 : 0.0;
-      };
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    tl.set_deferral(i, (i % 3 == 0) ? 1.0 : 0.0);
+  }
   double t_es = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        timeline::probe_optimal(tl, t_es, 0.0, 1.5, deferral));
+    benchmark::DoNotOptimize(timeline::probe_optimal(tl, t_es, 0.0, 1.5));
     t_es += 0.37;
     if (t_es > tl.last_finish()) {
       t_es = 0.0;

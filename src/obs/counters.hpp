@@ -29,7 +29,7 @@ struct HotCounters {
   Counter& dijkstra_links_scanned;  ///< arcs its expansions walked
   Counter& link_probes;           ///< first-fit insertion searches
   Counter& optimal_probes;        ///< optimal-insertion searches
-  Counter& deferral_scans;        ///< Lemma-2 slack evaluations
+  Counter& deferral_scans;        ///< Lemma-2 slack reads from link slots
   Counter& slot_shifts;           ///< occupations displaced by deferral
   Counter& deferred_insertions;   ///< insertions that displaced slots
   Counter& bandwidth_probes;      ///< BBSA bandwidth routing probes

@@ -312,18 +312,18 @@ void append_hops(const BandwidthNetworkState& /*network*/,
 
 /// End of an optimal-insertion run: deferral may have moved earlier
 /// edges' occupations after their communications were recorded, so every
-/// routed edge is rewritten from its final link record.
-void refresh_deferred(const ExclusiveNetworkState& network,
-                      const dag::TaskGraph& graph, Schedule& out) {
-  for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeRecord& record = network.record(e);
+/// routed edge is rewritten from its final link record, moved out of the
+/// network state (`records` is by EdgeId).
+void refresh_deferred(std::vector<EdgeRecord> records, Schedule& out) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EdgeRecord& record = records[i];
     if (record.scheduled()) {
       EdgeCommunication comm;
       comm.kind = EdgeCommunication::Kind::kExclusive;
-      comm.route = record.route;
-      comm.occupations = record.occupations;
       comm.arrival = record.occupations.back().finish;
-      out.set_communication(e, std::move(comm));
+      comm.route = std::move(record.route);
+      comm.occupations = std::move(record.occupations);
+      out.set_communication(dag::EdgeId(i), std::move(comm));
     }
   }
 }
@@ -413,15 +413,21 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
 
     // Edge priority (§4.2): the order the incoming edges book in, fixed
     // before selection so tentative trials and the final commit agree.
-    // By cost, the costliest edge books first; the sort is stable, so
-    // equal costs keep predecessor order.
+    // By cost, the costliest edge books first; equal costs keep
+    // predecessor order. A binary insertion sort into the scratch keeps
+    // that order (each edge goes after every one costing at least as
+    // much) without the buffer std::stable_sort allocates per call.
     const std::vector<dag::EdgeId>* in_order = &graph.in_edges(task);
     if (spec.edge_order == EdgeOrderPolicyKind::kByCostDescending) {
-      order_scratch = *in_order;
-      std::stable_sort(order_scratch.begin(), order_scratch.end(),
-                       [&](dag::EdgeId a, dag::EdgeId b) {
-                         return graph.cost(a) > graph.cost(b);
-                       });
+      order_scratch.clear();
+      for (dag::EdgeId e : *in_order) {
+        order_scratch.insert(
+            std::upper_bound(order_scratch.begin(), order_scratch.end(), e,
+                             [&](dag::EdgeId a, dag::EdgeId b) {
+                               return graph.cost(a) > graph.cost(b);
+                             }),
+            e);
+      }
       in_order = &order_scratch;
     }
     const std::vector<dag::EdgeId>& in = *in_order;
@@ -517,7 +523,7 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
 
   if constexpr (kExclusive) {
     if (spec.insertion == InsertionPolicyKind::kOptimal) {
-      refresh_deferred(network, graph, out);
+      refresh_deferred(std::move(network).take_records(), out);
     }
   }
 

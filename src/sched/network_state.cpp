@@ -15,6 +15,9 @@ constexpr double kEps = 1e-9;
 
 /// Relative time tolerance for matching recorded occupations to slots.
 double match_eps(double t) { return 1e-9 * std::max(1.0, std::abs(t)); }
+
+/// `find_slot` hint for a slot whose position is not known.
+constexpr std::size_t kNoHint = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 ExclusiveNetworkState::ExclusiveNetworkState(const net::Topology& topology,
@@ -44,16 +47,18 @@ ExclusiveNetworkState::~ExclusiveNetworkState() {
   obs::HotCounters& counters = obs::hot_counters();
   std::uint64_t gap_steps = 0;
   std::uint64_t scan_steps = 0;
+  std::uint64_t deferral_reads = 0;
   for (const timeline::LinkTimeline& tl : domains_) {
     gap_steps += tl.probe_stats().probe_gap_steps;
     scan_steps += tl.probe_stats().optimal_scan_steps;
+    deferral_reads += tl.probe_stats().deferral_reads;
   }
   if (basic > 0) counters.link_probes.increment(basic);
   if (optimal > 0) counters.optimal_probes.increment(optimal);
   if (gap_steps > 0) counters.probe_gap_steps.increment(gap_steps);
   if (scan_steps > 0) counters.optimal_scan_steps.increment(scan_steps);
-  if (deferral_scans_ > 0) {
-    counters.deferral_scans.increment(deferral_scans_);
+  if (deferral_reads > 0) {
+    counters.deferral_scans.increment(deferral_reads);
   }
   if (slot_shifts_ > 0) counters.slot_shifts.increment(slot_shifts_);
   if (deferred_insertions_ > 0) {
@@ -71,15 +76,17 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
+  hop_positions_.clear();
   double t_es_in = ready;
   double t_f_min = 0.0;
-  for (net::LinkId link : route) {
+  for (std::size_t hop = 0; hop < route.size(); ++hop) {
+    const net::LinkId link = route[hop];
     const double duration = cost * inv_speed_[link.index()];
-    timeline::LinkTimeline& tl =
-        domains_[topology_->domain(link).index()];
+    timeline::LinkTimeline& tl = timeline_of(link);
     const timeline::Placement placement =
         tl.probe_basic(t_es_in, t_f_min, duration);
-    tl.commit(placement, edge);
+    tl.commit(placement, edge, static_cast<std::uint32_t>(hop));
+    hop_positions_.push_back(placement.position);
     record.occupations.push_back(LinkOccupation{
         link, placement.earliest_start, placement.start, placement.finish});
     // Cut-through: the next hop sees the flow start (and finish) one
@@ -88,6 +95,7 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
     t_f_min = placement.finish + hop_delay_;
   }
   records_[edge.index()] = std::move(record);
+  write_deferrals(edge);
   return t_f_min - hop_delay_;
 }
 
@@ -102,44 +110,51 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
   EdgeRecord record;
   record.route = route;
   record.occupations.reserve(route.size());
+  hop_positions_.clear();
   double t_es_in = ready;
   double t_f_min = 0.0;
-  for (net::LinkId link : route) {
+  for (std::size_t hop = 0; hop < route.size(); ++hop) {
+    const net::LinkId link = route[hop];
     const net::DomainId domain = topology_->domain(link);
     const double duration = cost * inv_speed_[link.index()];
     timeline::LinkTimeline& tl = domains_[domain.index()];
-    const auto deferral = [this, domain](const timeline::TimeSlot& slot) {
-      return deferral_for(domain, slot);
-    };
     timeline::OptimalPlacement& optimal = probe_scratch_;
-    timeline::probe_optimal_into(tl, t_es_in, t_f_min, duration, deferral,
-                                 optimal);
+    timeline::probe_optimal_into(tl, t_es_in, t_f_min, duration, optimal);
 
-    // Displaced occupants: update their records while the pre-shift slot
-    // times are still visible for matching.
+    // Displaced occupants: each slot names its occupation, which must
+    // still hold the pre-shift slot times.
     double slack_consumed = 0.0;
     for (const timeline::SlotShift& shift : optimal.shifts) {
       const timeline::TimeSlot& old_slot = tl.slots()[shift.position];
       slack_consumed += shift.new_finish - old_slot.finish;
       EdgeRecord& displaced = records_[shift.edge.index()];
-      bool matched = false;
-      for (std::size_t i = 0; i < displaced.occupations.size(); ++i) {
-        LinkOccupation& occ = displaced.occupations[i];
-        if (topology_->domain(displaced.route[i]) == domain &&
-            std::abs(occ.start - old_slot.start) <= match_eps(occ.start) &&
-            std::abs(occ.finish - old_slot.finish) <=
-                match_eps(occ.finish)) {
-          occ.earliest_start = shift.new_earliest_start;
-          occ.start = shift.new_start;
-          occ.finish = shift.new_finish;
-          matched = true;
-          break;
-        }
-      }
-      EDGESCHED_ASSERT_MSG(matched,
+      EDGESCHED_ASSERT_MSG(old_slot.hop < displaced.occupations.size(),
                            "displaced slot has no matching edge record");
+      LinkOccupation& occ = displaced.occupations[old_slot.hop];
+      EDGESCHED_ASSERT_MSG(
+          topology_->domain(occ.link) == domain &&
+              std::abs(occ.start - old_slot.start) <= match_eps(occ.start) &&
+              std::abs(occ.finish - old_slot.finish) <=
+                  match_eps(occ.finish),
+          "displaced slot has no matching edge record");
+      occ.earliest_start = shift.new_earliest_start;
+      occ.start = shift.new_start;
+      occ.finish = shift.new_finish;
     }
-    timeline::commit_optimal(tl, optimal, edge);
+    timeline::commit_optimal(tl, optimal, edge,
+                             static_cast<std::uint32_t>(hop));
+    // A moved occupation is an input of its own slot's slack and of its
+    // previous hop's. The new slot sits before every displaced one, so
+    // each moved one step right.
+    for (const timeline::SlotShift& shift : optimal.shifts) {
+      const std::size_t at = shift.position + 1;
+      const std::uint32_t moved = tl.slots()[at].hop;
+      write_deferral(shift.edge, moved, at);
+      if (moved > 0) {
+        write_deferral(shift.edge, moved - 1, kNoHint);
+      }
+    }
+    hop_positions_.push_back(optimal.placement.position);
     slot_shifts_ += optimal.shifts.size();
     if (!optimal.shifts.empty()) {
       ++deferred_insertions_;
@@ -161,6 +176,7 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
     t_f_min = optimal.placement.finish + hop_delay_;
   }
   records_[edge.index()] = std::move(record);
+  write_deferrals(edge);
   return t_f_min - hop_delay_;
 }
 
@@ -173,13 +189,13 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
   EdgeRecord& record = records_[edge.index()];
   EDGESCHED_ASSERT_MSG(!record.scheduled(), "packets of a booked edge");
   const std::size_t hops = route.size();
+  hop_positions_.clear();
   double latest = ready;
   for (std::size_t p = 0; p < count; ++p) {
     double arrival = ready;
     for (net::LinkId link : route) {
       const double duration = volume * inv_speed_[link.index()];
-      timeline::LinkTimeline& tl =
-          domains_[topology_->domain(link).index()];
+      timeline::LinkTimeline& tl = timeline_of(link);
       // Packet p - 1 took the first gap admitting it on this hop, with
       // the same duration and an earliest start no later than this
       // packet's (the same ready time on the first hop, an arrival no
@@ -196,7 +212,11 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
       // there is no cross-hop minimum-finish coupling.
       const timeline::Placement placement =
           tl.probe_basic(arrival, 0.0, duration, skip_before);
-      tl.commit(placement, edge);
+      // A packet hop's slot is named by its index in the record, which
+      // lists every packet's occupations packet by packet.
+      tl.commit(placement, edge,
+                static_cast<std::uint32_t>(record.occupations.size()));
+      hop_positions_.push_back(placement.position);
       record.route.push_back(link);
       record.occupations.push_back(LinkOccupation{
           link, placement.earliest_start, placement.start, placement.finish});
@@ -204,6 +224,7 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
     }
     latest = std::max(latest, arrival - hop_delay_);
   }
+  write_deferrals(edge);
   return latest;
 }
 
@@ -211,48 +232,39 @@ void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {
   EdgeRecord& record = records_[edge.index()];
   EDGESCHED_ASSERT_MSG(record.scheduled(), "uncommit of unscheduled edge");
   for (std::size_t i = 0; i < record.occupations.size(); ++i) {
-    const LinkOccupation& occ = record.occupations[i];
-    timeline::LinkTimeline& tl =
-        domains_[topology_->domain(record.route[i]).index()];
-    bool erased = false;
-    const std::vector<timeline::TimeSlot>& slots = tl.slots();
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      if (slots[j].edge == edge &&
-          std::abs(slots[j].start - occ.start) <= match_eps(occ.start) &&
-          std::abs(slots[j].finish - occ.finish) <=
-              match_eps(occ.finish)) {
-        tl.erase(j);
-        erased = true;
-        break;
-      }
-    }
-    EDGESCHED_ASSERT_MSG(erased, "uncommit could not find the slot");
+    timeline::LinkTimeline& tl = timeline_of(record.route[i]);
+    const std::size_t at = tl.find_slot(
+        edge, static_cast<std::uint32_t>(i), record.occupations[i].start,
+        kNoHint);
+    EDGESCHED_ASSERT_MSG(at < tl.size(), "uncommit could not find the slot");
+    tl.erase(at);
   }
   record = EdgeRecord{};
 }
 
-double ExclusiveNetworkState::deferral_for(
-    net::DomainId domain, const timeline::TimeSlot& slot) const {
-  ++deferral_scans_;
-  const EdgeRecord& record = records_[slot.edge.index()];
-  EDGESCHED_ASSERT_MSG(record.scheduled(),
-                       "occupied slot references an unscheduled edge");
-  for (std::size_t i = 0; i < record.occupations.size(); ++i) {
-    const LinkOccupation& occ = record.occupations[i];
-    if (topology_->domain(record.route[i]) == domain &&
-        std::abs(occ.start - slot.start) <= match_eps(occ.start) &&
-        std::abs(occ.finish - slot.finish) <= match_eps(occ.finish)) {
-      if (i + 1 == record.occupations.size()) {
-        return 0.0;  // last hop: the destination task depends on t_f here
-      }
-      const LinkOccupation& next = record.occupations[i + 1];
-      return std::max(
-          0.0, std::min(next.earliest_start - occ.earliest_start,
-                        next.finish - occ.finish));
-    }
+void ExclusiveNetworkState::write_deferral(dag::EdgeId edge,
+                                           std::size_t hop,
+                                           std::size_t hint) {
+  const EdgeRecord& record = records_[edge.index()];
+  const LinkOccupation& occ = record.occupations[hop];
+  timeline::LinkTimeline& tl = timeline_of(record.route[hop]);
+  const std::size_t at =
+      tl.find_slot(edge, static_cast<std::uint32_t>(hop), occ.start, hint);
+  EDGESCHED_ASSERT_MSG(at < tl.size(),
+                       "slot has no matching occupation record");
+  double slack = 0.0;  // last hop: the destination task depends on t_f here
+  if (hop + 1 < record.occupations.size()) {
+    const LinkOccupation& next = record.occupations[hop + 1];
+    slack = std::max(0.0, std::min(next.earliest_start - occ.earliest_start,
+                                   next.finish - occ.finish));
   }
-  EDGESCHED_ASSERT_MSG(false, "slot has no matching occupation record");
-  return 0.0;
+  tl.set_deferral(at, slack);
+}
+
+void ExclusiveNetworkState::write_deferrals(dag::EdgeId edge) {
+  for (std::size_t hop = 0; hop < hop_positions_.size(); ++hop) {
+    write_deferral(edge, hop, hop_positions_[hop]);
+  }
 }
 
 double ExclusiveNetworkState::total_busy_time() const noexcept {

@@ -3,7 +3,10 @@
 // `ExclusiveNetworkState` holds one exclusive `LinkTimeline` per
 // contention domain plus, for every committed DAG edge, its route and
 // per-link occupations — the information OIHSA's deferral slack (Lemma 2)
-// is computed from. `BandwidthNetworkState` is the BBSA counterpart with
+// is computed from. The state keeps each slot's slack in the slot: it
+// writes it when an edge's record is complete and rewrites it when a
+// deferral moves one of its inputs, so optimal insertion never looks a
+// record up. `BandwidthNetworkState` is the BBSA counterpart with
 // one `BandwidthTimeline` per domain. `MachineState` tracks the processor
 // timelines and, per processor speed, a min-tree of their finish times.
 // None of them copies: the Basic Algorithm's tentative
@@ -12,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dag/task_graph.hpp"
@@ -87,6 +91,12 @@ class ExclusiveNetworkState {
     return records_[edge.index()];
   }
 
+  /// Moves every record out, by EdgeId (unscheduled edges empty). Ends
+  /// the state's use for booking: its slots still reference the records.
+  [[nodiscard]] std::vector<EdgeRecord> take_records() && {
+    return std::move(records_);
+  }
+
   /// Removes a committed edge's slots and record. Only safe after
   /// `commit_edge_basic` (optimal insertion may have displaced other
   /// edges, which erasing cannot undo). This is the cheap rollback the
@@ -110,10 +120,18 @@ class ExclusiveNetworkState {
   [[nodiscard]] double total_busy_time() const noexcept;
 
  private:
-  /// Longest deferrable time of an occupied slot living in `domain`
-  /// (Lemma 2); 0 on the occupant's last hop.
-  [[nodiscard]] double deferral_for(net::DomainId domain,
-                                    const timeline::TimeSlot& slot) const;
+  [[nodiscard]] timeline::LinkTimeline& timeline_of(net::LinkId link) {
+    return domains_[topology_->domain(link).index()];
+  }
+
+  /// Writes the Lemma-2 slack of hop `hop` of `edge`'s complete record
+  /// into its slot, found from `hint` (the position it was committed at)
+  /// or by its start.
+  void write_deferral(dag::EdgeId edge, std::size_t hop, std::size_t hint);
+
+  /// The edge's record is complete: writes every hop's slack, trying the
+  /// commit positions in `hop_positions_` first.
+  void write_deferrals(dag::EdgeId edge);
 
   const net::Topology* topology_;
   std::vector<timeline::LinkTimeline> domains_;  ///< by DomainId
@@ -123,8 +141,10 @@ class ExclusiveNetworkState {
   /// Reused optimal-insertion scratch: one shift buffer for the whole
   /// state instead of one heap allocation per probed hop.
   timeline::OptimalPlacement probe_scratch_;
+  /// Per hop of the edge being committed, the slot index it was
+  /// committed at (a hint: a later hop in the same domain may move it).
+  std::vector<std::size_t> hop_positions_;
   // Hot-path tallies, batched into obs counters by the destructor.
-  mutable std::uint64_t deferral_scans_ = 0;
   std::uint64_t slot_shifts_ = 0;
   std::uint64_t deferred_insertions_ = 0;
 };

@@ -29,17 +29,6 @@ std::size_t BandwidthTimeline::segment_index(double t) const {
   return static_cast<std::size_t>(it - breakpoints_.begin()) - 1;
 }
 
-std::size_t BandwidthTimeline::split_at(double t) {
-  const std::size_t idx = segment_index(t);
-  if (std::abs(breakpoints_[idx].first - t) <= kEps) {
-    return idx;
-  }
-  breakpoints_.insert(
-      breakpoints_.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
-      {t, breakpoints_[idx].second});
-  return idx + 1;
-}
-
 double BandwidthTimeline::remaining_at(double t) const {
   return breakpoints_[segment_index(t)].second;
 }
@@ -201,6 +190,27 @@ RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
                            "no capacity and no further events");
       arrived += r_in * (t_next - t);
       t = t_next;
+      if (in_evt == num_in) {
+        // The inflow has fully arrived: r_in is 0 from here on, so every
+        // further step over a saturated breakpoint adds 0 to `arrived`
+        // and only moves t to the next breakpoint. Cross them in one
+        // tight loop, with the cursors' exact rules, and stop where the
+        // next step would find capacity; each counts as a step.
+        std::size_t at = bw_next;  // t == breakpoints_[at].first
+        while (at + 1 < num_bw) {
+          const double seg_end = breakpoints_[at + 1].first;
+          const double mid = 0.5 * (t + seg_end);
+          const std::size_t cap = seg_end <= mid ? at + 1 : at;
+          if (breakpoints_[cap].second > kEps) {
+            break;
+          }
+          EDGESCHED_ASSERT_MSG(guard-- > 0,
+                               "forward sweep failed to converge");
+          ++forward_steps_;
+          t = seg_end;
+          ++at;
+        }
+      }
     } else {
       const double rate = std::min(r_cap, r_in);
       if (rate > kEps) {
@@ -229,9 +239,34 @@ RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
 }
 
 void BandwidthTimeline::consume(const RateProfile& profile) {
-  for (const RateSegment& seg : profile.segments()) {
-    const std::size_t first = split_at(seg.start);
-    const std::size_t last = split_at(seg.end);
+  const std::vector<RateSegment>& segments = profile.segments();
+  if (segments.empty()) {
+    return;
+  }
+  // One cursor over the breakpoints, placed by one binary search. Segment
+  // boundaries only move forward (up to the profile's tolerance, which
+  // the cursor walks back over), so each boundary lands on the last
+  // breakpoint at or before it, as a fresh search would. A boundary
+  // within kEps after that breakpoint reuses it; any other splits it.
+  std::size_t at = segment_index(segments.front().start);
+  const auto boundary = [this, &at](double t) {
+    while (at > 0 && breakpoints_[at].first > t) {
+      --at;
+    }
+    while (at + 1 < breakpoints_.size() && breakpoints_[at + 1].first <= t) {
+      ++at;
+    }
+    if (std::abs(breakpoints_[at].first - t) > kEps) {
+      breakpoints_.insert(
+          breakpoints_.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+          {t, breakpoints_[at].second});
+      ++at;
+    }
+    return at;
+  };
+  for (const RateSegment& seg : segments) {
+    const std::size_t first = boundary(seg.start);
+    const std::size_t last = boundary(seg.end);
     for (std::size_t i = first; i < last; ++i) {
       double& remaining = breakpoints_[i].second;
       EDGESCHED_ASSERT_MSG(remaining >= seg.rate - 1e-6,

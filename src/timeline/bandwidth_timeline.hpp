@@ -41,10 +41,13 @@ class BandwidthTimeline {
   /// Returns the transfer profile; does not commit. Costs one binary
   /// search plus time linear in the inflow segments and the link
   /// breakpoints the sweep crosses, not in the whole link timeline.
+  /// Saturated breakpoints after the inflow has fully arrived are
+  /// crossed in a tight loop that changes no value.
   [[nodiscard]] RateProfile forward(const RateProfile& inflow) const;
 
   /// Books a probed profile: subtracts it from the remaining rate.
-  /// The profile must respect the current remaining capacity.
+  /// The profile must respect the current remaining capacity. One binary
+  /// search, then one cursor over the breakpoints the profile covers.
   void consume(const RateProfile& profile);
 
   /// The routing probe for BBSA, from one breakpoint lookup: the first
@@ -79,8 +82,6 @@ class BandwidthTimeline {
   void check_invariants() const;
 
  private:
-  /// Ensures a breakpoint exists exactly at time t; returns its index.
-  std::size_t split_at(double t);
   /// Index of the breakpoint segment containing time t.
   [[nodiscard]] std::size_t segment_index(double t) const;
 

@@ -81,7 +81,8 @@ Placement LinkTimeline::probe_basic_linear(double t_es_in, double t_f_min,
   return probe_from(0, t_es_in, t_f_min, duration);
 }
 
-void LinkTimeline::commit(const Placement& placement, dag::EdgeId edge) {
+void LinkTimeline::commit(const Placement& placement, dag::EdgeId edge,
+                          std::uint32_t hop) {
   EDGESCHED_ASSERT(placement.position <= slots_.size());
   EDGESCHED_ASSERT(placement.start <=
                    placement.finish + time_eps(placement.finish));
@@ -93,7 +94,7 @@ void LinkTimeline::commit(const Placement& placement, dag::EdgeId edge) {
   slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(
                                      placement.position),
                 TimeSlot{placement.earliest_start, placement.start,
-                         placement.finish, edge});
+                         placement.finish, edge, hop, kUnsetDeferral});
   // Local invariant check: an insertion can only break ordering or
   // disjointness against its immediate neighbours, so O(1) suffices here
   // (the full-walk `check_invariants` stays available to tests and the
@@ -112,6 +113,38 @@ void LinkTimeline::commit(const Placement& placement, dag::EdgeId edge) {
           placement.finish <=
               slots_[at + 1].start + time_eps(slots_[at + 1].start),
       "inserted slot overlaps its successor");
+}
+
+std::size_t LinkTimeline::find_slot(dag::EdgeId edge, std::uint32_t hop,
+                                    double start, std::size_t hint) const {
+  const auto occupies = [&](std::size_t i) {
+    return slots_[i].edge == edge && slots_[i].hop == hop;
+  };
+  if (hint < slots_.size() && occupies(hint)) {
+    return hint;
+  }
+  // Starts are sorted up to the timeline tolerance (a slot may begin
+  // time_eps before its predecessor's finish), so search a window of
+  // twice that around `start`; a slot outside it can only follow a run of
+  // slots shorter than the tolerance, which the full walk still finds.
+  const double tolerance = 2.0 * time_eps(start);
+  const auto it =
+      std::lower_bound(slots_.begin(), slots_.end(), start - tolerance,
+                       [](const TimeSlot& slot, double t) {
+                         return slot.start < t;
+                       });
+  for (std::size_t i = static_cast<std::size_t>(it - slots_.begin());
+       i < slots_.size() && slots_[i].start <= start + tolerance; ++i) {
+    if (occupies(i)) {
+      return i;
+    }
+  }
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (occupies(i)) {
+      return i;
+    }
+  }
+  return slots_.size();
 }
 
 void LinkTimeline::erase(std::size_t position) {

@@ -4,8 +4,11 @@
 // sequence of disjoint occupied `TimeSlot`s. `probe_basic` implements the
 // Basic Algorithm's first-fit insertion search (§3): find the earliest
 // idle interval that admits the edge without violating link causality.
-// The OIHSA optimal insertion lives in optimal_insertion.hpp because it
-// additionally needs deferral slack derived from *other* links.
+// The OIHSA optimal insertion lives in optimal_insertion.hpp. It also
+// reads each slot's deferral slack, which depends on the occupant's
+// *other* links: the owner of the timeline (the network state) computes
+// it and stores it in the slot (`set_deferral`), so the optimal scan
+// reads slots in order and follows no pointer.
 //
 // ## Invariants the gap index relies on
 //
@@ -47,6 +50,9 @@ class LinkTimeline {
     /// Occupied slots visited by the optimal-insertion tail-to-head
     /// scan (after the slack-exhaustion early exit).
     std::uint64_t optimal_scan_steps = 0;
+    /// Slot deferral slacks read by optimal insertion: one per scan step
+    /// plus one per displaced slot.
+    std::uint64_t deferral_reads = 0;
   };
 
   /// First-fit search: the earliest placement with
@@ -75,9 +81,23 @@ class LinkTimeline {
   [[nodiscard]] Placement probe_basic_linear(double t_es_in, double t_f_min,
                                              double duration) const;
 
-  /// Inserts the probed slot. The placement must come from a probe against
-  /// the current timeline state.
-  void commit(const Placement& placement, dag::EdgeId edge);
+  /// Inserts the probed slot for hop `hop` of `edge`'s route. The
+  /// placement must come from a probe against the current timeline state.
+  /// The slot's deferral slack starts unset (`kUnsetDeferral`).
+  void commit(const Placement& placement, dag::EdgeId edge,
+              std::uint32_t hop = 0);
+
+  /// Stores the Lemma-2 deferral slack of the slot at `index`.
+  void set_deferral(std::size_t index, double deferral) {
+    EDGESCHED_ASSERT(index < slots_.size());
+    slots_[index].deferral = deferral;
+  }
+
+  /// Index of the slot of hop `hop` of `edge`, whose start is `start`;
+  /// `size()` if there is none. `hint` is tried first (a position the
+  /// slot was committed at); otherwise one binary search on `start`.
+  [[nodiscard]] std::size_t find_slot(dag::EdgeId edge, std::uint32_t hop,
+                                      double start, std::size_t hint) const;
 
   /// Removes the slot at `position` (used by schedule replay, the Basic
   /// Algorithm's rollback and tests). Keeps the arena capacity.
@@ -103,7 +123,8 @@ class LinkTimeline {
   /// Direct slot mutation for the optimal-insertion cascade. `index` must
   /// be valid and the new interval must keep the sequence sorted and
   /// disjoint (checked) — deferral only ever moves slots later, which
-  /// preserves the gap-index monotonicity documented above.
+  /// preserves the gap-index monotonicity documented above. The slot's
+  /// deferral slack is left as it was; its owner rewrites it.
   void shift_slot(std::size_t index, double new_earliest_start,
                   double new_start, double new_finish);
 
@@ -121,6 +142,9 @@ class LinkTimeline {
   }
   void count_optimal_scan_steps(std::uint64_t steps) const noexcept {
     probe_stats_.optimal_scan_steps += steps;
+  }
+  void count_deferral_reads(std::uint64_t reads) const noexcept {
+    probe_stats_.deferral_reads += reads;
   }
 
  private:

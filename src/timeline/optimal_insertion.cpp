@@ -1,7 +1,7 @@
 #include "timeline/optimal_insertion.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 
 #include "timeline/tolerance.hpp"
 
@@ -9,9 +9,15 @@ namespace edgesched::timeline {
 
 namespace {
 
+/// The slot's stored Lemma-2 slack, clamped at 0.
+double deferral(const TimeSlot& slot) {
+  EDGESCHED_ASSERT_MSG(!std::isnan(slot.deferral),
+                       "occupied slot references an unscheduled edge");
+  return std::max(0.0, slot.deferral);
+}
+
 void probe_impl(const LinkTimeline& timeline, double t_es_in,
-                double t_f_min, double duration,
-                const DeferralFn& deferral, bool early_exit,
+                double t_f_min, double duration, bool early_exit,
                 OptimalPlacement& best) {
   EDGESCHED_ASSERT_MSG(duration > 0.0, "edge duration must be positive");
   timeline.count_optimal_probe();
@@ -56,7 +62,7 @@ void probe_impl(const LinkTimeline& timeline, double t_es_in,
       }
     }
     ++steps;
-    const double dt = std::max(0.0, deferral(slot));
+    const double dt = deferral(slot);
     if (i + 1 == count) {
       accum = dt;
     } else {
@@ -81,7 +87,7 @@ void probe_impl(const LinkTimeline& timeline, double t_es_in,
     }
     const double delta = frontier - slot.start;
     EDGESCHED_ASSERT_MSG(
-        delta <= std::max(0.0, deferral(slot)) + time_eps(frontier),
+        delta <= deferral(slot) + time_eps(frontier),
         "cascade exceeded a slot's deferral slack");
     best.shifts.push_back(SlotShift{j, slot.edge,
                                     slot.earliest_start + delta,
@@ -89,43 +95,42 @@ void probe_impl(const LinkTimeline& timeline, double t_es_in,
                                     slot.finish + delta});
     frontier = slot.finish + delta;
   }
+  timeline.count_deferral_reads(steps + best.shifts.size());
 }
 
 }  // namespace
 
 OptimalPlacement probe_optimal(const LinkTimeline& timeline, double t_es_in,
-                               double t_f_min, double duration,
-                               const DeferralFn& deferral) {
+                               double t_f_min, double duration) {
   OptimalPlacement best;
-  probe_impl(timeline, t_es_in, t_f_min, duration, deferral,
-             /*early_exit=*/true, best);
+  probe_impl(timeline, t_es_in, t_f_min, duration, /*early_exit=*/true,
+             best);
   return best;
 }
 
 void probe_optimal_into(const LinkTimeline& timeline, double t_es_in,
                         double t_f_min, double duration,
-                        const DeferralFn& deferral, OptimalPlacement& out) {
-  probe_impl(timeline, t_es_in, t_f_min, duration, deferral,
-             /*early_exit=*/true, out);
+                        OptimalPlacement& out) {
+  probe_impl(timeline, t_es_in, t_f_min, duration, /*early_exit=*/true,
+             out);
 }
 
 OptimalPlacement probe_optimal_linear(const LinkTimeline& timeline,
                                       double t_es_in, double t_f_min,
-                                      double duration,
-                                      const DeferralFn& deferral) {
+                                      double duration) {
   OptimalPlacement best;
-  probe_impl(timeline, t_es_in, t_f_min, duration, deferral,
-             /*early_exit=*/false, best);
+  probe_impl(timeline, t_es_in, t_f_min, duration, /*early_exit=*/false,
+             best);
   return best;
 }
 
 void commit_optimal(LinkTimeline& timeline, const OptimalPlacement& result,
-                    dag::EdgeId edge) {
+                    dag::EdgeId edge, std::uint32_t hop) {
   for (const SlotShift& shift : result.shifts) {
     timeline.shift_slot(shift.position, shift.new_earliest_start,
                         shift.new_start, shift.new_finish);
   }
-  timeline.commit(result.placement, edge);
+  timeline.commit(result.placement, edge, hop);
 }
 
 }  // namespace edgesched::timeline

@@ -23,21 +23,20 @@
 // (property-tested).
 //
 // Deferral slack depends on where each occupant edge sits on its *next*
-// route link, which only the scheduler knows — callers supply it through
-// `DeferralFn`.
+// route link, which only the scheduler knows. The scheduler stores it in
+// each slot (`TimeSlot::deferral`, written through
+// `LinkTimeline::set_deferral` whenever one of its inputs changes), so
+// the scan reads slots in order and calls nothing per slot. A slot whose
+// slack was never written (its occupant's record is not complete) throws
+// when the scan or the cascade reads it.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "timeline/link_timeline.hpp"
 
 namespace edgesched::timeline {
-
-/// Returns the longest time the given occupied slot may be deferred on
-/// this link without violating link causality towards the occupant's next
-/// route link (0 if this is the occupant's last link).
-using DeferralFn = std::function<double(const TimeSlot&)>;
 
 /// One slot displaced by an optimal insertion, with its post-shift times.
 struct SlotShift {
@@ -54,31 +53,32 @@ struct OptimalPlacement {
   std::vector<SlotShift> shifts;  ///< displaced slots, head to tail
 };
 
-/// Probes the optimal insertion of an edge with the given incoming state.
-/// Does not mutate the timeline. The result's shifts are expressed against
-/// the current slot indices.
+/// Probes the optimal insertion of an edge with the given incoming state,
+/// reading every occupied slot's stored deferral slack. Does not mutate
+/// the timeline. The result's shifts are expressed against the current
+/// slot indices.
 [[nodiscard]] OptimalPlacement probe_optimal(const LinkTimeline& timeline,
                                              double t_es_in, double t_f_min,
-                                             double duration,
-                                             const DeferralFn& deferral);
+                                             double duration);
 
 /// Allocation-free variant: writes the result into `out`, reusing its
 /// shift buffer. The per-edge hot loop (one probe per route hop) calls
 /// this with a scratch `OptimalPlacement` owned by the network state.
 void probe_optimal_into(const LinkTimeline& timeline, double t_es_in,
                         double t_f_min, double duration,
-                        const DeferralFn& deferral, OptimalPlacement& out);
+                        OptimalPlacement& out);
 
 /// Reference probe without the slack-exhaustion early exit; the
 /// property-test oracle for `probe_optimal`. Schedulers must not use it.
 [[nodiscard]] OptimalPlacement probe_optimal_linear(
     const LinkTimeline& timeline, double t_es_in, double t_f_min,
-    double duration, const DeferralFn& deferral);
+    double duration);
 
 /// Applies a probed optimal placement: shifts the displaced slots, then
-/// inserts the new slot. The placement must have been probed against the
-/// current timeline state.
+/// inserts the new slot for hop `hop` of `edge` (slack unset). The
+/// placement must have been probed against the current timeline state.
+/// The displaced slots keep their old slack; the caller rewrites it.
 void commit_optimal(LinkTimeline& timeline, const OptimalPlacement& result,
-                    dag::EdgeId edge);
+                    dag::EdgeId edge, std::uint32_t hop = 0);
 
 }  // namespace edgesched::timeline

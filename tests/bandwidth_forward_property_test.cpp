@@ -14,7 +14,13 @@
 //     starts are not sweep events),
 //   * inflows starting exactly on a link breakpoint and one
 //     `std::nextafter` either side of it,
-//   * schedule times near 1e6.
+//   * schedule times near 1e6,
+//   * long runs of saturated breakpoints after the inflow has fully
+//     arrived, which the sweep crosses in one tight loop, and gapped
+//     inflows whose gaps span such runs, where it must not.
+//
+// Both sweeps also count their steps, and the counts must agree: a
+// breakpoint crossed in the tight loop still counts as one step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "timeline/bandwidth_timeline.hpp"
@@ -56,9 +63,9 @@ double next_after(const std::vector<double>& points, double t) {
 /// The sweep as it was before the cursors, kept step for step apart from
 /// reading the link through its public accessors: it copies the link's
 /// breakpoints and searches them afresh on every step. The oracle the
-/// production sweep must match.
+/// production sweep must match. Adds its steps to `steps`.
 RateProfile copying_forward(const BandwidthTimeline& link,
-                            const RateProfile& inflow) {
+                            const RateProfile& inflow, std::uint64_t& steps) {
   const double volume = inflow.volume();
   EDGESCHED_ASSERT_MSG(volume > kEps, "forward: empty inflow");
   const std::vector<double> in_points = inflow.breakpoints();
@@ -76,6 +83,7 @@ RateProfile copying_forward(const BandwidthTimeline& link,
   std::size_t guard = 8 * (in_points.size() + bw_points.size()) + 64;
   while (sent < volume - vol_eps) {
     EDGESCHED_ASSERT_MSG(guard-- > 0, "forward sweep failed to converge");
+    ++steps;
     const double t_next =
         std::min(next_after(in_points, t), next_after(bw_points, t));
     const double probe_t = (t_next < kInf) ? 0.5 * (t + t_next) : t + 1.0;
@@ -145,17 +153,21 @@ std::optional<RateProfile> outcome(Sweep&& sweep) {
 }
 
 /// Forwards `inflow` onto `link` through both sweeps, requires bit-equal
-/// results, and returns how many inflows were compared (0 or 1).
+/// results and equal step counts, and returns how many inflows were
+/// compared (0 or 1).
 int expect_equal_forward(const BandwidthTimeline& link,
                          const RateProfile& inflow, const char* what) {
+  std::uint64_t oracle_steps = 0;
   const std::optional<RateProfile> expected =
-      outcome([&] { return copying_forward(link, inflow); });
+      outcome([&] { return copying_forward(link, inflow, oracle_steps); });
+  const std::uint64_t steps_before = link.forward_steps();
   const std::optional<RateProfile> actual =
       outcome([&] { return link.forward(inflow); });
   EXPECT_EQ(expected.has_value(), actual.has_value()) << what;
   if (!expected || !actual) {
     return 0;
   }
+  EXPECT_EQ(link.forward_steps() - steps_before, oracle_steps) << what;
   const std::vector<RateSegment>& want = expected->segments();
   const std::vector<RateSegment>& got = actual->segments();
   EXPECT_EQ(want.size(), got.size()) << what;
@@ -278,6 +290,103 @@ TEST_P(BandwidthForwardProperty, CursorSweepMatchesCopyingSweep) {
     // every inflow must still produce segments to compare.
     const int total = 6 * (2 * 20 + 4 * 40 + 10);
     EXPECT_GE(compared, total - total / 50);
+  }
+}
+
+/// Books, from `from` on (past the link's last breakpoint), `runs` runs
+/// of `run_length` contiguous saturated stretches (remaining rate 0 or
+/// below kEps), each run followed by a stretch with capacity. Returns
+/// the run boundaries (start, end) in time order.
+std::vector<std::pair<double, double>> book_saturated_runs(
+    BandwidthTimeline& link, double from, std::size_t runs,
+    std::size_t run_length, Rng& rng) {
+  EDGESCHED_ASSERT(from > link.breakpoints().back().first);
+  std::vector<std::pair<double, double>> bounds;
+  double t = from;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const double run_start = t;
+    for (std::size_t i = 0; i < run_length; ++i) {
+      const double length = rng.uniform_real(0.05, 1.0);
+      // Each stretch is booked on its own, so the equal-rate stretches
+      // stay separate breakpoints instead of merging into one segment.
+      const double leave = rng.bernoulli(0.5) ? 0.0 : 0.5 * kEps;
+      RateProfile stretch;
+      stretch.append(t, t + length, link.capacity() - leave);
+      link.consume(stretch);
+      t += length;
+    }
+    bounds.emplace_back(run_start, t);
+    t += rng.uniform_real(0.1, 2.0);  // capacity between runs
+  }
+  return bounds;
+}
+
+TEST_P(BandwidthForwardProperty, SaturatedRunsAfterTheInflowEnds) {
+  for (const double base : {0.0, 1.0e6}) {
+    Rng rng(GetParam() * 104729 + static_cast<std::uint32_t>(base > 0.0));
+    const double capacity = rng.uniform_real(1.0, 8.0);
+    BandwidthTimeline link(capacity);
+    BandwidthTimeline upstream(rng.uniform_real(1.0, 8.0));
+    load(link, upstream, base, 50.0, 40, rng);
+    const double from = link.breakpoints().back().first + 5.0;
+    const std::vector<std::pair<double, double>> runs =
+        book_saturated_runs(link, from, 6, 40, rng);
+    link.check_invariants();
+    int compared = 0;
+    for (int i = 0; i < 40; ++i) {
+      // One dense inflow ending just before a run, or inside it: it
+      // arrives at 20 times the link's capacity, so the backlog waits
+      // across saturated breakpoints with no inflow left.
+      const auto& run = runs[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(runs.size()) - 1))];
+      const bool before_run = rng.bernoulli(0.5);
+      const double end = before_run
+                             ? run.first - rng.uniform_real(0.0, 0.5)
+                             : rng.uniform_real(run.first, run.second);
+      const double length = rng.uniform_real(0.5, 3.0);
+      RateProfile inflow;
+      inflow.append(end - length, end, 20.0 * capacity);
+      const std::uint64_t before = link.forward_steps();
+      compared += expect_equal_forward(link, inflow, "saturated tail");
+      if (before_run) {
+        EXPECT_GT(link.forward_steps() - before, 40u)
+            << "the backlog should cross the whole run";
+      }
+      compared += expect_equal_forward(
+          link, inflow.shifted(rng.uniform_real(0.0, 2.0)),
+          "saturated tail, hop delay");
+    }
+    EXPECT_EQ(compared, 80);
+  }
+}
+
+TEST_P(BandwidthForwardProperty, GappedInflowsAcrossSaturatedRuns) {
+  for (const double base : {0.0, 1.0e6}) {
+    Rng rng(GetParam() * 15485863 + static_cast<std::uint32_t>(base > 0.0));
+    BandwidthTimeline link(rng.uniform_real(1.0, 8.0));
+    const std::vector<std::pair<double, double>> runs =
+        book_saturated_runs(link, base + 10.0, 8, 25, rng);
+    link.check_invariants();
+    int compared = 0;
+    for (int i = 0; i < 40; ++i) {
+      // Inflow segments in the capacity stretches between runs (or just
+      // inside a run's edge), so each gap spans a saturated run while
+      // more inflow is still to come.
+      RateProfile inflow;
+      const auto first = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(runs.size()) - 3));
+      for (std::size_t r = first; r + 1 < runs.size() && r < first + 4;
+           ++r) {
+        const double lo = runs[r].second - rng.uniform_real(0.0, 0.3);
+        const double hi = std::min(runs[r + 1].first,
+                                   lo + rng.uniform_real(0.2, 1.5));
+        if (hi > lo + 10 * kEps) {
+          inflow.append(lo, hi, rng.uniform_real(1.0, 30.0));
+        }
+      }
+      compared += expect_equal_forward(link, inflow, "gapped inflow");
+    }
+    EXPECT_EQ(compared, 40);
   }
 }
 

@@ -111,32 +111,27 @@ TEST_P(GapIndexProperty, EarlyExitOptimalProbeMatchesFullScan) {
   Rng rng(GetParam() + 200);
   for (std::size_t round = 0; round < 250; ++round) {
     LinkTimeline tl;
-    std::map<dag::EdgeId, double> slack;
     const std::size_t slots =
         static_cast<std::size_t>(rng.uniform_int(0, 24));
     for (std::size_t i = 0; i < slots; ++i) {
       const double gap = rng.uniform_real(0.0, 2.0);
       const double duration = rng.uniform_real(0.3, 3.0);
-      const dag::EdgeId edge(i);
       tl.commit(tl.probe_basic(tl.last_finish() + gap, 0.0, duration),
-                edge);
+                dag::EdgeId(i));
       const int kind = static_cast<int>(rng.uniform_int(0, 2));
-      slack[edge] = kind == 0 ? 0.0
-                              : (kind == 1 ? rng.uniform_real(0.0, 1.5)
-                                           : rng.uniform_real(1.5, 12.0));
+      tl.set_deferral(i, kind == 0 ? 0.0
+                                   : (kind == 1 ? rng.uniform_real(0.0, 1.5)
+                                                : rng.uniform_real(1.5, 12.0)));
     }
-    const DeferralFn deferral = [&](const TimeSlot& slot) {
-      return slack.at(slot.edge);
-    };
     const double t_es = rng.uniform_real(0.0, tl.last_finish() + 5.0);
     const double duration = rng.uniform_real(0.2, 4.0);
     const double t_f_min =
         rng.bernoulli(0.3) ? t_es + rng.uniform_real(0.0, 6.0) : 0.0;
 
     const OptimalPlacement fast =
-        probe_optimal(tl, t_es, t_f_min, duration, deferral);
+        probe_optimal(tl, t_es, t_f_min, duration);
     const OptimalPlacement full =
-        probe_optimal_linear(tl, t_es, t_f_min, duration, deferral);
+        probe_optimal_linear(tl, t_es, t_f_min, duration);
 
     ASSERT_EQ(fast.placement.position, full.placement.position)
         << "round " << round;
@@ -168,14 +163,11 @@ TEST_P(GapIndexProperty, ScratchReuseIsStateless) {
                                    rng.uniform_real(0.0, 1.0),
                                0.0, rng.uniform_real(0.5, 2.0)),
                 dag::EdgeId(i));
+      tl.set_deferral(i, (i % 2 == 0) ? 3.0 : 0.0);
     }
-    const DeferralFn deferral = [](const TimeSlot& slot) {
-      return (slot.edge.value() % 2 == 0) ? 3.0 : 0.0;
-    };
     const double t_es = rng.uniform_real(0.0, tl.last_finish() + 2.0);
-    const OptimalPlacement fresh =
-        probe_optimal(tl, t_es, 0.0, 1.0, deferral);
-    probe_optimal_into(tl, t_es, 0.0, 1.0, deferral, scratch);
+    const OptimalPlacement fresh = probe_optimal(tl, t_es, 0.0, 1.0);
+    probe_optimal_into(tl, t_es, 0.0, 1.0, scratch);
     ASSERT_EQ(scratch.placement.position, fresh.placement.position);
     ASSERT_EQ(scratch.placement.start, fresh.placement.start);
     ASSERT_EQ(scratch.placement.finish, fresh.placement.finish);

@@ -15,15 +15,11 @@
 namespace edgesched::timeline {
 namespace {
 
+/// A timeline whose slots carry their slack, and the same slack by edge
+/// for the brute force.
 struct Scenario {
   LinkTimeline timeline;
   std::map<dag::EdgeId, double> slack;
-
-  DeferralFn deferral() const {
-    return [this](const TimeSlot& slot) {
-      return slack.at(slot.edge);
-    };
-  }
 };
 
 Scenario random_scenario(Rng& rng) {
@@ -42,6 +38,7 @@ Scenario random_scenario(Rng& rng) {
     scenario.slack[edge] =
         kind == 0 ? 0.0 : (kind == 1 ? rng.uniform_real(0.0, 2.0)
                                      : rng.uniform_real(2.0, 20.0));
+    scenario.timeline.set_deferral(i, scenario.slack[edge]);
   }
   return scenario;
 }
@@ -88,8 +85,8 @@ TEST_P(OptimalInsertionProperty, MatchesBruteForce) {
     const double t_f_min =
         rng.bernoulli(0.3) ? t_es + rng.uniform_real(0.0, 8.0) : 0.0;
 
-    const OptimalPlacement got = probe_optimal(
-        scenario.timeline, t_es, t_f_min, duration, scenario.deferral());
+    const OptimalPlacement got =
+        probe_optimal(scenario.timeline, t_es, t_f_min, duration);
     const double expected =
         brute_force_start(scenario, t_es, t_f_min, duration);
     ASSERT_NEAR(got.placement.start, expected, 1e-6)

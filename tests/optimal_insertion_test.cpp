@@ -2,22 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
 
 namespace edgesched::timeline {
 namespace {
 
 dag::EdgeId edge(std::size_t i) { return dag::EdgeId(i); }
 
-/// Deferral callback backed by a per-edge slack table.
+/// Per-edge slack table, written into every slot of a timeline (0 for
+/// edges without an entry).
 class SlackTable {
  public:
   void set(dag::EdgeId e, double dt) { table_[e] = dt; }
-  DeferralFn fn() const {
-    return [this](const TimeSlot& slot) {
-      const auto it = table_.find(slot.edge);
-      return it == table_.end() ? 0.0 : it->second;
-    };
+  const LinkTimeline& apply(LinkTimeline& tl) const {
+    for (std::size_t i = 0; i < tl.size(); ++i) {
+      const auto it = table_.find(tl.slots()[i].edge);
+      tl.set_deferral(i, it == table_.end() ? 0.0 : it->second);
+    }
+    return tl;
   }
 
  private:
@@ -28,7 +32,7 @@ TEST(OptimalInsertion, EmptyTimelineMatchesBasic) {
   LinkTimeline tl;
   SlackTable slack;
   const OptimalPlacement opt =
-      probe_optimal(tl, 3.0, 0.0, 2.0, slack.fn());
+      probe_optimal(slack.apply(tl), 3.0, 0.0, 2.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 3.0);
   EXPECT_DOUBLE_EQ(opt.placement.finish, 5.0);
   EXPECT_TRUE(opt.shifts.empty());
@@ -40,7 +44,7 @@ TEST(OptimalInsertion, UsesExistingGapWithoutShifting) {
   tl.commit(tl.probe_basic(10.0, 0.0, 2.0), edge(1));   // [10, 12]
   SlackTable slack;  // no slack anywhere
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 5.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 5.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 2.0);
   EXPECT_DOUBLE_EQ(opt.placement.finish, 7.0);
   EXPECT_EQ(opt.placement.position, 1u);
@@ -55,7 +59,7 @@ TEST(OptimalInsertion, DefersBlockingSlot) {
   // Basic insertion would append at [2, 5]; optimal inserts at [0, 3] and
   // defers the occupant to [3, 5].
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 3.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 0.0);
   EXPECT_DOUBLE_EQ(opt.placement.finish, 3.0);
   EXPECT_EQ(opt.placement.position, 0u);
@@ -70,7 +74,7 @@ TEST(OptimalInsertion, RespectsZeroSlack) {
   tl.commit(tl.probe_basic(0.0, 0.0, 2.0), edge(0));  // [0, 2], dt = 0
   SlackTable slack;
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 3.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 2.0);  // appended, no deferral
   EXPECT_TRUE(opt.shifts.empty());
 }
@@ -81,7 +85,7 @@ TEST(OptimalInsertion, PartialSlackIsNotEnough) {
   SlackTable slack;
   slack.set(edge(0), 0.5);  // can defer to [0.5, 2.5] only
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 3.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 3.0);
   // A 3-unit job cannot fit before the slot even after deferral.
   EXPECT_DOUBLE_EQ(opt.placement.start, 2.0);
   EXPECT_TRUE(opt.shifts.empty());
@@ -96,7 +100,7 @@ TEST(OptimalInsertion, CascadeAcrossTwoSlots) {
   slack.set(edge(1), 3.0);
   // Insert 3 units at the head: [0, 3]; edge0 -> [3, 5], edge1 -> [5, 7].
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 3.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 3.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 0.0);
   EXPECT_EQ(opt.placement.position, 0u);
   ASSERT_EQ(opt.shifts.size(), 2u);
@@ -115,7 +119,7 @@ TEST(OptimalInsertion, CascadeLimitedByDownstreamSlack) {
   slack.set(edge(1), 0.0);  // immovable
   // accum(edge0) = min(10, 0 + gap(0)) = 0: cannot insert at the head.
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 1.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 4.0);  // appended after everything
   EXPECT_TRUE(opt.shifts.empty());
 }
@@ -131,7 +135,7 @@ TEST(OptimalInsertion, GapAbsorbsPartOfTheCascade) {
   // [0, 2], edge0 defers to [2, 4], and the old [2, 5] gap absorbs the
   // cascade before it reaches the immovable edge1.
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 2.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 2.0);
   EXPECT_DOUBLE_EQ(opt.placement.start, 0.0);
   EXPECT_EQ(opt.placement.position, 0u);
   ASSERT_EQ(opt.shifts.size(), 1u);
@@ -147,7 +151,7 @@ TEST(OptimalInsertion, PicksHeadmostFeasiblePosition) {
   tl.commit(tl.probe_basic(9.0, 0.0, 1.0), edge(2));   // [9, 10]
   SlackTable slack;  // generous gaps, no slack needed
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 2.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 2.0);
   // Both [1, 4] and [5, 9] fit; the earlier one must win.
   EXPECT_DOUBLE_EQ(opt.placement.start, 1.0);
   EXPECT_EQ(opt.placement.position, 1u);
@@ -161,7 +165,7 @@ TEST(OptimalInsertion, CommitAppliesShiftsAndKeepsInvariants) {
   slack.set(edge(0), 3.0);
   slack.set(edge(1), 3.0);
   const OptimalPlacement opt =
-      probe_optimal(tl, 0.0, 0.0, 3.0, slack.fn());
+      probe_optimal(slack.apply(tl), 0.0, 0.0, 3.0);
   commit_optimal(tl, opt, edge(2));
   ASSERT_EQ(tl.size(), 3u);
   tl.check_invariants();
@@ -169,6 +173,20 @@ TEST(OptimalInsertion, CommitAppliesShiftsAndKeepsInvariants) {
   EXPECT_DOUBLE_EQ(tl.slots()[0].finish, 3.0);
   EXPECT_EQ(tl.slots()[1].edge, edge(0));
   EXPECT_DOUBLE_EQ(tl.slots()[2].finish, 7.0);
+}
+
+TEST(OptimalInsertion, UnsetSlackThrows) {
+  LinkTimeline tl;
+  tl.commit(tl.probe_basic(0.0, 0.0, 2.0), edge(0));  // slack never written
+  EXPECT_TRUE(std::isnan(tl.slots()[0].deferral));
+  try {
+    (void)probe_optimal(tl, 0.0, 0.0, 1.0);
+    FAIL() << "reading an unset slack must throw";
+  } catch (const InternalError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("occupied slot references an unscheduled edge"),
+              std::string::npos);
+  }
 }
 
 TEST(OptimalInsertion, NeverWorseThanBasic) {
@@ -186,7 +204,7 @@ TEST(OptimalInsertion, NeverWorseThanBasic) {
     for (double dur : {0.5, 1.5, 3.0, 6.0}) {
       const Placement basic = tl.probe_basic(t_es, 0.0, dur);
       const OptimalPlacement opt =
-          probe_optimal(tl, t_es, 0.0, dur, slack.fn());
+          probe_optimal(slack.apply(tl), t_es, 0.0, dur);
       EXPECT_LE(opt.placement.start, basic.start + 1e-9)
           << "t_es=" << t_es << " dur=" << dur;
     }
