@@ -97,9 +97,12 @@ class TelemetryScope {
       std::ofstream out(trace_path_);
       if (out) {
         tracer.write_chrome_trace(out);
+        out.flush();
+      }
+      if (out) {
         std::cerr << "telemetry: wrote trace " << trace_path_ << "\n";
       } else {
-        std::cerr << "telemetry: cannot open " << trace_path_ << "\n";
+        std::cerr << "telemetry: cannot write " << trace_path_ << "\n";
       }
     }
     if (dump_metrics_) {

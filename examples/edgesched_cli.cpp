@@ -332,11 +332,14 @@ bool write_artifact(const std::string& path,
     return true;
   }
   std::ofstream out(path);
+  if (out) {
+    fn(out);
+    out.flush();
+  }
   if (!out) {
     std::cerr << "error: cannot write " << path << "\n";
     return false;
   }
-  fn(out);
   return true;
 }
 

@@ -155,11 +155,14 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
+    if (out) {
+      obs::Tracer::instance().write_chrome_trace(out);
+      out.flush();
+    }
     if (!out) {
-      std::cerr << "cannot open " << trace_path << "\n";
+      std::cerr << "error: cannot write " << trace_path << "\n";
       return 1;
     }
-    obs::Tracer::instance().write_chrome_trace(out);
     std::cout << "\nwrote trace " << trace_path << " ("
               << obs::Tracer::instance().event_count() << " events, "
               << obs::Tracer::instance().thread_count() << " threads)\n";

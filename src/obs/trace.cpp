@@ -1,10 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -39,6 +40,31 @@ struct BufferRegistry {
 BufferRegistry& registry() {
   static BufferRegistry* instance = new BufferRegistry();
   return *instance;
+}
+
+/// Writes `"key":value` pairs, comma-separated. Numbers take their
+/// shortest round-trip spelling; every value a trace carries (times,
+/// counts) is finite, so JSON's lack of inf/nan never matters.
+void write_members(std::ostream& os, std::span<const TraceArg> members) {
+  for (const TraceArg& member : members) {
+    if (&member != members.data()) {
+      os << ',';
+    }
+    os << '"' << json_escape(member.key) << "\":";
+    std::visit(
+        [&os](auto v) {
+          if constexpr (std::is_same_v<decltype(v), std::string_view>) {
+            os << '"' << json_escape(v) << '"';
+          } else if constexpr (std::is_same_v<decltype(v), bool>) {
+            os << (v ? "true" : "false");
+          } else {
+            char buffer[32];
+            const auto end = std::to_chars(buffer, std::end(buffer), v).ptr;
+            os.write(buffer, end - buffer);
+          }
+        },
+        member.value);
+  }
 }
 
 }  // namespace
@@ -150,45 +176,74 @@ std::map<std::string, SpanTotal> Tracer::span_totals() const {
 void Tracer::write_chrome_trace(std::ostream& os) const {
   BufferRegistry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
-  // Streamed, not built as a JsonValue: full traces can hold millions of
-  // events and the writer must not double their memory footprint.
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  TraceEventWriter writer(os);
   for (const auto& buffer : reg.buffers) {
     const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
     for (const TraceEvent& event : buffer->events) {
-      if (!first) {
-        os << ',';
-      }
-      first = false;
-      // Timestamps are microseconds; print with fixed millisecond-epoch
-      // precision so large steady-clock values survive formatting.
-      char ts[48];
-      char dur[48];
-      std::snprintf(ts, sizeof(ts), "%.3f",
-                    static_cast<double>(event.start_ns) / 1000.0);
-      std::snprintf(dur, sizeof(dur), "%.3f",
-                    static_cast<double>(event.duration_ns) / 1000.0);
-      os << "\n{\"name\":\"" << json_escape(event.name) << "\",\"cat\":\""
-         << json_escape(event.category) << "\",\"ph\":\"X\",\"pid\":1,"
-         << "\"tid\":" << buffer->tid << ",\"ts\":" << ts << ",\"dur\":"
-         << dur;
-      if (event.arg != kNoArg || event.run_id != 0) {
-        os << ",\"args\":{";
-        bool first_arg = true;
-        if (event.arg != kNoArg) {
-          os << "\"id\":" << event.arg;
-          first_arg = false;
-        }
-        if (event.run_id != 0) {
-          os << (first_arg ? "" : ",") << "\"run_id\":" << event.run_id;
-        }
-        os << '}';
-      }
-      os << '}';
+      // Both args are optional: the slice drops an unset id or run ID.
+      const TraceArg args[] = {{"id", event.arg}, {"run_id", event.run_id}};
+      const std::size_t first = event.arg == kNoArg ? 1 : 0;
+      const std::size_t last = event.run_id == 0 ? 1 : 2;
+      writer.complete(1, buffer->tid, event.name,
+                      static_cast<double>(event.start_ns) / 1000.0,
+                      static_cast<double>(event.duration_ns) / 1000.0,
+                      std::span(args).subspan(first, last - first),
+                      event.category);
     }
   }
-  os << "\n]}\n";
+  writer.finish();
+}
+
+TraceEventWriter::TraceEventWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+}
+
+void TraceEventWriter::process_name(std::uint32_t pid,
+                                    std::string_view name) {
+  const TraceArg members[] = {
+      {"ph", "M"}, {"pid", pid}, {"name", "process_name"}};
+  const TraceArg args[] = {{"name", name}};
+  event(members, args);
+}
+
+void TraceEventWriter::thread_name(std::uint32_t pid, std::uint64_t tid,
+                                   std::string_view name) {
+  const TraceArg members[] = {
+      {"ph", "M"}, {"pid", pid}, {"tid", tid}, {"name", "thread_name"}};
+  const TraceArg args[] = {{"name", name}};
+  event(members, args);
+}
+
+void TraceEventWriter::complete(std::uint32_t pid, std::uint64_t tid,
+                                std::string_view name, double ts,
+                                double dur, std::span<const TraceArg> args,
+                                std::string_view category) {
+  const TraceArg members[] = {{"ph", "X"},    {"pid", pid}, {"tid", tid},
+                              {"name", name}, {"ts", ts},   {"dur", dur},
+                              {"cat", category}};
+  event(std::span(members).first(category.empty() ? 6 : 7), args);
+}
+
+void TraceEventWriter::instant(std::uint32_t pid, std::uint64_t tid,
+                               std::string_view name, double ts,
+                               std::span<const TraceArg> args) {
+  const TraceArg members[] = {{"ph", "i"},  {"s", "t"},     {"pid", pid},
+                              {"tid", tid}, {"name", name}, {"ts", ts}};
+  event(members, args);
+}
+
+void TraceEventWriter::finish() { os_ << "\n]}\n"; }
+
+void TraceEventWriter::event(std::span<const TraceArg> members,
+                             std::span<const TraceArg> args) {
+  os_ << (std::exchange(first_, false) ? "\n{" : ",\n{");
+  write_members(os_, members);
+  if (!args.empty()) {
+    os_ << ",\"args\":{";
+    write_members(os_, args);
+    os_ << '}';
+  }
+  os_ << '}';
 }
 
 void Span::finish() noexcept {

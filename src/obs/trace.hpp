@@ -4,8 +4,8 @@
 // this tracer records the *algorithm running*: every instrumented phase
 // (priority computation, processor selection, edge routing, insertion,
 // pool jobs, sweep instances) opens an RAII `Span`, and the collected
-// events export as a Chrome trace-event JSON file that chrome://tracing
-// and https://ui.perfetto.dev open directly.
+// events export through `TraceEventWriter` below, the writer of every
+// trace document (also `sched/trace_export`'s and `exec/trace_merge`'s).
 //
 // Cost model — the tracer is always compiled in, so the disabled path
 // must be nearly free:
@@ -31,11 +31,51 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "obs/run_context.hpp"
 
 namespace edgesched::obs {
+
+/// Integers print every digit, doubles their shortest round-trip form (a
+/// parsed `ts` is the double written); the writer escapes strings.
+using TraceValue = std::variant<std::uint64_t, double, bool, std::string_view>;
+
+struct TraceArg {
+  std::string_view key;
+  TraceValue value;
+};
+
+/// Streams one Chrome trace-event document, one event per line, with no
+/// buffering (exports may hold millions of events); `finish()` closes it.
+/// The document shape is in docs/observability.md, "Chrome trace
+/// documents". Empty `args` write no "args" member.
+class TraceEventWriter {
+ public:
+  explicit TraceEventWriter(std::ostream& os);
+
+  void process_name(std::uint32_t pid, std::string_view name);
+  void thread_name(std::uint32_t pid, std::uint64_t tid,
+                   std::string_view name);
+  /// Complete ("X") event; an empty `category` writes no "cat" member.
+  void complete(std::uint32_t pid, std::uint64_t tid, std::string_view name,
+                double ts, double dur, std::span<const TraceArg> args = {},
+                std::string_view category = {});
+  /// Thread-scoped instant ("i") event.
+  void instant(std::uint32_t pid, std::uint64_t tid, std::string_view name,
+               double ts, std::span<const TraceArg> args = {});
+  void finish();
+
+ private:
+  void event(std::span<const TraceArg> members,
+             std::span<const TraceArg> args);
+
+  std::ostream& os_;
+  bool first_ = true;
+};
 
 enum class TraceMode : int { kDisabled = 0, kAggregate = 1, kFull = 2 };
 
@@ -96,9 +136,8 @@ class Tracer {
   /// kFull modes).
   [[nodiscard]] std::map<std::string, SpanTotal> span_totals() const;
 
-  /// Writes the Chrome trace-event JSON document ("traceEvents" array of
-  /// complete events, microsecond timestamps, one tid per recording
-  /// thread). Loadable by Perfetto / chrome://tracing as-is.
+  /// Writes every stored span as a complete event of pid 1, one tid per
+  /// recording thread, in microseconds of the steady clock.
   void write_chrome_trace(std::ostream& os) const;
 
   /// Records one completed span into the calling thread's buffer. Called

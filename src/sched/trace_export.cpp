@@ -6,7 +6,7 @@
 #include <ostream>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace edgesched::sched {
 
@@ -55,42 +55,23 @@ std::vector<LinkEvent> collect_link_events(const dag::TaskGraph& graph,
 void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
                         const net::Topology& topology,
                         const Schedule& schedule) {
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](int pid, std::uint32_t tid,
-                        const std::string& name, double start,
-                        double duration) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\n{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-        << ",\"name\":\"" << obs::json_escape(name) << "\",\"ts\":" << start
-        << ",\"dur\":" << duration << "}";
-  };
-  // Row names.
+  obs::TraceEventWriter writer(out);
   for (net::NodeId p : topology.processors()) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << p.value()
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << obs::json_escape(topology.node(p).name) << "\"}}";
+    writer.thread_name(0, p.value(), topology.node(p).name);
   }
-
   for (dag::TaskId t : graph.all_tasks()) {
     const TaskPlacement& placement = schedule.task(t);
     if (placement.placed()) {
-      emit(0, placement.processor.value(), graph.task(t).name,
-           placement.start, placement.finish - placement.start);
+      writer.complete(0, placement.processor.value(), graph.task(t).name,
+                      placement.start, placement.finish - placement.start);
     }
   }
   for (const LinkEvent& ev :
        collect_link_events(graph, topology, schedule)) {
-    emit(1, ev.domain.value(), ev.label, ev.start, ev.finish - ev.start);
+    writer.complete(1, ev.domain.value(), ev.label, ev.start,
+                    ev.finish - ev.start);
   }
-  out << "\n]}\n";
+  writer.finish();
 }
 
 void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,

@@ -1,9 +1,8 @@
 // Schedule visualisation exports.
 //
-// * `write_chrome_trace` emits Chrome trace-event JSON: load the file in
-//   chrome://tracing or https://ui.perfetto.dev to inspect a schedule
-//   interactively — one row per processor, one per contention domain,
-//   with tasks and communications as duration events.
+// * `write_chrome_trace` emits a Chrome trace (written by
+//   `obs::TraceEventWriter`): load it in https://ui.perfetto.dev to
+//   inspect a schedule, one row per processor and per contention domain.
 // * `write_ascii_gantt` renders a fixed-width Gantt chart for terminals
 //   and test goldens.
 #pragma once
@@ -18,9 +17,8 @@
 
 namespace edgesched::sched {
 
-/// Chrome trace-event JSON (the "traceEvents" array format). Durations
-/// are exported in microseconds (1 model time unit = 1 µs). Processors
-/// become pid 0 rows, contention domains pid 1 rows.
+/// Tasks on pid 0 (tid = processor), link occupations on pid 1 (tid =
+/// contention domain); 1 model time unit = 1 µs.
 void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
                         const net::Topology& topology,
                         const Schedule& schedule);

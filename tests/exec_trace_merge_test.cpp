@@ -158,5 +158,57 @@ TEST(TraceMerge, DeterministicForSameReport) {
             merged_trace(inst.graph, inst.topo, schedule, report));
 }
 
+// Past 10^6 time units a 6-significant-digit spelling merges distinct
+// timestamps; planned and executed spans must parse to the exact doubles
+// of the schedule and of the report.
+TEST(TraceMerge, TimesPastAMillionRoundTripExactly) {
+  dag::TaskGraph graph;
+  const dag::TaskId root = graph.add_task(1234567.891, "root");
+  const dag::TaskId left = graph.add_task(2345678.123, "left");
+  const dag::TaskId right = graph.add_task(3456789.017, "right");
+  (void)graph.add_edge(root, left, 1000000.3);
+  (void)graph.add_edge(root, right, 1000000.7);
+  Rng rng(1);
+  const net::Topology topo =
+      net::switched_star(3, net::SpeedConfig{}, rng);
+  const sched::Schedule schedule =
+      sched::make_scheduler("oihsa")->schedule(graph, topo);
+  ExecutionOptions options;
+  options.model.duration_spread = 0.2;
+  options.model.seed = 3;
+  const ExecutionReport report = execute(graph, topo, schedule, options);
+  ASSERT_TRUE(report.completed);
+
+  const obs::JsonValue trace = obs::JsonValue::parse(
+      merged_trace(graph, topo, schedule, report));
+  const obs::JsonValue& events = trace.at("traceEvents");
+  std::size_t planned = 0;
+  std::size_t executed = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::JsonValue& e = events.at(i);
+    if (e.at("ph").as_string() != "X") {
+      continue;
+    }
+    const auto task =
+        static_cast<std::uint32_t>(e.at("args").at("task").as_number());
+    const double ts = e.at("ts").as_number();
+    const double dur = e.at("dur").as_number();
+    if (e.at("pid").as_number() == 0.0) {
+      const sched::TaskPlacement& p = schedule.task(dag::TaskId(task));
+      EXPECT_EQ(ts, p.start) << task;
+      EXPECT_EQ(dur, p.finish - p.start) << task;
+      ++planned;
+    } else {
+      const TaskRecord& r = report.tasks[task];
+      EXPECT_EQ(ts, r.start) << task;
+      EXPECT_EQ(dur, r.finish - r.start) << task;
+      EXPECT_EQ(e.at("args").at("tardiness").as_number(), r.tardiness());
+      ++executed;
+    }
+  }
+  EXPECT_EQ(planned, graph.num_tasks());
+  EXPECT_EQ(executed, graph.num_tasks());
+}
+
 }  // namespace
 }  // namespace edgesched::exec

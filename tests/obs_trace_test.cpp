@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -185,6 +187,96 @@ TEST(ObsTrace, PoolWorkersRecordConcurrentlyWithExport) {
   // The final export parses and holds every worker event.
   const JsonValue trace = export_trace();
   EXPECT_GE(trace.at("traceEvents").size(), static_cast<std::size_t>(kJobs));
+}
+
+// --- TraceEventWriter: the one streamed trace-event document writer ----
+
+JsonValue write_document(const std::function<void(TraceEventWriter&)>& fn) {
+  std::ostringstream os;
+  TraceEventWriter writer(os);
+  fn(writer);
+  writer.finish();
+  return JsonValue::parse(os.str());
+}
+
+TEST(TraceEventWriter, NumbersRoundTripBitForBit) {
+  const std::vector<double> values = {0.0,  12.0, 1234567.891,
+                                      1e-7, 1e20, 9007199254740994.0};
+  std::ostringstream os;
+  TraceEventWriter writer(os);
+  // Integers print every digit, also past 2^53 where a double would not.
+  const std::uint64_t id = 9007199254740993u;
+  for (const double v : values) {
+    const TraceArg args[] = {{"value", v}, {"id", id}};
+    writer.complete(0, 0, "n", v, v, args);
+  }
+  writer.finish();
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"id\":9007199254740993}"), std::string::npos);
+  EXPECT_NE(text.find("\"ts\":12,"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"ts\":1234567.891,"), std::string::npos) << text;
+  const JsonValue events = JsonValue::parse(text).at("traceEvents");
+  ASSERT_EQ(events.size(), values.size());
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const JsonValue& e = events.at(i);
+    EXPECT_EQ(bits(e.at("ts").as_number()), bits(values[i])) << values[i];
+    EXPECT_EQ(bits(e.at("dur").as_number()), bits(values[i])) << values[i];
+    EXPECT_EQ(bits(e.at("args").at("value").as_number()), bits(values[i]));
+  }
+}
+
+TEST(TraceEventWriter, EscapesEveryStringAndRoundTripsIt) {
+  const std::string name = "na\"me\\\x01\t\n";
+  const std::string category = "c\"at\x1f";
+  const std::string value = "v\"al\r\x02";
+  std::ostringstream os;
+  TraceEventWriter writer(os);
+  writer.process_name(0, name);
+  writer.thread_name(0, 1, name);
+  const TraceArg args[] = {{"k\"ey\x03", std::string_view(value)},
+                           {"flag", true}};
+  writer.complete(0, 1, name, 1.5, 2.0, args, category);
+  writer.instant(0, 1, name, 3.0, args);
+  writer.finish();
+  const std::string text = os.str();
+  for (const char c : text) {
+    EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+        << "raw control character " << static_cast<int>(c);
+  }
+  const JsonValue events = JsonValue::parse(text).at("traceEvents");
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.at(0).at("args").at("name").as_string(), name);
+  EXPECT_EQ(events.at(1).at("args").at("name").as_string(), name);
+  for (std::size_t i = 2; i < 4; ++i) {
+    const JsonValue& e = events.at(i);
+    EXPECT_EQ(e.at("name").as_string(), name);
+    EXPECT_EQ(e.at("args").at("k\"ey\x03").as_string(), value);
+    EXPECT_TRUE(e.at("args").at("flag").as_bool());
+  }
+  EXPECT_EQ(events.at(2).at("cat").as_string(), category);
+  EXPECT_EQ(events.at(3).at("ph").as_string(), "i");
+}
+
+TEST(TraceEventWriter, EmptyDocumentParses) {
+  const JsonValue doc = write_document([](TraceEventWriter&) {});
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
+  EXPECT_EQ(doc.at("traceEvents").size(), 0u);
+}
+
+TEST(TraceEventWriter, EventWithoutArgsWritesNoArgsMember) {
+  const JsonValue doc = write_document([](TraceEventWriter& w) {
+    w.complete(2, 7, "bare", 1.0, 2.0);
+    w.instant(2, 7, "bare", 3.0);
+  });
+  const JsonValue& events = doc.at("traceEvents");
+  ASSERT_EQ(events.size(), 2u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_FALSE(events.at(i).contains("args"));
+    EXPECT_FALSE(events.at(i).contains("cat"));
+    EXPECT_EQ(events.at(i).at("pid").as_number(), 2.0);
+    EXPECT_EQ(events.at(i).at("tid").as_number(), 7.0);
+  }
 }
 
 }  // namespace

@@ -128,6 +128,55 @@ TEST(ChromeTrace, ControlCharactersInNamesStayValidJson) {
             names.end());
 }
 
+// Past 10^6 time units a 6-significant-digit spelling merges distinct
+// timestamps; every exported ts/dur must parse to the schedule's double.
+TEST(ChromeTrace, TimesPastAMillionRoundTripExactly) {
+  dag::TaskGraph graph;
+  const dag::TaskId root = graph.add_task(1234567.891, "root");
+  const dag::TaskId left = graph.add_task(2345678.123, "left");
+  const dag::TaskId right = graph.add_task(3456789.017, "right");
+  (void)graph.add_edge(root, left, 1000000.3);
+  (void)graph.add_edge(root, right, 1000000.7);
+  Rng rng(1);
+  const net::Topology topo =
+      net::switched_star(3, net::SpeedConfig{}, rng);
+  const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
+  const obs::JsonValue trace =
+      obs::JsonValue::parse(chrome_trace_of(graph, topo, s));
+  const obs::JsonValue& events = trace.at("traceEvents");
+  std::size_t tasks = 0;
+  std::size_t links = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::JsonValue& e = events.at(i);
+    if (e.at("ph").as_string() != "X") {
+      continue;
+    }
+    const double ts = e.at("ts").as_number();
+    const double dur = e.at("dur").as_number();
+    if (e.at("pid").as_number() == 0.0) {
+      for (dag::TaskId t : graph.all_tasks()) {
+        if (graph.task(t).name == e.at("name").as_string()) {
+          const TaskPlacement& p = s.task(t);
+          EXPECT_EQ(ts, p.start) << graph.task(t).name;
+          EXPECT_EQ(dur, p.finish - p.start) << graph.task(t).name;
+          ++tasks;
+        }
+      }
+      continue;
+    }
+    bool matched = false;
+    for (dag::EdgeId edge : graph.all_edges()) {
+      for (const LinkOccupation& occ : s.communication(edge).occupations) {
+        matched = matched || (occ.start == ts && occ.finish - occ.start == dur);
+      }
+    }
+    EXPECT_TRUE(matched) << e.at("name").as_string() << " ts=" << ts;
+    ++links;
+  }
+  EXPECT_EQ(tasks, graph.num_tasks());
+  EXPECT_GT(links, 0u);
+}
+
 TEST(AsciiGantt, PaintsTasksAndLinks) {
   const Fixture f;
   const std::string gantt = gantt_of(f.graph, f.topo, f.schedule);
