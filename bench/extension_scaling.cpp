@@ -215,9 +215,9 @@ std::size_t forwarded_hops(const dag::TaskGraph& graph,
                            const sched::Schedule& schedule) {
   std::size_t hops = 0;
   for (std::size_t e = 0; e < graph.num_edges(); ++e) {
-    const sched::EdgeCommunication& comm =
+    const sched::Communication comm =
         schedule.communication(dag::EdgeId(e));
-    if (comm.kind == sched::EdgeCommunication::Kind::kBandwidth &&
+    if (comm.kind == sched::Communication::Kind::kBandwidth &&
         !comm.route.empty()) {
       hops += comm.route.size() - 1;
     }

@@ -2,6 +2,8 @@
 // insertion with deferral, and the fluid bandwidth sweep.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "timeline/bandwidth_timeline.hpp"
 #include "timeline/link_timeline.hpp"
 #include "timeline/optimal_insertion.hpp"
@@ -61,8 +63,8 @@ void BM_BandwidthTransferAndConsume(benchmark::State& state) {
     Rng rng(3);
     for (int i = 0; i < state.range(0); ++i) {
       const double ready = rng.uniform_real(0.0, 50.0);
-      const timeline::RateProfile p =
-          tl.transfer_from(ready, rng.uniform_real(1.0, 8.0));
+      timeline::RateProfile p;
+      tl.transfer_from(ready, rng.uniform_real(1.0, 8.0), p);
       tl.consume(p);
     }
     benchmark::DoNotOptimize(tl.remaining_at(25.0));
@@ -77,10 +79,13 @@ void BM_BandwidthForwardChain(benchmark::State& state) {
     for (std::size_t i = 0; i < hops; ++i) {
       chain.emplace_back(1.0 + static_cast<double>(i % 3));
     }
-    timeline::RateProfile profile = chain[0].transfer_from(0.0, 20.0);
+    timeline::RateProfile profile;
+    chain[0].transfer_from(0.0, 20.0, profile);
     chain[0].consume(profile);
+    timeline::RateProfile next;
     for (std::size_t i = 1; i < hops; ++i) {
-      profile = chain[i].forward(profile);
+      chain[i].forward(profile, next);
+      std::swap(profile, next);
       chain[i].consume(profile);
     }
     benchmark::DoNotOptimize(profile.finish_time());
@@ -96,15 +101,19 @@ void BM_BandwidthForwardLoaded(benchmark::State& state) {
   const double horizon = static_cast<double>(target);
   timeline::BandwidthTimeline tl(4.0);
   Rng rng(4);
+  timeline::RateProfile booked;
   while (tl.breakpoints().size() < target) {
-    tl.consume(tl.transfer_from(rng.uniform_real(0.0, horizon),
-                                rng.uniform_real(0.5, 4.0)));
+    tl.transfer_from(rng.uniform_real(0.0, horizon),
+                     rng.uniform_real(0.5, 4.0), booked);
+    tl.consume(booked);
   }
   timeline::BandwidthTimeline upstream(2.0);
-  const timeline::RateProfile inflow =
-      upstream.transfer_from(0.5 * horizon, 20.0);
+  timeline::RateProfile inflow;
+  upstream.transfer_from(0.5 * horizon, 20.0, inflow);
+  timeline::RateProfile out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tl.forward(inflow));
+    tl.forward(inflow, out);
+    benchmark::DoNotOptimize(out.finish_time());
   }
 }
 BENCHMARK(BM_BandwidthForwardLoaded)->Arg(16)->Arg(256)->Arg(4096);

@@ -14,6 +14,7 @@
 #include "sched/assignment.hpp"
 #include "sched/classic.hpp"
 #include "sched/engine.hpp"
+#include "sched/metrics.hpp"
 #include "sched/validator.hpp"
 
 int main(int argc, char** argv) {
@@ -48,7 +49,8 @@ int main(int argc, char** argv) {
     std::cout << std::setw(24) << label << "  makespan "
               << std::setw(9) << std::fixed << std::setprecision(2)
               << s.makespan() << "  utilisation "
-              << s.processor_utilisation(graph, cluster) << "\n";
+              << sched::compute_metrics(graph, cluster, s).processor_utilisation
+              << "\n";
     std::cout.unsetf(std::ios::fixed);
   };
 

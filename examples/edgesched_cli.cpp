@@ -323,24 +323,30 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const Args& args) {
   usage("unknown algorithm " + args.algorithm);
 }
 
+/// Flushes `out`; false with "error: cannot write NAME" on stderr when
+/// any write to it failed.
+bool check_written(std::ostream& out, const std::string& name) {
+  out.flush();
+  if (!out) {
+    std::cerr << "error: cannot write " << name << "\n";
+    return false;
+  }
+  return true;
+}
+
 /// Opens `path` ("-" = stdout) and hands the stream to `fn`; false with
-/// a message on stderr when the file cannot be opened.
+/// a message on stderr when the file cannot be opened or written.
 bool write_artifact(const std::string& path,
                     const std::function<void(std::ostream&)>& fn) {
   if (path == "-") {
     fn(std::cout);
-    return true;
+    return check_written(std::cout, "standard output");
   }
   std::ofstream out(path);
   if (out) {
     fn(out);
-    out.flush();
   }
-  if (!out) {
-    std::cerr << "error: cannot write " << path << "\n";
-    return false;
-  }
-  return true;
+  return check_written(out, path);
 }
 
 int run_schedule(const Args& args, const dag::TaskGraph& graph,
@@ -489,6 +495,14 @@ int main(int argc, char** argv) {
         })) {
       status = status == 0 ? 1 : status;
     }
+  }
+  // The decision log and the --output modes stream as they go; a full
+  // disk shows only here.
+  if (decisions_out && !check_written(*decisions_out, args.decisions_file)) {
+    status = status == 0 ? 1 : status;
+  }
+  if (!check_written(std::cout, "standard output")) {
+    status = status == 0 ? 1 : status;
   }
   return status;
 }

@@ -7,6 +7,7 @@
 #include "dag/task_graph.hpp"
 #include "net/topology.hpp"
 #include "sched/engine.hpp"
+#include "sched/metrics.hpp"
 #include "sched/validator.hpp"
 
 int main() {
@@ -45,6 +46,7 @@ int main() {
   std::cout << schedule.to_string(graph, cluster);
   std::cout << "makespan: " << schedule.makespan() << "\n";
   std::cout << "processor utilisation: "
-            << schedule.processor_utilisation(graph, cluster) << "\n";
+            << sched::compute_metrics(graph, cluster, schedule)
+                   .processor_utilisation << "\n";
   return 0;
 }

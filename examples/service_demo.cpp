@@ -134,6 +134,11 @@ int main(int argc, char** argv) {
 
   if (snapshotter) {
     snapshotter.reset();  // joins the thread and writes the final line
+    snapshots_out.flush();
+    if (!snapshots_out) {
+      std::cerr << "error: cannot write " << snapshots_path << "\n";
+      return 1;
+    }
     std::cout << "\nwrote snapshots " << snapshots_path << "\n";
   }
 

@@ -6,9 +6,11 @@ namespace edgesched::dag {
 
 namespace {
 
+/// A bottom level is a max over the successors, so any topological
+/// order gives the same values bit for bit: the FIFO one skips a heap.
 std::vector<double> bottom_levels_impl(const TaskGraph& graph,
                                        bool include_communication) {
-  const std::vector<TaskId> order = graph.topological_order();
+  const std::vector<TaskId> order = graph.fifo_topological_order();
   std::vector<double> bl(graph.num_tasks(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId task = *it;

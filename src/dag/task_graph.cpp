@@ -118,60 +118,57 @@ std::vector<EdgeId> TaskGraph::all_edges() const {
   return result;
 }
 
-bool TaskGraph::is_acyclic() const {
-  // Kahn's algorithm: the graph is acyclic iff all tasks drain.
+std::vector<TaskId> TaskGraph::kahn(bool smallest_first) const {
   std::vector<std::size_t> indegree(tasks_.size());
+  std::vector<TaskId> order;
+  order.reserve(tasks_.size());
+  // FIFO: `order` is the queue. Smallest id first: a min-heap feeds it,
+  // which keeps the order independent of container internals.
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      std::greater<>> heap;
+  const auto release = [&](std::size_t i) {
+    if (smallest_first) {
+      heap.push(i);
+    } else {
+      order.emplace_back(i);
+    }
+  };
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     indegree[i] = tasks_[i].in_edges.size();
-  }
-  std::queue<std::size_t> ready;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
     if (indegree[i] == 0) {
-      ready.push(i);
+      release(i);
     }
   }
-  std::size_t drained = 0;
-  while (!ready.empty()) {
-    const std::size_t current = ready.front();
-    ready.pop();
-    ++drained;
-    for (EdgeId e : tasks_[current].out_edges) {
+  for (std::size_t head = 0;; ++head) {
+    if (smallest_first && !heap.empty()) {
+      order.emplace_back(heap.top());
+      heap.pop();
+    }
+    if (head == order.size()) {
+      return order;
+    }
+    for (EdgeId e : tasks_[order[head].index()].out_edges) {
       const std::size_t next = edges_[e.index()].dst.index();
       if (--indegree[next] == 0) {
-        ready.push(next);
+        release(next);
       }
     }
   }
-  return drained == tasks_.size();
+}
+
+bool TaskGraph::is_acyclic() const {
+  return kahn(/*smallest_first=*/false).size() == tasks_.size();
 }
 
 std::vector<TaskId> TaskGraph::topological_order() const {
-  std::vector<std::size_t> indegree(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    indegree[i] = tasks_[i].in_edges.size();
-  }
-  // Smallest-id-first among ready tasks keeps the order deterministic and
-  // independent of container internals.
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      std::greater<>> ready;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (indegree[i] == 0) {
-      ready.push(i);
-    }
-  }
-  std::vector<TaskId> order;
-  order.reserve(tasks_.size());
-  while (!ready.empty()) {
-    const std::size_t current = ready.top();
-    ready.pop();
-    order.emplace_back(current);
-    for (EdgeId e : tasks_[current].out_edges) {
-      const std::size_t next = edges_[e.index()].dst.index();
-      if (--indegree[next] == 0) {
-        ready.push(next);
-      }
-    }
-  }
+  std::vector<TaskId> order = kahn(/*smallest_first=*/true);
+  throw_if(order.size() != tasks_.size(),
+           "TaskGraph::topological_order: graph contains a cycle");
+  return order;
+}
+
+std::vector<TaskId> TaskGraph::fifo_topological_order() const {
+  std::vector<TaskId> order = kahn(/*smallest_first=*/false);
   throw_if(order.size() != tasks_.size(),
            "TaskGraph::topological_order: graph contains a cycle");
   return order;

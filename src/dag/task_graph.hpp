@@ -108,9 +108,12 @@ class TaskGraph {
   /// True iff the edge set contains no directed cycle.
   [[nodiscard]] bool is_acyclic() const;
 
-  /// A topological order of all tasks. Throws std::invalid_argument if the
-  /// graph is cyclic.
+  /// A topological order of all tasks, smallest id first among ready
+  /// tasks. Throws std::invalid_argument if the graph is cyclic.
   [[nodiscard]] std::vector<TaskId> topological_order() const;
+  /// A topological order in FIFO Kahn order: no heap, for callers whose
+  /// result does not depend on the order. Throws like the above.
+  [[nodiscard]] std::vector<TaskId> fifo_topological_order() const;
 
   /// Throws std::invalid_argument describing the first structural problem
   /// found (cycle); a valid graph returns normally.
@@ -133,6 +136,10 @@ class TaskGraph {
   [[nodiscard]] double total_communication() const noexcept;
 
  private:
+  /// Kahn's algorithm, smallest id first or FIFO among ready tasks; a
+  /// cycle leaves its tasks out.
+  [[nodiscard]] std::vector<TaskId> kahn(bool smallest_first) const;
+
   std::string name_;
   std::vector<Task> tasks_;
   std::vector<Edge> edges_;

@@ -9,6 +9,7 @@
 #include <queue>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -418,49 +419,53 @@ class Round {
     for (std::size_t e = 0; e < num_edges; ++e) {
       edge_ops_[e] = static_cast<std::uint32_t>(transfers_.size());
       const dag::EdgeId edge_id(static_cast<std::uint32_t>(e));
-      const sched::EdgeCommunication& comm = schedule_.communication(edge_id);
-      const dag::Edge& edge = graph_.edge(edge_id);
-      const double src_pf = ctx_.t0 + schedule_.task(edge.src).finish;
-      using Kind = sched::EdgeCommunication::Kind;
-      switch (comm.kind) {
-        case Kind::kLocal:
-          break;  // arrival completes when the source finishes
-        case Kind::kContentionFree: {
+      const sched::Communication comm = schedule_.communication(edge_id);
+      const double src_finish =
+          schedule_.task(graph_.edge(edge_id).src).finish;
+      // One op per hop of a chain; hop(h) is (link, planned start,
+      // planned finish).
+      const auto add_chain = [&](std::size_t hops, bool serialized,
+                                 bool fluid, const auto& hop) {
+        std::uint32_t prev = kNone32;
+        for (std::size_t h = 0; h < hops; ++h) {
+          const auto [link, start, finish] = hop(h);
           TransferOp op;
           op.edge = static_cast<std::uint32_t>(e);
           op.orig_edge = ctx_.edge_orig[e];
-          op.anchor_start = src_pf;
-          op.anchor_finish = ctx_.t0 + comm.arrival;
-          op.last_hop = true;
+          op.chain_prev = prev;
+          op.link = link;
+          op.serialized = serialized;
+          op.fluid = fluid;
+          op.anchor_start = ctx_.t0 + start;
+          op.anchor_finish = ctx_.t0 + finish;
+          op.last_hop = h + 1 == hops;
+          prev = static_cast<std::uint32_t>(transfers_.size());
           add_transfer(op);
+        }
+      };
+      const auto slot = [&comm](std::size_t i) {
+        const sched::LinkOccupation& occ = comm.occupations[i];
+        return std::tuple{occ.link.value(), occ.start, occ.finish};
+      };
+      using Kind = sched::Communication::Kind;
+      switch (comm.kind) {
+        case Kind::kLocal:
+          break;  // arrival completes when the source finishes
+        case Kind::kContentionFree:
+          add_chain(1, false, false, [&](std::size_t) {
+            return std::tuple{kNone32, src_finish, comm.arrival};
+          });
           edge_last_remaining_[e] = 1;
           break;
-        }
-        case Kind::kExclusive: {
+        case Kind::kExclusive:
           if (comm.occupations.empty()) {
             break;
           }
-          std::uint32_t prev = kNone32;
-          for (std::size_t h = 0; h < comm.occupations.size(); ++h) {
-            const sched::LinkOccupation& occ = comm.occupations[h];
-            TransferOp op;
-            op.edge = static_cast<std::uint32_t>(e);
-            op.orig_edge = ctx_.edge_orig[e];
-            op.chain_prev = prev;
-            op.link = occ.link.value();
-            op.serialized = true;
-            // Cut-through forwarding (network_state.cpp): a downstream
-            // slot starts once the upstream slot started, not finished.
-            op.fluid = true;
-            op.anchor_start = ctx_.t0 + occ.start;
-            op.anchor_finish = ctx_.t0 + occ.finish;
-            op.last_hop = h + 1 == comm.occupations.size();
-            prev = static_cast<std::uint32_t>(transfers_.size());
-            add_transfer(op);
-          }
+          // Cut-through forwarding (network_state.cpp): a downstream
+          // slot starts once the upstream slot started, not finished.
+          add_chain(comm.occupations.size(), true, true, slot);
           edge_last_remaining_[e] = 1;
           break;
-        }
         case Kind::kPacketized: {
           if (comm.occupations.empty()) {
             break;
@@ -470,50 +475,26 @@ class Round {
                        comm.occupations.size() != comm.packet_count * hops,
                    "execute: malformed packetized communication");
           for (std::size_t p = 0; p < comm.packet_count; ++p) {
-            std::uint32_t prev = kNone32;
-            for (std::size_t h = 0; h < hops; ++h) {
-              const sched::LinkOccupation& occ = comm.occupations[p * hops + h];
-              TransferOp op;
-              op.edge = static_cast<std::uint32_t>(e);
-              op.orig_edge = ctx_.edge_orig[e];
-              op.chain_prev = prev;
-              op.link = occ.link.value();
-              op.serialized = true;
-              op.anchor_start = ctx_.t0 + occ.start;
-              op.anchor_finish = ctx_.t0 + occ.finish;
-              op.last_hop = h + 1 == hops;
-              prev = static_cast<std::uint32_t>(transfers_.size());
-              add_transfer(op);
-            }
+            add_chain(hops, true, false,
+                      [&](std::size_t h) { return slot(p * hops + h); });
           }
           edge_last_remaining_[e] =
               static_cast<std::uint32_t>(comm.packet_count);
           break;
         }
-        case Kind::kBandwidth: {
+        case Kind::kBandwidth:
           if (comm.profiles.empty()) {
             break;
           }
           throw_if(comm.profiles.size() != comm.route.size(),
                    "execute: malformed bandwidth communication");
-          std::uint32_t prev = kNone32;
-          for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
-            const timeline::RateProfile& profile = comm.profiles[h];
-            TransferOp op;
-            op.edge = static_cast<std::uint32_t>(e);
-            op.orig_edge = ctx_.edge_orig[e];
-            op.chain_prev = prev;
-            op.link = comm.route[h].value();
-            op.fluid = true;
-            op.anchor_start = ctx_.t0 + profile.start_time();
-            op.anchor_finish = ctx_.t0 + profile.finish_time();
-            op.last_hop = h + 1 == comm.profiles.size();
-            prev = static_cast<std::uint32_t>(transfers_.size());
-            add_transfer(op);
-          }
+          add_chain(comm.profiles.size(), false, true, [&](std::size_t h) {
+            const timeline::RateProfileView profile = comm.profiles[h];
+            return std::tuple{comm.route[h].value(), profile.start_time(),
+                              profile.finish_time()};
+          });
           edge_last_remaining_[e] = 1;
           break;
-        }
       }
     }
     edge_ops_[num_edges] = static_cast<std::uint32_t>(transfers_.size());

@@ -167,7 +167,7 @@ std::uint64_t Topology::fingerprint() const noexcept {
   return fp.value();
 }
 
-void Topology::validate_route(const Route& route, NodeId from,
+void Topology::validate_route(std::span<const LinkId> route, NodeId from,
                               NodeId to) const {
   if (from == to) {
     throw_if(!route.empty(),

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,7 +151,8 @@ class Topology {
 
   /// Checks a route: non-empty links, consecutive, from -> to. Throws
   /// std::invalid_argument when broken.
-  void validate_route(const Route& route, NodeId from, NodeId to) const;
+  void validate_route(std::span<const LinkId> route, NodeId from,
+                      NodeId to) const;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

@@ -45,20 +45,17 @@ Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
     for (dag::EdgeId e : graph.in_edges(task)) {
       const dag::Edge& edge = graph.edge(e);
       const TaskPlacement& src = out.task(edge.src);
-      EdgeCommunication comm;
-      comm.arrival = src.finish;
+      double arrival = src.finish;
       if (src.processor == processor || edge.cost <= 0.0) {
-        comm.kind = EdgeCommunication::Kind::kLocal;
+        out.set_communication(e, Communication::Kind::kLocal, arrival);
       } else {
         const net::Route& route = routes.route(src.processor, processor);
-        comm.arrival =
+        arrival =
             network.commit_edge_basic(e, route, ready_moment, edge.cost);
-        comm.kind = EdgeCommunication::Kind::kExclusive;
-        comm.route = route;
-        comm.occupations = network.record(e).occupations;
+        out.set_communication(e, Communication::Kind::kExclusive, arrival,
+                              route, network.record(e));
       }
-      data_ready = std::max(data_ready, comm.arrival);
-      out.set_communication(e, std::move(comm));
+      data_ready = std::max(data_ready, arrival);
     }
     const double duration =
         graph.weight(task) / topology.processor_speed(processor);
@@ -67,6 +64,7 @@ Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
     machines.commit(processor, task, start, duration);
     out.place_task(task, TaskPlacement{processor, start, start + duration});
   }
+  out.shrink_to_fit();
   return out;
 }
 

@@ -80,12 +80,11 @@ Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
     for (std::size_t i = 0; i < in.size(); ++i) {
       const dag::Edge& edge = graph.edge(in[i]);
       const TaskPlacement& src = out.task(edge.src);
-      EdgeCommunication comm;
-      comm.arrival = chosen_arrivals[i];
-      comm.kind = (src.processor == chosen || edge.cost <= 0.0)
-                      ? EdgeCommunication::Kind::kLocal
-                      : EdgeCommunication::Kind::kContentionFree;
-      out.set_communication(in[i], std::move(comm));
+      out.set_communication(in[i],
+                            (src.processor == chosen || edge.cost <= 0.0)
+                                ? Communication::Kind::kLocal
+                                : Communication::Kind::kContentionFree,
+                            chosen_arrivals[i]);
     }
   }
   return out;

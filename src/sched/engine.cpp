@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -231,28 +232,32 @@ void probe_route(const BandwidthNetworkState& network,
 // ---------------------------------------------------------------------------
 // Commit (§3, §4.4, §2.2, §5) and the decision-log hops it leaves
 
-/// Books the routed communication on exclusive links and fills `comm`.
-void commit(const AlgorithmSpec& spec, ExclusiveNetworkState& network,
-            dag::EdgeId edge, const net::Route& route, double ship_time,
-            double cost, EdgeCommunication& comm) {
+/// Books the routed communication on exclusive links, records it in
+/// `out` and returns its arrival.
+double commit(const AlgorithmSpec& spec, ExclusiveNetworkState& network,
+              dag::EdgeId edge, const net::Route& route, double ship_time,
+              double cost, Schedule& out) {
+  using Kind = Communication::Kind;
   switch (spec.insertion) {
-    case InsertionPolicyKind::kFirstFit:
+    case InsertionPolicyKind::kFirstFit: {
       // First-fit exclusive slots (§3), never displacing booked edges.
-      comm.arrival = network.commit_edge_basic(edge, route, ship_time, cost);
-      comm.kind = EdgeCommunication::Kind::kExclusive;
-      comm.route = route;
-      comm.occupations = network.record(edge).occupations;
-      return;
-    case InsertionPolicyKind::kOptimal:
+      const double arrival =
+          network.commit_edge_basic(edge, route, ship_time, cost);
+      out.set_communication(edge, Kind::kExclusive, arrival, route,
+                            network.record(edge));
+      return arrival;
+    }
+    case InsertionPolicyKind::kOptimal: {
       // Optimal insertion (§4.4): booked slots may defer within their
       // causality slack, so later commits can still move this edge's
       // occupations. No route or occupations here: the end-of-run
       // refresh (refresh_deferred) writes every routed edge from the
       // final link records.
-      comm.arrival =
+      const double arrival =
           network.commit_edge_optimal(edge, route, ship_time, cost);
-      comm.kind = EdgeCommunication::Kind::kExclusive;
-      return;
+      out.set_communication(edge, Kind::kExclusive, arrival);
+      return arrival;
+    }
     case InsertionPolicyKind::kPacketized: {
       // Store-and-forward packets (§2.2): the message splits into
       // equal-volume packets; each hop of a packet starts only after the
@@ -260,49 +265,46 @@ void commit(const AlgorithmSpec& spec, ExclusiveNetworkState& network,
       const std::size_t packets = static_cast<std::size_t>(
           std::max(1.0, std::ceil(cost / spec.packet_size)));
       const double volume = cost / static_cast<double>(packets);
-      comm.arrival =
+      const double arrival =
           network.commit_packets(edge, route, ship_time, volume, packets);
-      comm.kind = EdgeCommunication::Kind::kPacketized;
-      comm.route = route;
-      comm.occupations = network.record(edge).occupations;
-      comm.packet_count = packets;
-      return;
+      out.set_communication(edge, Kind::kPacketized, arrival, route,
+                            network.record(edge), packets);
+      return arrival;
     }
     case InsertionPolicyKind::kFluidBandwidth:
       break;
   }
   EDGESCHED_ASSERT_MSG(false, "fluid insertion on the exclusive state");
+  return 0.0;
 }
 
 /// Fluid bandwidth sharing (§5): full remaining bandwidth on the first
 /// hop, fluid forwarding on subsequent hops, rate profiles committed.
-void commit(const AlgorithmSpec& /*spec*/, BandwidthNetworkState& network,
-            dag::EdgeId /*edge*/, const net::Route& route, double ship_time,
-            double cost, EdgeCommunication& comm) {
-  BandwidthNetworkState::Transfer transfer =
+double commit(const AlgorithmSpec& /*spec*/, BandwidthNetworkState& network,
+              dag::EdgeId edge, const net::Route& route, double ship_time,
+              double cost, Schedule& out) {
+  const BandwidthNetworkState::Transfer transfer =
       network.commit_edge(route, ship_time, cost);
-  comm.kind = EdgeCommunication::Kind::kBandwidth;
-  comm.route = route;
-  comm.profiles = std::move(transfer.profiles);
-  comm.arrival = transfer.arrival;
+  out.set_communication(edge, Communication::Kind::kBandwidth,
+                        transfer.arrival, route, {}, 0, transfer.profiles);
+  return transfer.arrival;
 }
 
 /// Exclusive hops come from the edge's link record as committed now
 /// (under optimal insertion, later deferrals may still move them).
 void append_hops(const ExclusiveNetworkState& network, dag::EdgeId edge,
-                 const EdgeCommunication& /*comm*/,
-                 std::vector<obs::EdgeHop>& hops) {
-  const EdgeRecord& record = network.record(edge);
-  hops.reserve(hops.size() + record.occupations.size());
-  for (const LinkOccupation& occ : record.occupations) {
+                 const Schedule& /*out*/, std::vector<obs::EdgeHop>& hops) {
+  const std::span<const LinkOccupation> record = network.record(edge);
+  hops.reserve(hops.size() + record.size());
+  for (const LinkOccupation& occ : record) {
     hops.push_back(obs::EdgeHop{static_cast<std::uint32_t>(occ.link.index()),
                                 occ.start, occ.finish});
   }
 }
 
-void append_hops(const BandwidthNetworkState& /*network*/,
-                 dag::EdgeId /*edge*/, const EdgeCommunication& comm,
-                 std::vector<obs::EdgeHop>& hops) {
+void append_hops(const BandwidthNetworkState& /*network*/, dag::EdgeId edge,
+                 const Schedule& out, std::vector<obs::EdgeHop>& hops) {
+  const Communication comm = out.communication(edge);
   for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
     hops.push_back(obs::EdgeHop{
         static_cast<std::uint32_t>(comm.route[i].index()),
@@ -312,18 +314,26 @@ void append_hops(const BandwidthNetworkState& /*network*/,
 
 /// End of an optimal-insertion run: deferral may have moved earlier
 /// edges' occupations after their communications were recorded, so every
-/// routed edge is rewritten from its final link record, moved out of the
-/// network state (`records` is by EdgeId).
-void refresh_deferred(std::vector<EdgeRecord> records, Schedule& out) {
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EdgeRecord& record = records[i];
-    if (record.scheduled()) {
-      EdgeCommunication comm;
-      comm.kind = EdgeCommunication::Kind::kExclusive;
-      comm.arrival = record.occupations.back().finish;
-      comm.route = std::move(record.route);
-      comm.occupations = std::move(record.occupations);
-      out.set_communication(dag::EdgeId(i), std::move(comm));
+/// routed edge is rewritten from its final link record. `route` is
+/// scratch for the record's links.
+void refresh_deferred(const ExclusiveNetworkState& network,
+                      net::Route& route, Schedule& out) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < out.num_edges(); ++i) {
+    total += network.record(dag::EdgeId(i)).size();
+  }
+  // Exact room up front: no growth copies, nothing left to trim.
+  out.reserve(total, total);
+  for (std::size_t i = 0; i < out.num_edges(); ++i) {
+    const std::span<const LinkOccupation> record =
+        network.record(dag::EdgeId(i));
+    if (!record.empty()) {
+      route.clear();
+      for (const LinkOccupation& occ : record) {
+        route.push_back(occ.link);
+      }
+      out.set_communication(dag::EdgeId(i), Communication::Kind::kExclusive,
+                            record.back().finish, route, record);
     }
   }
 }
@@ -475,17 +485,17 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
     for (dag::EdgeId e : in) {
       const dag::Edge& edge = graph.edge(e);
       const TaskPlacement& src = out.task(edge.src);
-      EdgeCommunication comm;
-      comm.arrival = src.finish;
+      double arrival = src.finish;
       double ship_time = src.finish;
-      if (src.processor == chosen || edge.cost <= 0.0) {
-        comm.kind = EdgeCommunication::Kind::kLocal;
+      const bool local = src.processor == chosen || edge.cost <= 0.0;
+      if (local) {
+        out.set_communication(e, Communication::Kind::kLocal, arrival);
       } else {
         obs::Span route_span(names.route_edge, "sched", e.value());
         ship_time = spec.eager_communication ? src.finish : ready_moment;
         const net::Route& path =
             route(src.processor, chosen, ship_time, edge.cost);
-        commit(spec, network, e, path, ship_time, edge.cost, comm);
+        arrival = commit(spec, network, e, path, ship_time, edge.cost, out);
         ++edges_routed;
       }
       if (log != nullptr) {
@@ -494,16 +504,15 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
         decision.edge = static_cast<std::uint32_t>(e.index());
         decision.src_task = static_cast<std::uint32_t>(edge.src.index());
         decision.dst_task = static_cast<std::uint32_t>(edge.dst.index());
-        decision.local = comm.kind == EdgeCommunication::Kind::kLocal;
+        decision.local = local;
         decision.ship_time = ship_time;
-        decision.arrival = comm.arrival;
+        decision.arrival = arrival;
         if (!decision.local) {
-          append_hops(network, e, comm, decision.hops);
+          append_hops(network, e, out, decision.hops);
         }
         log->record(std::move(decision));
       }
-      data_ready = std::max(data_ready, comm.arrival);
-      out.set_communication(e, std::move(comm));
+      data_ready = std::max(data_ready, arrival);
     }
 
     // Place the task.
@@ -523,9 +532,10 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
 
   if constexpr (kExclusive) {
     if (spec.insertion == InsertionPolicyKind::kOptimal) {
-      refresh_deferred(std::move(network).take_records(), out);
+      refresh_deferred(network, probed, out);
     }
   }
+  out.shrink_to_fit();
 
   obs::HotCounters& counters = obs::hot_counters();
   counters.tasks_placed.increment(tasks_placed);

@@ -12,14 +12,14 @@ std::vector<double> domain_busy_times(const dag::TaskGraph& graph,
                                       const Schedule& schedule) {
   std::vector<double> busy(topology.num_domains(), 0.0);
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = schedule.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kExclusive ||
-        comm.kind == EdgeCommunication::Kind::kPacketized) {
+    const Communication comm = schedule.communication(e);
+    if (comm.kind == Communication::Kind::kExclusive ||
+        comm.kind == Communication::Kind::kPacketized) {
       for (const LinkOccupation& occ : comm.occupations) {
         busy[topology.domain(occ.link).index()] +=
             occ.finish - occ.start;
       }
-    } else if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+    } else if (comm.kind == Communication::Kind::kBandwidth) {
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
         // Busy time weighted by the used bandwidth fraction, so a
         // half-rate transfer counts half.
@@ -80,8 +80,8 @@ ScheduleMetrics compute_metrics(const dag::TaskGraph& graph,
   double hops = 0.0;
   double delay = 0.0;
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = schedule.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kLocal) {
+    const Communication comm = schedule.communication(e);
+    if (comm.kind == Communication::Kind::kLocal) {
       ++m.local_edges;
     } else {
       ++m.remote_edges;

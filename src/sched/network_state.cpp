@@ -71,11 +71,9 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
                                                 double ready, double cost) {
   EDGESCHED_ASSERT_MSG(!route.empty(), "cannot commit an edge on an empty "
                                        "route");
-  EDGESCHED_ASSERT_MSG(!records_[edge.index()].scheduled(),
+  EDGESCHED_ASSERT_MSG(records_[edge.index()].size == 0,
                        "edge committed twice");
-  EdgeRecord record;
-  record.route = route;
-  record.occupations.reserve(route.size());
+  const std::size_t begin = occupations_.size();
   hop_positions_.clear();
   double t_es_in = ready;
   double t_f_min = 0.0;
@@ -87,15 +85,14 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
         tl.probe_basic(t_es_in, t_f_min, duration);
     tl.commit(placement, edge, static_cast<std::uint32_t>(hop));
     hop_positions_.push_back(placement.position);
-    record.occupations.push_back(LinkOccupation{
+    occupations_.push_back(LinkOccupation{
         link, placement.earliest_start, placement.start, placement.finish});
     // Cut-through: the next hop sees the flow start (and finish) one
     // station delay later.
     t_es_in = placement.start + hop_delay_;
     t_f_min = placement.finish + hop_delay_;
   }
-  records_[edge.index()] = std::move(record);
-  write_deferrals(edge);
+  close_record(edge, begin);
   return t_f_min - hop_delay_;
 }
 
@@ -105,11 +102,9 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
                                                   double cost) {
   EDGESCHED_ASSERT_MSG(!route.empty(), "cannot commit an edge on an empty "
                                        "route");
-  EDGESCHED_ASSERT_MSG(!records_[edge.index()].scheduled(),
+  EDGESCHED_ASSERT_MSG(records_[edge.index()].size == 0,
                        "edge committed twice");
-  EdgeRecord record;
-  record.route = route;
-  record.occupations.reserve(route.size());
+  const std::size_t begin = occupations_.size();
   hop_positions_.clear();
   double t_es_in = ready;
   double t_f_min = 0.0;
@@ -127,10 +122,10 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
     for (const timeline::SlotShift& shift : optimal.shifts) {
       const timeline::TimeSlot& old_slot = tl.slots()[shift.position];
       slack_consumed += shift.new_finish - old_slot.finish;
-      EdgeRecord& displaced = records_[shift.edge.index()];
-      EDGESCHED_ASSERT_MSG(old_slot.hop < displaced.occupations.size(),
+      const Extent displaced = records_[shift.edge.index()];
+      EDGESCHED_ASSERT_MSG(old_slot.hop < displaced.size,
                            "displaced slot has no matching edge record");
-      LinkOccupation& occ = displaced.occupations[old_slot.hop];
+      LinkOccupation& occ = occupations_[displaced.begin + old_slot.hop];
       EDGESCHED_ASSERT_MSG(
           topology_->domain(occ.link) == domain &&
               std::abs(occ.start - old_slot.start) <= match_eps(occ.start) &&
@@ -169,14 +164,13 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
           optimal.placement.finish});
     }
 
-    record.occupations.push_back(LinkOccupation{
+    occupations_.push_back(LinkOccupation{
         link, optimal.placement.earliest_start, optimal.placement.start,
         optimal.placement.finish});
     t_es_in = optimal.placement.start + hop_delay_;
     t_f_min = optimal.placement.finish + hop_delay_;
   }
-  records_[edge.index()] = std::move(record);
-  write_deferrals(edge);
+  close_record(edge, begin);
   return t_f_min - hop_delay_;
 }
 
@@ -186,8 +180,9 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
                                              std::size_t count) {
   EDGESCHED_ASSERT_MSG(!route.empty(),
                        "cannot commit a packet on an empty route");
-  EdgeRecord& record = records_[edge.index()];
-  EDGESCHED_ASSERT_MSG(!record.scheduled(), "packets of a booked edge");
+  EDGESCHED_ASSERT_MSG(records_[edge.index()].size == 0,
+                       "packets of a booked edge");
+  const std::size_t begin = occupations_.size();
   const std::size_t hops = route.size();
   hop_positions_.clear();
   double latest = ready;
@@ -204,9 +199,7 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
       // starts at the gap just before that slot, which is still tried in
       // case a packet shorter than the timeline's tolerance fits there.
       const double skip_before =
-          p == 0 ? 0.0
-                 : record.occupations[record.occupations.size() - hops]
-                       .start;
+          p == 0 ? 0.0 : occupations_[occupations_.size() - hops].start;
       // Store-and-forward: the packet is available at this hop only once
       // it fully crossed the previous one, so t_es = previous finish and
       // there is no cross-hop minimum-finish coupling.
@@ -215,46 +208,58 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
       // A packet hop's slot is named by its index in the record, which
       // lists every packet's occupations packet by packet.
       tl.commit(placement, edge,
-                static_cast<std::uint32_t>(record.occupations.size()));
+                static_cast<std::uint32_t>(occupations_.size() - begin));
       hop_positions_.push_back(placement.position);
-      record.route.push_back(link);
-      record.occupations.push_back(LinkOccupation{
+      occupations_.push_back(LinkOccupation{
           link, placement.earliest_start, placement.start, placement.finish});
       arrival = placement.finish + hop_delay_;
     }
     latest = std::max(latest, arrival - hop_delay_);
   }
-  write_deferrals(edge);
+  close_record(edge, begin);
   return latest;
 }
 
+void ExclusiveNetworkState::close_record(dag::EdgeId edge,
+                                         std::size_t begin) {
+  EDGESCHED_ASSERT(occupations_.size() <=
+                   std::numeric_limits<std::uint32_t>::max());
+  records_[edge.index()] =
+      Extent{static_cast<std::uint32_t>(begin),
+             static_cast<std::uint32_t>(occupations_.size() - begin)};
+  write_deferrals(edge);
+}
+
 void ExclusiveNetworkState::uncommit_edge(dag::EdgeId edge) {
-  EdgeRecord& record = records_[edge.index()];
-  EDGESCHED_ASSERT_MSG(record.scheduled(), "uncommit of unscheduled edge");
-  for (std::size_t i = 0; i < record.occupations.size(); ++i) {
-    timeline::LinkTimeline& tl = timeline_of(record.route[i]);
+  const Extent extent = records_[edge.index()];
+  EDGESCHED_ASSERT_MSG(extent.size > 0, "uncommit of unscheduled edge");
+  for (std::size_t i = 0; i < extent.size; ++i) {
+    const LinkOccupation& occ = occupations_[extent.begin + i];
+    timeline::LinkTimeline& tl = timeline_of(occ.link);
     const std::size_t at = tl.find_slot(
-        edge, static_cast<std::uint32_t>(i), record.occupations[i].start,
-        kNoHint);
+        edge, static_cast<std::uint32_t>(i), occ.start, kNoHint);
     EDGESCHED_ASSERT_MSG(at < tl.size(), "uncommit could not find the slot");
     tl.erase(at);
   }
-  record = EdgeRecord{};
+  if (extent.begin + extent.size == occupations_.size()) {
+    occupations_.resize(extent.begin);
+  }
+  records_[edge.index()] = Extent{};
 }
 
 void ExclusiveNetworkState::write_deferral(dag::EdgeId edge,
                                            std::size_t hop,
                                            std::size_t hint) {
-  const EdgeRecord& record = records_[edge.index()];
-  const LinkOccupation& occ = record.occupations[hop];
-  timeline::LinkTimeline& tl = timeline_of(record.route[hop]);
+  const std::span<const LinkOccupation> record = this->record(edge);
+  const LinkOccupation& occ = record[hop];
+  timeline::LinkTimeline& tl = timeline_of(occ.link);
   const std::size_t at =
       tl.find_slot(edge, static_cast<std::uint32_t>(hop), occ.start, hint);
   EDGESCHED_ASSERT_MSG(at < tl.size(),
                        "slot has no matching occupation record");
   double slack = 0.0;  // last hop: the destination task depends on t_f here
-  if (hop + 1 < record.occupations.size()) {
-    const LinkOccupation& next = record.occupations[hop + 1];
+  if (hop + 1 < record.size()) {
+    const LinkOccupation& next = record[hop + 1];
     slack = std::max(0.0, std::min(next.earliest_start - occ.earliest_start,
                                    next.finish - occ.finish));
   }
@@ -323,22 +328,25 @@ BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(
     const net::Route& route, double ready, double cost) {
   EDGESCHED_ASSERT_MSG(!route.empty(), "cannot commit an edge on an empty "
                                        "route");
-  Transfer transfer;
-  transfer.profiles.reserve(route.size());
+  if (profiles_.size() < route.size()) {
+    profiles_.resize(route.size());
+  }
   for (std::size_t i = 0; i < route.size(); ++i) {
     timeline::BandwidthTimeline& tl =
         domains_[topology_->domain(route[i]).index()];
-    timeline::RateProfile profile =
-        (i == 0) ? tl.transfer_from(ready, cost)
-                 : tl.forward(hop_delay_ > 0.0
-                                  ? transfer.profiles.back().shifted(
-                                        hop_delay_)
-                                  : transfer.profiles.back());
+    timeline::RateProfile& profile = profiles_[i];
+    if (i == 0) {
+      tl.transfer_from(ready, cost, profile);
+    } else if (hop_delay_ > 0.0) {
+      tl.forward(profiles_[i - 1].shifted(hop_delay_), profile);
+    } else {
+      tl.forward(profiles_[i - 1], profile);
+    }
     tl.consume(profile);
-    transfer.profiles.push_back(std::move(profile));
   }
-  transfer.arrival = transfer.profiles.back().finish_time();
-  return transfer;
+  const std::span<const timeline::RateProfile> profiles(profiles_.data(),
+                                                        route.size());
+  return Transfer{profiles.back().finish_time(), profiles};
 }
 
 MachineState::MachineState(const net::Topology& topology)

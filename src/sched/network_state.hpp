@@ -1,12 +1,13 @@
 // Mutable scheduling state over a network topology.
 //
 // `ExclusiveNetworkState` holds one exclusive `LinkTimeline` per
-// contention domain plus, for every committed DAG edge, its route and
-// per-link occupations — the information OIHSA's deferral slack (Lemma 2)
-// is computed from. The state keeps each slot's slack in the slot: it
-// writes it when an edge's record is complete and rewrites it when a
-// deferral moves one of its inputs, so optimal insertion never looks a
-// record up. `BandwidthNetworkState` is the BBSA counterpart with
+// contention domain plus, for every committed DAG edge, its per-link
+// occupations (their links are the route), all in one arena — the
+// information OIHSA's deferral slack (Lemma 2) is computed from. The
+// state keeps each slot's slack in the slot: it writes it when an edge's
+// record is complete and rewrites it when a deferral moves one of its
+// inputs, so optimal insertion never looks a record up.
+// `BandwidthNetworkState` is the BBSA counterpart with
 // one `BandwidthTimeline` per domain. `MachineState` tracks the processor
 // timelines and, per processor speed, a min-tree of their finish times.
 // None of them copies: the Basic Algorithm's tentative
@@ -15,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "dag/task_graph.hpp"
@@ -28,13 +29,6 @@
 #include "timeline/processor_timeline.hpp"
 
 namespace edgesched::sched {
-
-/// Route and committed per-link occupations of one scheduled edge.
-struct EdgeRecord {
-  net::Route route;
-  std::vector<LinkOccupation> occupations;
-  [[nodiscard]] bool scheduled() const noexcept { return !route.empty(); }
-};
 
 class ExclusiveNetworkState {
  public:
@@ -85,16 +79,14 @@ class ExclusiveNetworkState {
   double commit_edge_optimal(dag::EdgeId edge, const net::Route& route,
                              double ready, double cost);
 
-  /// Record of a committed edge; unscheduled edges return an empty record.
-  [[nodiscard]] const EdgeRecord& record(dag::EdgeId edge) const {
+  /// A committed edge's occupations, hop by hop (packet by packet for
+  /// packets); empty for an unscheduled edge. Valid until the next
+  /// commit or uncommit.
+  [[nodiscard]] std::span<const LinkOccupation> record(
+      dag::EdgeId edge) const {
     EDGESCHED_ASSERT(edge.index() < records_.size());
-    return records_[edge.index()];
-  }
-
-  /// Moves every record out, by EdgeId (unscheduled edges empty). Ends
-  /// the state's use for booking: its slots still reference the records.
-  [[nodiscard]] std::vector<EdgeRecord> take_records() && {
-    return std::move(records_);
+    const Extent extent = records_[edge.index()];
+    return std::span(occupations_).subspan(extent.begin, extent.size);
   }
 
   /// Removes a committed edge's slots and record. Only safe after
@@ -133,9 +125,23 @@ class ExclusiveNetworkState {
   /// commit positions in `hop_positions_` first.
   void write_deferrals(dag::EdgeId edge);
 
+  /// The edge's occupations are `occupations_` from `begin` on: records
+  /// them and writes their slacks.
+  void close_record(dag::EdgeId edge, std::size_t begin);
+
+  /// Where an edge's occupations sit in `occupations_`; size 0 while
+  /// the edge is not booked.
+  struct Extent {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+  };
+
   const net::Topology* topology_;
   std::vector<timeline::LinkTimeline> domains_;  ///< by DomainId
-  std::vector<EdgeRecord> records_;              ///< by EdgeId
+  std::vector<Extent> records_;                  ///< by EdgeId
+  /// Every record's occupations, in commit order. Rolling back the
+  /// latest commit shrinks it; an older record's rollback leaves a hole.
+  std::vector<LinkOccupation> occupations_;
   std::vector<double> inv_speed_;                ///< 1/s(L) by LinkId
   double hop_delay_ = 0.0;
   /// Reused optimal-insertion scratch: one shift buffer for the whole
@@ -180,10 +186,11 @@ class BandwidthNetworkState {
 
   /// Schedules the edge along `route`: full remaining bandwidth on the
   /// first hop from `ready`, fluid forwarding on subsequent hops, all
-  /// profiles committed. Returns (arrival, per-hop profiles).
+  /// profiles committed. Returns (arrival, per-hop profiles); the
+  /// profiles live in the state's scratch until the next commit.
   struct Transfer {
     double arrival = 0.0;
-    std::vector<timeline::RateProfile> profiles;
+    std::span<const timeline::RateProfile> profiles;
   };
   Transfer commit_edge(const net::Route& route, double ready, double cost);
 
@@ -191,6 +198,9 @@ class BandwidthNetworkState {
   const net::Topology* topology_;
   std::vector<timeline::BandwidthTimeline> domains_;  ///< by DomainId
   double hop_delay_ = 0.0;
+  /// Per hop, the profile of the edge being committed: every commit
+  /// reuses the segment buffers instead of allocating per hop.
+  std::vector<timeline::RateProfile> profiles_;
 };
 
 /// Processor timelines, one per topology node (switch entries stay empty),

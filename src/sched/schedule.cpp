@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -21,9 +22,81 @@ void Schedule::place_task(dag::TaskId task, const TaskPlacement& placement) {
   tasks_[task.index()] = placement;
 }
 
-void Schedule::set_communication(dag::EdgeId edge, EdgeCommunication comm) {
+namespace {
+
+/// Appends `items` to `arena`; returns where they start.
+template <typename T>
+std::uint32_t append(std::vector<T>& arena, std::span<const T> items) {
+  const std::size_t at = arena.size();
+  throw_if(at + items.size() > std::numeric_limits<std::uint32_t>::max(),
+           "Schedule: edge data exceeds the 32-bit arena offsets");
+  arena.insert(arena.end(), items.begin(), items.end());
+  return static_cast<std::uint32_t>(at);
+}
+
+}  // namespace
+
+void Schedule::set_communication(
+    dag::EdgeId edge, Communication::Kind kind, double arrival,
+    std::span<const net::LinkId> route,
+    std::span<const LinkOccupation> occupations, std::size_t packet_count,
+    std::span<const timeline::RateProfile> profiles) {
   EDGESCHED_ASSERT(edge.index() < edges_.size());
-  edges_[edge.index()] = std::move(comm);
+  throw_if(!occupations.empty() && !profiles.empty(),
+           "Schedule: an edge carries occupations or rate profiles, not both");
+  const std::size_t payload_size = occupations.size() + profiles.size();
+  throw_if(route.size() > std::numeric_limits<std::uint16_t>::max() ||
+               packet_count > std::numeric_limits<std::uint16_t>::max() ||
+               payload_size >= (1u << 24),
+           "Schedule: edge communication too large to record");
+  EdgeRecord& record = edges_[edge.index()];
+  record.arrival = arrival;
+  record.route = append(routes_, route);
+  record.payload_size = static_cast<std::uint32_t>(payload_size);
+  record.kind = static_cast<std::uint32_t>(kind);
+  record.profiles = profiles.empty() ? 0 : 1;
+  record.hops = static_cast<std::uint16_t>(route.size());
+  record.packet_count = static_cast<std::uint16_t>(packet_count);
+  if (profiles.empty()) {
+    record.payload = append(occupations_, occupations);
+    return;
+  }
+  record.payload = static_cast<std::uint32_t>(bounds_.size());
+  for (const timeline::RateProfile& profile : profiles) {
+    bounds_.push_back(append(segments_, profile.segments()));
+  }
+  bounds_.push_back(static_cast<std::uint32_t>(segments_.size()));
+}
+
+void Schedule::reserve(std::size_t route_links, std::size_t occupations) {
+  routes_.reserve(routes_.size() + route_links);
+  occupations_.reserve(occupations_.size() + occupations);
+}
+
+void Schedule::shrink_to_fit() {
+  routes_.shrink_to_fit();
+  occupations_.shrink_to_fit();
+  segments_.shrink_to_fit();
+  bounds_.shrink_to_fit();
+}
+
+Communication Schedule::communication(dag::EdgeId id) const {
+  EDGESCHED_ASSERT(id.index() < edges_.size());
+  const EdgeRecord& record = edges_[id.index()];
+  Communication comm;
+  comm.kind = static_cast<Communication::Kind>(record.kind);
+  comm.arrival = record.arrival;
+  comm.packet_count = record.packet_count;
+  comm.route = std::span(routes_).subspan(record.route, record.hops);
+  if (record.profiles != 0) {
+    comm.profiles = timeline::RateProfileList(
+        segments_,
+        std::span(bounds_).subspan(record.payload, record.payload_size + 1));
+  } else {
+    comm.occupations =
+        std::span(occupations_).subspan(record.payload, record.payload_size);
+  }
+  return comm;
 }
 
 double Schedule::makespan() const noexcept {
@@ -32,22 +105,6 @@ double Schedule::makespan() const noexcept {
     latest = std::max(latest, placement.finish);
   }
   return latest;
-}
-
-double Schedule::processor_utilisation(const dag::TaskGraph& graph,
-                                       const net::Topology& topology) const {
-  (void)graph;
-  const double total = makespan();
-  if (total <= 0.0 || topology.num_processors() == 0) {
-    return 0.0;
-  }
-  double busy = 0.0;
-  for (const TaskPlacement& placement : tasks_) {
-    if (placement.placed()) {
-      busy += placement.finish - placement.start;
-    }
-  }
-  return busy / (total * static_cast<double>(topology.num_processors()));
 }
 
 std::uint64_t Schedule::fingerprint() const noexcept {
@@ -61,7 +118,8 @@ std::uint64_t Schedule::fingerprint() const noexcept {
     fp.mix(p.finish);
   }
   fp.mix(static_cast<std::uint64_t>(edges_.size()));
-  for (const EdgeCommunication& comm : edges_) {
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const Communication comm = communication(dag::EdgeId(e));
     fp.mix(static_cast<std::uint64_t>(comm.kind));
     fp.mix(static_cast<std::uint64_t>(comm.route.size()));
     for (const net::LinkId link : comm.route) {
@@ -75,9 +133,11 @@ std::uint64_t Schedule::fingerprint() const noexcept {
       fp.mix(occ.finish);
     }
     fp.mix(static_cast<std::uint64_t>(comm.profiles.size()));
-    for (const timeline::RateProfile& profile : comm.profiles) {
-      fp.mix(static_cast<std::uint64_t>(profile.segments().size()));
-      for (const timeline::RateSegment& seg : profile.segments()) {
+    for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
+      const std::span<const timeline::RateSegment> segments =
+          comm.profiles[h].segments();
+      fp.mix(static_cast<std::uint64_t>(segments.size()));
+      for (const timeline::RateSegment& seg : segments) {
         fp.mix(seg.start);
         fp.mix(seg.end);
         fp.mix(seg.rate);
@@ -114,21 +174,21 @@ std::string Schedule::to_string(const dag::TaskGraph& graph,
     os << "\n";
   }
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = edges_[e.index()];
-    if (comm.kind == EdgeCommunication::Kind::kLocal) {
+    const Communication comm = communication(e);
+    if (comm.kind == Communication::Kind::kLocal) {
       continue;
     }
     const dag::Edge& edge = graph.edge(e);
     os << "  edge " << graph.task(edge.src).name << "->"
        << graph.task(edge.dst).name << " arrival=" << comm.arrival;
-    if (comm.kind == EdgeCommunication::Kind::kExclusive) {
+    if (comm.kind == Communication::Kind::kExclusive) {
       for (const LinkOccupation& occ : comm.occupations) {
         os << " L" << occ.link.value() << "[" << occ.start << ','
            << occ.finish << ')';
       }
-    } else if (comm.kind == EdgeCommunication::Kind::kPacketized) {
+    } else if (comm.kind == Communication::Kind::kPacketized) {
       os << " packets=" << comm.packet_count;
-    } else if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+    } else if (comm.kind == Communication::Kind::kBandwidth) {
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
         os << " L" << comm.route[i].value() << "(v="
            << comm.profiles[i].volume() << ")";

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,11 @@ struct LinkOccupation {
   double finish = 0.0;          ///< t_f(e, L)
 };
 
-/// How one DAG edge's communication was realised.
-struct EdgeCommunication {
-  enum class Kind {
+/// How one DAG edge's communication was realised: a read-only view
+/// into the owning `Schedule`'s arenas, valid while that schedule lives
+/// and until its next `set_communication` or `shrink_to_fit`.
+struct Communication {
+  enum class Kind : std::uint8_t {
     kLocal,          ///< same processor: free, instantaneous
     kExclusive,      ///< per-link exclusive time slots (BA, OIHSA)
     kBandwidth,      ///< per-link rate profiles (BBSA)
@@ -47,12 +50,12 @@ struct EdgeCommunication {
   };
 
   Kind kind = Kind::kLocal;
-  net::Route route;  ///< empty for kLocal / kContentionFree
+  std::span<const net::LinkId> route;  ///< empty for kLocal / kContentionFree
   /// Exclusive model: one occupation per route link. Packetized model:
   /// packet-major layout — occupation p·|route|+h is packet p on hop h.
-  std::vector<LinkOccupation> occupations;
+  std::span<const LinkOccupation> occupations;
   /// Bandwidth model: one transfer profile per route link.
-  std::vector<timeline::RateProfile> profiles;
+  timeline::RateProfileList profiles;
   /// Packetized model: number of equal-volume packets (0 otherwise).
   std::size_t packet_count = 0;
   /// When the data is completely available at the destination processor.
@@ -66,16 +69,31 @@ class Schedule {
            std::size_t num_edges);
 
   void place_task(dag::TaskId task, const TaskPlacement& placement);
-  void set_communication(dag::EdgeId edge, EdgeCommunication comm);
+
+  /// Records how `edge` communicates, copying the payload into the
+  /// schedule's arenas: occupations (exclusive, packetized) or rate
+  /// profiles (bandwidth), never both; the spans must not point into
+  /// this schedule. Setting an edge again replaces its record; the
+  /// arenas keep the old payload until the schedule is copied.
+  void set_communication(
+      dag::EdgeId edge, Communication::Kind kind, double arrival,
+      std::span<const net::LinkId> route = {},
+      std::span<const LinkOccupation> occupations = {},
+      std::size_t packet_count = 0,
+      std::span<const timeline::RateProfile> profiles = {});
+
+  /// Room for `route_links` links and `occupations` occupations more,
+  /// for a writer that knows what it is about to append.
+  void reserve(std::size_t route_links, std::size_t occupations);
+
+  /// Drops the arenas' growth slack; writers call it once a run ends.
+  void shrink_to_fit();
 
   [[nodiscard]] const TaskPlacement& task(dag::TaskId id) const {
     EDGESCHED_ASSERT(id.index() < tasks_.size());
     return tasks_[id.index()];
   }
-  [[nodiscard]] const EdgeCommunication& communication(dag::EdgeId id) const {
-    EDGESCHED_ASSERT(id.index() < edges_.size());
-    return edges_[id.index()];
-  }
+  [[nodiscard]] Communication communication(dag::EdgeId id) const;
 
   [[nodiscard]] std::size_t num_tasks() const noexcept {
     return tasks_.size();
@@ -92,11 +110,6 @@ class Schedule {
     return algorithm_;
   }
 
-  /// Sum of busy time over processors divided by makespan·|P| — a simple
-  /// utilisation figure for reports.
-  [[nodiscard]] double processor_utilisation(
-      const dag::TaskGraph& graph, const net::Topology& topology) const;
-
   /// Human-readable Gantt-style dump (one line per task, then per edge).
   [[nodiscard]] std::string to_string(const dag::TaskGraph& graph,
                                       const net::Topology& topology) const;
@@ -110,9 +123,29 @@ class Schedule {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
  private:
+  /// One edge's communication: 24 bytes, its payload in the arenas.
+  struct EdgeRecord {
+    double arrival = 0.0;
+    std::uint32_t route = 0;    ///< first link in routes_
+    std::uint32_t payload = 0;  ///< first occupation, or first bound
+    std::uint32_t payload_size : 24 = 0;  ///< occupations or profiles
+    std::uint32_t kind : 7 = 0;
+    std::uint32_t profiles : 1 = 0;  ///< the payload is rate profiles
+    std::uint16_t hops = 0;
+    std::uint16_t packet_count = 0;
+  };
+
   std::string algorithm_;
   std::vector<TaskPlacement> tasks_;
-  std::vector<EdgeCommunication> edges_;
+  std::vector<EdgeRecord> edges_;
+  // Arenas, appended in commit order.
+  std::vector<net::LinkId> routes_;
+  std::vector<LinkOccupation> occupations_;
+  std::vector<timeline::RateSegment> segments_;
+  /// Per bandwidth edge, its profiles' first segments and one past the
+  /// last: profile i spans segments_[bounds_[payload + i],
+  /// bounds_[payload + i + 1]).
+  std::vector<std::uint32_t> bounds_;
 };
 
 }  // namespace edgesched::sched

@@ -24,21 +24,21 @@ std::vector<LinkEvent> collect_link_events(const dag::TaskGraph& graph,
                                            const Schedule& schedule) {
   std::vector<LinkEvent> events;
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = schedule.communication(e);
+    const Communication comm = schedule.communication(e);
     const dag::Edge& edge = graph.edge(e);
     const std::string label = graph.task(edge.src).name + "->" +
                               graph.task(edge.dst).name;
-    if (comm.kind == EdgeCommunication::Kind::kExclusive ||
-        comm.kind == EdgeCommunication::Kind::kPacketized) {
+    if (comm.kind == Communication::Kind::kExclusive ||
+        comm.kind == Communication::Kind::kPacketized) {
       for (const LinkOccupation& occ : comm.occupations) {
         if (occ.finish > occ.start) {
           events.push_back(LinkEvent{topology.domain(occ.link), occ.start,
                                      occ.finish, label});
         }
       }
-    } else if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+    } else if (comm.kind == Communication::Kind::kBandwidth) {
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
-        const auto& profile = comm.profiles[i];
+        const timeline::RateProfileView profile = comm.profiles[i];
         if (!profile.empty()) {
           events.push_back(LinkEvent{topology.domain(comm.route[i]),
                                      profile.start_time(),

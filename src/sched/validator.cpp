@@ -85,7 +85,7 @@ void check_edge(const dag::TaskGraph& graph, const net::Topology& topology,
                 const Schedule& schedule, dag::EdgeId e, double eps,
                 bool allow_contention_free, Reporter& report) {
   const dag::Edge& edge = graph.edge(e);
-  const EdgeCommunication& comm = schedule.communication(e);
+  const Communication comm = schedule.communication(e);
   const TaskPlacement& src = schedule.task(edge.src);
   const TaskPlacement& dst = schedule.task(edge.dst);
   if (!src.placed() || !dst.placed()) {
@@ -93,7 +93,7 @@ void check_edge(const dag::TaskGraph& graph, const net::Topology& topology,
   }
   const bool same_processor = src.processor == dst.processor;
 
-  using Kind = EdgeCommunication::Kind;
+  using Kind = Communication::Kind;
   switch (comm.kind) {
     case Kind::kLocal: {
       if (!same_processor && edge.cost > 0.0) {
@@ -248,7 +248,7 @@ void check_edge(const dag::TaskGraph& graph, const net::Topology& topology,
       const double volume_eps =
           std::max(eps, 1e-5 * std::max(1.0, edge.cost));
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
-        const timeline::RateProfile& profile = comm.profiles[i];
+        const timeline::RateProfileView profile = comm.profiles[i];
         if (std::abs(profile.volume() - edge.cost) > volume_eps) {
           report.add("edge ", e.value(), " hop ", i, " moves volume ",
                      profile.volume(), " != c(e) = ", edge.cost);
@@ -261,7 +261,7 @@ void check_edge(const dag::TaskGraph& graph, const net::Topology& topology,
         } else {
           // Fluid causality: outflow never ahead of inflow. Check at all
           // breakpoints of both profiles.
-          const timeline::RateProfile& inflow = comm.profiles[i - 1];
+          const timeline::RateProfileView inflow = comm.profiles[i - 1];
           std::vector<double> points = inflow.breakpoints();
           const std::vector<double> more = profile.breakpoints();
           points.insert(points.end(), more.begin(), more.end());
@@ -313,16 +313,16 @@ void check_domain_capacity(const dag::TaskGraph& graph,
   std::map<net::DomainId, double> capacity;
 
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = schedule.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kExclusive ||
-        comm.kind == EdgeCommunication::Kind::kPacketized) {
+    const Communication comm = schedule.communication(e);
+    if (comm.kind == Communication::Kind::kExclusive ||
+        comm.kind == Communication::Kind::kPacketized) {
       for (const LinkOccupation& occ : comm.occupations) {
         if (occ.finish - occ.start > eps) {
           intervals[topology.domain(occ.link)].emplace_back(occ.start,
                                                             occ.finish);
         }
       }
-    } else if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+    } else if (comm.kind == Communication::Kind::kBandwidth) {
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
         const net::DomainId domain = topology.domain(comm.route[i]);
         capacity[domain] = topology.link_speed(comm.route[i]);

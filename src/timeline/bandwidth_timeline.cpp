@@ -33,10 +33,10 @@ double BandwidthTimeline::remaining_at(double t) const {
   return breakpoints_[segment_index(t)].second;
 }
 
-RateProfile BandwidthTimeline::transfer_from(double ready_time,
-                                             double volume) const {
+void BandwidthTimeline::transfer_from(double ready_time, double volume,
+                                      RateProfile& out) const {
   EDGESCHED_ASSERT_MSG(volume > 0.0, "transfer volume must be positive");
-  RateProfile out;
+  out.clear();
   double t = std::max(ready_time, 0.0);
   double sent = 0.0;
   // Completion is volume-relative: at large schedule times an absolute
@@ -72,13 +72,13 @@ RateProfile BandwidthTimeline::transfer_from(double ready_time,
     }
     ++i;
   }
-  return out;
 }
 
-RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
+void BandwidthTimeline::forward(RateProfileView inflow,
+                                RateProfile& out) const {
   const double volume = inflow.volume();
   EDGESCHED_ASSERT_MSG(volume > kEps, "forward: empty inflow");
-  const std::vector<RateSegment>& in = inflow.segments();
+  const std::span<const RateSegment> in = inflow.segments();
   const std::size_t num_in = in.size();
   const std::size_t num_bw = breakpoints_.size();
   // An inflow segment's start is a sweep event unless it abuts the
@@ -87,7 +87,7 @@ RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
     return j == 0 || in[j - 1].end < in[j].start - kEps;
   };
 
-  RateProfile out;
+  out.clear();
   double t = inflow.start_time();
   double sent = 0.0;
   double arrived = 0.0;
@@ -235,11 +235,10 @@ RateProfile BandwidthTimeline::forward(const RateProfile& inflow) const {
     // Clamp accumulated float error in the inflow integral.
     arrived = std::min(arrived, volume);
   }
-  return out;
 }
 
-void BandwidthTimeline::consume(const RateProfile& profile) {
-  const std::vector<RateSegment>& segments = profile.segments();
+void BandwidthTimeline::consume(RateProfileView profile) {
+  const std::span<const RateSegment> segments = profile.segments();
   if (segments.empty()) {
     return;
   }

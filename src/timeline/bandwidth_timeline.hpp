@@ -31,24 +31,26 @@ class BandwidthTimeline {
 
   /// Source-side transfer: all `volume` is available at `ready_time`; the
   /// edge greedily uses every drop of remaining bandwidth from then on.
-  /// Returns the transfer profile; does not commit.
-  [[nodiscard]] RateProfile transfer_from(double ready_time,
-                                          double volume) const;
+  /// Writes the transfer profile into `out` (cleared first, its capacity
+  /// reused); does not commit.
+  void transfer_from(double ready_time, double volume,
+                     RateProfile& out) const;
 
   /// Forwarding transfer: moves `inflow.volume()` across this link subject
   /// to cum_out(t) <= cum_in(t) (data must have arrived on the previous
   /// link) and rate_out(t) <= remaining(t). Greedy, hence earliest-finish.
-  /// Returns the transfer profile; does not commit. Costs one binary
+  /// Writes the transfer profile into `out` (cleared first; it must not
+  /// be `inflow`'s storage); does not commit. Costs one binary
   /// search plus time linear in the inflow segments and the link
   /// breakpoints the sweep crosses, not in the whole link timeline.
   /// Saturated breakpoints after the inflow has fully arrived are
   /// crossed in a tight loop that changes no value.
-  [[nodiscard]] RateProfile forward(const RateProfile& inflow) const;
+  void forward(RateProfileView inflow, RateProfile& out) const;
 
   /// Books a probed profile: subtracts it from the remaining rate.
   /// The profile must respect the current remaining capacity. One binary
   /// search, then one cursor over the breakpoints the profile covers.
-  void consume(const RateProfile& profile);
+  void consume(RateProfileView profile);
 
   /// The routing probe for BBSA, from one breakpoint lookup: the first
   /// time >= t with positive remaining rate, and the earliest time by

@@ -25,7 +25,7 @@ void RateProfile::append(double start, double end, double rate) {
   segments_.push_back(RateSegment{start, end, rate});
 }
 
-double RateProfile::volume() const noexcept {
+double RateProfileView::volume() const noexcept {
   double total = 0.0;
   for (const RateSegment& seg : segments_) {
     total += seg.rate * (seg.end - seg.start);
@@ -33,7 +33,7 @@ double RateProfile::volume() const noexcept {
   return total;
 }
 
-double RateProfile::cumulative(double t) const noexcept {
+double RateProfileView::cumulative(double t) const noexcept {
   double total = 0.0;
   for (const RateSegment& seg : segments_) {
     if (t <= seg.start) {
@@ -44,7 +44,7 @@ double RateProfile::cumulative(double t) const noexcept {
   return total;
 }
 
-std::vector<double> RateProfile::breakpoints() const {
+std::vector<double> RateProfileView::breakpoints() const {
   std::vector<double> points;
   points.reserve(segments_.size() * 2);
   for (const RateSegment& seg : segments_) {

@@ -32,7 +32,7 @@ TEST(Assignment, CrossAssignmentsBookLinks) {
   const Schedule s = schedule_assignment(graph, topo, split);
   validate_or_throw(graph, topo, s);
   EXPECT_EQ(s.communication(dag::EdgeId(0u)).kind,
-            EdgeCommunication::Kind::kExclusive);
+            Communication::Kind::kExclusive);
   // Ship at ready (2), two cut-through hops of 4: arrival 6, finish 8.
   EXPECT_DOUBLE_EQ(s.makespan(), 8.0);
 }

@@ -46,7 +46,7 @@ TEST(BasicAlgorithm, KeepsChainLocalWhenCommIsExpensive) {
             s.task(dag::TaskId(1u)).processor);
   EXPECT_DOUBLE_EQ(s.makespan(), 4.0);
   EXPECT_EQ(s.communication(dag::EdgeId(0u)).kind,
-            EdgeCommunication::Kind::kLocal);
+            Communication::Kind::kLocal);
 }
 
 TEST(BasicAlgorithm, OffloadsWhenCommIsCheap) {
@@ -75,8 +75,8 @@ TEST(BasicAlgorithm, CrossTransferOccupiesBothHops) {
   validate_or_throw(graph, topo, s);
   bool saw_exclusive = false;
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kExclusive) {
+    const Communication comm = s.communication(e);
+    if (comm.kind == Communication::Kind::kExclusive) {
       saw_exclusive = true;
       EXPECT_EQ(comm.route.size(), 2u);  // proc -> switch -> proc
       EXPECT_EQ(comm.occupations.size(), 2u);

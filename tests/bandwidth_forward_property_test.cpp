@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -162,14 +163,18 @@ int expect_equal_forward(const BandwidthTimeline& link,
       outcome([&] { return copying_forward(link, inflow, oracle_steps); });
   const std::uint64_t steps_before = link.forward_steps();
   const std::optional<RateProfile> actual =
-      outcome([&] { return link.forward(inflow); });
+      outcome([&] {
+        RateProfile out;
+        link.forward(inflow, out);
+        return out;
+      });
   EXPECT_EQ(expected.has_value(), actual.has_value()) << what;
   if (!expected || !actual) {
     return 0;
   }
   EXPECT_EQ(link.forward_steps() - steps_before, oracle_steps) << what;
-  const std::vector<RateSegment>& want = expected->segments();
-  const std::vector<RateSegment>& got = actual->segments();
+  const std::span<const RateSegment> want = expected->segments();
+  const std::span<const RateSegment> got = actual->segments();
   EXPECT_EQ(want.size(), got.size()) << what;
   for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
     EXPECT_TRUE(want[i].start == got[i].start && want[i].end == got[i].end &&
@@ -190,12 +195,15 @@ void load(BandwidthTimeline& link, BandwidthTimeline& upstream, double base,
     const double ready = base + rng.uniform_real(0.0, horizon);
     const double volume = rng.uniform_real(0.5, 12.0);
     if (rng.bernoulli(0.5)) {
-      const RateProfile p = link.transfer_from(ready, volume);
+      RateProfile p;
+      link.transfer_from(ready, volume, p);
       link.consume(p);
     } else {
-      const RateProfile first = upstream.transfer_from(ready, volume);
+      RateProfile first;
+      upstream.transfer_from(ready, volume, first);
       upstream.consume(first);
-      const RateProfile p = link.forward(first);
+      RateProfile p;
+      link.forward(first, p);
       link.consume(p);
     }
   }
@@ -248,8 +256,9 @@ TEST_P(BandwidthForwardProperty, CursorSweepMatchesCopyingSweep) {
       // Real inflows: a greedy first hop, optionally shifted by a hop delay.
       for (int i = 0; i < 20; ++i) {
         BandwidthTimeline source(rng.uniform_real(0.5, 10.0));
-        const RateProfile first = source.transfer_from(
-            base + rng.uniform_real(0.0, horizon), rng.uniform_real(0.5, 20.0));
+        RateProfile first;
+        source.transfer_from(
+            base + rng.uniform_real(0.0, horizon), rng.uniform_real(0.5, 20.0), first);
         compared += expect_equal_forward(link, first, "first hop");
         compared += expect_equal_forward(
             link, first.shifted(rng.uniform_real(0.0, 2.0)), "hop delay");
@@ -278,9 +287,11 @@ TEST_P(BandwidthForwardProperty, CursorSweepMatchesCopyingSweep) {
       // Forward outputs of this link, re-forwarded onto it: inflows whose
       // boundaries coincide with the link's own breakpoints.
       for (int i = 0; i < 10; ++i) {
-        const RateProfile first = upstream.transfer_from(
-            base + rng.uniform_real(0.0, horizon), rng.uniform_real(0.5, 12.0));
-        const RateProfile hop = link.forward(first);
+        RateProfile first;
+        upstream.transfer_from(
+            base + rng.uniform_real(0.0, horizon), rng.uniform_real(0.5, 12.0), first);
+        RateProfile hop;
+        link.forward(first, hop);
         compared += expect_equal_forward(link, hop, "own forward output");
       }
     }

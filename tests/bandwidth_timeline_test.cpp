@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -19,7 +20,8 @@ TEST(BandwidthTimeline, FreshTimelineHasFullCapacity) {
 
 TEST(BandwidthTimeline, TransferFromUsesFullRate) {
   BandwidthTimeline tl(4.0);
-  const RateProfile p = tl.transfer_from(2.0, 8.0);
+  RateProfile p;
+  tl.transfer_from(2.0, 8.0, p);
   ASSERT_EQ(p.segments().size(), 1u);
   EXPECT_DOUBLE_EQ(p.start_time(), 2.0);
   EXPECT_DOUBLE_EQ(p.finish_time(), 4.0);  // 8 volume at rate 4
@@ -28,7 +30,8 @@ TEST(BandwidthTimeline, TransferFromUsesFullRate) {
 
 TEST(BandwidthTimeline, ConsumeReducesRemaining) {
   BandwidthTimeline tl(4.0);
-  const RateProfile p = tl.transfer_from(0.0, 8.0);  // [0, 2] at rate 4
+  RateProfile p;
+  tl.transfer_from(0.0, 8.0, p);  // [0, 2] at rate 4
   tl.consume(p);
   tl.check_invariants();
   EXPECT_DOUBLE_EQ(tl.remaining_at(1.0), 0.0);
@@ -40,7 +43,8 @@ TEST(BandwidthTimeline, SecondTransferSharesLeftovers) {
   RateProfile half;
   half.append(0.0, 2.0, 2.0);  // uses half the link
   tl.consume(half);
-  const RateProfile p = tl.transfer_from(0.0, 8.0);
+  RateProfile p;
+  tl.transfer_from(0.0, 8.0, p);
   // 2 units/s available until t=2 (4 volume), then 4 units/s: finishes at 3.
   EXPECT_DOUBLE_EQ(p.finish_time(), 3.0);
   EXPECT_NEAR(p.volume(), 8.0, 1e-9);
@@ -53,7 +57,8 @@ TEST(BandwidthTimeline, TransferWaitsForFreeBandwidth) {
   RateProfile blocker;
   blocker.append(0.0, 5.0, 4.0);  // saturates the link until t=5
   tl.consume(blocker);
-  const RateProfile p = tl.transfer_from(1.0, 4.0);
+  RateProfile p;
+  tl.transfer_from(1.0, 4.0, p);
   EXPECT_DOUBLE_EQ(p.start_time(), 5.0);
   EXPECT_DOUBLE_EQ(p.finish_time(), 6.0);
 }
@@ -85,7 +90,8 @@ TEST(BandwidthTimeline, ForwardLimitedByInflowRate) {
   BandwidthTimeline tl(4.0);
   RateProfile inflow;
   inflow.append(0.0, 4.0, 1.0);  // slow upstream: 4 volume at rate 1
-  const RateProfile out = tl.forward(inflow);
+  RateProfile out;
+  tl.forward(inflow, out);
   // No backlog ever builds: outflow mirrors inflow.
   EXPECT_NEAR(out.volume(), 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(out.finish_time(), 4.0);
@@ -96,7 +102,8 @@ TEST(BandwidthTimeline, ForwardLimitedByCapacity) {
   BandwidthTimeline tl(1.0);
   RateProfile inflow;
   inflow.append(0.0, 1.0, 4.0);  // fast upstream: 4 volume in 1s
-  const RateProfile out = tl.forward(inflow);
+  RateProfile out;
+  tl.forward(inflow, out);
   // Capacity 1: backlog builds, drains until t=4.
   EXPECT_NEAR(out.volume(), 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(out.finish_time(), 4.0);
@@ -108,7 +115,8 @@ TEST(BandwidthTimeline, ForwardNeverSendsBeforeData) {
   BandwidthTimeline tl(10.0);
   RateProfile inflow;
   inflow.append(2.0, 4.0, 1.0);
-  const RateProfile out = tl.forward(inflow);
+  RateProfile out;
+  tl.forward(inflow, out);
   EXPECT_GE(out.start_time(), 2.0);
   // Causality at every breakpoint.
   for (double t : out.breakpoints()) {
@@ -123,7 +131,8 @@ TEST(BandwidthTimeline, ForwardAroundBusyWindow) {
   tl.consume(blocker);
   RateProfile inflow;
   inflow.append(0.0, 3.0, 1.0);  // 3 volume trickling in
-  const RateProfile out = tl.forward(inflow);
+  RateProfile out;
+  tl.forward(inflow, out);
   EXPECT_NEAR(out.volume(), 3.0, 1e-9);
   // [0,1): sends 1 at rate 1 (no backlog). [1,2): blocked, backlog grows
   // to 1. [2,...): drains at rate 2 while inflow adds rate 1: backlog
@@ -138,11 +147,14 @@ TEST(BandwidthTimeline, ForwardChainConservesVolume) {
   BandwidthTimeline a(3.0);
   BandwidthTimeline b(2.0);
   BandwidthTimeline c(5.0);
-  const RateProfile p1 = a.transfer_from(0.0, 12.0);
+  RateProfile p1;
+  a.transfer_from(0.0, 12.0, p1);
   a.consume(p1);
-  const RateProfile p2 = b.forward(p1);
+  RateProfile p2;
+  b.forward(p1, p2);
   b.consume(p2);
-  const RateProfile p3 = c.forward(p2);
+  RateProfile p3;
+  c.forward(p2, p3);
   c.consume(p3);
   EXPECT_NEAR(p2.volume(), 12.0, 1e-6);
   EXPECT_NEAR(p3.volume(), 12.0, 1e-6);
@@ -177,12 +189,15 @@ TEST(BandwidthTimeline, LargeTimeMagnitudesConverge) {
       }
     }
     const double volume = rng.uniform_real(0.5, 9000.0);
-    RateProfile profile = chain[0].transfer_from(base, volume);
+    RateProfile profile;
+    chain[0].transfer_from(base, volume, profile);
     chain[0].consume(profile);
     EXPECT_NEAR(profile.volume(), volume,
                 1e-5 * std::max(1.0, volume));
+    RateProfile next;
     for (std::size_t hop = 1; hop < chain.size(); ++hop) {
-      profile = chain[hop].forward(profile);
+      chain[hop].forward(profile, next);
+      std::swap(profile, next);
       chain[hop].consume(profile);
       EXPECT_NEAR(profile.volume(), volume,
                   1e-5 * std::max(1.0, volume));

@@ -57,8 +57,8 @@ TEST(Bbsa, CrossTransferUsesFluidProfiles) {
   EXPECT_EQ(s.task(b).processor, p0);
   EXPECT_EQ(s.task(a).processor, p1);
   EXPECT_EQ(s.task(c).processor, p0);
-  const EdgeCommunication& comm = s.communication(a_c);
-  ASSERT_EQ(comm.kind, EdgeCommunication::Kind::kBandwidth);
+  const Communication comm = s.communication(a_c);
+  ASSERT_EQ(comm.kind, Communication::Kind::kBandwidth);
   ASSERT_EQ(comm.profiles.size(), 2u);
   // First hop p1->sw (speed 1): volume 2 in [10, 12]; second hop sw->p0
   // (speed 2) is inflow-limited and mirrors it: arrival 12.
@@ -90,10 +90,10 @@ TEST(Bbsa, ProfilesConserveVolumePerHop) {
   const Schedule s = SpecScheduler(bbsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
-      for (const auto& profile : comm.profiles) {
-        EXPECT_NEAR(profile.volume(), graph.cost(e),
+    const Communication comm = s.communication(e);
+    if (comm.kind == Communication::Kind::kBandwidth) {
+      for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
+        EXPECT_NEAR(comm.profiles[h].volume(), graph.cost(e),
                     1e-6 * std::max(1.0, graph.cost(e)));
       }
     }

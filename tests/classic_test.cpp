@@ -40,11 +40,11 @@ TEST(Classic, UsesDirectLinkSpeed) {
   // One producer per processor; c joins the bigger-edge producer; the
   // remote edge pays c/s(direct) = 4/2 or 8/2 on top of t_f = 10.
   ASSERT_NE(s.task(a).processor, s.task(b).processor);
-  const EdgeCommunication& remote =
+  const Communication remote =
       s.task(c).processor == s.task(a).processor ? s.communication(
                                                        dag::EdgeId(1u))
                                                  : s.communication(a_c);
-  EXPECT_EQ(remote.kind, EdgeCommunication::Kind::kContentionFree);
+  EXPECT_EQ(remote.kind, Communication::Kind::kContentionFree);
   EXPECT_GT(remote.arrival, 10.0);
 }
 
@@ -59,9 +59,9 @@ TEST(Classic, NoLinkResourcesBooked) {
   const Schedule s = ClassicScheduler{}.schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    EXPECT_TRUE(comm.kind == EdgeCommunication::Kind::kLocal ||
-                comm.kind == EdgeCommunication::Kind::kContentionFree);
+    const Communication comm = s.communication(e);
+    EXPECT_TRUE(comm.kind == Communication::Kind::kLocal ||
+                comm.kind == Communication::Kind::kContentionFree);
     EXPECT_TRUE(comm.occupations.empty());
     EXPECT_TRUE(comm.profiles.empty());
   }
@@ -80,7 +80,7 @@ TEST(Classic, RejectedByStrictValidator) {
     bool crossed = false;
     for (dag::EdgeId e : graph.all_edges()) {
       crossed = crossed || s.communication(e).kind ==
-                               EdgeCommunication::Kind::kContentionFree;
+                               Communication::Kind::kContentionFree;
     }
     if (crossed) {
       EXPECT_FALSE(is_valid(graph, topo, s, strict));

@@ -42,17 +42,18 @@ double match_eps(double t) { return 1e-9 * std::max(1.0, std::abs(t)); }
 /// The record match that computed a slot's slack on every read before the
 /// slack lived in the slot, kept verbatim as the oracle.
 double record_match_deferral(const net::Topology& topology,
-                             const EdgeRecord& record, net::DomainId domain,
+                             std::span<const LinkOccupation> record,
+                             net::DomainId domain,
                              const timeline::TimeSlot& slot) {
-  for (std::size_t i = 0; i < record.occupations.size(); ++i) {
-    const LinkOccupation& occ = record.occupations[i];
-    if (topology.domain(record.route[i]) == domain &&
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    const LinkOccupation& occ = record[i];
+    if (topology.domain(record[i].link) == domain &&
         std::abs(occ.start - slot.start) <= match_eps(occ.start) &&
         std::abs(occ.finish - slot.finish) <= match_eps(occ.finish)) {
-      if (i + 1 == record.occupations.size()) {
+      if (i + 1 == record.size()) {
         return 0.0;
       }
-      const LinkOccupation& next = record.occupations[i + 1];
+      const LinkOccupation& next = record[i + 1];
       return std::max(
           0.0, std::min(next.earliest_start - occ.earliest_start,
                         next.finish - occ.finish));
@@ -103,8 +104,8 @@ std::size_t expect_slack_matches(const ExclusiveNetworkState& state,
       continue;
     }
     for (const timeline::TimeSlot& slot : state.timeline(link).slots()) {
-      const EdgeRecord& record = state.record(slot.edge);
-      EXPECT_TRUE(record.scheduled()) << "step " << step;
+      const auto record = state.record(slot.edge);
+      EXPECT_FALSE(record.empty()) << "step " << step;
       const double want =
           record_match_deferral(topology, record, domain, slot);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(slot.deferral),

@@ -277,7 +277,7 @@ TEST(EngineGolden, CyclicFabricsByteIdentical) {
 // move a slot, but only later: the hops name the final links in order
 // and no logged start exceeds the final one.
 TEST(EngineGolden, DecisionLogHopsMatchTheSchedule) {
-  using sched::EdgeCommunication;
+  using sched::Communication;
   for (const Variant& variant : variants()) {
     const bool deferrable =
         variant.spec.insertion == sched::InsertionPolicyKind::kOptimal;
@@ -313,9 +313,9 @@ TEST(EngineGolden, DecisionLogHopsMatchTheSchedule) {
         ++edges_logged;
         const dag::EdgeId e{
             static_cast<std::uint32_t>(doc.at("edge").as_number())};
-        const EdgeCommunication& comm = schedule.communication(e);
+        const Communication comm = schedule.communication(e);
         const obs::JsonValue& hops = doc.at("hops");
-        if (comm.kind == EdgeCommunication::Kind::kLocal) {
+        if (comm.kind == Communication::Kind::kLocal) {
           EXPECT_TRUE(doc.at("local").as_bool());
           EXPECT_EQ(hops.size(), 0u);
           continue;
@@ -323,7 +323,7 @@ TEST(EngineGolden, DecisionLogHopsMatchTheSchedule) {
         EXPECT_FALSE(doc.at("local").as_bool());
         // The schedule's own hops, in booking order.
         std::vector<obs::EdgeHop> expected;
-        if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+        if (comm.kind == Communication::Kind::kBandwidth) {
           for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
             expected.push_back(obs::EdgeHop{
                 static_cast<std::uint32_t>(comm.route[i].index()),

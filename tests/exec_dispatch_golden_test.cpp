@@ -89,7 +89,7 @@ FaultPlan scripted_faults(const Instance& inst,
     busy.push_back({false, p.processor.value(), p.start, p.finish});
   }
   for (std::uint32_t e = 0; e < inst.graph.num_edges(); ++e) {
-    const sched::EdgeCommunication& comm =
+    const sched::Communication comm =
         schedule.communication(dag::EdgeId(e));
     for (const sched::LinkOccupation& occ : comm.occupations) {
       busy.push_back({true, occ.link.value(), occ.start, occ.finish});

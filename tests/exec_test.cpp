@@ -2,6 +2,7 @@
 // fault injection and the retry / fail-stop recovery policies.
 #include "exec/executor.hpp"
 
+#include <optional>
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -220,16 +221,17 @@ TEST(Executor, TransientLinkFaultKillsAndRetriesTheTransfer) {
   const Instance inst = make_instance(17, 20, 3);
   const sched::Schedule schedule =
       sched::make_scheduler("ba")->schedule(inst.graph, inst.topo);
-  const sched::EdgeCommunication* cross = nullptr;
+  std::optional<sched::Communication> cross;
   for (std::size_t e = 0; e < schedule.num_edges(); ++e) {
-    const auto& comm = schedule.communication(dag::EdgeId(e));
-    if (comm.kind == sched::EdgeCommunication::Kind::kExclusive &&
+    const sched::Communication comm =
+        schedule.communication(dag::EdgeId(e));
+    if (comm.kind == sched::Communication::Kind::kExclusive &&
         !comm.occupations.empty()) {
-      cross = &comm;
+      cross = comm;
       break;
     }
   }
-  ASSERT_NE(cross, nullptr) << "instance produced no remote transfer";
+  ASSERT_TRUE(cross.has_value()) << "instance produced no remote transfer";
   const auto& slot = cross->occupations.front();
   ExecutionOptions options;
   options.policy = RecoveryPolicy::kRetry;

@@ -12,32 +12,51 @@
 //   * `MachineState::commit` (timelines reserved) and the speed groups'
 //     winner query, which MLS selection runs once per task.
 //
+// A live-block count (up in `new`, down in `delete`) also pins a
+// schedule's footprint: its edge data sits in a few per-schedule arenas,
+// not in vectors per edge, so a 1000-task schedule owns a handful of
+// heap blocks and copies in as many.
+//
 // It also pins that `throw_if`, whose message is a view built into a
 // string only on the throwing path, still throws `std::invalid_argument`
 // with the exact message text.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <string>
 
+#include "dag/generators.hpp"
 #include "net/builders.hpp"
 #include "net/routing.hpp"
+#include "sched/algorithm_spec.hpp"
+#include "sched/engine.hpp"
 #include "sched/network_state.hpp"
+#include "sched/platform.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::ptrdiff_t> g_live_blocks{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_live_blocks.fetch_add(1, std::memory_order_relaxed);
     return p;
   }
   throw std::bad_alloc();
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+  }
+  std::free(p);
 }
 }  // namespace
 
@@ -47,18 +66,24 @@ void* operator new[](std::size_t size) { return counted_alloc(size); }
 // the runtime's versions allocate what the replaced delete frees.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) {
+    g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  }
+  return p;
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace edgesched {
@@ -66,6 +91,39 @@ namespace {
 
 std::size_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::ptrdiff_t live_blocks() {
+  return g_live_blocks.load(std::memory_order_relaxed);
+}
+
+// A 1000-task DAG on an 8x8 torus: hundreds of routed edges of several
+// hops each. Once the platform is warm (route table filled, workspace
+// pooled), whatever a run leaves allocated is the returned schedule.
+TEST(HotPathAlloc, ScheduleOwnsAFewBlocksAndCopiesInAFew) {
+  Rng rng(5);
+  dag::LayeredDagParams params;
+  params.num_tasks = 1000;
+  const dag::TaskGraph graph = dag::random_layered(params, rng);
+  const net::Topology topology =
+      net::torus2d(8, 8, net::SpeedConfig{}, rng);
+  const sched::PlatformContext platform(topology);
+  constexpr std::ptrdiff_t kMaxBlocks = 8;
+  for (const sched::AlgorithmSpec& spec :
+       {sched::ba_spec(), sched::oihsa_spec(), sched::bbsa_spec(),
+        sched::packet_ba_spec()}) {
+    const sched::SpecScheduler scheduler(spec);
+    (void)scheduler.schedule(graph, platform);  // warm the platform
+    const std::ptrdiff_t before = live_blocks();
+    const sched::Schedule schedule = scheduler.schedule(graph, platform);
+    const std::ptrdiff_t owned = live_blocks() - before;
+    const std::size_t allocations_before = allocations();
+    const sched::Schedule copy = schedule;
+    const std::size_t copied = allocations() - allocations_before;
+    EXPECT_LE(owned, kMaxBlocks) << spec.name;
+    EXPECT_LE(copied, static_cast<std::size_t>(kMaxBlocks)) << spec.name;
+    EXPECT_EQ(copy.fingerprint(), schedule.fingerprint()) << spec.name;
+  }
 }
 
 TEST(HotPathAlloc, ProcessorSpeedDoesNotAllocate) {

@@ -133,8 +133,8 @@ TEST(Metrics, BandwidthSchedulesWeightBusyByRate) {
   // Busy time must equal sum of volume/capacity over all hops.
   double expected = 0.0;
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kBandwidth) {
+    const Communication comm = s.communication(e);
+    if (comm.kind == Communication::Kind::kBandwidth) {
       for (std::size_t i = 0; i < comm.profiles.size(); ++i) {
         expected += comm.profiles[i].volume() /
                     topo.link_speed(comm.route[i]);

@@ -174,8 +174,8 @@ TEST(ModelSemantics, ReadyMomentDominatesEdgeStart) {
           ready_moment, s.task(inst.graph.edge(e).src).finish);
     }
     for (dag::EdgeId e : inst.graph.in_edges(t)) {
-      const EdgeCommunication& comm = s.communication(e);
-      if (comm.kind == EdgeCommunication::Kind::kExclusive) {
+      const Communication comm = s.communication(e);
+      if (comm.kind == Communication::Kind::kExclusive) {
         EXPECT_GE(comm.occupations.front().earliest_start,
                   ready_moment - 1e-6);
       }

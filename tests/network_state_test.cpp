@@ -35,12 +35,12 @@ TEST(ExclusiveNetworkState, BasicCommitRecordsOccupations) {
   const double arrival =
       state.commit_edge_basic(dag::EdgeId(0u), f.route, 2.0, 6.0);
   EXPECT_DOUBLE_EQ(arrival, 8.0);  // cut-through: both hops [2, 8]
-  const EdgeRecord& record = state.record(dag::EdgeId(0u));
-  ASSERT_TRUE(record.scheduled());
-  ASSERT_EQ(record.occupations.size(), 2u);
-  EXPECT_DOUBLE_EQ(record.occupations[0].start, 2.0);
-  EXPECT_DOUBLE_EQ(record.occupations[0].finish, 8.0);
-  EXPECT_DOUBLE_EQ(record.occupations[1].finish, 8.0);
+  const auto record = state.record(dag::EdgeId(0u));
+  ASSERT_FALSE(record.empty());
+  ASSERT_EQ(record.size(), 2u);
+  EXPECT_DOUBLE_EQ(record[0].start, 2.0);
+  EXPECT_DOUBLE_EQ(record[0].finish, 8.0);
+  EXPECT_DOUBLE_EQ(record[1].finish, 8.0);
   EXPECT_DOUBLE_EQ(state.total_busy_time(), 12.0);
 }
 
@@ -61,7 +61,7 @@ TEST(ExclusiveNetworkState, UncommitRestoresTimelines) {
   (void)state.commit_edge_basic(dag::EdgeId(1u), f.route, 0.0, 4.0);
   state.uncommit_edge(dag::EdgeId(1u));
   EXPECT_DOUBLE_EQ(state.total_busy_time(), before);
-  EXPECT_FALSE(state.record(dag::EdgeId(1u)).scheduled());
+  EXPECT_TRUE(state.record(dag::EdgeId(1u)).empty());
   // Re-commit lands exactly where the uncommitted trial did.
   const double arrival =
       state.commit_edge_basic(dag::EdgeId(1u), f.route, 0.0, 4.0);
@@ -114,22 +114,22 @@ TEST(ExclusiveNetworkState, OptimalCommitDefersEarlierEdge) {
   // Edge 1 a->b: hop a_s could run [0, 3], but hop s_b is busy until 10,
   // so its slot is [10, 13]; under link causality hop a_s keeps slack.
   (void)st.commit_edge_optimal(dag::EdgeId(1u), {a_s, s_b}, 0.0, 3.0);
-  const EdgeRecord& r1 = st.record(dag::EdgeId(1u));
-  ASSERT_EQ(r1.occupations.size(), 2u);
-  EXPECT_DOUBLE_EQ(r1.occupations[0].start, 0.0);
-  EXPECT_DOUBLE_EQ(r1.occupations[1].start, 10.0);
-  EXPECT_DOUBLE_EQ(r1.occupations[1].finish, 13.0);
+  const auto r1 = st.record(dag::EdgeId(1u));
+  ASSERT_EQ(r1.size(), 2u);
+  EXPECT_DOUBLE_EQ(r1[0].start, 0.0);
+  EXPECT_DOUBLE_EQ(r1[1].start, 10.0);
+  EXPECT_DOUBLE_EQ(r1[1].finish, 13.0);
 
   // Edge 2 also needs a_s at time 0 for 4 units: optimal insertion may
   // defer edge 1's first-hop slot (slack towards its waiting second hop)
   // and start at 0.
   (void)st.commit_edge_optimal(dag::EdgeId(2u), {a_s}, 0.0, 4.0);
-  const EdgeRecord& r2 = st.record(dag::EdgeId(2u));
-  EXPECT_DOUBLE_EQ(r2.occupations[0].start, 0.0);
+  const auto r2 = st.record(dag::EdgeId(2u));
+  EXPECT_DOUBLE_EQ(r2[0].start, 0.0);
   // Edge 1's first hop slid but its second hop (and thus arrival) kept.
-  const EdgeRecord& r1_after = st.record(dag::EdgeId(1u));
-  EXPECT_GE(r1_after.occupations[0].start, 4.0 - 1e-9);
-  EXPECT_DOUBLE_EQ(r1_after.occupations[1].finish, 13.0);
+  const auto r1_after = st.record(dag::EdgeId(1u));
+  EXPECT_GE(r1_after[0].start, 4.0 - 1e-9);
+  EXPECT_DOUBLE_EQ(r1_after[1].finish, 13.0);
 }
 
 TEST(ExclusiveNetworkState, CommitPacketStoreAndForward) {
@@ -138,9 +138,9 @@ TEST(ExclusiveNetworkState, CommitPacketStoreAndForward) {
   const double arrival =
       state.commit_packets(dag::EdgeId(0u), f.route, 1.0, 2.0, 2);
   EXPECT_DOUBLE_EQ(arrival, 7.0);  // hop1 [3,5], hop2 [5,7]: pipelined
-  const EdgeRecord& record = state.record(dag::EdgeId(0u));
-  ASSERT_EQ(record.occupations.size(), 4u);
-  EXPECT_DOUBLE_EQ(record.occupations[1].finish, 5.0);  // [1,3] then [3,5]
+  const auto record = state.record(dag::EdgeId(0u));
+  ASSERT_EQ(record.size(), 4u);
+  EXPECT_DOUBLE_EQ(record[1].finish, 5.0);  // [1,3] then [3,5]
 }
 
 // Each packet's first-fit walk starts at the previous packet's slot on
@@ -182,15 +182,15 @@ TEST(ExclusiveNetworkState, PacketWalksStartAtThePreviousPacket) {
     latest = std::max(latest, at);
   }
   EXPECT_EQ(arrival, latest);
-  const EdgeRecord& record = state.record(dag::EdgeId(0u));
-  ASSERT_EQ(record.occupations.size(), expected.size());
+  const auto record = state.record(dag::EdgeId(0u));
+  ASSERT_EQ(record.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(record.occupations[i].link, expected[i].link) << i;
-    ASSERT_EQ(record.occupations[i].earliest_start,
+    ASSERT_EQ(record[i].link, expected[i].link) << i;
+    ASSERT_EQ(record[i].earliest_start,
               expected[i].earliest_start)
         << i;
-    ASSERT_EQ(record.occupations[i].start, expected[i].start) << i;
-    ASSERT_EQ(record.occupations[i].finish, expected[i].finish) << i;
+    ASSERT_EQ(record[i].start, expected[i].start) << i;
+    ASSERT_EQ(record[i].finish, expected[i].finish) << i;
   }
 
   std::uint64_t steps_after = 0;

@@ -59,10 +59,10 @@ TEST(Oihsa, EdgePriorityOrdersBigEdgesFirst) {
   const net::Topology topo = star(3);
   const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
-  const EdgeCommunication& comm_small = s.communication(small);
-  const EdgeCommunication& comm_big = s.communication(big);
-  if (comm_small.kind == EdgeCommunication::Kind::kExclusive &&
-      comm_big.kind == EdgeCommunication::Kind::kExclusive &&
+  const Communication comm_small = s.communication(small);
+  const Communication comm_big = s.communication(big);
+  if (comm_small.kind == Communication::Kind::kExclusive &&
+      comm_big.kind == Communication::Kind::kExclusive &&
       !comm_big.occupations.empty() && !comm_small.occupations.empty()) {
     // Both cross the network towards c; where they share the inbound
     // link, the big edge was booked first and cannot start later than

@@ -43,8 +43,8 @@ TEST(PacketizedBa, SplitsBigMessages) {
   validate_or_throw(graph, topo, s);
   bool saw_packets = false;
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kPacketized) {
+    const Communication comm = s.communication(e);
+    if (comm.kind == Communication::Kind::kPacketized) {
       saw_packets = true;
       EXPECT_EQ(comm.packet_count, 4u);
       EXPECT_EQ(comm.occupations.size(), 4u * comm.route.size());
@@ -145,8 +145,8 @@ TEST(PacketizedBa, HugePacketSizeMatchesSaFCircuit) {
   const Schedule s = packet_ba(1e12).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
   for (dag::EdgeId e : graph.all_edges()) {
-    const EdgeCommunication& comm = s.communication(e);
-    if (comm.kind == EdgeCommunication::Kind::kPacketized) {
+    const Communication comm = s.communication(e);
+    if (comm.kind == Communication::Kind::kPacketized) {
       EXPECT_EQ(comm.packet_count, 1u);
     }
   }

@@ -82,10 +82,10 @@ TEST(Scenario, OihsaDeferralEndToEnd) {
   Star3 net;
   const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, net.topo);
   validate_or_throw(graph, net.topo, s);
-  const EdgeCommunication& small = s.communication(dag::EdgeId(0u));
-  const EdgeCommunication& large = s.communication(dag::EdgeId(1u));
-  if (small.kind == EdgeCommunication::Kind::kExclusive &&
-      large.kind == EdgeCommunication::Kind::kExclusive) {
+  const Communication small = s.communication(dag::EdgeId(0u));
+  const Communication large = s.communication(dag::EdgeId(1u));
+  if (small.kind == Communication::Kind::kExclusive &&
+      large.kind == Communication::Kind::kExclusive) {
     // Cost order: the large edge books first and arrives no later than
     // ready + route length (uncontended) when x and y land on distinct
     // remote processors.

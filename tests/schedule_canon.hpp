@@ -43,7 +43,7 @@ inline std::string canonical_schedule(const dag::TaskGraph& graph,
     os << "\n";
   }
   for (dag::EdgeId e : graph.all_edges()) {
-    const sched::EdgeCommunication& comm = schedule.communication(e);
+    const sched::Communication comm = schedule.communication(e);
     os << "edge " << e.index() << " kind "
        << static_cast<int>(comm.kind) << " arrival ";
     canon_double(os, comm.arrival);
@@ -62,9 +62,9 @@ inline std::string canonical_schedule(const dag::TaskGraph& graph,
       canon_double(os, occ.finish);
       os << "\n";
     }
-    for (const timeline::RateProfile& profile : comm.profiles) {
+    for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
       os << "  profile";
-      for (const timeline::RateSegment& seg : profile.segments()) {
+      for (const timeline::RateSegment& seg : comm.profiles[h].segments()) {
         os << " [";
         canon_double(os, seg.start);
         os << ' ';

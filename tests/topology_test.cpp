@@ -150,13 +150,13 @@ TEST(Topology, ValidateRoute) {
   const LinkId sb = t.add_link(s, b);
   const LinkId ba = t.add_link(b, a);
 
-  EXPECT_NO_THROW(t.validate_route({as, sb}, a, b));
+  EXPECT_NO_THROW(t.validate_route(Route{as, sb}, a, b));
   EXPECT_NO_THROW(t.validate_route({}, a, a));
   EXPECT_THROW(t.validate_route({}, a, b), std::invalid_argument);
-  EXPECT_THROW(t.validate_route({as}, a, b), std::invalid_argument);
-  EXPECT_THROW(t.validate_route({sb, as}, a, b), std::invalid_argument);
-  EXPECT_THROW(t.validate_route({ba}, a, b), std::invalid_argument);
-  EXPECT_THROW(t.validate_route({as, sb}, a, a), std::invalid_argument);
+  EXPECT_THROW(t.validate_route(Route{as}, a, b), std::invalid_argument);
+  EXPECT_THROW(t.validate_route(Route{sb, as}, a, b), std::invalid_argument);
+  EXPECT_THROW(t.validate_route(Route{ba}, a, b), std::invalid_argument);
+  EXPECT_THROW(t.validate_route(Route{as, sb}, a, a), std::invalid_argument);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(ChromeTrace, ContainsLinkRowsForRemoteEdges) {
   for (dag::EdgeId e : f.graph.all_edges()) {
     any_remote = any_remote ||
                  f.schedule.communication(e).kind ==
-                     EdgeCommunication::Kind::kExclusive;
+                     Communication::Kind::kExclusive;
   }
   ASSERT_TRUE(any_remote);
   const std::string json = chrome_trace_of(f.graph, f.topo, f.schedule);

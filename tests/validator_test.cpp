@@ -9,6 +9,38 @@
 namespace edgesched::sched {
 namespace {
 
+/// An owning communication the tests edit before writing it.
+struct OwnedComm {
+  Communication::Kind kind = Communication::Kind::kLocal;
+  net::Route route;
+  std::vector<LinkOccupation> occupations;
+  std::vector<timeline::RateProfile> profiles;
+  std::size_t packet_count = 0;
+  double arrival = 0.0;
+};
+
+OwnedComm own(const Communication& view) {
+  OwnedComm comm{view.kind,
+                 net::Route(view.route.begin(), view.route.end()),
+                 std::vector<LinkOccupation>(view.occupations.begin(),
+                                             view.occupations.end()),
+                 {},
+                 view.packet_count,
+                 view.arrival};
+  for (std::size_t h = 0; h < view.profiles.size(); ++h) {
+    timeline::RateProfile& profile = comm.profiles.emplace_back();
+    for (const timeline::RateSegment& seg : view.profiles[h].segments()) {
+      profile.append(seg.start, seg.end, seg.rate);
+    }
+  }
+  return comm;
+}
+
+void write(Schedule& s, dag::EdgeId edge, const OwnedComm& comm) {
+  s.set_communication(edge, comm.kind, comm.arrival, comm.route,
+                      comm.occupations, comm.packet_count, comm.profiles);
+}
+
 /// Two processors joined through one switch; chain graph a -> b, cost 4.
 struct Fixture {
   dag::TaskGraph graph = dag::chain(2, 2.0, 4.0);
@@ -30,13 +62,13 @@ struct Fixture {
     Schedule s("hand", 2, 1);
     s.place_task(dag::TaskId(0u), TaskPlacement{p0, 0.0, 2.0});
     s.place_task(dag::TaskId(1u), TaskPlacement{p1, 6.0, 8.0});
-    EdgeCommunication comm;
-    comm.kind = EdgeCommunication::Kind::kExclusive;
+    OwnedComm comm;
+    comm.kind = Communication::Kind::kExclusive;
     comm.route = {p0_sw, sw_p1};
     comm.occupations = {LinkOccupation{p0_sw, 2.0, 2.0, 6.0},
                         LinkOccupation{sw_p1, 2.0, 2.0, 6.0}};
     comm.arrival = 6.0;
-    s.set_communication(dag::EdgeId(0u), comm);
+    write(s, dag::EdgeId(0u), comm);
     return s;
   }
 };
@@ -64,8 +96,7 @@ TEST(Validator, CatchesWrongDuration) {
   Schedule bad("bad", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 6.0, 7.0});
-  bad.set_communication(dag::EdgeId(0u),
-                        s.communication(dag::EdgeId(0u)));
+  write(bad, dag::EdgeId(0u), own(s.communication(dag::EdgeId(0u))));
   const auto violations = validate(f.graph, f.topo, bad);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("duration"), std::string::npos);
@@ -76,10 +107,10 @@ TEST(Validator, CatchesNegativeStart) {
   Schedule bad("bad", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, -1.0, 1.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p0, 1.0, 3.0});
-  EdgeCommunication comm;
-  comm.kind = EdgeCommunication::Kind::kLocal;
+  OwnedComm comm;
+  comm.kind = Communication::Kind::kLocal;
   comm.arrival = 1.0;
-  bad.set_communication(dag::EdgeId(0u), comm);
+  write(bad, dag::EdgeId(0u), comm);
   EXPECT_FALSE(is_valid(f.graph, f.topo, bad));
 }
 
@@ -88,10 +119,10 @@ TEST(Validator, CatchesProcessorOverlap) {
   Schedule bad("bad", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p0, 1.0, 3.0});
-  EdgeCommunication comm;
-  comm.kind = EdgeCommunication::Kind::kLocal;
+  OwnedComm comm;
+  comm.kind = Communication::Kind::kLocal;
   comm.arrival = 2.0;
-  bad.set_communication(dag::EdgeId(0u), comm);
+  write(bad, dag::EdgeId(0u), comm);
   const auto violations = validate(f.graph, f.topo, bad);
   EXPECT_FALSE(violations.empty());
 }
@@ -101,10 +132,10 @@ TEST(Validator, CatchesPrecedenceViolation) {
   Schedule bad("bad", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 4.0, 6.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p0, 0.0, 2.0});
-  EdgeCommunication comm;
-  comm.kind = EdgeCommunication::Kind::kLocal;
+  OwnedComm comm;
+  comm.kind = Communication::Kind::kLocal;
   comm.arrival = 6.0;
-  bad.set_communication(dag::EdgeId(0u), comm);
+  write(bad, dag::EdgeId(0u), comm);
   EXPECT_FALSE(is_valid(f.graph, f.topo, bad));
 }
 
@@ -114,10 +145,10 @@ TEST(Validator, CatchesMissingRoute) {
   Schedule rebuilt("bad", 2, 1);
   rebuilt.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   rebuilt.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 6.0, 8.0});
-  EdgeCommunication comm = bad.communication(dag::EdgeId(0u));
+  OwnedComm comm = own(bad.communication(dag::EdgeId(0u)));
   comm.route = {f.p0_sw};  // truncated route
   comm.occupations.pop_back();
-  rebuilt.set_communication(dag::EdgeId(0u), comm);
+  write(rebuilt, dag::EdgeId(0u), comm);
   const auto violations = validate(f.graph, f.topo, rebuilt);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("route"), std::string::npos);
@@ -128,9 +159,9 @@ TEST(Validator, CatchesWrongSlotLength) {
   Schedule rebuilt("bad", 2, 1);
   rebuilt.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   rebuilt.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 6.0, 8.0});
-  EdgeCommunication comm = f.good().communication(dag::EdgeId(0u));
+  OwnedComm comm = own(f.good().communication(dag::EdgeId(0u)));
   comm.occupations[0].start = 3.0;  // slot now 3 units, c/s = 4
-  rebuilt.set_communication(dag::EdgeId(0u), comm);
+  write(rebuilt, dag::EdgeId(0u), comm);
   EXPECT_FALSE(is_valid(f.graph, f.topo, rebuilt));
 }
 
@@ -139,11 +170,11 @@ TEST(Validator, CatchesCausalityViolation) {
   Schedule rebuilt("bad", 2, 1);
   rebuilt.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   rebuilt.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 6.0, 8.0});
-  EdgeCommunication comm = f.good().communication(dag::EdgeId(0u));
+  OwnedComm comm = own(f.good().communication(dag::EdgeId(0u)));
   // Second hop finishes before the first: impossible.
   comm.occupations[1] = LinkOccupation{f.sw_p1, 1.0, 1.0, 5.0};
   comm.arrival = 5.0;
-  rebuilt.set_communication(dag::EdgeId(0u), comm);
+  write(rebuilt, dag::EdgeId(0u), comm);
   EXPECT_FALSE(is_valid(f.graph, f.topo, rebuilt));
 }
 
@@ -152,8 +183,8 @@ TEST(Validator, CatchesStartBeforeArrival) {
   Schedule rebuilt("bad", 2, 1);
   rebuilt.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   rebuilt.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 5.0, 7.0});
-  rebuilt.set_communication(dag::EdgeId(0u),
-                            f.good().communication(dag::EdgeId(0u)));
+  write(rebuilt, dag::EdgeId(0u),
+        own(f.good().communication(dag::EdgeId(0u))));
   const auto violations = validate(f.graph, f.topo, rebuilt);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("arrival"), std::string::npos);
@@ -180,16 +211,16 @@ TEST(Validator, CatchesDomainOverlapAcrossEdges) {
   s.place_task(b, TaskPlacement{p0, 1.0, 2.0});
   s.place_task(c, TaskPlacement{p1, 4.0, 5.0});
   s.place_task(d, TaskPlacement{p1, 5.0, 6.0});
-  EdgeCommunication comm0;
-  comm0.kind = EdgeCommunication::Kind::kExclusive;
+  OwnedComm comm0;
+  comm0.kind = Communication::Kind::kExclusive;
   comm0.route = {link};
   comm0.occupations = {LinkOccupation{link, 1.0, 1.0, 3.0}};
   comm0.arrival = 3.0;
-  EdgeCommunication comm1 = comm0;
+  OwnedComm comm1 = comm0;
   comm1.occupations = {LinkOccupation{link, 2.0, 2.0, 4.0}};  // overlaps!
   comm1.arrival = 4.0;
-  s.set_communication(e0, comm0);
-  s.set_communication(e1, comm1);
+  write(s, e0, comm0);
+  write(s, e1, comm1);
   const auto violations = validate(graph, topo, s);
   ASSERT_FALSE(violations.empty());
   bool found = false;
@@ -220,8 +251,8 @@ TEST(Validator, BandwidthOverbookingIsCaught) {
   s.place_task(c, TaskPlacement{p1, 4.0, 5.0});
   s.place_task(d, TaskPlacement{p1, 5.0, 6.0});
   const auto bandwidth_comm = [&](double start) {
-    EdgeCommunication comm;
-    comm.kind = EdgeCommunication::Kind::kBandwidth;
+    OwnedComm comm;
+    comm.kind = Communication::Kind::kBandwidth;
     comm.route = {link};
     timeline::RateProfile p;
     p.append(start, start + 2.0, 1.0);  // full capacity each
@@ -229,8 +260,8 @@ TEST(Validator, BandwidthOverbookingIsCaught) {
     comm.arrival = start + 2.0;
     return comm;
   };
-  s.set_communication(e0, bandwidth_comm(1.0));
-  s.set_communication(e1, bandwidth_comm(2.0));  // overlaps in [2, 3]
+  write(s, e0, bandwidth_comm(1.0));
+  write(s, e1, bandwidth_comm(2.0));  // overlaps in [2, 3]
   const auto violations = validate(graph, topo, s);
   ASSERT_FALSE(violations.empty());
   bool found = false;
@@ -245,8 +276,8 @@ TEST(Validator, PacketizedGoodAndBadSchedules) {
   // cost 4 in 2 packets of volume 2 over 2 hops, store-and-forward:
   // packet 0: [2,4] then [4,6]; packet 1: [4,6] then [6,8]. Arrival 8.
   const auto packet_comm = [&](bool break_ordering) {
-    EdgeCommunication comm;
-    comm.kind = EdgeCommunication::Kind::kPacketized;
+    OwnedComm comm;
+    comm.kind = Communication::Kind::kPacketized;
     comm.route = {f.p0_sw, f.sw_p1};
     comm.packet_count = 2;
     comm.occupations = {
@@ -266,14 +297,14 @@ TEST(Validator, PacketizedGoodAndBadSchedules) {
   Schedule good("packets", 2, 1);
   good.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   good.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 8.0, 10.0});
-  good.set_communication(dag::EdgeId(0u), packet_comm(false));
+  write(good, dag::EdgeId(0u), packet_comm(false));
   const auto ok = validate(f.graph, f.topo, good);
   EXPECT_TRUE(ok.empty()) << (ok.empty() ? "" : ok.front());
 
   Schedule bad("packets", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 8.0, 10.0});
-  bad.set_communication(dag::EdgeId(0u), packet_comm(true));
+  write(bad, dag::EdgeId(0u), packet_comm(true));
   const auto violations = validate(f.graph, f.topo, bad);
   ASSERT_FALSE(violations.empty());
   bool found = false;
@@ -289,13 +320,13 @@ TEST(Validator, PacketizedCountMismatchCaught) {
   Schedule bad("packets", 2, 1);
   bad.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   bad.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 8.0, 10.0});
-  EdgeCommunication comm;
-  comm.kind = EdgeCommunication::Kind::kPacketized;
+  OwnedComm comm;
+  comm.kind = Communication::Kind::kPacketized;
   comm.route = {f.p0_sw, f.sw_p1};
   comm.packet_count = 2;
   comm.occupations = {LinkOccupation{f.p0_sw, 2.0, 2.0, 4.0}};  // short
   comm.arrival = 4.0;
-  bad.set_communication(dag::EdgeId(0u), comm);
+  write(bad, dag::EdgeId(0u), comm);
   const auto violations = validate(f.graph, f.topo, bad);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("packet"), std::string::npos);
@@ -306,10 +337,10 @@ TEST(Validator, ContentionFreeCanBeDisallowed) {
   Schedule s("classic", 2, 1);
   s.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
   s.place_task(dag::TaskId(1u), TaskPlacement{f.p1, 6.0, 8.0});
-  EdgeCommunication comm;
-  comm.kind = EdgeCommunication::Kind::kContentionFree;
+  OwnedComm comm;
+  comm.kind = Communication::Kind::kContentionFree;
   comm.arrival = 6.0;
-  s.set_communication(dag::EdgeId(0u), comm);
+  write(s, dag::EdgeId(0u), comm);
   EXPECT_TRUE(is_valid(f.graph, f.topo, s));
   ValidationOptions strict;
   strict.allow_contention_free = false;
