@@ -14,16 +14,18 @@ int main() {
   using namespace edgesched;
 
   // 1. Describe the program: a tiny map/reduce — one producer fans out to
-  //    three workers whose results join in a reducer.
-  dag::TaskGraph graph("mapreduce");
-  const dag::TaskId produce = graph.add_task(4.0, "produce");
-  const dag::TaskId reduce = graph.add_task(3.0, "reduce");
+  //    three workers whose results join in a reducer. The builder checks
+  //    each task and edge; build() proves the graph acyclic and freezes it.
+  dag::TaskGraphBuilder builder("mapreduce");
+  const dag::TaskId produce = builder.add_task(4.0, "produce");
+  const dag::TaskId reduce = builder.add_task(3.0, "reduce");
   for (int i = 0; i < 3; ++i) {
     const dag::TaskId worker =
-        graph.add_task(10.0, "work" + std::to_string(i));
-    graph.add_edge(produce, worker, 6.0);  // shard shipped to the worker
-    graph.add_edge(worker, reduce, 2.0);   // result shipped back
+        builder.add_task(10.0, "work" + std::to_string(i));
+    builder.add_edge(produce, worker, 6.0);  // shard shipped to the worker
+    builder.add_edge(worker, reduce, 2.0);   // result shipped back
   }
+  const dag::TaskGraph graph = builder.build();
 
   // 2. Describe the machine: four processors behind one switch. Links are
   //    explicit, so messages crossing the switch compete for them.

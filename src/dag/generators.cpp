@@ -30,7 +30,7 @@ TaskGraph random_layered(const LayeredDagParams& params, Rng& rng) {
                params.in_degree_min > params.in_degree_max,
            "random_layered: bad in-degree range");
 
-  TaskGraph graph("random_layered");
+  TaskGraphBuilder graph("random_layered");
 
   // Partition tasks into layers whose mean width is
   // width_factor * sqrt(num_tasks).
@@ -87,8 +87,7 @@ TaskGraph random_layered(const LayeredDagParams& params, Rng& rng) {
           layers[target_layer][rng.index(layers[target_layer].size())];
       // Duplicate skip edges are possible with small layer counts; they
       // carry no information, so skip rather than throw.
-      const auto succ = graph.successors(src);
-      if (std::find(succ.begin(), succ.end(), dst) == succ.end()) {
+      if (!graph.has_edge(src, dst)) {
         graph.add_edge(src, dst,
                        sample_cost(rng, params.comm_min, params.comm_max));
       }
@@ -100,7 +99,7 @@ TaskGraph random_layered(const LayeredDagParams& params, Rng& rng) {
   // next layer.
   for (std::size_t l = 1; l < layers.size(); ++l) {
     for (TaskId task : layers[l]) {
-      if (graph.in_edges(task).empty()) {
+      if (graph.in_degree(task) == 0) {
         const TaskId src = layers[l - 1][rng.index(layers[l - 1].size())];
         graph.add_edge(src, task,
                        sample_cost(rng, params.comm_min, params.comm_max));
@@ -109,10 +108,9 @@ TaskGraph random_layered(const LayeredDagParams& params, Rng& rng) {
   }
   for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
     for (TaskId task : layers[l]) {
-      if (graph.out_edges(task).empty()) {
+      if (graph.out_degree(task) == 0) {
         const TaskId dst = layers[l + 1][rng.index(layers[l + 1].size())];
-        const auto succ = graph.successors(task);
-        if (std::find(succ.begin(), succ.end(), dst) == succ.end()) {
+        if (!graph.has_edge(task, dst)) {
           graph.add_edge(task, dst,
                          sample_cost(rng, params.comm_min, params.comm_max));
         }
@@ -120,35 +118,35 @@ TaskGraph random_layered(const LayeredDagParams& params, Rng& rng) {
     }
   }
 
-  return graph;
+  return graph.build();
 }
 
 TaskGraph chain(std::size_t length, double comp_cost, double comm_cost) {
   throw_if(length == 0, "chain: length must be > 0");
-  TaskGraph graph("chain");
+  TaskGraphBuilder graph("chain");
   TaskId prev = graph.add_task(comp_cost);
   for (std::size_t i = 1; i < length; ++i) {
     const TaskId next = graph.add_task(comp_cost);
     graph.add_edge(prev, next, comm_cost);
     prev = next;
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph fork(std::size_t fanout, double comp_cost, double comm_cost) {
   throw_if(fanout == 0, "fork: fanout must be > 0");
-  TaskGraph graph("fork");
+  TaskGraphBuilder graph("fork");
   const TaskId source = graph.add_task(comp_cost, "source");
   for (std::size_t i = 0; i < fanout; ++i) {
     const TaskId sink = graph.add_task(comp_cost);
     graph.add_edge(source, sink, comm_cost);
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph join(std::size_t fanin, double comp_cost, double comm_cost) {
   throw_if(fanin == 0, "join: fanin must be > 0");
-  TaskGraph graph("join");
+  TaskGraphBuilder graph("join");
   std::vector<TaskId> sources;
   sources.reserve(fanin);
   for (std::size_t i = 0; i < fanin; ++i) {
@@ -158,12 +156,12 @@ TaskGraph join(std::size_t fanin, double comp_cost, double comm_cost) {
   for (TaskId src : sources) {
     graph.add_edge(src, sink, comm_cost);
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph fork_join(std::size_t width, double comp_cost, double comm_cost) {
   throw_if(width == 0, "fork_join: width must be > 0");
-  TaskGraph graph("fork_join");
+  TaskGraphBuilder graph("fork_join");
   const TaskId source = graph.add_task(comp_cost, "source");
   const TaskId sink = graph.add_task(comp_cost, "sink");
   for (std::size_t i = 0; i < width; ++i) {
@@ -171,12 +169,12 @@ TaskGraph fork_join(std::size_t width, double comp_cost, double comm_cost) {
     graph.add_edge(source, middle, comm_cost);
     graph.add_edge(middle, sink, comm_cost);
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph out_tree(std::size_t levels, double comp_cost, double comm_cost) {
   throw_if(levels == 0, "out_tree: levels must be > 0");
-  TaskGraph graph("out_tree");
+  TaskGraphBuilder graph("out_tree");
   const std::size_t count = (std::size_t{1} << levels) - 1;
   for (std::size_t i = 0; i < count; ++i) {
     graph.add_task(comp_cost);
@@ -187,12 +185,12 @@ TaskGraph out_tree(std::size_t levels, double comp_cost, double comm_cost) {
       graph.add_edge(TaskId(i), TaskId(2 * i + 2), comm_cost);
     }
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph in_tree(std::size_t levels, double comp_cost, double comm_cost) {
   throw_if(levels == 0, "in_tree: levels must be > 0");
-  TaskGraph graph("in_tree");
+  TaskGraphBuilder graph("in_tree");
   const std::size_t count = (std::size_t{1} << levels) - 1;
   for (std::size_t i = 0; i < count; ++i) {
     graph.add_task(comp_cost);
@@ -203,13 +201,13 @@ TaskGraph in_tree(std::size_t levels, double comp_cost, double comm_cost) {
       graph.add_edge(TaskId(2 * i + 2), TaskId(i), comm_cost);
     }
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph fft(std::size_t points, double comp_cost, double comm_cost) {
   throw_if(points == 0 || (points & (points - 1)) != 0,
            "fft: points must be a power of two");
-  TaskGraph graph("fft");
+  TaskGraphBuilder graph("fft");
   std::size_t stages = 0;
   for (std::size_t p = points; p > 1; p >>= 1) {
     ++stages;
@@ -231,13 +229,13 @@ TaskGraph fft(std::size_t points, double comp_cost, double comm_cost) {
       graph.add_edge(rows[r][i ^ stride], rows[r + 1][i], comm_cost);
     }
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph gaussian_elimination(std::size_t m, double comp_cost,
                                double comm_cost) {
   throw_if(m < 2, "gaussian_elimination: matrix dimension must be >= 2");
-  TaskGraph graph("gaussian_elimination");
+  TaskGraphBuilder graph("gaussian_elimination");
   TaskId prev_pivot;
   std::vector<TaskId> prev_updates;
   for (std::size_t k = 0; k + 1 < m; ++k) {
@@ -262,14 +260,14 @@ TaskGraph gaussian_elimination(std::size_t m, double comp_cost,
     prev_updates = std::move(updates);
   }
   (void)prev_pivot;
-  return graph;
+  return graph.build();
 }
 
 TaskGraph stencil_1d(std::size_t steps, std::size_t points, double comp_cost,
                      double comm_cost) {
   throw_if(steps == 0 || points == 0,
            "stencil_1d: steps and points must be > 0");
-  TaskGraph graph("stencil_1d");
+  TaskGraphBuilder graph("stencil_1d");
   std::vector<std::vector<TaskId>> rows(steps);
   for (std::size_t t = 0; t < steps; ++t) {
     rows[t].reserve(points);
@@ -289,7 +287,7 @@ TaskGraph stencil_1d(std::size_t steps, std::size_t points, double comp_cost,
       }
     }
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph cholesky(std::size_t tiles, double tile_flops,
@@ -297,7 +295,7 @@ TaskGraph cholesky(std::size_t tiles, double tile_flops,
   throw_if(tiles == 0, "cholesky: tiles must be > 0");
   throw_if(tile_flops <= 0.0 || tile_volume < 0.0,
            "cholesky: bad cost parameters");
-  TaskGraph graph("cholesky");
+  TaskGraphBuilder graph("cholesky");
 
   // Dataflow construction: every kernel reads/writes tiles; an edge runs
   // from the last writer of each tile a kernel touches.
@@ -307,8 +305,7 @@ TaskGraph cholesky(std::size_t tiles, double tile_flops,
     if (!writer.valid() || writer == task) {
       return;
     }
-    const auto succ = graph.successors(writer);
-    if (std::find(succ.begin(), succ.end(), task) == succ.end()) {
+    if (!graph.has_edge(writer, task)) {
       graph.add_edge(writer, task, tile_volume);
     }
   };
@@ -343,12 +340,12 @@ TaskGraph cholesky(std::size_t tiles, double tile_flops,
       }
     }
   }
-  return graph;
+  return graph.build();
 }
 
 TaskGraph diamond(std::size_t side, double comp_cost, double comm_cost) {
   throw_if(side == 0, "diamond: side must be > 0");
-  TaskGraph graph("diamond");
+  TaskGraphBuilder graph("diamond");
   std::vector<std::vector<TaskId>> grid(side);
   for (std::size_t i = 0; i < side; ++i) {
     grid[i].reserve(side);
@@ -367,7 +364,7 @@ TaskGraph diamond(std::size_t side, double comp_cost, double comm_cost) {
       }
     }
   }
-  return graph;
+  return graph.build();
 }
 
 }  // namespace edgesched::dag

@@ -10,7 +10,7 @@ void write_dot(std::ostream& out, const TaskGraph& graph) {
   out << "digraph \"" << (graph.name().empty() ? "dag" : graph.name())
       << "\" {\n";
   for (TaskId t : graph.all_tasks()) {
-    out << "  t" << t.value() << " [label=\"" << graph.task(t).name << "\\nw="
+    out << "  t" << t.value() << " [label=\"" << graph.name(t) << "\\nw="
         << graph.weight(t) << "\"];\n";
   }
   for (EdgeId e : graph.all_edges()) {
@@ -25,7 +25,7 @@ void write_text(std::ostream& out, const TaskGraph& graph) {
   out << "graph " << (graph.name().empty() ? "dag" : graph.name()) << "\n";
   for (TaskId t : graph.all_tasks()) {
     out << "task " << t.value() << ' ' << graph.weight(t) << ' '
-        << graph.task(t).name << "\n";
+        << graph.name(t) << "\n";
   }
   for (EdgeId e : graph.all_edges()) {
     const Edge& edge = graph.edge(e);
@@ -35,7 +35,7 @@ void write_text(std::ostream& out, const TaskGraph& graph) {
 }
 
 TaskGraph read_text(std::istream& in) {
-  TaskGraph graph;
+  TaskGraphBuilder graph;
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -73,8 +73,7 @@ TaskGraph read_text(std::istream& in) {
       throw_if(true, "read_text: unknown keyword '" + keyword + "'" + where);
     }
   }
-  graph.validate();
-  return graph;
+  return graph.build();
 }
 
 TaskGraph read_stg(std::istream& in, double default_comm_cost) {
@@ -85,7 +84,7 @@ TaskGraph read_stg(std::istream& in, double default_comm_cost) {
   throw_if(in.fail(), "read_stg: missing task count");
   const std::size_t total = declared + 2;  // + dummy entry and exit
 
-  TaskGraph graph("stg");
+  TaskGraphBuilder graph("stg");
   struct Pending {
     std::uint32_t src;
     std::uint32_t dst;
@@ -112,8 +111,7 @@ TaskGraph read_stg(std::istream& in, double default_comm_cost) {
     graph.add_edge(TaskId(edge.src), TaskId(edge.dst),
                    default_comm_cost);
   }
-  graph.validate();
-  return graph;
+  return graph.build();
 }
 
 void write_stg(std::ostream& out, const TaskGraph& graph) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <queue>
 
 #include "util/hash.hpp"
@@ -14,36 +15,110 @@ namespace {
 bool valid_cost(double value) {
   return std::isfinite(value) && value >= 0.0;
 }
+
+std::string default_name(TaskId id) {
+  return "n" + std::to_string(id.value());
+}
+
 }  // namespace
 
-TaskId TaskGraph::add_task(double weight, std::string name) {
+TaskId TaskGraphBuilder::add_task(double weight, std::string name) {
   throw_if(!valid_cost(weight),
            "TaskGraph::add_task: negative computation cost");
-  TaskId id(tasks_.size());
-  if (name.empty()) {
-    name = "n" + std::to_string(id.value());
+  TaskId id(weights_.size());
+  const bool custom = !name.empty() && name != default_name(id);
+  if (custom || !names_.empty()) {
+    names_.resize(id.index());  // earlier tasks keep their default name
+    names_.push_back(custom ? std::move(name) : std::string());
   }
-  tasks_.push_back(Task{std::move(name), weight, {}, {}});
+  weights_.push_back(weight);
+  in_degree_.push_back(0);
+  out_degree_.push_back(0);
+  last_out_.push_back(0);
   return id;
 }
 
-EdgeId TaskGraph::add_edge(TaskId src, TaskId dst, double cost) {
-  throw_if(!src.valid() || src.index() >= tasks_.size(),
+EdgeId TaskGraphBuilder::add_edge(TaskId src, TaskId dst, double cost) {
+  throw_if(!src.valid() || src.index() >= weights_.size(),
            "TaskGraph::add_edge: invalid source task");
-  throw_if(!dst.valid() || dst.index() >= tasks_.size(),
+  throw_if(!dst.valid() || dst.index() >= weights_.size(),
            "TaskGraph::add_edge: invalid destination task");
   throw_if(src == dst, "TaskGraph::add_edge: self loop");
   throw_if(!valid_cost(cost),
            "TaskGraph::add_edge: negative communication cost");
-  for (EdgeId existing : tasks_[src.index()].out_edges) {
-    throw_if(edges_[existing.index()].dst == dst,
-             "TaskGraph::add_edge: duplicate edge");
-  }
+  throw_if(has_edge(src, dst), "TaskGraph::add_edge: duplicate edge");
   EdgeId id(edges_.size());
   edges_.push_back(Edge{src, dst, cost});
-  tasks_[src.index()].out_edges.push_back(id);
-  tasks_[dst.index()].in_edges.push_back(id);
+  previous_out_.push_back(last_out_[src.index()]);
+  last_out_[src.index()] = static_cast<std::uint32_t>(edges_.size());
+  ++out_degree_[src.index()];
+  ++in_degree_[dst.index()];
   return id;
+}
+
+bool TaskGraphBuilder::has_edge(TaskId src, TaskId dst) const {
+  EDGESCHED_ASSERT(src.index() < last_out_.size());
+  for (std::uint32_t e = last_out_[src.index()]; e != 0;
+       e = previous_out_[e - 1]) {
+    if (edges_[e - 1].dst == dst) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t TaskGraphBuilder::in_degree(TaskId id) const {
+  EDGESCHED_ASSERT(id.index() < in_degree_.size());
+  return in_degree_[id.index()];
+}
+
+std::size_t TaskGraphBuilder::out_degree(TaskId id) const {
+  EDGESCHED_ASSERT(id.index() < out_degree_.size());
+  return out_degree_[id.index()];
+}
+
+TaskGraph TaskGraphBuilder::build() {
+  TaskGraph graph;
+  graph.name_ = std::move(name_);
+  graph.weights_ = std::move(weights_);
+  graph.weights_.shrink_to_fit();
+  graph.edges_ = std::move(edges_);
+  graph.edges_.shrink_to_fit();
+  if (!names_.empty()) {
+    names_.resize(graph.weights_.size());
+    graph.task_names_ = std::move(names_);
+    graph.task_names_.shrink_to_fit();
+  }
+  // A counting sort of the edge ids by destination and by source; one
+  // pass in id order keeps every task's list in insertion order. The
+  // degree counts, spent, become the fill cursors.
+  const auto group = [&](std::vector<std::uint32_t>& degree, auto endpoint) {
+    TaskGraph::Adjacency adjacency;
+    adjacency.offsets.assign(degree.size() + 1, 0);
+    std::partial_sum(degree.begin(), degree.end(),
+                     adjacency.offsets.begin() + 1);
+    std::copy(adjacency.offsets.begin(), adjacency.offsets.end() - 1,
+              degree.begin());
+    adjacency.ids.resize(graph.edges_.size());
+    for (std::size_t i = 0; i < graph.edges_.size(); ++i) {
+      adjacency.ids[degree[endpoint(graph.edges_[i]).index()]++] = EdgeId(i);
+    }
+    return adjacency;
+  };
+  graph.in_ = group(in_degree_, [](const Edge& e) { return e.dst; });
+  graph.out_ = group(out_degree_, [](const Edge& e) { return e.src; });
+  *this = TaskGraphBuilder();
+  throw_if(graph.kahn(/*smallest_first=*/false).size() != graph.num_tasks(),
+           "TaskGraph::build: graph contains a cycle");
+  return graph;
+}
+
+std::string TaskGraph::name(TaskId id) const {
+  EDGESCHED_ASSERT(id.index() < weights_.size());
+  if (!task_names_.empty() && !task_names_[id.index()].empty()) {
+    return task_names_[id.index()];
+  }
+  return default_name(id);
 }
 
 void TaskGraph::set_cost(EdgeId id, double cost) {
@@ -55,11 +130,11 @@ void TaskGraph::set_cost(EdgeId id, double cost) {
 }
 
 void TaskGraph::set_weight(TaskId id, double weight) {
-  throw_if(!id.valid() || id.index() >= tasks_.size(),
+  throw_if(!id.valid() || id.index() >= weights_.size(),
            "TaskGraph::set_weight: invalid task");
   throw_if(!valid_cost(weight),
            "TaskGraph::set_weight: negative computation cost");
-  tasks_[id.index()].weight = weight;
+  weights_[id.index()] = weight;
 }
 
 std::vector<TaskId> TaskGraph::predecessors(TaskId id) const {
@@ -82,8 +157,8 @@ std::vector<TaskId> TaskGraph::successors(TaskId id) const {
 
 std::vector<TaskId> TaskGraph::entry_tasks() const {
   std::vector<TaskId> result;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].in_edges.empty()) {
+  for (std::size_t i = 0; i < num_tasks(); ++i) {
+    if (in_edges(TaskId(i)).empty()) {
       result.emplace_back(i);
     }
   }
@@ -92,8 +167,8 @@ std::vector<TaskId> TaskGraph::entry_tasks() const {
 
 std::vector<TaskId> TaskGraph::exit_tasks() const {
   std::vector<TaskId> result;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].out_edges.empty()) {
+  for (std::size_t i = 0; i < num_tasks(); ++i) {
+    if (out_edges(TaskId(i)).empty()) {
       result.emplace_back(i);
     }
   }
@@ -102,8 +177,8 @@ std::vector<TaskId> TaskGraph::exit_tasks() const {
 
 std::vector<TaskId> TaskGraph::all_tasks() const {
   std::vector<TaskId> result;
-  result.reserve(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  result.reserve(num_tasks());
+  for (std::size_t i = 0; i < num_tasks(); ++i) {
     result.emplace_back(i);
   }
   return result;
@@ -119,9 +194,9 @@ std::vector<EdgeId> TaskGraph::all_edges() const {
 }
 
 std::vector<TaskId> TaskGraph::kahn(bool smallest_first) const {
-  std::vector<std::size_t> indegree(tasks_.size());
+  std::vector<std::size_t> indegree(num_tasks());
   std::vector<TaskId> order;
-  order.reserve(tasks_.size());
+  order.reserve(num_tasks());
   // FIFO: `order` is the queue. Smallest id first: a min-heap feeds it,
   // which keeps the order independent of container internals.
   std::priority_queue<std::size_t, std::vector<std::size_t>,
@@ -133,8 +208,8 @@ std::vector<TaskId> TaskGraph::kahn(bool smallest_first) const {
       order.emplace_back(i);
     }
   };
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    indegree[i] = tasks_[i].in_edges.size();
+  for (std::size_t i = 0; i < num_tasks(); ++i) {
+    indegree[i] = in_edges(TaskId(i)).size();
     if (indegree[i] == 0) {
       release(i);
     }
@@ -147,7 +222,7 @@ std::vector<TaskId> TaskGraph::kahn(bool smallest_first) const {
     if (head == order.size()) {
       return order;
     }
-    for (EdgeId e : tasks_[order[head].index()].out_edges) {
+    for (EdgeId e : out_edges(order[head])) {
       const std::size_t next = edges_[e.index()].dst.index();
       if (--indegree[next] == 0) {
         release(next);
@@ -156,33 +231,19 @@ std::vector<TaskId> TaskGraph::kahn(bool smallest_first) const {
   }
 }
 
-bool TaskGraph::is_acyclic() const {
-  return kahn(/*smallest_first=*/false).size() == tasks_.size();
-}
-
 std::vector<TaskId> TaskGraph::topological_order() const {
-  std::vector<TaskId> order = kahn(/*smallest_first=*/true);
-  throw_if(order.size() != tasks_.size(),
-           "TaskGraph::topological_order: graph contains a cycle");
-  return order;
+  return kahn(/*smallest_first=*/true);
 }
 
 std::vector<TaskId> TaskGraph::fifo_topological_order() const {
-  std::vector<TaskId> order = kahn(/*smallest_first=*/false);
-  throw_if(order.size() != tasks_.size(),
-           "TaskGraph::topological_order: graph contains a cycle");
-  return order;
-}
-
-void TaskGraph::validate() const {
-  throw_if(!is_acyclic(), "TaskGraph::validate: graph contains a cycle");
+  return kahn(/*smallest_first=*/false);
 }
 
 std::uint64_t TaskGraph::fingerprint() const noexcept {
   Fingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(tasks_.size()));
-  for (const Task& t : tasks_) {
-    fp.mix(t.weight);
+  fp.mix(static_cast<std::uint64_t>(weights_.size()));
+  for (double w : weights_) {
+    fp.mix(w);
   }
   fp.mix(static_cast<std::uint64_t>(edges_.size()));
   for (const Edge& e : edges_) {
@@ -194,11 +255,7 @@ std::uint64_t TaskGraph::fingerprint() const noexcept {
 }
 
 double TaskGraph::total_computation() const noexcept {
-  double sum = 0.0;
-  for (const Task& t : tasks_) {
-    sum += t.weight;
-  }
-  return sum;
+  return std::accumulate(weights_.begin(), weights_.end(), 0.0);
 }
 
 double TaskGraph::total_communication() const noexcept {

@@ -12,10 +12,12 @@
 namespace edgesched::dag {
 
 /// Result of `induced_subgraph`: the subgraph plus the mapping from
-/// original ids to subgraph ids (invalid id = not selected).
+/// original ids to subgraph ids (invalid id = not selected) and back
+/// for edges.
 struct Subgraph {
   TaskGraph graph;
-  std::vector<TaskId> new_id;  ///< indexed by original task id
+  std::vector<TaskId> new_id;    ///< indexed by original task id
+  std::vector<EdgeId> old_edge;  ///< indexed by subgraph edge id
 };
 
 /// The subgraph induced by `tasks` (duplicates rejected).

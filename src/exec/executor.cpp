@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -1310,30 +1309,13 @@ ExecutionReport execute(const dag::TaskGraph& graph,
         old_of[rp->sub.new_id[t].index()] = static_cast<std::uint32_t>(t);
       }
     }
-    std::unordered_map<std::uint64_t, std::uint32_t> pair_to_edge;
-    pair_to_edge.reserve(graph.num_edges());
-    for (std::size_t e = 0; e < graph.num_edges(); ++e) {
-      const dag::Edge& edge = graph.edge(dag::EdgeId(static_cast<std::uint32_t>(e)));
-      pair_to_edge.emplace(
-          static_cast<std::uint64_t>(edge.src.value()) * graph.num_tasks() +
-              edge.dst.value(),
-          static_cast<std::uint32_t>(e));
-    }
-    std::vector<std::uint32_t> sub_edge_orig(rp->sub.graph.num_edges(),
-                                             kNone32);
+    std::vector<std::uint32_t> sub_edge_orig(rp->sub.graph.num_edges());
     for (std::size_t e = 0; e < rp->sub.graph.num_edges(); ++e) {
-      const dag::Edge& edge =
-          rp->sub.graph.edge(dag::EdgeId(static_cast<std::uint32_t>(e)));
-      const auto it = pair_to_edge.find(
-          static_cast<std::uint64_t>(old_of[edge.src.index()]) *
-              graph.num_tasks() +
-          old_of[edge.dst.index()]);
-      EDGESCHED_ASSERT(it != pair_to_edge.end());
-      sub_edge_orig[e] = it->second;
-      if (stub_flags[edge.dst.index()]) {
+      const dag::EdgeId sub_edge(e);
+      sub_edge_orig[e] = rp->sub.old_edge[e].value();
+      if (stub_flags[rp->sub.graph.edge(sub_edge).dst.index()]) {
         // Stubs need no inputs — they stand in for data already produced.
-        rp->sub.graph.set_cost(dag::EdgeId(static_cast<std::uint32_t>(e)),
-                               0.0);
+        rp->sub.graph.set_cost(sub_edge, 0.0);
       }
     }
 

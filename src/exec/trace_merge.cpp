@@ -50,7 +50,7 @@ void write_merged_trace(std::ostream& os, const dag::TaskGraph& graph,
     if (placement.placed()) {
       const obs::TraceArg args[] = {run, {"task", t.value()}};
       w.complete(kPidPlanned, placement.processor.value(),
-                 graph.task(t).name, placement.start,
+                 graph.name(t), placement.start,
                  placement.finish - placement.start, args);
     }
   }
@@ -60,7 +60,7 @@ void write_merged_trace(std::ostream& os, const dag::TaskGraph& graph,
     if (record.attempts == 0) {
       continue;  // never started (aborted run)
     }
-    std::string name = graph.task(dag::TaskId(record.task)).name;
+    std::string name = graph.name(dag::TaskId(record.task));
     if (record.attempts > 1) {
       name += " (attempt " + std::to_string(record.attempts) + ")";
     }

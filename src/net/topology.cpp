@@ -122,19 +122,19 @@ bool Topology::processors_connected() const {
   if (processors_.size() < 2) {
     return true;
   }
-  // BFS from the first processor must reach all others; since links come
-  // in duplex or bus form in all builders this single sweep suffices, but
-  // we still check reachability in the directed sense for safety.
-  for (NodeId start : {processors_.front(), processors_.back()}) {
+  // Every processor reaches the first and the first reaches every
+  // processor, so any two reach each other through it: one sweep over
+  // out-links and one over in-links.
+  for (const bool forward : {true, false}) {
     std::vector<bool> seen(nodes_.size(), false);
     std::queue<NodeId> frontier;
-    frontier.push(start);
-    seen[start.index()] = true;
+    frontier.push(processors_.front());
+    seen[processors_.front().index()] = true;
     while (!frontier.empty()) {
       const NodeId current = frontier.front();
       frontier.pop();
-      for (LinkId l : node(current).out_links) {
-        const NodeId next = link(l).dst;
+      for (LinkId l : forward ? out_links(current) : in_links(current)) {
+        const NodeId next = forward ? link(l).dst : link(l).src;
         if (!seen[next.index()]) {
           seen[next.index()] = true;
           frontier.push(next);

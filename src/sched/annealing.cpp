@@ -45,7 +45,7 @@ AnnealingScheduler::AnnealingScheduler(const Options& options)
 Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
                                       const PlatformContext& platform) const {
   const net::Topology& topology = platform.topology();
-  check_inputs(graph, topology);
+  check_inputs(topology);
   const auto& processors = topology.processors();
 
   Assignment current = assignment_of(

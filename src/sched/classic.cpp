@@ -28,7 +28,7 @@ double assumed_speed(const net::Topology& topology, net::NodeId from,
 Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
                                     const PlatformContext& platform) const {
   const net::Topology& topology = platform.topology();
-  check_inputs(graph, topology);
+  check_inputs(topology);
   Schedule out(name(), graph.num_tasks(), graph.num_edges());
 
   const std::vector<dag::TaskId> order =
@@ -76,7 +76,7 @@ Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
     out.place_task(task,
                    TaskPlacement{chosen, chosen_start, chosen_finish});
 
-    const std::vector<dag::EdgeId>& in = graph.in_edges(task);
+    const std::span<const dag::EdgeId> in = graph.in_edges(task);
     for (std::size_t i = 0; i < in.size(); ++i) {
       const dag::Edge& edge = graph.edge(in[i]);
       const TaskPlacement& src = out.task(edge.src);

@@ -85,7 +85,7 @@ Choice blind_eft(const net::Topology& topology, const MachineState& machines,
 Choice mls_estimate(const dag::TaskGraph& graph, const Schedule& out,
                     const net::Topology& topology,
                     const MachineState& machines, double mls, double weight,
-                    const std::vector<dag::EdgeId>& in,
+                    std::span<const dag::EdgeId> in,
                     std::vector<obs::ProcessorCandidate>* candidates) {
   const auto ready_on = [&](net::NodeId processor) {
     double ready_estimate = 0.0;
@@ -149,7 +149,7 @@ Choice tentative_eft(const dag::TaskGraph& graph, const Schedule& out,
                      const MachineState& machines, const AlgorithmSpec& spec,
                      ExclusiveNetworkState& network, RouteFn&& route,
                      std::vector<dag::EdgeId>& committed, double weight,
-                     double ready_moment, const std::vector<dag::EdgeId>& in,
+                     double ready_moment, std::span<const dag::EdgeId> in,
                      std::vector<obs::ProcessorCandidate>* candidates) {
   const net::Topology& topology = network.topology();
   Choice choice;
@@ -427,10 +427,10 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
     // predecessor order. A binary insertion sort into the scratch keeps
     // that order (each edge goes after every one costing at least as
     // much) without the buffer std::stable_sort allocates per call.
-    const std::vector<dag::EdgeId>* in_order = &graph.in_edges(task);
+    std::span<const dag::EdgeId> in = graph.in_edges(task);
     if (spec.edge_order == EdgeOrderPolicyKind::kByCostDescending) {
       order_scratch.clear();
-      for (dag::EdgeId e : *in_order) {
+      for (dag::EdgeId e : in) {
         order_scratch.insert(
             std::upper_bound(order_scratch.begin(), order_scratch.end(), e,
                              [&](dag::EdgeId a, dag::EdgeId b) {
@@ -438,9 +438,8 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
                              }),
             e);
       }
-      in_order = &order_scratch;
+      in = order_scratch;
     }
-    const std::vector<dag::EdgeId>& in = *in_order;
 
     // Processor selection (§4.1).
     Choice choice;
@@ -528,7 +527,6 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
     ++tasks_placed;
     ready.release_successors(graph, task);
   }
-  throw_if(!ready.all_popped(), "SpecScheduler: graph contains a cycle");
 
   if constexpr (kExclusive) {
     if (spec.insertion == InsertionPolicyKind::kOptimal) {
@@ -584,7 +582,7 @@ SpecScheduler::SpecScheduler(AlgorithmSpec spec)
 
 Schedule SpecScheduler::schedule(const dag::TaskGraph& graph,
                                  const PlatformContext& platform) const {
-  check_inputs(graph, platform.topology());
+  check_inputs(platform.topology());
   if (spec_.insertion == InsertionPolicyKind::kPacketized) {
     check_packet_counts(graph, spec_.packet_size);
   }

@@ -66,7 +66,7 @@ GeneticScheduler::GeneticScheduler(const Options& options)
 Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
                                     const PlatformContext& platform) const {
   const net::Topology& topology = platform.topology();
-  check_inputs(graph, topology);
+  check_inputs(topology);
 
   const auto evaluate = [&](const Assignment& genes) {
     // Pure: owns all of its scratch, so concurrent evaluations over one

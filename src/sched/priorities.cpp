@@ -36,7 +36,6 @@ std::vector<dag::TaskId> list_order(const dag::TaskGraph& graph,
     order.push_back(task);
     ready.release_successors(graph, task);
   }
-  throw_if(!ready.all_popped(), "list_order: graph contains a cycle");
   return order;
 }
 

@@ -8,7 +8,7 @@ namespace edgesched::sched {
 
 ReadyQueue::ReadyQueue(const dag::TaskGraph& graph,
                        const std::vector<double>& priority)
-    : priority_(&priority), num_tasks_(graph.num_tasks()) {
+    : priority_(&priority) {
   throw_if(priority.size() != graph.num_tasks(),
            "ReadyQueue: priority vector size mismatch");
   heap_.reserve(graph.num_tasks());
@@ -33,7 +33,6 @@ bool ReadyQueue::pop(dag::TaskId& out) {
   std::pop_heap(heap_.begin(), heap_.end());
   out = heap_.back().task;
   heap_.pop_back();
-  ++popped_;
   return true;
 }
 

@@ -27,20 +27,13 @@ class ReadyQueue {
   ReadyQueue(const dag::TaskGraph& graph,
              const std::vector<double>& priority);
 
-  /// Pops the highest-priority ready task into `out`; false when no
-  /// task is ready (drained, or the graph has a cycle — see
-  /// `all_popped`).
+  /// Pops the highest-priority ready task into `out`; false once every
+  /// task has been popped (a built graph is acyclic).
   [[nodiscard]] bool pop(dag::TaskId& out);
 
   /// Releases `task`'s successors after it has been placed, pushing any
   /// that became ready.
   void release_successors(const dag::TaskGraph& graph, dag::TaskId task);
-
-  /// True when every task has been popped; a false value after `pop`
-  /// returns false means the graph contains a cycle.
-  [[nodiscard]] bool all_popped() const noexcept {
-    return popped_ == num_tasks_;
-  }
 
  private:
   struct Entry {
@@ -59,8 +52,6 @@ class ReadyQueue {
   const std::vector<double>* priority_;
   std::vector<Entry> heap_;
   std::vector<std::size_t> indegree_;
-  std::size_t num_tasks_ = 0;
-  std::size_t popped_ = 0;
 };
 
 }  // namespace edgesched::sched

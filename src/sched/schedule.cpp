@@ -168,7 +168,7 @@ std::string Schedule::to_string(const dag::TaskGraph& graph,
     os << "  " << topology.node(proc).name << ":";
     for (dag::TaskId t : task_list) {
       const TaskPlacement& p = tasks_[t.index()];
-      os << ' ' << graph.task(t).name << "[" << p.start << ',' << p.finish
+      os << ' ' << graph.name(t) << "[" << p.start << ',' << p.finish
          << ')';
     }
     os << "\n";
@@ -179,8 +179,8 @@ std::string Schedule::to_string(const dag::TaskGraph& graph,
       continue;
     }
     const dag::Edge& edge = graph.edge(e);
-    os << "  edge " << graph.task(edge.src).name << "->"
-       << graph.task(edge.dst).name << " arrival=" << comm.arrival;
+    os << "  edge " << graph.name(edge.src) << "->"
+       << graph.name(edge.dst) << " arrival=" << comm.arrival;
     if (comm.kind == Communication::Kind::kExclusive) {
       for (const LinkOccupation& occ : comm.occupations) {
         os << " L" << occ.link.value() << "[" << occ.start << ','

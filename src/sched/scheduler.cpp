@@ -12,9 +12,7 @@ Schedule Scheduler::schedule(const dag::TaskGraph& graph,
   return schedule(graph, platform);
 }
 
-void Scheduler::check_inputs(const dag::TaskGraph& graph,
-                             const net::Topology& topology) {
-  graph.validate();
+void Scheduler::check_inputs(const net::Topology& topology) {
   throw_if(topology.num_processors() == 0,
            "Scheduler: topology has no processors");
   throw_if(!topology.processors_connected(),

@@ -44,9 +44,9 @@ class Scheduler {
   [[nodiscard]] virtual std::uint64_t fingerprint() const;
 
  protected:
-  /// Common argument validation for all schedulers.
-  static void check_inputs(const dag::TaskGraph& graph,
-                           const net::Topology& topology);
+  /// Common argument validation for all schedulers. The graph needs
+  /// none: `dag::TaskGraphBuilder::build()` proved it acyclic.
+  static void check_inputs(const net::Topology& topology);
 };
 
 /// All contention-aware algorithms of the reproduction, for sweep drivers.

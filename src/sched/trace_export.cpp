@@ -26,8 +26,8 @@ std::vector<LinkEvent> collect_link_events(const dag::TaskGraph& graph,
   for (dag::EdgeId e : graph.all_edges()) {
     const Communication comm = schedule.communication(e);
     const dag::Edge& edge = graph.edge(e);
-    const std::string label = graph.task(edge.src).name + "->" +
-                              graph.task(edge.dst).name;
+    const std::string label = graph.name(edge.src) + "->" +
+                              graph.name(edge.dst);
     if (comm.kind == Communication::Kind::kExclusive ||
         comm.kind == Communication::Kind::kPacketized) {
       for (const LinkOccupation& occ : comm.occupations) {
@@ -62,7 +62,7 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
   for (dag::TaskId t : graph.all_tasks()) {
     const TaskPlacement& placement = schedule.task(t);
     if (placement.placed()) {
-      writer.complete(0, placement.processor.value(), graph.task(t).name,
+      writer.complete(0, placement.processor.value(), graph.name(t),
                       placement.start, placement.finish - placement.start);
     }
   }

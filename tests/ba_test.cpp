@@ -24,9 +24,10 @@ TEST(BasicAlgorithm, SingleProcessorSerialises) {
 }
 
 TEST(BasicAlgorithm, IndependentTasksSpread) {
-  dag::TaskGraph graph;
-  (void)graph.add_task(4.0);
-  (void)graph.add_task(4.0);
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(4.0);
+  (void)builder.add_task(4.0);
+  const dag::TaskGraph graph = builder.build();
   const net::Topology topo = star(2);
   const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);
@@ -112,8 +113,9 @@ TEST(BasicAlgorithm, DeterministicAcrossRuns) {
 }
 
 TEST(BasicAlgorithm, HeterogeneousSpeedsRespected) {
-  dag::TaskGraph graph;
-  (void)graph.add_task(10.0);
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(10.0);
+  const dag::TaskGraph graph = builder.build();
   net::Topology topo;
   const net::NodeId slow = topo.add_processor(1.0, "slow");
   const net::NodeId fast = topo.add_processor(5.0, "fast");

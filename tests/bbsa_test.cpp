@@ -38,12 +38,13 @@ TEST(Bbsa, CrossTransferUsesFluidProfiles) {
   // Two heavy independent producers spread over both processors; the join
   // task then receives one edge remotely. Hand-traced: b (higher bl) goes
   // to p0, a to p1, c joins on p0, so edge a->c crosses p1 -> sw -> p0.
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(10.0, "a");
-  const dag::TaskId b = graph.add_task(10.0, "b");
-  const dag::TaskId c = graph.add_task(1.0, "c");
-  const dag::EdgeId a_c = graph.add_edge(a, c, 2.0);
-  (void)graph.add_edge(b, c, 4.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(10.0, "a");
+  const dag::TaskId b = builder.add_task(10.0, "b");
+  const dag::TaskId c = builder.add_task(1.0, "c");
+  const dag::EdgeId a_c = builder.add_edge(a, c, 2.0);
+  (void)builder.add_edge(b, c, 4.0);
+  const dag::TaskGraph graph = builder.build();
 
   net::Topology topo;
   const net::NodeId p0 = topo.add_processor(1.0, "p0");

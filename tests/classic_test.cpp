@@ -23,12 +23,13 @@ TEST(Classic, SingleProcessorSerialises) {
 }
 
 TEST(Classic, UsesDirectLinkSpeed) {
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(10.0, "a");
-  const dag::TaskId b = graph.add_task(10.0, "b");
-  const dag::TaskId c = graph.add_task(1.0, "c");
-  const dag::EdgeId a_c = graph.add_edge(a, c, 4.0);
-  (void)graph.add_edge(b, c, 8.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(10.0, "a");
+  const dag::TaskId b = builder.add_task(10.0, "b");
+  const dag::TaskId c = builder.add_task(1.0, "c");
+  const dag::EdgeId a_c = builder.add_edge(a, c, 4.0);
+  (void)builder.add_edge(b, c, 8.0);
+  const dag::TaskGraph graph = builder.build();
 
   net::Topology topo;
   const net::NodeId p0 = topo.add_processor(1.0, "p0");

@@ -34,17 +34,18 @@ std::string dot_of(const TaskGraph& graph) {
 }
 
 TEST(DagText, RoundTripsSmallGraph) {
-  TaskGraph g("demo");
-  const TaskId a = g.add_task(2.5, "a");
-  const TaskId b = g.add_task(3.0, "b");
-  g.add_edge(a, b, 7.25);
+  TaskGraphBuilder builder("demo");
+  const TaskId a = builder.add_task(2.5, "a");
+  const TaskId b = builder.add_task(3.0, "b");
+  builder.add_edge(a, b, 7.25);
+  const TaskGraph g = builder.build();
 
   const TaskGraph parsed = parse_text(text_of(g));
   EXPECT_EQ(parsed.name(), "demo");
   ASSERT_EQ(parsed.num_tasks(), 2u);
   ASSERT_EQ(parsed.num_edges(), 1u);
   EXPECT_DOUBLE_EQ(parsed.weight(TaskId(0u)), 2.5);
-  EXPECT_EQ(parsed.task(TaskId(1u)).name, "b");
+  EXPECT_EQ(parsed.name(TaskId(1u)), "b");
   EXPECT_DOUBLE_EQ(parsed.cost(EdgeId(0u)), 7.25);
 }
 
@@ -73,7 +74,7 @@ TEST(DagText, SkipsCommentsAndBlankLines) {
       "task 1 2.5 named\n"
       "edge 0 1 3\n");
   EXPECT_EQ(parsed.num_tasks(), 2u);
-  EXPECT_EQ(parsed.task(TaskId(1u)).name, "named");
+  EXPECT_EQ(parsed.name(TaskId(1u)), "named");
 }
 
 TEST(DagText, RejectsMalformedInput) {
@@ -148,18 +149,20 @@ TEST(Stg, RejectsMalformedInput) {
 
 TEST(Stg, WriteRejectsNonStgShapedGraphs) {
   // Two entries: not STG-shaped.
-  TaskGraph g;
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
+  TaskGraphBuilder builder;
+  (void)builder.add_task(1.0);
+  (void)builder.add_task(1.0);
+  const TaskGraph g = builder.build();
   std::ostringstream os;
   EXPECT_THROW(write_stg(os, g), std::invalid_argument);
 }
 
 TEST(DagDot, ContainsNodesAndEdges) {
-  TaskGraph g("dotted");
-  const TaskId a = g.add_task(1.0, "first");
-  const TaskId b = g.add_task(2.0, "second");
-  g.add_edge(a, b, 3.0);
+  TaskGraphBuilder builder("dotted");
+  const TaskId a = builder.add_task(1.0, "first");
+  const TaskId b = builder.add_task(2.0, "second");
+  builder.add_edge(a, b, 3.0);
+  const TaskGraph g = builder.build();
   const std::string dot = dot_of(g);
   EXPECT_NE(dot.find("digraph \"dotted\""), std::string::npos);
   EXPECT_NE(dot.find("first"), std::string::npos);

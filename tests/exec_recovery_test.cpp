@@ -202,12 +202,13 @@ TEST(Recovery, SurvivingTopologyDropsDeadResources) {
 TEST(Recovery, RemainingWorkRerunsLostFinishedProducers) {
   // a -> b -> c; b finished but its output was lost and c still needs it:
   // b must re-run, a survives as a stub.
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(1.0);
-  const dag::TaskId b = graph.add_task(1.0);
-  const dag::TaskId c = graph.add_task(1.0);
-  (void)graph.add_edge(a, b, 1.0);
-  (void)graph.add_edge(b, c, 1.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(1.0);
+  const dag::TaskId b = builder.add_task(1.0);
+  const dag::TaskId c = builder.add_task(1.0);
+  (void)builder.add_edge(a, b, 1.0);
+  (void)builder.add_edge(b, c, 1.0);
+  const dag::TaskGraph graph = builder.build();
   std::vector<bool> finished = {true, true, false};
   std::vector<bool> lost = {false, true, false};
   const RemainingWork work = remaining_work(graph, finished, lost);

@@ -162,12 +162,13 @@ TEST(TraceMerge, DeterministicForSameReport) {
 // timestamps; planned and executed spans must parse to the exact doubles
 // of the schedule and of the report.
 TEST(TraceMerge, TimesPastAMillionRoundTripExactly) {
-  dag::TaskGraph graph;
-  const dag::TaskId root = graph.add_task(1234567.891, "root");
-  const dag::TaskId left = graph.add_task(2345678.123, "left");
-  const dag::TaskId right = graph.add_task(3456789.017, "right");
-  (void)graph.add_edge(root, left, 1000000.3);
-  (void)graph.add_edge(root, right, 1000000.7);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId root = builder.add_task(1234567.891, "root");
+  const dag::TaskId left = builder.add_task(2345678.123, "left");
+  const dag::TaskId right = builder.add_task(3456789.017, "right");
+  (void)builder.add_edge(root, left, 1000000.3);
+  (void)builder.add_edge(root, right, 1000000.7);
+  const dag::TaskGraph graph = builder.build();
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);

@@ -15,7 +15,8 @@
 // A live-block count (up in `new`, down in `delete`) also pins a
 // schedule's footprint: its edge data sits in a few per-schedule arenas,
 // not in vectors per edge, so a 1000-task schedule owns a handful of
-// heap blocks and copies in as many.
+// heap blocks and copies in as many. The same holds for a built task
+// graph: flat arrays and CSR adjacency, no vectors per task.
 //
 // It also pins that `throw_if`, whose message is a view built into a
 // string only on the throwing path, still throws `std::invalid_argument`
@@ -124,6 +125,25 @@ TEST(HotPathAlloc, ScheduleOwnsAFewBlocksAndCopiesInAFew) {
     EXPECT_LE(copied, static_cast<std::size_t>(kMaxBlocks)) << spec.name;
     EXPECT_EQ(copy.fingerprint(), schedule.fingerprint()) << spec.name;
   }
+}
+
+// The builder's scratch (degree counts, the duplicate check's out-edge
+// lists) is gone once `build()` returns; what stays are the graph's flat
+// arrays.
+TEST(HotPathAlloc, TaskGraphOwnsAFewBlocksAndCopiesInAFew) {
+  constexpr std::ptrdiff_t kMaxBlocks = 8;
+  Rng rng(5);
+  dag::LayeredDagParams params;
+  params.num_tasks = 1000;
+  const std::ptrdiff_t before = live_blocks();
+  const dag::TaskGraph graph = dag::random_layered(params, rng);
+  const std::ptrdiff_t owned = live_blocks() - before;
+  const std::size_t allocations_before = allocations();
+  const dag::TaskGraph copy = graph;
+  const std::size_t copied = allocations() - allocations_before;
+  EXPECT_LE(owned, kMaxBlocks);
+  EXPECT_LE(copied, static_cast<std::size_t>(kMaxBlocks));
+  EXPECT_EQ(copy.fingerprint(), graph.fingerprint());
 }
 
 TEST(HotPathAlloc, ProcessorSpeedDoesNotAllocate) {

@@ -13,6 +13,7 @@
 #include "net/serialization.hpp"
 #include "sched/classic.hpp"
 #include "sched/engine.hpp"
+#include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 
@@ -49,13 +50,37 @@ TEST(Integration, SingleProcessorAllAlgorithmsAgree) {
   EXPECT_DOUBLE_EQ(classic.makespan(), total);
 }
 
+TEST(Integration, EveryAlgorithmRejectsAOneWayFabric) {
+  // m has only an in-link. Before the reachability check looked along
+  // in-links too, the engine presets threw routing errors here and
+  // CLASSIC returned a schedule.
+  net::Topology topo;
+  const net::NodeId a = topo.add_processor(1.0, "a");
+  const net::NodeId m = topo.add_processor(1.0, "m");
+  const net::NodeId z = topo.add_processor(1.0, "z");
+  topo.add_duplex_link(a, z);
+  (void)topo.add_link(a, m);
+  const dag::TaskGraph graph = dag::fork_join(4, 1.0, 1.0);
+  for (const AlgorithmEntry& entry : algorithm_registry()) {
+    try {
+      (void)entry.make()->schedule(graph, topo);
+      ADD_FAILURE() << entry.key << " scheduled on a one-way fabric";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(),
+                   "Scheduler: processors are not mutually reachable")
+          << entry.key;
+    }
+  }
+}
+
 TEST(Integration, ZeroCommunicationGraphNeedsNoNetwork) {
   // Independent tasks: the network never matters; makespan approaches the
   // balanced partition bound.
-  dag::TaskGraph graph;
+  dag::TaskGraphBuilder builder;
   for (int i = 0; i < 8; ++i) {
-    (void)graph.add_task(3.0);
+    (void)builder.add_task(3.0);
   }
+  const dag::TaskGraph graph = builder.build();
   Rng rng(2);
   const net::Topology topo =
       net::switched_star(4, net::SpeedConfig{}, rng);

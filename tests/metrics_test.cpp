@@ -27,10 +27,11 @@ TEST(LowerBounds, HandComputed) {
 }
 
 TEST(LowerBounds, WorkBoundDominatesForWideGraphs) {
-  dag::TaskGraph graph;
+  dag::TaskGraphBuilder builder;
   for (int i = 0; i < 16; ++i) {
-    (void)graph.add_task(1.0);
+    (void)builder.add_task(1.0);
   }
+  const dag::TaskGraph graph = builder.build();
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(2, net::SpeedConfig{}, rng);

@@ -178,10 +178,11 @@ TEST(MlsSelection, AllIdlePicksTheLowestIndex) {
 
   // Four independent equal tasks: each, in placement order, lands on the
   // lowest idle index.
-  dag::TaskGraph graph;
+  dag::TaskGraphBuilder builder;
   for (int i = 0; i < 4; ++i) {
-    (void)graph.add_task(3.0);
+    (void)builder.add_task(3.0);
   }
+  const dag::TaskGraph graph = builder.build();
   std::ostringstream jsonl;
   obs::DecisionLog log(jsonl);
   {
@@ -216,13 +217,14 @@ TEST(MlsSelection, PredecessorProcessorBeatsItsGroupsWinner) {
   // common R = 2 + 10 makes p0 and p1 tie at 13 and the group's winner is
   // p0, but on p1 the edge is free and b scores 3.
   const net::Topology topology = star_of({1.0, 1.0});
-  dag::TaskGraph graph;
-  const dag::TaskId x = graph.add_task(3.0, "x");
-  const dag::TaskId y = graph.add_task(1.0, "y");
-  const dag::TaskId a = graph.add_task(2.0, "a");
-  const dag::TaskId b = graph.add_task(1.0, "b");
-  (void)graph.add_edge(x, y, 100.0);
-  (void)graph.add_edge(a, b, 10.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId x = builder.add_task(3.0, "x");
+  const dag::TaskId y = builder.add_task(1.0, "y");
+  const dag::TaskId a = builder.add_task(2.0, "a");
+  const dag::TaskId b = builder.add_task(1.0, "b");
+  (void)builder.add_edge(x, y, 100.0);
+  (void)builder.add_edge(a, b, 10.0);
+  const dag::TaskGraph graph = builder.build();
   const auto& procs = topology.processors();
 
   MachineState machines(topology);
@@ -245,9 +247,10 @@ TEST(MlsSelection, SlowerGroupsWinnerBeatsTheFastersGroup) {
   // p0 runs at 2, p1 at 1. The long task takes p0 (finish 10 vs 20);
   // the short one then scores 11 on p0 and 2 on the slower p1.
   const net::Topology topology = star_of({2.0, 1.0});
-  dag::TaskGraph graph;
-  const dag::TaskId big = graph.add_task(20.0, "big");
-  const dag::TaskId small = graph.add_task(2.0, "small");
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId big = builder.add_task(20.0, "big");
+  const dag::TaskId small = builder.add_task(2.0, "small");
+  const dag::TaskGraph graph = builder.build();
   const auto& procs = topology.processors();
   const Schedule schedule = SpecScheduler(oihsa_spec()).schedule(graph,
                                                                  topology);

@@ -40,13 +40,15 @@ struct JoinFixture {
   dag::EdgeId ad, bd, cd;
 
   JoinFixture() {
-    a = graph.add_task(2.0, "a");
-    b = graph.add_task(3.0, "b");
-    c = graph.add_task(4.0, "c");
-    d = graph.add_task(1.0, "d");
-    ad = graph.add_edge(a, d, 6.0);
-    bd = graph.add_edge(b, d, 2.0);
-    cd = graph.add_edge(c, d, 4.0);
+    dag::TaskGraphBuilder builder;
+    a = builder.add_task(2.0, "a");
+    b = builder.add_task(3.0, "b");
+    c = builder.add_task(4.0, "c");
+    d = builder.add_task(1.0, "d");
+    ad = builder.add_edge(a, d, 6.0);
+    bd = builder.add_edge(b, d, 2.0);
+    cd = builder.add_edge(c, d, 4.0);
+    graph = builder.build();
     const net::NodeId p0 = topo.add_processor(1.0, "p0");
     const net::NodeId p1 = topo.add_processor(1.0, "p1");
     topo.add_duplex_link(p0, p1, 1.0);

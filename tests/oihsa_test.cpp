@@ -36,8 +36,9 @@ TEST(Oihsa, KeepsChainLocalWhenCommIsExpensive) {
 }
 
 TEST(Oihsa, PrefersFastProcessorInHeterogeneousSystems) {
-  dag::TaskGraph graph;
-  (void)graph.add_task(10.0);
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(10.0);
+  const dag::TaskGraph graph = builder.build();
   net::Topology topo;
   const net::NodeId slow = topo.add_processor(1.0, "slow");
   const net::NodeId fast = topo.add_processor(5.0, "fast");
@@ -50,12 +51,13 @@ TEST(Oihsa, PrefersFastProcessorInHeterogeneousSystems) {
 TEST(Oihsa, EdgePriorityOrdersBigEdgesFirst) {
   // Join of two predecessors with very different edge costs into one sink
   // on a third processor: the big edge must get the early link slot.
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(1.0, "a");
-  const dag::TaskId b = graph.add_task(1.0, "b");
-  const dag::TaskId c = graph.add_task(1.0, "c");
-  const dag::EdgeId small = graph.add_edge(a, c, 1.0);
-  const dag::EdgeId big = graph.add_edge(b, c, 8.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(1.0, "a");
+  const dag::TaskId b = builder.add_task(1.0, "b");
+  const dag::TaskId c = builder.add_task(1.0, "c");
+  const dag::EdgeId small = builder.add_edge(a, c, 1.0);
+  const dag::EdgeId big = builder.add_edge(b, c, 8.0);
+  const dag::TaskGraph graph = builder.build();
   const net::Topology topo = star(3);
   const Schedule s = SpecScheduler(oihsa_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);

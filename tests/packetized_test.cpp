@@ -57,14 +57,15 @@ TEST(PacketizedBa, PacketsPipelineAcrossHops) {
   // Two hops, one remote message: with store-and-forward circuit
   // switching the transfer takes 2·c/s; with small packets it pipelines
   // towards c/s + packet time.
-  dag::TaskGraph graph;
+  dag::TaskGraphBuilder builder;
   // x (highest bottom level) claims the fast processor; a then runs on
   // the slow one and its edge to b crosses the network.
-  const dag::TaskId x = graph.add_task(100.0, "x");
-  const dag::TaskId a = graph.add_task(1.0, "a");
-  const dag::TaskId b = graph.add_task(50.0, "b");
+  const dag::TaskId x = builder.add_task(100.0, "x");
+  const dag::TaskId a = builder.add_task(1.0, "a");
+  const dag::TaskId b = builder.add_task(50.0, "b");
   (void)x;
-  const dag::EdgeId a_b = graph.add_edge(a, b, 16.0);
+  const dag::EdgeId a_b = builder.add_edge(a, b, 16.0);
+  const dag::TaskGraph graph = builder.build();
 
   net::Topology topo;
   const net::NodeId p0 = topo.add_processor(1.0);

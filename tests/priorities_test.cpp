@@ -9,16 +9,16 @@ namespace edgesched::sched {
 namespace {
 
 dag::TaskGraph diamond_graph() {
-  dag::TaskGraph g;
-  const dag::TaskId a = g.add_task(2.0);
-  const dag::TaskId b = g.add_task(3.0);
-  const dag::TaskId c = g.add_task(4.0);
-  const dag::TaskId d = g.add_task(5.0);
-  g.add_edge(a, b, 1.0);
-  g.add_edge(a, c, 2.0);
-  g.add_edge(b, d, 3.0);
-  g.add_edge(c, d, 4.0);
-  return g;
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(2.0);
+  const dag::TaskId b = builder.add_task(3.0);
+  const dag::TaskId c = builder.add_task(4.0);
+  const dag::TaskId d = builder.add_task(5.0);
+  builder.add_edge(a, b, 1.0);
+  builder.add_edge(a, c, 2.0);
+  builder.add_edge(b, d, 3.0);
+  builder.add_edge(c, d, 4.0);
+  return builder.build();
 }
 
 TEST(Priorities, BottomLevelSchemeMatchesProperties) {
@@ -63,20 +63,22 @@ TEST(ListOrder, PicksHigherPriorityAmongReady) {
 }
 
 TEST(ListOrder, TieBreaksBySmallerId) {
-  dag::TaskGraph g;
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(1.0);
+  (void)builder.add_task(1.0);
+  (void)builder.add_task(1.0);
+  const dag::TaskGraph g = builder.build();
   const auto order = list_order(g);
   EXPECT_EQ(order, (std::vector<dag::TaskId>{
                        dag::TaskId(0u), dag::TaskId(1u), dag::TaskId(2u)}));
 }
 
 TEST(ListOrder, ExplicitPriorityVector) {
-  dag::TaskGraph g;
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(1.0);
+  (void)builder.add_task(1.0);
+  (void)builder.add_task(1.0);
+  const dag::TaskGraph g = builder.build();
   const auto order = list_order(g, std::vector<double>{1.0, 3.0, 2.0});
   EXPECT_EQ(order, (std::vector<dag::TaskId>{
                        dag::TaskId(1u), dag::TaskId(2u), dag::TaskId(0u)}));

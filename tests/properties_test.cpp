@@ -10,16 +10,16 @@ namespace edgesched::dag {
 namespace {
 
 TaskGraph diamond_graph() {
-  TaskGraph g;
-  const TaskId a = g.add_task(2.0);
-  const TaskId b = g.add_task(3.0);
-  const TaskId c = g.add_task(4.0);
-  const TaskId d = g.add_task(5.0);
-  g.add_edge(a, b, 1.0);
-  g.add_edge(a, c, 2.0);
-  g.add_edge(b, d, 3.0);
-  g.add_edge(c, d, 4.0);
-  return g;
+  TaskGraphBuilder builder;
+  const TaskId a = builder.add_task(2.0);
+  const TaskId b = builder.add_task(3.0);
+  const TaskId c = builder.add_task(4.0);
+  const TaskId d = builder.add_task(5.0);
+  builder.add_edge(a, b, 1.0);
+  builder.add_edge(a, c, 2.0);
+  builder.add_edge(b, d, 3.0);
+  builder.add_edge(c, d, 4.0);
+  return builder.build();
 }
 
 TEST(BottomLevels, HandComputedDiamond) {
@@ -88,8 +88,9 @@ TEST(Ccr, MatchesDefinition) {
 }
 
 TEST(Ccr, ZeroWithoutEdges) {
-  TaskGraph g;
-  (void)g.add_task(1.0);
+  TaskGraphBuilder builder;
+  (void)builder.add_task(1.0);
+  const TaskGraph g = builder.build();
   EXPECT_DOUBLE_EQ(communication_computation_ratio(g), 0.0);
 }
 
@@ -110,8 +111,9 @@ TEST(RescaleToCcr, PreservesRelativeCosts) {
 TEST(RescaleToCcr, RejectsBadInput) {
   TaskGraph g = diamond_graph();
   EXPECT_THROW(rescale_to_ccr(g, 0.0), std::invalid_argument);
-  TaskGraph edgeless;
-  (void)edgeless.add_task(1.0);
+  TaskGraphBuilder edgeless_builder;
+  (void)edgeless_builder.add_task(1.0);
+  TaskGraph edgeless = edgeless_builder.build();
   EXPECT_THROW(rescale_to_ccr(edgeless, 1.0), std::invalid_argument);
 }
 

@@ -35,12 +35,13 @@ TEST(Scenario, BaJoinContentionHandTrace) {
   // spread to p1/p2 (EFT). Sink joins one of them; the other message
   // crosses hub. All algorithms: sink on a producer's processor, one
   // remote transfer of 9: ready at 3, arrive 12, run [12, 15].
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(3.0, "a");
-  const dag::TaskId b = graph.add_task(3.0, "b");
-  const dag::TaskId sink = graph.add_task(3.0, "sink");
-  graph.add_edge(a, sink, 9.0);
-  graph.add_edge(b, sink, 9.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(3.0, "a");
+  const dag::TaskId b = builder.add_task(3.0, "b");
+  const dag::TaskId sink = builder.add_task(3.0, "sink");
+  builder.add_edge(a, sink, 9.0);
+  builder.add_edge(b, sink, 9.0);
+  const dag::TaskGraph graph = builder.build();
 
   Star3 net;
   for (const auto& schedule :
@@ -68,14 +69,15 @@ TEST(Scenario, OihsaDeferralEndToEnd) {
   // only if contended). The pinned expectation: the final schedule is
   // valid and the large transfer is not delayed behind the small one by
   // more than the small one's duration.
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(2.0, "a");
-  const dag::TaskId filler2 = graph.add_task(50.0, "filler2");
-  const dag::TaskId filler3 = graph.add_task(50.0, "filler3");
-  const dag::TaskId x = graph.add_task(50.0, "x");
-  const dag::TaskId y = graph.add_task(50.0, "y");
-  graph.add_edge(a, x, 3.0);
-  graph.add_edge(a, y, 12.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(2.0, "a");
+  const dag::TaskId filler2 = builder.add_task(50.0, "filler2");
+  const dag::TaskId filler3 = builder.add_task(50.0, "filler3");
+  const dag::TaskId x = builder.add_task(50.0, "x");
+  const dag::TaskId y = builder.add_task(50.0, "y");
+  builder.add_edge(a, x, 3.0);
+  builder.add_edge(a, y, 12.0);
+  const dag::TaskGraph graph = builder.build();
   (void)filler2;
   (void)filler3;
 
@@ -140,15 +142,16 @@ TEST(Scenario, ClassicUnderestimatesThisExactInstance) {
   // consumer: the idealised model charges each message independently
   // (arrival = 3 + 10), but the shared consumer-side link serialises
   // them in reality.
-  dag::TaskGraph graph;
+  dag::TaskGraphBuilder builder;
   std::vector<dag::TaskId> producers;
   for (int i = 0; i < 4; ++i) {
-    producers.push_back(graph.add_task(3.0));
+    producers.push_back(builder.add_task(3.0));
   }
-  const dag::TaskId sink = graph.add_task(1.0, "sink");
+  const dag::TaskId sink = builder.add_task(1.0, "sink");
   for (dag::TaskId p : producers) {
-    graph.add_edge(p, sink, 10.0);
+    builder.add_edge(p, sink, 10.0);
   }
+  const dag::TaskGraph graph = builder.build();
 
   Star3 net;
   const Schedule ba = SpecScheduler(ba_spec()).schedule(graph, net.topo);
@@ -161,8 +164,9 @@ TEST(Scenario, ClassicUnderestimatesThisExactInstance) {
 }
 
 TEST(Scenario, HeterogeneousSpeedScalesDurations) {
-  dag::TaskGraph graph;
-  const dag::TaskId t = graph.add_task(30.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId t = builder.add_task(30.0);
+  const dag::TaskGraph graph = builder.build();
   net::Topology topo;
   const net::NodeId slow = topo.add_processor(2.0);
   const net::NodeId fast = topo.add_processor(5.0);

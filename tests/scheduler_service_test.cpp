@@ -85,13 +85,16 @@ TEST(SchedulerService, FactoryCoversAllAlgorithms) {
 
 TEST(SchedulerService, SchedulerFailuresPropagateThroughFuture) {
   SchedulerService service({.threads = 1});
-  dag::TaskGraph cyclic;
-  const auto a = cyclic.add_task(1.0);
-  const auto b = cyclic.add_task(1.0);
-  cyclic.add_edge(a, b, 1.0);
-  cyclic.add_edge(b, a, 1.0);
-  auto future = service.submit(shared_graph(std::move(cyclic)),
-                               shared_star(2), "ba");
+  // m has only an in-link: the scheduler rejects the fabric on the worker.
+  net::Topology one_way;
+  const net::NodeId a = one_way.add_processor(1.0, "a");
+  const net::NodeId m = one_way.add_processor(1.0, "m");
+  const net::NodeId z = one_way.add_processor(1.0, "z");
+  one_way.add_duplex_link(a, z);
+  (void)one_way.add_link(a, m);
+  auto future = service.submit(
+      shared_graph(dag::chain(2)),
+      std::make_shared<const net::Topology>(std::move(one_way)), "ba");
   EXPECT_THROW(future.get(), std::invalid_argument);
   EXPECT_EQ(service.metrics().counter("svc_failures_total").value(), 1u);
 }

@@ -9,8 +9,8 @@
 namespace edgesched::dag {
 namespace {
 
-TaskGraph diamond_graph() {
-  TaskGraph g("diamond");
+TaskGraphBuilder diamond_builder() {
+  TaskGraphBuilder g("diamond");
   const TaskId a = g.add_task(2.0, "a");
   const TaskId b = g.add_task(3.0, "b");
   const TaskId c = g.add_task(4.0, "c");
@@ -22,6 +22,8 @@ TaskGraph diamond_graph() {
   return g;
 }
 
+TaskGraph diamond_graph() { return diamond_builder().build(); }
+
 TEST(TaskGraph, StartsEmpty) {
   TaskGraph g;
   EXPECT_TRUE(g.empty());
@@ -30,23 +32,30 @@ TEST(TaskGraph, StartsEmpty) {
 }
 
 TEST(TaskGraph, AddTaskAssignsDenseIds) {
-  TaskGraph g;
+  TaskGraphBuilder g;
   EXPECT_EQ(g.add_task(1.0).value(), 0u);
   EXPECT_EQ(g.add_task(2.0).value(), 1u);
   EXPECT_EQ(g.add_task(3.0).value(), 2u);
   EXPECT_EQ(g.num_tasks(), 3u);
+  EXPECT_EQ(g.build().num_tasks(), 3u);
+  EXPECT_EQ(g.num_tasks(), 0u);  // build() leaves the builder empty
 }
 
 TEST(TaskGraph, TaskNamesDefaultAndExplicit) {
-  TaskGraph g;
-  const TaskId anon = g.add_task(1.0);
-  const TaskId named = g.add_task(1.0, "compute");
-  EXPECT_EQ(g.task(anon).name, "n0");
-  EXPECT_EQ(g.task(named).name, "compute");
+  TaskGraphBuilder b;
+  const TaskId anon = b.add_task(1.0);
+  const TaskId named = b.add_task(1.0, "compute");
+  const TaskId spelled = b.add_task(1.0, "n2");  // its own default
+  const TaskId late = b.add_task(1.0);
+  const TaskGraph g = b.build();
+  EXPECT_EQ(g.name(anon), "n0");
+  EXPECT_EQ(g.name(named), "compute");
+  EXPECT_EQ(g.name(spelled), "n2");
+  EXPECT_EQ(g.name(late), "n3");
 }
 
 TEST(TaskGraph, RejectsNegativeWeight) {
-  TaskGraph g;
+  TaskGraphBuilder g;
   EXPECT_THROW((void)g.add_task(-1.0), std::invalid_argument);
   // Non-finite weights too: NaN slips past `weight < 0` comparisons.
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
@@ -58,7 +67,7 @@ TEST(TaskGraph, RejectsNegativeWeight) {
 }
 
 TEST(TaskGraph, RejectsBadEdges) {
-  TaskGraph g;
+  TaskGraphBuilder g;
   const TaskId a = g.add_task(1.0);
   const TaskId b = g.add_task(1.0);
   EXPECT_THROW((void)g.add_edge(a, a, 1.0), std::invalid_argument);
@@ -71,7 +80,17 @@ TEST(TaskGraph, RejectsBadEdges) {
   }
   EXPECT_EQ(g.num_edges(), 0u);
   (void)g.add_edge(a, b, 1.0);
-  EXPECT_THROW((void)g.add_edge(a, b, 2.0), std::invalid_argument);
+  EXPECT_TRUE(g.has_edge(a, b));
+  EXPECT_FALSE(g.has_edge(b, a));
+  try {
+    (void)g.add_edge(a, b, 2.0);
+    ADD_FAILURE() << "duplicate edge accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "TaskGraph::add_edge: duplicate edge");
+  }
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.out_degree(a), 1u);
+  EXPECT_EQ(g.in_degree(b), 1u);
 }
 
 TEST(TaskGraph, AdjacencyIsSymmetric) {
@@ -109,12 +128,16 @@ TEST(TaskGraph, EntryAndExitTasks) {
 }
 
 TEST(TaskGraph, AcyclicDetection) {
-  TaskGraph g = diamond_graph();
-  EXPECT_TRUE(g.is_acyclic());
+  EXPECT_EQ(diamond_builder().build().num_edges(), 4u);
+  TaskGraphBuilder g = diamond_builder();
   g.add_edge(TaskId(3u), TaskId(0u), 1.0);  // close the cycle
-  EXPECT_FALSE(g.is_acyclic());
-  EXPECT_THROW(g.validate(), std::invalid_argument);
-  EXPECT_THROW((void)g.topological_order(), std::invalid_argument);
+  try {
+    (void)g.build();
+    ADD_FAILURE() << "cyclic graph built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "TaskGraph::build: graph contains a cycle");
+  }
+  EXPECT_EQ(g.num_tasks(), 0u);  // the failed build freed the builder too
 }
 
 TEST(TaskGraph, TopologicalOrderRespectsPrecedence) {
@@ -143,12 +166,13 @@ TEST(TaskGraph, Totals) {
 }
 
 TEST(TaskGraph, IndependentTasksBothEntryAndExit) {
-  TaskGraph g;
-  (void)g.add_task(1.0);
-  (void)g.add_task(1.0);
+  TaskGraphBuilder b;
+  (void)b.add_task(1.0);
+  (void)b.add_task(1.0);
+  const TaskGraph g = b.build();
   EXPECT_EQ(g.entry_tasks().size(), 2u);
   EXPECT_EQ(g.exit_tasks().size(), 2u);
-  EXPECT_TRUE(g.is_acyclic());
+  EXPECT_EQ(g.topological_order().size(), 2u);
 }
 
 TEST(StrongId, InvalidByDefault) {

@@ -135,6 +135,20 @@ TEST(Topology, ConnectivityIsDirected) {
   EXPECT_FALSE(t.processors_connected());
 }
 
+TEST(Topology, ProcessorWithOnlyInLinksIsNotConnected) {
+  // a <-> z both ways, a -> m only: m is reachable from the first and the
+  // last processor, yet reaches neither of them.
+  Topology t;
+  const NodeId a = t.add_processor();
+  const NodeId m = t.add_processor();
+  const NodeId z = t.add_processor();
+  t.add_duplex_link(a, z);
+  (void)t.add_link(a, m);
+  EXPECT_FALSE(t.processors_connected());
+  (void)t.add_link(m, z);  // m now reaches a through z
+  EXPECT_TRUE(t.processors_connected());
+}
+
 TEST(Topology, SingleProcessorTriviallyConnected) {
   Topology t;
   (void)t.add_processor();

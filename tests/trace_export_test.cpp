@@ -62,9 +62,9 @@ TEST(ChromeTrace, ContainsEveryTask) {
   const Fixture f;
   const std::string json = chrome_trace_of(f.graph, f.topo, f.schedule);
   for (dag::TaskId t : f.graph.all_tasks()) {
-    EXPECT_NE(json.find("\"" + f.graph.task(t).name + "\""),
+    EXPECT_NE(json.find("\"" + f.graph.name(t) + "\""),
               std::string::npos)
-        << f.graph.task(t).name;
+        << f.graph.name(t);
   }
 }
 
@@ -83,8 +83,9 @@ TEST(ChromeTrace, ContainsLinkRowsForRemoteEdges) {
 }
 
 TEST(ChromeTrace, EscapesNames) {
-  dag::TaskGraph graph;
-  (void)graph.add_task(1.0, "we\"ird");
+  dag::TaskGraphBuilder builder;
+  (void)builder.add_task(1.0, "we\"ird");
+  const dag::TaskGraph graph = builder.build();
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(1, net::SpeedConfig{}, rng);
@@ -97,12 +98,13 @@ TEST(ChromeTrace, EscapesNames) {
 // read_text token (`>>` splits only on whitespace); the trace must stay
 // parseable JSON and round-trip them.
 TEST(ChromeTrace, ControlCharactersInNamesStayValidJson) {
-  dag::TaskGraph graph;
-  const dag::TaskId src = graph.add_task(4.0, "src\tA");
-  const dag::TaskId dst = graph.add_task(4.0, "dst\x01" "B");
-  const dag::TaskId sib = graph.add_task(4.0, "sib");
-  (void)graph.add_edge(src, dst, 50.0);
-  (void)graph.add_edge(src, sib, 50.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId src = builder.add_task(4.0, "src\tA");
+  const dag::TaskId dst = builder.add_task(4.0, "dst\x01" "B");
+  const dag::TaskId sib = builder.add_task(4.0, "sib");
+  (void)builder.add_edge(src, dst, 50.0);
+  (void)builder.add_edge(src, sib, 50.0);
+  const dag::TaskGraph graph = builder.build();
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);
@@ -131,12 +133,13 @@ TEST(ChromeTrace, ControlCharactersInNamesStayValidJson) {
 // Past 10^6 time units a 6-significant-digit spelling merges distinct
 // timestamps; every exported ts/dur must parse to the schedule's double.
 TEST(ChromeTrace, TimesPastAMillionRoundTripExactly) {
-  dag::TaskGraph graph;
-  const dag::TaskId root = graph.add_task(1234567.891, "root");
-  const dag::TaskId left = graph.add_task(2345678.123, "left");
-  const dag::TaskId right = graph.add_task(3456789.017, "right");
-  (void)graph.add_edge(root, left, 1000000.3);
-  (void)graph.add_edge(root, right, 1000000.7);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId root = builder.add_task(1234567.891, "root");
+  const dag::TaskId left = builder.add_task(2345678.123, "left");
+  const dag::TaskId right = builder.add_task(3456789.017, "right");
+  (void)builder.add_edge(root, left, 1000000.3);
+  (void)builder.add_edge(root, right, 1000000.7);
+  const dag::TaskGraph graph = builder.build();
   Rng rng(1);
   const net::Topology topo =
       net::switched_star(3, net::SpeedConfig{}, rng);
@@ -155,10 +158,10 @@ TEST(ChromeTrace, TimesPastAMillionRoundTripExactly) {
     const double dur = e.at("dur").as_number();
     if (e.at("pid").as_number() == 0.0) {
       for (dag::TaskId t : graph.all_tasks()) {
-        if (graph.task(t).name == e.at("name").as_string()) {
+        if (graph.name(t) == e.at("name").as_string()) {
           const TaskPlacement& p = s.task(t);
-          EXPECT_EQ(ts, p.start) << graph.task(t).name;
-          EXPECT_EQ(dur, p.finish - p.start) << graph.task(t).name;
+          EXPECT_EQ(ts, p.start) << graph.name(t);
+          EXPECT_EQ(dur, p.finish - p.start) << graph.name(t);
           ++tasks;
         }
       }

@@ -192,13 +192,14 @@ TEST(Validator, CatchesStartBeforeArrival) {
 
 TEST(Validator, CatchesDomainOverlapAcrossEdges) {
   // Two edges booked on the same link at overlapping times.
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(1.0);
-  const dag::TaskId b = graph.add_task(1.0);
-  const dag::TaskId c = graph.add_task(1.0);
-  const dag::TaskId d = graph.add_task(1.0);
-  const dag::EdgeId e0 = graph.add_edge(a, c, 2.0);
-  const dag::EdgeId e1 = graph.add_edge(b, d, 2.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(1.0);
+  const dag::TaskId b = builder.add_task(1.0);
+  const dag::TaskId c = builder.add_task(1.0);
+  const dag::TaskId d = builder.add_task(1.0);
+  const dag::EdgeId e0 = builder.add_edge(a, c, 2.0);
+  const dag::EdgeId e1 = builder.add_edge(b, d, 2.0);
+  const dag::TaskGraph graph = builder.build();
 
   net::Topology topo;
   const net::NodeId p0 = topo.add_processor();
@@ -231,13 +232,14 @@ TEST(Validator, CatchesDomainOverlapAcrossEdges) {
 }
 
 TEST(Validator, BandwidthOverbookingIsCaught) {
-  dag::TaskGraph graph;
-  const dag::TaskId a = graph.add_task(1.0);
-  const dag::TaskId b = graph.add_task(1.0);
-  const dag::TaskId c = graph.add_task(1.0);
-  const dag::TaskId d = graph.add_task(1.0);
-  const dag::EdgeId e0 = graph.add_edge(a, c, 2.0);
-  const dag::EdgeId e1 = graph.add_edge(b, d, 2.0);
+  dag::TaskGraphBuilder builder;
+  const dag::TaskId a = builder.add_task(1.0);
+  const dag::TaskId b = builder.add_task(1.0);
+  const dag::TaskId c = builder.add_task(1.0);
+  const dag::TaskId d = builder.add_task(1.0);
+  const dag::EdgeId e0 = builder.add_edge(a, c, 2.0);
+  const dag::EdgeId e1 = builder.add_edge(b, d, 2.0);
+  const dag::TaskGraph graph = builder.build();
 
   net::Topology topo;
   const net::NodeId p0 = topo.add_processor();
