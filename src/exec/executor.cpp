@@ -25,7 +25,6 @@
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace edgesched::exec {
 
@@ -69,20 +68,6 @@ DispatchMode parse_dispatch_mode(std::string_view name) {
   }
   throw std::invalid_argument("unknown dispatch mode '" + std::string(name) +
                               "' (accepted: timetable, event-driven)");
-}
-
-std::uint64_t ExecutionOptions::fingerprint() const noexcept {
-  Fingerprint fp;
-  fp.mix(model.fingerprint());
-  fp.mix(faults.fingerprint());
-  fp.mix(static_cast<std::uint64_t>(policy));
-  fp.mix(static_cast<std::uint64_t>(dispatch));
-  fp.mix(std::string_view(recovery_algorithm));
-  fp.mix(static_cast<std::uint64_t>(max_retries));
-  fp.mix(retry_backoff);
-  fp.mix(static_cast<std::uint64_t>(max_reschedules));
-  fp.mix(reschedule_delay);
-  return fp.value();
 }
 
 namespace {

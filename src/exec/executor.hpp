@@ -81,10 +81,6 @@ struct ExecutionOptions {
   std::uint32_t max_reschedules = 8;
   /// Virtual replanning latency added before the new plan starts.
   double reschedule_delay = 0.0;
-
-  /// Structural hash for execution-request content addressing
-  /// (svc::SchedulerService's execution cache).
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Replays `schedule` for `graph` on `topology` under `options`.

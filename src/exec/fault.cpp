@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace edgesched::exec {
@@ -107,19 +106,6 @@ void FaultPlan::validate(const net::Topology& topology) const {
                "FaultPlan: link fault targets unknown link");
     }
   }
-}
-
-std::uint64_t FaultPlan::fingerprint() const noexcept {
-  Fingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(events_.size()));
-  for (const FaultEvent& event : events_) {
-    fp.mix(event.time);
-    fp.mix(static_cast<std::uint64_t>(event.kind));
-    fp.mix(static_cast<std::uint64_t>(event.target));
-    fp.mix(static_cast<std::uint64_t>(event.permanent));
-    fp.mix(event.repair);
-  }
-  return fp.value();
 }
 
 void FaultPlan::sort_events() {

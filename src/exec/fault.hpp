@@ -72,9 +72,6 @@ class FaultPlan {
   /// std::invalid_argument on the first violation.
   void validate(const net::Topology& topology) const;
 
-  /// Structural hash for execution-request content addressing.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
-
  private:
   void sort_events();
 

@@ -36,16 +36,6 @@ void RuntimeModel::validate() const {
            "RuntimeModel: straggler_factor must be finite and >= 1");
 }
 
-std::uint64_t RuntimeModel::fingerprint() const noexcept {
-  Fingerprint fp;
-  fp.mix(duration_spread);
-  fp.mix(bandwidth_spread);
-  fp.mix(straggler_probability);
-  fp.mix(straggler_factor);
-  fp.mix(seed);
-  return fp.value();
-}
-
 double RuntimeSampler::task_factor(std::uint32_t task,
                                    std::uint32_t attempt) const {
   if (model_.duration_spread == 0.0 &&

@@ -36,9 +36,6 @@ struct RuntimeModel {
 
   /// Throws std::invalid_argument on out-of-range parameters.
   void validate() const;
-
-  /// Structural hash for execution-request content addressing.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// Order-independent factor sampler over a RuntimeModel.

@@ -1,50 +1,36 @@
 #include "net/serialization.hpp"
 
-#include <algorithm>
-#include <map>
+#include <charconv>
+#include <iterator>
 #include <ostream>
 #include <sstream>
-#include <vector>
+#include <unordered_map>
 
 namespace edgesched::net {
 
-void write_dot(std::ostream& out, const Topology& topology) {
-  out << "digraph \""
-      << (topology.name().empty() ? "network" : topology.name()) << "\" {\n";
-  for (NodeId n : topology.all_nodes()) {
-    const NetNode& node = topology.node(n);
-    out << "  n" << n.value() << " [label=\"" << node.name;
-    if (node.kind == NodeKind::kProcessor) {
-      out << "\\ns=" << node.speed << "\" shape=box";
-    } else {
-      out << "\" shape=circle";
-    }
-    out << "];\n";
-  }
-  for (LinkId l : topology.all_links()) {
-    const Link& link = topology.link(l);
-    out << "  n" << link.src.value() << " -> n" << link.dst.value()
-        << " [label=\"" << link.speed << "\"];\n";
-  }
-  out << "}\n";
-}
-
 void write_text(std::ostream& out, const Topology& topology) {
+  // Speeds use the shortest spelling that reads back as the same double,
+  // so a written fabric keeps its fingerprint.
+  const auto number = [&out](double value) -> std::ostream& {
+    char buffer[32];
+    const char* end = std::to_chars(buffer, std::end(buffer), value).ptr;
+    return out.write(buffer, end - buffer);
+  };
   out << "network "
       << (topology.name().empty() ? "network" : topology.name()) << "\n";
   for (NodeId n : topology.all_nodes()) {
     const NetNode& node = topology.node(n);
     if (node.kind == NodeKind::kProcessor) {
-      out << "processor " << n.value() << ' ' << node.speed << ' '
-          << node.name << "\n";
+      out << "processor " << n.value() << ' ';
+      number(node.speed) << ' ' << node.name << "\n";
     } else {
       out << "switch " << n.value() << ' ' << node.name << "\n";
     }
   }
   for (LinkId l : topology.all_links()) {
     const Link& link = topology.link(l);
-    out << "link " << link.src.value() << ' ' << link.dst.value() << ' '
-        << link.speed << ' ' << link.domain.value() << "\n";
+    out << "link " << link.src.value() << ' ' << link.dst.value() << ' ';
+    number(link.speed) << ' ' << link.domain.value() << "\n";
   }
 }
 
@@ -52,14 +38,11 @@ Topology read_text(std::istream& in) {
   Topology topology;
   std::string line;
   std::size_t line_number = 0;
-  struct ParsedLink {
-    NodeId src;
-    NodeId dst;
-    double speed;
-    bool has_domain;
-    std::uint32_t domain;
+  struct Medium {
+    DomainId domain;
+    double speed = 0.0;
   };
-  std::vector<ParsedLink> parsed_links;
+  std::unordered_map<std::uint32_t, Medium> media;  // by serialized domain
 
   while (std::getline(in, line)) {
     ++line_number;
@@ -100,58 +83,23 @@ Topology read_text(std::istream& in) {
       double speed = 0.0;
       fields >> src >> dst >> speed;
       throw_if(fields.fail(), "read_text: malformed link line" + where);
-      std::uint32_t domain = 0;
-      const bool has_domain = static_cast<bool>(fields >> domain);
-      parsed_links.push_back(ParsedLink{NodeId(src), NodeId(dst), speed,
-                                        has_domain, domain});
+      std::uint32_t serialized = 0;
+      if (fields >> serialized) {
+        auto [it, fresh] = media.try_emplace(serialized);
+        if (fresh) {
+          it->second = Medium{topology.add_domain(), speed};
+        }
+        // One domain is one medium with one speed (the schedulers assume
+        // it; BBSA asserts it).
+        throw_if(it->second.speed != speed,
+                 "read_text: links of one domain must share a speed" + where);
+        topology.add_link(NodeId(src), NodeId(dst), speed, it->second.domain);
+      } else {
+        topology.add_link(NodeId(src), NodeId(dst), speed);
+      }
     } else {
       throw_if(true, "read_text: unknown keyword '" + keyword + "'" + where);
     }
-  }
-
-  // Group links by serialized domain. Links sharing a serialized domain id
-  // are re-created as half-duplex pairs / bus members via the low-level
-  // sharing call; a simple approach suffices: the first link of a domain
-  // allocates a fresh link (and thus a fresh domain) and later links with
-  // the same serialized domain would need Topology surgery — instead we
-  // re-create sharing exactly for the half-duplex pair pattern and fall
-  // back to independent domains otherwise.
-  std::map<std::uint32_t, std::vector<ParsedLink>> by_domain;
-  std::vector<ParsedLink> independent;
-  for (const ParsedLink& pl : parsed_links) {
-    if (pl.has_domain) {
-      by_domain[pl.domain].push_back(pl);
-    } else {
-      independent.push_back(pl);
-    }
-  }
-  for (const auto& [domain, group] : by_domain) {
-    if (group.size() == 2 && group[0].src == group[1].dst &&
-        group[0].dst == group[1].src && group[0].speed == group[1].speed) {
-      topology.add_half_duplex_link(group[0].src, group[0].dst,
-                                    group[0].speed);
-    } else if (group.size() > 2) {
-      // Bus: reconstruct the member set from the link endpoints.
-      std::vector<NodeId> members;
-      for (const ParsedLink& pl : group) {
-        if (std::find(members.begin(), members.end(), pl.src) ==
-            members.end()) {
-          members.push_back(pl.src);
-        }
-        if (std::find(members.begin(), members.end(), pl.dst) ==
-            members.end()) {
-          members.push_back(pl.dst);
-        }
-      }
-      topology.add_bus(members, group.front().speed);
-    } else {
-      for (const ParsedLink& pl : group) {
-        topology.add_link(pl.src, pl.dst, pl.speed);
-      }
-    }
-  }
-  for (const ParsedLink& pl : independent) {
-    topology.add_link(pl.src, pl.dst, pl.speed);
   }
   return topology;
 }

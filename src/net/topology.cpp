@@ -62,13 +62,6 @@ std::pair<LinkId, LinkId> Topology::add_duplex_link(NodeId a, NodeId b,
   return {add_link(a, b, speed), add_link(b, a, speed)};
 }
 
-std::pair<LinkId, LinkId> Topology::add_half_duplex_link(NodeId a, NodeId b,
-                                                         double speed) {
-  const DomainId domain = new_domain();
-  return {add_link_in_domain(a, b, speed, domain),
-          add_link_in_domain(b, a, speed, domain)};
-}
-
 DomainId Topology::add_bus(const std::vector<NodeId>& members, double speed) {
   throw_if(members.size() < 2, "Topology::add_bus: need at least 2 members");
   const DomainId domain = new_domain();

@@ -83,20 +83,18 @@ class Topology {
 
   /// Adds a link inside an existing contention domain (a member of a
   /// shared medium). The domain must have been allocated by this
-  /// topology (`add_domain` or any link/bus builder).
+  /// topology (`add_domain` or any link/bus builder). One domain is one
+  /// medium: the schedulers assume every link in it has the same speed.
   LinkId add_link(NodeId src, NodeId dst, double speed, DomainId domain);
 
   /// Adds a full-duplex cable: two directed links in independent domains.
   std::pair<LinkId, LinkId> add_duplex_link(NodeId a, NodeId b,
                                             double speed = 1.0);
 
-  /// Adds a half-duplex cable: two directed links sharing one domain.
-  std::pair<LinkId, LinkId> add_half_duplex_link(NodeId a, NodeId b,
-                                                 double speed = 1.0);
-
   /// Adds a bus (hyperedge of the paper's H set): a directed link between
   /// every ordered pair of `members`, all sharing a single contention
-  /// domain. Returns the shared domain.
+  /// domain. Returns the shared domain. A two-member bus is a half-duplex
+  /// cable: links a -> b and b -> a in one domain.
   DomainId add_bus(const std::vector<NodeId>& members, double speed = 1.0);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {

@@ -1,6 +1,5 @@
 #include "sched/intra_run.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -53,16 +52,6 @@ std::size_t intra_run_threads() {
 
 void set_intra_run_threads(std::size_t threads) {
   global_setting().store(threads, std::memory_order_relaxed);
-}
-
-std::size_t clamped_intra_threads(std::size_t requested,
-                                  std::size_t outer_threads) {
-  const std::size_t hw = hardware_threads();
-  const std::size_t outer = outer_threads == 0 ? 1 : outer_threads;
-  const std::size_t budget = hw / outer;
-  const std::size_t wanted = resolve(requested);
-  const std::size_t clamped = budget == 0 ? 1 : std::min(wanted, budget);
-  return clamped == 0 ? 1 : clamped;
 }
 
 ScopedIntraThreads::ScopedIntraThreads(std::size_t threads)

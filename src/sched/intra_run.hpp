@@ -7,8 +7,8 @@
 // here, outside any AlgorithmSpec or fingerprint:
 //
 //   1. the innermost `ScopedIntraThreads` on the calling thread, if any
-//      (the service layer clamps and scopes per job; metaheuristic
-//      workers pin 1 so nested runs never multiply threads);
+//      (service jobs and metaheuristic workers pin 1 so nested runs
+//      never multiply threads);
 //   2. else the process-global `set_intra_run_threads` value (the CLI's
 //      --intra-threads);
 //   3. else the EDGESCHED_INTRA_THREADS environment variable;
@@ -28,14 +28,6 @@ namespace edgesched::sched {
 /// Sets the process-global intra-run worker count (0 = hardware
 /// concurrency). Thread-safe; scoped overrides still win.
 void set_intra_run_threads(std::size_t threads);
-
-/// Clamps a requested intra-run worker count so that `requested *
-/// outer_threads` never exceeds hardware concurrency (0 requested =
-/// hardware concurrency first). Always returns >= 1. The service layer
-/// applies this with its pool size as `outer_threads` so jobs running
-/// concurrently cannot oversubscribe the machine.
-[[nodiscard]] std::size_t clamped_intra_threads(std::size_t requested,
-                                                std::size_t outer_threads);
 
 /// RAII thread-local override of `intra_run_threads` (0 = hardware
 /// concurrency); restores the previous override on destruction.

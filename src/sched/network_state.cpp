@@ -138,6 +138,10 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
     }
     timeline::commit_optimal(tl, optimal, edge,
                              static_cast<std::uint32_t>(hop));
+    // The slot's slack is known once the record closes. Until then it
+    // cannot be deferred: a route that crosses this domain again (a
+    // partial bus) probes it on a later hop.
+    tl.set_deferral(optimal.placement.position, 0.0);
     // A moved occupation is an input of its own slot's slack and of its
     // previous hop's. The new slot sits before every displaced one, so
     // each moved one step right.

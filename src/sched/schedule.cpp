@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "util/hash.hpp"
 
 namespace edgesched::sched {
 
@@ -107,47 +106,6 @@ double Schedule::makespan() const noexcept {
   return latest;
 }
 
-std::uint64_t Schedule::fingerprint() const noexcept {
-  Fingerprint fp;
-  fp.mix(std::string_view(algorithm_));
-  fp.mix(static_cast<std::uint64_t>(tasks_.size()));
-  for (const TaskPlacement& p : tasks_) {
-    fp.mix(p.placed() ? static_cast<std::uint64_t>(p.processor.value())
-                      : ~std::uint64_t{0});
-    fp.mix(p.start);
-    fp.mix(p.finish);
-  }
-  fp.mix(static_cast<std::uint64_t>(edges_.size()));
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const Communication comm = communication(dag::EdgeId(e));
-    fp.mix(static_cast<std::uint64_t>(comm.kind));
-    fp.mix(static_cast<std::uint64_t>(comm.route.size()));
-    for (const net::LinkId link : comm.route) {
-      fp.mix(static_cast<std::uint64_t>(link.value()));
-    }
-    fp.mix(static_cast<std::uint64_t>(comm.occupations.size()));
-    for (const LinkOccupation& occ : comm.occupations) {
-      fp.mix(static_cast<std::uint64_t>(occ.link.value()));
-      fp.mix(occ.earliest_start);
-      fp.mix(occ.start);
-      fp.mix(occ.finish);
-    }
-    fp.mix(static_cast<std::uint64_t>(comm.profiles.size()));
-    for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
-      const std::span<const timeline::RateSegment> segments =
-          comm.profiles[h].segments();
-      fp.mix(static_cast<std::uint64_t>(segments.size()));
-      for (const timeline::RateSegment& seg : segments) {
-        fp.mix(seg.start);
-        fp.mix(seg.end);
-        fp.mix(seg.rate);
-      }
-    }
-    fp.mix(static_cast<std::uint64_t>(comm.packet_count));
-    fp.mix(comm.arrival);
-  }
-  return fp.value();
-}
 
 std::string Schedule::to_string(const dag::TaskGraph& graph,
                                 const net::Topology& topology) const {

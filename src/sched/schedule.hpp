@@ -114,14 +114,6 @@ class Schedule {
   [[nodiscard]] std::string to_string(const dag::TaskGraph& graph,
                                       const net::Topology& topology) const;
 
-  /// Canonical 64-bit hash over the complete result: algorithm name,
-  /// every placement (processor, start, finish) in task order, and every
-  /// edge communication (kind, route, occupations, rate profiles, packet
-  /// count, arrival) in edge order. Two schedules with equal fingerprints
-  /// replay identically, which is what lets the service layer
-  /// content-address execution requests (svc::SchedulerService::execute).
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
-
  private:
   /// One edge's communication: 24 bytes, its payload in the arenas.
   struct EdgeRecord {

@@ -1,11 +1,11 @@
 // Generic content-addressed LRU cache.
 //
-// Both service caches — computed schedules and execution reports — are
-// the same structure: a bounded map from a canonical 64-bit request
-// fingerprint to a shared_ptr of an immutable result, with
+// Both service caches — computed schedules and per-fabric platform
+// contexts — are the same structure: a bounded map from a canonical
+// 64-bit content fingerprint to a shared_ptr of an immutable value, with
 // least-recently-used eviction and monotonic hit/miss counters.
-// `LruCache<V>` is that structure; `ScheduleCache` and `ExecutionCache`
-// are thin aliases-by-inheritance that fix V.
+// `LruCache<V>` is that structure; `ScheduleCache` (by inheritance) and
+// `PlatformCache` (an alias) fix V.
 //
 // Thread safety: every public member is safe to call concurrently; a
 // single mutex guards the LRU list, the index and the counters. Cached

@@ -6,16 +6,6 @@ namespace edgesched::svc {
 
 std::uint64_t request_fingerprint(const dag::TaskGraph& graph,
                                   const net::Topology& topology,
-                                  std::string_view algorithm) {
-  Fingerprint fp;
-  fp.mix(graph.fingerprint());
-  fp.mix(topology.fingerprint());
-  fp.mix(algorithm);
-  return fp.value();
-}
-
-std::uint64_t request_fingerprint(const dag::TaskGraph& graph,
-                                  const net::Topology& topology,
                                   std::uint64_t algorithm_fingerprint) {
   Fingerprint fp;
   fp.mix(graph.fingerprint());

@@ -5,57 +5,33 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/run_context.hpp"
-#include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
 #include "sched/registry.hpp"
 #include "sched/validator.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace edgesched::svc {
 
 SchedulerService::SchedulerService(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity),
-      exec_cache_(config.exec_cache_capacity),
       platform_cache_(config.platform_cache_capacity),
       pool_(config.threads),
       requests_(metrics_.counter("svc_requests_total")),
       failures_(metrics_.counter("svc_failures_total")),
-      latency_(metrics_.histogram("svc_schedule_seconds")),
-      exec_requests_(metrics_.counter("svc_exec_requests_total")),
-      exec_latency_(metrics_.histogram("svc_execute_seconds")) {
-  // All three caches mirror their traffic into registry counters so the
-  // metrics snapshot exports them uniformly (satellite: shared LRU
-  // bookkeeping + *_total series per cache).
+      latency_(metrics_.histogram("svc_schedule_seconds")) {
+  // Both caches mirror their traffic into registry counters so the
+  // metrics snapshot exports them uniformly.
   cache_.bind_counters(&metrics_.counter("svc_cache_hits_total"),
                        &metrics_.counter("svc_cache_misses_total"),
                        &metrics_.counter("svc_cache_evictions_total"));
-  exec_cache_.bind_counters(
-      &metrics_.counter("svc_exec_cache_hits_total"),
-      &metrics_.counter("svc_exec_cache_misses_total"),
-      &metrics_.counter("svc_exec_cache_evictions_total"));
   platform_cache_.bind_counters(
       &metrics_.counter("svc_platform_cache_hits_total"),
       &metrics_.counter("svc_platform_cache_misses_total"),
       &metrics_.counter("svc_platform_cache_evictions_total"));
-  // Oversubscription guard: whatever was asked for, each job's intra-run
-  // fan-out times the pool's own width stays within the machine. The
-  // effective value is computed once here and exported so `text_dump`
-  // (and any metrics scrape) shows what jobs actually run with.
-  effective_intra_threads_ =
-      sched::clamped_intra_threads(config_.intra_threads,
-                                   pool_.num_threads());
-  metrics_.counter("svc_intra_threads_effective")
-      .increment(static_cast<std::uint64_t>(effective_intra_threads_));
 }
 
-SchedulerService::~SchedulerService() { shutdown(); }
-
-std::unique_ptr<sched::Scheduler> SchedulerService::make_scheduler(
-    std::string_view name) {
-  return sched::make_scheduler(name);
-}
+SchedulerService::~SchedulerService() { pool_.shutdown(); }
 
 std::shared_ptr<const sched::Scheduler> SchedulerService::scheduler_for(
     std::string_view name) {
@@ -63,7 +39,7 @@ std::shared_ptr<const sched::Scheduler> SchedulerService::scheduler_for(
   if (entry == nullptr) {
     // Delegates the error path: make_scheduler throws the canonical
     // invalid_argument listing the known keys.
-    return make_scheduler(name);
+    return sched::make_scheduler(name);
   }
   const std::lock_guard<std::mutex> lock(scheduler_mutex_);
   auto it = schedulers_.find(entry->key);
@@ -98,24 +74,7 @@ std::future<SchedulerService::SchedulePtr> SchedulerService::submit(
   // Resolve the algorithm up front: unknown names should fail loudly at
   // the call site, not asynchronously. Resolution is memoised per
   // canonical registry key (see scheduler_for).
-  return submit_scheduler(std::move(graph), std::move(topology),
-                          scheduler_for(algorithm));
-}
-
-std::future<SchedulerService::SchedulePtr> SchedulerService::submit(
-    std::shared_ptr<const dag::TaskGraph> graph,
-    std::shared_ptr<const net::Topology> topology,
-    const sched::AlgorithmSpec& spec) {
-  // SpecScheduler's constructor validates the bundle, so an inconsistent
-  // spec throws here rather than through the future.
-  return submit_scheduler(std::move(graph), std::move(topology),
-                          std::make_unique<sched::SpecScheduler>(spec));
-}
-
-std::future<SchedulerService::SchedulePtr> SchedulerService::submit_scheduler(
-    std::shared_ptr<const dag::TaskGraph> graph,
-    std::shared_ptr<const net::Topology> topology,
-    std::shared_ptr<const sched::Scheduler> scheduler) {
+  std::shared_ptr<const sched::Scheduler> scheduler = scheduler_for(algorithm);
   throw_if(graph == nullptr, "SchedulerService::submit: null graph");
   throw_if(topology == nullptr, "SchedulerService::submit: null topology");
   requests_.increment();
@@ -127,8 +86,8 @@ std::future<SchedulerService::SchedulePtr> SchedulerService::submit_scheduler(
   const std::uint64_t run_id =
       caller_run != obs::kNoRun ? caller_run : obs::mint_run_id();
 
-  // Key on the scheduler's structural fingerprint, not its display name:
-  // two bundles named alike but differing in any policy cache apart.
+  // Key on the scheduler's structural fingerprint, not the requested
+  // name: every alias and case variant of one algorithm shares entries.
   const std::uint64_t key =
       request_fingerprint(*graph, *topology, scheduler->fingerprint());
   if (SchedulePtr cached = cache_.get(key)) {
@@ -145,7 +104,7 @@ std::future<SchedulerService::SchedulePtr> SchedulerService::submit_scheduler(
                        topology = std::move(topology),
                        scheduler = std::move(scheduler)]() -> SchedulePtr {
     const obs::ScopedRunId run_scope(run_id);
-    const sched::ScopedIntraThreads intra_scope(effective_intra_threads_);
+    const sched::ScopedIntraThreads intra_scope(1);
     const auto start = std::chrono::steady_clock::now();
     try {
       // Resolve the shared per-topology platform on the worker: the
@@ -166,66 +125,6 @@ std::future<SchedulerService::SchedulePtr> SchedulerService::submit_scheduler(
           obs::FlightEventKind::kJob, "svc/schedule", 0.0,
           schedule->num_tasks(), schedule->makespan());
       return schedule;
-    } catch (...) {
-      failures_.increment();
-      throw;  // delivered to the caller through the future
-    }
-  });
-}
-
-std::future<SchedulerService::ExecutionPtr> SchedulerService::execute(
-    std::shared_ptr<const dag::TaskGraph> graph,
-    std::shared_ptr<const net::Topology> topology, SchedulePtr schedule,
-    exec::ExecutionOptions options) {
-  throw_if(graph == nullptr, "SchedulerService::execute: null graph");
-  throw_if(topology == nullptr, "SchedulerService::execute: null topology");
-  throw_if(schedule == nullptr, "SchedulerService::execute: null schedule");
-  // Fail loudly at the call site on malformed options.
-  options.model.validate();
-  options.faults.validate(*topology);
-  exec_requests_.increment();
-
-  // Execution is pure in (instance, schedule result, options): the model
-  // and fault plan are seeded, so a replay memoises like a schedule.
-  Fingerprint request;
-  request.mix(schedule->fingerprint());
-  request.mix(options.fingerprint());
-  const std::uint64_t caller_run = obs::current_run_id();
-  const std::uint64_t run_id =
-      caller_run != obs::kNoRun ? caller_run : obs::mint_run_id();
-
-  const std::uint64_t key =
-      request_fingerprint(*graph, *topology, request.value());
-  if (ExecutionPtr cached = exec_cache_.get(key)) {
-    obs::flight_recorder().record(obs::FlightEventKind::kCache, "svc/execute",
-                                  0.0, 1);
-    std::promise<ExecutionPtr> ready;
-    ready.set_value(std::move(cached));
-    return ready.get_future();
-  }
-  obs::flight_recorder().record(obs::FlightEventKind::kCache, "svc/execute",
-                                0.0, 0);
-
-  auto shared_options =
-      std::make_shared<const exec::ExecutionOptions>(std::move(options));
-  return pool_.submit([this, key, run_id, graph = std::move(graph),
-                       topology = std::move(topology),
-                       schedule = std::move(schedule),
-                       shared_options]() -> ExecutionPtr {
-    const obs::ScopedRunId run_scope(run_id);
-    const sched::ScopedIntraThreads intra_scope(effective_intra_threads_);
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      auto report = std::make_shared<const exec::ExecutionReport>(
-          exec::execute(*graph, *topology, *schedule, *shared_options));
-      exec_latency_.observe(std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count());
-      exec_cache_.put(key, report);
-      obs::flight_recorder().record(
-          obs::FlightEventKind::kJob, "svc/execute", 0.0,
-          report->events, report->achieved_makespan);
-      return report;
     } catch (...) {
       failures_.increment();
       throw;  // delivered to the caller through the future

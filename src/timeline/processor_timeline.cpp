@@ -80,14 +80,6 @@ void ProcessorTimeline::commit(dag::TaskId task, double start,
   slots_.insert(insert_at, TaskSlot{start, finish, task});
 }
 
-double ProcessorTimeline::busy_time() const noexcept {
-  double busy = 0.0;
-  for (const TaskSlot& slot : slots_) {
-    busy += slot.finish - slot.start;
-  }
-  return busy;
-}
-
 void ProcessorTimeline::check_invariants() const {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const TaskSlot& slot = slots_[i];

@@ -68,7 +68,6 @@ class ProcessorTimeline {
   [[nodiscard]] double last_finish() const noexcept {
     return slots_.empty() ? 0.0 : slots_.back().finish;
   }
-  [[nodiscard]] double busy_time() const noexcept;
 
   /// Verifies sorted, disjoint slots with start <= finish. Throws
   /// InternalError on violation.

@@ -152,7 +152,7 @@ TEST(BasicAlgorithm, ValidOnHalfDuplexPair) {
   net::Topology topo;
   const net::NodeId a = topo.add_processor();
   const net::NodeId b = topo.add_processor();
-  topo.add_half_duplex_link(a, b, 1.0);
+  topo.add_bus({a, b}, 1.0);
   const dag::TaskGraph graph = dag::stencil_1d(3, 3, 1.0, 1.5);
   const Schedule s = SpecScheduler(ba_spec()).schedule(graph, topo);
   validate_or_throw(graph, topo, s);

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "net/builders.hpp"
@@ -76,7 +76,7 @@ net::Topology random_fabric(Rng& rng) {
   net::Topology topology = net::random_wan(params, rng);
   const std::vector<net::NodeId>& procs = topology.processors();
   (void)topology.add_bus({procs[0], procs[3], procs[6], procs[9]}, 2.0);
-  (void)topology.add_half_duplex_link(procs[1], procs[10], 3.0);
+  (void)topology.add_bus({procs[1], procs[10]}, 3.0);
   return topology;
 }
 
@@ -196,8 +196,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeferralSlackProperty,
 
 /// p0, p1, p2 on one bus: a route p0 -> p1 -> p2 books both hops in the
 /// bus's one domain, so its second hop's optimal probe meets the first
-/// hop's slot before the edge's record is complete.
-TEST(DeferralSlack, OptimalProbeOfAnIncompleteRecordThrows) {
+/// hop's slot before the edge's record is complete. That slot cannot be
+/// deferred: the second hop queues behind it, and once the record closes
+/// both slots carry their Lemma-2 slack.
+TEST(DeferralSlack, RouteCrossingOneDomainTwiceQueuesBehindItself) {
   net::Topology topology;
   const net::NodeId p0 = topology.add_processor();
   const net::NodeId p1 = topology.add_processor();
@@ -213,17 +215,23 @@ TEST(DeferralSlack, OptimalProbeOfAnIncompleteRecordThrows) {
       hop1 = link;
     }
   }
-  ExclusiveNetworkState state(topology, 1);
-  try {
-    (void)state.commit_edge_optimal(dag::EdgeId(0u), {hop0, hop1}, 0.0,
-                                    2.0);
-    FAIL() << "the first hop's slack is unset while the edge books";
-  } catch (const InternalError& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("occupied slot references an unscheduled edge"),
-              std::string::npos)
-        << error.what();
-  }
+  ExclusiveNetworkState state(topology, 2);
+  const double arrival =
+      state.commit_edge_optimal(dag::EdgeId(0u), {hop0, hop1}, 0.0, 2.0);
+  const std::span<const LinkOccupation> record =
+      state.record(dag::EdgeId(0u));
+  ASSERT_EQ(record.size(), 2u);
+  EXPECT_EQ(record[0].start, 0.0);
+  EXPECT_EQ(record[1].start, record[0].finish);
+  EXPECT_EQ(arrival, record[1].finish);
+  const std::vector<timeline::TimeSlot>& slots =
+      state.timeline(hop0).slots();
+  ASSERT_EQ(slots.size(), 2u);
+  EXPECT_EQ(slots[0].deferral, 2.0);  // hop 1 finishes 2 later
+  EXPECT_EQ(slots[1].deferral, 0.0);  // the last hop
+  // A later edge reads both slacks.
+  (void)state.commit_edge_optimal(dag::EdgeId(1u), {hop0}, 0.0, 1.0);
+  EXPECT_EQ(state.timeline(hop0).slots().size(), 3u);
 }
 
 }  // namespace

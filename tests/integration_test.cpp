@@ -73,6 +73,26 @@ TEST(Integration, EveryAlgorithmRejectsAOneWayFabric) {
   }
 }
 
+TEST(Integration, EveryAlgorithmSchedulesAPartialBus) {
+  // Three links of one bus domain, as a topology file or the executor's
+  // surviving fabric may hold: every route between non-neighbours
+  // crosses the domain twice. OIHSA used to assert on its own
+  // incomplete record there.
+  net::Topology topo;
+  const net::NodeId a = topo.add_processor();
+  const net::NodeId b = topo.add_processor();
+  const net::NodeId c = topo.add_processor();
+  const net::DomainId bus = topo.add_domain();
+  topo.add_link(a, b, 2.0, bus);
+  topo.add_link(b, c, 2.0, bus);
+  topo.add_link(c, a, 2.0, bus);
+  const dag::TaskGraph graph = dag::fork_join(6, 2.0, 3.0);
+  for (const AlgorithmEntry& entry : algorithm_registry()) {
+    const Schedule schedule = entry.make()->schedule(graph, topo);
+    EXPECT_NO_THROW(validate_or_throw(graph, topo, schedule)) << entry.key;
+  }
+}
+
 TEST(Integration, ZeroCommunicationGraphNeedsNoNetwork) {
   // Independent tasks: the network never matters; makespan approaches the
   // balanced partition bound.

@@ -7,11 +7,9 @@
 //
 //   * GA and SA are same-seed bit-equal at every worker count;
 //   * concurrent outer runs each fanning inner workers over one shared
-//     platform stay race-free (this file runs under TSan in CI);
-//   * the service clamps its per-job worker count to the machine.
+//     platform stay race-free (this file runs under TSan in CI).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,7 +26,6 @@
 #include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "schedule_canon.hpp"
-#include "svc/scheduler_service.hpp"
 #include "util/rng.hpp"
 
 namespace edgesched::sched {
@@ -146,47 +143,6 @@ TEST(ParallelEngineProperty, ConcurrentOuterRunsWithInnerWorkersAreSafe) {
       EXPECT_TRUE(ok[t][i]) << "outer thread " << t << " run " << i;
     }
   }
-}
-
-// Service-level oversubscription guard: whatever is configured, the
-// effective intra-thread count respects `intra × pool <= hardware`
-// (floor 1), is exported through the metrics dump, and jobs produce the
-// same schedules as a direct serial run.
-TEST(ParallelEngineProperty, ServiceClampsAndReportsIntraThreads) {
-  svc::ServiceConfig config;
-  config.threads = 2;
-  config.intra_threads = 8;
-  svc::SchedulerService service(config);
-
-  const std::size_t hw = std::max<unsigned>(
-      1, std::thread::hardware_concurrency());
-  const std::size_t budget =
-      std::max<std::size_t>(1, hw / service.num_threads());
-  const std::uint64_t effective =
-      service.metrics().counter("svc_intra_threads_effective").value();
-  EXPECT_GE(effective, 1u);
-  EXPECT_LE(effective, std::max<std::size_t>(budget, std::size_t{1}));
-  EXPECT_EQ(effective, clamped_intra_threads(config.intra_threads,
-                                             service.num_threads()));
-  EXPECT_NE(service.metrics().text_dump().find(
-                "counter svc_intra_threads_effective"),
-            std::string::npos);
-
-  const Instance instance = make_instance(5);
-  const auto graph =
-      std::make_shared<const dag::TaskGraph>(instance.graph);
-  const auto topology =
-      std::make_shared<const net::Topology>(instance.topology);
-  const auto via_service = service.submit(graph, topology, "oihsa").get();
-  ASSERT_NE(via_service, nullptr);
-  const ScopedIntraThreads serial(1);
-  const AlgorithmEntry* entry = find_algorithm("oihsa");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(test::canonical_schedule(instance.graph, *via_service),
-            test::canonical_schedule(
-                instance.graph,
-                entry->make()->schedule(instance.graph,
-                                        instance.topology)));
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
-// Seeded mutation fuzzing of the two task-graph parsers over the inputs
-// in data/: the DAG text format (`read_text`) and STG (`read_stg`).
+// Seeded mutation fuzzing of the three text parsers: the DAG text format
+// (`dag::read_text`) and STG (`read_stg`) over the inputs in data/, and
+// the topology text format (`net::read_text`) over the written form of a
+// fabric with duplex and half-duplex links and a bus.
 //
 // Each mutant stacks a few token or byte edits: a number swapped for
 // digits, NaN, inf, a negative, 1e308 or a 32/64-bit edge value; a line
-// duplicated or dropped; an edge reversed (which may close a cycle); a
-// byte replaced, inserted or deleted; the text cut short. The parser
-// must either build a graph, which then is acyclic, or throw
-// std::invalid_argument; any other exception (an internal assertion
-// included) fails the test. Parsing and building only: scheduling
-// extreme magnitudes is a separate contract.
+// duplicated or dropped; an edge or link reversed (which may close a
+// cycle); a byte replaced, inserted or deleted; the text cut short. The
+// parser must either build, or throw std::invalid_argument; any other
+// exception (an internal assertion included) fails the test. A built
+// graph is acyclic; a built topology has no more links than the text
+// has `link` lines. Parsing and building only: scheduling extreme
+// magnitudes is a separate contract.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "dag/serialization.hpp"
+#include "net/serialization.hpp"
 #include "util/rng.hpp"
 
 #ifndef EDGESCHED_DATA_DIR
@@ -88,7 +92,8 @@ void mutate_token(std::vector<std::string>& lines, Rng& rng) {
   }
 }
 
-/// Swaps the first two numbers after the keyword of an `edge` line, or
+/// Swaps the first two numbers after the keyword of an `edge` or `link`
+/// line, or
 /// appends a later task as a predecessor of an STG line: either may
 /// close a cycle.
 void close_cycle(std::vector<std::string>& lines, Rng& rng, bool stg) {
@@ -98,7 +103,8 @@ void close_cycle(std::vector<std::string>& lines, Rng& rng, bool stg) {
   for (std::string token; in >> token;) {
     tokens.push_back(token);
   }
-  if (!stg && tokens.size() >= 3 && tokens[0] == "edge") {
+  if (!stg && tokens.size() >= 3 &&
+      (tokens[0] == "edge" || tokens[0] == "link")) {
     std::swap(tokens[1], tokens[2]);
   } else if (stg && tokens.size() >= 3) {
     tokens.push_back(std::to_string(rng.uniform_int(0, 9)));
@@ -164,18 +170,18 @@ std::string mutate(const std::string& seed_text, Rng& rng, bool stg) {
   return text;
 }
 
-/// Parses every mutant; counts the ones that built a graph.
+/// Parses every mutant; counts the ones that built. `parse` builds from
+/// the text and checks the result, returning what a failed check should
+/// print (empty when it holds).
 int fuzz(const std::string& seed_text, bool stg, std::uint64_t seed,
-         const std::function<TaskGraph(std::istream&)>& parse) {
+         const std::function<std::string(const std::string&)>& parse) {
   Rng rng(seed);
   int built = 0;
   for (int i = 0; i < kMutantsPerInput; ++i) {
     const std::string text = mutate(seed_text, rng, stg);
-    std::istringstream in(text);
     try {
-      const TaskGraph graph = parse(in);
-      EXPECT_EQ(graph.topological_order().size(), graph.num_tasks())
-          << "mutant " << i << ":\n" << text;
+      const std::string violation = parse(text);
+      EXPECT_EQ(violation, "") << "mutant " << i << ":\n" << text;
       ++built;
     } catch (const std::invalid_argument&) {
       // A typed rejection is the other allowed outcome.
@@ -187,12 +193,21 @@ int fuzz(const std::string& seed_text, bool stg, std::uint64_t seed,
   return built;
 }
 
+std::string check_acyclic(const TaskGraph& graph) {
+  return graph.topological_order().size() == graph.num_tasks()
+             ? ""
+             : "built graph has a cycle";
+}
+
 TEST(ParserMutation, TextParserBuildsOrRejects) {
   const std::string seed_text = read_file("mapreduce.txt");
   std::istringstream pristine(seed_text);
   EXPECT_EQ(read_text(pristine).num_tasks(), 8u);
   const int built = fuzz(seed_text, /*stg=*/false, 1,
-                         [](std::istream& in) { return read_text(in); });
+                         [](const std::string& text) {
+                           std::istringstream in(text);
+                           return check_acyclic(read_text(in));
+                         });
   // Both outcomes occur, so the mutants are neither all fatal nor inert.
   EXPECT_GT(built, 0);
   EXPECT_LT(built, kMutantsPerInput);
@@ -203,7 +218,46 @@ TEST(ParserMutation, StgParserBuildsOrRejects) {
   std::istringstream pristine(seed_text);
   EXPECT_EQ(read_stg(pristine).num_tasks(), 8u);
   const int built = fuzz(seed_text, /*stg=*/true, 2,
-                         [](std::istream& in) { return read_stg(in); });
+                         [](const std::string& text) {
+                           std::istringstream in(text);
+                           return check_acyclic(read_stg(in));
+                         });
+  EXPECT_GT(built, 0);
+  EXPECT_LT(built, kMutantsPerInput);
+}
+
+TEST(ParserMutation, TopologyParserBuildsOrRejects) {
+  net::Topology fabric("mixed");
+  const net::NodeId a = fabric.add_processor(2.0);
+  const net::NodeId b = fabric.add_processor(1.0);
+  const net::NodeId c = fabric.add_processor(3.0);
+  const net::NodeId d = fabric.add_processor(1.0);
+  const net::NodeId hub = fabric.add_switch();
+  fabric.add_duplex_link(a, hub, 4.0);
+  fabric.add_duplex_link(b, hub, 2.0);
+  fabric.add_bus({hub, c}, 1.5);  // a half-duplex cable
+  fabric.add_bus({b, c, d}, 1.0);
+  std::ostringstream written;
+  net::write_text(written, fabric);
+  const std::string seed_text = written.str();
+  std::istringstream pristine(seed_text);
+  EXPECT_EQ(net::read_text(pristine).fingerprint(), fabric.fingerprint());
+
+  const int built = fuzz(seed_text, /*stg=*/false, 3,
+                         [](const std::string& text) {
+    std::istringstream in(text);
+    const net::Topology topology = net::read_text(in);
+    std::size_t link_lines = 0;
+    for (const std::string& line : split_lines(text)) {
+      std::istringstream fields(line);
+      std::string keyword;
+      link_lines += (fields >> keyword) && keyword == "link" ? 1 : 0;
+    }
+    return topology.num_links() <= link_lines
+               ? std::string()
+               : std::to_string(topology.num_links()) + " links from " +
+                     std::to_string(link_lines) + " link lines";
+  });
   EXPECT_GT(built, 0);
   EXPECT_LT(built, kMutantsPerInput);
 }

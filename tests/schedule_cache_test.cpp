@@ -26,30 +26,42 @@ net::Topology star4() {
   return net::switched_star(4, net::SpeedConfig{}, rng);
 }
 
+std::uint64_t algorithm(const sched::AlgorithmSpec& spec) {
+  return sched::SpecScheduler(spec).fingerprint();
+}
+
 TEST(RequestFingerprint, StableAndNameInsensitive) {
   const dag::TaskGraph g1 = dag::chain(5, 2.0, 3.0);
   dag::TaskGraph g2 = dag::chain(5, 2.0, 3.0);
   g2.set_name("relabelled");
   const net::Topology topo = star4();
-  EXPECT_EQ(request_fingerprint(g1, topo, "OIHSA"),
-            request_fingerprint(g2, topo, "OIHSA"));
-  EXPECT_NE(request_fingerprint(g1, topo, "OIHSA"),
-            request_fingerprint(g1, topo, "BBSA"));
+  const std::uint64_t oihsa = algorithm(sched::oihsa_spec());
+  EXPECT_EQ(request_fingerprint(g1, topo, oihsa),
+            request_fingerprint(g2, topo, oihsa));
+  EXPECT_NE(request_fingerprint(g1, topo, oihsa),
+            request_fingerprint(g1, topo, algorithm(sched::bbsa_spec())));
+  // The algorithm part is structural: an edited policy under the
+  // preset's display name keys apart from the preset.
+  sched::AlgorithmSpec edited = sched::oihsa_spec();
+  edited.routing = sched::RoutingPolicyKind::kBfsMinimal;
+  EXPECT_NE(request_fingerprint(g1, topo, oihsa),
+            request_fingerprint(g1, topo, algorithm(edited)));
 }
 
 TEST(RequestFingerprint, SensitiveToGraphAndTopologyContent) {
   const net::Topology topo = star4();
+  const std::uint64_t ba = algorithm(sched::ba_spec());
   const dag::TaskGraph base = dag::chain(5, 2.0, 3.0);
   dag::TaskGraph heavier = dag::chain(5, 2.0, 3.0);
   heavier.set_weight(dag::TaskId(0u), 2.5);
-  EXPECT_NE(request_fingerprint(base, topo, "BA"),
-            request_fingerprint(heavier, topo, "BA"));
+  EXPECT_NE(request_fingerprint(base, topo, ba),
+            request_fingerprint(heavier, topo, ba));
 
   Rng rng(7);
   net::Topology fast = net::switched_star(
       4, net::SpeedConfig{.fixed_link_speed = 2.0}, rng);
-  EXPECT_NE(request_fingerprint(base, topo, "BA"),
-            request_fingerprint(base, fast, "BA"));
+  EXPECT_NE(request_fingerprint(base, topo, ba),
+            request_fingerprint(base, fast, ba));
 }
 
 TEST(TaskGraphFingerprint, DistinctDagsNeverCollideInFuzz) {
@@ -86,7 +98,8 @@ TEST(ScheduleCache, HitMatchesFreshlyComputedSchedule) {
   const sched::SpecScheduler oihsa(sched::oihsa_spec());
 
   ScheduleCache cache(4);
-  const std::uint64_t key = request_fingerprint(graph, topo, oihsa.name());
+  const std::uint64_t key =
+      request_fingerprint(graph, topo, oihsa.fingerprint());
   cache.put(key, std::make_shared<const sched::Schedule>(
                      oihsa.schedule(graph, topo)));
 

@@ -4,11 +4,13 @@
 
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
 #include "sched/engine.hpp"
+#include "sched/registry.hpp"
 #include "sched/validator.hpp"
 #include "util/rng.hpp"
 
@@ -70,17 +72,20 @@ TEST(SchedulerService, UnknownAlgorithmThrowsAtSubmit) {
   const auto topo = shared_star(2);
   EXPECT_THROW(service.submit(graph, topo, "quantum"),
                std::invalid_argument);
-  EXPECT_THROW(SchedulerService::make_scheduler(""),
-               std::invalid_argument);
+  EXPECT_THROW((void)service.scheduler_for(""), std::invalid_argument);
 }
 
 TEST(SchedulerService, FactoryCoversAllAlgorithms) {
-  EXPECT_EQ(SchedulerService::make_scheduler("ba")->name(), "BA");
-  EXPECT_EQ(SchedulerService::make_scheduler("OIHSA")->name(), "OIHSA");
-  EXPECT_EQ(SchedulerService::make_scheduler("bbsa")->name(), "BBSA");
-  EXPECT_EQ(SchedulerService::make_scheduler("classic")->name(), "CLASSIC");
-  EXPECT_EQ(SchedulerService::make_scheduler("packet")->name(),
-            "PACKET-BA");
+  // The service resolves names through the registry factory, memoised
+  // per canonical key: aliases and case variants share one instance.
+  SchedulerService service({.threads = 1});
+  for (const auto& [name, display] :
+       {std::pair{"ba", "BA"}, {"OIHSA", "OIHSA"}, {"bbsa", "BBSA"},
+        {"classic", "CLASSIC"}, {"packet", "PACKET-BA"}}) {
+    EXPECT_EQ(sched::make_scheduler(name)->name(), display);
+    EXPECT_EQ(service.scheduler_for(name)->name(), display);
+  }
+  EXPECT_EQ(service.scheduler_for("oihsa"), service.scheduler_for("OIHSA"));
 }
 
 TEST(SchedulerService, SchedulerFailuresPropagateThroughFuture) {

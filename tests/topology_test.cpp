@@ -77,8 +77,13 @@ TEST(Topology, HalfDuplexSharesOneDomain) {
   Topology t;
   const NodeId a = t.add_processor();
   const NodeId b = t.add_processor();
-  const auto [ab, ba] = t.add_half_duplex_link(a, b);
-  EXPECT_EQ(t.domain(ab), t.domain(ba));
+  // A half-duplex cable is a two-member bus.
+  const DomainId cable = t.add_bus({a, b});
+  ASSERT_EQ(t.num_links(), 2u);
+  EXPECT_EQ(t.link(LinkId(0u)).src, a);
+  EXPECT_EQ(t.link(LinkId(1u)).src, b);
+  EXPECT_EQ(t.domain(LinkId(0u)), cable);
+  EXPECT_EQ(t.domain(LinkId(1u)), cable);
   EXPECT_EQ(t.num_domains(), 1u);
 }
 

@@ -59,7 +59,7 @@ Topology random_tree(std::size_t nodes, bool half_duplex, Rng& rng) {
     }
     const double speed = rng.uniform_real(1.0, 10.0);
     if (half_duplex) {
-      (void)topology.add_half_duplex_link(a, b, speed);
+      (void)topology.add_bus({a, b}, speed);
     } else {
       (void)topology.add_duplex_link(a, b, speed);
     }

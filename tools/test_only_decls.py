@@ -11,13 +11,26 @@ member shape: `name(`, `.name`, `->name` or `::name` (which covers
 Matching is still by name, so overloads and members that share a name
 with something else count as one: a generic name such as `add` or
 `size` is "used" as soon as any class's `add(` or `.size` is, and a
-test-only member behind such a name stays hidden. Deleting or adding a
-public function therefore still needs a look by hand.
+test-only member behind such a name stays hidden. The script cannot see
+these masks:
+
+  * an overload whose sibling has a production caller (a second
+    `submit(..., spec)` beside the used `submit(..., name)`, a
+    name-keyed `request_fingerprint` beside the structural one);
+  * a member sharing a free function's name (`SchedulerService::execute`
+    behind `exec::execute`), or a free function sharing another
+    namespace's (`net::write_dot` behind `dag::write_dot`);
+  * a member sharing another class's member (`ProcessorTimeline::
+    busy_time` behind `LinkTimeline::busy_time`).
+
+Each of those was found and deleted by hand, so deleting or adding a
+public function still needs a look by hand.
 
 Prints every unused name as `header:line: name` and exits 1 when one is
 not in ALLOWLIST below, or when an ALLOWLIST entry names nothing unused
 any more, so production code whose only caller is a test cannot regrow
-unseen and a freed entry cannot linger. Run from anywhere:
+unseen and a freed entry cannot linger. Run from anywhere (ctest runs
+it as `test_only_decls`, CI's build-test job as its own step):
 
     python3 tools/test_only_decls.py
 """
