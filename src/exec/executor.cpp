@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -1134,6 +1135,14 @@ ExecutionReport execute(const dag::TaskGraph& graph,
   obs::Span span("exec/execute", "exec");
   options.model.validate();
   options.faults.validate(topology);
+  // Written so NaN fails too: a NaN backoff would queue a retry at time
+  // NaN, a negative delay would start a replan before its fault.
+  throw_if(!(std::isfinite(options.retry_backoff) &&
+             options.retry_backoff >= 0.0),
+           "execute: retry_backoff must be finite and >= 0");
+  throw_if(!(std::isfinite(options.reschedule_delay) &&
+             options.reschedule_delay >= 0.0),
+           "execute: reschedule_delay must be finite and >= 0");
   throw_if(schedule.num_tasks() != graph.num_tasks() ||
                schedule.num_edges() != graph.num_edges(),
            "execute: schedule shape does not match graph");

@@ -86,8 +86,9 @@ struct ExecutionOptions {
 /// Replays `schedule` for `graph` on `topology` under `options`.
 ///
 /// Throws std::invalid_argument on malformed inputs (model/fault
-/// parameters out of range, fault targets unknown to the topology,
-/// schedule shape mismatch). Runtime failures — fail-stop aborts, retry
+/// parameters out of range, a negative or non-finite `retry_backoff` or
+/// `reschedule_delay`, fault targets unknown to the topology, schedule
+/// shape mismatch). Runtime failures — fail-stop aborts, retry
 /// exhaustion, unrecoverable topologies — do not throw; they return a
 /// report with `completed == false` and a human-readable `failure`.
 [[nodiscard]] ExecutionReport execute(const dag::TaskGraph& graph,

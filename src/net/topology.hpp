@@ -84,7 +84,8 @@ class Topology {
   /// Adds a link inside an existing contention domain (a member of a
   /// shared medium). The domain must have been allocated by this
   /// topology (`add_domain` or any link/bus builder). One domain is one
-  /// medium: the schedulers assume every link in it has the same speed.
+  /// medium: the schedulers assume every link in it has the same speed,
+  /// and BBSA rejects a domain whose links disagree.
   LinkId add_link(NodeId src, NodeId dst, double speed, DomainId domain);
 
   /// Adds a full-duplex cable: two directed links in independent domains.

@@ -69,7 +69,6 @@ std::uint64_t AlgorithmSpec::fingerprint() const noexcept {
   fp.mix(packet_size);
   fp.mix(static_cast<std::uint64_t>(eager_communication));
   fp.mix(static_cast<std::uint64_t>(task_insertion));
-  fp.mix(hop_delay);
   return fp.value();
 }
 
@@ -88,10 +87,6 @@ void AlgorithmSpec::validate() const {
       !(std::isfinite(packet_size) && packet_size > 0.0)) {
     throw std::invalid_argument(
         "AlgorithmSpec: packet_size must be finite and > 0");
-  }
-  if (!(std::isfinite(hop_delay) && hop_delay >= 0.0)) {
-    throw std::invalid_argument(
-        "AlgorithmSpec: hop_delay must be finite and >= 0");
   }
 }
 

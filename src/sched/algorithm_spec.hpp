@@ -91,8 +91,6 @@ struct AlgorithmSpec {
   /// Task placement: Sinnen's insertion technique (true) vs literal
   /// append t_s = max(t_dr, t_f(P)) (see DESIGN.md §6).
   bool task_insertion = true;
-  /// Per-station forwarding latency (§2.2 neglects it by default).
-  double hop_delay = 0.0;
 
   /// Structural 64-bit fingerprint over every field (including the
   /// name). The service layer keys its schedule cache on this, so two
@@ -102,7 +100,7 @@ struct AlgorithmSpec {
 
   /// Throws std::invalid_argument for inconsistent bundles: tentative
   /// selection without first-fit insertion, a non-positive or non-finite
-  /// packet size, a negative or non-finite hop delay.
+  /// packet size.
   void validate() const;
 
   /// One-line policy summary, e.g.

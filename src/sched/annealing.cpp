@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "sched/assignment.hpp"
 #include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
 #include "sched/platform.hpp"
@@ -14,6 +15,13 @@
 namespace edgesched::sched {
 
 namespace {
+
+constexpr std::size_t kIterations = 800;
+/// Initial temperature as a fraction of the starting makespan.
+constexpr double kInitialTemperatureFraction = 0.05;
+/// Geometric cooling factor applied every iteration.
+constexpr double kCooling = 0.995;
+constexpr std::uint64_t kSeed = 1;
 
 /// Per-iteration RNG stream: iteration m draws its move (gene, target
 /// processor) and its acceptance uniform from a generator seeded by
@@ -32,16 +40,6 @@ Rng iteration_stream(std::uint64_t seed, std::uint64_t iteration) {
 
 }  // namespace
 
-AnnealingScheduler::AnnealingScheduler(const Options& options)
-    : options_(options) {
-  throw_if(options.iterations == 0,
-           "AnnealingScheduler: iterations must be > 0");
-  throw_if(options.cooling <= 0.0 || options.cooling >= 1.0,
-           "AnnealingScheduler: cooling must be in (0, 1)");
-  throw_if(options.initial_temperature_fraction <= 0.0,
-           "AnnealingScheduler: temperature fraction must be positive");
-}
-
 Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
                                       const PlatformContext& platform) const {
   const net::Topology& topology = platform.topology();
@@ -50,13 +48,12 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
 
   Assignment current = assignment_of(
       graph, SpecScheduler(oihsa_spec()).schedule(graph, platform));
-  double current_cost =
-      assignment_makespan(graph, topology, current, options_.evaluation);
+  double current_cost = assignment_makespan(graph, topology, current);
   Assignment best = current;
   double best_cost = current_cost;
 
   double temperature =
-      std::max(1e-9, options_.initial_temperature_fraction * current_cost);
+      std::max(1e-9, kInitialTemperatureFraction * current_cost);
 
   // Speculative neighbor batches: K = lanes consecutive iterations draw
   // their moves from their per-iteration streams, evaluate concurrently
@@ -75,16 +72,14 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
     double cost = 0.0;
     bool null_move = false;
   };
-  util::WorkerTeam team(
-      std::min(intra_run_threads(), options_.iterations));
+  util::WorkerTeam team(std::min(intra_run_threads(), kIterations));
   std::vector<Move> batch(team.lanes());
 
   std::size_t it = 0;
-  while (it < options_.iterations) {
-    const std::size_t batch_size =
-        std::min(batch.size(), options_.iterations - it);
+  while (it < kIterations) {
+    const std::size_t batch_size = std::min(batch.size(), kIterations - it);
     for (std::size_t m = 0; m < batch_size; ++m) {
-      Rng rng = iteration_stream(options_.seed, it + m);
+      Rng rng = iteration_stream(kSeed, it + m);
       Move& move = batch[m];
       // Move: reassign one random task to a random processor.
       move.gene = rng.index(graph.num_tasks());
@@ -102,8 +97,7 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
         }
         Assignment trial = current;
         trial[move.gene] = move.proc;
-        move.cost = assignment_makespan(graph, topology, trial,
-                                        options_.evaluation);
+        move.cost = assignment_makespan(graph, topology, trial);
       }
     });
     for (std::size_t m = 0; m < batch_size; ++m) {
@@ -115,7 +109,7 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
       const double delta = move.cost - current_cost;
       const bool accept =
           delta <= 0.0 || move.accept_u < std::exp(-delta / temperature);
-      temperature *= options_.cooling;
+      temperature *= kCooling;
       if (accept) {
         current[move.gene] = move.proc;
         current_cost = move.cost;
@@ -128,9 +122,7 @@ Schedule AnnealingScheduler::schedule(const dag::TaskGraph& graph,
     }
   }
 
-  AssignmentOptions labelled = options_.evaluation;
-  labelled.label = name();
-  return schedule_assignment(graph, topology, best, labelled);
+  return schedule_assignment(graph, topology, best, name());
 }
 
 }  // namespace edgesched::sched

@@ -10,38 +10,21 @@
 // evaluate across the intra-run worker team (sched/intra_run.hpp) while
 // the accept/reject walk stays bit-identical to the serial run at any
 // worker count. See docs/parallelism.md.
+// Its settings are constants (annealing.cpp), so the name is a complete
+// fingerprint: one instance, one schedule.
 #pragma once
 
-#include <cstdint>
-
-#include "sched/assignment.hpp"
 #include "sched/scheduler.hpp"
 
 namespace edgesched::sched {
 
 class AnnealingScheduler final : public Scheduler {
  public:
-  struct Options {
-    std::size_t iterations = 800;
-    /// Initial temperature as a fraction of the starting makespan.
-    double initial_temperature_fraction = 0.05;
-    /// Geometric cooling factor applied every iteration.
-    double cooling = 0.995;
-    std::uint64_t seed = 1;
-    AssignmentOptions evaluation;
-  };
-
-  AnnealingScheduler() = default;
-  explicit AnnealingScheduler(const Options& options);
-
   using Scheduler::schedule;
   [[nodiscard]] Schedule schedule(
       const dag::TaskGraph& graph,
       const PlatformContext& platform) const override;
   [[nodiscard]] std::string name() const override { return "SA"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace edgesched::sched

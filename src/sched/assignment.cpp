@@ -6,6 +6,7 @@
 
 #include "net/routing.hpp"
 #include "sched/network_state.hpp"
+#include "sched/priorities.hpp"
 
 namespace edgesched::sched {
 
@@ -18,8 +19,8 @@ namespace {
 /// after its data arrive. `caller` prefixes the input errors.
 Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
                  const Assignment& assignment,
-                 const std::vector<dag::TaskId>& order, bool task_insertion,
-                 std::string label, const std::string& caller) {
+                 const std::vector<dag::TaskId>& order, std::string label,
+                 const std::string& caller) {
   throw_if(assignment.size() != graph.num_tasks(),
            caller + ": assignment size mismatch");
   const bool on_processors = std::all_of(
@@ -60,7 +61,8 @@ Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
     const double duration =
         graph.weight(task) / topology.processor_speed(processor);
     const double start =
-        machines.start_for(processor, data_ready, duration, task_insertion);
+        machines.start_for(processor, data_ready, duration,
+                           /*task_insertion=*/true);
     machines.commit(processor, task, start, duration);
     out.place_task(task, TaskPlacement{processor, start, start + duration});
   }
@@ -73,18 +75,16 @@ Schedule realise(const dag::TaskGraph& graph, const net::Topology& topology,
 Schedule schedule_assignment(const dag::TaskGraph& graph,
                              const net::Topology& topology,
                              const Assignment& assignment,
-                             const AssignmentOptions& options) {
+                             std::string label) {
   return realise(graph, topology, assignment,
-                 list_order(graph, options.priority), options.task_insertion,
-                 options.label, "schedule_assignment");
+                 list_order(graph, PriorityScheme::kBottomLevel),
+                 std::move(label), "schedule_assignment");
 }
 
 double assignment_makespan(const dag::TaskGraph& graph,
                            const net::Topology& topology,
-                           const Assignment& assignment,
-                           const AssignmentOptions& options) {
-  return schedule_assignment(graph, topology, assignment, options)
-      .makespan();
+                           const Assignment& assignment) {
+  return schedule_assignment(graph, topology, assignment).makespan();
 }
 
 Schedule replay_under_contention(const dag::TaskGraph& graph,
@@ -108,8 +108,7 @@ Schedule replay_under_contention(const dag::TaskGraph& graph,
               return topo_position[a.index()] < topo_position[b.index()];
             });
   return realise(graph, topology, assignment_of(graph, ideal), order,
-                 /*task_insertion=*/true, ideal.algorithm() + "-replay",
-                 "replay_under_contention");
+                 ideal.algorithm() + "-replay", "replay_under_contention");
 }
 
 Assignment assignment_of(const dag::TaskGraph& graph,

@@ -9,11 +9,11 @@
 // primitive; its two entries differ only in the task order they walk.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "dag/task_graph.hpp"
 #include "net/topology.hpp"
-#include "sched/priorities.hpp"
 #include "sched/schedule.hpp"
 
 namespace edgesched::sched {
@@ -22,29 +22,21 @@ namespace edgesched::sched {
 /// processor of the topology.
 using Assignment = std::vector<net::NodeId>;
 
-struct AssignmentOptions {
-  PriorityScheme priority = PriorityScheme::kBottomLevel;
-  /// Insertion placement on processors (see
-  /// AlgorithmSpec::task_insertion). The metaheuristics evaluate with the
-  /// same policy the list schedulers use by default.
-  bool task_insertion = true;
-  /// Algorithm label stamped on the produced schedules.
-  std::string label = "ASSIGNMENT";
-};
-
-/// Builds the full contention-aware schedule realising `assignment`.
-/// Edges are routed over minimal BFS paths and booked with first-fit
-/// insertion; tasks execute in bottom-level list order. The result passes
-/// the full validator.
+/// Builds the full contention-aware schedule realising `assignment`,
+/// labelled `label`. Edges are routed over minimal BFS paths and booked
+/// with first-fit insertion; tasks execute in bottom-level list order
+/// with insertion placement on processors (the list schedulers' default,
+/// see AlgorithmSpec::task_insertion). The result passes the full
+/// validator.
 [[nodiscard]] Schedule schedule_assignment(
     const dag::TaskGraph& graph, const net::Topology& topology,
-    const Assignment& assignment, const AssignmentOptions& options = {});
+    const Assignment& assignment, std::string label = "ASSIGNMENT");
 
 /// Convenience: makespan of `schedule_assignment` (the metaheuristics'
 /// fitness function).
-[[nodiscard]] double assignment_makespan(
-    const dag::TaskGraph& graph, const net::Topology& topology,
-    const Assignment& assignment, const AssignmentOptions& options = {});
+[[nodiscard]] double assignment_makespan(const dag::TaskGraph& graph,
+                                         const net::Topology& topology,
+                                         const Assignment& assignment);
 
 /// Contention replay: what a contention-free schedule really costs.
 /// Keeps `ideal`'s task-to-processor assignment and its task start order

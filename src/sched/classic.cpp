@@ -5,6 +5,7 @@
 
 #include "sched/network_state.hpp"
 #include "sched/platform.hpp"
+#include "sched/priorities.hpp"
 
 namespace edgesched::sched {
 
@@ -32,7 +33,7 @@ Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
   Schedule out(name(), graph.num_tasks(), graph.num_edges());
 
   const std::vector<dag::TaskId> order =
-      list_order(graph, options_.priority);
+      list_order(graph, PriorityScheme::kBottomLevel);
   MachineState machines(topology);
   const double mls = platform.mean_link_speed();
 
@@ -61,7 +62,7 @@ Schedule ClassicScheduler::schedule(const dag::TaskGraph& graph,
       }
       const double duration = weight / topology.processor_speed(processor);
       const double start = machines.start_for(
-          processor, data_ready, duration, options_.task_insertion);
+          processor, data_ready, duration, /*task_insertion=*/true);
       const double finish = start + duration;
       if (finish < chosen_finish) {
         chosen = processor;

@@ -363,9 +363,9 @@ Schedule run(const AlgorithmSpec& spec, const obs::SpanNames& names,
   ReadyQueue ready(graph, prio);
   Network network = [&] {
     if constexpr (kExclusive) {
-      return Network(topology, graph.num_edges(), spec.hop_delay);
+      return Network(topology, graph.num_edges());
     } else {
-      return Network(topology, spec.hop_delay);
+      return Network(topology);
     }
   }();
   MachineState machines(topology);

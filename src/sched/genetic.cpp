@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "sched/assignment.hpp"
 #include "sched/engine.hpp"
 #include "sched/intra_run.hpp"
 #include "sched/platform.hpp"
@@ -15,6 +16,16 @@
 namespace edgesched::sched {
 
 namespace {
+
+constexpr std::size_t kPopulation = 24;
+constexpr std::size_t kGenerations = 40;
+/// Per-gene mutation probability.
+constexpr double kMutationRate = 0.02;
+/// Offspring per generation; they replace the worst individuals.
+constexpr std::size_t kOffspring = kPopulation / 2;
+/// Tournament size for parent selection.
+constexpr std::size_t kTournament = 3;
+constexpr std::uint64_t kSeed = 1;
 
 struct Individual {
   Assignment genes;
@@ -49,20 +60,6 @@ Assignment random_assignment(const dag::TaskGraph& graph,
 
 }  // namespace
 
-GeneticScheduler::GeneticScheduler(const Options& options)
-    : options_(options) {
-  throw_if(options.population < 4,
-           "GeneticScheduler: population must be at least 4");
-  throw_if(options.tournament == 0 ||
-               options.tournament > options.population,
-           "GeneticScheduler: bad tournament size");
-  throw_if(options.mutation_rate < 0.0 || options.mutation_rate > 1.0,
-           "GeneticScheduler: mutation_rate outside [0, 1]");
-  throw_if(options.replacement_fraction <= 0.0 ||
-               options.replacement_fraction > 1.0,
-           "GeneticScheduler: replacement_fraction outside (0, 1]");
-}
-
 Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
                                     const PlatformContext& platform) const {
   const net::Topology& topology = platform.topology();
@@ -71,14 +68,13 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
   const auto evaluate = [&](const Assignment& genes) {
     // Pure: owns all of its scratch, so concurrent evaluations over one
     // population are safe.
-    return assignment_makespan(graph, topology, genes,
-                               options_.evaluation);
+    return assignment_makespan(graph, topology, genes);
   };
 
   // Population: the two list-scheduler assignments seed the search, the
   // rest are random immigrants, each drawn from its own member stream.
   std::vector<Individual> population;
-  population.reserve(options_.population);
+  population.reserve(kPopulation);
   population.push_back(Individual{
       assignment_of(graph,
                     SpecScheduler(oihsa_spec()).schedule(graph, platform)),
@@ -87,16 +83,15 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
       assignment_of(graph,
                     SpecScheduler(ba_spec()).schedule(graph, platform)),
       0.0});
-  while (population.size() < options_.population) {
-    Rng rng = member_stream(options_.seed, 0, population.size());
+  while (population.size() < kPopulation) {
+    Rng rng = member_stream(kSeed, 0, population.size());
     population.push_back(
         Individual{random_assignment(graph, topology, rng), 0.0});
   }
 
   // One worker team for the whole search; generation and evaluation of
   // every member fan across it. Serial at the default worker count of 1.
-  util::WorkerTeam team(
-      std::min(intra_run_threads(), options_.population));
+  util::WorkerTeam team(std::min(intra_run_threads(), kPopulation));
   team.run(population.size(),
            [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
              for (std::size_t i = begin; i < end; ++i) {
@@ -104,24 +99,20 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
              }
            });
 
-  const std::size_t offspring_count = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.replacement_fraction *
-                                  static_cast<double>(
-                                      options_.population)));
-  std::vector<Individual> offspring(offspring_count);
+  std::vector<Individual> offspring(kOffspring);
 
   const auto& processors = topology.processors();
-  for (std::size_t gen = 0; gen < options_.generations; ++gen) {
+  for (std::size_t gen = 0; gen < kGenerations; ++gen) {
     // Offspring k draws parents, crossover and mutation from its own
     // stream and reads the population snapshot (constant until the
     // serial replacement below), so members are order-independent.
-    team.run(offspring_count, [&](std::size_t /*lane*/, std::size_t begin,
-                                  std::size_t end) {
+    team.run(kOffspring, [&](std::size_t /*lane*/, std::size_t begin,
+                             std::size_t end) {
       for (std::size_t k = begin; k < end; ++k) {
-        Rng rng = member_stream(options_.seed, gen + 1, k);
+        Rng rng = member_stream(kSeed, gen + 1, k);
         const auto tournament_pick = [&]() -> const Individual& {
           const Individual* best = nullptr;
-          for (std::size_t i = 0; i < options_.tournament; ++i) {
+          for (std::size_t i = 0; i < kTournament; ++i) {
             const Individual& candidate =
                 population[rng.index(population.size())];
             if (best == nullptr || candidate.fitness < best->fitness) {
@@ -138,7 +129,7 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
         for (std::size_t g = 0; g < child.genes.size(); ++g) {
           child.genes[g] =
               rng.bernoulli(0.5) ? mother.genes[g] : father.genes[g];
-          if (rng.bernoulli(options_.mutation_rate)) {
+          if (rng.bernoulli(kMutationRate)) {
             child.genes[g] = processors[rng.index(processors.size())];
           }
         }
@@ -164,9 +155,7 @@ Schedule GeneticScheduler::schedule(const dag::TaskGraph& graph,
       [](const Individual& a, const Individual& b) {
         return a.fitness < b.fitness;
       });
-  AssignmentOptions labelled = options_.evaluation;
-  labelled.label = name();
-  return schedule_assignment(graph, topology, best.genes, labelled);
+  return schedule_assignment(graph, topology, best.genes, name());
 }
 
 }  // namespace edgesched::sched

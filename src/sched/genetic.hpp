@@ -14,41 +14,21 @@
 // fitness evaluation fan across the intra-run worker team
 // (sched/intra_run.hpp) while the search trajectory stays bit-identical
 // to the serial run at any worker count. See docs/parallelism.md.
+// Its settings are constants (genetic.cpp), so the name is a complete
+// fingerprint: one instance, one schedule.
 #pragma once
 
-#include <cstdint>
-
-#include "sched/assignment.hpp"
 #include "sched/scheduler.hpp"
 
 namespace edgesched::sched {
 
 class GeneticScheduler final : public Scheduler {
  public:
-  struct Options {
-    std::size_t population = 24;
-    std::size_t generations = 40;
-    /// Per-gene mutation probability.
-    double mutation_rate = 0.02;
-    /// Fraction of the population replaced each generation.
-    double replacement_fraction = 0.5;
-    /// Tournament size for parent selection.
-    std::size_t tournament = 3;
-    std::uint64_t seed = 1;
-    AssignmentOptions evaluation;
-  };
-
-  GeneticScheduler() = default;
-  explicit GeneticScheduler(const Options& options);
-
   using Scheduler::schedule;
   [[nodiscard]] Schedule schedule(
       const dag::TaskGraph& graph,
       const PlatformContext& platform) const override;
   [[nodiscard]] std::string name() const override { return "GA"; }
-
- private:
-  Options options_;
 };
 
 }  // namespace edgesched::sched

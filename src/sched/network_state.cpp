@@ -21,14 +21,10 @@ constexpr std::size_t kNoHint = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 ExclusiveNetworkState::ExclusiveNetworkState(const net::Topology& topology,
-                                             std::size_t num_edges,
-                                             double hop_delay)
+                                             std::size_t num_edges)
     : topology_(&topology),
       domains_(topology.num_domains()),
-      records_(num_edges),
-      hop_delay_(hop_delay) {
-  throw_if(hop_delay < 0.0,
-           "ExclusiveNetworkState: hop delay must be >= 0");
+      records_(num_edges) {
   // Hoist the per-probe division out of the hot path: relaxation probes
   // and commits consume cost * (1/s(L)) instead of cost / s(L).
   inv_speed_.reserve(topology.num_links());
@@ -87,13 +83,13 @@ double ExclusiveNetworkState::commit_edge_basic(dag::EdgeId edge,
     hop_positions_.push_back(placement.position);
     occupations_.push_back(LinkOccupation{
         link, placement.earliest_start, placement.start, placement.finish});
-    // Cut-through: the next hop sees the flow start (and finish) one
-    // station delay later.
-    t_es_in = placement.start + hop_delay_;
-    t_f_min = placement.finish + hop_delay_;
+    // Cut-through: the next hop may start with this one and finishes no
+    // earlier.
+    t_es_in = placement.start;
+    t_f_min = placement.finish;
   }
   close_record(edge, begin);
-  return t_f_min - hop_delay_;
+  return t_f_min;
 }
 
 double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
@@ -171,11 +167,11 @@ double ExclusiveNetworkState::commit_edge_optimal(dag::EdgeId edge,
     occupations_.push_back(LinkOccupation{
         link, optimal.placement.earliest_start, optimal.placement.start,
         optimal.placement.finish});
-    t_es_in = optimal.placement.start + hop_delay_;
-    t_f_min = optimal.placement.finish + hop_delay_;
+    t_es_in = optimal.placement.start;
+    t_f_min = optimal.placement.finish;
   }
   close_record(edge, begin);
-  return t_f_min - hop_delay_;
+  return t_f_min;
 }
 
 double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
@@ -216,9 +212,9 @@ double ExclusiveNetworkState::commit_packets(dag::EdgeId edge,
       hop_positions_.push_back(placement.position);
       occupations_.push_back(LinkOccupation{
           link, placement.earliest_start, placement.start, placement.finish});
-      arrival = placement.finish + hop_delay_;
+      arrival = placement.finish;
     }
-    latest = std::max(latest, arrival - hop_delay_);
+    latest = std::max(latest, arrival);
   }
   close_record(edge, begin);
   return latest;
@@ -284,20 +280,19 @@ double ExclusiveNetworkState::total_busy_time() const noexcept {
   return busy;
 }
 
-BandwidthNetworkState::BandwidthNetworkState(const net::Topology& topology,
-                                             double hop_delay)
-    : topology_(&topology), hop_delay_(hop_delay) {
-  throw_if(hop_delay < 0.0,
-           "BandwidthNetworkState: hop delay must be >= 0");
+BandwidthNetworkState::BandwidthNetworkState(const net::Topology& topology)
+    : topology_(&topology) {
   domains_.reserve(topology.num_domains());
   // Domain capacity is its links' speed; builders give all links of a
-  // shared domain one speed, which we re-derive (and check) here.
+  // shared domain one speed, but `add_link(…, domain)` does not check
+  // it, so it is re-derived (and checked) here.
   std::vector<double> capacity(topology.num_domains(), -1.0);
   for (net::LinkId l : topology.all_links()) {
     double& slot = capacity[topology.domain(l).index()];
     const double speed = topology.link_speed(l);
-    EDGESCHED_ASSERT_MSG(slot < 0.0 || std::abs(slot - speed) <= kEps,
-                         "links of one contention domain disagree on speed");
+    throw_if(slot >= 0.0 && std::abs(slot - speed) > kEps,
+             "BandwidthNetworkState: links of one contention domain "
+             "disagree on speed");
     slot = speed;
   }
   for (double c : capacity) {
@@ -341,8 +336,6 @@ BandwidthNetworkState::Transfer BandwidthNetworkState::commit_edge(
     timeline::RateProfile& profile = profiles_[i];
     if (i == 0) {
       tl.transfer_from(ready, cost, profile);
-    } else if (hop_delay_ > 0.0) {
-      tl.forward(profiles_[i - 1].shifted(hop_delay_), profile);
     } else {
       tl.forward(profiles_[i - 1], profile);
     }

@@ -32,11 +32,8 @@ namespace edgesched::sched {
 
 class ExclusiveNetworkState {
  public:
-  /// `hop_delay` is the per-station forwarding latency the paper's §2.2
-  /// neglects by default ("it can be included if necessary"): each
-  /// additional hop of a route sees the data `hop_delay` later.
   ExclusiveNetworkState(const net::Topology& topology,
-                        std::size_t num_edges, double hop_delay = 0.0);
+                        std::size_t num_edges);
 
   /// Flushes accumulated probe/deferral/shift tallies into the global
   /// hot-path counters — one atomic add per counter per state lifetime,
@@ -143,7 +140,6 @@ class ExclusiveNetworkState {
   /// latest commit shrinks it; an older record's rollback leaves a hole.
   std::vector<LinkOccupation> occupations_;
   std::vector<double> inv_speed_;                ///< 1/s(L) by LinkId
-  double hop_delay_ = 0.0;
   /// Reused optimal-insertion scratch: one shift buffer for the whole
   /// state instead of one heap allocation per probed hop.
   timeline::OptimalPlacement probe_scratch_;
@@ -157,8 +153,9 @@ class ExclusiveNetworkState {
 
 class BandwidthNetworkState {
  public:
-  explicit BandwidthNetworkState(const net::Topology& topology,
-                                 double hop_delay = 0.0);
+  /// Throws std::invalid_argument when the links of one contention
+  /// domain disagree on speed (a domain has one capacity).
+  explicit BandwidthNetworkState(const net::Topology& topology);
 
   /// Flushes the accumulated bandwidth-probe and forward-step tallies
   /// into the global counters (same batching discipline as
@@ -197,7 +194,6 @@ class BandwidthNetworkState {
  private:
   const net::Topology* topology_;
   std::vector<timeline::BandwidthTimeline> domains_;  ///< by DomainId
-  double hop_delay_ = 0.0;
   /// Per hop, the profile of the edge being committed: every commit
   /// reuses the segment buffers instead of allocating per hop.
   std::vector<timeline::RateProfile> profiles_;

@@ -38,9 +38,10 @@ class Scheduler {
   /// Structural identity of this scheduler's *configuration*, used by the
   /// service layer to key its schedule cache. Two schedulers with equal
   /// fingerprints must produce identical schedules on every instance.
-  /// Defaults to a hash of `name()`; engine-backed schedulers override
-  /// with their `AlgorithmSpec` fingerprint so two instances of the same
-  /// class with different options key apart.
+  /// Defaults to a hash of `name()`, which is complete for the classes
+  /// without settings (CLASSIC, GA, SA); engine-backed schedulers
+  /// override with their `AlgorithmSpec` fingerprint so two specs
+  /// sharing a name key apart.
   [[nodiscard]] virtual std::uint64_t fingerprint() const;
 
  protected:

@@ -76,10 +76,9 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
 
 void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
                        const net::Topology& topology,
-                       const Schedule& schedule,
-                       const GanttOptions& options) {
+                       const Schedule& schedule) {
+  constexpr std::size_t width = 72;
   const double makespan = schedule.makespan();
-  const std::size_t width = std::max<std::size_t>(options.width, 8);
   const auto column = [&](double t) {
     if (makespan <= 0.0) {
       return std::size_t{0};
@@ -116,22 +115,18 @@ void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
     }
     out << '|' << row << "|\n";
   }
-  if (options.include_links) {
-    std::map<net::DomainId, std::string> rows;
-    for (const LinkEvent& ev :
-         collect_link_events(graph, topology, schedule)) {
-      auto [it, inserted] =
-          rows.try_emplace(ev.domain, std::string(width, '.'));
-      paint(it->second, ev.start, ev.finish, '=');
+  std::map<net::DomainId, std::string> rows;
+  for (const LinkEvent& ev : collect_link_events(graph, topology, schedule)) {
+    auto [it, inserted] = rows.try_emplace(ev.domain, std::string(width, '.'));
+    paint(it->second, ev.start, ev.finish, '=');
+  }
+  for (const auto& [domain, row] : rows) {
+    std::string label = "D" + std::to_string(domain.value());
+    out << "  " << label;
+    for (std::size_t pad = label.size(); pad < 8; ++pad) {
+      out << ' ';
     }
-    for (const auto& [domain, row] : rows) {
-      std::string label = "D" + std::to_string(domain.value());
-      out << "  " << label;
-      for (std::size_t pad = label.size(); pad < 8; ++pad) {
-        out << ' ';
-      }
-      out << '|' << row << "|\n";
-    }
+    out << '|' << row << "|\n";
   }
 }
 

@@ -7,7 +7,6 @@
 //   and test goldens.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -23,18 +22,11 @@ void write_chrome_trace(std::ostream& out, const dag::TaskGraph& graph,
                         const net::Topology& topology,
                         const Schedule& schedule);
 
-struct GanttOptions {
-  /// Character columns of the time axis.
-  std::size_t width = 72;
-  /// Include one row per contention domain below the processor rows.
-  bool include_links = true;
-};
-
-/// Fixed-width ASCII Gantt chart: '#' marks task execution, '=' marks
-/// link occupation, '.' idle time.
+/// 72-column ASCII Gantt chart, one row per processor and then one per
+/// busy contention domain: '#' marks task execution, '=' marks link
+/// occupation, '.' idle time.
 void write_ascii_gantt(std::ostream& out, const dag::TaskGraph& graph,
                        const net::Topology& topology,
-                       const Schedule& schedule,
-                       const GanttOptions& options = {});
+                       const Schedule& schedule);
 
 }  // namespace edgesched::sched

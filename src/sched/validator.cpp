@@ -366,6 +366,37 @@ void check_domain_capacity(const dag::TaskGraph& graph,
   }
 }
 
+/// NaN fails every tolerance comparison above, and so does inf - inf, so
+/// a non-finite time would pass them all: report each one here.
+void check_finite_times(const dag::TaskGraph& graph,
+                        const Schedule& schedule, Reporter& report) {
+  for (dag::TaskId t : graph.all_tasks()) {
+    const TaskPlacement& p = schedule.task(t);
+    if (p.placed() && !(std::isfinite(p.start) && std::isfinite(p.finish))) {
+      report.add("task ", t.value(), " has a non-finite start or finish");
+    }
+  }
+  for (dag::EdgeId e : graph.all_edges()) {
+    const Communication comm = schedule.communication(e);
+    bool finite = std::isfinite(comm.arrival);
+    for (const LinkOccupation& occ : comm.occupations) {
+      finite = finite && std::isfinite(occ.earliest_start) &&
+               std::isfinite(occ.start) && std::isfinite(occ.finish);
+    }
+    for (std::size_t h = 0; h < comm.profiles.size(); ++h) {
+      for (const timeline::RateSegment& seg : comm.profiles[h].segments()) {
+        finite = finite && std::isfinite(seg.start) && std::isfinite(seg.end);
+      }
+    }
+    if (!finite) {
+      report.add("edge ", e.value(), " has a non-finite arrival or slot time");
+    }
+  }
+  if (!std::isfinite(schedule.makespan())) {
+    report.add("makespan ", schedule.makespan(), " is not finite");
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> validate(const dag::TaskGraph& graph,
@@ -386,6 +417,7 @@ std::vector<std::string> validate(const dag::TaskGraph& graph,
                options.allow_contention_free, report);
   }
   check_domain_capacity(graph, topology, schedule, eps, report);
+  check_finite_times(graph, schedule, report);
 
   // Makespan is derived, but algorithms report through it; re-derive.
   double latest = 0.0;

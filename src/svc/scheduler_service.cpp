@@ -15,7 +15,7 @@ namespace edgesched::svc {
 SchedulerService::SchedulerService(ServiceConfig config)
     : config_(config),
       cache_(config.cache_capacity),
-      platform_cache_(config.platform_cache_capacity),
+      platform_cache_(/*capacity=*/64),  // see PlatformCache
       pool_(config.threads),
       requests_(metrics_.counter("svc_requests_total")),
       failures_(metrics_.counter("svc_failures_total")),

@@ -76,10 +76,6 @@ struct ServiceConfig {
   std::size_t threads = 0;
   /// Maximum cached schedules (LRU beyond that).
   std::size_t cache_capacity = 1024;
-  /// Maximum cached platform contexts (LRU beyond that). Contexts are
-  /// per-topology, so this bounds the number of distinct fabrics whose
-  /// derived state stays resident.
-  std::size_t platform_cache_capacity = 64;
   /// Share one PlatformContext per topology across jobs (the platform
   /// cache). False rebuilds the context for every job — the cold
   /// baseline bench/service_throughput measures against.
@@ -89,7 +85,9 @@ struct ServiceConfig {
 };
 
 /// Content-addressed LRU cache of immutable per-topology platform
-/// contexts, keyed by `Topology::fingerprint()`.
+/// contexts, keyed by `Topology::fingerprint()`. The service keeps the 64
+/// most recently used, which bounds the number of distinct fabrics whose
+/// derived state stays resident.
 using PlatformCache = LruCache<sched::PlatformContext>;
 
 class SchedulerService {

@@ -56,14 +56,6 @@ std::vector<double> RateProfileView::breakpoints() const {
   return points;
 }
 
-RateProfile RateProfile::shifted(double delta) const {
-  RateProfile result;
-  for (const RateSegment& seg : segments_) {
-    result.append(seg.start + delta, seg.end + delta, seg.rate);
-  }
-  return result;
-}
-
 void RateProfile::check_invariants() const {
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     EDGESCHED_ASSERT(segments_[i].end > segments_[i].start);

@@ -119,9 +119,6 @@ class RateProfile {
     return view().breakpoints();
   }
 
-  /// The same profile displaced by `delta` time units (hop delays).
-  [[nodiscard]] RateProfile shifted(double delta) const;
-
   /// Verifies ordering and positivity invariants.
   void check_invariants() const;
 

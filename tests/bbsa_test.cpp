@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
@@ -121,6 +122,21 @@ TEST(Bbsa, AllOptionCombinationsProduceValidSchedules) {
       validate_or_throw(graph, topo, s);
     }
   }
+}
+
+TEST(Bbsa, RejectsADomainWithTwoSpeeds) {
+  // One medium has one capacity. `add_link(…, domain)` does not check
+  // the speeds it is given; the bandwidth state must reject the fabric
+  // with an argument error, not an internal assertion.
+  net::Topology topo;
+  const net::NodeId p0 = topo.add_processor(1.0, "p0");
+  const net::NodeId p1 = topo.add_processor(1.0, "p1");
+  const net::DomainId medium = topo.add_domain();
+  topo.add_link(p0, p1, 1.0, medium);
+  topo.add_link(p1, p0, 2.0, medium);
+  const dag::TaskGraph graph = dag::fork(2, 2.0, 4.0);
+  EXPECT_THROW((void)SpecScheduler(bbsa_spec()).schedule(graph, topo),
+               std::invalid_argument);
 }
 
 TEST(Bbsa, DeterministicAcrossRuns) {

@@ -140,9 +140,7 @@ TEST_P(DeferralSlackProperty, StoredSlackEqualsTheRecordMatch) {
   constexpr std::size_t kEdges = 360;
   std::size_t checked = 0;
   {
-    ExclusiveNetworkState state(topology, kEdges, GetParam() % 2 == 0
-                                                      ? 0.0
-                                                      : 0.25);
+    ExclusiveNetworkState state(topology, kEdges);
     for (std::size_t e = 0; e < kEdges; ++e) {
       const dag::EdgeId edge(e);
       const net::NodeId from = procs[pick(procs.size())];

@@ -359,6 +359,23 @@ TEST(Executor, RejectsMalformedOptions) {
       (void)execute(inst.graph, inst.topo, schedule, bad_target),
       std::invalid_argument);
 
+  // Retry backoff and replanning delay: NaN would queue events at time
+  // NaN, a negative delay would start a replan before its fault.
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    ExecutionOptions backoff;
+    backoff.policy = RecoveryPolicy::kRetry;
+    backoff.retry_backoff = bad;
+    EXPECT_THROW(
+        (void)execute(inst.graph, inst.topo, schedule, backoff),
+        std::invalid_argument);
+    ExecutionOptions delay;
+    delay.policy = RecoveryPolicy::kReschedule;
+    delay.reschedule_delay = bad;
+    EXPECT_THROW(
+        (void)execute(inst.graph, inst.topo, schedule, delay),
+        std::invalid_argument);
+  }
+
   ExecutionOptions bad_algo;
   bad_algo.policy = RecoveryPolicy::kReschedule;
   bad_algo.recovery_algorithm = "no-such-algorithm";

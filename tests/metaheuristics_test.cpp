@@ -4,6 +4,7 @@
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
 #include "sched/annealing.hpp"
+#include "sched/assignment.hpp"
 #include "sched/engine.hpp"
 #include "sched/genetic.hpp"
 #include "sched/validator.hpp"
@@ -11,6 +12,8 @@
 namespace edgesched::sched {
 namespace {
 
+// The registry's GA and SA, whose settings are fixed, at 20 tasks on 4
+// processors.
 struct Instance {
   dag::TaskGraph graph;
   net::Topology topo;
@@ -28,23 +31,10 @@ Instance make(std::uint64_t seed) {
   return inst;
 }
 
-GeneticScheduler::Options small_ga() {
-  GeneticScheduler::Options options;
-  options.population = 8;
-  options.generations = 6;
-  return options;
-}
-
-AnnealingScheduler::Options small_sa() {
-  AnnealingScheduler::Options options;
-  options.iterations = 60;
-  return options;
-}
-
 TEST(Genetic, ProducesValidSchedules) {
   const Instance inst = make(1);
   const Schedule s =
-      GeneticScheduler(small_ga()).schedule(inst.graph, inst.topo);
+      GeneticScheduler().schedule(inst.graph, inst.topo);
   validate_or_throw(inst.graph, inst.topo, s);
   EXPECT_EQ(s.algorithm(), "GA");
 }
@@ -59,33 +49,21 @@ TEST(Genetic, NeverWorseThanItsSeeds) {
       assignment_of(inst.graph, SpecScheduler(oihsa_spec())
                                     .schedule(inst.graph, inst.topo)));
   const Schedule s =
-      GeneticScheduler(small_ga()).schedule(inst.graph, inst.topo);
+      GeneticScheduler().schedule(inst.graph, inst.topo);
   EXPECT_LE(s.makespan(), seed_cost + 1e-6);
 }
 
 TEST(Genetic, DeterministicForSeed) {
   const Instance inst = make(3);
-  const GeneticScheduler ga(small_ga());
+  const GeneticScheduler ga;
   EXPECT_DOUBLE_EQ(ga.schedule(inst.graph, inst.topo).makespan(),
                    ga.schedule(inst.graph, inst.topo).makespan());
-}
-
-TEST(Genetic, RejectsBadOptions) {
-  GeneticScheduler::Options bad;
-  bad.population = 2;
-  EXPECT_THROW(GeneticScheduler{bad}, std::invalid_argument);
-  bad = GeneticScheduler::Options{};
-  bad.mutation_rate = 1.5;
-  EXPECT_THROW(GeneticScheduler{bad}, std::invalid_argument);
-  bad = GeneticScheduler::Options{};
-  bad.tournament = 0;
-  EXPECT_THROW(GeneticScheduler{bad}, std::invalid_argument);
 }
 
 TEST(Annealing, ProducesValidSchedules) {
   const Instance inst = make(4);
   const Schedule s =
-      AnnealingScheduler(small_sa()).schedule(inst.graph, inst.topo);
+      AnnealingScheduler().schedule(inst.graph, inst.topo);
   validate_or_throw(inst.graph, inst.topo, s);
   EXPECT_EQ(s.algorithm(), "SA");
 }
@@ -97,24 +75,15 @@ TEST(Annealing, NeverWorseThanItsStart) {
       assignment_of(inst.graph, SpecScheduler(oihsa_spec())
                                     .schedule(inst.graph, inst.topo)));
   const Schedule s =
-      AnnealingScheduler(small_sa()).schedule(inst.graph, inst.topo);
+      AnnealingScheduler().schedule(inst.graph, inst.topo);
   EXPECT_LE(s.makespan(), start_cost + 1e-6);
 }
 
 TEST(Annealing, DeterministicForSeed) {
   const Instance inst = make(6);
-  const AnnealingScheduler sa(small_sa());
+  const AnnealingScheduler sa;
   EXPECT_DOUBLE_EQ(sa.schedule(inst.graph, inst.topo).makespan(),
                    sa.schedule(inst.graph, inst.topo).makespan());
-}
-
-TEST(Annealing, RejectsBadOptions) {
-  AnnealingScheduler::Options bad;
-  bad.iterations = 0;
-  EXPECT_THROW(AnnealingScheduler{bad}, std::invalid_argument);
-  bad = AnnealingScheduler::Options{};
-  bad.cooling = 1.0;
-  EXPECT_THROW(AnnealingScheduler{bad}, std::invalid_argument);
 }
 
 TEST(Metaheuristics, SearchImprovesOnRandomAssignments) {
@@ -133,7 +102,7 @@ TEST(Metaheuristics, SearchImprovesOnRandomAssignments) {
         assignment_makespan(inst.graph, inst.topo, random_assignment);
   }
   const Schedule s =
-      GeneticScheduler(small_ga()).schedule(inst.graph, inst.topo);
+      GeneticScheduler().schedule(inst.graph, inst.topo);
   EXPECT_LT(s.makespan(), random_total / 5.0);
 }
 

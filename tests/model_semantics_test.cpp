@@ -7,7 +7,6 @@
 #include "dag/generators.hpp"
 #include "dag/properties.hpp"
 #include "net/builders.hpp"
-#include "sched/assignment.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 
@@ -112,54 +111,6 @@ TEST(ModelSemantics, AppendPlacementNeverOverlapsAndOrdersByCommit) {
   AlgorithmSpec append = oihsa_spec();
   append.task_insertion = false;
   validate_or_throw(inst.graph, inst.topo, run(append, inst));
-}
-
-TEST(ModelSemantics, HopDelayDelaysMultiHopTransfers) {
-  // Two hops through a switch: with hop delay d the transfer arrives d
-  // later than without (one intermediate station).
-  dag::TaskGraph graph = dag::chain(2, 2.0, 4.0);
-  net::Topology topo;
-  const net::NodeId p0 = topo.add_processor(1.0);
-  const net::NodeId p1 = topo.add_processor(1.0);
-  const net::NodeId sw = topo.add_switch();
-  topo.add_duplex_link(p0, sw, 1.0);
-  topo.add_duplex_link(sw, p1, 1.0);
-  // Pin the tasks apart to force the transfer.
-  const Assignment split{p0, p1};
-
-  const Schedule base = schedule_assignment(graph, topo, split);
-  EXPECT_DOUBLE_EQ(base.makespan(), 8.0);  // ship 2, arrive 6, run 2
-
-  AlgorithmSpec delayed = ba_spec();
-  delayed.hop_delay = 1.5;
-  const Schedule with_delay = SpecScheduler(delayed).schedule(graph, topo);
-  validate_or_throw(graph, topo, with_delay);
-  if (with_delay.task(dag::TaskId(0u)).processor !=
-      with_delay.task(dag::TaskId(1u)).processor) {
-    EXPECT_NEAR(with_delay.communication(dag::EdgeId(0u)).arrival, 7.5,
-                1e-9);
-  }
-}
-
-TEST(ModelSemantics, HopDelayKeepsAllSchedulersValid) {
-  const Instance inst = make(6, 2.0);
-  for (AlgorithmSpec spec : {ba_spec(), oihsa_spec(), bbsa_spec()}) {
-    spec.hop_delay = 0.5;
-    validate_or_throw(inst.graph, inst.topo, run(spec, inst));
-  }
-}
-
-TEST(ModelSemantics, HopDelayNeverSpeedsUp) {
-  double plain_total = 0.0;
-  double delayed_total = 0.0;
-  AlgorithmSpec delayed = oihsa_spec();
-  delayed.hop_delay = 2.0;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const Instance inst = make(seed, 2.0);
-    plain_total += run(oihsa_spec(), inst).makespan();
-    delayed_total += run(delayed, inst).makespan();
-  }
-  EXPECT_GE(delayed_total, plain_total * 0.99);
 }
 
 TEST(ModelSemantics, ReadyMomentDominatesEdgeStart) {

@@ -127,15 +127,6 @@ TEST(PacketizedBa, RejectsBadPacketSize) {
   for (double size : {0.0, -1.0, nan, inf, -inf}) {
     EXPECT_THROW((void)packet_ba(size), std::invalid_argument) << size;
   }
-  // hop_delay is validated on every bundle: NaN or +inf would otherwise
-  // emit schedules the validator rejects or trip timeline assertions.
-  for (AlgorithmSpec spec : {packet_ba_spec(), oihsa_spec()}) {
-    for (double delay : {-1.0, nan, inf}) {
-      spec.hop_delay = delay;
-      EXPECT_THROW((void)SpecScheduler(spec), std::invalid_argument)
-          << spec.name << " hop_delay " << delay;
-    }
-  }
 }
 
 TEST(PacketizedBa, HugePacketSizeMatchesSaFCircuit) {

@@ -26,10 +26,10 @@ std::string chrome_trace_of(const dag::TaskGraph& graph,
 }
 
 std::string gantt_of(const dag::TaskGraph& graph,
-                     const net::Topology& topology, const Schedule& schedule,
-                     const GanttOptions& options = {}) {
+                     const net::Topology& topology,
+                     const Schedule& schedule) {
   std::ostringstream os;
-  write_ascii_gantt(os, graph, topology, schedule, options);
+  write_ascii_gantt(os, graph, topology, schedule);
   return os.str();
 }
 
@@ -190,15 +190,6 @@ TEST(AsciiGantt, PaintsTasksAndLinks) {
   for (net::NodeId p : f.topo.processors()) {
     EXPECT_NE(gantt.find(f.topo.node(p).name), std::string::npos);
   }
-}
-
-TEST(AsciiGantt, LinksCanBeSuppressed) {
-  const Fixture f;
-  GanttOptions options;
-  options.include_links = false;
-  const std::string gantt = gantt_of(f.graph, f.topo, f.schedule, options);
-  // The header line contains "makespan=..."; no '=' may appear after it.
-  EXPECT_EQ(gantt.find('=', gantt.find('\n')), std::string::npos);
 }
 
 TEST(AsciiGantt, WorksForBandwidthSchedules) {

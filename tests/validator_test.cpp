@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "dag/generators.hpp"
 #include "net/builders.hpp"
 #include "net/routing.hpp"
@@ -112,6 +116,56 @@ TEST(Validator, CatchesNegativeStart) {
   comm.arrival = 1.0;
   write(bad, dag::EdgeId(0u), comm);
   EXPECT_FALSE(is_valid(f.graph, f.topo, bad));
+}
+
+TEST(Validator, CatchesNonFiniteTime) {
+  // Every tolerance comparison is false for NaN and for inf - inf, so
+  // each of these passed the other checks.
+  const Fixture f;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_non_finite = [&](const Schedule& bad) {
+    const auto violations = validate(f.graph, f.topo, bad);
+    EXPECT_TRUE(std::any_of(violations.begin(), violations.end(),
+                            [](const std::string& violation) {
+                              return violation.find("non-finite") !=
+                                     std::string::npos;
+                            }))
+        << violations.size() << " violations";
+  };
+
+  // The destination at (inf, inf) behind an endless transfer, makespan
+  // inf: what OIHSA produced on a link of speed 1e-320.
+  Schedule endless("bad", 2, 1);
+  endless.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
+  endless.place_task(dag::TaskId(1u), TaskPlacement{f.p1, inf, inf});
+  OwnedComm comm = own(f.good().communication(dag::EdgeId(0u)));
+  comm.occupations[0].finish = inf;
+  comm.occupations[1].finish = inf;
+  comm.arrival = inf;
+  write(endless, dag::EdgeId(0u), comm);
+  expect_non_finite(endless);
+
+  // A NaN slot time alone.
+  Schedule slot = f.good();
+  comm = own(slot.communication(dag::EdgeId(0u)));
+  comm.occupations[1].finish = nan;
+  write(slot, dag::EdgeId(0u), comm);
+  expect_non_finite(slot);
+
+  // A NaN arrival alone.
+  Schedule arrival = f.good();
+  comm = own(arrival.communication(dag::EdgeId(0u)));
+  comm.arrival = nan;
+  write(arrival, dag::EdgeId(0u), comm);
+  expect_non_finite(arrival);
+
+  // A NaN task start alone.
+  Schedule start("bad", 2, 1);
+  start.place_task(dag::TaskId(0u), TaskPlacement{f.p0, 0.0, 2.0});
+  start.place_task(dag::TaskId(1u), TaskPlacement{f.p1, nan, 8.0});
+  write(start, dag::EdgeId(0u), own(f.good().communication(dag::EdgeId(0u))));
+  expect_non_finite(start);
 }
 
 TEST(Validator, CatchesProcessorOverlap) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""List public names declared in src/**/*.hpp that only tests use.
+"""List public names and option fields in src/**/*.hpp that only tests use.
 
 A name counts as used when a file outside tests/ (src, examples, bench,
 perfbench, tools) mentions it anywhere other than its own declaration
@@ -25,6 +25,19 @@ these masks:
 
 Each of those was found and deleted by hand, so deleting or adding a
 public function still needs a look by hand.
+
+Option fields are checked too: every data member with a default
+initializer in a struct whose name ends in `Options`, `Config` or
+`Params`, and in `AlgorithmSpec`. Such a field is a setting, and a
+setting counts as used only when a file outside tests/ writes it:
+`.field =` or `->field =` (not `==`; designated initialisers included)
+or `.field.member =`. A setting that only tests write is one value in
+every program and belongs in a constant. Matching is by field name
+here too, so a field sharing its name with another struct's field
+(`seed`, `threads`) counts as written as soon as either is, and a
+write through a pointer or reference to the field itself
+(`parse(&options.seed)`) or positional aggregate initialisation is not
+seen.
 
 Prints every unused name as `header:line: name` and exits 1 when one is
 not in ALLOWLIST below, or when an ALLOWLIST entry names nothing unused
@@ -70,6 +83,32 @@ ALLOWLIST = {
         "pins the workspace-recycling bound in two property tests; no "
         "counter exposes that bound",
     "check_invariants": "debug consistency check over a timeline",
+    **dict.fromkeys(
+        ("ExecutionOptions::max_retries", "ExecutionOptions::retry_backoff",
+         "ExecutionOptions::max_reschedules",
+         "ExecutionOptions::reschedule_delay"),
+        "retry/reschedule setting; tests/golden/exec_dispatch.digests pins "
+        "non-default values"),
+    **dict.fromkeys(
+        ("RandomWanParams::fanout_min", "RandomWanParams::fanout_max",
+         "RandomWanParams::extra_switch_link_probability"),
+        "generator parameter; engine_golden_test pins non-default values"),
+    **dict.fromkeys(
+        ("LayeredDagParams::width_factor", "LayeredDagParams::in_degree_min",
+         "LayeredDagParams::in_degree_max",
+         "LayeredDagParams::skip_edge_probability",
+         "SpeedConfig::fixed_processor_speed", "SpeedConfig::fixed_link_speed",
+         "SpeedConfig::processor_speed_min", "SpeedConfig::processor_speed_max",
+         "SpeedConfig::link_speed_min", "SpeedConfig::link_speed_max"),
+        "generator parameter of the public catalogue; property suites "
+        "sweep non-default values"),
+    **dict.fromkeys(
+        ("ValidationOptions::epsilon",
+         "ValidationOptions::allow_contention_free"),
+        "setting of the independent validator, which checks schedules "
+        "from any source"),
+    "PerturbationOptions::trials":
+        "robustness trial count of the sim layer's library API",
 }
 
 KEYWORDS = {
@@ -86,6 +125,15 @@ FUNCTION_DECL = re.compile(
 TYPE_DECL = re.compile(
     r"^\s*(?:class|struct|enum\s+class|enum|using)\s+([A-Za-z_]\w*)\b(?!\s*;)")
 WORD = re.compile(r"[A-Za-z_]\w*")
+OPTION_STRUCT = re.compile(
+    r"\bstruct\s+(\w*(?:Options|Config|Params)|AlgorithmSpec)\s*"
+    r"(?::[^;{]*)?\{")
+# One member statement with a default initializer: `T name = v` or
+# `T name{v}`, no parenthesis before the name.
+FIELD_DECL = re.compile(
+    r"^(?!(?:static|using|friend|typedef|enum|struct|class)\b)"
+    r"[\w:<>,\s*&]*?[\w>*&]\s+[*&]*([A-Za-z_]\w*)\s*(?:=|\{)")
+ACCESS = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
 
 
 def strip_comments_and_strings(text):
@@ -147,6 +195,48 @@ def declarations(lines):
     return found
 
 
+def option_fields(text):
+    """(struct, field, line number) for every defaulted option field."""
+    found = []
+    for match in OPTION_STRUCT.finditer(text):
+        depth = 0
+        begin = match.end()  # start of the current member statement
+        for i in range(match.end(), len(text)):
+            c = text[i]
+            if c in "{(":
+                depth += 1
+            elif c in ")}" and depth > 0:
+                depth -= 1
+            elif c == "}":
+                break  # the struct's own closing brace
+            if depth > 0 or c not in ";}":
+                continue
+            member = ACCESS.sub("", text[begin:i], 1).lstrip()
+            field = FIELD_DECL.match(member)
+            if field:  # `member` ends at i, so it starts at i - len(member)
+                found.append((match.group(1), field.group(1),
+                              text.count("\n", 0, i - len(member)) + 1))
+            begin = i + 1
+    return found
+
+
+def unused_fields(texts):
+    """(header, line, `Struct::field`) for settings nothing but tests write."""
+    fields = []
+    for path, text in texts.items():
+        if path.suffix == ".hpp" and path.is_relative_to(ROOT / "src"):
+            fields.extend((path, number, struct, name)
+                          for struct, name, number in option_fields(text))
+    unused = []
+    for path, number, struct, name in fields:
+        write = re.compile(r"(?:\.|->)\s*" + name +
+                           r"\s*(?:\.\s*\w+\s*)?=(?!=)")
+        if not any(write.search(text) for text in texts.values()):
+            unused.append((str(path.relative_to(ROOT)), number,
+                           f"{struct}::{name}"))
+    return unused
+
+
 def main():
     texts = {path: strip_comments_and_strings(path.read_text())
              for path in source_files()}
@@ -187,7 +277,8 @@ def main():
                 used.add(name)
 
     unused = sorted({(str(path.relative_to(ROOT)), number, name)
-                     for name, path, number in decls if name not in used})
+                     for name, path, number in decls if name not in used}
+                    | set(unused_fields(texts)))
     failed = False
     for header, number, name in unused:
         note = ALLOWLIST.get(name)
@@ -197,8 +288,9 @@ def main():
         else:
             print(f"{header}:{number}: {name} (allowed: {note})")
     if failed:
-        print("test_only_decls: public declarations with no caller outside "
-              "tests/ (delete them, or add an ALLOWLIST entry with a reason)")
+        print("test_only_decls: public declarations or option fields with "
+              "no caller or writer outside tests/ (delete them, or add an "
+              "ALLOWLIST entry with a reason)")
     stale = sorted(set(ALLOWLIST) - {name for _, _, name in unused})
     for name in stale:
         failed = True
