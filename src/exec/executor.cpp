@@ -76,10 +76,12 @@ namespace {
 constexpr std::uint32_t kNone32 = std::numeric_limits<std::uint32_t>::max();
 
 // ---------------------------------------------------------------------------
-// Event queue: (time, kind rank, push sequence) min-heap. The rank order at
+// Event queue: (time, kind rank, push sequence) order. The rank order at
 // one timestamp is load-bearing: heals first (a resource repaired at t can
 // serve work dispatched at t), then completions (work finishing exactly when
 // a fault strikes has completed), then timetable releases, then faults.
+// The releases known before a round starts sit in a presorted stream, the
+// rest in a min-heap; a pop takes the lesser head of the two.
 // ---------------------------------------------------------------------------
 
 enum class EventKind : std::uint8_t {
@@ -545,6 +547,39 @@ class Round {
     events_.push(Event{time, event_rank(kind), seq_++, kind, index, gen});
   }
 
+  /// Appends a release to the presorted stream, numbered in push order
+  /// like `push_event`'s; `run` sorts the stream before its first pop.
+  void stream_release(double time, EventKind kind, std::uint32_t index) {
+    releases_.push_back(Event{time, event_rank(kind), seq_++, kind, index, 0});
+  }
+
+  [[nodiscard]] bool has_events() const noexcept {
+    return next_release_ < releases_.size() || !events_.empty();
+  }
+
+  /// True when the stream's head precedes the heap's top. The keys are a
+  /// total order (`seq` is unique), so the merge pops exactly the
+  /// sequence one heap holding every event would.
+  [[nodiscard]] bool release_first() const {
+    return next_release_ < releases_.size() &&
+           (events_.empty() ||
+            EventLater()(events_.top(), releases_[next_release_]));
+  }
+
+  [[nodiscard]] double next_event_time() const {
+    return release_first() ? releases_[next_release_].time
+                           : events_.top().time;
+  }
+
+  Event pop_event() {
+    if (release_first()) {
+      return releases_[next_release_++];
+    }
+    const Event ev = events_.top();
+    events_.pop();
+    return ev;
+  }
+
   // -- dispatch -------------------------------------------------------------
 
   [[nodiscard]] std::uint32_t edge_src_task(std::uint32_t edge) const {
@@ -989,6 +1024,10 @@ class Round {
   WakeSet woken_ops_;  ///< non-serialized transfer ops only
 
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  /// The round-start release and, under timetable dispatch, every task's
+  /// and transfer op's anchor release, in pop order from `next_release_`.
+  std::vector<Event> releases_;
+  std::size_t next_release_ = 0;
   std::uint64_t seq_ = 0;
   std::size_t finished_count_ = 0;
 };
@@ -1006,17 +1045,20 @@ RoundResult Round::run() {
     wake_op(static_cast<std::uint32_t>(oi));
   }
 
-  push_event(ctx_.t0, EventKind::kReleaseTask, kNone32, 0);
+  releases_.reserve(1 + (timetable_ ? tasks_.size() + transfers_.size() : 0));
+  stream_release(ctx_.t0, EventKind::kReleaseTask, kNone32);
   if (timetable_) {
     for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
-      push_event(tasks_[ti].anchor_start, EventKind::kReleaseTask,
-                 static_cast<std::uint32_t>(ti), 0);
+      stream_release(tasks_[ti].anchor_start, EventKind::kReleaseTask,
+                     static_cast<std::uint32_t>(ti));
     }
     for (std::size_t oi = 0; oi < transfers_.size(); ++oi) {
-      push_event(transfers_[oi].anchor_start, EventKind::kReleaseTransfer,
-                 static_cast<std::uint32_t>(oi), 0);
+      stream_release(transfers_[oi].anchor_start, EventKind::kReleaseTransfer,
+                     static_cast<std::uint32_t>(oi));
     }
   }
+  std::sort(releases_.begin(), releases_.end(),
+            [](const Event& a, const Event& b) { return EventLater()(b, a); });
   // Transient downtime carried across a replan boundary.
   for (std::size_t np = 0; np < procs_.size(); ++np) {
     const double until = gs_.proc_down_until[ctx_.node_orig[np]];
@@ -1042,13 +1084,12 @@ RoundResult Round::run() {
   }
 
   double last_time = ctx_.t0;
-  while (!events_.empty() && finished_count_ < tasks_.size()) {
-    const double now = events_.top().time;
+  while (has_events() && finished_count_ < tasks_.size()) {
+    const double now = next_event_time();
     last_time = now;
     obs::Span epoch("exec/epoch", "exec");
-    while (!events_.empty() && events_.top().time == now) {
-      const Event ev = events_.top();
-      events_.pop();
+    while (has_events() && next_event_time() == now) {
+      const Event ev = pop_event();
       ++report_.events;
       switch (ev.kind) {
         case EventKind::kHealProcessor: {

@@ -190,7 +190,8 @@ void UniquePathRouter::route(NodeId from, NodeId to, Route& route) const {
 }
 
 TransitAdjacency::TransitAdjacency(const Topology& topology)
-    : topology_(&topology) {
+    : topology_(&topology),
+      hop_rows_(std::make_unique<HopRow[]>(topology.num_nodes())) {
   const std::size_t n = topology.num_nodes();
   stub_parent_.assign(n, NodeId{});
   for (std::size_t v = 0; v < n; ++v) {
@@ -224,6 +225,34 @@ TransitAdjacency::TransitAdjacency(const Topology& topology)
   }
   transit_begin_.push_back(static_cast<std::uint32_t>(transit_.size()));
   stub_begin_.push_back(static_cast<std::uint32_t>(stub_.size()));
+}
+
+std::span<const std::uint32_t> TransitAdjacency::hops_to(
+    NodeId target) const {
+  throw_if(target.index() >= topology_->num_nodes(),
+           "TransitAdjacency: invalid target");
+  HopRow& row = hop_rows_[target.index()];
+  std::call_once(row.once, [&] {
+    // Reverse BFS from the target over every in-link.
+    const Topology& topology = *topology_;
+    std::vector<std::uint32_t>& hops = row.hops;
+    hops.assign(topology.num_nodes(), kUnreachable);
+    std::vector<NodeId> frontier;
+    frontier.reserve(topology.num_nodes());
+    frontier.push_back(target);
+    hops[target.index()] = 0;
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId at = frontier[head];
+      for (const LinkId l : topology.in_links(at)) {
+        const NodeId src = topology.link(l).src;
+        if (hops[src.index()] == kUnreachable) {
+          hops[src.index()] = hops[at.index()] + 1;
+          frontier.push_back(src);
+        }
+      }
+    }
+  });
+  return row.hops;
 }
 
 }  // namespace edgesched::net

@@ -8,13 +8,23 @@
 //   consults the current link timelines (basic insertion, §3). Routes
 //   therefore steer around loaded links. It walks a `TransitAdjacency`,
 //   never the topology's raw out-link lists.
+// * `goal_directed_route_probe` — the same search, with the same routes
+//   and target labels, for a probe that never returns a label below its
+//   input's (BBSA's bandwidth probe, §5): ties on (finish, start) pop in
+//   order of hops plus a hop-distance bound to the target, so the search
+//   settles fewer nodes. An equal label keeps the predecessor plain
+//   Dijkstra would have popped first (the canonical parent rule).
 // * `TransitAdjacency` — the search's per-platform arc lists: every
 //   node's out-links minus those into its stubs (leaf nodes whose only
 //   out-link leads back), plus each stub's links from its parent, which
 //   the search relaxes only when that stub is the target. Built in one
-//   O(N+L) pass; sched::PlatformContext owns one per topology.
-// * `RoutingWorkspace` — reusable, epoch-stamped Dijkstra scratch so a
-//   scheduler routing thousands of edges allocates its search state once.
+//   O(N+L) pass; sched::PlatformContext owns one per topology. It also
+//   keeps the goal-directed search's hop-distance rows, one per target,
+//   each filled on the first search to that target.
+// * `RoutingWorkspace` — reusable, epoch-stamped search scratch: labels
+//   with their stamps and heap slots inline, and an indexed binary heap
+//   holding at most one entry per node, so a scheduler routing thousands
+//   of edges allocates its search state once.
 // * `StaticRouteTable` — the static routing layer: `bfs_route`'s minimal
 //   routes between processors, filled lazily one source at a time and
 //   safe to query from any number of threads (sched::PlatformContext
@@ -28,11 +38,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -104,15 +114,21 @@ class StaticRouteTable {
 /// one-way relay a -> s -> b) stay transit arcs of their source.
 ///
 /// Arcs carry their destination, so the search reads no `Topology::Link`
-/// while relaxing. Immutable once built and safe to share across
-/// threads. Non-owning: the topology must outlive the adjacency and must
-/// not gain links after it is built.
+/// while relaxing. The arc lists are immutable once built; the hop rows
+/// of `hops_to` fill once per target under their own `std::once_flag`,
+/// as `StaticRouteTable`'s shards do, so the adjacency is safe to share
+/// across threads. Non-owning: the topology must outlive the adjacency
+/// and must not gain links after it is built.
 class TransitAdjacency {
  public:
   struct Arc {
     LinkId link;
     NodeId dst;
   };
+
+  /// `hops_to`'s entry for a node with no path to the target. Far above
+  /// any hop count, yet a search's hops plus it still fit in 32 bits.
+  static constexpr std::uint32_t kUnreachable = std::uint32_t{1} << 31;
 
   explicit TransitAdjacency(const Topology& topology);
 
@@ -136,8 +152,20 @@ class TransitAdjacency {
   [[nodiscard]] std::span<const Arc> stub_arcs(NodeId node) const {
     return arcs(stub_begin_, stub_, node);
   }
+  /// Each node's hop distance to `target` over every link of the
+  /// topology (`kUnreachable` without a path), by node index. The search
+  /// walks a subset of those links, so a node's entry never exceeds the
+  /// hops of any route it can still take, and no arc u -> v has
+  /// hops(u) > hops(v) + 1. The row fills on the first call for
+  /// `target`, by one reverse BFS, exactly once; a fabric no
+  /// goal-directed search targets allocates none.
+  [[nodiscard]] std::span<const std::uint32_t> hops_to(NodeId target) const;
 
  private:
+  struct HopRow {
+    std::once_flag once;
+    std::vector<std::uint32_t> hops;
+  };
   static std::span<const Arc> arcs(const std::vector<std::uint32_t>& begin,
                                    const std::vector<Arc>& all,
                                    NodeId node) {
@@ -151,6 +179,7 @@ class TransitAdjacency {
   std::vector<Arc> transit_;
   std::vector<std::uint32_t> stub_begin_;  ///< CSR offsets, N + 1
   std::vector<Arc> stub_;
+  std::unique_ptr<HopRow[]> hop_rows_;  ///< by target node index
 };
 
 /// Routes of a fabric with exactly one simple path between any two
@@ -216,46 +245,68 @@ namespace detail {
 inline constexpr double kInfiniteTime =
     std::numeric_limits<double>::infinity();
 
-/// Per-node Dijkstra label. Lives in a `RoutingWorkspace`, reset lazily
-/// via epoch stamps.
+/// A label's heap slot while its node is not queued, and once it is
+/// settled (popped).
+inline constexpr std::uint32_t kNotQueued =
+    std::numeric_limits<std::uint32_t>::max();
+inline constexpr std::uint32_t kSettled = kNotQueued - 1;
+
+/// Per-node search label, ordered by (finish, start, hops). Lives in a
+/// `RoutingWorkspace` with its epoch stamp and heap slot inline, reset
+/// lazily when a search first touches it.
 struct DijkstraLabel {
   double finish = kInfiniteTime;
   double start = kInfiniteTime;
-  std::size_t hops = 0;
+  std::uint64_t epoch = 0;
+  std::uint32_t hops = 0;
   LinkId parent;
-  bool settled = false;
+  std::uint32_t slot = kNotQueued;  ///< heap position, or the two above
+
+  [[nodiscard]] bool settled() const noexcept { return slot == kSettled; }
 };
 
-/// Min-heap entry ordered by (finish, start, hops, node) for
-/// deterministic relaxation.
-struct DijkstraQueueEntry {
+/// Heap key: (finish, start, rank, node), a total order. `rank` packs
+/// (hops + bound, hops) into one integer; the plain search's bound is 0,
+/// so its order is (finish, start, hops, node).
+struct SearchKey {
   double finish;
   double start;
-  std::size_t hops;
-  NodeId node;
-  bool operator>(const DijkstraQueueEntry& other) const {
-    if (finish != other.finish) return finish > other.finish;
-    if (start != other.start) return start > other.start;
-    if (hops != other.hops) return hops > other.hops;
-    return node > other.node;
+  std::uint64_t rank;
+  std::uint32_t node;
+
+  [[nodiscard]] bool operator<(const SearchKey& other) const noexcept {
+    if (finish != other.finish) return finish < other.finish;
+    if (start != other.start) return start < other.start;
+    if (rank != other.rank) return rank < other.rank;
+    return node < other.node;
   }
 };
 }  // namespace detail
 
-/// Reusable Dijkstra scratch: label array, epoch stamps and heap storage.
+/// Reusable search scratch: label array and an indexed binary min-heap.
 ///
 /// ## Epoch semantics
 ///
 /// Every search calls `begin_search(n)`, which bumps the workspace epoch
 /// instead of clearing the O(n) label array. `label(i)` compares the
-/// node's stamp against the current epoch and lazily resets the label on
-/// first touch, so a search over a topology with N nodes initialises
-/// only the labels it actually visits. Labels read through `label()` are
-/// therefore always from the *current* search; raw `labels_[i]` access
-/// would resurrect a previous search's state and must not be added. The
-/// epoch counter is 64-bit: it does not wrap in any realistic process
-/// lifetime. A workspace belongs to one thread; schedulers own one per
-/// run and reuse it across every routed edge.
+/// node's inline stamp against the current epoch and lazily resets the
+/// label on first touch, so a search over a topology with N nodes
+/// initialises only the labels it actually visits. Labels read through
+/// `label()` are therefore always from the *current* search; raw
+/// `labels_[i]` access would resurrect a previous search's state and is
+/// confined to the heap, whose nodes this search has touched. The epoch
+/// counter is 64-bit: it does not wrap in any realistic process lifetime.
+///
+/// ## Heap
+///
+/// Each queued node has exactly one heap entry, whose position its label
+/// keeps (`slot`): an improved label moves its entry up in place
+/// (`push_or_decrease`) instead of pushing a second one, so no stale
+/// entry is ever pushed or popped. Keys are a total order, so the pop
+/// sequence is the one any correct min-heap gives.
+///
+/// A workspace belongs to one thread; schedulers own one per run and
+/// reuse it across every routed edge.
 class RoutingWorkspace {
  public:
   RoutingWorkspace() = default;
@@ -269,35 +320,39 @@ class RoutingWorkspace {
   RoutingWorkspace& operator=(const RoutingWorkspace&) = delete;
 
   /// Batches one search's work into this workspace — plain member adds,
-  /// no atomic: `relaxations` probes and `links_scanned` arcs walked
-  /// (settled skips included). `dijkstra_route_probe` accumulates here
-  /// per search; the atomic adds happen in `flush_search_work`, once per
-  /// run (or at destruction), so a run routing thousands of edges
-  /// touches the global registry once instead of once per search.
-  void add_search_work(std::uint64_t relaxations,
-                       std::uint64_t links_scanned) noexcept {
+  /// no atomic: `relaxations` probes, `links_scanned` arcs walked
+  /// (settled skips included) and `pops` heap pops. The searches
+  /// accumulate here per search; the atomic adds happen in
+  /// `flush_search_work`, once per run (or at destruction), so a run
+  /// routing thousands of edges touches the global registry once instead
+  /// of once per search.
+  void add_search_work(std::uint64_t relaxations, std::uint64_t links_scanned,
+                       std::uint64_t pops) noexcept {
     relaxations_ += relaxations;
     links_scanned_ += links_scanned;
+    pops_ += pops;
   }
 
-  /// Flushes the batched tallies into `sched_dijkstra_relaxations_total`
-  /// and `sched_dijkstra_links_scanned_total` and zeroes them.
+  /// Flushes the batched tallies into `sched_dijkstra_relaxations_total`,
+  /// `sched_dijkstra_links_scanned_total` and `sched_dijkstra_pops_total`
+  /// and zeroes them.
   void flush_search_work() {
-    if (relaxations_ > 0 || links_scanned_ > 0) {
+    if (relaxations_ > 0 || links_scanned_ > 0 || pops_ > 0) {
       obs::HotCounters& counters = obs::hot_counters();
       counters.dijkstra_relaxations.increment(relaxations_);
       counters.dijkstra_links_scanned.increment(links_scanned_);
+      counters.dijkstra_pops.increment(pops_);
       relaxations_ = 0;
       links_scanned_ = 0;
+      pops_ = 0;
     }
   }
 
-  /// Starts a new search over `num_nodes` nodes: sizes the arrays,
+  /// Starts a new search over `num_nodes` nodes: sizes the label array,
   /// bumps the epoch and clears the heap (capacity retained).
   void begin_search(std::size_t num_nodes) {
     if (labels_.size() < num_nodes) {
       labels_.resize(num_nodes);
-      stamps_.resize(num_nodes, 0);
     }
     ++epoch_;
     heap_.clear();
@@ -306,33 +361,233 @@ class RoutingWorkspace {
   /// The node's label for the current search, default-initialised on
   /// first touch after `begin_search`.
   [[nodiscard]] detail::DijkstraLabel& label(std::size_t node) {
-    if (stamps_[node] != epoch_) {
-      stamps_[node] = epoch_;
-      labels_[node] = detail::DijkstraLabel{};
+    detail::DijkstraLabel& entry = labels_[node];
+    if (entry.epoch != epoch_) {
+      entry = detail::DijkstraLabel{};
+      entry.epoch = epoch_;
     }
-    return labels_[node];
+    return entry;
   }
 
-  [[nodiscard]] std::vector<detail::DijkstraQueueEntry>& heap() noexcept {
-    return heap_;
+  [[nodiscard]] bool heap_empty() const noexcept { return heap_.empty(); }
+
+  /// Queues `key.node`, whose label is `node_label`, or moves its entry
+  /// up to `key`. Its label only ever improves while queued, so `key`
+  /// is never above the entry it replaces.
+  void push_or_decrease(detail::DijkstraLabel& node_label,
+                        const detail::SearchKey& key) {
+    std::size_t pos = node_label.slot;
+    if (pos == detail::kNotQueued) {
+      pos = heap_.size();
+      heap_.push_back(key);
+    }
+    sift_up(pos, key);
+  }
+
+  /// Removes the least key from the heap and marks its node settled.
+  detail::SearchKey pop_min() {
+    const detail::SearchKey top = heap_.front();
+    const detail::SearchKey last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      sift_down(last);
+    }
+    labels_[top.node].slot = detail::kSettled;
+    return top;
   }
 
  private:
+  void place(std::size_t pos, const detail::SearchKey& key) {
+    heap_[pos] = key;
+    labels_[key.node].slot = static_cast<std::uint32_t>(pos);
+  }
+
+  void sift_up(std::size_t pos, const detail::SearchKey& key) {
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / 2;
+      if (!(key < heap_[parent])) {
+        break;
+      }
+      place(pos, heap_[parent]);
+      pos = parent;
+    }
+    place(pos, key);
+  }
+
+  /// Re-seats `key` from the root down.
+  void sift_down(const detail::SearchKey& key) {
+    const std::size_t size = heap_.size();
+    std::size_t pos = 0;
+    for (std::size_t child = 1; child < size; child = 2 * pos + 1) {
+      if (child + 1 < size && heap_[child + 1] < heap_[child]) {
+        ++child;
+      }
+      if (!(heap_[child] < key)) {
+        break;
+      }
+      place(pos, heap_[child]);
+      pos = child;
+    }
+    place(pos, key);
+  }
+
   std::vector<detail::DijkstraLabel> labels_;
-  std::vector<std::uint64_t> stamps_;
   std::uint64_t epoch_ = 0;
-  std::vector<detail::DijkstraQueueEntry> heap_;
+  std::vector<detail::SearchKey> heap_;
   std::uint64_t relaxations_ = 0;  ///< batched counters, flushed per run
   std::uint64_t links_scanned_ = 0;
+  std::uint64_t pops_ = 0;
 };
+
+namespace detail {
+
+/// The search behind both entries below. `kGoalDirected` adds the hop
+/// bound to the pop key and the canonical parent rule; the label order
+/// and the relaxation are the same in both.
+template <bool kGoalDirected, typename Probe>
+void route_search(const TransitAdjacency& adjacency, NodeId from, NodeId to,
+                  double ready_time, Probe&& probe,
+                  RoutingWorkspace& workspace, Route& route) {
+  const Topology& topology = adjacency.topology();
+  throw_if(from.index() >= topology.num_nodes() ||
+               to.index() >= topology.num_nodes(),
+           "dijkstra_route_probe: invalid endpoint");
+  route.clear();
+  if (from == to) {
+    return;
+  }
+
+  std::span<const std::uint32_t> hops_left;
+  if constexpr (kGoalDirected) {
+    hops_left = adjacency.hops_to(to);
+  }
+  // (hops + bound) << 32 | hops: the bound is at most kUnreachable and
+  // hops stay below the node count, so neither half overflows.
+  const auto rank = [&](std::uint32_t hops, NodeId node) {
+    std::uint64_t bound = hops;
+    if constexpr (kGoalDirected) {
+      bound += hops_left[node.index()];
+    }
+    return bound << 32 | hops;
+  };
+
+  workspace.begin_search(topology.num_nodes());
+
+  // Work tally, batched into the workspace however the search ends
+  // (per-relaxation cost stays a plain increment; the workspace flushes
+  // one atomic add per run — or at destruction — instead of one per
+  // search).
+  struct WorkTally {
+    RoutingWorkspace& sink;
+    std::uint64_t relaxations = 0;
+    std::uint64_t links_scanned = 0;
+    std::uint64_t pops = 0;
+    ~WorkTally() { sink.add_search_work(relaxations, links_scanned, pops); }
+  } work{workspace};
+
+  DijkstraLabel& source = workspace.label(from.index());
+  source.finish = 0.0;
+  source.start = ready_time;
+  workspace.push_or_decrease(
+      source, SearchKey{0.0, ready_time, rank(0, from), from.value()});
+  // Invalid unless the target is a stub: then its parent, whose
+  // expansion also relaxes the target's stub arcs.
+  const NodeId target_parent = adjacency.stub_parent(to);
+
+  while (!workspace.heap_empty()) {
+    const NodeId node(workspace.pop_min().node);
+    ++work.pops;
+    if (node == to) {
+      break;
+    }
+    const DijkstraLabel& current = workspace.label(node.index());
+    const double current_start = current.start;
+    const double current_finish = current.finish;
+    const std::uint32_t next_hops = current.hops + 1;
+    const auto relax = [&](const TransitAdjacency::Arc& arc) {
+      ++work.links_scanned;
+      DijkstraLabel& next_label = workspace.label(arc.dst.index());
+      if (next_label.settled()) {
+        return;
+      }
+      ++work.relaxations;
+      const ProbeResult result =
+          probe(arc.link, ProbeState{current_start, current_finish});
+      // Lexicographic relaxation (finish, start, hops): on an idle
+      // cut-through network every path yields the same finish, so hop
+      // count must break ties or routes balloon.
+      const bool better =
+          result.finish < next_label.finish ||
+          (result.finish == next_label.finish &&
+           (result.virtual_start < next_label.start ||
+            (result.virtual_start == next_label.start &&
+             next_hops < next_label.hops)));
+      if (better) {
+        next_label.finish = result.finish;
+        next_label.start = result.virtual_start;
+        next_label.hops = next_hops;
+        next_label.parent = arc.link;
+        workspace.push_or_decrease(
+            next_label, SearchKey{result.finish, result.virtual_start,
+                                  rank(next_hops, arc.dst), arc.dst.value()});
+      } else if constexpr (kGoalDirected) {
+        // Canonical parent rule. Plain Dijkstra keeps the first
+        // predecessor to reach a label, and pops predecessors of equal
+        // hops in (finish, start, node) order, arcs in link order. The
+        // bound reorders those pops, so an equal label takes the
+        // predecessor that is smaller in that order.
+        if (result.finish == next_label.finish &&
+            result.virtual_start == next_label.start &&
+            next_hops == next_label.hops) {
+          const NodeId kept = topology.link(next_label.parent).src;
+          const DijkstraLabel& kept_label = workspace.label(kept.index());
+          if (std::tie(current_finish, current_start, node, arc.link) <
+              std::tie(kept_label.finish, kept_label.start, kept,
+                       next_label.parent)) {
+            next_label.parent = arc.link;
+          }
+        }
+      }
+    };
+    for (const TransitAdjacency::Arc& arc : adjacency.transit_arcs(node)) {
+      relax(arc);
+    }
+    // Only the target's stub arcs are ever relaxed, after the transit
+    // arcs: they set only the target's label, in their own link order,
+    // so the pop sequence is that of a search in plain out-link order.
+    if (node == target_parent) {
+      for (const TransitAdjacency::Arc& arc : adjacency.stub_arcs(to)) {
+        relax(arc);
+      }
+    }
+  }
+
+  const DijkstraLabel& target = workspace.label(to.index());
+  throw_if(!target.parent.valid(),
+           "dijkstra_route_probe: destination unreachable");
+  // A label's hop count is its parent chain's length: fill back to front.
+  route.resize(target.hops);
+  NodeId at = to;
+  for (std::size_t i = route.size(); i-- > 0;) {
+    const LinkId hop = workspace.label(at.index()).parent;
+    route[i] = hop;
+    at = topology.link(hop).src;
+  }
+}
+
+}  // namespace detail
 
 /// Dynamic Dijkstra over tentative edge finish times (modified routing).
 ///
 /// The probe is called with a candidate link and the state arriving at its
 /// source node and must return the basic-insertion placement on that link
 /// *without committing it*. Labels are ordered by (finish, virtual_start,
-/// hops) for determinism. Requires the probe to be monotone: a later
-/// arrival never yields an earlier finish, which basic insertion satisfies.
+/// hops) and popped in (finish, virtual_start, hops, node) order. Nothing
+/// is assumed of the probe: the exclusive basic-insertion probe's
+/// `(t_f_min - d) + d` can come out one ulp below `t_f_min`, so a child's
+/// label can sit below its parent's, and this exact pop order is what
+/// fixes its routes (`goal_directed_route_probe` is only for probes that
+/// never do that).
 ///
 /// A popped node relaxes its transit arcs only; when it is the parent of
 /// a stub target, it then relaxes the target's stub arcs. No other stub
@@ -348,111 +603,32 @@ template <typename Probe>
 void dijkstra_route_probe(const TransitAdjacency& adjacency, NodeId from,
                           NodeId to, double ready_time, Probe&& probe,
                           RoutingWorkspace& workspace, Route& route) {
-  const Topology& topology = adjacency.topology();
-  throw_if(from.index() >= topology.num_nodes() ||
-               to.index() >= topology.num_nodes(),
-           "dijkstra_route_probe: invalid endpoint");
-  route.clear();
-  if (from == to) {
-    return;
-  }
+  detail::route_search<false>(adjacency, from, to, ready_time,
+                              std::forward<Probe>(probe), workspace, route);
+}
 
-  workspace.begin_search(topology.num_nodes());
-
-  // Work tally, batched into the workspace however the search ends
-  // (per-relaxation cost stays a plain increment; the workspace flushes
-  // one atomic add per run — or at destruction — instead of one per
-  // search).
-  struct WorkTally {
-    RoutingWorkspace& sink;
-    std::uint64_t relaxations = 0;
-    std::uint64_t links_scanned = 0;
-    ~WorkTally() { sink.add_search_work(relaxations, links_scanned); }
-  } work{workspace};
-
-  using detail::DijkstraQueueEntry;
-  std::vector<DijkstraQueueEntry>& frontier = workspace.heap();
-  const auto heap_greater = std::greater<DijkstraQueueEntry>();
-  const auto push = [&](DijkstraQueueEntry entry) {
-    frontier.push_back(entry);
-    std::push_heap(frontier.begin(), frontier.end(), heap_greater);
-  };
-
-  workspace.label(from.index()) =
-      detail::DijkstraLabel{0.0, ready_time, 0, LinkId{}, false};
-  push(DijkstraQueueEntry{0.0, ready_time, 0, from});
-  // Invalid unless the target is a stub: then its parent, whose
-  // expansion also relaxes the target's stub arcs.
-  const NodeId target_parent = adjacency.stub_parent(to);
-
-  while (!frontier.empty()) {
-    std::pop_heap(frontier.begin(), frontier.end(), heap_greater);
-    const DijkstraQueueEntry entry = frontier.back();
-    frontier.pop_back();
-    detail::DijkstraLabel& current = workspace.label(entry.node.index());
-    if (current.settled || entry.finish > current.finish ||
-        (entry.finish == current.finish && entry.start > current.start)) {
-      continue;  // stale entry
-    }
-    current.settled = true;
-    if (entry.node == to) {
-      break;
-    }
-    const double current_start = current.start;
-    const double current_finish = current.finish;
-    const std::size_t current_hops = current.hops;
-    const auto relax = [&](const TransitAdjacency::Arc& arc) {
-      ++work.links_scanned;
-      detail::DijkstraLabel& next_label = workspace.label(arc.dst.index());
-      if (next_label.settled) {
-        return;
-      }
-      ++work.relaxations;
-      const ProbeResult result =
-          probe(arc.link, ProbeState{current_start, current_finish});
-      // Lexicographic relaxation (finish, start, hops): on an idle
-      // cut-through network every path yields the same finish, so hop
-      // count must break ties or routes balloon.
-      const bool better =
-          result.finish < next_label.finish ||
-          (result.finish == next_label.finish &&
-           (result.virtual_start < next_label.start ||
-            (result.virtual_start == next_label.start &&
-             current_hops + 1 < next_label.hops)));
-      if (better) {
-        next_label.finish = result.finish;
-        next_label.start = result.virtual_start;
-        next_label.hops = current_hops + 1;
-        next_label.parent = arc.link;
-        push(DijkstraQueueEntry{result.finish, result.virtual_start,
-                                next_label.hops, arc.dst});
-      }
-    };
-    for (const TransitAdjacency::Arc& arc :
-         adjacency.transit_arcs(entry.node)) {
-      relax(arc);
-    }
-    // Only the target's stub arcs are ever relaxed, after the transit
-    // arcs: they set only the target's label, in their own link order,
-    // so the pop sequence is that of a search in plain out-link order.
-    if (entry.node == target_parent) {
-      for (const TransitAdjacency::Arc& arc : adjacency.stub_arcs(to)) {
-        relax(arc);
-      }
-    }
-  }
-
-  const detail::DijkstraLabel& target = workspace.label(to.index());
-  throw_if(!target.parent.valid(),
-           "dijkstra_route_probe: destination unreachable");
-  // A label's hop count is its parent chain's length: fill back to front.
-  route.resize(target.hops);
-  NodeId at = to;
-  for (std::size_t i = route.size(); i-- > 0;) {
-    const LinkId hop = workspace.label(at.index()).parent;
-    route[i] = hop;
-    at = topology.link(hop).src;
-  }
+/// `dijkstra_route_probe`'s route and target label, found by settling
+/// fewer nodes, for a probe that is monotone along an arc: its finish is
+/// never below `min_finish` and its `virtual_start` never below
+/// `earliest_start` (BBSA's bandwidth probe: `max(finish, t_f_min)` and a
+/// first flow no earlier than the arrival).
+///
+/// The pop key becomes (finish, start, hops + d(node), hops, node), with
+/// `d` the hop distance to `to` from `adjacency.hops_to`. Since `d` never
+/// drops by more than one per arc, a probe as above makes every child's
+/// key exceed its parent's, so each popped label is final and equals the
+/// one plain Dijkstra settles. Every predecessor that reaches a node's
+/// label pops before the node, and on an equal label the node keeps the
+/// predecessor smaller in (finish, start, node id, link id): the one
+/// Dijkstra pops first. So the routes are the same. The first search to a
+/// target fills its hop row.
+template <typename Probe>
+void goal_directed_route_probe(const TransitAdjacency& adjacency,
+                               NodeId from, NodeId to, double ready_time,
+                               Probe&& probe, RoutingWorkspace& workspace,
+                               Route& route) {
+  detail::route_search<true>(adjacency, from, to, ready_time,
+                             std::forward<Probe>(probe), workspace, route);
 }
 
 }  // namespace edgesched::net

@@ -13,6 +13,7 @@ HotCounters& hot_counters() {
     return new HotCounters{
         m.counter("sched_dijkstra_relaxations_total"),
         m.counter("sched_dijkstra_links_scanned_total"),
+        m.counter("sched_dijkstra_pops_total"),
         m.counter("sched_link_probes_total"),
         m.counter("sched_optimal_probes_total"),
         m.counter("sched_deferral_scans_total"),

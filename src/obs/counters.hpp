@@ -27,6 +27,7 @@ namespace edgesched::obs {
 struct HotCounters {
   Counter& dijkstra_relaxations;  ///< modified-routing probe relaxations
   Counter& dijkstra_links_scanned;  ///< arcs its expansions walked
+  Counter& dijkstra_pops;  ///< nodes its heap popped (settled)
   Counter& link_probes;           ///< first-fit insertion searches
   Counter& optimal_probes;        ///< optimal-insertion searches
   Counter& deferral_scans;        ///< Lemma-2 slack reads from link slots

@@ -215,7 +215,10 @@ void probe_route(const ExclusiveNetworkState& network,
 }
 
 /// Relaxation key: earliest finish of the full volume using the link's
-/// remaining bandwidth (the bandwidth analogue of §4.3).
+/// remaining bandwidth (the bandwidth analogue of §4.3). This probe never
+/// returns a finish below `min_finish` or a first flow before the
+/// arrival, so the goal-directed search finds Dijkstra's very route; the
+/// exclusive probe above can drift one ulp low and keeps plain Dijkstra.
 void probe_route(const BandwidthNetworkState& network,
                  const net::TransitAdjacency& adjacency, net::NodeId from,
                  net::NodeId to, double ship_time, double cost,
@@ -225,8 +228,8 @@ void probe_route(const BandwidthNetworkState& network,
     return network.probe(link, state.earliest_start, state.min_finish,
                          cost);
   };
-  net::dijkstra_route_probe(adjacency, from, to, ship_time, probe, workspace,
-                            route);
+  net::goal_directed_route_probe(adjacency, from, to, ship_time, probe,
+                                 workspace, route);
 }
 
 // ---------------------------------------------------------------------------

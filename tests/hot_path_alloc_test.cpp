@@ -8,6 +8,8 @@
 //     candidate processor per task,
 //   * a warm `StaticRouteTable::route` lookup,
 //   * a warm `dijkstra_route_probe` into a reused route and workspace,
+//   * a warm `goal_directed_route_probe` (BBSA's bandwidth-probe search)
+//     once its target's hop row exists,
 //   * a warm `UniquePathRouter::route` walk into a reused route, and
 //   * `MachineState::commit` (timelines reserved) and the speed groups'
 //     winner query, which MLS selection runs once per task.
@@ -208,6 +210,41 @@ TEST(HotPathAlloc, WarmRouteSearchDoesNotAllocate) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(route, expected);
   EXPECT_FALSE(route.empty());
+}
+
+// The first search to a target fills that target's hop row; every later
+// search to it, from any source, reads the row and allocates nothing.
+TEST(HotPathAlloc, WarmGoalDirectedSearchDoesNotAllocate) {
+  Rng rng(6);
+  const net::Topology topology =
+      net::torus2d(4, 4, net::SpeedConfig{}, rng);
+  const auto& procs = topology.processors();
+  sched::BandwidthNetworkState network(topology);
+  for (std::uint32_t e = 0; e < 4; ++e) {
+    (void)network.commit_edge(
+        net::bfs_route(topology, procs[e], procs[15 - e]), 0.0, 3.0);
+  }
+  const auto probe = [&network](net::LinkId link,
+                                const net::ProbeState& state) {
+    return network.probe(link, state.earliest_start, state.min_finish, 2.0);
+  };
+  const net::TransitAdjacency adjacency(topology);
+  net::RoutingWorkspace workspace;
+  net::Route route;
+  route.reserve(topology.num_nodes());  // room for any simple route
+  net::goal_directed_route_probe(adjacency, procs[0], procs[10], 0.5, probe,
+                                 workspace, route);  // fills the row
+  const net::Route expected = route;
+  const std::size_t before = allocations();
+  net::goal_directed_route_probe(adjacency, procs[0], procs[10], 0.5, probe,
+                                 workspace, route);
+  net::goal_directed_route_probe(adjacency, procs[5], procs[10], 0.5, probe,
+                                 workspace, route);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_FALSE(route.empty());
+  net::goal_directed_route_probe(adjacency, procs[0], procs[10], 0.5, probe,
+                                 workspace, route);
+  EXPECT_EQ(route, expected);
 }
 
 TEST(HotPathAlloc, WarmUniquePathWalkDoesNotAllocate) {

@@ -26,11 +26,23 @@
 // the stub corner cases: two nodes that are each other's stub, a stub
 // source, parallel links into a stub target, a stub also reachable from
 // a non-parent, and a two-member bus.
+//
+// `net::goal_directed_route_probe`, the search BBSA's bandwidth probe
+// uses, pops ties in order of hops plus a hop bound to the target and
+// keeps, on an equal label, the predecessor plain Dijkstra pops first.
+// Its routes and target labels must equal the unpruned oracle's bit for
+// bit, with no more relaxations, on loaded seeded tori, hypercubes, rings,
+// meshes and WANs, and under a tie-heavy integer-cost probe on the same
+// fabrics. A guard case shows why the exclusive probe keeps plain
+// Dijkstra: its `(t_f_min - d) + d` can round one ulp below `t_f_min`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,6 +55,31 @@
 namespace edgesched::net {
 namespace {
 
+/// The oracles' own label and heap entry: the search's layout as it was
+/// when they were written (a lazy-deletion heap, one entry per push), so
+/// they stay independent of the production workspace.
+struct OracleLabel {
+  double finish = std::numeric_limits<double>::infinity();
+  double start = std::numeric_limits<double>::infinity();
+  std::size_t hops = 0;
+  LinkId parent;
+  bool settled = false;
+};
+
+/// Min-heap entry ordered by (finish, start, hops, node).
+struct OracleEntry {
+  double finish;
+  double start;
+  std::size_t hops;
+  NodeId node;
+  bool operator>(const OracleEntry& other) const {
+    if (finish != other.finish) return finish > other.finish;
+    if (start != other.start) return start > other.start;
+    if (hops != other.hops) return hops > other.hops;
+    return node > other.node;
+  }
+};
+
 /// The search as it was before dead-end pruning, kept verbatim apart from
 /// using local scratch: the oracle the production search must match.
 template <typename Probe>
@@ -51,8 +88,8 @@ Route unpruned_route_probe(const Topology& topology, NodeId from, NodeId to,
   if (from == to) {
     return {};
   }
-  using detail::DijkstraLabel;
-  using detail::DijkstraQueueEntry;
+  using DijkstraLabel = OracleLabel;
+  using DijkstraQueueEntry = OracleEntry;
   std::vector<DijkstraLabel> labels(topology.num_nodes());
   std::vector<DijkstraQueueEntry> frontier;
   const auto heap_greater = std::greater<DijkstraQueueEntry>();
@@ -125,8 +162,8 @@ Route dead_end_route_probe(const Topology& topology, NodeId from, NodeId to,
   if (from == to) {
     return {};
   }
-  using detail::DijkstraLabel;
-  using detail::DijkstraQueueEntry;
+  using DijkstraLabel = OracleLabel;
+  using DijkstraQueueEntry = OracleEntry;
   std::vector<DijkstraLabel> labels(topology.num_nodes());
   std::vector<DijkstraQueueEntry> frontier;
   const auto heap_greater = std::greater<DijkstraQueueEntry>();
@@ -376,6 +413,139 @@ TEST_P(RoutingPruneProperty, BandwidthProbeMatchesUnprunedSearch) {
   }
 }
 
+/// Fabrics with many equal-hop paths between most pairs, where the
+/// search's tie order decides the route.
+std::vector<Case> cyclic_builders() {
+  return {
+      {"torus2d", true,
+       [](const SpeedConfig& s, Rng& r) { return torus2d(4, 5, s, r); }},
+      {"hypercube", true,
+       [](const SpeedConfig& s, Rng& r) { return hypercube(5, s, r); }},
+      {"ring", true,
+       [](const SpeedConfig& s, Rng& r) { return ring(8, s, r); }},
+      {"mesh2d", true,
+       [](const SpeedConfig& s, Rng& r) { return mesh2d(3, 4, s, r); }},
+      {"random_wan", false,
+       [](const SpeedConfig& s, Rng& r) {
+         RandomWanParams params;
+         params.num_processors = 20;
+         params.fanout_min = 2;
+         params.fanout_max = 6;
+         params.speeds = s;
+         return random_wan(params, r);
+       }},
+  };
+}
+
+/// The goal-directed search against the unpruned oracle for every
+/// processor pair: equal routes, the oracle's target label bit for bit
+/// (its relaxations folded along its route), and no more relaxations.
+/// `ready(rng)` draws each pair's ready time.
+template <typename Probe, typename Ready>
+void expect_goal_directed_exact(const Topology& topology,
+                                const std::string& where_prefix,
+                                const Probe& probe, Rng& rng,
+                                const Ready& ready) {
+  const TransitAdjacency adjacency(topology);
+  RoutingWorkspace workspace;
+  Route route;
+  std::uint64_t goal_total = 0;
+  std::uint64_t oracle_total = 0;
+  for (const NodeId from : topology.processors()) {
+    for (const NodeId to : topology.processors()) {
+      if (from == to) {
+        continue;
+      }
+      const double ready_time = ready(rng);
+      std::uint64_t goal_probes = 0;
+      std::uint64_t oracle_probes = 0;
+      const auto counting = [&probe](std::uint64_t& count) {
+        return [&probe, &count](LinkId l, const ProbeState& state) {
+          ++count;
+          return probe(l, state);
+        };
+      };
+      goal_directed_route_probe(adjacency, from, to, ready_time,
+                                counting(goal_probes), workspace, route);
+      const detail::DijkstraLabel label = workspace.label(to.index());
+      const Route oracle = unpruned_route_probe(
+          topology, from, to, ready_time, counting(oracle_probes));
+      const std::string where = where_prefix + " " +
+                                std::to_string(from.value()) + "->" +
+                                std::to_string(to.value());
+      ASSERT_EQ(route, oracle) << where;
+      ProbeState state{ready_time, 0.0};
+      for (const LinkId l : oracle) {
+        const ProbeResult hop = probe(l, state);
+        state = ProbeState{hop.virtual_start, hop.finish};
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(label.finish),
+                std::bit_cast<std::uint64_t>(state.min_finish))
+          << where;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(label.start),
+                std::bit_cast<std::uint64_t>(state.earliest_start))
+          << where;
+      ASSERT_EQ(label.hops, oracle.size()) << where;
+      ASSERT_LE(goal_probes, oracle_probes) << where;
+      goal_total += goal_probes;
+      oracle_total += oracle_probes;
+    }
+  }
+  // The bound must cut work somewhere, or this compares a search to
+  // itself.
+  EXPECT_LT(goal_total, oracle_total) << where_prefix;
+}
+
+TEST_P(RoutingPruneProperty, GoalDirectedBandwidthSearchMatchesDijkstra) {
+  for (const Case& c : cyclic_builders()) {
+    Rng rng(GetParam() * 139 + c.name.size());
+    const Topology topology = c.build(speeds(GetParam()), rng);
+    sched::BandwidthNetworkState state(topology);
+    const double cost = rng.uniform_real(0.5, 6.0);
+    const auto probe = [&](LinkId l, const ProbeState& s) {
+      return state.probe(l, s.earliest_start, s.min_finish, cost);
+    };
+    const auto ready = [](Rng& r) { return r.uniform_real(0.0, 40.0); };
+    expect_goal_directed_exact(topology, c.name + "/bandwidth/idle", probe,
+                               rng, ready);
+    for (std::size_t e = 0; e < kBookedEdges; ++e) {
+      const Route route = random_route(topology, rng);
+      (void)state.commit_edge(route, rng.uniform_real(0.0, 50.0),
+                              rng.uniform_real(0.5, 8.0));
+    }
+    expect_goal_directed_exact(topology, c.name + "/bandwidth/loaded",
+                               probe, rng, ready);
+  }
+}
+
+// Small integer busy times and durations: most labels tie with several
+// others, at equal hops through different predecessors, so the route
+// rests on the canonical parent rule. The probe is monotone like the
+// bandwidth probe: no finish below `min_finish`, no start before the
+// arrival.
+TEST_P(RoutingPruneProperty, GoalDirectedSearchMatchesDijkstraOnTies) {
+  for (const Case& c : cyclic_builders()) {
+    Rng rng(GetParam() * 149 + c.name.size());
+    const Topology topology = c.build(speeds(GetParam()), rng);
+    std::vector<double> busy(topology.num_links());
+    std::vector<double> duration(topology.num_links());
+    for (std::size_t l = 0; l < topology.num_links(); ++l) {
+      busy[l] = static_cast<double>(rng.uniform_int(0, 4));
+      duration[l] = static_cast<double>(rng.uniform_int(1, 2));
+    }
+    const auto probe = [&](LinkId l, const ProbeState& s) {
+      const double start = std::max(s.earliest_start, busy[l.index()]);
+      return ProbeResult{
+          start, std::max(s.min_finish, start + duration[l.index()])};
+    };
+    const auto ready = [](Rng& r) {
+      return static_cast<double>(r.uniform_int(0, 3));
+    };
+    expect_goal_directed_exact(topology, c.name + "/ties", probe, rng,
+                               ready);
+  }
+}
+
 /// Idle unit-time probe: every route's cost is its hop count.
 ProbeResult unit_probe(LinkId, const ProbeState& s) {
   return ProbeResult{s.earliest_start, s.earliest_start + 1.0};
@@ -524,6 +694,46 @@ TEST(RoutingPrune, TwoMemberBusRoutesOverItsLink) {
   EXPECT_EQ(topology.link(route[0]).dst, b);
   expect_matches_oracles(topology, a, b);
   expect_matches_oracles(topology, b, a);
+}
+
+// The exclusive probe places a hop at `max(t_es, t_f_min - d)` and
+// finishes it at that plus `d`, which can round one ulp below `t_f_min`,
+// so a child's label can sit below its parent's. Here, from a ready time
+// of 0.5, a -> t finishes at 0.9 and a -> b -> t one ulp earlier. Plain
+// Dijkstra pops b (node 1) before t on the tie at 0.9, and so settles t
+// through b; a hop-bound order pops t first, at 0.9, over the direct
+// link. The exclusive probe therefore keeps `dijkstra_route_probe`.
+TEST(RoutingPrune, OneUlpDriftKeepsDijkstraOrder) {
+  Topology topology;
+  const NodeId a = topology.add_processor();
+  const NodeId b = topology.add_processor();
+  const NodeId t = topology.add_processor();
+  const LinkId a_b = topology.add_link(a, b, 5.0);
+  const LinkId a_t = topology.add_link(a, t, 5.0);
+  const LinkId b_t = topology.add_link(b, t, 10.0);
+  const sched::ExclusiveNetworkState state(topology, 1);
+  const auto probe = [&](LinkId l, const ProbeState& s) {
+    const timeline::Placement placement =
+        state.probe_link(l, s.earliest_start, s.min_finish, 2.0);
+    return ProbeResult{placement.start, placement.finish};
+  };
+  constexpr double kReady = 0.5;
+  const ProbeResult direct = probe(a_t, ProbeState{kReady, 0.0});
+  const ProbeResult first = probe(a_b, ProbeState{kReady, 0.0});
+  const ProbeResult relayed =
+      probe(b_t, ProbeState{first.virtual_start, first.finish});
+  ASSERT_EQ(direct.finish, first.finish);
+  ASSERT_EQ(relayed.finish, std::nextafter(direct.finish, 0.0));
+
+  const TransitAdjacency adjacency(topology);
+  RoutingWorkspace workspace;
+  Route route;
+  dijkstra_route_probe(adjacency, a, t, kReady, probe, workspace, route);
+  EXPECT_EQ(route, (Route{a_b, b_t}));
+  EXPECT_EQ(route, unpruned_route_probe(topology, a, t, kReady, probe));
+  goal_directed_route_probe(adjacency, a, t, kReady, probe, workspace,
+                            route);
+  EXPECT_EQ(route, (Route{a_t}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingPruneProperty,
